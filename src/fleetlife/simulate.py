@@ -8,6 +8,11 @@ asset_id within a class). Activities are atomic within a tick; requests that
 do not fit the tick's person-hour capacity carry over with their original
 timestamps.
 
+Failure sampling draws from the cumulative-hazard difference over the tick,
+``1 - exp(-(H(a + t) - H(a)))`` for real age ``a`` and tick length ``t``.
+With ``hazard_age="apparent"`` both ends are apparent ages, so an asset with
+degradation rate ``r`` uses ``1 - exp(-(H(r(a + t)) - H(ra)))``.
+
 Determinism contract: every replication seeds one RNG stream per asset from
 (master_seed, replication_index, asset_id), and each asset consumes exactly
 one uniform per tick for failure sampling plus a separate stream for
@@ -21,7 +26,6 @@ import csv
 import enum
 import hashlib
 import math
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date
@@ -159,13 +163,6 @@ class ActivityCatalog:
                 f"no inspection activity for {voltage_kv} kV "
                 f"at {interval_months}-month cadence"
             ) from None
-
-    def all_specs(self) -> list[ActivitySpec]:
-        return (
-            list(self.replacements.values())
-            + list(self.corrective.values())
-            + list(self.inspections.values())
-        )
 
 
 @dataclass(frozen=True)
@@ -732,8 +729,80 @@ def validate_scenario_for_fleet(
                 )
 
 
+class _RequestQueue:
+    """One priority class of queued requests as parallel arrays.
+
+    Entries stay in (request tick, asset index) order: each tick's requests
+    are appended sorted by asset index, and removals keep the survivors'
+    order. Asset index order is asset_id order.
+    """
+
+    def __init__(self) -> None:
+        self.asset = np.empty(0, dtype=np.int64)
+        self.spec = np.empty(0, dtype=np.int64)
+        self.generation = np.empty(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.asset)
+
+    def push(self, asset: np.ndarray, spec: np.ndarray, generation: np.ndarray) -> None:
+        self.asset = np.concatenate((self.asset, asset))
+        self.spec = np.concatenate((self.spec, spec))
+        self.generation = np.concatenate((self.generation, generation))
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.asset = self.asset[mask]
+        self.spec = self.spec[mask]
+        self.generation = self.generation[mask]
+
+
+def _greedy_walk(demand: np.ndarray, remaining: float) -> tuple[np.ndarray, float]:
+    """Execute requests in queue order within a budget, skipping misfits.
+
+    Returns the positions executed and the capacity left. This is the walk
+    `allocate_resources` describes, done a run at a time: a misfit is
+    skipped and so is every later request at least as large, since the
+    budget only shrinks. `np.subtract.accumulate` subtracts left to right,
+    so the budget evolves in exactly the float steps of a scalar loop. The
+    queue is taken in windows of doubling width, because a binding budget
+    is spent on a short prefix of a long carried queue.
+    """
+    executed: list[np.ndarray] = []
+    smallest = demand.min() if len(demand) else math.inf
+    lo, width = 0, 64
+    while lo < len(demand) and remaining >= smallest:
+        pos = np.arange(lo, min(lo + width, len(demand)))
+        lo, width = lo + width, 2 * width
+        while len(pos):
+            pos = pos[demand[pos] <= remaining]
+            if not len(pos):
+                break
+            left = np.subtract.accumulate(np.concatenate(([remaining], demand[pos])))
+            misfit = np.flatnonzero(left[1:] < 0)
+            if not len(misfit):
+                executed.append(pos)
+                remaining = float(left[-1])
+                break
+            first = int(misfit[0])
+            executed.append(pos[:first])
+            remaining = float(left[first])
+            pos = pos[first + 1 :]
+    if not executed:
+        return np.empty(0, dtype=np.int64), remaining
+    return np.concatenate(executed), remaining
+
+
+def _add_left_to_right(start: float, values: np.ndarray) -> float:
+    """start + values[0] + values[1] + ..., rounded after every step."""
+    return float(np.cumsum(np.concatenate(([start], values)))[-1])
+
+
+# queue index of each priority class
+_CORRECTIVE, _PLANNED, _INSPECTION = 0, 1, 2
+
+
 class _Engine:
-    """One replication over vectorized asset state."""
+    """One replication over vectorized asset state and array request queues."""
 
     def __init__(self, fleet: Sequence[AssetRecord], scenario: Scenario, rep_index: int):
         self.scenario = scenario
@@ -746,12 +815,12 @@ class _Engine:
 
         start = scenario.start_date or max(r.commission_date for r in fleet)
         order = sorted(range(len(fleet)), key=lambda i: fleet[i].asset_id)
-        self.ids = [fleet[i].asset_id for i in order]
+        ids = [fleet[i].asset_id for i in order]
         self.kv = np.array([fleet[i].voltage_kv for i in order], dtype=np.int32)
         self.age_months = np.array(
             [years_between(fleet[i].commission_date, start) * 12.0 for i in order]
         )
-        n = len(self.ids)
+        n = len(ids)
         self.in_service = np.ones(n, dtype=bool)
         self.failed_tick = np.zeros(n, dtype=np.int64)
         self.pending = np.zeros(n, dtype=bool)
@@ -769,9 +838,27 @@ class _Engine:
             f: scenario.laws[list(VoltageClass)[f]] for f in self.groups
         }
 
+        # Requests refer to activities by id into self.specs.
+        spec_ids: dict[ActivitySpec, int] = {}
+        catalog = scenario.catalog
+
+        def spec_id(spec: ActivitySpec) -> int:
+            return spec_ids.setdefault(spec, len(spec_ids))
+
+        def per_asset(idx: np.ndarray, lookup) -> np.ndarray:
+            by_kv = {int(kv): spec_id(lookup(int(kv))) for kv in np.unique(self.kv[idx])}
+            return np.array([by_kv[int(kv)] for kv in self.kv[idx]], dtype=np.int64)
+
+        everyone = np.arange(n)
+        self.corrective_spec = per_asset(
+            everyone, lambda kv: catalog.replacement(kv, corrective=True)
+        )
+        self.planned_spec = per_asset(everyone, catalog.replacement)
+
         self.is_time = np.zeros(n, dtype=bool)
         self.trigger_age = np.zeros(n)
-        self.insp_rules: list[tuple[np.ndarray, float, int]] = []
+        # (assets, start age in months, interval, spec id of each asset)
+        self.insp_rules: list[tuple[np.ndarray, float, int, np.ndarray]] = []
         for f, idx in self.groups.items():
             fam_policy = scenario.policy.for_family(list(VoltageClass)[f])
             if isinstance(fam_policy.replacement, TimeBased):
@@ -782,13 +869,24 @@ class _Engine:
             if fam_policy.inspections is not None:
                 for interval in fam_policy.inspections.interval_months:
                     self.insp_rules.append(
-                        (idx, fam_policy.inspections.start_age_years * 12.0, interval)
+                        (
+                            idx,
+                            fam_policy.inspections.start_age_years * 12.0,
+                            interval,
+                            per_asset(
+                                idx, lambda kv: catalog.inspection(kv, interval)
+                            ),
+                        )
                     )
+
+        self.specs = list(spec_ids)
+        self.person_hours = np.array([s.person_hours for s in self.specs])
+        self.duration_hours = np.array([s.duration_hours for s in self.specs])
 
         self.rate_rngs: list[np.random.Generator] = []
         self.rates = np.ones(n)
         uniforms = np.empty((n, self.n_ticks)) if scenario.failures_enabled else None
-        for i, asset_id in enumerate(self.ids):
+        for i, asset_id in enumerate(ids):
             failure_seq, rate_seq = _asset_sequences(
                 scenario.master_seed, rep_index, asset_id
             ).spawn(2)
@@ -803,153 +901,121 @@ class _Engine:
             self.capacity: Optional[float] = None
         else:
             self.capacity = scenario.resources.tick_capacity(self.tick)
-        # One FIFO per priority class plus a (possibly stale) lower bound on
-        # the smallest person-hour demand queued in it; stale bounds only cost
-        # speed, never correctness.
-        self.queues: tuple[deque[ActivityRequest], ...] = (deque(), deque(), deque())
-        self.queue_min = [math.inf, math.inf, math.inf]
+        self.queues = (_RequestQueue(), _RequestQueue(), _RequestQueue())
 
         self.kpis = KpiSeries.zeros(scenario.horizon_years)
 
     # -- request plumbing ---------------------------------------------------
 
-    def _push(self, req: ActivityRequest) -> None:
-        cls = req.priority
-        self.queues[cls].append(req)
-        if req.person_hours < self.queue_min[cls]:
-            self.queue_min[cls] = req.person_hours
+    def _push(self, cls: int, asset: np.ndarray, spec: np.ndarray) -> None:
+        if len(asset):
+            self.queues[cls].push(asset, spec, self.generation[asset])
 
-    def _is_stale(self, req: ActivityRequest) -> bool:
-        i = req.asset_index
-        if req.generation != self.generation[i]:
-            return True
-        if req.kind is ActivityKind.INSPECTION and not self.in_service[i]:
-            return True
-        return False
+    def _live(self, cls: int) -> np.ndarray:
+        """Mask of the class's requests that are not stale.
+
+        A request is stale once its asset was replaced after it was raised,
+        and an inspection also once its asset is out of service. Staleness
+        never reverts (generations only grow), so stale requests can be
+        dropped as soon as they are seen.
+        """
+        queue = self.queues[cls]
+        live = queue.generation == self.generation[queue.asset]
+        if cls == _INSPECTION:
+            live &= self.in_service[queue.asset]
+        return live
 
     def _allocate_and_complete(self, k: int, year: int) -> None:
-        # Completion happens inline so that a replacement immediately
-        # invalidates any queued request for the same asset later in this
-        # walk (its generation no longer matches).
+        # Classes run in priority order and each one completes before the
+        # next is masked, so a replacement executed here makes the queued
+        # requests of its asset stale before a later class is walked. Within
+        # one class no completion can make another entry stale: an asset has
+        # at most one live replacement request per class, and inspections
+        # change no state.
         remaining = math.inf if self.capacity is None else self.capacity
-        for cls in (0, 1, 2):
-            queue = self.queues[cls]
-            if not queue:
-                self.queue_min[cls] = math.inf
+        for cls, queue in enumerate(self.queues):
+            if not len(queue):
                 continue
-            if remaining < self.queue_min[cls]:
-                continue
-            skipped: list[ActivityRequest] = []
-            while queue:
-                req = queue[0]
-                if self._is_stale(req):
-                    queue.popleft()
-                    continue
-                demand = req.person_hours
-                if demand <= remaining:
-                    queue.popleft()
-                    remaining -= demand
-                    self._complete(req, k, year)
-                else:
-                    queue.popleft()
-                    skipped.append(req)
-                    if remaining < self.queue_min[cls]:
-                        break
-            queue.extendleft(reversed(skipped))
-            if not queue:
-                self.queue_min[cls] = math.inf
+            stay = self._live(cls)
+            # unconstrained, every live request executes
+            executed = np.flatnonzero(stay)
+            if self.capacity is not None:
+                taken, remaining = _greedy_walk(
+                    self.person_hours[queue.spec[executed]], remaining
+                )
+                executed = executed[taken]
+            stay[executed] = False
+            assets = queue.asset[executed]
+            specs = queue.spec[executed]
+            queue.keep(stay)
+            if cls == _INSPECTION:
+                self._complete_inspections(specs, year)
+            else:
+                for i, s in zip(assets.tolist(), specs.tolist()):
+                    self._complete_replacement(i, self.specs[s], k, year)
 
     def _backlog_person_hours(self) -> float:
-        total = 0.0
-        for queue in self.queues:
-            for req in queue:
-                if not self._is_stale(req):
-                    total += req.person_hours
-        return total
+        # summed left to right in class-then-FIFO order, as a scalar loop
+        # would; np.sum adds pairwise and could differ in the last bits
+        hours = [
+            self.person_hours[queue.spec[self._live(cls)]]
+            for cls, queue in enumerate(self.queues)
+        ]
+        return _add_left_to_right(0.0, np.concatenate(hours))
 
     # -- tick steps ----------------------------------------------------------
 
-    def _sample_failures(self, k: int, year: int) -> list[ActivityRequest]:
-        requests: list[ActivityRequest] = []
+    def _sample_failures(self, k: int, year: int) -> np.ndarray:
+        hit_groups: list[np.ndarray] = []
         for f, idx in self.groups.items():
             law = self.laws[f]
             ages = self.age_months[idx] / 12.0
+            ends = ages + self.tick_years
             if self.scenario.hazard_age == "apparent":
-                ages = ages * self.rates[idx]
+                # both ends of the tick in apparent age: r * a and r * (a + t)
+                rates = self.rates[idx]
+                ages = ages * rates
+                ends = ends * rates
             h_now = (ages / law.eta) ** law.beta
-            h_next = ((ages + self.tick_years) / law.eta) ** law.beta
+            h_next = (ends / law.eta) ** law.beta
             p = -np.expm1(h_now - h_next)
             hits = self.in_service[idx] & (self.uniforms[idx, k] < p)
-            for i in idx[np.nonzero(hits)[0]]:
-                i = int(i)
-                self.in_service[i] = False
-                self.failed_tick[i] = k
-                self.kpis.failures[year] += 1
-                requests.append(
-                    ActivityRequest(
-                        kind=ActivityKind.CORRECTIVE_REPLACEMENT,
-                        request_tick=k,
-                        asset_id=self.ids[i],
-                        asset_index=i,
-                        spec=self.scenario.catalog.replacement(
-                            int(self.kv[i]), corrective=True
-                        ),
-                        generation=int(self.generation[i]),
-                    )
-                )
-        return requests
+            hit_groups.append(idx[hits])
+        failed = np.sort(np.concatenate(hit_groups))
+        self.in_service[failed] = False
+        self.failed_tick[failed] = k
+        self.kpis.failures[year] += len(failed)
+        return failed
 
-    def _replacement_triggers(self, k: int) -> list[ActivityRequest]:
+    def _replacement_triggers(self) -> np.ndarray:
         age_years = self.age_months / 12.0
         effective = np.where(self.is_time, age_years, age_years * self.rates)
-        due = self.in_service & ~self.pending & (effective >= self.trigger_age)
-        requests: list[ActivityRequest] = []
-        for i in np.nonzero(due)[0]:
-            i = int(i)
-            self.pending[i] = True
-            requests.append(
-                ActivityRequest(
-                    kind=ActivityKind.PLANNED_REPLACEMENT,
-                    request_tick=k,
-                    asset_id=self.ids[i],
-                    asset_index=i,
-                    spec=self.scenario.catalog.replacement(int(self.kv[i])),
-                    generation=int(self.generation[i]),
-                )
-            )
-        return requests
+        due = np.flatnonzero(
+            self.in_service & ~self.pending & (effective >= self.trigger_age)
+        )
+        self.pending[due] = True
+        return due
 
-    def _inspection_triggers(self, k: int) -> list[ActivityRequest]:
-        requests: list[ActivityRequest] = []
-        for idx, start_months, interval in self.insp_rules:
+    def _inspection_triggers(self) -> tuple[np.ndarray, np.ndarray]:
+        assets: list[np.ndarray] = []
+        specs: list[np.ndarray] = []
+        for idx, start_months, interval, spec in self.insp_rules:
             ages = self.age_months[idx]
             due = (
                 self.in_service[idx]
                 & (ages >= start_months)
                 & ((ages - start_months) % interval < self.tick)
             )
-            for i in idx[np.nonzero(due)[0]]:
-                i = int(i)
-                requests.append(
-                    ActivityRequest(
-                        kind=ActivityKind.INSPECTION,
-                        request_tick=k,
-                        asset_id=self.ids[i],
-                        asset_index=i,
-                        spec=self.scenario.catalog.inspection(int(self.kv[i]), interval),
-                        generation=int(self.generation[i]),
-                    )
-                )
-        return requests
+            assets.append(idx[due])
+            specs.append(spec[due])
+        if not assets:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        asset = np.concatenate(assets)
+        # stable, so an asset's cadences stay in rule order
+        order = np.argsort(asset, kind="stable")
+        return asset[order], np.concatenate(specs)[order]
 
-    def _complete(self, req: ActivityRequest, k: int, year: int) -> None:
-        i = req.asset_index
-        spec = req.spec
-        if req.kind is ActivityKind.INSPECTION:
-            self.kpis.opex[year] += spec.total_cost
-            self.kpis.inspection_hours[year] += spec.duration_hours
-            self.kpis.unavailability_hours[year] += spec.duration_hours
-            return
+    def _complete_replacement(self, i: int, spec: ActivitySpec, k: int, year: int) -> None:
         gap_hours = 0.0
         if not self.in_service[i]:
             gap_hours = (k - int(self.failed_tick[i])) * self.tick_hours
@@ -962,19 +1028,28 @@ class _Engine:
         self.generation[i] += 1
         self.rates[i] = self.scenario.degradation_rates.draw(self.rate_rngs[i])
 
+    def _complete_inspections(self, specs: np.ndarray, year: int) -> None:
+        kpis = self.kpis
+        for s, count in enumerate(np.bincount(specs).tolist()):
+            if count:
+                kpis.opex[year] += self.specs[s].total_cost * count
+        hours = self.duration_hours[specs]
+        kpis.inspection_hours[year] = _add_left_to_right(kpis.inspection_hours[year], hours)
+        kpis.unavailability_hours[year] = _add_left_to_right(
+            kpis.unavailability_hours[year], hours
+        )
+
     def run(self) -> KpiSeries:
         for k in range(self.n_ticks):
             if k > 0:
                 self.age_months += self.tick
             year = (k * self.tick) // 12
-            new_requests: list[ActivityRequest] = []
             if self.scenario.failures_enabled:
-                new_requests.extend(self._sample_failures(k, year))
-            new_requests.extend(self._replacement_triggers(k))
-            new_requests.extend(self._inspection_triggers(k))
-            new_requests.sort(key=lambda r: r.sort_key)
-            for req in new_requests:
-                self._push(req)
+                failed = self._sample_failures(k, year)
+                self._push(_CORRECTIVE, failed, self.corrective_spec[failed])
+            due = self._replacement_triggers()
+            self._push(_PLANNED, due, self.planned_spec[due])
+            self._push(_INSPECTION, *self._inspection_triggers())
             self._allocate_and_complete(k, year)
             if (k + 1) % self.ticks_per_year == 0:
                 self.kpis.backlog_hours[year] = self._backlog_person_hours()

@@ -6,6 +6,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetlife.fleet import (
     AssetRecord,
@@ -17,6 +19,7 @@ from fleetlife.health import DegradationState
 from fleetlife.scenarios import builtin_scenario, demo_catalog
 from fleetlife.simulate import (
     HOURS_PER_MONTH,
+    ActivityCatalog,
     ActivityKind,
     ActivityRequest,
     ActivitySpec,
@@ -41,6 +44,7 @@ from fleetlife.simulate import (
     run_scenario,
     sample_failure,
     validate_scenario_for_fleet,
+    _greedy_walk,
 )
 from fleetlife.weibull import REFERENCE_LAWS, WeibullLaw
 
@@ -538,3 +542,169 @@ class TestAggregation:
         assert len(lines) == 1 + 50 * 2
         year45 = lines[1 + 45].split(",")
         assert year45[2] == "43211.00"
+
+
+class TestApparentHazard:
+    # Under hazard_age="apparent" with a constant rate r, an asset's life is
+    # Weibull(beta, eta / r) in real time, so each tick's failure fraction
+    # among survivors is that law's conditional probability.
+    @pytest.mark.parametrize(
+        "rate, law",
+        [(2.0, WeibullLaw(beta=3.0, eta=2.0)), (1.25, WeibullLaw(beta=2.0, eta=2.5))],
+    )
+    def test_tick_fraction_matches_rescaled_law(self, rate, law):
+        n = 3000
+        fleet = [asset(f"110-{i:05d}") for i in range(n)]
+        sc = scenario(
+            laws={vc: law for vc in VoltageClass},
+            failures_enabled=True,
+            degradation_rates=ConstantRate(rate),
+            hazard_age="apparent",
+            # nothing executes, so failed assets stay failed
+            resources=Constrained(fte_count=0),
+            tick_months=12,
+            horizon_years=2,
+        )
+        series = run_scenario(fleet, sc).replications[0]
+        real_time_law = WeibullLaw(beta=law.beta, eta=law.eta / rate)
+        at_risk = n
+        for year in range(2):
+            p = real_time_law.conditional_failure_probability(float(year), 1.0)
+            bound = 4.5 * math.sqrt(p * (1 - p) / at_risk) + 1.0 / at_risk
+            assert series.failures[year] / at_risk == pytest.approx(p, abs=bound)
+            at_risk -= series.failures[year]
+
+    def test_one_annual_tick_from_new(self):
+        # rate 2, Weibull(3, 2): one 12-month tick from age 0 reaches
+        # apparent age 2, where F(2) = 1 - exp(-1)
+        p = WeibullLaw(beta=3.0, eta=1.0).conditional_failure_probability(0.0, 1.0)
+        assert p == pytest.approx(1 - math.exp(-1.0), rel=1e-12)
+
+
+def annual_scenario(**overrides) -> Scenario:
+    # 12-month ticks so every tick closes a year and its backlog is reported
+    inspections = PeriodicInspections(start_age_years=0.0, interval_months=(12,))
+    defaults = dict(
+        fleet_policy=simple_policy(TimeBased(2.0), inspections),
+        tick_months=12,
+        horizon_years=4,
+    )
+    defaults.update(overrides)
+    return scenario(**defaults)
+
+
+class TestEngineQueues:
+    # demo catalog: replacement 40 h x 10 = 400 person-hours, annual
+    # (detailed) inspection 1.33 h x 2 = 2.66 person-hours
+    INSPECTION = 1.33 * 2
+
+    def test_year_end_backlog_is_live_carried_work(self):
+        # Three new assets, inspected yearly, replaced at age 2, with 405
+        # person-hours a year.
+        # Year 2: all three replacements fall due; a's executes (5 h left),
+        #   b's and c's carry. a's inspection is stale, b's executes, c's
+        #   carries.
+        # Year 3: b's replacement executes (5 h left), c's carries. Queued
+        #   inspections: c(year 2) executes; a(year 3) does not fit;
+        #   b(year 3) is stale; c(year 3) does not fit.
+        fleet = [asset("a"), asset("b"), asset("c")]
+        sc = annual_scenario(resources=Constrained(fte_count=1, hours_per_fte_per_year=405.0))
+        series = run_scenario(fleet, sc).replications[0]
+        assert series.replacements == [0, 0, 1, 1]
+        assert series.inspection_hours == [3 * 1.33, 3 * 1.33, 1.33, 1.33]
+        assert series.backlog_hours == [
+            0.0,
+            0.0,
+            400.0 + 400.0 + self.INSPECTION,
+            400.0 + self.INSPECTION + self.INSPECTION,
+        ]
+
+    def test_inspection_of_asset_replaced_same_tick_is_dropped(self):
+        # In year 2 the replacement takes the whole 400 person-hours. The
+        # inspection raised in the same tick is stale once the replacement
+        # executes: it is neither executed later nor carried as backlog.
+        sc = annual_scenario(resources=Constrained(fte_count=1, hours_per_fte_per_year=400.0))
+        series = run_scenario([asset()], sc).replications[0]
+        assert series.replacements == [0, 0, 1, 0]
+        assert series.inspection_hours == [1.33, 1.33, 0.0, 1.33]
+        assert series.opex[2] == Decimal(0)
+        assert series.backlog_hours == [0.0, 0.0, 0.0, 0.0]
+
+    def test_inspection_of_failed_asset_is_dropped(self):
+        # With no pool, the inspection raised in year 0 carries. A step
+        # hazard then fails the asset in year 1: the carried inspection is
+        # stale, and only the waiting corrective replacement is backlog.
+        step_law = WeibullLaw(beta=6000.0, eta=1.95)
+        sc = annual_scenario(
+            laws={vc: step_law for vc in VoltageClass},
+            failures_enabled=True,
+            resources=Constrained(fte_count=0),
+            horizon_years=2,
+        )
+        series = run_scenario([asset()], sc).replications[0]
+        assert series.failures == [0, 1]
+        assert series.backlog_hours == [self.INSPECTION, 400.0]
+
+    @pytest.mark.parametrize(
+        "intervals, executed_cost",
+        [((3, 6, 12), 1 + 10), ((12, 3, 6), 100 + 1), ((6, 12, 3), 10 + 100)],
+    )
+    def test_cadences_due_together_execute_in_rule_order(self, intervals, executed_cost):
+        # Quarterly ticks; the three cadences first fall due together at
+        # age 9 months, the last tick of year 0. Each inspection takes one
+        # person-hour and the pool offers two a tick, so the first two
+        # cadences of the rule execute and the third carries.
+        def spec(name, kind, cost):
+            return ActivitySpec(name, kind, 1.0, 1, Decimal(0), Decimal(cost))
+
+        catalog = ActivityCatalog(
+            replacements={110: spec("r", ActivityKind.PLANNED_REPLACEMENT, 5)},
+            inspections={
+                (110, 3): spec("i3", ActivityKind.INSPECTION, 1),
+                (110, 6): spec("i6", ActivityKind.INSPECTION, 10),
+                (110, 12): spec("i12", ActivityKind.INSPECTION, 100),
+            },
+        )
+        plan = PeriodicInspections(start_age_years=0.75, interval_months=intervals)
+        sc = scenario(
+            fleet_policy=simple_policy(TimeBased(45.0), plan),
+            catalog=catalog,
+            resources=Constrained(fte_count=1, hours_per_fte_per_year=8.0),
+            tick_months=3,
+            horizon_years=1,
+        )
+        series = run_scenario([asset()], sc).replications[0]
+        assert series.opex[0] == Decimal(executed_cost)
+        assert series.inspection_hours[0] == 2.0
+        assert series.backlog_hours[0] == 1.0
+
+
+class TestGreedyWalk:
+    # the engine's array walk against the scalar allocate_resources
+    SHAPES = [(0.0, 1), (0.5, 1), (1.33, 2), (2.5, 3), (40.0, 10)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shapes=st.lists(st.sampled_from(SHAPES), max_size=400),
+        budget=st.one_of(
+            st.sampled_from([0.0, 0.5, 2.66, 400.0]),
+            st.floats(min_value=0.0, max_value=1500.0),
+        ),
+    )
+    def test_matches_scalar_allocation(self, shapes, budget):
+        specs = [
+            ActivitySpec("x", ActivityKind.INSPECTION, hours, fte, Decimal(0), Decimal(0))
+            for hours, fte in shapes
+        ]
+        requests = [
+            request(ActivityKind.INSPECTION, 0, f"{pos:05d}", spec, index=pos)
+            for pos, spec in enumerate(specs)
+        ]
+        executed, _ = allocate_resources(requests, budget)
+        remaining = budget
+        for req in executed:
+            remaining -= req.person_hours
+        demand = np.array([spec.person_hours for spec in specs])
+        positions, left = _greedy_walk(demand, budget)
+        assert positions.tolist() == [req.asset_index for req in executed]
+        assert left == remaining
