@@ -49,7 +49,11 @@ FAMILY_CHOICES = [vc.value for vc in VoltageClass]
 
 
 class _Run:
-    """Collects inputs/outputs/seed info and writes the manifest last."""
+    """Collects inputs/outputs/seed info and writes the manifest last.
+
+    Inputs are keyed by the role they play in the command (``fleet``,
+    ``scenario``, ``a``, ...), so two inputs with one basename both count.
+    """
 
     def __init__(self, command: str, out_dir: Path):
         self.command = command
@@ -60,8 +64,8 @@ class _Run:
         self.seeds: dict[str, int] = {}
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    def add_input(self, path: Path) -> None:
-        self.inputs[path.name] = _sha256(path)
+    def add_input(self, role: str, path: Path) -> None:
+        self.inputs[role] = _sha256(path)
 
     def add_output(self, path: Path) -> None:
         self.outputs[str(path.relative_to(self.out_dir))] = _sha256(path)
@@ -125,7 +129,7 @@ def fit(assets_path: Path, cutoff: str, families: tuple[str, ...], out_dir: Path
     """Estimate survival curves and reliability laws from failure records."""
     cutoff_date = _parse_iso_date(cutoff, "--cutoff")
     run = _Run("fit", out_dir)
-    run.add_input(assets_path)
+    run.add_input("assets", assets_path)
     try:
         assets = _load_assets(assets_path)
         observations = build_lifetime_table(assets, cutoff_date)
@@ -211,8 +215,8 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
     """Score every in-service asset on the 1-10 health scale."""
     as_of_date = _parse_iso_date(as_of, "--as-of")
     run = _Run("score", out_dir)
-    run.add_input(assets_path)
-    run.add_input(laws_path)
+    run.add_input("assets", assets_path)
+    run.add_input("laws", laws_path)
     try:
         assets = _load_assets(assets_path)
         with open(laws_path, "r", encoding="utf-8") as handle:
@@ -273,7 +277,9 @@ def simulate(fleet_path: Path, scenario_ref: str, out_dir: Path, jobs: int, seed
     import dataclasses
 
     run = _Run("simulate", out_dir)
-    run.add_input(fleet_path)
+    run.add_input("fleet", fleet_path)
+    if Path(scenario_ref).is_file():
+        run.add_input("scenario", Path(scenario_ref))
     try:
         fleet = _load_assets(fleet_path)
         scenario = resolve_scenario(scenario_ref)
@@ -310,7 +316,7 @@ def synth(spec_path: Path, out_dir: Path) -> None:
     "commission_years": [first, last], "seed": integer}.
     """
     run = _Run("synth", out_dir)
-    run.add_input(spec_path)
+    run.add_input("spec", spec_path)
     try:
         with open(spec_path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -346,8 +352,8 @@ def synth(spec_path: Path, out_dir: Path) -> None:
 def report(path_a: Path, path_b: Path, out_dir: Path) -> None:
     """Compare two simulation reports year by year."""
     run = _Run("report", out_dir)
-    run.add_input(path_a)
-    run.add_input(path_b)
+    run.add_input("a", path_a)
+    run.add_input("b", path_b)
     try:
         with open(path_a, "r", encoding="utf-8") as handle:
             report_a = SimulationReport.from_json_dict(json.load(handle))

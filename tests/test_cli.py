@@ -1,3 +1,4 @@
+import hashlib
 import json
 from datetime import date
 from pathlib import Path
@@ -25,6 +26,10 @@ def invoke(*args):
 def write_fleet(path: Path, records) -> None:
     with open(path, "w", newline="") as handle:
         write_asset_csv(records, handle)
+
+
+def sha256_file(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def manifest_without_duration(out_dir: Path) -> dict:
@@ -308,6 +313,22 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seeds"] == {"master_seed": 99}
 
+    def test_inputs_hashed_by_role(self, tmp_path, small_fleet_csv):
+        sc = scenario_file(tmp_path)
+        out = tmp_path / "sim"
+        invoke("simulate", "--fleet", small_fleet_csv, "--scenario", sc, "--out", out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            "fleet": sha256_file(small_fleet_csv),
+            "scenario": sha256_file(sc),
+        }
+
+    def test_builtin_name_has_no_scenario_hash(self, tmp_path, small_fleet_csv):
+        out = tmp_path / "sim"
+        invoke("simulate", "--fleet", small_fleet_csv, "--scenario", "time-based", "--out", out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["inputs"]) == {"fleet"}
+
     def test_scenario_missing_resources(self, tmp_path, small_fleet_csv):
         sc_path = tmp_path / "broken.json"
         from fleetlife.scenarios import builtin_scenario, scenario_to_dict
@@ -348,6 +369,25 @@ class TestReport:
         assert summary["crossover_year"] is None
         assert (out / "plotdata" / "a_totex_stack.csv").exists()
         assert (out / "plotdata" / "b_totex_stack.csv").exists()
+
+    def test_same_basename_inputs_both_hashed(self, tmp_path, small_fleet_csv):
+        out_x, out_y = tmp_path / "x", tmp_path / "y"
+        invoke("simulate", "--fleet", small_fleet_csv, "--scenario", scenario_file(tmp_path), "--out", out_x)
+        invoke(
+            "simulate", "--fleet", small_fleet_csv,
+            "--scenario", scenario_file(tmp_path, master_seed=8), "--out", out_y,
+        )
+        out = tmp_path / "cmp"
+        result = invoke(
+            "report", "--a", out_x / "report.json", "--b", out_y / "report.json", "--out", out
+        )
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            "a": sha256_file(out_x / "report.json"),
+            "b": sha256_file(out_y / "report.json"),
+        }
+        assert manifest["inputs"]["a"] != manifest["inputs"]["b"]
 
     def test_horizon_mismatch(self, tmp_path, small_fleet_csv):
         out_a = tmp_path / "a"
