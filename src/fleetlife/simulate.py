@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date
 from decimal import Decimal
-from typing import IO, Iterable, Mapping, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -845,7 +845,7 @@ class _Engine:
         def spec_id(spec: ActivitySpec) -> int:
             return spec_ids.setdefault(spec, len(spec_ids))
 
-        def per_asset(idx: np.ndarray, lookup) -> np.ndarray:
+        def per_asset(idx: np.ndarray, lookup: Callable[[int], ActivitySpec]) -> np.ndarray:
             by_kv = {int(kv): spec_id(lookup(int(kv))) for kv in np.unique(self.kv[idx])}
             return np.array([by_kv[int(kv)] for kv in self.kv[idx]], dtype=np.int64)
 

@@ -547,7 +547,8 @@ class TestAggregation:
 class TestApparentHazard:
     # Under hazard_age="apparent" with a constant rate r, an asset's life is
     # Weibull(beta, eta / r) in real time, so each tick's failure fraction
-    # among survivors is that law's conditional probability.
+    # among survivors is that law's conditional probability. For rate 2 and
+    # Weibull(3, 2), the first 12-month tick fails 1 - exp(-1) = 63.2%.
     @pytest.mark.parametrize(
         "rate, law",
         [(2.0, WeibullLaw(beta=3.0, eta=2.0)), (1.25, WeibullLaw(beta=2.0, eta=2.5))],
@@ -573,12 +574,6 @@ class TestApparentHazard:
             bound = 4.5 * math.sqrt(p * (1 - p) / at_risk) + 1.0 / at_risk
             assert series.failures[year] / at_risk == pytest.approx(p, abs=bound)
             at_risk -= series.failures[year]
-
-    def test_one_annual_tick_from_new(self):
-        # rate 2, Weibull(3, 2): one 12-month tick from age 0 reaches
-        # apparent age 2, where F(2) = 1 - exp(-1)
-        p = WeibullLaw(beta=3.0, eta=1.0).conditional_failure_probability(0.0, 1.0)
-        assert p == pytest.approx(1 - math.exp(-1.0), rel=1e-12)
 
 
 def annual_scenario(**overrides) -> Scenario:
