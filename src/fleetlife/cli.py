@@ -18,9 +18,12 @@ from datetime import date
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
 from .fleet import (
+    DAYS_PER_YEAR,
+    FAMILIES,
     DataError,
     SyntheticFleetSpec,
     VoltageClass,
@@ -28,7 +31,6 @@ from .fleet import (
     generate_synthetic_fleet,
     parse_asset_csv,
     write_asset_csv,
-    years_between,
 )
 from .health import AhiConfig, DegradationState, apparent_age, score_asset
 from .scenarios import ScenarioError, resolve_scenario
@@ -132,30 +134,30 @@ def fit(assets_path: Path, cutoff: str, families: tuple[str, ...], out_dir: Path
     run.add_input("assets", assets_path)
     try:
         assets = _load_assets(assets_path)
-        observations = build_lifetime_table(assets, cutoff_date)
+        table = build_lifetime_table(assets, cutoff_date)
     except DataError as exc:
         _fail(str(exc), EXIT_VALIDATION)
         return
 
     wanted = [VoltageClass(f) for f in families] if families else list(VoltageClass)
-    present = {obs.voltage_class for obs in observations}
+    present = table.families()
     laws: list[dict] = []
     diagnostics: dict[str, dict] = {}
     medians: dict[str, dict] = {}
     for vc in wanted:
-        family_obs = [o for o in observations if o.voltage_class is vc]
-        if not family_obs:
+        family_table = table.select(vc)
+        if not len(family_table):
             if families:
                 _fail(f"no assets in family {vc.value}", EXIT_VALIDATION)
             continue
-        curve = km_fit(family_obs)
+        curve = km_fit(family_table)
         curve_path = out_dir / f"km_{vc.value}.csv"
         with open(curve_path, "w", encoding="utf-8", newline="") as handle:
             write_curve_csv(curve, handle)
         run.add_output(curve_path)
 
         try:
-            mle_law, diag = fit_weibull_mle(family_obs)
+            mle_law, diag = fit_weibull_mle(family_table)
         except ValueError as exc:
             _fail(f"family {vc.value}: {exc}", EXIT_VALIDATION)
             return
@@ -236,29 +238,41 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
                 f"asset {rec.asset_id!r} commissioned after --as-of {as_of}",
                 EXIT_VALIDATION,
             )
-
-    averages: dict[VoltageClass, float] = {}
-    for vc in VoltageClass:
-        ages = [
-            years_between(r.commission_date, as_of_date)
-            for r in in_service
-            if r.voltage_class is vc
-        ]
-        if ages:
-            averages[vc] = sum(ages) / len(ages)
-
-    config = AhiConfig()
-    lines = ["asset_id,apparent_age,score,band,basis"]
+    codes = []
     for rec in in_service:
         vc = rec.voltage_class
         if vc not in laws:
             _fail(f"no law for family {vc.value} (asset {rec.asset_id!r})", EXIT_VALIDATION)
-        age = years_between(rec.commission_date, as_of_date)
-        aa = apparent_age(age, DegradationState())
-        result = score_asset(laws[vc], aa if config.use_apparent_age else age, averages[vc], config)
-        lines.append(
-            f"{rec.asset_id},{aa:.4f},{result.score},{result.band.value},{result.basis.value}"
+        codes.append(FAMILIES.index(vc))
+    family = np.array(codes, dtype=np.int8)
+
+    days = np.fromiter(
+        (as_of_date.toordinal() - rec.commission_date.toordinal() for rec in in_service),
+        dtype=np.int64,
+        count=len(in_service),
+    )
+    ages = days / DAYS_PER_YEAR
+    apparent = apparent_age(ages, DegradationState())
+    config = AhiConfig()
+    scored = apparent if config.use_apparent_age else ages
+    scores = np.zeros(len(in_service), dtype=np.int64)
+    bands = np.empty(len(in_service), dtype=object)
+    bases = np.empty(len(in_service), dtype=object)
+    for code, vc in enumerate(FAMILIES):
+        rows = family == code
+        if rows.any():
+            # fleet average in record order, summed left to right
+            average = sum(ages[rows].tolist()) / int(rows.sum())
+            scores[rows], bands[rows], bases[rows] = score_asset(
+                laws[vc], scored[rows], average, config
+            )
+    lines = ["asset_id,apparent_age,score,band,basis"]
+    lines.extend(
+        f"{rec.asset_id},{aa:.4f},{score},{band.value},{basis.value}"
+        for rec, aa, score, band, basis in zip(
+            in_service, apparent.tolist(), scores.tolist(), bands, bases
         )
+    )
     ahi_path = out_dir / "ahi.csv"
     ahi_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     run.add_output(ahi_path)

@@ -3,7 +3,9 @@
 The asset CSV schema is ``asset_id,voltage_kv,commission_date,failure_date,
 manufacturer`` with ISO-8601 dates and an empty failure_date for assets still
 in service. 220 kV and 380 kV units are pooled into one statistical family but
-keep their raw voltage for activity costing.
+keep their raw voltage for activity costing. A lifetime table holds one row
+per asset as columns (duration, event flag, family), which the estimators
+read as arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ __all__ = [
     "DataError",
     "VoltageClass",
     "AssetRecord",
-    "LifetimeObservation",
+    "FAMILIES",
+    "LifetimeTable",
     "ClassSummary",
     "FleetSummary",
     "SyntheticFleetSpec",
@@ -63,6 +66,11 @@ class VoltageClass(enum.Enum):
         raise DataError(f"unknown voltage {kv} kV (expected one of {VALID_VOLTAGES})")
 
 
+# Row order of the family codes in a LifetimeTable.
+FAMILIES: tuple[VoltageClass, ...] = tuple(VoltageClass)
+_FAMILY_CODE = {kv: FAMILIES.index(VoltageClass.from_kv(kv)) for kv in VALID_VOLTAGES}
+
+
 def years_between(start: date, end: date) -> float:
     """Elapsed years as exact day count / 365.25."""
     return (end - start).days / DAYS_PER_YEAR
@@ -97,17 +105,57 @@ class AssetRecord:
         return self.failure_date is not None
 
 
-@dataclass(frozen=True)
-class LifetimeObservation:
-    """A duration in years with an event flag (False means right-censored)."""
+@dataclass(frozen=True, eq=False)
+class LifetimeTable:
+    """Right-censored lifetimes as columns, one row per asset.
 
-    duration: float
-    event: bool
-    voltage_class: VoltageClass
+    ``duration`` is in years (float64), ``event`` is False where the row is
+    right-censored, and ``family`` holds each row's index into FAMILIES.
+    Durations must be finite and non-negative.
+    """
+
+    duration: np.ndarray
+    event: np.ndarray
+    family: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.duration >= 0.0):
-            raise DataError(f"negative duration {self.duration}")
+        duration = np.asarray(self.duration, dtype=np.float64)
+        event = np.asarray(self.event, dtype=bool)
+        family = np.asarray(self.family, dtype=np.int8)
+        if duration.ndim != 1 or not duration.shape == event.shape == family.shape:
+            raise ValueError("lifetime columns must be one-dimensional and of equal length")
+        bad = ~(np.isfinite(duration) & (duration >= 0.0))
+        if bad.any():
+            raise DataError(f"invalid duration {duration[bad][0]}")
+        object.__setattr__(self, "duration", duration)
+        object.__setattr__(self, "event", event)
+        object.__setattr__(self, "family", family)
+
+    @classmethod
+    def of(
+        cls,
+        duration: Sequence[float],
+        event: Sequence[bool],
+        family: VoltageClass | Sequence[VoltageClass] = VoltageClass.V110,
+    ) -> "LifetimeTable":
+        """Table from per-row values; one family for every row, or one per row."""
+        if isinstance(family, VoltageClass):
+            codes = np.full(len(duration), FAMILIES.index(family))
+        else:
+            codes = [FAMILIES.index(vc) for vc in family]
+        return cls(duration, event, codes)
+
+    def __len__(self) -> int:
+        return len(self.duration)
+
+    def select(self, family: VoltageClass) -> "LifetimeTable":
+        """The rows of one family, in table order."""
+        rows = self.family == FAMILIES.index(family)
+        return LifetimeTable(self.duration[rows], self.event[rows], self.family[rows])
+
+    def families(self) -> set[VoltageClass]:
+        """Families with at least one row."""
+        return {FAMILIES[code] for code in np.unique(self.family).tolist()}
 
 
 @dataclass(frozen=True)
@@ -235,61 +283,57 @@ def write_asset_csv(records: Iterable[AssetRecord], stream: IO[str]) -> None:
         )
 
 
-def build_lifetime_table(
-    assets: Sequence[AssetRecord], cutoff: date
-) -> list[LifetimeObservation]:
-    """Turn asset records into right-censored lifetime observations.
+def build_lifetime_table(assets: Sequence[AssetRecord], cutoff: date) -> LifetimeTable:
+    """Turn asset records into a right-censored lifetime table.
 
     Failed assets contribute (commission -> failure, event). Unfailed assets
     are censored at the cutoff. The cutoff must not precede any commission
-    date, and no failure may lie beyond it.
+    date, and no failure may lie beyond it; the first record in input order
+    that breaks either rule is named in the error.
     """
-    observations: list[LifetimeObservation] = []
-    for rec in assets:
+    n = len(assets)
+    end_of_window = cutoff.toordinal()
+    commission = np.fromiter(
+        (rec.commission_date.toordinal() for rec in assets), dtype=np.int64, count=n
+    )
+    failure = np.fromiter(
+        (rec.failure_date.toordinal() if rec.failure_date else 0 for rec in assets),
+        dtype=np.int64,
+        count=n,
+    )
+    event = failure > 0
+    late = commission > end_of_window
+    outside = failure > end_of_window
+    if (late | outside).any():
+        rec = assets[int(np.argmax(late | outside))]
         if rec.commission_date > cutoff:
             raise DataError(
                 f"asset {rec.asset_id!r}: cutoff {cutoff.isoformat()} before "
                 f"commission {rec.commission_date.isoformat()}"
             )
-        if rec.failure_date is not None:
-            if rec.failure_date > cutoff:
-                raise DataError(
-                    f"asset {rec.asset_id!r}: failure {rec.failure_date.isoformat()} "
-                    f"after cutoff {cutoff.isoformat()} (observation outside window)"
-                )
-            duration = years_between(rec.commission_date, rec.failure_date)
-            event = True
-        else:
-            duration = years_between(rec.commission_date, cutoff)
-            event = False
-        observations.append(
-            LifetimeObservation(duration=duration, event=event, voltage_class=rec.voltage_class)
+        raise DataError(
+            f"asset {rec.asset_id!r}: failure {rec.failure_date.isoformat()} "
+            f"after cutoff {cutoff.isoformat()} (observation outside window)"
         )
-    return observations
+    days = np.where(event, failure, end_of_window) - commission
+    family = np.fromiter(
+        (_FAMILY_CODE[rec.voltage_kv] for rec in assets), dtype=np.int8, count=n
+    )
+    return LifetimeTable(days / DAYS_PER_YEAR, event, family)
 
 
-def fleet_summary(observations: Sequence[LifetimeObservation]) -> FleetSummary:
+def fleet_summary(table: LifetimeTable) -> FleetSummary:
     """Count totals and event/censored splits per family; histogram durations."""
-    totals = {vc: 0 for vc in VoltageClass}
-    events = {vc: 0 for vc in VoltageClass}
-    for obs in observations:
-        totals[obs.voltage_class] += 1
-        if obs.event:
-            events[obs.voltage_class] += 1
+    totals = np.bincount(table.family, minlength=len(FAMILIES)).tolist()
+    events = np.bincount(table.family[table.event], minlength=len(FAMILIES)).tolist()
     classes = {
-        vc: ClassSummary(
-            total=totals[vc], events=events[vc], censored=totals[vc] - events[vc]
-        )
-        for vc in VoltageClass
+        vc: ClassSummary(total=totals[i], events=events[i], censored=totals[i] - events[i])
+        for i, vc in enumerate(FAMILIES)
     }
-    histogram: list[tuple[int, int]] = []
-    if observations:
-        buckets: dict[int, int] = {}
-        for obs in observations:
-            start = int(obs.duration // 5) * 5
-            buckets[start] = buckets.get(start, 0) + 1
-        histogram = sorted(buckets.items())
-    return FleetSummary(classes=classes, age_histogram=histogram)
+    starts, counts = np.unique((table.duration // 5).astype(np.int64) * 5, return_counts=True)
+    return FleetSummary(
+        classes=classes, age_histogram=list(zip(starts.tolist(), counts.tolist()))
+    )
 
 
 def generate_synthetic_fleet(spec: SyntheticFleetSpec) -> list[AssetRecord]:

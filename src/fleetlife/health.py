@@ -5,7 +5,9 @@ long look-ahead window, most severe band first; scores 7-10 come from the
 asset's age relative to the fleet average. 1-3 map to Purple, 4-6 to Red,
 7-8 to Orange, 9-10 to Green. Probability bands take precedence over age
 bands, so an asset only falls through to age scoring when the probabilities
-clear every probability threshold.
+clear every probability threshold. The bands are applied to arrays of ages,
+one family at a time; the scalar helpers score one value through the same
+rules.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .weibull import WeibullLaw
 
@@ -104,31 +108,60 @@ class AhiScore:
 
 @dataclass(frozen=True)
 class DegradationState:
-    """Multiplier and offset turning real age into apparent age."""
+    """Multiplier turning real age into apparent age."""
 
     rate: float = 1.0
-    apparent_age_offset: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.rate > 0:
             raise ValueError(f"degradation rate must be positive, got {self.rate}")
 
 
-def apparent_age(commission_age: float, state: DegradationState) -> float:
-    """Age the degradation model makes the asset look: rate * age + offset."""
-    if commission_age < 0:
-        raise ValueError(f"negative age {commission_age}")
-    return max(0.0, state.rate * commission_age + state.apparent_age_offset)
+def apparent_age(commission_age, state: DegradationState):
+    """Age the degradation model makes the asset look: rate * age.
+
+    Takes a float or an array of ages.
+    """
+    if np.any(np.asarray(commission_age) < 0):
+        raise ValueError(f"negative age {np.min(commission_age)}")
+    return state.rate * commission_age
+
+
+def _probability_scores(
+    p_short: np.ndarray, p_long: np.ndarray, config: AhiConfig
+) -> np.ndarray:
+    """Probability-band score 1-6 per element, 0 where no band matches.
+
+    The short window is checked first (scores 1-3), then the long window
+    (scores 4-6), each against descending thresholds: bands are written
+    from the least severe up, so the most severe match is the one kept.
+    """
+    scores = np.zeros(p_short.shape, dtype=np.int64)
+    for offset, p in ((3, p_long), (0, p_short)):
+        for rank in range(len(config.probability_bands), 0, -1):
+            scores[p >= config.probability_bands[rank - 1]] = offset + rank
+    return scores
+
+
+def _age_scores(ages: np.ndarray, average_age: float, config: AhiConfig) -> np.ndarray:
+    """Age-band score 7-10 per element, relative to the fleet average.
+
+    Ages under the young-age cutoff score 10 outright, so the average only
+    has to be positive once it is actually compared against.
+    """
+    young = ages < config.young_age_cutoff
+    if average_age <= 0 and not young.all():
+        raise ValueError(f"average age must be positive, got {average_age}")
+    hi, lo = config.age_fractions
+    scores = np.where(ages > hi * average_age, 7, np.where(ages > lo * average_age, 8, 9))
+    scores[young] = 10
+    return scores
 
 
 def ahi_from_probability(
     p_short: float, p_long: float, config: AhiConfig = AhiConfig()
 ) -> Optional[int]:
-    """Probability-band score 1-6, or None when no band matches.
-
-    The short window is checked first (scores 1-3), then the long window
-    (scores 4-6), each against descending thresholds.
-    """
+    """Probability-band score 1-6 of one asset, or None when no band matches."""
     for name, p in (("p_short", p_short), ("p_long", p_long)):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name}={p} outside [0, 1]")
@@ -136,47 +169,42 @@ def ahi_from_probability(
         raise ValueError(
             f"p_long={p_long} < p_short={p_short}: inconsistent nested windows"
         )
-    for offset, p in ((0, p_short), (3, p_long)):
-        for rank, threshold in enumerate(config.probability_bands, start=1):
-            if p >= threshold:
-                return offset + rank
-    return None
+    score = int(_probability_scores(np.array([p_short]), np.array([p_long]), config)[0])
+    return score or None
 
 
 def ahi_from_age(age: float, average_age: float, config: AhiConfig = AhiConfig()) -> int:
-    """Age-band score 7-10 relative to the fleet average.
-
-    Assets younger than the young-age cutoff score 10 outright, so the
-    average only has to be positive once it is actually compared against.
-    """
+    """Age-band score 7-10 of one asset relative to the fleet average."""
     if age < 0:
         raise ValueError(f"negative age {age}")
-    if age < config.young_age_cutoff:
-        return 10
-    if average_age <= 0:
-        raise ValueError(f"average age must be positive, got {average_age}")
-    hi, lo = config.age_fractions
-    if age > hi * average_age:
-        return 7
-    if age > lo * average_age:
-        return 8
-    return 9
+    return int(_age_scores(np.array([age]), average_age, config)[0])
+
+
+_BAND_OF_SCORE = np.array([None, *(band_for_score(s) for s in range(1, 11))], dtype=object)
+_BASIS = np.array([ScoreBasis.PROBABILITY, ScoreBasis.AGE], dtype=object)
 
 
 def score_asset(
     law: WeibullLaw,
-    apparent_age_years: float,
+    ages,
     fleet_average_age: float,
     config: AhiConfig = AhiConfig(),
-) -> AhiScore:
-    """Full scoring: probability bands first, age bands as fallback."""
-    p_short = law.conditional_failure_probability(apparent_age_years, config.short_window)
-    p_long = law.conditional_failure_probability(apparent_age_years, config.long_window)
-    score = ahi_from_probability(p_short, p_long, config)
-    if score is not None:
-        return AhiScore(score=score, band=band_for_score(score), basis=ScoreBasis.PROBABILITY)
-    score = ahi_from_age(apparent_age_years, fleet_average_age, config)
-    return AhiScore(score=score, band=band_for_score(score), basis=ScoreBasis.AGE)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score the assets of one family: probability bands first, age bands as fallback.
+
+    ``ages`` are the ages (in years) that the probability and age bands read,
+    one per asset. Returns three arrays of that length: the integer scores,
+    their Band and their ScoreBasis.
+    """
+    ages = np.asarray(ages, dtype=np.float64)
+    if (ages < 0).any():
+        raise ValueError(f"negative age {ages.min()}")
+    p_short = law.interval_failure_probability(ages, ages + config.short_window)
+    p_long = law.interval_failure_probability(ages, ages + config.long_window)
+    scores = _probability_scores(p_short, p_long, config)
+    by_age = scores == 0
+    scores[by_age] = _age_scores(ages[by_age], fleet_average_age, config)
+    return scores, _BAND_OF_SCORE[scores], _BASIS[by_age.astype(np.intp)]
 
 
 def threshold_age(

@@ -320,10 +320,7 @@ class AssetState:
 
     @property
     def apparent_age_years(self) -> float:
-        return max(
-            0.0,
-            self.degradation.rate * self.age_years + self.degradation.apparent_age_offset,
-        )
+        return self.degradation.rate * self.age_years
 
 
 @dataclass(frozen=True)
@@ -976,9 +973,7 @@ class _Engine:
                 rates = self.rates[idx]
                 ages = ages * rates
                 ends = ends * rates
-            h_now = (ages / law.eta) ** law.beta
-            h_next = (ends / law.eta) ** law.beta
-            p = -np.expm1(h_now - h_next)
+            p = law.interval_failure_probability(ages, ends)
             hits = self.in_service[idx] & (self.uniforms[idx, k] < p)
             hit_groups.append(idx[hits])
         failed = np.sort(np.concatenate(hit_groups))

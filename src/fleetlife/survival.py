@@ -5,17 +5,24 @@ reduce the at-risk count for later times but create no step of their own.
 Ties are resolved events-first: an observation censored at time t is still at
 risk for events happening at t. The resulting step function is
 right-continuous, so the value AT an event time is the post-drop value.
+
+The fit works on the columns of a LifetimeTable: distinct times and their
+event and removal counts come from one sort, and the running product is a
+float64 cumulative product of the step ratios (n - d) / n. Each ratio is one
+correctly rounded division and each step one rounded multiplication, so the
+value after k steps is within a relative k * 2**-52 of the exact rational
+product; rounding errors mostly cancel, and the tests hold it to 1e-12.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isfinite
-from typing import IO, Sequence
+from typing import IO
 
-from .fleet import LifetimeObservation
+import numpy as np
+
+from .fleet import LifetimeTable
 
 __all__ = ["UNBOUNDED", "CurvePoint", "SurvivalCurve", "km_fit", "write_curve_csv"]
 
@@ -64,36 +71,34 @@ class SurvivalCurve:
         return self.quantile(0.5)
 
 
-def km_fit(observations: Sequence[LifetimeObservation]) -> SurvivalCurve:
-    """Fit the product-limit estimator.
+def km_fit(table: LifetimeTable) -> SurvivalCurve:
+    """Fit the product-limit estimator to every row of the table.
 
     With no events at all the curve is the constant 1 (empty points). The
-    running product is carried in exact rational arithmetic and rounded once
-    per point.
+    at-risk count at a time t is the number of rows with duration >= t, so
+    rows censored at t still count there (events first). The survival value
+    of each step is the float64 running product of the step ratios.
     """
-    if not observations:
+    n = len(table)
+    if n == 0:
         raise ValueError("no observations")
-    for obs in observations:
-        if not isfinite(obs.duration) or obs.duration < 0:
-            raise ValueError(f"invalid duration {obs.duration}")
-
-    marks: dict[float, list[int]] = {}
-    for obs in observations:
-        entry = marks.setdefault(obs.duration, [0, 0])
-        entry[0 if obs.event else 1] += 1
-
-    at_risk = len(observations)
-    survival = Fraction(1)
-    points: list[CurvePoint] = []
-    for t in sorted(marks):
-        d, c = marks[t]
-        if d > 0:
-            survival *= Fraction(at_risk - d, at_risk)
-            points.append(
-                CurvePoint(time=t, at_risk=at_risk, events=d, survival=float(survival))
-            )
-        at_risk -= d + c
-    return SurvivalCurve(points=tuple(points), n_total=len(observations))
+    times, index = np.unique(table.duration, return_inverse=True)
+    leaving = np.bincount(index, minlength=times.size)
+    deaths = np.bincount(index[table.event], minlength=times.size)
+    at_risk = n - (np.cumsum(leaving) - leaving)
+    steps = deaths > 0
+    at_risk, deaths = at_risk[steps], deaths[steps]
+    survival = np.cumprod((at_risk - deaths) / at_risk)
+    points = tuple(
+        map(
+            CurvePoint,
+            times[steps].tolist(),
+            at_risk.tolist(),
+            deaths.tolist(),
+            survival.tolist(),
+        )
+    )
+    return SurvivalCurve(points=points, n_total=n)
 
 
 def write_curve_csv(curve: SurvivalCurve, stream: IO[str]) -> None:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .fleet import LifetimeObservation, VoltageClass
+from .fleet import LifetimeTable, VoltageClass
 from .survival import SurvivalCurve, km_fit
 
 __all__ = [
@@ -110,6 +110,14 @@ class WeibullLaw:
         gap = self.cumulative_hazard(t + window) - self.cumulative_hazard(t)
         return -math.expm1(-gap)
 
+    def interval_failure_probability(self, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+        """Elementwise probability of failing between ages start and end.
+
+        Array form of conditional_failure_probability, with end = start +
+        window: 1 - exp(-(H(end) - H(start))). Ages are not checked.
+        """
+        return -np.expm1((start / self.eta) ** self.beta - (end / self.eta) ** self.beta)
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n lifetimes by inverse-CDF transform of rng uniforms."""
         u = rng.random(n)
@@ -189,9 +197,7 @@ def _log_likelihood(
     )
 
 
-def fit_weibull_mle(
-    observations: Sequence[LifetimeObservation],
-) -> tuple[WeibullLaw, FitDiagnostics]:
+def fit_weibull_mle(table: LifetimeTable) -> tuple[WeibullLaw, FitDiagnostics]:
     """Maximum-likelihood Weibull fit to right-censored lifetimes.
 
     Events contribute log pdf, censored observations log survival. The shape
@@ -200,24 +206,24 @@ def fit_weibull_mle(
     the scale then has a closed form. Needs at least two events, and every
     event duration must be positive.
     """
-    events = [o.duration for o in observations if o.event]
-    censored = [o.duration for o in observations if not o.event]
-    r = len(events)
+    events = table.duration[table.event]
+    censored = table.duration[~table.event]
+    r = events.size
     if r < 2:
         raise ValueError(f"insufficient events: need at least 2, got {r}")
-    if any(t <= 0 for t in events):
+    if (events <= 0).any():
         raise ValueError("zero-duration events cannot be fitted")
 
-    log_events = np.log(np.asarray(events, dtype=float))
-    positive = np.asarray([t for t in events + censored if t > 0], dtype=float)
-    log_all = np.log(positive)
+    log_events = np.log(events)
+    every = np.concatenate((events, censored))
+    log_all = np.log(every[every > 0])
     mean_log_event = float(log_events.mean())
 
     lo, hi = BETA_BRACKET
     g_lo = _profile_residual(lo, log_all, mean_log_event)
     g_hi = _profile_residual(hi, log_all, mean_log_event)
 
-    beta = _initial_beta(observations)
+    beta = _initial_beta(table)
     iterations = 0
     converged = False
     if g_lo < 0.0 < g_hi:
@@ -239,7 +245,7 @@ def fit_weibull_mle(
     eta = _profile_eta(beta, log_all, r)
     diagnostics = FitDiagnostics(
         event_count=r,
-        censored_count=len(censored),
+        censored_count=censored.size,
         log_likelihood=_log_likelihood(beta, eta, log_all, log_events),
         iterations=iterations,
         converged=converged,
@@ -259,10 +265,10 @@ def _profile_eta(beta: float, log_all: np.ndarray, r: int) -> float:
     return math.exp((log_sum - math.log(r)) / beta)
 
 
-def _initial_beta(observations: Sequence[LifetimeObservation]) -> float:
+def _initial_beta(table: LifetimeTable) -> float:
     lo, hi = BETA_BRACKET
     try:
-        law = fit_weibull_rank_regression(km_fit(observations))
+        law = fit_weibull_rank_regression(km_fit(table))
     except ValueError:
         return 1.0
     return min(max(law.beta, lo), hi)

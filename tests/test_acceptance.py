@@ -18,7 +18,7 @@ import pytest
 
 from fleetlife.fleet import (
     AssetRecord,
-    LifetimeObservation,
+    LifetimeTable,
     SyntheticFleetSpec,
     VoltageClass,
     generate_synthetic_fleet,
@@ -107,20 +107,17 @@ def test_criterion_2_km_matches_product_formula_oracle():
         n = int(rng.integers(1, 13))
         durations = rng.integers(0, 9, size=n).astype(float)
         events = rng.random(n) < 0.6
-        observations = [
-            LifetimeObservation(float(d), bool(e), VoltageClass.V110)
-            for d, e in zip(durations, events)
-        ]
-        curve = km_fit(observations)
-        event_times = sorted({o.duration for o in observations if o.event})
+        observations = list(zip(durations.tolist(), events.tolist()))
+        curve = km_fit(LifetimeTable.of(durations, events))
+        event_times = sorted({t for t, e in observations if e})
         assert [p.time for p in curve.points] == event_times
         for point in curve.points:
             value = Fraction(1)
             for t in event_times:
                 if t > point.time:
                     break
-                d = sum(1 for o in observations if o.event and o.duration == t)
-                at_risk = sum(1 for o in observations if o.duration >= t)
+                d = sum(1 for ti, e in observations if e and ti == t)
+                at_risk = sum(1 for ti, _ in observations if ti >= t)
                 value *= Fraction(at_risk - d, at_risk)
             assert abs(point.survival - float(value)) <= 1e-12
 
@@ -132,10 +129,7 @@ def test_criterion_3_censored_mle_recovery():
     for child in np.random.SeedSequence(1).spawn(20):
         rng = np.random.default_rng(child)
         lifetimes = true_law.sample(5000, rng)
-        observations = [
-            LifetimeObservation(min(float(t), 60.0), bool(t <= 60.0), VoltageClass.V110)
-            for t in lifetimes
-        ]
+        observations = LifetimeTable.of(np.minimum(lifetimes, 60.0), lifetimes <= 60.0)
         law, diagnostics = fit_weibull_mle(observations)
         assert diagnostics.converged
         if (

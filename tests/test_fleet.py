@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from fleetlife.fleet import (
     AssetRecord,
+    FAMILIES,
     DataError,
-    LifetimeObservation,
+    LifetimeTable,
     SyntheticFleetSpec,
     VoltageClass,
     build_lifetime_table,
@@ -93,21 +94,21 @@ class TestBuildLifetimeTable:
 
     def test_failed_asset(self):
         rec = AssetRecord("A", 110, date(2000, 1, 1), date(2010, 1, 1))
-        (obs,) = build_lifetime_table([rec], self.CUTOFF)
-        assert obs.event is True
-        assert obs.duration == pytest.approx(10.0, abs=0.01)
+        table = build_lifetime_table([rec], self.CUTOFF)
+        assert table.event.tolist() == [True]
+        assert table.duration[0] == pytest.approx(10.0, abs=0.01)
 
     def test_censored_asset(self):
         rec = AssetRecord("A", 110, date(2000, 1, 1))
-        (obs,) = build_lifetime_table([rec], self.CUTOFF)
-        assert obs.event is False
-        assert obs.duration == pytest.approx(21.5, abs=0.01)
+        table = build_lifetime_table([rec], self.CUTOFF)
+        assert table.event.tolist() == [False]
+        assert table.duration[0] == pytest.approx(21.5, abs=0.01)
 
     def test_commissioned_at_cutoff(self):
         rec = AssetRecord("A", 110, self.CUTOFF)
-        (obs,) = build_lifetime_table([rec], self.CUTOFF)
-        assert obs.duration == 0.0
-        assert obs.event is False
+        table = build_lifetime_table([rec], self.CUTOFF)
+        assert table.duration.tolist() == [0.0]
+        assert table.event.tolist() == [False]
 
     def test_failure_after_cutoff_rejected(self):
         rec = AssetRecord("A", 110, date(2000, 1, 1), date(2021, 8, 1))
@@ -121,8 +122,44 @@ class TestBuildLifetimeTable:
 
     def test_exact_day_count_convention(self):
         rec = AssetRecord("A", 110, date(2000, 1, 1), date(2000, 1, 2))
-        (obs,) = build_lifetime_table([rec], self.CUTOFF)
-        assert obs.duration == 1 / 365.25
+        table = build_lifetime_table([rec], self.CUTOFF)
+        assert table.duration.tolist() == [1 / 365.25]
+
+    def test_first_bad_record_named(self):
+        records = [
+            AssetRecord("OK", 110, date(2000, 1, 1)),
+            AssetRecord("LATE", 150, date(2000, 1, 1), date(2021, 8, 1)),
+            AssetRecord("NEW", 110, date(2022, 1, 1)),
+        ]
+        with pytest.raises(DataError, match="'LATE'.*outside window"):
+            build_lifetime_table(records, self.CUTOFF)
+        with pytest.raises(DataError, match="'NEW'.*before commission"):
+            build_lifetime_table(records[::-1], self.CUTOFF)
+
+    def test_columns_follow_records(self):
+        records = [
+            AssetRecord("A", 380, date(2000, 1, 1), date(2010, 1, 1)),
+            AssetRecord("B", 110, date(2001, 3, 1)),
+            AssetRecord("C", 150, date(1990, 5, 5), date(2020, 2, 29)),
+            AssetRecord("D", 220, date(1985, 1, 1)),
+        ]
+        table = build_lifetime_table(records, self.CUTOFF)
+        for rec, duration, event, code in zip(
+            records, table.duration.tolist(), table.event.tolist(), table.family.tolist()
+        ):
+            end = rec.failure_date or self.CUTOFF
+            assert duration == years_between(rec.commission_date, end)
+            assert event is rec.failed
+            assert FAMILIES[code] is rec.voltage_class
+        assert table.families() == set(VoltageClass)
+        v220 = table.select(VoltageClass.V220_380)
+        assert v220.duration.tolist() == table.duration[[0, 3]].tolist()
+        assert v220.event.tolist() == [True, False]
+
+    def test_invalid_duration_rejected(self):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(DataError, match="invalid duration"):
+                LifetimeTable.of([1.0, bad], [True, False])
 
     def test_length_matches_input(self):
         fleet = generate_synthetic_fleet(
@@ -135,17 +172,17 @@ class TestBuildLifetimeTable:
 
 class TestFleetSummary:
     def test_empty(self):
-        summary = fleet_summary([])
+        summary = fleet_summary(LifetimeTable.of([], []))
         for vc in VoltageClass:
             assert summary.classes[vc].total == 0
         assert summary.age_histogram == []
 
     def test_counting(self):
-        obs = [
-            LifetimeObservation(10.0, True, VoltageClass.V110),
-            LifetimeObservation(20.0, False, VoltageClass.V110),
-            LifetimeObservation(7.0, False, VoltageClass.V150),
-        ]
+        obs = LifetimeTable.of(
+            [10.0, 20.0, 7.0],
+            [True, False, False],
+            [VoltageClass.V110, VoltageClass.V110, VoltageClass.V150],
+        )
         summary = fleet_summary(obs)
         assert summary.classes[VoltageClass.V110].total == 2
         assert summary.classes[VoltageClass.V110].events == 1
@@ -154,21 +191,18 @@ class TestFleetSummary:
         assert summary.classes[VoltageClass.V220_380].total == 0
 
     def test_histogram_buckets(self):
-        obs = [
-            LifetimeObservation(d, False, VoltageClass.V110)
-            for d in (0.0, 4.9, 5.0, 12.0, 12.5)
-        ]
+        obs = LifetimeTable.of([0.0, 4.9, 5.0, 12.0, 12.5], [False] * 5)
         summary = fleet_summary(obs)
         assert summary.age_histogram == [(0, 2), (5, 1), (10, 2)]
 
     def test_population_scale_count(self):
-        obs = [LifetimeObservation(30.0, False, VoltageClass.V110)] * 3168
+        obs = LifetimeTable.of([30.0] * 3168, [False] * 3168)
         summary = fleet_summary(obs)
         assert summary.classes[VoltageClass.V110].total == 3168
 
     def test_csv_export(self):
         out = io.StringIO()
-        fleet_summary([]).write_csv(out)
+        fleet_summary(LifetimeTable.of([], [])).write_csv(out)
         lines = out.getvalue().splitlines()
         assert lines[0] == "voltage_class,total,events,censored"
         assert len(lines) == 4
@@ -262,7 +296,9 @@ def test_csv_round_trip_property(records):
 )
 @settings(max_examples=60)
 def test_summary_counts_consistent(raw):
-    obs = [LifetimeObservation(d, e, vc) for d, e, vc in raw]
+    obs = LifetimeTable.of(
+        [d for d, _, _ in raw], [e for _, e, _ in raw], [vc for _, _, vc in raw]
+    )
     summary = fleet_summary(obs)
     for vc in VoltageClass:
         cls = summary.classes[vc]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,28 +125,109 @@ class TestAgeScores:
             ahi_from_age(20.0, 0.0)
 
 
+def score_one(law, age, average):
+    """score_asset on a single age, as an AhiScore."""
+    scores, bands, bases = score_asset(law, [age], average)
+    return AhiScore(int(scores[0]), bands[0], bases[0])
+
+
 class TestScoreAsset:
     def test_old_110_asset_hits_probability_band(self):
         # p over 3 years at apparent age 70 is about 0.451, clearing the 0.2
         # band of the short window
         p_short = LAW_110.conditional_failure_probability(70.0, 3.0)
         assert p_short == pytest.approx(0.45130524134, rel=1e-9)
-        result = score_asset(LAW_110, 70.0, 40.0)
+        result = score_one(LAW_110, 70.0, 40.0)
         assert result == AhiScore(3, Band.PURPLE, ScoreBasis.PROBABILITY)
 
     def test_new_asset(self):
-        result = score_asset(LAW_110, 0.0, 40.0)
+        result = score_one(LAW_110, 0.0, 40.0)
         assert result == AhiScore(10, Band.GREEN, ScoreBasis.AGE)
 
     def test_mid_age_150_asset_falls_through_to_age(self):
         assert LAW_150.conditional_failure_probability(40.0, 7.0) < 0.2
-        result = score_asset(LAW_150, 40.0, 40.0)
+        result = score_one(LAW_150, 40.0, 40.0)
         assert result == AhiScore(7, Band.ORANGE, ScoreBasis.AGE)
 
     def test_very_old_asset_is_score_one(self):
-        result = score_asset(LAW_110, 100.0, 40.0)
+        result = score_one(LAW_110, 100.0, 40.0)
         assert result.score == 1
         assert result.basis is ScoreBasis.PROBABILITY
+
+    def test_columns_align_with_ages(self):
+        scores, bands, bases = score_asset(LAW_110, [100.0, 0.0, 70.0, 40.0], 40.0)
+        assert scores.tolist() == [1, 10, 3, 7]
+        assert bands.tolist() == [Band.PURPLE, Band.GREEN, Band.PURPLE, Band.ORANGE]
+        assert bases.tolist() == [
+            ScoreBasis.PROBABILITY, ScoreBasis.AGE, ScoreBasis.PROBABILITY, ScoreBasis.AGE
+        ]
+
+    def test_empty(self):
+        scores, bands, bases = score_asset(LAW_110, [], 40.0)
+        assert len(scores) == len(bands) == len(bases) == 0
+
+    def test_negative_age_rejected(self):
+        with pytest.raises(ValueError, match="negative age"):
+            score_asset(LAW_110, [10.0, -1.0], 40.0)
+
+    def test_non_positive_average_rejected_once_compared(self):
+        assert score_asset(LAW_110, [1.0, 2.0], 0.0)[0].tolist() == [10, 10]
+        with pytest.raises(ValueError, match="average age must be positive"):
+            score_asset(LAW_110, [1.0, 20.0], 0.0)
+
+
+def scalar_score(law, age, average, config=AhiConfig()):
+    """The bands restated for one asset, from the law's scalar probabilities."""
+    p = (
+        law.conditional_failure_probability(age, config.short_window),
+        law.conditional_failure_probability(age, config.long_window),
+    )
+    for offset, prob in zip((0, 3), p):
+        for rank, threshold in enumerate(config.probability_bands, start=1):
+            if prob >= threshold:
+                return offset + rank, p
+    if age < config.young_age_cutoff:
+        return 10, p
+    high, low = config.age_fractions
+    if age > high * average:
+        return 7, p
+    return (8 if age > low * average else 9), p
+
+
+def near_threshold(p, config=AhiConfig()):
+    # numpy's vectorized pow and expm1 may differ from libm's in the last
+    # place, so a probability within a few ulps of a band edge may land on
+    # either side of it
+    return any(abs(x - t) <= 1e-14 for x in p for t in config.probability_bands)
+
+
+def edge_ages(law, average):
+    """Ages at every band edge: probability thresholds, age fractions, cutoff."""
+    config = AhiConfig()
+    ages = [config.young_age_cutoff, np.nextafter(config.young_age_cutoff, 0.0)]
+    ages += [f * average for f in config.age_fractions]
+    for window in (config.short_window, config.long_window):
+        for level in config.probability_bands:
+            ages.append(threshold_age(law, window, level))
+    return ages
+
+
+@given(
+    st.sampled_from([LAW_110, LAW_150, LAW_220, WeibullLaw(2.5, 30.0)]),
+    st.lists(st.floats(0.0, 120.0), max_size=40),
+    st.floats(1.0, 80.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_array_scores_match_scalar_bands(law, ages, average):
+    ages = ages + edge_ages(law, average)
+    scores, bands, bases = score_asset(law, ages, average)
+    assert len(scores) == len(ages)
+    for age, score, band, basis in zip(ages, scores.tolist(), bands, bases):
+        expected, p = scalar_score(law, age, average)
+        if not near_threshold(p):
+            assert score == expected, age
+        assert band is band_for_score(score)
+        assert basis is (ScoreBasis.PROBABILITY if score <= 6 else ScoreBasis.AGE)
 
 
 class TestThresholdAge:
@@ -202,9 +284,9 @@ class TestApparentAge:
     def test_slower_degradation(self):
         assert apparent_age(40.0, DegradationState(rate=0.8)) == pytest.approx(32.0)
 
-    def test_offset_and_clamp(self):
-        assert apparent_age(10.0, DegradationState(rate=1.0, apparent_age_offset=5.0)) == 15.0
-        assert apparent_age(1.0, DegradationState(rate=1.0, apparent_age_offset=-10.0)) == 0.0
+    def test_array_of_ages(self):
+        ages = np.array([0.0, 10.0, 40.0])
+        assert apparent_age(ages, DegradationState(rate=1.5)).tolist() == [0.0, 15.0, 60.0]
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -5,29 +5,50 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetlife.fleet import LifetimeObservation, VoltageClass
+from fleetlife.fleet import LifetimeTable
 from fleetlife.survival import UNBOUNDED, km_fit, write_curve_csv
 
 
 def obs(duration, event=True):
-    return LifetimeObservation(duration, event, VoltageClass.V110)
+    return (float(duration), event)
+
+
+def km(observations):
+    """km_fit on a table of (duration, event) rows."""
+    return km_fit(
+        LifetimeTable.of([d for d, _ in observations], [e for _, e in observations])
+    )
+
+
+def product_limit_steps(observations):
+    """(time, at risk, events, exact survival) per distinct event time.
+
+    Direct evaluation of the product formula with events-first tie handling,
+    counting each step from the raw rows.
+    """
+    value = Fraction(1)
+    steps = []
+    for ti in sorted({d for d, e in observations if e}):
+        d = sum(1 for di, e in observations if e and di == ti)
+        n = sum(1 for di, _ in observations if di >= ti)
+        value *= Fraction(n - d, n)
+        steps.append((ti, n, d, value))
+    return steps
 
 
 def product_limit_oracle(observations, t):
-    """Direct evaluation of the product formula, events-first tie handling."""
+    """Exact survival at age t."""
     value = Fraction(1)
-    for ti in sorted({o.duration for o in observations if o.event}):
+    for ti, _, _, survival in product_limit_steps(observations):
         if ti > t:
             break
-        d = sum(1 for o in observations if o.event and o.duration == ti)
-        n = sum(1 for o in observations if o.duration >= ti)
-        value *= Fraction(n - d, n)
+        value = survival
     return value
 
 
 class TestKmFit:
     def test_mixed_example(self):
-        curve = km_fit([obs(2), obs(3, event=False), obs(5)])
+        curve = km([obs(2), obs(3, event=False), obs(5)])
         assert [(p.time, p.at_risk, p.events) for p in curve.points] == [
             (2, 3, 1),
             (5, 1, 1),
@@ -36,53 +57,49 @@ class TestKmFit:
         assert curve.points[1].survival == 0.0
 
     def test_all_censored_constant_curve(self):
-        curve = km_fit([obs(4, event=False), obs(9, event=False)])
+        curve = km([obs(4, event=False), obs(9, event=False)])
         assert curve.points == ()
         assert curve.survival_at(100.0) == 1.0
 
     def test_all_events_steps(self):
-        curve = km_fit([obs(1), obs(2), obs(3), obs(4)])
+        curve = km([obs(1), obs(2), obs(3), obs(4)])
         assert [p.survival for p in curve.points] == [0.75, 0.5, 0.25, 0.0]
         assert [p.at_risk for p in curve.points] == [4, 3, 2, 1]
 
     def test_tied_events_and_censorings(self):
         # censored at 5 still at risk for the event at 5
-        curve = km_fit([obs(5), obs(5, event=False), obs(7, event=False)])
+        curve = km([obs(5), obs(5, event=False), obs(7, event=False)])
         assert curve.points[0].at_risk == 3
         assert curve.points[0].survival == pytest.approx(2 / 3, abs=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no observations"):
-            km_fit([])
+            km([])
 
     def test_negative_duration_rejected(self):
-        bad = LifetimeObservation.__new__(LifetimeObservation)
-        object.__setattr__(bad, "duration", -1.0)
-        object.__setattr__(bad, "event", True)
-        object.__setattr__(bad, "voltage_class", VoltageClass.V110)
         with pytest.raises(ValueError, match="invalid duration"):
-            km_fit([bad])
+            km([obs(-1.0)])
 
 
 class TestSurvivalAt:
     def test_at_zero_is_one(self):
-        curve = km_fit([obs(2), obs(3, event=False), obs(5)])
+        curve = km([obs(2), obs(3, event=False), obs(5)])
         assert curve.survival_at(0) == 1.0
 
     def test_between_steps(self):
-        curve = km_fit([obs(2), obs(3, event=False), obs(5)])
+        curve = km([obs(2), obs(3, event=False), obs(5)])
         assert curve.survival_at(4) == pytest.approx(2 / 3, abs=1e-15)
 
     def test_right_continuous_at_event_time(self):
-        curve = km_fit([obs(2), obs(3, event=False), obs(5)])
+        curve = km([obs(2), obs(3, event=False), obs(5)])
         assert curve.survival_at(2) == pytest.approx(2 / 3, abs=1e-15)
 
     def test_beyond_last_event(self):
-        curve = km_fit([obs(2), obs(3, event=False), obs(5)])
+        curve = km([obs(2), obs(3, event=False), obs(5)])
         assert curve.survival_at(1000) == 0.0
 
     def test_negative_time_rejected(self):
-        curve = km_fit([obs(2)])
+        curve = km([obs(2)])
         with pytest.raises(ValueError, match="negative time"):
             curve.survival_at(-0.5)
 
@@ -90,33 +107,33 @@ class TestSurvivalAt:
 class TestQuantile:
     def test_median_first_crossing(self):
         # single step dropping below one half at t=10
-        curve = km_fit([obs(10), obs(10), obs(10), obs(15, event=False)])
+        curve = km([obs(10), obs(10), obs(10), obs(15, event=False)])
         assert curve.survival_at(10) == pytest.approx(0.25, abs=1e-15)
         assert curve.median() == 10
 
     def test_median_unbounded_when_curve_stays_high(self):
         # minimum survival 0.8 never reaches one half
-        curve = km_fit([obs(10)] + [obs(20, event=False)] * 4)
+        curve = km([obs(10)] + [obs(20, event=False)] * 4)
         assert curve.points[-1].survival == pytest.approx(0.8, abs=1e-15)
         assert curve.median() == UNBOUNDED
 
     def test_median_exact_at_half(self):
-        curve = km_fit([obs(1), obs(2), obs(3), obs(4)])
+        curve = km([obs(1), obs(2), obs(3), obs(4)])
         assert curve.quantile(0.5) == 2
 
     def test_q75(self):
-        curve = km_fit([obs(1), obs(2), obs(3), obs(4)])
+        curve = km([obs(1), obs(2), obs(3), obs(4)])
         assert curve.quantile(0.75) == 3
 
     def test_invalid_level_rejected(self):
-        curve = km_fit([obs(1)])
+        curve = km([obs(1)])
         for q in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError, match="outside"):
                 curve.quantile(q)
 
 
 def test_curve_csv_export():
-    curve = km_fit([obs(2), obs(3, event=False), obs(5)])
+    curve = km([obs(2), obs(3, event=False), obs(5)])
     out = io.StringIO()
     write_curve_csv(curve, out)
     lines = out.getvalue().splitlines()
@@ -129,27 +146,54 @@ observation_lists = st.lists(
     st.tuples(st.integers(0, 8), st.booleans()),
     min_size=1,
     max_size=12,
-).map(
-    lambda raw: [
-        LifetimeObservation(float(d), e, VoltageClass.V110) for d, e in raw
-    ]
-)
+).map(lambda raw: [(float(d), e) for d, e in raw])
+
+
+# The survival column is a float running product, not the exact rational one.
+SURVIVAL_TOLERANCE = 1e-12
 
 
 @given(observation_lists)
 @settings(max_examples=150)
 def test_matches_product_limit_oracle(observations):
-    curve = km_fit(observations)
+    curve = km(observations)
     for pt in curve.points:
-        assert pt.survival == float(product_limit_oracle(observations, pt.time))
+        exact = product_limit_oracle(observations, pt.time)
+        assert abs(pt.survival - float(exact)) <= SURVIVAL_TOLERANCE
     for t in (0.0, 0.5, 3.3, 8.0, 50.0):
-        assert curve.survival_at(t) == float(product_limit_oracle(observations, t))
+        exact = product_limit_oracle(observations, t)
+        assert abs(curve.survival_at(t) - float(exact)) <= SURVIVAL_TOLERANCE
+
+
+# Up to 500 rows on a coarse grid of ages: many rows share an age, and rows
+# censored at an event time are common.
+tied_observation_lists = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 60).map(lambda k: k / 4), st.floats(0.0, 15.0)),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=500,
+)
+
+
+@given(tied_observation_lists)
+@settings(max_examples=60, deadline=None)
+def test_steps_match_exact_product_limit(observations):
+    curve = km(observations)
+    steps = product_limit_steps(observations)
+    assert [(p.time, p.at_risk, p.events) for p in curve.points] == [
+        (t, n, d) for t, n, d, _ in steps
+    ]
+    for pt, (_, _, _, exact) in zip(curve.points, steps):
+        assert abs(pt.survival - float(exact)) <= SURVIVAL_TOLERANCE
+    assert curve.n_total == len(observations)
 
 
 @given(observation_lists)
 @settings(max_examples=80)
 def test_survival_monotone_non_increasing(observations):
-    curve = km_fit(observations)
+    curve = km(observations)
     grid = [i * 0.25 for i in range(50)]
     values = [curve.survival_at(t) for t in grid]
     assert all(b <= a for a, b in zip(values, values[1:]))
@@ -161,7 +205,7 @@ def test_survival_monotone_non_increasing(observations):
 def test_permutation_invariance(observations, rnd):
     shuffled = list(observations)
     rnd.shuffle(shuffled)
-    assert km_fit(shuffled) == km_fit(observations)
+    assert km(shuffled) == km(observations)
 
 
 @given(observation_lists)
@@ -171,13 +215,9 @@ def test_trailing_censoring_only_touches_at_risk_bookkeeping(observations):
     # no new step and changes no event counts; it joins the at-risk set at
     # every step (so each n_i grows by one, which the product formula then
     # reflects, as the oracle-equivalence test confirms on the refit).
-    curve = km_fit(observations)
-    extended = observations + [
-        LifetimeObservation(
-            max(o.duration for o in observations) + 5.0, False, VoltageClass.V110
-        )
-    ]
-    curve2 = km_fit(extended)
+    curve = km(observations)
+    extended = observations + [obs(max(d for d, _ in observations) + 5.0, False)]
+    curve2 = km(extended)
     assert [p.time for p in curve2.points] == [p.time for p in curve.points]
     assert [p.events for p in curve2.points] == [p.events for p in curve.points]
     assert [p.at_risk for p in curve2.points] == [p.at_risk + 1 for p in curve.points]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fleetlife.fleet import LifetimeObservation, VoltageClass
+from fleetlife.fleet import LifetimeTable, VoltageClass
 from fleetlife.survival import km_fit
 from fleetlife.weibull import (
     REFERENCE_LAWS,
@@ -22,14 +22,11 @@ LAW_220 = REFERENCE_LAWS[VoltageClass.V220_380]
 
 
 def events(durations):
-    return [LifetimeObservation(float(t), True, VoltageClass.V110) for t in durations]
+    return LifetimeTable.of(durations, [True] * len(durations))
 
 
 def censored_at(lifetimes, cutoff):
-    return [
-        LifetimeObservation(min(float(t), cutoff), bool(t <= cutoff), VoltageClass.V110)
-        for t in lifetimes
-    ]
+    return LifetimeTable.of(np.minimum(lifetimes, cutoff), np.asarray(lifetimes) <= cutoff)
 
 
 class TestLawEvaluation:
@@ -137,8 +134,8 @@ class TestConditionalFailureProbability:
 
 def naive_log_likelihood(law, observations):
     total = 0.0
-    for o in observations:
-        total += math.log(law.pdf(o.duration)) if o.event else -law.cumulative_hazard(o.duration)
+    for t, event in zip(observations.duration.tolist(), observations.event.tolist()):
+        total += math.log(law.pdf(t)) if event else -law.cumulative_hazard(t)
     return total
 
 
@@ -159,8 +156,7 @@ class TestMleFit:
         assert 0.95 <= law.beta <= 1.05
 
     def test_insufficient_events(self):
-        obs = [LifetimeObservation(5.0, False, VoltageClass.V110)] * 10
-        obs.append(LifetimeObservation(3.0, True, VoltageClass.V110))
+        obs = LifetimeTable.of([5.0] * 10 + [3.0], [False] * 10 + [True])
         with pytest.raises(ValueError, match="insufficient events"):
             fit_weibull_mle(obs)
 
