@@ -2,7 +2,8 @@
 
 A scenario file is a JSON document mirroring the Scenario dataclass. The
 validator reports the exact path of the offending field (for example
-``resources.fte_count: required in constrained mode``).
+``resources.fte_count: required in constrained mode``), and rejects any
+field it does not know, at every level.
 
 Two demo strategies are bundled, each available with an unconstrained pool
 or with 40 or 60 full-time workers:
@@ -193,11 +194,13 @@ def resolve_scenario(name_or_path: str) -> Scenario:
 
 
 def load_scenario_file(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path}: invalid JSON: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}: invalid JSON: {exc}") from None
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read scenario file ({exc.strerror})") from None
     return scenario_from_dict(data)
 
 
@@ -214,6 +217,16 @@ def _expect(data: Mapping, key: str, path: str) -> Any:
 
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
+
+
+def _known(entry: Mapping, fields: tuple[str, ...], path: str) -> Mapping:
+    """The entry itself, once every key in it is one of the known fields."""
+    for key in entry:
+        if key not in fields:
+            raise ScenarioError(
+                f"{_join(path, str(key))}: unknown field (expected one of {', '.join(fields)})"
+            )
+    return entry
 
 
 def _as_mapping(value: Any, path: str) -> Mapping:
@@ -256,7 +269,7 @@ def _parse_laws(data: Any, path: str) -> dict[VoltageClass, WeibullLaw]:
     laws = {}
     for key, value in mapping.items():
         vc = _family(key, _join(path, key))
-        entry = _as_mapping(value, _join(path, key))
+        entry = _known(_as_mapping(value, _join(path, key)), ("beta", "eta"), _join(path, key))
         beta = _as_number(_expect(entry, "beta", _join(path, key)), _join(path, f"{key}.beta"))
         eta = _as_number(_expect(entry, "eta", _join(path, key)), _join(path, f"{key}.eta"))
         try:
@@ -270,12 +283,14 @@ def _parse_replacement(data: Any, path: str):
     entry = _as_mapping(data, path)
     kind = _expect(entry, "type", path)
     if kind == "time_based":
+        _known(entry, ("type", "age_years"), path)
         age = _as_number(_expect(entry, "age_years", path), _join(path, "age_years"))
         try:
             return TimeBased(age_years=age)
         except ValueError as exc:
             raise ScenarioError(f"{_join(path, 'age_years')}: {exc}") from None
     if kind == "condition_based":
+        _known(entry, ("type", "trigger_apparent_age"), path)
         age = _as_number(
             _expect(entry, "trigger_apparent_age", path),
             _join(path, "trigger_apparent_age"),
@@ -292,7 +307,7 @@ def _parse_replacement(data: Any, path: str):
 def _parse_inspections(data: Any, path: str) -> Optional[PeriodicInspections]:
     if data is None:
         return None
-    entry = _as_mapping(data, path)
+    entry = _known(_as_mapping(data, path), ("start_age_years", "interval_months"), path)
     start = _as_number(
         _expect(entry, "start_age_years", path), _join(path, "start_age_years")
     )
@@ -317,7 +332,7 @@ def _parse_policy(data: Any, path: str) -> Policy:
     for key, value in mapping.items():
         fam_path = _join(path, key)
         vc = _family(key, fam_path)
-        entry = _as_mapping(value, fam_path)
+        entry = _known(_as_mapping(value, fam_path), ("replacement", "inspections"), fam_path)
         replacement = _parse_replacement(
             _expect(entry, "replacement", fam_path), _join(fam_path, "replacement")
         )
@@ -329,6 +344,15 @@ def _parse_policy(data: Any, path: str) -> Policy:
 
 
 _ACTIVITY_KINDS = {kind.value: kind for kind in ActivityKind}
+_ACTIVITY_FIELDS = (
+    "name",
+    "kind",
+    "voltage_kv",
+    "duration_hours",
+    "required_fte",
+    "material_cost",
+    "workforce_cost",
+)
 
 
 def _parse_activities(data: Any, path: str) -> ActivityCatalog:
@@ -348,6 +372,11 @@ def _parse_activities(data: Any, path: str) -> ActivityCatalog:
                 f"{sorted(_ACTIVITY_KINDS)}, got {kind_text!r}"
             )
         kind = _ACTIVITY_KINDS[kind_text]
+        _known(
+            entry,
+            _ACTIVITY_FIELDS + (("interval_months",) if kind is ActivityKind.INSPECTION else ()),
+            entry_path,
+        )
         kv = _as_int(_expect(entry, "voltage_kv", entry_path), _join(entry_path, "voltage_kv"))
         try:
             spec = ActivitySpec(
@@ -391,8 +420,10 @@ def _parse_resources(data: Any, path: str):
     entry = _as_mapping(data, path)
     mode = _expect(entry, "mode", path)
     if mode == "unconstrained":
+        _known(entry, ("mode",), path)
         return Unconstrained()
     if mode == "constrained":
+        _known(entry, ("mode", "fte_count", "hours_per_fte_per_year"), path)
         if "fte_count" not in entry:
             raise ScenarioError(f"{_join(path, 'fte_count')}: required in constrained mode")
         if "hours_per_fte_per_year" not in entry:
@@ -421,11 +452,13 @@ def _parse_rates(data: Any, path: str):
     entry = _as_mapping(data, path)
     kind = _expect(entry, "kind", path)
     if kind == "constant":
+        _known(entry, ("kind", "value"), path)
         value = _as_number(entry.get("value", 1.0), _join(path, "value"))
         if value <= 0:
             raise ScenarioError(f"{_join(path, 'value')}: must be positive")
         return ConstantRate(value=value)
     if kind == "lognormal":
+        _known(entry, ("kind", "mu", "sigma"), path)
         try:
             return LognormalRate(
                 mu=_as_number(entry.get("mu", 0.0), _join(path, "mu")),
@@ -441,7 +474,18 @@ def _parse_rates(data: Any, path: str):
 def _parse_ahi(data: Any, path: str) -> AhiConfig:
     if data is None:
         return AhiConfig()
-    entry = _as_mapping(data, path)
+    entry = _known(
+        _as_mapping(data, path),
+        (
+            "short_window",
+            "long_window",
+            "probability_bands",
+            "age_fractions",
+            "young_age_cutoff",
+            "use_apparent_age",
+        ),
+        path,
+    )
     bands = entry.get("probability_bands", [0.8, 0.5, 0.2])
     if not isinstance(bands, list) or len(bands) != 3:
         raise ScenarioError(
@@ -477,8 +521,26 @@ def _parse_ahi(data: Any, path: str) -> AhiConfig:
         raise ScenarioError(f"{path}: {exc}") from None
 
 
+_SCENARIO_FIELDS = (
+    "name",
+    "horizon_years",
+    "tick_months",
+    "start_date",
+    "master_seed",
+    "replications",
+    "failures_enabled",
+    "hazard_age",
+    "degradation_rates",
+    "ahi",
+    "laws",
+    "policy",
+    "activities",
+    "resources",
+)
+
+
 def scenario_from_dict(data: Mapping) -> Scenario:
-    root = _as_mapping(data, "scenario")
+    root = _known(_as_mapping(data, "scenario"), _SCENARIO_FIELDS, "")
     name = str(_expect(root, "name", ""))
     laws = _parse_laws(_expect(root, "laws", ""), "laws")
     policy = _parse_policy(_expect(root, "policy", ""), "policy")

@@ -344,6 +344,27 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "resources: required" in result.output
 
+    def test_scenario_directory_is_a_validation_error(self, tmp_path, small_fleet_csv):
+        folder = tmp_path / "scenarios"
+        folder.mkdir()
+        result = runner.invoke(
+            main,
+            ["simulate", "--fleet", str(small_fleet_csv), "--scenario", str(folder),
+             "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 2
+        assert f"{folder}: cannot read scenario file" in result.output
+
+    def test_misspelled_scenario_key_is_a_validation_error(self, tmp_path, small_fleet_csv):
+        sc = scenario_file(tmp_path, horizon_year=30)
+        result = runner.invoke(
+            main,
+            ["simulate", "--fleet", str(small_fleet_csv), "--scenario", str(sc),
+             "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 2
+        assert "horizon_year: unknown field" in result.output
+
     def test_unknown_scenario_name(self, tmp_path, small_fleet_csv):
         result = runner.invoke(
             main,

@@ -1,9 +1,13 @@
+import dataclasses
 import json
+import re
 
 import pytest
 
 from fleetlife.fleet import VoltageClass
 from fleetlife.scenarios import (
+    BUILTIN_RESOURCES,
+    BUILTIN_STRATEGIES,
     ScenarioError,
     builtin_scenario,
     load_scenario_file,
@@ -78,6 +82,25 @@ class TestRoundTrip:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario_to_dict(sc)))
         assert load_scenario_file(str(path)).resources == sc.resources
+
+    @pytest.mark.parametrize("strategy", BUILTIN_STRATEGIES)
+    @pytest.mark.parametrize("resources", BUILTIN_RESOURCES)
+    def test_every_builtin_round_trips_through_json(self, strategy, resources):
+        # the form in which scenario files are written, read back
+        sc = builtin_scenario(strategy, resources)
+        data = json.loads(json.dumps(scenario_to_dict(sc)))
+        clone = scenario_from_dict(data)
+        for field in dataclasses.fields(sc):
+            if field.name != "catalog":
+                assert getattr(clone, field.name) == getattr(sc, field.name), field.name
+        for table in ("replacements", "inspections", "corrective"):
+            # ActivitySpec equality compares the money as exact Decimals
+            assert getattr(clone.catalog, table) == getattr(sc.catalog, table)
+        assert scenario_to_dict(clone) == data
+
+    def test_directory_is_not_a_scenario_file(self, tmp_path):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(str(tmp_path))}: cannot read"):
+            resolve_scenario(str(tmp_path))
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -212,4 +235,45 @@ class TestValidationPaths:
             scenario_from_dict(data)
         data["ahi"] = {"probability_bands": [0.8, 0.5]}
         with pytest.raises(ScenarioError, match="^ahi.probability_bands:"):
+            scenario_from_dict(data)
+
+
+class TestUnknownFields:
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda d: d.update(horizon_year=30), "horizon_year"),
+            (lambda d: d["laws"]["110"].update(shape=2.0), "laws.110.shape"),
+            (lambda d: d["policy"]["150"].update(budget=1), "policy.150.budget"),
+            (
+                lambda d: d["policy"]["110"]["replacement"].update(age_year=40),
+                "policy.110.replacement.age_year",
+            ),
+            (
+                lambda d: d["policy"]["110"]["inspections"].update(start_age=20),
+                "policy.110.inspections.start_age",
+            ),
+            (lambda d: d["activities"][0].update(interval_months=3), r"activities\[0\].interval_months"),
+            (lambda d: d["activities"][-1].update(colour="red"), r"activities\[\d+\].colour"),
+            (lambda d: d["resources"].update(fte=40), "resources.fte"),
+            (lambda d: d["degradation_rates"].update(median=1.0), "degradation_rates.median"),
+            (lambda d: d["ahi"].update(window=3.0), "ahi.window"),
+        ],
+    )
+    def test_rejected_with_path(self, edit, path):
+        data = valid_dict()
+        edit(data)
+        with pytest.raises(ScenarioError, match=f"^{path}: unknown field"):
+            scenario_from_dict(data)
+
+    def test_unconstrained_takes_no_pool_fields(self):
+        data = valid_dict()
+        data["resources"] = {"mode": "unconstrained", "fte_count": 40}
+        with pytest.raises(ScenarioError, match="^resources.fte_count: unknown field"):
+            scenario_from_dict(data)
+
+    def test_constant_rate_takes_no_lognormal_fields(self):
+        data = valid_dict()
+        data["degradation_rates"] = {"kind": "constant", "value": 1.0, "sigma": 0.2}
+        with pytest.raises(ScenarioError, match="^degradation_rates.sigma: unknown field"):
             scenario_from_dict(data)
