@@ -136,14 +136,10 @@ class LifetimeTable:
         cls,
         duration: Sequence[float],
         event: Sequence[bool],
-        family: VoltageClass | Sequence[VoltageClass] = VoltageClass.V110,
+        family: VoltageClass = VoltageClass.V110,
     ) -> "LifetimeTable":
-        """Table from per-row values; one family for every row, or one per row."""
-        if isinstance(family, VoltageClass):
-            codes = np.full(len(duration), FAMILIES.index(family))
-        else:
-            codes = [FAMILIES.index(vc) for vc in family]
-        return cls(duration, event, codes)
+        """Table of one family from per-row durations and event flags."""
+        return cls(duration, event, np.full(len(duration), FAMILIES.index(family)))
 
     def __len__(self) -> int:
         return len(self.duration)

@@ -178,10 +178,9 @@ class TestFleetSummary:
         assert summary.age_histogram == []
 
     def test_counting(self):
-        obs = LifetimeTable.of(
-            [10.0, 20.0, 7.0],
-            [True, False, False],
-            [VoltageClass.V110, VoltageClass.V110, VoltageClass.V150],
+        families = [VoltageClass.V110, VoltageClass.V110, VoltageClass.V150]
+        obs = LifetimeTable(
+            [10.0, 20.0, 7.0], [True, False, False], [FAMILIES.index(vc) for vc in families]
         )
         summary = fleet_summary(obs)
         assert summary.classes[VoltageClass.V110].total == 2
@@ -296,8 +295,10 @@ def test_csv_round_trip_property(records):
 )
 @settings(max_examples=60)
 def test_summary_counts_consistent(raw):
-    obs = LifetimeTable.of(
-        [d for d, _, _ in raw], [e for _, e, _ in raw], [vc for _, _, vc in raw]
+    obs = LifetimeTable(
+        [d for d, _, _ in raw],
+        [e for _, e, _ in raw],
+        [FAMILIES.index(vc) for _, _, vc in raw],
     )
     summary = fleet_summary(obs)
     for vc in VoltageClass:
