@@ -298,10 +298,9 @@ def build_lifetime_table(assets: Sequence[AssetRecord], cutoff: date) -> Lifetim
         count=n,
     )
     event = failure > 0
-    late = commission > end_of_window
-    outside = failure > end_of_window
-    if (late | outside).any():
-        rec = assets[int(np.argmax(late | outside))]
+    bad = (commission > end_of_window) | (failure > end_of_window)
+    if bad.any():
+        rec = assets[int(np.argmax(bad))]
         if rec.commission_date > cutoff:
             raise DataError(
                 f"asset {rec.asset_id!r}: cutoff {cutoff.isoformat()} before "

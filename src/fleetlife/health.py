@@ -181,7 +181,6 @@ def ahi_from_age(age: float, average_age: float, config: AhiConfig = AhiConfig()
 
 
 _BAND_OF_SCORE = np.array([None, *(band_for_score(s) for s in range(1, 11))], dtype=object)
-_BASIS = np.array([ScoreBasis.PROBABILITY, ScoreBasis.AGE], dtype=object)
 
 
 def score_asset(
@@ -204,7 +203,7 @@ def score_asset(
     scores = _probability_scores(p_short, p_long, config)
     by_age = scores == 0
     scores[by_age] = _age_scores(ages[by_age], fleet_average_age, config)
-    return scores, _BAND_OF_SCORE[scores], _BASIS[by_age.astype(np.intp)]
+    return scores, _BAND_OF_SCORE[scores], np.where(by_age, ScoreBasis.AGE, ScoreBasis.PROBABILITY)
 
 
 def threshold_age(

@@ -345,12 +345,7 @@ def _parse_policy(data: Any, path: str) -> Policy:
 
 _ACTIVITY_KINDS = {kind.value: kind for kind in ActivityKind}
 _ACTIVITY_FIELDS = (
-    "name",
-    "kind",
-    "voltage_kv",
-    "duration_hours",
-    "required_fte",
-    "material_cost",
+    "name", "kind", "voltage_kv", "duration_hours", "required_fte", "material_cost",
     "workforce_cost",
 )
 
@@ -471,21 +466,16 @@ def _parse_rates(data: Any, path: str):
     )
 
 
+_AHI_FIELDS = (
+    "short_window", "long_window", "probability_bands", "age_fractions", "young_age_cutoff",
+    "use_apparent_age",
+)
+
+
 def _parse_ahi(data: Any, path: str) -> AhiConfig:
     if data is None:
         return AhiConfig()
-    entry = _known(
-        _as_mapping(data, path),
-        (
-            "short_window",
-            "long_window",
-            "probability_bands",
-            "age_fractions",
-            "young_age_cutoff",
-            "use_apparent_age",
-        ),
-        path,
-    )
+    entry = _known(_as_mapping(data, path), _AHI_FIELDS, path)
     bands = entry.get("probability_bands", [0.8, 0.5, 0.2])
     if not isinstance(bands, list) or len(bands) != 3:
         raise ScenarioError(
@@ -522,20 +512,9 @@ def _parse_ahi(data: Any, path: str) -> AhiConfig:
 
 
 _SCENARIO_FIELDS = (
-    "name",
-    "horizon_years",
-    "tick_months",
-    "start_date",
-    "master_seed",
-    "replications",
-    "failures_enabled",
-    "hazard_age",
-    "degradation_rates",
-    "ahi",
-    "laws",
-    "policy",
-    "activities",
-    "resources",
+    "name", "horizon_years", "tick_months", "start_date", "master_seed", "replications",
+    "failures_enabled", "hazard_age", "degradation_rates", "ahi", "laws", "policy",
+    "activities", "resources",
 )
 
 

@@ -127,10 +127,11 @@ class TestBuildLifetimeTable:
 
     def test_first_bad_record_named(self):
         records = [
-            AssetRecord("OK", 110, date(2000, 1, 1)),
-            AssetRecord("LATE", 150, date(2000, 1, 1), date(2021, 8, 1)),
-            AssetRecord("NEW", 110, date(2022, 1, 1)),
+            AssetRecord("OK", 110, date(2000, 1, 1), self.CUTOFF),
+            AssetRecord("LATE", 150, date(2000, 1, 1), date(2021, 7, 2)),
+            AssetRecord("NEW", 110, date(2021, 7, 2)),
         ]
+        assert build_lifetime_table(records[:1], self.CUTOFF).event.tolist() == [True]
         with pytest.raises(DataError, match="'LATE'.*outside window"):
             build_lifetime_table(records, self.CUTOFF)
         with pytest.raises(DataError, match="'NEW'.*before commission"):

@@ -253,7 +253,10 @@ class TestUnknownFields:
                 lambda d: d["policy"]["110"]["inspections"].update(start_age=20),
                 "policy.110.inspections.start_age",
             ),
-            (lambda d: d["activities"][0].update(interval_months=3), r"activities\[0\].interval_months"),
+            (
+                lambda d: d["activities"][0].update(interval_months=3),
+                r"activities\[0\].interval_months",
+            ),
             (lambda d: d["activities"][-1].update(colour="red"), r"activities\[\d+\].colour"),
             (lambda d: d["resources"].update(fte=40), "resources.fte"),
             (lambda d: d["degradation_rates"].update(median=1.0), "degradation_rates.median"),
