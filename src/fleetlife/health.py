@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .weibull import WeibullLaw
 
@@ -117,7 +118,7 @@ class DegradationState:
             raise ValueError(f"degradation rate must be positive, got {self.rate}")
 
 
-def apparent_age(commission_age, state: DegradationState):
+def apparent_age(commission_age: float | np.ndarray, state: DegradationState):
     """Age the degradation model makes the asset look: rate * age.
 
     Takes a float or an array of ages.
@@ -185,7 +186,7 @@ _BAND_OF_SCORE = np.array([None, *(band_for_score(s) for s in range(1, 11))], dt
 
 def score_asset(
     law: WeibullLaw,
-    ages,
+    ages: ArrayLike,
     fleet_average_age: float,
     config: AhiConfig = AhiConfig(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -203,7 +204,8 @@ def score_asset(
     scores = _probability_scores(p_short, p_long, config)
     by_age = scores == 0
     scores[by_age] = _age_scores(ages[by_age], fleet_average_age, config)
-    return scores, _BAND_OF_SCORE[scores], np.where(by_age, ScoreBasis.AGE, ScoreBasis.PROBABILITY)
+    bases = np.where(by_age, ScoreBasis.AGE, ScoreBasis.PROBABILITY)
+    return scores, _BAND_OF_SCORE[scores], bases
 
 
 def threshold_age(
