@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .fleet import (
-    DAYS_PER_YEAR,
     FAMILIES,
     DataError,
     SyntheticFleetSpec,
@@ -30,6 +29,7 @@ from .fleet import (
     build_lifetime_table,
     generate_synthetic_fleet,
     parse_asset_csv,
+    service_years,
     write_asset_csv,
 )
 from .health import AhiConfig, DegradationState, apparent_age, score_asset
@@ -232,40 +232,31 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
         for rec in assets
         if rec.failure_date is None or rec.failure_date > as_of_date
     ]
-    for rec in in_service:
-        if rec.commission_date > as_of_date:
-            _fail(
-                f"asset {rec.asset_id!r} commissioned after --as-of {as_of}",
-                EXIT_VALIDATION,
-            )
-    codes = []
-    for rec in in_service:
-        vc = rec.voltage_class
-        if vc not in laws:
-            _fail(f"no law for family {vc.value} (asset {rec.asset_id!r})", EXIT_VALIDATION)
-        codes.append(FAMILIES.index(vc))
-    family = np.array(codes, dtype=np.int8)
+    ages, family = service_years(in_service, as_of_date)
+    if (ages < 0).any():
+        rec = in_service[int(np.argmax(ages < 0))]
+        _fail(f"asset {rec.asset_id!r} commissioned after --as-of {as_of}", EXIT_VALIDATION)
+    lawless = np.isin(family, [code for code, vc in enumerate(FAMILIES) if vc not in laws])
+    if lawless.any():
+        rec = in_service[int(np.argmax(lawless))]
+        _fail(
+            f"no law for family {rec.voltage_class.value} (asset {rec.asset_id!r})",
+            EXIT_VALIDATION,
+        )
 
-    days = np.fromiter(
-        (as_of_date.toordinal() - rec.commission_date.toordinal() for rec in in_service),
-        dtype=np.int64,
-        count=len(in_service),
-    )
-    ages = days / DAYS_PER_YEAR
     apparent = apparent_age(ages, DegradationState())
     config = AhiConfig()
     scored = apparent if config.use_apparent_age else ages
     scores = np.zeros(len(in_service), dtype=np.int64)
     bands = np.empty(len(in_service), dtype=object)
     bases = np.empty(len(in_service), dtype=object)
-    for code, vc in enumerate(FAMILIES):
+    for code in np.unique(family).tolist():
         rows = family == code
-        if rows.any():
-            # fleet average in record order, summed left to right
-            average = sum(ages[rows].tolist()) / int(rows.sum())
-            scores[rows], bands[rows], bases[rows] = score_asset(
-                laws[vc], scored[rows], average, config
-            )
+        # fleet average in record order, summed left to right
+        average = sum(ages[rows].tolist()) / int(rows.sum())
+        scores[rows], bands[rows], bases[rows] = score_asset(
+            laws[FAMILIES[code]], scored[rows], average, config
+        )
     lines = ["asset_id,apparent_age,score,band,basis"]
     lines.extend(
         f"{rec.asset_id},{aa:.4f},{score},{band.value},{basis.value}"

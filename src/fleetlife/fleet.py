@@ -29,6 +29,7 @@ __all__ = [
     "FleetSummary",
     "SyntheticFleetSpec",
     "years_between",
+    "service_years",
     "parse_asset_csv",
     "write_asset_csv",
     "build_lifetime_table",
@@ -130,16 +131,6 @@ class LifetimeTable:
         object.__setattr__(self, "duration", duration)
         object.__setattr__(self, "event", event)
         object.__setattr__(self, "family", family)
-
-    @classmethod
-    def of(
-        cls,
-        duration: Sequence[float],
-        event: Sequence[bool],
-        family: VoltageClass = VoltageClass.V110,
-    ) -> "LifetimeTable":
-        """Table of one family from per-row durations and event flags."""
-        return cls(duration, event, np.full(len(duration), FAMILIES.index(family)))
 
     def __len__(self) -> int:
         return len(self.duration)
@@ -279,6 +270,28 @@ def write_asset_csv(records: Iterable[AssetRecord], stream: IO[str]) -> None:
         )
 
 
+def service_years(
+    assets: Sequence[AssetRecord], end: date | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Years from commission to ``end`` for each record, and its family code.
+
+    ``end`` is one date for every record, or an int64 array of per-record end
+    days as ``date.toordinal()`` values. Years count whole days over 365.25,
+    as years_between does, and are negative for a record commissioned after
+    its end. Family codes index FAMILIES.
+    """
+    n = len(assets)
+    if isinstance(end, date):
+        end = end.toordinal()
+    commission = np.fromiter(
+        (rec.commission_date.toordinal() for rec in assets), dtype=np.int64, count=n
+    )
+    family = np.fromiter(
+        (_FAMILY_CODE[rec.voltage_kv] for rec in assets), dtype=np.int8, count=n
+    )
+    return (end - commission) / DAYS_PER_YEAR, family
+
+
 def build_lifetime_table(assets: Sequence[AssetRecord], cutoff: date) -> LifetimeTable:
     """Turn asset records into a right-censored lifetime table.
 
@@ -287,18 +300,15 @@ def build_lifetime_table(assets: Sequence[AssetRecord], cutoff: date) -> Lifetim
     date, and no failure may lie beyond it; the first record in input order
     that breaks either rule is named in the error.
     """
-    n = len(assets)
     end_of_window = cutoff.toordinal()
-    commission = np.fromiter(
-        (rec.commission_date.toordinal() for rec in assets), dtype=np.int64, count=n
-    )
     failure = np.fromiter(
         (rec.failure_date.toordinal() if rec.failure_date else 0 for rec in assets),
         dtype=np.int64,
-        count=n,
+        count=len(assets),
     )
     event = failure > 0
-    bad = (commission > end_of_window) | (failure > end_of_window)
+    duration, family = service_years(assets, np.where(event, failure, end_of_window))
+    bad = (duration < 0) | (failure > end_of_window)
     if bad.any():
         rec = assets[int(np.argmax(bad))]
         if rec.commission_date > cutoff:
@@ -310,11 +320,7 @@ def build_lifetime_table(assets: Sequence[AssetRecord], cutoff: date) -> Lifetim
             f"asset {rec.asset_id!r}: failure {rec.failure_date.isoformat()} "
             f"after cutoff {cutoff.isoformat()} (observation outside window)"
         )
-    days = np.where(event, failure, end_of_window) - commission
-    family = np.fromiter(
-        (_FAMILY_CODE[rec.voltage_kv] for rec in assets), dtype=np.int8, count=n
-    )
-    return LifetimeTable(days / DAYS_PER_YEAR, event, family)
+    return LifetimeTable(duration, event, family)
 
 
 def fleet_summary(table: LifetimeTable) -> FleetSummary:

@@ -5,16 +5,14 @@ long look-ahead window, most severe band first; scores 7-10 come from the
 asset's age relative to the fleet average. 1-3 map to Purple, 4-6 to Red,
 7-8 to Orange, 9-10 to Green. Probability bands take precedence over age
 bands, so an asset only falls through to age scoring when the probabilities
-clear every probability threshold. The bands are applied to arrays of ages,
-one family at a time; the scalar helpers score one value through the same
-rules.
+clear every probability threshold. Every band rule takes arrays, one value
+per asset, and score_asset applies them to the ages of one family at a time.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -28,8 +26,8 @@ __all__ = [
     "AhiScore",
     "DegradationState",
     "band_for_score",
-    "ahi_from_probability",
-    "ahi_from_age",
+    "probability_scores",
+    "age_scores",
     "score_asset",
     "threshold_age",
     "apparent_age",
@@ -91,6 +89,10 @@ class AhiConfig:
             )
         if self.short_window <= 0 or self.long_window <= 0:
             raise ValueError("windows must be positive")
+        if self.short_window > self.long_window:
+            raise ValueError(
+                f"short window {self.short_window} exceeds long window {self.long_window}"
+            )
         hi, lo = self.age_fractions
         if not hi > lo > 0:
             raise ValueError(f"age fractions must descend, got {self.age_fractions}")
@@ -128,15 +130,24 @@ def apparent_age(commission_age: float | np.ndarray, state: DegradationState):
     return state.rate * commission_age
 
 
-def _probability_scores(
-    p_short: np.ndarray, p_long: np.ndarray, config: AhiConfig
+def probability_scores(
+    p_short: ArrayLike, p_long: ArrayLike, config: AhiConfig = AhiConfig()
 ) -> np.ndarray:
-    """Probability-band score 1-6 per element, 0 where no band matches.
+    """Probability-band score 1-6 per asset, 0 where no band matches.
 
-    The short window is checked first (scores 1-3), then the long window
-    (scores 4-6), each against descending thresholds: bands are written
-    from the least severe up, so the most severe match is the one kept.
+    ``p_short`` and ``p_long`` are each asset's failure probabilities over
+    the short and the long window. The short window is checked first
+    (scores 1-3), then the long window (scores 4-6), each against
+    descending thresholds: bands are written from the least severe up, so
+    the most severe match is the one kept.
     """
+    p_short = np.asarray(p_short, dtype=np.float64)
+    p_long = np.asarray(p_long, dtype=np.float64)
+    for name, p in (("p_short", p_short), ("p_long", p_long)):
+        if not ((p >= 0.0) & (p <= 1.0)).all():
+            raise ValueError(f"{name} outside [0, 1]")
+    if (p_long < p_short).any():
+        raise ValueError("p_long < p_short: inconsistent nested windows")
     scores = np.zeros(p_short.shape, dtype=np.int64)
     for offset, p in ((3, p_long), (0, p_short)):
         for rank in range(len(config.probability_bands), 0, -1):
@@ -144,12 +155,17 @@ def _probability_scores(
     return scores
 
 
-def _age_scores(ages: np.ndarray, average_age: float, config: AhiConfig) -> np.ndarray:
-    """Age-band score 7-10 per element, relative to the fleet average.
+def age_scores(
+    ages: ArrayLike, average_age: float, config: AhiConfig = AhiConfig()
+) -> np.ndarray:
+    """Age-band score 7-10 per asset, relative to the fleet average.
 
     Ages under the young-age cutoff score 10 outright, so the average only
     has to be positive once it is actually compared against.
     """
+    ages = np.asarray(ages, dtype=np.float64)
+    if (ages < 0).any():
+        raise ValueError(f"negative age {ages.min()}")
     young = ages < config.young_age_cutoff
     if average_age <= 0 and not young.all():
         raise ValueError(f"average age must be positive, got {average_age}")
@@ -157,28 +173,6 @@ def _age_scores(ages: np.ndarray, average_age: float, config: AhiConfig) -> np.n
     scores = np.where(ages > hi * average_age, 7, np.where(ages > lo * average_age, 8, 9))
     scores[young] = 10
     return scores
-
-
-def ahi_from_probability(
-    p_short: float, p_long: float, config: AhiConfig = AhiConfig()
-) -> Optional[int]:
-    """Probability-band score 1-6 of one asset, or None when no band matches."""
-    for name, p in (("p_short", p_short), ("p_long", p_long)):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"{name}={p} outside [0, 1]")
-    if p_long < p_short:
-        raise ValueError(
-            f"p_long={p_long} < p_short={p_short}: inconsistent nested windows"
-        )
-    score = int(_probability_scores(np.array([p_short]), np.array([p_long]), config)[0])
-    return score or None
-
-
-def ahi_from_age(age: float, average_age: float, config: AhiConfig = AhiConfig()) -> int:
-    """Age-band score 7-10 of one asset relative to the fleet average."""
-    if age < 0:
-        raise ValueError(f"negative age {age}")
-    return int(_age_scores(np.array([age]), average_age, config)[0])
 
 
 _BAND_OF_SCORE = np.array([None, *(band_for_score(s) for s in range(1, 11))], dtype=object)
@@ -201,9 +195,9 @@ def score_asset(
         raise ValueError(f"negative age {ages.min()}")
     p_short = law.interval_failure_probability(ages, ages + config.short_window)
     p_long = law.interval_failure_probability(ages, ages + config.long_window)
-    scores = _probability_scores(p_short, p_long, config)
+    scores = probability_scores(p_short, p_long, config)
     by_age = scores == 0
-    scores[by_age] = _age_scores(ages[by_age], fleet_average_age, config)
+    scores[by_age] = age_scores(ages[by_age], fleet_average_age, config)
     bases = np.where(by_age, ScoreBasis.AGE, ScoreBasis.PROBABILITY)
     return scores, _BAND_OF_SCORE[scores], bases
 

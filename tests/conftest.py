@@ -1,6 +1,14 @@
+import numpy as np
 import pytest
 
+from fleetlife.fleet import LifetimeTable
+
 _acceptance_results: list[tuple[str, bool]] = []
+
+
+def single_family(duration, event) -> LifetimeTable:
+    """Lifetime table whose rows all belong to the first family."""
+    return LifetimeTable(duration, event, np.zeros(len(duration), dtype=np.int8))
 
 
 @pytest.hookimpl(hookwrapper=True)

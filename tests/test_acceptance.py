@@ -16,9 +16,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import single_family
 from fleetlife.fleet import (
     AssetRecord,
-    LifetimeTable,
     SyntheticFleetSpec,
     VoltageClass,
     generate_synthetic_fleet,
@@ -108,7 +108,7 @@ def test_criterion_2_km_matches_product_formula_oracle():
         durations = rng.integers(0, 9, size=n).astype(float)
         events = rng.random(n) < 0.6
         observations = list(zip(durations.tolist(), events.tolist()))
-        curve = km_fit(LifetimeTable.of(durations, events))
+        curve = km_fit(single_family(durations, events))
         event_times = sorted({t for t, e in observations if e})
         assert [p.time for p in curve.points] == event_times
         for point in curve.points:
@@ -129,7 +129,7 @@ def test_criterion_3_censored_mle_recovery():
     for child in np.random.SeedSequence(1).spawn(20):
         rng = np.random.default_rng(child)
         lifetimes = true_law.sample(5000, rng)
-        observations = LifetimeTable.of(np.minimum(lifetimes, 60.0), lifetimes <= 60.0)
+        observations = single_family(np.minimum(lifetimes, 60.0), lifetimes <= 60.0)
         law, diagnostics = fit_weibull_mle(observations)
         assert diagnostics.converged
         if (

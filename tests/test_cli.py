@@ -241,6 +241,28 @@ class TestScore:
         assert result.exit_code == 2
         assert "150" in result.output
 
+    def test_first_bad_asset_named(self, tmp_path):
+        path = tmp_path / "fleet.csv"
+        path.write_text(
+            "asset_id,voltage_kv,commission_date,failure_date,manufacturer\n"
+            "A,110,2000-01-01,,\n"
+            "B,150,2000-01-01,,\n"
+            "C,220,2022-01-01,,\n"
+            "D,380,2000-01-01,,\n"
+        )
+        laws = tmp_path / "laws.json"
+        laws.write_text(json.dumps([{"family": "110", "beta": 6.67, "eta": 63.79}]))
+        for as_of, named in (
+            ("2021-07-01", "'C' commissioned after"),
+            ("2023-01-01", "family 150 (asset 'B')"),
+        ):
+            result = invoke(
+                "score", "--assets", path, "--laws", laws,
+                "--as-of", as_of, "--out", tmp_path / as_of,
+            )
+            assert result.exit_code == 2
+            assert named in result.output
+
     def test_failed_assets_excluded(self, tmp_path):
         path = tmp_path / "fleet.csv"
         path.write_text(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import single_family
 from fleetlife.fleet import (
     AssetRecord,
     FAMILIES,
@@ -17,6 +18,7 @@ from fleetlife.fleet import (
     fleet_summary,
     generate_synthetic_fleet,
     parse_asset_csv,
+    service_years,
     write_asset_csv,
     years_between,
 )
@@ -157,10 +159,27 @@ class TestBuildLifetimeTable:
         assert v220.duration.tolist() == table.duration[[0, 3]].tolist()
         assert v220.event.tolist() == [True, False]
 
+    def test_service_years_at_one_date(self):
+        records = [
+            AssetRecord("A", 380, date(2000, 1, 1)),
+            AssetRecord("B", 150, date(2021, 7, 2)),
+        ]
+        ages, family = service_years(records, self.CUTOFF)
+        assert ages.tolist() == [
+            years_between(date(2000, 1, 1), self.CUTOFF),
+            -1 / 365.25,
+        ]
+        assert [FAMILIES[code] for code in family.tolist()] == [
+            VoltageClass.V220_380,
+            VoltageClass.V150,
+        ]
+        ages, family = service_years([], self.CUTOFF)
+        assert len(ages) == len(family) == 0
+
     def test_invalid_duration_rejected(self):
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(DataError, match="invalid duration"):
-                LifetimeTable.of([1.0, bad], [True, False])
+                single_family([1.0, bad], [True, False])
 
     def test_length_matches_input(self):
         fleet = generate_synthetic_fleet(
@@ -173,7 +192,7 @@ class TestBuildLifetimeTable:
 
 class TestFleetSummary:
     def test_empty(self):
-        summary = fleet_summary(LifetimeTable.of([], []))
+        summary = fleet_summary(single_family([], []))
         for vc in VoltageClass:
             assert summary.classes[vc].total == 0
         assert summary.age_histogram == []
@@ -191,18 +210,18 @@ class TestFleetSummary:
         assert summary.classes[VoltageClass.V220_380].total == 0
 
     def test_histogram_buckets(self):
-        obs = LifetimeTable.of([0.0, 4.9, 5.0, 12.0, 12.5], [False] * 5)
+        obs = single_family([0.0, 4.9, 5.0, 12.0, 12.5], [False] * 5)
         summary = fleet_summary(obs)
         assert summary.age_histogram == [(0, 2), (5, 1), (10, 2)]
 
     def test_population_scale_count(self):
-        obs = LifetimeTable.of([30.0] * 3168, [False] * 3168)
+        obs = single_family([30.0] * 3168, [False] * 3168)
         summary = fleet_summary(obs)
         assert summary.classes[VoltageClass.V110].total == 3168
 
     def test_csv_export(self):
         out = io.StringIO()
-        fleet_summary(LifetimeTable.of([], [])).write_csv(out)
+        fleet_summary(single_family([], [])).write_csv(out)
         lines = out.getvalue().splitlines()
         assert lines[0] == "voltage_class,total,events,censored"
         assert len(lines) == 4

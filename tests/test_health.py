@@ -13,10 +13,10 @@ from fleetlife.health import (
     Band,
     DegradationState,
     ScoreBasis,
-    ahi_from_age,
-    ahi_from_probability,
+    age_scores,
     apparent_age,
     band_for_score,
+    probability_scores,
     score_asset,
     threshold_age,
 )
@@ -52,34 +52,44 @@ class TestBands:
             AhiScore(score=2, band=Band.GREEN, basis=ScoreBasis.AGE)
 
 
+def p_score(p_short, p_long):
+    """probability_scores on one asset, with None where no band matches."""
+    return int(probability_scores([p_short], [p_long])[0]) or None
+
+
+def a_score(age, average):
+    """age_scores on one asset."""
+    return int(age_scores([age], average)[0])
+
+
 class TestProbabilityScores:
     def test_short_window_bands(self):
-        assert ahi_from_probability(0.85, 0.9) == 1
-        assert ahi_from_probability(0.55, 0.6) == 2
-        assert ahi_from_probability(0.25, 0.3) == 3
+        assert p_score(0.85, 0.9) == 1
+        assert p_score(0.55, 0.6) == 2
+        assert p_score(0.25, 0.3) == 3
 
     def test_long_window_bands(self):
-        assert ahi_from_probability(0.1, 0.85) == 4
-        assert ahi_from_probability(0.1, 0.55) == 5
-        assert ahi_from_probability(0.1, 0.25) == 6
+        assert p_score(0.1, 0.85) == 4
+        assert p_score(0.1, 0.55) == 5
+        assert p_score(0.1, 0.25) == 6
 
     def test_no_band_matched(self):
-        assert ahi_from_probability(0.0, 0.0) is None
-        assert ahi_from_probability(0.1, 0.19) is None
+        assert p_score(0.0, 0.0) is None
+        assert p_score(0.1, 0.19) is None
 
     def test_threshold_inclusive(self):
-        assert ahi_from_probability(0.8, 0.9) == 1
-        assert ahi_from_probability(0.1, 0.2) == 6
+        assert p_score(0.8, 0.9) == 1
+        assert p_score(0.1, 0.2) == 6
 
     def test_inconsistent_inputs_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            ahi_from_probability(0.5, 0.4)
+            p_score(0.5, 0.4)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            ahi_from_probability(-0.1, 0.5)
+            p_score(-0.1, 0.5)
         with pytest.raises(ValueError):
-            ahi_from_probability(0.5, 1.2)
+            p_score(0.5, 1.2)
 
     @given(
         st.floats(0, 1, allow_nan=False),
@@ -89,40 +99,40 @@ class TestProbabilityScores:
     @settings(max_examples=150)
     def test_monotone_in_probabilities(self, p_short, p_long, bump):
         p_long = max(p_long, p_short)
-        base = ahi_from_probability(p_short, p_long)
+        base = p_score(p_short, p_long)
         worse_short = min(1.0, p_short + bump)
-        worse = ahi_from_probability(worse_short, max(p_long, worse_short))
+        worse = p_score(worse_short, max(p_long, worse_short))
         if base is not None:
             assert worse is not None and worse <= base
 
 
 class TestAgeScores:
     def test_young_asset(self):
-        assert ahi_from_age(3.0, 50.0) == 10
-        assert ahi_from_age(3.0, 1.0) == 10
+        assert a_score(3.0, 50.0) == 10
+        assert a_score(3.0, 1.0) == 10
 
     def test_age_zero_fleet(self):
-        assert ahi_from_age(0.0, 0.0) == 10
+        assert a_score(0.0, 0.0) == 10
 
     def test_above_high_fraction(self):
-        assert ahi_from_age(40.0, 50.0) == 7
+        assert a_score(40.0, 50.0) == 7
 
     def test_between_fractions(self):
-        assert ahi_from_age(35.0, 50.0) == 8
+        assert a_score(35.0, 50.0) == 8
 
     def test_below_low_fraction(self):
-        assert ahi_from_age(20.0, 50.0) == 9
+        assert a_score(20.0, 50.0) == 9
 
     def test_boundaries(self):
-        assert ahi_from_age(37.5, 50.0) == 8
-        assert ahi_from_age(30.0, 50.0) == 9
-        assert ahi_from_age(5.0, 50.0) == 9
+        assert a_score(37.5, 50.0) == 8
+        assert a_score(30.0, 50.0) == 9
+        assert a_score(5.0, 50.0) == 9
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            ahi_from_age(-1.0, 50.0)
+            a_score(-1.0, 50.0)
         with pytest.raises(ValueError):
-            ahi_from_age(20.0, 0.0)
+            a_score(20.0, 0.0)
 
 
 def score_one(law, age, average):
@@ -308,3 +318,6 @@ def test_config_validation():
         AhiConfig(short_window=0.0)
     with pytest.raises(ValueError):
         AhiConfig(age_fractions=(0.6, 0.75))
+    with pytest.raises(ValueError, match="exceeds long window"):
+        AhiConfig(short_window=8.0, long_window=7.0)
+    assert AhiConfig(short_window=7.0, long_window=7.0).short_window == 7.0

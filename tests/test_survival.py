@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetlife.fleet import LifetimeTable
+from conftest import single_family
 from fleetlife.survival import UNBOUNDED, km_fit, write_curve_csv
 
 
@@ -16,7 +16,7 @@ def obs(duration, event=True):
 def km(observations):
     """km_fit on a table of (duration, event) rows."""
     return km_fit(
-        LifetimeTable.of([d for d, _ in observations], [e for _, e in observations])
+        single_family([d for d, _ in observations], [e for _, e in observations])
     )
 
 

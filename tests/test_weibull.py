@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fleetlife.fleet import LifetimeTable, VoltageClass
+from conftest import single_family
+from fleetlife.fleet import VoltageClass
 from fleetlife.survival import km_fit
 from fleetlife.weibull import (
     REFERENCE_LAWS,
@@ -22,11 +23,11 @@ LAW_220 = REFERENCE_LAWS[VoltageClass.V220_380]
 
 
 def events(durations):
-    return LifetimeTable.of(durations, [True] * len(durations))
+    return single_family(durations, [True] * len(durations))
 
 
 def censored_at(lifetimes, cutoff):
-    return LifetimeTable.of(np.minimum(lifetimes, cutoff), np.asarray(lifetimes) <= cutoff)
+    return single_family(np.minimum(lifetimes, cutoff), np.asarray(lifetimes) <= cutoff)
 
 
 class TestLawEvaluation:
@@ -156,7 +157,7 @@ class TestMleFit:
         assert 0.95 <= law.beta <= 1.05
 
     def test_insufficient_events(self):
-        obs = LifetimeTable.of([5.0] * 10 + [3.0], [False] * 10 + [True])
+        obs = single_family([5.0] * 10 + [3.0], [False] * 10 + [True])
         with pytest.raises(ValueError, match="insufficient events"):
             fit_weibull_mle(obs)
 
