@@ -26,7 +26,7 @@ from decimal import Decimal, InvalidOperation
 from typing import Any, Mapping, Optional
 
 from .fleet import VoltageClass
-from .health import DEFAULT_CONDITION_TRIGGER_AGE, AhiConfig
+from .health import DEFAULT_CONDITION_TRIGGER_AGE
 from .simulate import (
     ActivityCatalog,
     ActivityKind,
@@ -466,54 +466,9 @@ def _parse_rates(data: Any, path: str):
     )
 
 
-_AHI_FIELDS = (
-    "short_window", "long_window", "probability_bands", "age_fractions", "young_age_cutoff",
-    "use_apparent_age",
-)
-
-
-def _parse_ahi(data: Any, path: str) -> AhiConfig:
-    if data is None:
-        return AhiConfig()
-    entry = _known(_as_mapping(data, path), _AHI_FIELDS, path)
-    bands = entry.get("probability_bands", [0.8, 0.5, 0.2])
-    if not isinstance(bands, list) or len(bands) != 3:
-        raise ScenarioError(
-            f"{_join(path, 'probability_bands')}: expected three descending levels"
-        )
-    fractions = entry.get("age_fractions", [0.75, 0.60])
-    if not isinstance(fractions, list) or len(fractions) != 2:
-        raise ScenarioError(
-            f"{_join(path, 'age_fractions')}: expected two descending fractions"
-        )
-    try:
-        return AhiConfig(
-            short_window=_as_number(
-                entry.get("short_window", 3.0), _join(path, "short_window")
-            ),
-            long_window=_as_number(
-                entry.get("long_window", 7.0), _join(path, "long_window")
-            ),
-            probability_bands=tuple(
-                _as_number(v, f"{_join(path, 'probability_bands')}[{i}]")
-                for i, v in enumerate(bands)
-            ),
-            age_fractions=tuple(
-                _as_number(v, f"{_join(path, 'age_fractions')}[{i}]")
-                for i, v in enumerate(fractions)
-            ),
-            young_age_cutoff=_as_number(
-                entry.get("young_age_cutoff", 5.0), _join(path, "young_age_cutoff")
-            ),
-            use_apparent_age=bool(entry.get("use_apparent_age", True)),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
-
-
 _SCENARIO_FIELDS = (
     "name", "horizon_years", "tick_months", "start_date", "master_seed", "replications",
-    "failures_enabled", "hazard_age", "degradation_rates", "ahi", "laws", "policy",
+    "failures_enabled", "hazard_age", "degradation_rates", "laws", "policy",
     "activities", "resources",
 )
 
@@ -526,7 +481,6 @@ def scenario_from_dict(data: Mapping) -> Scenario:
     catalog = _parse_activities(_expect(root, "activities", ""), "activities")
     resources = _parse_resources(_expect(root, "resources", ""), "resources")
     rates = _parse_rates(root.get("degradation_rates"), "degradation_rates")
-    ahi = _parse_ahi(root.get("ahi"), "ahi")
 
     start_date: Optional[date] = None
     if root.get("start_date") is not None:
@@ -553,7 +507,6 @@ def scenario_from_dict(data: Mapping) -> Scenario:
             hazard_age=str(hazard_age),
             replications=_as_int(root.get("replications", 1), "replications"),
             master_seed=_as_int(root.get("master_seed", 0), "master_seed"),
-            ahi=ahi,
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
@@ -616,14 +569,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "failures_enabled": scenario.failures_enabled,
         "hazard_age": scenario.hazard_age,
         "degradation_rates": rates,
-        "ahi": {
-            "short_window": scenario.ahi.short_window,
-            "long_window": scenario.ahi.long_window,
-            "probability_bands": list(scenario.ahi.probability_bands),
-            "age_fractions": list(scenario.ahi.age_fractions),
-            "young_age_cutoff": scenario.ahi.young_age_cutoff,
-            "use_apparent_age": scenario.ahi.use_apparent_age,
-        },
         "laws": {
             vc.value: {"beta": law.beta, "eta": law.eta}
             for vc, law in scenario.laws.items()

@@ -13,6 +13,20 @@ Failure sampling draws from the cumulative-hazard difference over the tick,
 With ``hazard_age="apparent"`` both ends are apparent ages, so an asset with
 degradation rate ``r`` uses ``1 - exp(-(H(r(a + t)) - H(ra)))``.
 
+The engine (`_Engine`) runs one replication on arrays, and the work of its
+inspection and allocation steps follows what a tick raises and executes
+rather than fleet size or backlog length:
+
+* Inspections keep one next-check tick per (asset, cadence). A check
+  applies the cadence rule of `inspection_due` to the float age the engine
+  holds, and books the next tick at which that rule can hold; a replacement
+  books the asset's cadences again from age 0.
+* Each priority class is a FIFO queue held as parallel int arrays (asset,
+  activity, asset generation at request time). Allocation reads a queue
+  from its head in windows of doubling width, drops the stale entries of
+  the windows it reads, and stops once the budget is below the smallest
+  activity that can enter the class; the unread rest stays as it is.
+
 Determinism contract: every replication seeds one RNG stream per asset from
 (master_seed, replication_index, asset_id), and each asset consumes exactly
 one uniform per tick for failure sampling plus a separate stream for
@@ -35,7 +49,7 @@ from typing import IO, Callable, Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .fleet import AssetRecord, VoltageClass, years_between
-from .health import AhiConfig, DegradationState
+from .health import DegradationState
 from .weibull import WeibullLaw
 
 __all__ = [
@@ -280,9 +294,6 @@ class Scenario:
     hazard_age: str = "real"
     replications: int = 1
     master_seed: int = 0
-    # health-scoring thresholds carried alongside the policy so scoring
-    # pipelines can share one configuration file with the simulation
-    ahi: AhiConfig = AhiConfig()
 
     def __post_init__(self) -> None:
         if self.horizon_years <= 0:
@@ -727,30 +738,57 @@ def validate_scenario_for_fleet(
 
 
 class _RequestQueue:
-    """One priority class of queued requests as parallel arrays.
+    """One priority class of queued requests in a growable buffer.
 
-    Entries stay in (request tick, asset index) order: each tick's requests
-    are appended sorted by asset index, and removals keep the survivors'
-    order. Asset index order is asset_id order.
+    The rows of ``buf`` are asset index, spec id and generation; the queue
+    is the column range ``[head, tail)``. Entries stay in (request tick,
+    asset index) order: each tick's requests are appended sorted by asset
+    index; allocation packs the survivors of the prefix it read back against
+    the unread rest (`pack_prefix`), and the year-end backlog pass keeps the
+    live entries only (`replace`), both in order. Asset index order is
+    asset_id order.
+
+    ``floor`` is the smallest person-hours of any activity that can enter
+    the class, so a budget below it can execute nothing that is queued.
     """
 
-    def __init__(self) -> None:
-        self.asset = np.empty(0, dtype=np.int64)
-        self.spec = np.empty(0, dtype=np.int64)
-        self.generation = np.empty(0, dtype=np.int64)
+    def __init__(self, floor: float) -> None:
+        self.floor = floor
+        self.buf = np.empty((3, 256), dtype=np.int64)
+        self.head = self.tail = 0
 
     def __len__(self) -> int:
-        return len(self.asset)
+        return self.tail - self.head
+
+    def entries(self) -> np.ndarray:
+        return self.buf[:, self.head : self.tail]
+
+    def replace(self, entries: np.ndarray) -> None:
+        """Make the queue hold exactly these entries."""
+        self.buf[:, : entries.shape[1]] = entries
+        self.head, self.tail = 0, entries.shape[1]
+
+    def pack_prefix(self, end: int, survivors: np.ndarray) -> None:
+        """Replace the entries before column `end` by `survivors`."""
+        self.head = end - survivors.shape[1]
+        self.buf[:, self.head : end] = survivors
 
     def push(self, asset: np.ndarray, spec: np.ndarray, generation: np.ndarray) -> None:
-        self.asset = np.concatenate((self.asset, asset))
-        self.spec = np.concatenate((self.spec, spec))
-        self.generation = np.concatenate((self.generation, generation))
-
-    def keep(self, mask: np.ndarray) -> None:
-        self.asset = self.asset[mask]
-        self.spec = self.spec[mask]
-        self.generation = self.generation[mask]
+        end = self.tail + len(asset)
+        if end > self.buf.shape[1]:
+            # move to the front of a buffer with room for as many entries
+            # again, so copying stays amortized O(1) per entry
+            size = len(self)
+            buf = np.empty(
+                (3, max(self.buf.shape[1], 2 * (size + len(asset)))), dtype=np.int64
+            )
+            buf[:, :size] = self.entries()
+            self.buf, self.head, self.tail = buf, 0, size
+            end = size + len(asset)
+        self.buf[0, self.tail : end] = asset
+        self.buf[1, self.tail : end] = spec
+        self.buf[2, self.tail : end] = generation
+        self.tail = end
 
 
 def _greedy_walk(demand: np.ndarray, remaining: float) -> tuple[np.ndarray, float]:
@@ -760,30 +798,24 @@ def _greedy_walk(demand: np.ndarray, remaining: float) -> tuple[np.ndarray, floa
     `allocate_resources` describes, done a run at a time: a misfit is
     skipped and so is every later request at least as large, since the
     budget only shrinks. `np.subtract.accumulate` subtracts left to right,
-    so the budget evolves in exactly the float steps of a scalar loop. The
-    queue is taken in windows of doubling width, because a binding budget
-    is spent on a short prefix of a long carried queue.
+    so the budget evolves in exactly the float steps of a scalar loop.
     """
     executed: list[np.ndarray] = []
-    smallest = demand.min() if len(demand) else math.inf
-    lo, width = 0, 64
-    while lo < len(demand) and remaining >= smallest:
-        pos = np.arange(lo, min(lo + width, len(demand)))
-        lo, width = lo + width, 2 * width
-        while len(pos):
-            pos = pos[demand[pos] <= remaining]
-            if not len(pos):
-                break
-            left = np.subtract.accumulate(np.concatenate(([remaining], demand[pos])))
-            misfit = np.flatnonzero(left[1:] < 0)
-            if not len(misfit):
-                executed.append(pos)
-                remaining = float(left[-1])
-                break
-            first = int(misfit[0])
-            executed.append(pos[:first])
-            remaining = float(left[first])
-            pos = pos[first + 1 :]
+    pos = np.arange(len(demand))
+    while len(pos):
+        pos = pos[demand[pos] <= remaining]
+        if not len(pos):
+            break
+        left = np.subtract.accumulate(np.concatenate(([remaining], demand[pos])))
+        misfit = np.flatnonzero(left[1:] < 0)
+        if not len(misfit):
+            executed.append(pos)
+            remaining = float(left[-1])
+            break
+        first = int(misfit[0])
+        executed.append(pos[:first])
+        remaining = float(left[first])
+        pos = pos[first + 1 :]
     if not executed:
         return np.empty(0, dtype=np.int64), remaining
     return np.concatenate(executed), remaining
@@ -796,6 +828,10 @@ def _add_left_to_right(start: float, values: np.ndarray) -> float:
 
 # queue index of each priority class
 _CORRECTIVE, _PLANNED, _INSPECTION = 0, 1, 2
+
+# entries an allocation reads first from a queue under a finite budget; each
+# further window is twice as wide
+_FIRST_WINDOW = 64
 
 
 class _Engine:
@@ -854,8 +890,7 @@ class _Engine:
 
         self.is_time = np.zeros(n, dtype=bool)
         self.trigger_age = np.zeros(n)
-        # (assets, start age in months, interval, spec id of each asset)
-        self.insp_rules: list[tuple[np.ndarray, float, int, np.ndarray]] = []
+        plans: dict[int, PeriodicInspections] = {}
         for f, idx in self.groups.items():
             fam_policy = scenario.policy.for_family(list(VoltageClass)[f])
             if isinstance(fam_policy.replacement, TimeBased):
@@ -864,17 +899,47 @@ class _Engine:
             else:
                 self.trigger_age[idx] = fam_policy.replacement.trigger_apparent_age
             if fam_policy.inspections is not None:
-                for interval in fam_policy.inspections.interval_months:
-                    self.insp_rules.append(
-                        (
-                            idx,
-                            fam_policy.inspections.start_age_years * 12.0,
-                            interval,
-                            per_asset(
-                                idx, lambda kv: catalog.inspection(kv, interval)
-                            ),
-                        )
-                    )
+                plans[f] = fam_policy.inspections
+
+        # The inspection schedule has one entry per (asset, cadence), numbered
+        # asset by asset and, within an asset, in plan order, so sorted entry
+        # ids are the order in which due inspections are queued.
+        cadences = np.zeros(n, dtype=np.int64)
+        for f, plan in plans.items():
+            cadences[self.groups[f]] = len(plan.interval_months)
+        first_entry = np.cumsum(cadences) - cadences
+        n_entries = int(cadences.sum())
+        self.entry_asset = np.repeat(everyone, cadences)
+        self.entry_spec = np.zeros(n_entries, dtype=np.int64)
+        self.entry_start = np.zeros(n_entries)
+        self.entry_interval = np.zeros(n_entries, dtype=np.int64)
+        for f, plan in plans.items():
+            idx = self.groups[f]
+            for r, interval in enumerate(plan.interval_months):
+                entry = first_entry[idx] + r
+                self.entry_spec[entry] = per_asset(
+                    idx, lambda kv: catalog.inspection(kv, interval)
+                )
+                self.entry_start[entry] = plan.start_age_years * 12.0
+                self.entry_interval[entry] = interval
+        # entries of each asset, -1 padded
+        slot = np.arange(cadences.max(initial=0))
+        self.entries_of = np.where(
+            slot < cadences[:, None], first_entry[:, None] + slot, -1
+        )
+        # next_check[e] is the next tick at which entry e can fall due; every
+        # entry is first checked at tick 0
+        self.next_check = np.zeros(n_entries, dtype=np.int64)
+        # Bound on the float rounding an age, and age - start, can gather
+        # between two checks: one rounding per tick, and one for the
+        # subtraction, each within an ulp of the largest age or start age,
+        # taken four times over. A check skips only ticks that stay clear of
+        # the due window by this much.
+        top = max(
+            float(self.age_months.max(initial=0.0)) + self.n_ticks * self.tick,
+            float(self.entry_start.max(initial=0.0)),
+        )
+        self.check_slack = max(1e-9, 4.0 * (self.n_ticks + 2) * float(np.spacing(top)))
 
         self.specs = list(spec_ids)
         self.person_hours = np.array([s.person_hours for s in self.specs])
@@ -898,7 +963,18 @@ class _Engine:
             self.capacity: Optional[float] = None
         else:
             self.capacity = scenario.resources.tick_capacity(self.tick)
-        self.queues = (_RequestQueue(), _RequestQueue(), _RequestQueue())
+
+        def floor(specs: np.ndarray) -> float:
+            return float(self.person_hours[specs].min(initial=math.inf))
+
+        self.queues = (
+            _RequestQueue(floor(self.corrective_spec)),
+            _RequestQueue(floor(self.planned_spec)),
+            _RequestQueue(floor(self.entry_spec)),
+        )
+        # queue entries read by allocation, executed, and dropped as stale
+        # (by allocation or at a year end)
+        self.examined = self.executed = self.dropped = 0
 
         self.kpis = KpiSeries.zeros(scenario.horizon_years)
 
@@ -908,24 +984,63 @@ class _Engine:
         if len(asset):
             self.queues[cls].push(asset, spec, self.generation[asset])
 
-    def _live(self, cls: int) -> np.ndarray:
-        """Mask of the class's requests that are not stale.
+    def _live(self, cls: int, entries: np.ndarray) -> np.ndarray:
+        """Mask of queue entries (rows asset, spec, generation) not stale.
 
         A request is stale once its asset was replaced after it was raised,
         and an inspection also once its asset is out of service. Staleness
         never reverts (generations only grow), so stale requests can be
-        dropped as soon as they are seen.
+        dropped whenever they are read.
+        """
+        asset = entries[0]
+        live = entries[2] == self.generation[asset]
+        if cls == _INSPECTION:
+            live &= self.in_service[asset]
+        return live
+
+    def _walk(self, cls: int, remaining: float) -> tuple[np.ndarray, float]:
+        """Execute a class's requests from the head of its queue.
+
+        Reads windows of doubling width until the budget is below the
+        class floor or the queue ends (an unbounded budget reads the whole
+        queue at once). Each window drops its stale entries and walks the
+        rest with `_greedy_walk`; the survivors of the windows read are
+        packed back in order, and entries beyond them are not touched.
+        Returns the executed entries (rows asset, spec) and the budget left.
         """
         queue = self.queues[cls]
-        live = queue.generation == self.generation[queue.asset]
-        if cls == _INSPECTION:
-            live &= self.in_service[queue.asset]
-        return live
+        lo = queue.head
+        width = len(queue) if math.isinf(remaining) else _FIRST_WINDOW
+        ran: list[np.ndarray] = []
+        kept: list[np.ndarray] = []
+        while lo < queue.tail and remaining >= queue.floor:
+            hi = min(lo + width, queue.tail)
+            window = queue.buf[:, lo:hi]
+            live = self._live(cls, window)
+            pos = np.flatnonzero(live)
+            if math.isinf(remaining):
+                done = pos
+            else:
+                taken, remaining = _greedy_walk(
+                    self.person_hours[window[1, pos]], remaining
+                )
+                done = pos[taken]
+            live[done] = False
+            ran.append(window[:2, done])
+            kept.append(window[:, live])
+            self.examined += hi - lo
+            self.executed += len(done)
+            self.dropped += hi - lo - len(pos)
+            lo, width = hi, 2 * width
+        if not ran:
+            return np.empty((2, 0), dtype=np.int64), remaining
+        queue.pack_prefix(lo, np.concatenate(kept, axis=1))
+        return np.concatenate(ran, axis=1), remaining
 
     def _allocate_and_complete(self, k: int, year: int) -> None:
         # Classes run in priority order and each one completes before the
-        # next is masked, so a replacement executed here makes the queued
-        # requests of its asset stale before a later class is walked. Within
+        # next is walked, so a replacement executed here makes the queued
+        # requests of its asset stale before a later class is read. Within
         # one class no completion can make another entry stale: an asset has
         # at most one live replacement request per class, and inspections
         # change no state.
@@ -933,31 +1048,30 @@ class _Engine:
         for cls, queue in enumerate(self.queues):
             if not len(queue):
                 continue
-            stay = self._live(cls)
-            # unconstrained, every live request executes
-            executed = np.flatnonzero(stay)
-            if self.capacity is not None:
-                taken, remaining = _greedy_walk(
-                    self.person_hours[queue.spec[executed]], remaining
-                )
-                executed = executed[taken]
-            stay[executed] = False
-            assets = queue.asset[executed]
-            specs = queue.spec[executed]
-            queue.keep(stay)
+            (assets, specs), remaining = self._walk(cls, remaining)
+            if not len(assets):
+                continue
             if cls == _INSPECTION:
                 self._complete_inspections(specs, year)
             else:
-                for i, s in zip(assets.tolist(), specs.tolist()):
-                    self._complete_replacement(i, self.specs[s], k, year)
+                self._complete_replacements(assets, specs, k, year)
 
     def _backlog_person_hours(self) -> float:
+        """Person-hours of the live queued requests, at a year end.
+
+        This reads every queue whole, so it also drops their stale entries:
+        allocation drops only those it reads, and a long carried queue would
+        otherwise keep a year's stale requests beyond its walked prefix.
+        """
+        hours = []
+        for cls, queue in enumerate(self.queues):
+            entries = queue.entries()
+            live = entries[:, self._live(cls, entries)]
+            self.dropped += entries.shape[1] - live.shape[1]
+            queue.replace(live)
+            hours.append(self.person_hours[live[1]])
         # summed left to right in class-then-FIFO order, as a scalar loop
         # would; np.sum adds pairwise and could differ in the last bits
-        hours = [
-            self.person_hours[queue.spec[self._live(cls)]]
-            for cls, queue in enumerate(self.queues)
-        ]
         return _add_left_to_right(0.0, np.concatenate(hours))
 
     # -- tick steps ----------------------------------------------------------
@@ -991,43 +1105,67 @@ class _Engine:
         self.pending[due] = True
         return due
 
-    def _inspection_triggers(self) -> tuple[np.ndarray, np.ndarray]:
-        assets: list[np.ndarray] = []
-        specs: list[np.ndarray] = []
-        for idx, start_months, interval, spec in self.insp_rules:
-            ages = self.age_months[idx]
-            due = (
-                self.in_service[idx]
-                & (ages >= start_months)
-                & ((ages - start_months) % interval < self.tick)
-            )
-            assets.append(idx[due])
-            specs.append(spec[due])
-        if not assets:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        asset = np.concatenate(assets)
-        # stable, so an asset's cadences stay in rule order
-        order = np.argsort(asset, kind="stable")
-        return asset[order], np.concatenate(specs)[order]
+    def _inspection_triggers(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Inspections due at tick k, from the entries checked at tick k.
 
-    def _complete_replacement(self, i: int, spec: ActivitySpec, k: int, year: int) -> None:
-        gap_hours = 0.0
-        if not self.in_service[i]:
-            gap_hours = (k - int(self.failed_tick[i])) * self.tick_hours
-        self.kpis.capex[year] += spec.total_cost
-        self.kpis.replacements[year] += 1
-        self.kpis.unavailability_hours[year] += gap_hours + spec.duration_hours
-        self.age_months[i] = 0.0
-        self.in_service[i] = True
-        self.pending[i] = False
-        self.generation[i] += 1
-        self.rates[i] = self.scenario.degradation_rates.draw(self.rate_rngs[i])
+        A cadence is due when its asset is in service and
+        ``(age - start) % interval < tick`` on the age the engine holds, the
+        rule of `inspection_due`. Each checked entry, whether or not its
+        asset could be inspected, is booked for the next tick at which that
+        rule can hold: the tick where the phase ``(age - start) % interval``
+        wraps past the interval, or where the age reaches the start age.
+        Ages advance by one tick per tick; the ticks skipped allow for
+        `check_slack` of float drift, and a phase within the slack of zero
+        is checked again on the next tick.
+        """
+        entry = np.flatnonzero(self.next_check == k)
+        asset = self.entry_asset[entry]
+        ages = self.age_months[asset]
+        start = self.entry_start[entry]
+        interval = self.entry_interval[entry]
+        phase = (ages - start) % interval
+        due = self.in_service[asset] & (ages >= start) & (phase < self.tick)
+        slack = self.check_slack
+        ahead = np.where(
+            ages < start,
+            start - ages - 2 * slack,
+            np.where(phase < slack, 0.0, interval - phase - 2 * slack),
+        )
+        self.next_check[entry] = k + np.maximum(np.ceil(ahead / self.tick), 1)
+        return asset[due], self.entry_spec[entry[due]]
+
+    def _book_cost(self, ledger: list[Decimal], specs: np.ndarray, year: int) -> None:
+        # one exact Decimal product per activity
+        for s, count in enumerate(np.bincount(specs).tolist()):
+            if count:
+                ledger[year] += self.specs[s].total_cost * count
+
+    def _complete_replacements(
+        self, assets: np.ndarray, specs: np.ndarray, k: int, year: int
+    ) -> None:
+        kpis = self.kpis
+        self._book_cost(kpis.capex, specs, year)
+        kpis.replacements[year] += len(assets)
+        gap_hours = np.where(
+            self.in_service[assets], 0.0, (k - self.failed_tick[assets]) * self.tick_hours
+        )
+        kpis.unavailability_hours[year] = _add_left_to_right(
+            kpis.unavailability_hours[year], gap_hours + self.duration_hours[specs]
+        )
+        self.age_months[assets] = 0.0
+        self.in_service[assets] = True
+        self.pending[assets] = False
+        self.generation[assets] += 1
+        draw = self.scenario.degradation_rates.draw
+        for i in assets.tolist():
+            self.rates[i] = draw(self.rate_rngs[i])
+        # the cadences restart from age 0, checked from the next tick
+        entry = self.entries_of[assets]
+        self.next_check[entry[entry >= 0]] = k + 1
 
     def _complete_inspections(self, specs: np.ndarray, year: int) -> None:
         kpis = self.kpis
-        for s, count in enumerate(np.bincount(specs).tolist()):
-            if count:
-                kpis.opex[year] += self.specs[s].total_cost * count
+        self._book_cost(kpis.opex, specs, year)
         hours = self.duration_hours[specs]
         kpis.inspection_hours[year] = _add_left_to_right(kpis.inspection_hours[year], hours)
         kpis.unavailability_hours[year] = _add_left_to_right(
@@ -1044,7 +1182,7 @@ class _Engine:
                 self._push(_CORRECTIVE, failed, self.corrective_spec[failed])
             due = self._replacement_triggers()
             self._push(_PLANNED, due, self.planned_spec[due])
-            self._push(_INSPECTION, *self._inspection_triggers())
+            self._push(_INSPECTION, *self._inspection_triggers(k))
             self._allocate_and_complete(k, year)
             if (k + 1) % self.ticks_per_year == 0:
                 self.kpis.backlog_hours[year] = self._backlog_person_hours()

@@ -205,38 +205,6 @@ class TestValidationPaths:
         sc = scenario_from_dict(valid_dict())
         assert sc.catalog.inspections[(110, 3)].workforce_cost == Decimal("41.624")
 
-    def test_ahi_block_round_trips(self):
-        from fleetlife.health import AhiConfig
-
-        data = valid_dict()
-        assert scenario_from_dict(data).ahi == AhiConfig()
-        data["ahi"] = {
-            "short_window": 2.0,
-            "long_window": 5.0,
-            "probability_bands": [0.9, 0.6, 0.3],
-            "age_fractions": [0.8, 0.5],
-            "young_age_cutoff": 4.0,
-            "use_apparent_age": False,
-        }
-        parsed = scenario_from_dict(data)
-        assert parsed.ahi == AhiConfig(
-            short_window=2.0,
-            long_window=5.0,
-            probability_bands=(0.9, 0.6, 0.3),
-            age_fractions=(0.8, 0.5),
-            young_age_cutoff=4.0,
-            use_apparent_age=False,
-        )
-
-    def test_ahi_bad_bands_path(self):
-        data = valid_dict()
-        data["ahi"] = {"probability_bands": [0.2, 0.5, 0.8]}
-        with pytest.raises(ScenarioError, match="^ahi:"):
-            scenario_from_dict(data)
-        data["ahi"] = {"probability_bands": [0.8, 0.5]}
-        with pytest.raises(ScenarioError, match="^ahi.probability_bands:"):
-            scenario_from_dict(data)
-
 
 class TestUnknownFields:
     @pytest.mark.parametrize(
@@ -260,7 +228,7 @@ class TestUnknownFields:
             (lambda d: d["activities"][-1].update(colour="red"), r"activities\[\d+\].colour"),
             (lambda d: d["resources"].update(fte=40), "resources.fte"),
             (lambda d: d["degradation_rates"].update(median=1.0), "degradation_rates.median"),
-            (lambda d: d["ahi"].update(window=3.0), "ahi.window"),
+            (lambda d: d.update(ahi={"short_window": 3.0}), "ahi"),
         ],
     )
     def test_rejected_with_path(self, edit, path):
