@@ -32,7 +32,7 @@ from .fleet import (
     service_years,
     write_asset_csv,
 )
-from .health import AhiConfig, DegradationState, apparent_age, score_asset
+from .health import AhiConfig, Band, DegradationState, ScoreBasis, apparent_age, score_asset
 from .scenarios import ScenarioError, resolve_scenario
 from .simulate import SimulationReport, compare_scenarios, run_scenario
 from .survival import UNBOUNDED, km_fit, write_curve_csv
@@ -48,6 +48,10 @@ EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 
 FAMILY_CHOICES = [vc.value for vc in VoltageClass]
+
+# ahi.csv text of each band and basis code
+BAND_VALUES = np.array([band.value for band in Band])
+BASIS_VALUES = np.array([basis.value for basis in ScoreBasis])
 
 
 class _Run:
@@ -227,20 +231,19 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
         _fail(str(exc), EXIT_VALIDATION)
         return
 
-    in_service = [
-        rec
-        for rec in assets
-        if rec.failure_date is None or rec.failure_date > as_of_date
-    ]
-    ages, family = service_years(in_service, as_of_date)
+    failure = assets.failure
+    in_service = np.flatnonzero((failure == 0) | (failure > as_of_date.toordinal()))
+    ages, family = service_years(assets, as_of_date)
+    ages, family = ages[in_service], family[in_service]
     if (ages < 0).any():
-        rec = in_service[int(np.argmax(ages < 0))]
-        _fail(f"asset {rec.asset_id!r} commissioned after --as-of {as_of}", EXIT_VALIDATION)
+        asset_id = assets.asset_id[in_service[np.argmax(ages < 0)]]
+        _fail(f"asset {asset_id!r} commissioned after --as-of {as_of}", EXIT_VALIDATION)
     lawless = np.isin(family, [code for code, vc in enumerate(FAMILIES) if vc not in laws])
     if lawless.any():
-        rec = in_service[int(np.argmax(lawless))]
+        row = int(np.argmax(lawless))
         _fail(
-            f"no law for family {rec.voltage_class.value} (asset {rec.asset_id!r})",
+            f"no law for family {FAMILIES[family[row]].value} "
+            f"(asset {assets.asset_id[in_service[row]]!r})",
             EXIT_VALIDATION,
         )
 
@@ -248,8 +251,8 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
     config = AhiConfig()
     scored = apparent if config.use_apparent_age else ages
     scores = np.zeros(len(in_service), dtype=np.int64)
-    bands = np.empty(len(in_service), dtype=object)
-    bases = np.empty(len(in_service), dtype=object)
+    bands = np.zeros(len(in_service), dtype=np.int8)
+    bases = np.zeros(len(in_service), dtype=np.int8)
     for code in np.unique(family).tolist():
         rows = family == code
         # fleet average in record order, summed left to right
@@ -257,11 +260,16 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
         scores[rows], bands[rows], bases[rows] = score_asset(
             laws[FAMILIES[code]], scored[rows], average, config
         )
+    ids = [assets.asset_id[row] for row in in_service.tolist()]
     lines = ["asset_id,apparent_age,score,band,basis"]
     lines.extend(
-        f"{rec.asset_id},{aa:.4f},{score},{band.value},{basis.value}"
-        for rec, aa, score, band, basis in zip(
-            in_service, apparent.tolist(), scores.tolist(), bands, bases
+        f"{asset_id},{aa:.4f},{score},{band},{basis}"
+        for asset_id, aa, score, band, basis in zip(
+            ids,
+            apparent.tolist(),
+            scores.tolist(),
+            BAND_VALUES[bands].tolist(),
+            BASIS_VALUES[bases].tolist(),
         )
     )
     ahi_path = out_dir / "ahi.csv"

@@ -3,9 +3,10 @@
 The asset CSV schema is ``asset_id,voltage_kv,commission_date,failure_date,
 manufacturer`` with ISO-8601 dates and an empty failure_date for assets still
 in service. 220 kV and 380 kV units are pooled into one statistical family but
-keep their raw voltage for activity costing. A lifetime table holds one row
-per asset as columns (duration, event flag, family), which the estimators
-read as arrays.
+keep their raw voltage for activity costing. A fleet is an AssetTable, one
+row per asset held as columns, and a lifetime table holds one row per asset
+as columns (duration, event flag, family), which the estimators read as
+arrays.
 """
 
 from __future__ import annotations
@@ -14,15 +15,15 @@ import csv
 import enum
 import io
 from dataclasses import dataclass, replace
-from datetime import date, timedelta
-from typing import IO, Iterable, Mapping, Optional, Sequence
+from datetime import date
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "DataError",
     "VoltageClass",
-    "AssetRecord",
+    "AssetTable",
     "FAMILIES",
     "LifetimeTable",
     "ClassSummary",
@@ -69,7 +70,11 @@ class VoltageClass(enum.Enum):
 
 # Row order of the family codes in a LifetimeTable.
 FAMILIES: tuple[VoltageClass, ...] = tuple(VoltageClass)
-_FAMILY_CODE = {kv: FAMILIES.index(VoltageClass.from_kv(kv)) for kv in VALID_VOLTAGES}
+# family code of each valid voltage, indexed by kV
+_FAMILY_OF_KV = np.full(max(VALID_VOLTAGES) + 1, -1, dtype=np.int8)
+_FAMILY_OF_KV[list(VALID_VOLTAGES)] = [
+    FAMILIES.index(VoltageClass.from_kv(kv)) for kv in VALID_VOLTAGES
+]
 
 
 def years_between(start: date, end: date) -> float:
@@ -77,33 +82,64 @@ def years_between(start: date, end: date) -> float:
     return (end - start).days / DAYS_PER_YEAR
 
 
-@dataclass(frozen=True)
-class AssetRecord:
-    """One physical asset: identity, voltage, commissioning and failure status."""
+@dataclass(frozen=True, eq=False)
+class AssetTable:
+    """Asset records as columns, one row per asset, in input order.
 
-    asset_id: str
-    voltage_kv: int
-    commission_date: date
-    failure_date: Optional[date] = None
-    manufacturer_code: Optional[str] = None
+    ``asset_id`` and ``manufacturer`` are lists of str, with "" for no
+    manufacturer. ``voltage_kv`` is an int array. ``commission`` and
+    ``failure`` are int64 day numbers as ``date.toordinal()`` gives them,
+    with failure 0 for an asset still in service (no date has ordinal 0).
+    Ids must be non-empty and unique, voltages known, and a failure must
+    come after its commission; the first row breaking a rule is named.
+    """
+
+    asset_id: list[str]
+    voltage_kv: np.ndarray
+    commission: np.ndarray
+    failure: np.ndarray
+    manufacturer: list[str]
 
     def __post_init__(self) -> None:
-        if self.voltage_kv not in VALID_VOLTAGES:
-            raise DataError(
-                f"asset {self.asset_id!r}: unknown voltage {self.voltage_kv} kV"
-            )
-        if self.failure_date is not None and self.failure_date <= self.commission_date:
-            raise DataError(
-                f"asset {self.asset_id!r}: failure before commission"
-            )
+        asset_id = list(self.asset_id)
+        manufacturer = list(self.manufacturer)
+        voltage_kv = np.asarray(self.voltage_kv, dtype=np.int64)
+        commission = np.asarray(self.commission, dtype=np.int64)
+        failure = np.asarray(self.failure, dtype=np.int64)
+        n = len(asset_id)
+        if not (
+            voltage_kv.shape == commission.shape == failure.shape == (n,)
+            and len(manufacturer) == n
+        ):
+            raise ValueError("asset columns must be one-dimensional and of equal length")
+        if "" in asset_id:
+            raise DataError(f"empty asset_id at index {asset_id.index('')}")
+        if len(set(asset_id)) != n:
+            seen: set[str] = set()
+            for name in asset_id:
+                if name in seen:
+                    raise DataError(f"duplicate asset_id {name!r}")
+                seen.add(name)
+        bad = ~np.isin(voltage_kv, VALID_VOLTAGES)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DataError(f"asset {asset_id[i]!r}: unknown voltage {voltage_kv[i]} kV")
+        bad = (failure != 0) & (failure <= commission)
+        if bad.any():
+            raise DataError(f"asset {asset_id[int(np.argmax(bad))]!r}: failure before commission")
+        object.__setattr__(self, "asset_id", asset_id)
+        object.__setattr__(self, "voltage_kv", voltage_kv)
+        object.__setattr__(self, "commission", commission)
+        object.__setattr__(self, "failure", failure)
+        object.__setattr__(self, "manufacturer", manufacturer)
+
+    def __len__(self) -> int:
+        return len(self.asset_id)
 
     @property
-    def voltage_class(self) -> VoltageClass:
-        return VoltageClass.from_kv(self.voltage_kv)
-
-    @property
-    def failed(self) -> bool:
-        return self.failure_date is not None
+    def family(self) -> np.ndarray:
+        """Each row's index into FAMILIES."""
+        return _FAMILY_OF_KV[self.voltage_kv]
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,18 +231,14 @@ class SyntheticFleetSpec:
                 raise DataError(f"negative size {n} for {vc.value}")
 
 
-def _parse_date(text: str, row: int, field: str) -> date:
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise DataError(f"row {row}: malformed {field} {text!r}") from None
-
-
-def parse_asset_csv(source: IO[bytes] | IO[str] | Iterable[str]) -> list[AssetRecord]:
-    """Parse the asset CSV, preserving row order.
+def parse_asset_csv(source: IO[bytes] | IO[str] | Iterable[str]) -> AssetTable:
+    """Parse the asset CSV into a table, preserving row order.
 
     Rejects the whole file on the first malformed row, reporting the
-    1-based row number (header is row 1) and the reason.
+    1-based row number (header is row 1) and the reason. Blank lines are
+    skipped. Each row is checked in this order: field count, empty id,
+    duplicate id, integer voltage, commission date, failure date, known
+    voltage, failure after commission.
     """
     if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
         hasattr(source, "read") and isinstance(source.read(0), bytes)
@@ -220,8 +252,11 @@ def parse_asset_csv(source: IO[bytes] | IO[str] | Iterable[str]) -> list[AssetRe
     if header != CSV_HEADER:
         raise DataError(f"row 1: bad header {header!r} (expected {CSV_HEADER!r})")
 
-    records: list[AssetRecord] = []
-    seen: set[str] = set()
+    ids: dict[str, None] = {}  # insertion-ordered: also the id column
+    kvs: list[int] = []
+    commissions: list[int] = []
+    failures: list[int] = []
+    manufacturers: list[str] = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -230,94 +265,91 @@ def parse_asset_csv(source: IO[bytes] | IO[str] | Iterable[str]) -> list[AssetRe
         asset_id, kv_text, commission_text, failure_text, manufacturer = row
         if not asset_id:
             raise DataError(f"row {lineno}: empty asset_id")
-        if asset_id in seen:
+        if asset_id in ids:
             raise DataError(f"row {lineno}: duplicate asset_id {asset_id!r}")
-        seen.add(asset_id)
+        ids[asset_id] = None
         try:
             kv = int(kv_text)
         except ValueError:
             raise DataError(f"row {lineno}: malformed voltage {kv_text!r}") from None
-        commission = _parse_date(commission_text, lineno, "commission_date")
-        failure = _parse_date(failure_text, lineno, "failure_date") if failure_text else None
         try:
-            records.append(
-                AssetRecord(
-                    asset_id=asset_id,
-                    voltage_kv=kv,
-                    commission_date=commission,
-                    failure_date=failure,
-                    manufacturer_code=manufacturer or None,
-                )
-            )
-        except DataError as exc:
-            raise DataError(f"row {lineno}: {exc}") from None
-    return records
+            commission = date.fromisoformat(commission_text).toordinal()
+        except ValueError:
+            raise DataError(
+                f"row {lineno}: malformed commission_date {commission_text!r}"
+            ) from None
+        try:
+            failure = date.fromisoformat(failure_text).toordinal() if failure_text else 0
+        except ValueError:
+            raise DataError(f"row {lineno}: malformed failure_date {failure_text!r}") from None
+        if kv not in VALID_VOLTAGES:
+            raise DataError(f"row {lineno}: asset {asset_id!r}: unknown voltage {kv} kV")
+        if failure and failure <= commission:
+            raise DataError(f"row {lineno}: asset {asset_id!r}: failure before commission")
+        kvs.append(kv)
+        commissions.append(commission)
+        failures.append(failure)
+        manufacturers.append(manufacturer)
+    return AssetTable(list(ids), kvs, commissions, failures, manufacturers)
 
 
-def write_asset_csv(records: Iterable[AssetRecord], stream: IO[str]) -> None:
+def _iso_dates(days: np.ndarray) -> list[str]:
+    """ISO dates of day ordinals, "" for 0."""
+    return [date.fromordinal(day).isoformat() if day else "" for day in days.tolist()]
+
+
+def write_asset_csv(assets: AssetTable, stream: IO[str]) -> None:
     """Inverse of parse_asset_csv; round-trips all fields exactly."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for rec in records:
-        writer.writerow(
-            [
-                rec.asset_id,
-                rec.voltage_kv,
-                rec.commission_date.isoformat(),
-                rec.failure_date.isoformat() if rec.failure_date else "",
-                rec.manufacturer_code or "",
-            ]
+    writer.writerows(
+        zip(
+            assets.asset_id,
+            assets.voltage_kv.tolist(),
+            _iso_dates(assets.commission),
+            _iso_dates(assets.failure),
+            assets.manufacturer,
         )
+    )
 
 
-def service_years(
-    assets: Sequence[AssetRecord], end: date | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Years from commission to ``end`` for each record, and its family code.
+def service_years(assets: AssetTable, end: date | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Years from commission to ``end`` for each asset, and its family code.
 
-    ``end`` is one date for every record, or an int64 array of per-record end
+    ``end`` is one date for every asset, or an int64 array of per-asset end
     days as ``date.toordinal()`` values. Years count whole days over 365.25,
-    as years_between does, and are negative for a record commissioned after
+    as years_between does, and are negative for an asset commissioned after
     its end. Family codes index FAMILIES.
     """
-    n = len(assets)
     if isinstance(end, date):
         end = end.toordinal()
-    commission = np.fromiter(
-        (rec.commission_date.toordinal() for rec in assets), dtype=np.int64, count=n
-    )
-    family = np.fromiter(
-        (_FAMILY_CODE[rec.voltage_kv] for rec in assets), dtype=np.int8, count=n
-    )
-    return (end - commission) / DAYS_PER_YEAR, family
+    return (end - assets.commission) / DAYS_PER_YEAR, assets.family
 
 
-def build_lifetime_table(assets: Sequence[AssetRecord], cutoff: date) -> LifetimeTable:
-    """Turn asset records into a right-censored lifetime table.
+def build_lifetime_table(assets: AssetTable, cutoff: date) -> LifetimeTable:
+    """Turn an asset table into a right-censored lifetime table.
 
     Failed assets contribute (commission -> failure, event). Unfailed assets
     are censored at the cutoff. The cutoff must not precede any commission
-    date, and no failure may lie beyond it; the first record in input order
+    date, and no failure may lie beyond it; the first row in table order
     that breaks either rule is named in the error.
     """
     end_of_window = cutoff.toordinal()
-    failure = np.fromiter(
-        (rec.failure_date.toordinal() if rec.failure_date else 0 for rec in assets),
-        dtype=np.int64,
-        count=len(assets),
-    )
+    failure = assets.failure
     event = failure > 0
     duration, family = service_years(assets, np.where(event, failure, end_of_window))
     bad = (duration < 0) | (failure > end_of_window)
     if bad.any():
-        rec = assets[int(np.argmax(bad))]
-        if rec.commission_date > cutoff:
+        i = int(np.argmax(bad))
+        asset_id = assets.asset_id[i]
+        commission = date.fromordinal(int(assets.commission[i]))
+        if commission > cutoff:
             raise DataError(
-                f"asset {rec.asset_id!r}: cutoff {cutoff.isoformat()} before "
-                f"commission {rec.commission_date.isoformat()}"
+                f"asset {asset_id!r}: cutoff {cutoff.isoformat()} before "
+                f"commission {commission.isoformat()}"
             )
         raise DataError(
-            f"asset {rec.asset_id!r}: failure {rec.failure_date.isoformat()} "
+            f"asset {asset_id!r}: failure {date.fromordinal(int(failure[i])).isoformat()} "
             f"after cutoff {cutoff.isoformat()} (observation outside window)"
         )
     return LifetimeTable(duration, event, family)
@@ -337,61 +369,56 @@ def fleet_summary(table: LifetimeTable) -> FleetSummary:
     )
 
 
-def generate_synthetic_fleet(spec: SyntheticFleetSpec) -> list[AssetRecord]:
+def generate_synthetic_fleet(spec: SyntheticFleetSpec) -> AssetTable:
     """Deterministically generate an in-service fleet from a spec.
 
     Commission dates are uniform over the year range. No failure dates are
     assigned; failures come from simulation or from draw_failures.
     """
     rng = np.random.default_rng(spec.seed)
-    first = date(spec.commission_years[0], 1, 1)
-    last = date(spec.commission_years[1], 12, 31)
-    span = (last - first).days
-    records: list[AssetRecord] = []
+    first = date(spec.commission_years[0], 1, 1).toordinal()
+    span = date(spec.commission_years[1], 12, 31).toordinal() - first
+    ids: list[str] = []
+    kvs: list[int] = []
+    commissions: list[int] = []
+    manufacturers: list[str] = []
     for vc in VoltageClass:
-        n = spec.sizes.get(vc, 0)
-        for i in range(n):
+        for i in range(spec.sizes.get(vc, 0)):
             if vc is VoltageClass.V220_380:
                 kv = 220 if rng.integers(0, 2) == 0 else 380
             else:
                 kv = int(vc.value)
-            offset = int(rng.integers(0, span + 1))
-            records.append(
-                AssetRecord(
-                    asset_id=f"{kv}-{i:05d}",
-                    voltage_kv=kv,
-                    commission_date=first + timedelta(days=offset),
-                    manufacturer_code=f"M{int(rng.integers(1, 9))}",
-                )
-            )
-    return records
+            ids.append(f"{kv}-{i:05d}")
+            kvs.append(kv)
+            commissions.append(first + int(rng.integers(0, span + 1)))
+            manufacturers.append(f"M{int(rng.integers(1, 9))}")
+    return AssetTable(ids, kvs, commissions, np.zeros(len(ids), dtype=np.int64), manufacturers)
 
 
 def draw_failures(
-    assets: Sequence[AssetRecord],
+    assets: AssetTable,
     laws: Mapping[VoltageClass, "object"],
     cutoff: date,
     seed: int,
-) -> list[AssetRecord]:
+) -> AssetTable:
     """Assign sampled failure dates to a fleet, censoring at the cutoff.
 
     For each asset a lifetime is drawn from its family's reliability law; the
     asset gets a failure date only if that lifetime ends before the cutoff.
     Assets whose family has no law are left untouched. Deterministic in the
-    seed and input order.
+    seed and row order.
     """
     rng = np.random.default_rng(seed)
-    out: list[AssetRecord] = []
-    for rec in assets:
-        law = laws.get(rec.voltage_class)
+    end = cutoff.toordinal()
+    failure = assets.failure.copy()
+    for i, (code, commission) in enumerate(
+        zip(assets.family.tolist(), assets.commission.tolist())
+    ):
+        law = laws.get(FAMILIES[code])
         if law is None:
-            out.append(rec)
             continue
         life_years = float(law.sample(1, rng)[0])
-        days = max(1, round(life_years * DAYS_PER_YEAR))
-        failure = rec.commission_date + timedelta(days=days)
-        if failure <= cutoff:
-            out.append(replace(rec, failure_date=failure))
-        else:
-            out.append(rec)
-    return out
+        day = commission + max(1, round(life_years * DAYS_PER_YEAR))
+        if day <= end:
+            failure[i] = day
+    return replace(assets, failure=failure)

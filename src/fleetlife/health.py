@@ -175,7 +175,13 @@ def age_scores(
     return scores
 
 
-_BAND_OF_SCORE = np.array([None, *(band_for_score(s) for s in range(1, 11))], dtype=object)
+# band code (index into tuple(Band)) of each score 1-10
+_BAND_OF_SCORE = np.array(
+    [-1, *(list(Band).index(band_for_score(s)) for s in range(1, 11))], dtype=np.int8
+)
+# basis code (index into tuple(ScoreBasis)) of probability and age scores
+_BY_PROBABILITY = list(ScoreBasis).index(ScoreBasis.PROBABILITY)
+_BY_AGE = list(ScoreBasis).index(ScoreBasis.AGE)
 
 
 def score_asset(
@@ -188,7 +194,8 @@ def score_asset(
 
     ``ages`` are the ages (in years) that the probability and age bands read,
     one per asset. Returns three arrays of that length: the integer scores,
-    their Band and their ScoreBasis.
+    their band codes (indices into tuple(Band)) and their basis codes
+    (indices into tuple(ScoreBasis)).
     """
     ages = np.asarray(ages, dtype=np.float64)
     if (ages < 0).any():
@@ -198,7 +205,7 @@ def score_asset(
     scores = probability_scores(p_short, p_long, config)
     by_age = scores == 0
     scores[by_age] = age_scores(ages[by_age], fleet_average_age, config)
-    bases = np.where(by_age, ScoreBasis.AGE, ScoreBasis.PROBABILITY)
+    bases = np.where(by_age, _BY_AGE, _BY_PROBABILITY).astype(np.int8)
     return scores, _BAND_OF_SCORE[scores], bases
 
 

@@ -48,7 +48,7 @@ from typing import IO, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .fleet import AssetRecord, VoltageClass, years_between
+from .fleet import DAYS_PER_YEAR, FAMILIES, AssetTable, VoltageClass
 from .health import DegradationState
 from .weibull import WeibullLaw
 
@@ -688,24 +688,20 @@ def _asset_sequences(
 
 
 def validate_scenario_for_fleet(
-    fleet: Sequence[AssetRecord], scenario: Scenario
+    fleet: AssetTable, scenario: Scenario
 ) -> None:
     """Check that the scenario can actually run against this fleet."""
-    if not fleet:
+    if not len(fleet):
         raise ValueError("fleet is empty")
-    seen: set[str] = set()
-    for rec in fleet:
-        if rec.asset_id in seen:
-            raise ValueError(f"duplicate asset_id {rec.asset_id!r} in fleet")
-        seen.add(rec.asset_id)
-        if rec.failure_date is not None:
-            raise ValueError(
-                f"asset {rec.asset_id!r} already failed; simulation takes an "
-                "in-service fleet"
-            )
-    start = scenario.start_date or max(r.commission_date for r in fleet)
+    failed = np.flatnonzero(fleet.failure)
+    if len(failed):
+        raise ValueError(
+            f"asset {fleet.asset_id[failed[0]]!r} already failed; simulation takes an "
+            "in-service fleet"
+        )
+    start = scenario.start_date or date.fromordinal(int(fleet.commission.max()))
     requestable: list[ActivitySpec] = []
-    for kv in sorted({r.voltage_kv for r in fleet}):
+    for kv in np.unique(fleet.voltage_kv).tolist():
         vc = VoltageClass.from_kv(kv)
         if vc not in scenario.laws:
             raise ValueError(f"scenario has no reliability law for family {vc.value}")
@@ -720,12 +716,12 @@ def validate_scenario_for_fleet(
                         f"of the {scenario.tick_months}-month tick"
                     )
                 requestable.append(scenario.catalog.inspection(kv, interval))
-    for rec in fleet:
-        if rec.commission_date > start:
-            raise ValueError(
-                f"asset {rec.asset_id!r} commissioned after simulation start "
-                f"{start.isoformat()}"
-            )
+    late = np.flatnonzero(fleet.commission > start.toordinal())
+    if len(late):
+        raise ValueError(
+            f"asset {fleet.asset_id[late[0]]!r} commissioned after simulation start "
+            f"{start.isoformat()}"
+        )
     if isinstance(scenario.resources, Constrained) and scenario.resources.fte_count > 0:
         capacity = scenario.resources.tick_capacity(scenario.tick_months)
         for spec in requestable:
@@ -837,7 +833,7 @@ _FIRST_WINDOW = 64
 class _Engine:
     """One replication over vectorized asset state and array request queues."""
 
-    def __init__(self, fleet: Sequence[AssetRecord], scenario: Scenario, rep_index: int):
+    def __init__(self, fleet: AssetTable, scenario: Scenario, rep_index: int):
         self.scenario = scenario
         self.rep_index = rep_index
         self.tick = scenario.tick_months
@@ -846,29 +842,26 @@ class _Engine:
         self.ticks_per_year = 12 // self.tick
         self.n_ticks = scenario.horizon_years * self.ticks_per_year
 
-        start = scenario.start_date or max(r.commission_date for r in fleet)
-        order = sorted(range(len(fleet)), key=lambda i: fleet[i].asset_id)
-        ids = [fleet[i].asset_id for i in order]
-        self.kv = np.array([fleet[i].voltage_kv for i in order], dtype=np.int32)
-        self.age_months = np.array(
-            [years_between(fleet[i].commission_date, start) * 12.0 for i in order]
-        )
+        start = scenario.start_date or date.fromordinal(int(fleet.commission.max()))
+        # assets in id order
+        order = sorted(range(len(fleet)), key=fleet.asset_id.__getitem__)
+        ids = [fleet.asset_id[i] for i in order]
+        self.kv = fleet.voltage_kv[order].astype(np.int32)
+        # years_between(commission, start) * 12.0, elementwise
+        self.age_months = (start.toordinal() - fleet.commission[order]) / DAYS_PER_YEAR * 12.0
         n = len(ids)
         self.in_service = np.ones(n, dtype=bool)
         self.failed_tick = np.zeros(n, dtype=np.int64)
         self.pending = np.zeros(n, dtype=bool)
         self.generation = np.zeros(n, dtype=np.int64)
 
-        self.family = np.array(
-            [list(VoltageClass).index(VoltageClass.from_kv(k)) for k in self.kv],
-            dtype=np.int8,
-        )
+        self.family = fleet.family[order]
         self.groups: dict[int, np.ndarray] = {
             int(f): np.nonzero(self.family == f)[0]
             for f in np.unique(self.family)
         }
         self.laws = {
-            f: scenario.laws[list(VoltageClass)[f]] for f in self.groups
+            f: scenario.laws[FAMILIES[f]] for f in self.groups
         }
 
         # Requests refer to activities by id into self.specs.
@@ -892,7 +885,7 @@ class _Engine:
         self.trigger_age = np.zeros(n)
         plans: dict[int, PeriodicInspections] = {}
         for f, idx in self.groups.items():
-            fam_policy = scenario.policy.for_family(list(VoltageClass)[f])
+            fam_policy = scenario.policy.for_family(FAMILIES[f])
             if isinstance(fam_policy.replacement, TimeBased):
                 self.is_time[idx] = True
                 self.trigger_age[idx] = fam_policy.replacement.age_years
@@ -1190,7 +1183,7 @@ class _Engine:
 
 
 def _simulate_replication(
-    fleet: Sequence[AssetRecord], scenario: Scenario, rep_index: int
+    fleet: AssetTable, scenario: Scenario, rep_index: int
 ) -> KpiSeries:
     return _Engine(fleet, scenario, rep_index).run()
 
@@ -1201,7 +1194,7 @@ def _replication_worker(args: tuple) -> KpiSeries:
 
 
 def run_scenario(
-    fleet: Sequence[AssetRecord], scenario: Scenario, jobs: int = 1
+    fleet: AssetTable, scenario: Scenario, jobs: int = 1
 ) -> SimulationReport:
     """Run all replications of a scenario and aggregate them.
 
@@ -1215,7 +1208,7 @@ def run_scenario(
             series = list(
                 pool.map(
                     _replication_worker,
-                    [(list(fleet), scenario, r) for r in indices],
+                    [(fleet, scenario, r) for r in indices],
                 )
             )
     else:

@@ -168,14 +168,16 @@ def _profile_terms(beta: float, log_t: np.ndarray) -> tuple[float, float]:
     """Softmax-weighted mean and variance of log-durations at shape beta.
 
     Weights proportional to t_i^beta, computed in shifted log space so no
-    intermediate overflows even at the top of the beta bracket.
+    intermediate overflows even at the top of the beta bracket. The weighted
+    sums are numpy's own reductions, not a BLAS dot product, whose rounding
+    would depend on the BLAS thread count.
     """
     w = beta * log_t
     w -= w.max()
     ew = np.exp(w)
     total = ew.sum()
-    mean = float((ew @ log_t) / total)
-    var = float((ew @ (log_t - mean) ** 2) / total)
+    mean = float(np.sum(ew * log_t) / total)
+    var = float(np.sum(ew * (log_t - mean) ** 2) / total)
     return mean, var
 
 

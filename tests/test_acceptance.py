@@ -16,9 +16,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import single_family
+from conftest import fleet_of, single_family
 from fleetlife.fleet import (
-    AssetRecord,
     SyntheticFleetSpec,
     VoltageClass,
     generate_synthetic_fleet,
@@ -192,12 +191,10 @@ def test_criterion_6_threshold_round_trip():
 
 def test_criterion_7_analytic_replacement_schedule():
     """7: with failures off, a 45-year policy replaces every asset exactly at years 45 and 90"""
-    fleet = []
     sizes = {110: 400, 150: 300, 220: 150, 380: 150}
-    for kv, count in sizes.items():
-        fleet.extend(
-            AssetRecord(f"{kv}-{i:05d}", kv, START) for i in range(count)
-        )
+    fleet = fleet_of(
+        [(f"{kv}-{i:05d}", kv, START) for kv, count in sizes.items() for i in range(count)]
+    )
     scenario = builtin_scenario("time-based", "unconstrained", replications=1, master_seed=3)
     scenario = dataclasses.replace(
         scenario, start_date=START, failures_enabled=False, horizon_years=100

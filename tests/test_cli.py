@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import fleetlife
 from fleetlife.cli import main
 from fleetlife.fleet import (
     SyntheticFleetSpec,
@@ -102,6 +106,41 @@ class TestFit:
         assert payload["diagnostics"]["110"]["converged"] is True
         assert (out / "km_110.csv").exists()
         assert "110" in payload["medians"]
+
+    def test_law_json_independent_of_blas_threads(self, tmp_path):
+        # A BLAS dot product splits its sum across threads, so its rounding
+        # follows the thread count. Families of more than 10k rows are where
+        # OpenBLAS starts to thread one; fit runs once per thread count, each
+        # in a fresh process, since the count is read at start-up.
+        # (with the dot product, this input's 110 kV MLE beta differs in
+        # its last digits between 1 and 2 threads)
+        fleet = generate_synthetic_fleet(
+            SyntheticFleetSpec(
+                sizes={VoltageClass.V110: 20000}, commission_years=(1940, 1990), seed=4
+            )
+        )
+        assets = tmp_path / "assets.csv"
+        write_fleet(assets, draw_failures(fleet, REFERENCE_LAWS, date(2021, 7, 1), seed=9))
+        src = str(Path(fleetlife.__file__).resolve().parents[1])
+        laws = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                MKL_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            )
+            out = tmp_path / f"fit{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "fleetlife.cli", "fit", "--assets", str(assets),
+                 "--cutoff", "2021-07-01", "--out", str(out)],
+                env=env,
+                check=True,
+                capture_output=True,
+            )
+            laws.append((out / "law.json").read_bytes())
+        assert laws[0] == laws[1]
 
     def test_all_censored_writes_curve_then_fails(self, tmp_path):
         fleet = generate_synthetic_fleet(

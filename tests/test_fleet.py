@@ -2,13 +2,14 @@ import io
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import single_family
+from conftest import fleet_of, rows_of, single_family
+from reference_ingest import parse_records
 from fleetlife.fleet import (
-    AssetRecord,
     FAMILIES,
+    AssetTable,
     DataError,
     LifetimeTable,
     SyntheticFleetSpec,
@@ -33,17 +34,15 @@ def parse(text: str):
 
 class TestParseAssetCsv:
     def test_basic_row(self):
-        records = parse(HEADER + "A1,110,2000-01-01,2010-01-01,M3\n")
-        assert records == [
-            AssetRecord("A1", 110, date(2000, 1, 1), date(2010, 1, 1), "M3")
-        ]
-        assert records[0].voltage_class is VoltageClass.V110
+        table = parse(HEADER + "A1,110,2000-01-01,2010-01-01,M3\n")
+        assert rows_of(table) == [("A1", 110, date(2000, 1, 1), date(2010, 1, 1), "M3")]
+        assert FAMILIES[table.family[0]] is VoltageClass.V110
 
     def test_empty_failure_and_manufacturer(self):
-        records = parse(HEADER + "A2,380,1990-06-15,,\n")
-        assert records[0].failure_date is None
-        assert records[0].manufacturer_code is None
-        assert records[0].voltage_class is VoltageClass.V220_380
+        table = parse(HEADER + "A2,380,1990-06-15,,\n")
+        assert table.failure.tolist() == [0]
+        assert table.manufacturer == [""]
+        assert FAMILIES[table.family[0]] is VoltageClass.V220_380
 
     def test_failure_before_commission_rejected_with_row(self):
         with pytest.raises(DataError, match=r"row 2.*failure before commission"):
@@ -72,11 +71,11 @@ class TestParseAssetCsv:
 
     def test_row_order_preserved(self):
         text = HEADER + "B,110,2000-01-01,,\nA,150,2001-01-01,,\n"
-        assert [r.asset_id for r in parse(text)] == ["B", "A"]
+        assert parse(text).asset_id == ["B", "A"]
 
     def test_bytes_stream(self):
-        records = parse_asset_csv(io.BytesIO((HEADER + "A1,110,2000-01-01,,\n").encode()))
-        assert len(records) == 1
+        table = parse_asset_csv(io.BytesIO((HEADER + "A1,110,2000-01-01,,\n").encode()))
+        assert len(table) == 1
 
     def test_round_trip_exact(self):
         text = (
@@ -85,86 +84,118 @@ class TestParseAssetCsv:
             + "A2,380,1990-06-15,,\n"
             + "A3,220,1985-02-28,2021-03-04,M1\n"
         )
-        records = parse(text)
         out = io.StringIO()
-        write_asset_csv(records, out)
+        write_asset_csv(parse(text), out)
         assert out.getvalue() == text
+
+
+class TestAssetTable:
+    def test_columns(self):
+        table = fleet_of(
+            [("A", 220, date(2000, 1, 1), date(2010, 1, 1), "M1"), ("B", 150, date(2001, 1, 1))]
+        )
+        assert len(table) == 2
+        assert table.voltage_kv.tolist() == [220, 150]
+        assert table.commission.tolist() == [
+            date(2000, 1, 1).toordinal(),
+            date(2001, 1, 1).toordinal(),
+        ]
+        assert table.failure.tolist() == [date(2010, 1, 1).toordinal(), 0]
+        assert table.manufacturer == ["M1", ""]
+        assert [FAMILIES[code] for code in table.family.tolist()] == [
+            VoltageClass.V220_380,
+            VoltageClass.V150,
+        ]
+
+    DAY = date(2000, 1, 1)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([("A", 132, DAY)], "asset 'A': unknown voltage 132 kV"),
+            ([("A", 110, DAY, DAY)], "asset 'A': failure before commission"),
+            ([("A", 110, DAY), ("", 110, DAY)], "empty asset_id at index 1"),
+            ([("A", 110, DAY), ("A", 150, DAY)], "duplicate asset_id 'A'"),
+        ],
+    )
+    def test_rules_checked(self, rows, message):
+        with pytest.raises(DataError, match=message):
+            fleet_of(rows)
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            AssetTable(["A", "B"], [110], [730000, 730000], [0, 0], ["", ""])
 
 
 class TestBuildLifetimeTable:
     CUTOFF = date(2021, 7, 1)
 
     def test_failed_asset(self):
-        rec = AssetRecord("A", 110, date(2000, 1, 1), date(2010, 1, 1))
-        table = build_lifetime_table([rec], self.CUTOFF)
+        table = build_lifetime_table(
+            fleet_of([("A", 110, date(2000, 1, 1), date(2010, 1, 1))]), self.CUTOFF
+        )
         assert table.event.tolist() == [True]
         assert table.duration[0] == pytest.approx(10.0, abs=0.01)
 
     def test_censored_asset(self):
-        rec = AssetRecord("A", 110, date(2000, 1, 1))
-        table = build_lifetime_table([rec], self.CUTOFF)
+        table = build_lifetime_table(fleet_of([("A", 110, date(2000, 1, 1))]), self.CUTOFF)
         assert table.event.tolist() == [False]
         assert table.duration[0] == pytest.approx(21.5, abs=0.01)
 
     def test_commissioned_at_cutoff(self):
-        rec = AssetRecord("A", 110, self.CUTOFF)
-        table = build_lifetime_table([rec], self.CUTOFF)
+        table = build_lifetime_table(fleet_of([("A", 110, self.CUTOFF)]), self.CUTOFF)
         assert table.duration.tolist() == [0.0]
         assert table.event.tolist() == [False]
 
     def test_failure_after_cutoff_rejected(self):
-        rec = AssetRecord("A", 110, date(2000, 1, 1), date(2021, 8, 1))
+        fleet = fleet_of([("A", 110, date(2000, 1, 1), date(2021, 8, 1))])
         with pytest.raises(DataError, match="outside window"):
-            build_lifetime_table([rec], self.CUTOFF)
+            build_lifetime_table(fleet, self.CUTOFF)
 
     def test_cutoff_before_commission_rejected(self):
-        rec = AssetRecord("A", 110, date(2022, 1, 1))
+        fleet = fleet_of([("A", 110, date(2022, 1, 1))])
         with pytest.raises(DataError, match="before commission"):
-            build_lifetime_table([rec], self.CUTOFF)
+            build_lifetime_table(fleet, self.CUTOFF)
 
     def test_exact_day_count_convention(self):
-        rec = AssetRecord("A", 110, date(2000, 1, 1), date(2000, 1, 2))
-        table = build_lifetime_table([rec], self.CUTOFF)
+        fleet = fleet_of([("A", 110, date(2000, 1, 1), date(2000, 1, 2))])
+        table = build_lifetime_table(fleet, self.CUTOFF)
         assert table.duration.tolist() == [1 / 365.25]
 
     def test_first_bad_record_named(self):
-        records = [
-            AssetRecord("OK", 110, date(2000, 1, 1), self.CUTOFF),
-            AssetRecord("LATE", 150, date(2000, 1, 1), date(2021, 7, 2)),
-            AssetRecord("NEW", 110, date(2021, 7, 2)),
+        rows = [
+            ("OK", 110, date(2000, 1, 1), self.CUTOFF),
+            ("LATE", 150, date(2000, 1, 1), date(2021, 7, 2)),
+            ("NEW", 110, date(2021, 7, 2)),
         ]
-        assert build_lifetime_table(records[:1], self.CUTOFF).event.tolist() == [True]
-        with pytest.raises(DataError, match="'LATE'.*outside window"):
-            build_lifetime_table(records, self.CUTOFF)
-        with pytest.raises(DataError, match="'NEW'.*before commission"):
-            build_lifetime_table(records[::-1], self.CUTOFF)
+        assert build_lifetime_table(fleet_of(rows[:1]), self.CUTOFF).event.tolist() == [True]
+        with pytest.raises(DataError, match="'LATE'.*2021-07-02 after cutoff.*outside window"):
+            build_lifetime_table(fleet_of(rows), self.CUTOFF)
+        with pytest.raises(DataError, match="'NEW'.*before commission 2021-07-02"):
+            build_lifetime_table(fleet_of(rows[::-1]), self.CUTOFF)
 
     def test_columns_follow_records(self):
-        records = [
-            AssetRecord("A", 380, date(2000, 1, 1), date(2010, 1, 1)),
-            AssetRecord("B", 110, date(2001, 3, 1)),
-            AssetRecord("C", 150, date(1990, 5, 5), date(2020, 2, 29)),
-            AssetRecord("D", 220, date(1985, 1, 1)),
+        rows = [
+            ("A", 380, date(2000, 1, 1), date(2010, 1, 1)),
+            ("B", 110, date(2001, 3, 1), None),
+            ("C", 150, date(1990, 5, 5), date(2020, 2, 29)),
+            ("D", 220, date(1985, 1, 1), None),
         ]
-        table = build_lifetime_table(records, self.CUTOFF)
-        for rec, duration, event, code in zip(
-            records, table.duration.tolist(), table.event.tolist(), table.family.tolist()
+        table = build_lifetime_table(fleet_of(rows), self.CUTOFF)
+        for (_, kv, commission, failure), duration, event, code in zip(
+            rows, table.duration.tolist(), table.event.tolist(), table.family.tolist()
         ):
-            end = rec.failure_date or self.CUTOFF
-            assert duration == years_between(rec.commission_date, end)
-            assert event is rec.failed
-            assert FAMILIES[code] is rec.voltage_class
+            assert duration == years_between(commission, failure or self.CUTOFF)
+            assert event is (failure is not None)
+            assert FAMILIES[code] is VoltageClass.from_kv(kv)
         assert table.families() == set(VoltageClass)
         v220 = table.select(VoltageClass.V220_380)
         assert v220.duration.tolist() == table.duration[[0, 3]].tolist()
         assert v220.event.tolist() == [True, False]
 
     def test_service_years_at_one_date(self):
-        records = [
-            AssetRecord("A", 380, date(2000, 1, 1)),
-            AssetRecord("B", 150, date(2021, 7, 2)),
-        ]
-        ages, family = service_years(records, self.CUTOFF)
+        fleet = fleet_of([("A", 380, date(2000, 1, 1)), ("B", 150, date(2021, 7, 2))])
+        ages, family = service_years(fleet, self.CUTOFF)
         assert ages.tolist() == [
             years_between(date(2000, 1, 1), self.CUTOFF),
             -1 / 365.25,
@@ -173,7 +204,7 @@ class TestBuildLifetimeTable:
             VoltageClass.V220_380,
             VoltageClass.V150,
         ]
-        ages, family = service_years([], self.CUTOFF)
+        ages, family = service_years(fleet_of([]), self.CUTOFF)
         assert len(ages) == len(family) == 0
 
     def test_invalid_duration_rejected(self):
@@ -232,7 +263,7 @@ class TestSyntheticFleet:
         spec = SyntheticFleetSpec(
             sizes={VoltageClass.V110: 10}, commission_years=(1980, 2020), seed=42
         )
-        assert generate_synthetic_fleet(spec) == generate_synthetic_fleet(spec)
+        assert rows_of(generate_synthetic_fleet(spec)) == rows_of(generate_synthetic_fleet(spec))
 
     def test_sizes_exact(self):
         spec = SyntheticFleetSpec(
@@ -252,15 +283,18 @@ class TestSyntheticFleet:
 
     def test_zero_sizes(self):
         spec = SyntheticFleetSpec(sizes={}, commission_years=(1980, 1990), seed=0)
-        assert generate_synthetic_fleet(spec) == []
+        assert len(generate_synthetic_fleet(spec)) == 0
 
     def test_commission_dates_within_range(self):
         spec = SyntheticFleetSpec(
             sizes={VoltageClass.V150: 200}, commission_years=(1991, 1993), seed=9
         )
-        for rec in generate_synthetic_fleet(spec):
-            assert date(1991, 1, 1) <= rec.commission_date <= date(1993, 12, 31)
-            assert rec.failure_date is None
+        fleet = generate_synthetic_fleet(spec)
+        assert len(fleet) == 200
+        for _, kv, commission, failure, _ in rows_of(fleet):
+            assert kv == 150
+            assert date(1991, 1, 1) <= commission <= date(1993, 12, 31)
+            assert failure is None
 
     def test_empty_year_range_rejected(self):
         with pytest.raises(DataError, match="empty commission year range"):
@@ -274,12 +308,12 @@ class TestSyntheticFleet:
         cutoff = date(2021, 7, 1)
         once = draw_failures(fleet, REFERENCE_LAWS, cutoff, seed=77)
         again = draw_failures(fleet, REFERENCE_LAWS, cutoff, seed=77)
-        assert once == again
-        assert any(r.failure_date is not None for r in once)
-        for rec in once:
-            if rec.failure_date is not None:
-                assert rec.failure_date <= cutoff
-                assert rec.failure_date > rec.commission_date
+        assert rows_of(once) == rows_of(again)
+        assert once.asset_id == fleet.asset_id
+        assert (once.failure > 0).any()
+        for _, _, commission, failure, _ in rows_of(once):
+            if failure is not None:
+                assert commission < failure <= cutoff
 
 
 @st.composite
@@ -292,15 +326,15 @@ def asset_records(draw):
     if fail_offset is not None:
         failure = date.fromordinal(commission.toordinal() + fail_offset)
     manufacturer = draw(st.one_of(st.none(), st.sampled_from(["M1", "M2", "M9"])))
-    return AssetRecord(f"A{index}", kv, commission, failure, manufacturer)
+    return (f"A{index}", kv, commission, failure, manufacturer)
 
 
-@given(st.lists(asset_records(), max_size=30, unique_by=lambda r: r.asset_id))
+@given(st.lists(asset_records(), max_size=30, unique_by=lambda r: r[0]))
 @settings(max_examples=60)
-def test_csv_round_trip_property(records):
+def test_csv_round_trip_property(rows):
     out = io.StringIO()
-    write_asset_csv(records, out)
-    assert parse_asset_csv(io.StringIO(out.getvalue())) == records
+    write_asset_csv(fleet_of(rows), out)
+    assert rows_of(parse_asset_csv(io.StringIO(out.getvalue()))) == rows
 
 
 @given(
@@ -333,3 +367,88 @@ def test_years_between_day_convention():
     assert years_between(date(2000, 1, 1), date(2004, 1, 1)) == pytest.approx(
         1461 / 365.25
     )
+
+
+def _line(row) -> str:
+    asset_id, kv, commission, failure, manufacturer = row
+    failure = failure.isoformat() if failure else ""
+    return f"{asset_id},{kv},{commission.isoformat()},{failure},{manufacturer or ''}"
+
+
+# Field text with no separator, quote or line break in it
+field_text = st.text(
+    st.characters(blacklist_characters=',"\r\n', max_codepoint=0x24F), max_size=12
+)
+
+
+FAULTS = ["fields", "empty id", "duplicate id", "voltage", "date", "failure order", "text"]
+
+
+@st.composite
+def faulty_csv(draw):
+    """Asset CSV text with seeded faults: up to two rows get one to three each.
+
+    Several faults in one row check the order of the per-row checks; faults
+    in two rows check that the first bad row is the one named.
+    """
+    rows = draw(st.lists(asset_records(), min_size=1, max_size=8, unique_by=lambda r: r[0]))
+    lines = [_line(row).split(",") for row in rows]
+    for pos in draw(st.lists(st.integers(0, len(lines) - 1), max_size=2)):
+        fields = lines[pos]
+        for fault in draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3)):
+            if fault == "fields":
+                if draw(st.booleans()):
+                    fields.append(draw(field_text))
+                else:
+                    fields.pop()
+            elif fault == "empty id":
+                fields[0] = ""
+            elif fault == "duplicate id":
+                fields[0] = lines[draw(st.integers(0, len(lines) - 1))][0]
+            elif fault == "voltage" and len(fields) > 1:
+                fields[1] = draw(st.sampled_from(["132", "0", "-110", "1x0", "", " 110 ", "0150"]))
+            elif fault == "date" and len(fields) > 3:
+                fields[draw(st.sampled_from([2, 3]))] = draw(
+                    st.sampled_from(["2001-13-01", "2001-02-29", "01/02/2000", "", " ", "20000101"])
+                )
+            elif fault == "failure order" and len(fields) > 3:
+                back = draw(st.integers(0, 400))
+                fields[3] = date.fromordinal(rows[pos][2].toordinal() - back).isoformat()
+            elif fault == "text" and fields:
+                fields[draw(st.integers(0, len(fields) - 1))] = draw(field_text)
+    text = [",".join(fields) for fields in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        text.insert(draw(st.integers(0, len(text))), "")
+    return HEADER + "\n".join(text) + "\n"
+
+
+def _outcome(parse_rows, text):
+    try:
+        return parse_rows(text)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+@given(faulty_csv())
+@settings(max_examples=300, deadline=None)
+# rows breaking two neighbouring checks at once, bad rows after a blank
+# line, and a failure date of one space
+@example(HEADER + "A,110,2000-01-01,,\n,110,2000-01-01\n")
+@example(HEADER + "A,110,2000-01-01,,\nA,1x0,2000-01-01,,\n")
+@example(HEADER + "A,1x0,2000-13-01,,\n")
+@example(HEADER + "A,110,2000-13-01,2000-13-01,\n")
+@example(HEADER + "A,132,2000-01-01,2000-01-02x,\n")
+@example(HEADER + "A,132,2000-01-01,1999-01-01,\n")
+@example(HEADER + "A,110,2000-01-01, ,\n")
+@example(HEADER + "A,110,2000-01-01,,\n\nB,132,2000-01-01,,\nC,1x0,2000-01-01,,\n")
+def test_ingest_matches_record_parser(text):
+    # the record-based parser the table replaced, as the oracle: the same
+    # rows, or the same first error naming the same row
+    expected = _outcome(
+        lambda t: [
+            (r.asset_id, r.voltage_kv, r.commission_date, r.failure_date, r.manufacturer_code)
+            for r in parse_records(io.StringIO(t))
+        ],
+        text,
+    )
+    assert _outcome(lambda t: rows_of(parse(t)), text) == expected

@@ -135,10 +135,15 @@ class TestAgeScores:
             a_score(20.0, 0.0)
 
 
+# score_asset's band and basis codes index these
+BANDS = tuple(Band)
+BASES = tuple(ScoreBasis)
+
+
 def score_one(law, age, average):
     """score_asset on a single age, as an AhiScore."""
     scores, bands, bases = score_asset(law, [age], average)
-    return AhiScore(int(scores[0]), bands[0], bases[0])
+    return AhiScore(int(scores[0]), BANDS[bands[0]], BASES[bases[0]])
 
 
 class TestScoreAsset:
@@ -167,8 +172,8 @@ class TestScoreAsset:
     def test_columns_align_with_ages(self):
         scores, bands, bases = score_asset(LAW_110, [100.0, 0.0, 70.0, 40.0], 40.0)
         assert scores.tolist() == [1, 10, 3, 7]
-        assert bands.tolist() == [Band.PURPLE, Band.GREEN, Band.PURPLE, Band.ORANGE]
-        assert bases.tolist() == [
+        assert [BANDS[c] for c in bands] == [Band.PURPLE, Band.GREEN, Band.PURPLE, Band.ORANGE]
+        assert [BASES[c] for c in bases] == [
             ScoreBasis.PROBABILITY, ScoreBasis.AGE, ScoreBasis.PROBABILITY, ScoreBasis.AGE
         ]
 
@@ -236,8 +241,8 @@ def test_array_scores_match_scalar_bands(law, ages, average):
         expected, p = scalar_score(law, age, average)
         if not near_threshold(p):
             assert score == expected, age
-        assert band is band_for_score(score)
-        assert basis is (ScoreBasis.PROBABILITY if score <= 6 else ScoreBasis.AGE)
+        assert BANDS[band] is band_for_score(score)
+        assert BASES[basis] is (ScoreBasis.PROBABILITY if score <= 6 else ScoreBasis.AGE)
 
 
 class TestThresholdAge:

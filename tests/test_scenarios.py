@@ -1,8 +1,12 @@
 import dataclasses
 import json
 import re
+from datetime import date
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetlife.fleet import VoltageClass
 from fleetlife.scenarios import (
@@ -16,12 +20,22 @@ from fleetlife.scenarios import (
     scenario_to_dict,
 )
 from fleetlife.simulate import (
+    VALID_TICKS,
+    ActivityCatalog,
+    ActivityKind,
+    ActivitySpec,
     ConditionBased,
+    ConstantRate,
     Constrained,
+    FamilyPolicy,
     LognormalRate,
+    PeriodicInspections,
+    Policy,
+    Scenario,
     TimeBased,
     Unconstrained,
 )
+from fleetlife.weibull import WeibullLaw
 
 
 class TestBuiltins:
@@ -107,6 +121,108 @@ class TestRoundTrip:
         path.write_text("{nope")
         with pytest.raises(ScenarioError, match="invalid JSON"):
             load_scenario_file(str(path))
+
+
+positive = st.floats(0.01, 1e4)
+# Money is written to JSON as a float, so amounts are drawn with at most
+# 15 significant digits, all that a double carries exactly.
+money = st.decimals(0, 10**9, places=4, allow_nan=False, allow_infinity=False)
+voltages = st.one_of(st.sampled_from([110, 150, 220, 380]), st.integers(1, 1000))
+
+
+@st.composite
+def activity(draw, kind):
+    return ActivitySpec(
+        name=draw(st.text(max_size=8)),
+        kind=kind,
+        duration_hours=draw(st.floats(0.0, 1e3)),
+        required_fte=draw(st.integers(1, 20)),
+        material_cost=draw(money),
+        workforce_cost=draw(money),
+    )
+
+
+@st.composite
+def family_policy(draw):
+    replacement = draw(
+        st.one_of(st.builds(TimeBased, positive), st.builds(ConditionBased, positive))
+    )
+    inspections = draw(
+        st.one_of(
+            st.none(),
+            st.builds(
+                PeriodicInspections,
+                st.floats(0.0, 100.0),
+                st.lists(st.integers(1, 240), min_size=1, max_size=4).map(tuple),
+            ),
+        )
+    )
+    return FamilyPolicy(replacement=replacement, inspections=inspections)
+
+
+@st.composite
+def scenarios(draw):
+    families = st.sampled_from(list(VoltageClass))
+    catalog = ActivityCatalog(
+        replacements=draw(
+            st.dictionaries(
+                voltages, activity(ActivityKind.PLANNED_REPLACEMENT), min_size=1, max_size=3
+            )
+        ),
+        inspections=draw(
+            st.dictionaries(
+                st.tuples(voltages, st.integers(1, 240)),
+                activity(ActivityKind.INSPECTION),
+                max_size=3,
+            )
+        ),
+        corrective=draw(
+            st.dictionaries(voltages, activity(ActivityKind.CORRECTIVE_REPLACEMENT), max_size=2)
+        ),
+    )
+    return Scenario(
+        name=draw(st.text(max_size=12)),
+        laws=draw(st.dictionaries(families, st.builds(WeibullLaw, positive, positive))),
+        policy=Policy(draw(st.dictionaries(families, family_policy(), min_size=1))),
+        catalog=catalog,
+        resources=draw(
+            st.one_of(
+                st.just(Unconstrained()),
+                st.builds(Constrained, st.integers(0, 500), positive),
+            )
+        ),
+        horizon_years=draw(st.integers(1, 200)),
+        tick_months=draw(st.sampled_from(VALID_TICKS)),
+        start_date=draw(st.one_of(st.none(), st.dates(date(1900, 1, 1), date(2100, 1, 1)))),
+        failures_enabled=draw(st.booleans()),
+        degradation_rates=draw(
+            st.one_of(
+                st.builds(ConstantRate, positive),
+                st.builds(LognormalRate, st.floats(-3.0, 3.0), st.floats(0.0, 3.0)),
+            )
+        ),
+        hazard_age=draw(st.sampled_from(["real", "apparent"])),
+        replications=draw(st.integers(1, 100)),
+        master_seed=draw(st.integers(0, 2**63)),
+    )
+
+
+@given(scenarios())
+@settings(max_examples=150, deadline=None)
+def test_generated_scenarios_round_trip_through_json(sc):
+    data = json.loads(json.dumps(scenario_to_dict(sc)))
+    clone = scenario_from_dict(data)
+    for field in dataclasses.fields(sc):
+        if field.name != "catalog":
+            assert getattr(clone, field.name) == getattr(sc, field.name), field.name
+    for table in ("replacements", "inspections", "corrective"):
+        original, parsed = getattr(sc.catalog, table), getattr(clone.catalog, table)
+        assert parsed == original
+        for key, spec in original.items():
+            for cost in ("material_cost", "workforce_cost"):
+                assert isinstance(getattr(parsed[key], cost), Decimal)
+                assert getattr(parsed[key], cost) == getattr(spec, cost)
+    assert scenario_to_dict(clone) == data
 
 
 def valid_dict() -> dict:

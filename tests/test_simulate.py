@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import fleet_of
 from fleetlife.fleet import (
-    AssetRecord,
     SyntheticFleetSpec,
     VoltageClass,
     generate_synthetic_fleet,
@@ -48,6 +48,7 @@ from fleetlife.simulate import (
     run_scenario,
     sample_failure,
     validate_scenario_for_fleet,
+    _CORRECTIVE,
     _Engine,
     _greedy_walk,
     _RequestQueue,
@@ -86,7 +87,8 @@ def scenario(fleet_policy=None, **overrides) -> Scenario:
 
 
 def asset(asset_id="110-00000", kv=110, commissioned=START):
-    return AssetRecord(asset_id, kv, commissioned)
+    """One in-service asset row for fleet_of."""
+    return (asset_id, kv, commissioned)
 
 
 class TestActivitySpec:
@@ -321,7 +323,7 @@ class TestApplyCompletion:
 
 class TestRunScenario:
     def test_single_asset_analytic_schedule(self):
-        report = run_scenario([asset()], scenario())
+        report = run_scenario(fleet_of([asset()]), scenario())
         series = report.replications[0]
         years = [y for y, c in enumerate(series.replacements) if c]
         assert years == [45, 90]
@@ -333,7 +335,7 @@ class TestRunScenario:
         commissioned = date(2009, 10, 11)
         initial_months = (START - commissioned).days / 365.25 * 12.0
         report = run_scenario(
-            [asset(commissioned=commissioned)], scenario(horizon_years=60)
+            fleet_of([asset(commissioned=commissioned)]), scenario(horizon_years=60)
         )
         series = report.replications[0]
         first = [y for y, c in enumerate(series.replacements) if c][0]
@@ -342,7 +344,7 @@ class TestRunScenario:
 
     def test_zero_fte_executes_nothing(self):
         report = run_scenario(
-            [asset()],
+            fleet_of([asset()]),
             scenario(resources=Constrained(fte_count=0, hours_per_fte_per_year=1600.0)),
         )
         series = report.replications[0]
@@ -385,10 +387,10 @@ class TestRunScenario:
         # asset waits a month before its corrective work
         step_law = WeibullLaw(beta=6000.0, eta=59.0)
         commissioned = date(1960, 1, 1)
-        fleet = [
+        fleet = fleet_of([
             asset("110-00000", commissioned=commissioned),
             asset("110-00001", commissioned=commissioned),
-        ]
+        ])
         sc = scenario(
             laws={vc: step_law for vc in VoltageClass},
             failures_enabled=True,
@@ -422,7 +424,7 @@ class TestRunScenario:
 
     def test_person_hour_conservation_under_constraint(self):
         # replacements only, all demanding 400 person-hours
-        fleet = [asset(f"110-{i:05d}", commissioned=date(1975, 1, 1)) for i in range(40)]
+        fleet = fleet_of([asset(f"110-{i:05d}", commissioned=date(1975, 1, 1)) for i in range(40)])
         capacity_per_tick = Constrained(fte_count=10, hours_per_fte_per_year=960.0)
         assert capacity_per_tick.tick_capacity(1) == pytest.approx(800.0)
         sc = scenario(
@@ -441,7 +443,7 @@ class TestRunScenario:
             assert series.replacements[year] * 400.0 <= 800.0 * 12 + 1e-9
 
     def test_monotone_capacity_backlog(self):
-        fleet = [asset(f"110-{i:05d}", commissioned=date(1975, 1, 1)) for i in range(60)]
+        fleet = fleet_of([asset(f"110-{i:05d}", commissioned=date(1975, 1, 1)) for i in range(60)])
         ends = []
         for fte in (0, 5, 10, 20):
             sc = scenario(
@@ -455,7 +457,7 @@ class TestRunScenario:
         assert all(b >= a for a, b in zip(ends[1:], ends))
 
     def test_apparent_hazard_mode_changes_failures(self):
-        fleet = [asset(f"110-{i:05d}", commissioned=date(2000, 1, 1)) for i in range(50)]
+        fleet = fleet_of([asset(f"110-{i:05d}", commissioned=date(2000, 1, 1)) for i in range(50)])
         base = scenario(
             laws={vc: WeibullLaw(4.0, 45.0) for vc in VoltageClass},
             failures_enabled=True,
@@ -471,7 +473,7 @@ class TestRunScenario:
     def test_catalog_gap_detected_at_validation(self):
         catalog = demo_catalog()
         del catalog.replacements[150]
-        fleet = [asset("x", kv=150)]
+        fleet = fleet_of([asset("x", kv=150)])
         with pytest.raises(CatalogError, match="planned_replacement .*150 kV"):
             validate_scenario_for_fleet(fleet, scenario(catalog=catalog))
 
@@ -479,32 +481,33 @@ class TestRunScenario:
         laws = dict(REFERENCE_LAWS)
         del laws[VoltageClass.V150]
         with pytest.raises(ValueError, match="no reliability law .*150"):
-            validate_scenario_for_fleet([asset("x", kv=150)], scenario(laws=laws))
+            validate_scenario_for_fleet(fleet_of([asset("x", kv=150)]), scenario(laws=laws))
 
     def test_failed_fleet_rejected(self):
-        failed = AssetRecord("x", 110, date(2000, 1, 1), date(2010, 1, 1))
+        failed = fleet_of([("x", 110, date(2000, 1, 1), date(2010, 1, 1))])
         with pytest.raises(ValueError, match="already failed"):
-            validate_scenario_for_fleet([failed], scenario())
+            validate_scenario_for_fleet(failed, scenario())
 
     def test_oversized_activity_rejected_when_constrained(self):
         sc = scenario(resources=Constrained(fte_count=1, hours_per_fte_per_year=1600.0))
         with pytest.raises(ValueError, match="never schedule"):
-            validate_scenario_for_fleet([asset()], sc)
+            validate_scenario_for_fleet(fleet_of([asset()]), sc)
 
     def test_interval_not_multiple_of_tick_rejected(self):
         plan = PeriodicInspections(start_age_years=25.0, interval_months=(3, 7))
         sc = scenario(fleet_policy=simple_policy(TimeBased(45.0), plan), tick_months=2)
         with pytest.raises(ValueError, match="not a multiple"):
-            validate_scenario_for_fleet([asset()], sc)
+            validate_scenario_for_fleet(fleet_of([asset()]), sc)
 
     def test_duplicate_ids_rejected(self):
+        # the fleet table itself rejects them, before any scenario check
         with pytest.raises(ValueError, match="duplicate"):
-            validate_scenario_for_fleet([asset("a"), asset("a")], scenario())
+            validate_scenario_for_fleet(fleet_of([asset("a"), asset("a")]), scenario())
 
 
 class TestAggregation:
     def test_identical_replications_collapse(self):
-        report = run_scenario([asset()], scenario(replications=3))
+        report = run_scenario(fleet_of([asset()]), scenario(replications=3))
         agg = report.aggregates["capex"]
         assert agg.mean == agg.p10 == agg.p90
         assert agg.mean[45] == pytest.approx(43211.0)
@@ -516,14 +519,14 @@ class TestAggregation:
             aggregate_replications([a, b])
 
     def test_compare_report_with_itself(self):
-        report = run_scenario([asset()], scenario(horizon_years=50))
+        report = run_scenario(fleet_of([asset()]), scenario(horizon_years=50))
         comparison = compare_scenarios(report, report)
         assert all(d == 0.0 for d in comparison.delta)
         assert comparison.crossover_year is None
 
     def test_compare_horizon_mismatch(self):
-        a = run_scenario([asset()], scenario(horizon_years=10))
-        b = run_scenario([asset()], scenario(horizon_years=20))
+        a = run_scenario(fleet_of([asset()]), scenario(horizon_years=10))
+        b = run_scenario(fleet_of([asset()]), scenario(horizon_years=20))
         with pytest.raises(ValueError, match="different horizons"):
             compare_scenarios(a, b)
 
@@ -531,7 +534,7 @@ class TestAggregation:
         from fleetlife.simulate import SimulationReport
 
         report = run_scenario(
-            [asset()], scenario(horizon_years=50, failures_enabled=True)
+            fleet_of([asset()]), scenario(horizon_years=50, failures_enabled=True)
         )
         payload = report.to_json_dict()
         clone = SimulationReport.from_json_dict(payload)
@@ -540,7 +543,7 @@ class TestAggregation:
     def test_kpis_csv_shape(self):
         import io
 
-        report = run_scenario([asset()], scenario(horizon_years=50, replications=2))
+        report = run_scenario(fleet_of([asset()]), scenario(horizon_years=50, replications=2))
         out = io.StringIO()
         report.write_kpis_csv(out)
         lines = out.getvalue().splitlines()
@@ -561,7 +564,7 @@ class TestApparentHazard:
     )
     def test_tick_fraction_matches_rescaled_law(self, rate, law):
         n = 3000
-        fleet = [asset(f"110-{i:05d}") for i in range(n)]
+        fleet = fleet_of([asset(f"110-{i:05d}") for i in range(n)])
         sc = scenario(
             laws={vc: law for vc in VoltageClass},
             failures_enabled=True,
@@ -608,7 +611,7 @@ class TestEngineQueues:
         # Year 3: b's replacement executes (5 h left), c's carries. Queued
         #   inspections: c(year 2) executes; a(year 3) does not fit;
         #   b(year 3) is stale; c(year 3) does not fit.
-        fleet = [asset("a"), asset("b"), asset("c")]
+        fleet = fleet_of([asset("a"), asset("b"), asset("c")])
         sc = annual_scenario(resources=Constrained(fte_count=1, hours_per_fte_per_year=405.0))
         series = run_scenario(fleet, sc).replications[0]
         assert series.replacements == [0, 0, 1, 1]
@@ -625,7 +628,7 @@ class TestEngineQueues:
         # inspection raised in the same tick is stale once the replacement
         # executes: it is neither executed later nor carried as backlog.
         sc = annual_scenario(resources=Constrained(fte_count=1, hours_per_fte_per_year=400.0))
-        series = run_scenario([asset()], sc).replications[0]
+        series = run_scenario(fleet_of([asset()]), sc).replications[0]
         assert series.replacements == [0, 0, 1, 0]
         assert series.inspection_hours == [1.33, 1.33, 0.0, 1.33]
         assert series.opex[2] == Decimal(0)
@@ -642,7 +645,7 @@ class TestEngineQueues:
             resources=Constrained(fte_count=0),
             horizon_years=2,
         )
-        series = run_scenario([asset()], sc).replications[0]
+        series = run_scenario(fleet_of([asset()]), sc).replications[0]
         assert series.failures == [0, 1]
         assert series.backlog_hours == [self.INSPECTION, 400.0]
 
@@ -674,7 +677,7 @@ class TestEngineQueues:
             tick_months=3,
             horizon_years=1,
         )
-        series = run_scenario([asset()], sc).replications[0]
+        series = run_scenario(fleet_of([asset()]), sc).replications[0]
         assert series.opex[0] == Decimal(executed_cost)
         assert series.inspection_hours[0] == 2.0
         assert series.backlog_hours[0] == 1.0
@@ -773,8 +776,8 @@ def float_rule_counts(fleet, sc):
     fam = sc.policy.families[VoltageClass.V110]
     plan = fam.inspections
     counts = [[0] * len(plan.interval_months) for _ in range(sc.horizon_years)]
-    for rec in fleet:
-        age = years_between(rec.commission_date, sc.start_date) * 12.0
+    for commission in fleet.commission.tolist():
+        age = years_between(date.fromordinal(commission), sc.start_date) * 12.0
         for k in range(sc.horizon_years * 12 // sc.tick_months):
             if k > 0:
                 age += sc.tick_months
@@ -857,10 +860,10 @@ class TestInspectionSchedule:
     ):
         intervals = [tick * m for m in multiples]
         sc = cadence_scenario(tick, intervals, start_age, trigger_age, horizon)
-        fleet = [
+        fleet = fleet_of([
             asset(f"110-{i:05d}", commissioned=date.fromordinal(START.toordinal() - d))
             for i, d in enumerate(days)
-        ]
+        ])
         series = run_scenario(fleet, sc).replications[0]
         assert executed_per_cadence(series, len(intervals)) == float_rule_counts(fleet, sc)
 
@@ -882,10 +885,10 @@ class TestInspectionSchedule:
             master_seed=11,
         )
         days = [MONTHS_16 * 3 - 1, MONTHS_16 * 7, MONTHS_16 * 9 + 1]
-        fleet = [
+        fleet = fleet_of([
             asset(f"110-{i:05d}", commissioned=date.fromordinal(START.toordinal() - d))
             for i, d in enumerate(days)
-        ]
+        ])
         validate_scenario_for_fleet(fleet, sc)
         engine = RecordingEngine(fleet, sc, 0)
         series = engine.run()
@@ -929,7 +932,7 @@ class TestInspectionSchedule:
         # commissioned a month earlier than the age set below, so the
         # engine's drift bound covers it
         days = math.ceil((age + 1.0) * 365.25 / 12.0)
-        fleet = [asset(commissioned=date.fromordinal(START.toordinal() - days))]
+        fleet = fleet_of([asset(commissioned=date.fromordinal(START.toordinal() - days))])
         engine = RecordingEngine(fleet, sc, 0)
         engine.age_months[:] = age
         engine.run()
@@ -982,10 +985,22 @@ def invariant_scenario(data, **overrides):
 
 def invariant_fleet(data):
     days = data.draw(st.lists(st.integers(0, 20000), min_size=1, max_size=6), label="days")
-    return [
+    return fleet_of([
         asset(f"110-{i:05d}", commissioned=date.fromordinal(START.toordinal() - d))
         for i, d in enumerate(days)
-    ]
+    ])
+
+
+class CorrectiveCountingEngine(_Engine):
+    """The engine, counting the corrective replacements it executes."""
+
+    corrective_executed = 0
+
+    def _walk(self, cls, remaining):
+        ran, remaining = super()._walk(cls, remaining)
+        if cls == _CORRECTIVE:
+            self.corrective_executed += ran.shape[1]
+        return ran, remaining
 
 
 class TestEngineInvariants:
@@ -1023,6 +1038,32 @@ class TestEngineInvariants:
         assert sc.catalog.replacement(110, corrective=True).total_cost == cost
         series = run_scenario(invariant_fleet(data), sc).replications[0]
         assert series.capex == [n * cost for n in series.replacements]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), fte=st.one_of(st.none(), st.integers(0, 3)))
+    def test_failures_are_repaired_or_still_out(self, data, fte):
+        # every failure ends in a corrective replacement or leaves its asset
+        # out of service at the horizon; a failed asset fails no further.
+        # Short lives make failures common; no pool (fte 0) repairs nothing.
+        resources = (
+            Unconstrained()
+            if fte is None
+            else Constrained(fte_count=fte, hours_per_fte_per_year=120.0)
+        )
+        life = WeibullLaw(
+            beta=data.draw(st.floats(0.8, 4.0), label="beta"),
+            eta=data.draw(st.floats(1.0, 8.0), label="eta"),
+        )
+        sc = invariant_scenario(
+            data,
+            resources=resources,
+            failures_enabled=True,
+            laws={vc: life for vc in VoltageClass},
+        )
+        engine = CorrectiveCountingEngine(invariant_fleet(data), sc, 0)
+        series = engine.run()
+        out_of_service = int((~engine.in_service).sum())
+        assert sum(series.failures) == engine.corrective_executed + out_of_service
 
 
 class TestAllocationWork:
