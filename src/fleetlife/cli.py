@@ -32,7 +32,7 @@ from .fleet import (
     service_years,
     write_asset_csv,
 )
-from .health import AhiConfig, Band, DegradationState, ScoreBasis, apparent_age, score_asset
+from .health import AhiConfig, Band, ScoreBasis, score_asset
 from .scenarios import ScenarioError, resolve_scenario
 from .simulate import SimulationReport, compare_scenarios, run_scenario
 from .survival import UNBOUNDED, km_fit, write_curve_csv
@@ -247,9 +247,7 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
             EXIT_VALIDATION,
         )
 
-    apparent = apparent_age(ages, DegradationState())
     config = AhiConfig()
-    scored = apparent if config.use_apparent_age else ages
     scores = np.zeros(len(in_service), dtype=np.int64)
     bands = np.zeros(len(in_service), dtype=np.int8)
     bases = np.zeros(len(in_service), dtype=np.int8)
@@ -258,15 +256,17 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
         # fleet average in record order, summed left to right
         average = sum(ages[rows].tolist()) / int(rows.sum())
         scores[rows], bands[rows], bases[rows] = score_asset(
-            laws[FAMILIES[code]], scored[rows], average, config
+            laws[FAMILIES[code]], ages[rows], average, config
         )
     ids = [assets.asset_id[row] for row in in_service.tolist()]
+    # scoring knows no per-asset degradation rate, so the apparent age it
+    # reports is the service age
     lines = ["asset_id,apparent_age,score,band,basis"]
     lines.extend(
-        f"{asset_id},{aa:.4f},{score},{band},{basis}"
-        for asset_id, aa, score, band, basis in zip(
+        f"{asset_id},{age:.4f},{score},{band},{basis}"
+        for asset_id, age, score, band, basis in zip(
             ids,
-            apparent.tolist(),
+            ages.tolist(),
             scores.tolist(),
             BAND_VALUES[bands].tolist(),
             BASIS_VALUES[bases].tolist(),

@@ -1,4 +1,4 @@
-"""Asset health scoring on a 1-10 scale plus apparent-age modelling.
+"""Asset health scoring on a 1-10 scale.
 
 Scores 1-6 come from conditional failure probabilities over a short and a
 long look-ahead window, most severe band first; scores 7-10 come from the
@@ -24,13 +24,11 @@ __all__ = [
     "ScoreBasis",
     "AhiConfig",
     "AhiScore",
-    "DegradationState",
     "band_for_score",
     "probability_scores",
     "age_scores",
     "score_asset",
     "threshold_age",
-    "apparent_age",
     "RED_ONSET_APPARENT_AGE",
     "PURPLE_ONSET_APPARENT_AGE",
     "DEFAULT_CONDITION_TRIGGER_AGE",
@@ -79,7 +77,6 @@ class AhiConfig:
     probability_bands: tuple[float, float, float] = (0.8, 0.5, 0.2)
     age_fractions: tuple[float, float] = (0.75, 0.60)
     young_age_cutoff: float = 5.0
-    use_apparent_age: bool = True
 
     def __post_init__(self) -> None:
         a, b, c = self.probability_bands
@@ -107,27 +104,6 @@ class AhiScore:
     def __post_init__(self) -> None:
         if band_for_score(self.score) is not self.band:
             raise ValueError(f"score {self.score} inconsistent with band {self.band}")
-
-
-@dataclass(frozen=True)
-class DegradationState:
-    """Multiplier turning real age into apparent age."""
-
-    rate: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.rate > 0:
-            raise ValueError(f"degradation rate must be positive, got {self.rate}")
-
-
-def apparent_age(commission_age: float | np.ndarray, state: DegradationState):
-    """Age the degradation model makes the asset look: rate * age.
-
-    Takes a float or an array of ages.
-    """
-    if np.any(np.asarray(commission_age) < 0):
-        raise ValueError(f"negative age {np.min(commission_age)}")
-    return state.rate * commission_age
 
 
 def probability_scores(

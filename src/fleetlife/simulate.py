@@ -4,23 +4,37 @@ The clock advances in monthly ticks. Each tick: failures are sampled from the
 family reliability laws, policy triggers raise activity requests, and a
 resource pool executes requests in priority order (corrective replacements,
 then planned replacements, then inspections; FIFO by request tick then
-asset_id within a class). Activities are atomic within a tick; requests that
-do not fit the tick's person-hour capacity carry over with their original
-timestamps.
+asset_id within a class). Activities are atomic within a tick; a request
+that does not fit the capacity left in the tick carries over with its
+original timestamp, and later requests may still use what is left.
 
 Failure sampling draws from the cumulative-hazard difference over the tick,
 ``1 - exp(-(H(a + t) - H(a)))`` for real age ``a`` and tick length ``t``.
 With ``hazard_age="apparent"`` both ends are apparent ages, so an asset with
 degradation rate ``r`` uses ``1 - exp(-(H(r(a + t)) - H(ra)))``.
 
+Triggers: a failed asset requests its corrective replacement and nothing
+else. An in-service asset requests a planned replacement once its real age
+(time-based) or its apparent age ``r * a`` (condition-based) reaches the
+trigger, and an inspection at each cadence for which
+``age >= start and (age - start) % interval < tick``, ages in months. The
+cadence is anchored to the start age, so it restarts after a replacement
+resets the age.
+
+Completion: a replacement books material plus workforce cost as CAPEX,
+resets the age to 0 and draws a fresh degradation rate; an inspection books
+its cost as OPEX and its duration as inspection hours. Every activity's
+duration is unavailability, and a failed asset also books the whole span
+from its failure tick to the tick its corrective replacement executes.
+
 The engine (`_Engine`) runs one replication on arrays, and the work of its
 inspection and allocation steps follows what a tick raises and executes
 rather than fleet size or backlog length:
 
 * Inspections keep one next-check tick per (asset, cadence). A check
-  applies the cadence rule of `inspection_due` to the float age the engine
-  holds, and books the next tick at which that rule can hold; a replacement
-  books the asset's cadences again from age 0.
+  applies the cadence rule to the float age the engine holds, and books
+  the next tick at which that rule can hold; a replacement books the
+  asset's cadences again from age 0.
 * Each priority class is a FIFO queue held as parallel int arrays (asset,
   activity, asset generation at request time). Allocation reads a queue
   from its head in windows of doubling width, drops the stale entries of
@@ -41,15 +55,14 @@ import enum
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
-from typing import IO, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import IO, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .fleet import DAYS_PER_YEAR, FAMILIES, AssetTable, VoltageClass
-from .health import DegradationState
 from .weibull import WeibullLaw
 
 __all__ = [
@@ -68,17 +81,10 @@ __all__ = [
     "ConstantRate",
     "LognormalRate",
     "Scenario",
-    "AssetStatus",
-    "AssetState",
-    "ActivityRequest",
     "KpiSeries",
     "AggregateSeries",
     "SimulationReport",
     "ComparisonReport",
-    "sample_failure",
-    "evaluate_triggers",
-    "allocate_resources",
-    "apply_completion",
     "run_scenario",
     "aggregate_replications",
     "compare_scenarios",
@@ -99,14 +105,6 @@ class ActivityKind(enum.Enum):
     INSPECTION = "inspection"
     PLANNED_REPLACEMENT = "planned_replacement"
     CORRECTIVE_REPLACEMENT = "corrective_replacement"
-
-
-# Lower value executes first.
-_PRIORITY = {
-    ActivityKind.CORRECTIVE_REPLACEMENT: 0,
-    ActivityKind.PLANNED_REPLACEMENT: 1,
-    ActivityKind.INSPECTION: 2,
-}
 
 
 @dataclass(frozen=True)
@@ -306,58 +304,6 @@ class Scenario:
             raise ValueError("hazard_age must be 'real' or 'apparent'")
 
 
-class AssetStatus(enum.Enum):
-    IN_SERVICE = "in_service"
-    FAILED = "failed"
-    UNDER_MAINTENANCE = "under_maintenance"
-
-
-@dataclass
-class AssetState:
-    """Mutable per-asset simulation state."""
-
-    asset_id: str
-    voltage_kv: int
-    age_months: float
-    degradation: DegradationState = field(default_factory=DegradationState)
-    status: AssetStatus = AssetStatus.IN_SERVICE
-    failed_tick: Optional[int] = None
-    pending_replacement: bool = False
-    generation: int = 0
-
-    @property
-    def age_years(self) -> float:
-        return self.age_months / 12.0
-
-    @property
-    def apparent_age_years(self) -> float:
-        return self.degradation.rate * self.age_years
-
-
-@dataclass(frozen=True)
-class ActivityRequest:
-    """A queued activity; ordering is (priority, request_tick, asset_id)."""
-
-    kind: ActivityKind
-    request_tick: int
-    asset_id: str
-    asset_index: int
-    spec: ActivitySpec
-    generation: int = 0
-
-    @property
-    def priority(self) -> int:
-        return _PRIORITY[self.kind]
-
-    @property
-    def person_hours(self) -> float:
-        return self.spec.person_hours
-
-    @property
-    def sort_key(self) -> tuple[int, int, str]:
-        return (self.priority, self.request_tick, self.asset_id)
-
-
 # ---------------------------------------------------------------------------
 # KPI containers
 # ---------------------------------------------------------------------------
@@ -544,132 +490,6 @@ class ComparisonReport:
 
 
 # ---------------------------------------------------------------------------
-# Scalar operations (the simulation engine applies the same rules in bulk)
-# ---------------------------------------------------------------------------
-
-
-def sample_failure(
-    asset: AssetState,
-    law: WeibullLaw,
-    tick_years: float,
-    rng: np.random.Generator,
-    enabled: bool = True,
-) -> bool:
-    """One Bernoulli failure draw over the next tick, from the asset's real age."""
-    if not enabled:
-        return False
-    p = law.conditional_failure_probability(asset.age_years, tick_years)
-    return bool(rng.random() < p)
-
-
-def inspection_due(
-    age_months: float, plan: PeriodicInspections, interval_months: int, tick_months: int
-) -> bool:
-    """Whether the given cadence falls due in the tick starting at this age.
-
-    The cadence is anchored to the age at which the asset becomes eligible
-    (start_age), so it restarts automatically after a replacement resets the
-    age.
-    """
-    start = plan.start_age_years * 12.0
-    if age_months < start:
-        return False
-    return (age_months - start) % interval_months < tick_months
-
-
-def evaluate_triggers(
-    asset: AssetState, policy: Policy, tick_months: int = 1
-) -> list[tuple[ActivityKind, Optional[int]]]:
-    """Activities the policy requests for this asset at the current tick.
-
-    Returns (kind, inspection_interval) pairs. Failed assets request a
-    corrective replacement and nothing else. Deduplication of repeated
-    replacement requests across ticks is the scheduler's business, not ours.
-    """
-    if asset.status is AssetStatus.FAILED:
-        return [(ActivityKind.CORRECTIVE_REPLACEMENT, None)]
-    if asset.status is not AssetStatus.IN_SERVICE:
-        return []
-    fam = policy.for_family(VoltageClass.from_kv(asset.voltage_kv))
-    requests: list[tuple[ActivityKind, Optional[int]]] = []
-    trigger = fam.replacement
-    if isinstance(trigger, TimeBased):
-        if asset.age_years >= trigger.age_years:
-            requests.append((ActivityKind.PLANNED_REPLACEMENT, None))
-    else:
-        if asset.apparent_age_years >= trigger.trigger_apparent_age:
-            requests.append((ActivityKind.PLANNED_REPLACEMENT, None))
-    if fam.inspections is not None:
-        for interval in fam.inspections.interval_months:
-            if inspection_due(asset.age_months, fam.inspections, interval, tick_months):
-                requests.append((ActivityKind.INSPECTION, interval))
-    return requests
-
-
-def allocate_resources(
-    requests: Iterable[ActivityRequest], capacity_person_hours: Optional[float]
-) -> tuple[list[ActivityRequest], list[ActivityRequest]]:
-    """Execute requests in priority order within a person-hour budget.
-
-    None capacity means unconstrained. Requests are attempted in
-    (priority, request_tick, asset_id) order; each executed request consumes
-    duration * required_fte person-hours; a request that does not fit is
-    carried, and later requests may still use the leftover capacity.
-    """
-    queue = sorted(requests, key=lambda r: r.sort_key)
-    if capacity_person_hours is None:
-        return queue, []
-    executed: list[ActivityRequest] = []
-    carried: list[ActivityRequest] = []
-    remaining = capacity_person_hours
-    for req in queue:
-        demand = req.person_hours
-        if demand <= remaining:
-            executed.append(req)
-            remaining -= demand
-        else:
-            carried.append(req)
-    return executed, carried
-
-
-def apply_completion(
-    asset: AssetState,
-    request: ActivityRequest,
-    kpis: KpiSeries,
-    year: int,
-    exec_tick: int,
-    tick_hours: float,
-    new_rate: float = 1.0,
-) -> None:
-    """Book an executed activity into the ledgers and update the asset.
-
-    Replacements reset the age to zero, draw a fresh degradation rate, and
-    count material plus workforce cost as CAPEX. Inspections count as OPEX
-    and inspection hours. Every activity's duration is unavailability; a
-    failed asset additionally books the whole span from the failure instant
-    to the executing tick.
-    """
-    spec = request.spec
-    if request.kind is ActivityKind.INSPECTION:
-        kpis.opex[year] += spec.total_cost
-        kpis.inspection_hours[year] += spec.duration_hours
-        kpis.unavailability_hours[year] += spec.duration_hours
-        return
-    gap_hours = 0.0
-    if asset.status is AssetStatus.FAILED and asset.failed_tick is not None:
-        gap_hours = (exec_tick - asset.failed_tick) * tick_hours
-    kpis.capex[year] += spec.total_cost
-    kpis.replacements[year] += 1
-    kpis.unavailability_hours[year] += gap_hours + spec.duration_hours
-    asset.age_months = 0.0
-    asset.degradation = DegradationState(rate=new_rate)
-    asset.status = AssetStatus.IN_SERVICE
-    asset.failed_tick = None
-    asset.pending_replacement = False
-    asset.generation += 1
-
-
-# ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
 
@@ -790,10 +610,11 @@ class _RequestQueue:
 def _greedy_walk(demand: np.ndarray, remaining: float) -> tuple[np.ndarray, float]:
     """Execute requests in queue order within a budget, skipping misfits.
 
-    Returns the positions executed and the capacity left. This is the walk
-    `allocate_resources` describes, done a run at a time: a misfit is
-    skipped and so is every later request at least as large, since the
-    budget only shrinks. `np.subtract.accumulate` subtracts left to right,
+    Returns the positions executed and the capacity left. Each request that
+    fits the remaining budget executes and spends its person-hours; one that
+    does not is carried. The walk goes a run at a time: a misfit is skipped
+    and so is every later request at least as large, since the budget only
+    shrinks. `np.subtract.accumulate` subtracts left to right,
     so the budget evolves in exactly the float steps of a scalar loop.
     """
     executed: list[np.ndarray] = []
@@ -1069,7 +890,7 @@ class _Engine:
 
     # -- tick steps ----------------------------------------------------------
 
-    def _sample_failures(self, k: int, year: int) -> np.ndarray:
+    def _draw_failures(self, k: int, year: int) -> np.ndarray:
         hit_groups: list[np.ndarray] = []
         for f, idx in self.groups.items():
             law = self.laws[f]
@@ -1102,11 +923,11 @@ class _Engine:
         """Inspections due at tick k, from the entries checked at tick k.
 
         A cadence is due when its asset is in service and
-        ``(age - start) % interval < tick`` on the age the engine holds, the
-        rule of `inspection_due`. Each checked entry, whether or not its
-        asset could be inspected, is booked for the next tick at which that
-        rule can hold: the tick where the phase ``(age - start) % interval``
-        wraps past the interval, or where the age reaches the start age.
+        ``age >= start and (age - start) % interval < tick`` on the age the
+        engine holds. Each checked entry, whether or not its asset could be
+        inspected, is booked for the next tick at which that rule can hold:
+        the tick where the phase ``(age - start) % interval`` wraps past the
+        interval, or where the age reaches the start age.
         Ages advance by one tick per tick; the ticks skipped allow for
         `check_slack` of float drift, and a phase within the slack of zero
         is checked again on the next tick.
@@ -1171,7 +992,7 @@ class _Engine:
                 self.age_months += self.tick
             year = (k * self.tick) // 12
             if self.scenario.failures_enabled:
-                failed = self._sample_failures(k, year)
+                failed = self._draw_failures(k, year)
                 self._push(_CORRECTIVE, failed, self.corrective_spec[failed])
             due = self._replacement_triggers()
             self._push(_PLANNED, due, self.planned_spec[due])
@@ -1182,15 +1003,9 @@ class _Engine:
         return self.kpis
 
 
-def _simulate_replication(
-    fleet: AssetTable, scenario: Scenario, rep_index: int
-) -> KpiSeries:
-    return _Engine(fleet, scenario, rep_index).run()
-
-
 def _replication_worker(args: tuple) -> KpiSeries:
     fleet, scenario, rep_index = args
-    return _simulate_replication(fleet, scenario, rep_index)
+    return _Engine(fleet, scenario, rep_index).run()
 
 
 def run_scenario(
@@ -1212,7 +1027,7 @@ def run_scenario(
                 )
             )
     else:
-        series = [_simulate_replication(fleet, scenario, r) for r in indices]
+        series = [_Engine(fleet, scenario, r).run() for r in indices]
     return SimulationReport(
         scenario_name=scenario.name,
         master_seed=scenario.master_seed,

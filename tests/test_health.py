@@ -11,10 +11,8 @@ from fleetlife.health import (
     AhiConfig,
     AhiScore,
     Band,
-    DegradationState,
     ScoreBasis,
     age_scores,
-    apparent_age,
     band_for_score,
     probability_scores,
     score_asset,
@@ -287,27 +285,6 @@ class TestThresholdAge:
             assert levels[0] < levels[1] < levels[2]
             # same level is reached later when the look-ahead is shorter
             assert threshold_age(law, 3.0, 0.2) > threshold_age(law, 7.0, 0.2)
-
-
-class TestApparentAge:
-    def test_identity(self):
-        assert apparent_age(30.0, DegradationState()) == 30.0
-
-    def test_faster_degradation(self):
-        assert apparent_age(40.0, DegradationState(rate=1.2)) == pytest.approx(48.0)
-
-    def test_slower_degradation(self):
-        assert apparent_age(40.0, DegradationState(rate=0.8)) == pytest.approx(32.0)
-
-    def test_array_of_ages(self):
-        ages = np.array([0.0, 10.0, 40.0])
-        assert apparent_age(ages, DegradationState(rate=1.5)).tolist() == [0.0, 15.0, 60.0]
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            apparent_age(-1.0, DegradationState())
-        with pytest.raises(ValueError):
-            DegradationState(rate=0.0)
 
 
 def test_condition_trigger_constants():

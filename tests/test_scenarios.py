@@ -315,6 +315,13 @@ class TestValidationPaths:
         with pytest.raises(ScenarioError, match="^degradation_rates.kind: expected"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("value", [0.0, -1.5])
+    def test_non_positive_constant_rate(self, value):
+        data = valid_dict()
+        data["degradation_rates"] = {"kind": "constant", "value": value}
+        with pytest.raises(ScenarioError, match="^degradation_rates.value: must be positive"):
+            scenario_from_dict(data)
+
     def test_money_parsed_exactly(self):
         from decimal import Decimal
 

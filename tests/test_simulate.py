@@ -16,17 +16,13 @@ from fleetlife.fleet import (
     generate_synthetic_fleet,
     years_between,
 )
-from fleetlife.health import DegradationState
 from fleetlife.scenarios import builtin_scenario, demo_catalog
 from fleetlife.simulate import (
     HOURS_PER_MONTH,
     VALID_TICKS,
     ActivityCatalog,
     ActivityKind,
-    ActivityRequest,
     ActivitySpec,
-    AssetState,
-    AssetStatus,
     CatalogError,
     ConditionBased,
     ConstantRate,
@@ -40,22 +36,19 @@ from fleetlife.simulate import (
     TimeBased,
     Unconstrained,
     aggregate_replications,
-    allocate_resources,
-    apply_completion,
     compare_scenarios,
-    evaluate_triggers,
-    inspection_due,
     run_scenario,
-    sample_failure,
     validate_scenario_for_fleet,
     _CORRECTIVE,
+    _INSPECTION,
+    _PLANNED,
     _Engine,
+    _asset_sequences,
     _greedy_walk,
     _RequestQueue,
 )
 from fleetlife.weibull import REFERENCE_LAWS, WeibullLaw
-
-LAW_110 = REFERENCE_LAWS[VoltageClass.V110]
+from reference_engine import ActivityRequest, allocate_resources, inspection_due
 
 START = date(2020, 1, 1)
 
@@ -122,203 +115,264 @@ class TestActivitySpec:
         assert catalog.replacement(110, corrective=True) == catalog.replacement(110)
 
 
+def commissioned_aged(years):
+    """Commission date of an asset about `years` old at START."""
+    return date.fromordinal(START.toordinal() - round(years * 365.25))
+
+
+def traced(fleet, sc):
+    """A validated RecordingEngine run of replication 0."""
+    validate_scenario_for_fleet(fleet, sc)
+    engine = RecordingEngine(fleet, sc, 0)
+    engine.run()
+    return engine
+
+
+def pool(per_tick, tick_months=1):
+    """One FTE offering `per_tick` person-hours a tick."""
+    return Constrained(fte_count=1, hours_per_fte_per_year=per_tick * 12 / tick_months)
+
+
+# a near-step hazard at 59 years: a 60-year-old asset fails in the first
+# tick with certainty, and young assets never do
+STEP_LAWS = {vc: WeibullLaw(beta=6000.0, eta=59.0) for vc in VoltageClass}
+SIXTY = date(1960, 1, 1)
+
+
 class TestEvaluateTriggers:
+    # the engine's trigger step on one new asset, traced tick by tick
+
     def test_time_based_due_at_trigger_age(self):
-        state = AssetState("a", 110, age_months=45 * 12.0)
-        got = evaluate_triggers(state, simple_policy(TimeBased(45.0)))
-        assert (ActivityKind.PLANNED_REPLACEMENT, None) in got
+        # the asset is exactly 45 years old at tick 540
+        engine = traced(fleet_of([asset()]), scenario(horizon_years=46))
+        assert [k for k, due in enumerate(engine.planned) if due] == [540]
 
     def test_time_based_not_due_before(self):
-        state = AssetState("a", 110, age_months=44 * 12.0 + 11)
-        assert evaluate_triggers(state, simple_policy(TimeBased(45.0))) == []
+        # up to tick 539, at 44 years 11 months, nothing is raised
+        engine = traced(fleet_of([asset()]), scenario(horizon_years=46))
+        assert engine.planned[:540] == [[]] * 540
+        assert engine.completed[:540] == [[]] * 540
 
     def test_condition_based_uses_apparent_age(self):
-        state = AssetState(
-            "a", 110, age_months=40 * 12.0, degradation=DegradationState(rate=1.25)
+        # at rate 1.25 the apparent age reaches 50 at a real age of 40
+        sc = scenario(
+            fleet_policy=simple_policy(ConditionBased(50.0)),
+            degradation_rates=ConstantRate(1.25),
+            horizon_years=60,
         )
-        got = evaluate_triggers(state, simple_policy(ConditionBased(50.0)))
-        assert (ActivityKind.PLANNED_REPLACEMENT, None) in got
+        series = run_scenario(fleet_of([asset()]), sc).replications[0]
+        assert [y for y, c in enumerate(series.replacements) if c] == [40]
 
     def test_failed_asset_requests_corrective_only(self):
-        state = AssetState("a", 110, age_months=600.0, status=AssetStatus.FAILED)
-        assert evaluate_triggers(state, simple_policy(TimeBased(45.0))) == [
-            (ActivityKind.CORRECTIVE_REPLACEMENT, None)
-        ]
+        # The asset fails in the first tick, when its planned replacement and
+        # its inspections are due by age; with no pool to repair it, the
+        # corrective replacement is the only request it ever raises.
+        plan = PeriodicInspections(start_age_years=25.0, interval_months=(3, 6, 12))
+        sc = scenario(
+            fleet_policy=simple_policy(TimeBased(45.0), plan),
+            laws=STEP_LAWS,
+            failures_enabled=True,
+            resources=Constrained(fte_count=0),
+            horizon_years=1,
+        )
+        engine = traced(fleet_of([asset(commissioned=SIXTY)]), sc)
+        assert engine.kpis.failures == [1]
+        assert engine.planned == [[]] * 12
+        assert [got for _, _, got in engine.raised] == [[]] * 12
+        assert [len(queue) for queue in engine.queues] == [1, 0, 0]
+        assert engine.kpis.backlog_hours == [400.0]
+
+    def raised_from_25(self, intervals):
+        """Inspections raised per tick for cadences starting at age 25."""
+        sc = cadence_scenario(1, intervals, start_age=25.0, trigger_age=45.0, horizon=26)
+        return [got for _, _, got in traced(fleet_of([asset()]), sc).raised]
 
     def test_inspections_below_start_age(self):
-        plan = PeriodicInspections(start_age_years=25.0, interval_months=(3, 6, 12))
-        state = AssetState("a", 110, age_months=24.9 * 12.0)
-        got = evaluate_triggers(state, simple_policy(TimeBased(45.0), plan))
-        assert got == []
+        assert self.raised_from_25((3, 6, 12))[:300] == [[]] * 300
 
     def test_inspections_at_eligibility_crossing(self):
-        plan = PeriodicInspections(start_age_years=25.0, interval_months=(3, 6, 12))
-        state = AssetState("a", 110, age_months=300.0)
-        got = evaluate_triggers(state, simple_policy(TimeBased(45.0), plan))
-        assert got == [
-            (ActivityKind.INSPECTION, 3),
-            (ActivityKind.INSPECTION, 6),
-            (ActivityKind.INSPECTION, 12),
-        ]
+        assert self.raised_from_25((3, 6, 12))[300] == [(0, "i3"), (0, "i6"), (0, "i12")]
 
     def test_inspection_cadence_phase(self):
-        plan = PeriodicInspections(start_age_years=25.0, interval_months=(3,))
-        due = [
-            evaluate_triggers(
-                AssetState("a", 110, age_months=300.0 + k), simple_policy(TimeBased(45.0), plan)
-            )
-            != []
-            for k in range(7)
-        ]
+        due = [got != [] for got in self.raised_from_25((3,))[300:307]]
         assert due == [True, False, False, True, False, False, True]
 
 
 class TestSampleFailure:
+    # the engine's failure step
+
     def test_disabled_switch(self):
-        state = AssetState("a", 110, age_months=720.0)
-        rng = np.random.default_rng(0)
-        assert sample_failure(state, LAW_110, 1 / 12, rng, enabled=False) is False
-
-    def test_per_tick_probability_value(self):
-        # closed form: 1 - exp(H(60) - H(60 + 1/12))
-        import math
-
-        h0 = (60.0 / 63.79) ** 6.67
-        h1 = ((60.0 + 1 / 12) / 63.79) ** 6.67
-        expected = -math.expm1(h0 - h1)
-        assert expected == pytest.approx(0.0061621341, rel=1e-7)
-        assert LAW_110.conditional_failure_probability(60.0, 1 / 12) == pytest.approx(
-            expected, rel=1e-12
-        )
+        sc = scenario(laws=STEP_LAWS, failures_enabled=False, horizon_years=1)
+        engine = traced(fleet_of([asset(commissioned=SIXTY)]), sc)
+        assert engine.kpis.failures == [0]
+        assert engine.in_service.all()
 
     def test_draw_consumes_one_uniform(self):
-        state = AssetState("a", 110, age_months=720.0)
-        rng = np.random.default_rng(0)
-        first_uniform = np.random.default_rng(0).random()
-        p = LAW_110.conditional_failure_probability(60.0, 1 / 12)
-        assert sample_failure(state, LAW_110, 1 / 12, rng) is (first_uniform < p)
-
-    def test_statistical_rate(self):
-        state = AssetState("a", 110, age_months=720.0)
-        rng = np.random.default_rng(42)
-        p = LAW_110.conditional_failure_probability(60.0, 1 / 12)
-        hits = sum(sample_failure(state, LAW_110, 1 / 12, rng) for _ in range(200000))
-        assert hits / 200000 == pytest.approx(p, rel=0.1)
-
-
-def request(kind, tick, asset_id, spec, index=0, generation=0):
-    return ActivityRequest(
-        kind=kind,
-        request_tick=tick,
-        asset_id=asset_id,
-        asset_index=index,
-        spec=spec,
-        generation=generation,
-    )
+        # Each asset takes one uniform a tick from its own failure stream and
+        # fails in the first tick whose uniform is below that tick's failure
+        # probability. A one-month half-life makes that probability 1/2.
+        law = WeibullLaw(beta=1.0, eta=(1 / 12) / math.log(2))
+        ids = ["110-00000", "110-00001", "110-00002"]
+        sc = scenario(
+            laws={vc: law for vc in VoltageClass},
+            failures_enabled=True,
+            resources=Constrained(fte_count=0),
+            horizon_years=1,
+        )
+        engine = traced(fleet_of([asset(i) for i in ids]), sc)
+        for i, asset_id in enumerate(ids):
+            failure_seq, _ = _asset_sequences(sc.master_seed, 0, asset_id).spawn(2)
+            uniforms = np.random.default_rng(failure_seq).random(12)
+            p = [law.conditional_failure_probability(k / 12, 1 / 12) for k in range(12)]
+            below = [k for k in range(12) if uniforms[k] < p[k]]
+            assert below, "a fixed seed fails each asset within the year"
+            assert not engine.in_service[i]
+            assert engine.failed_tick[i] == below[0]
+        assert sum(engine.kpis.failures) == len(ids)
 
 
 class TestAllocateResources:
-    REPL = demo_catalog().replacement(110)
-    INSP = demo_catalog().inspection(110, 3)
+    # One tick's allocation in the engine. Assets are indexed in asset_id
+    # order; `completed` lists each tick's (class, asset) executions in order.
+    # Replacements take 400 person-hours, the annual inspection 2.66.
 
     def test_unconstrained_executes_all(self):
-        reqs = [
-            request(ActivityKind.INSPECTION, 0, f"a{i:03d}", self.INSP)
-            for i in range(100)
-        ]
-        executed, carried = allocate_resources(reqs, None)
-        assert len(executed) == 100 and carried == []
+        fleet = fleet_of([asset("a"), asset("b"), asset("c")])
+        engine = traced(fleet, annual_scenario(resources=Unconstrained()))
+        assert engine.completed[0] == [(_INSPECTION, 0), (_INSPECTION, 1), (_INSPECTION, 2)]
+        assert engine.completed[2] == [(_PLANNED, 0), (_PLANNED, 1), (_PLANNED, 2)]
+        assert engine.kpis.backlog_hours == [0.0] * 4
 
     def test_replacement_fills_capacity_inspections_carry(self):
-        reqs = [
-            request(ActivityKind.INSPECTION, 0, "a1", self.INSP),
-            request(ActivityKind.PLANNED_REPLACEMENT, 0, "a2", self.REPL),
-            request(ActivityKind.INSPECTION, 0, "a3", self.INSP),
-        ]
-        executed, carried = allocate_resources(reqs, 400.0)
-        assert [r.asset_id for r in executed] == ["a2"]
-        assert sorted(r.asset_id for r in carried) == ["a1", "a3"]
+        fleet = fleet_of([
+            asset("a1"), asset("a2", commissioned=commissioned_aged(2.5)), asset("a3")
+        ])
+        sc = annual_scenario(resources=pool(400.0, 12), horizon_years=1)
+        engine = traced(fleet, sc)
+        assert engine.completed == [[(_PLANNED, 1)]]
+        assert engine.queues[_INSPECTION].entries()[0].tolist() == [0, 2]
+        assert engine.kpis.backlog_hours == [2 * 2.66]
 
     def test_priority_order_corrective_first(self):
-        reqs = [
-            request(ActivityKind.PLANNED_REPLACEMENT, 0, "a1", self.REPL),
-            request(ActivityKind.CORRECTIVE_REPLACEMENT, 5, "a2", self.REPL),
-        ]
-        executed, _ = allocate_resources(reqs, 800.0)
-        assert [r.asset_id for r in executed] == ["a2", "a1"]
+        # a1 and a3 (110 kV) are due for planned replacement at tick 0, and
+        # one fits a tick. a2 (150 kV, never planned) fails at tick 1; its
+        # corrective replacement runs before a3's older planned one.
+        policy = Policy(families={
+            VoltageClass.V110: FamilyPolicy(replacement=TimeBased(5.0)),
+            VoltageClass.V150: FamilyPolicy(replacement=TimeBased(99.0)),
+        })
+        fleet = fleet_of([
+            asset("a1", commissioned=commissioned_aged(10.0)),
+            asset("a2", kv=150, commissioned=commissioned_aged(58.876)),
+            asset("a3", commissioned=commissioned_aged(10.0)),
+        ])
+        sc = scenario(
+            fleet_policy=policy,
+            laws={vc: WeibullLaw(beta=60000.0, eta=59.0) for vc in VoltageClass},
+            failures_enabled=True,
+            resources=pool(400.0),
+            horizon_years=1,
+        )
+        engine = traced(fleet, sc)
+        assert engine.completed[:3] == [[(_PLANNED, 0)], [(_CORRECTIVE, 1)], [(_PLANNED, 2)]]
+        assert engine.failed_tick[1] == 1
 
     def test_fifo_then_asset_id_tie_break(self):
-        reqs = [
-            request(ActivityKind.PLANNED_REPLACEMENT, 0, "b", self.REPL),
-            request(ActivityKind.PLANNED_REPLACEMENT, 0, "a", self.REPL),
-        ]
-        executed, carried = allocate_resources(reqs, 400.0)
-        assert [r.asset_id for r in executed] == ["a"]
-        assert [r.asset_id for r in carried] == ["b"]
+        # Both are due at tick 0 and one replacement fits a yearly tick. a
+        # (150 kV) goes first although listed second, so the capex of year 0
+        # is its replacement's.
+        fleet = fleet_of([
+            asset("b", commissioned=commissioned_aged(10.0)),
+            asset("a", kv=150, commissioned=commissioned_aged(10.0)),
+        ])
+        sc = annual_scenario(
+            fleet_policy=simple_policy(TimeBased(5.0)), resources=pool(400.0, 12), horizon_years=2
+        )
+        series = run_scenario(fleet, sc).replications[0]
+        assert series.capex == [Decimal("45044"), Decimal("43211")]
 
     def test_earlier_request_wins_over_id(self):
-        reqs = [
-            request(ActivityKind.PLANNED_REPLACEMENT, 3, "a", self.REPL),
-            request(ActivityKind.PLANNED_REPLACEMENT, 1, "z", self.REPL),
-        ]
-        executed, _ = allocate_resources(reqs, 400.0)
-        assert [r.asset_id for r in executed] == ["z"]
+        # y and z are due at tick 0 and y executes; a falls due at tick 1,
+        # where z, carried from tick 0, goes before it
+        fleet = fleet_of([
+            asset("a", commissioned=commissioned_aged(5.0 - 1 / 24)),
+            asset("y", commissioned=commissioned_aged(5.1)),
+            asset("z", commissioned=commissioned_aged(5.1)),
+        ])
+        sc = scenario(
+            fleet_policy=simple_policy(TimeBased(5.0)), resources=pool(400.0), horizon_years=1
+        )
+        engine = traced(fleet, sc)
+        assert engine.planned[:2] == [[1, 2], [0]]
+        assert engine.completed[:3] == [[(_PLANNED, 1)], [(_PLANNED, 2)], [(_PLANNED, 0)]]
 
     def test_leftover_capacity_flows_to_lower_priority(self):
-        reqs = [
-            request(ActivityKind.PLANNED_REPLACEMENT, 0, "a", self.REPL),
-            request(ActivityKind.INSPECTION, 0, "b", self.INSP),
-        ]
-        executed, carried = allocate_resources(reqs, 400.5)
-        assert {r.asset_id for r in executed} == {"a", "b"}
-        assert carried == []
+        # a's replacement leaves 3 person-hours, enough for b's inspection;
+        # a's own inspection is stale once a is replaced
+        fleet = fleet_of([asset("a", commissioned=commissioned_aged(2.5)), asset("b")])
+        sc = annual_scenario(resources=pool(403.0, 12), horizon_years=1)
+        engine = traced(fleet, sc)
+        assert engine.completed == [[(_PLANNED, 0), (_INSPECTION, 1)]]
+        assert engine.kpis.backlog_hours == [0.0]
 
     def test_zero_capacity(self):
-        reqs = [request(ActivityKind.INSPECTION, 0, "a", self.INSP)]
-        executed, carried = allocate_resources(reqs, 0.0)
-        assert executed == [] and len(carried) == 1
+        sc = annual_scenario(resources=Constrained(fte_count=0), horizon_years=1)
+        engine = traced(fleet_of([asset()]), sc)
+        assert engine.completed == [[]]
+        assert engine.kpis.backlog_hours == [2.66]
 
 
 class TestApplyCompletion:
+    # what the engine books when an activity executes
+
     def test_corrective_replacement_books_capex(self):
-        state = AssetState(
-            "a", 150, age_months=600.0, status=AssetStatus.FAILED, failed_tick=10
+        # Both 150 kV assets fail at tick 0 and one replacement fits a tick:
+        # b waits one tick, booking a month of unavailability, and each
+        # replacement draws the asset's second degradation rate.
+        fleet = fleet_of([
+            asset("a", kv=150, commissioned=SIXTY), asset("b", kv=150, commissioned=SIXTY)
+        ])
+        sc = scenario(
+            laws=STEP_LAWS,
+            failures_enabled=True,
+            degradation_rates=LognormalRate(0.0, 0.2),
+            resources=pool(400.0),
+            horizon_years=1,
         )
-        kpis = KpiSeries.zeros(2)
-        req = request(
-            ActivityKind.CORRECTIVE_REPLACEMENT, 10, "a", demo_catalog().replacement(150)
-        )
-        apply_completion(state, req, kpis, year=1, exec_tick=11, tick_hours=HOURS_PER_MONTH, new_rate=1.1)
-        assert kpis.capex[1] == Decimal("45044")
-        assert kpis.replacements[1] == 1
-        assert kpis.unavailability_hours[1] == pytest.approx(730.5 + 40.0)
-        assert state.age_months == 0.0
-        assert state.status is AssetStatus.IN_SERVICE
-        assert state.degradation.rate == 1.1
-        assert state.generation == 1
-        assert state.pending_replacement is False
+        engine = traced(fleet, sc)
+        series = engine.kpis
+        assert series.capex == [2 * Decimal("45044")]
+        assert series.replacements == [2]
+        assert series.unavailability_hours == [40.0 + HOURS_PER_MONTH + 40.0]
+        assert engine.completed[:2] == [[(_CORRECTIVE, 0)], [(_CORRECTIVE, 1)]]
+        assert engine.age_months.tolist() == [11.0, 10.0]
+        assert engine.in_service.all() and not engine.pending.any()
+        assert engine.generation.tolist() == [1, 1]
+        for i, asset_id in enumerate(["a", "b"]):
+            _, rate_seq = _asset_sequences(sc.master_seed, 0, asset_id).spawn(2)
+            rng = np.random.default_rng(rate_seq)
+            sc.degradation_rates.draw(rng)
+            assert engine.rates[i] == sc.degradation_rates.draw(rng)
 
     def test_same_tick_corrective_has_no_gap(self):
-        state = AssetState(
-            "a", 110, age_months=600.0, status=AssetStatus.FAILED, failed_tick=10
-        )
-        kpis = KpiSeries.zeros(1)
-        req = request(
-            ActivityKind.CORRECTIVE_REPLACEMENT, 10, "a", demo_catalog().replacement(110)
-        )
-        apply_completion(state, req, kpis, year=0, exec_tick=10, tick_hours=HOURS_PER_MONTH)
-        assert kpis.unavailability_hours[0] == pytest.approx(40.0)
+        sc = scenario(laws=STEP_LAWS, failures_enabled=True, horizon_years=1)
+        series = run_scenario(fleet_of([asset(commissioned=SIXTY)]), sc).replications[0]
+        assert series.failures == [1]
+        assert series.unavailability_hours == [40.0]
 
     def test_inspection_books_opex_and_hours(self):
-        state = AssetState("a", 110, age_months=360.0)
-        kpis = KpiSeries.zeros(1)
-        req = request(ActivityKind.INSPECTION, 4, "a", demo_catalog().inspection(110, 3))
-        apply_completion(state, req, kpis, year=0, exec_tick=4, tick_hours=HOURS_PER_MONTH)
-        assert kpis.opex[0] == Decimal("41.624")
-        assert kpis.inspection_hours[0] == pytest.approx(0.5)
-        assert kpis.unavailability_hours[0] == pytest.approx(0.5)
-        assert kpis.capex[0] == Decimal(0)
-        assert state.age_months == 360.0
+        # quarterly ticks, the quarterly (routine) inspection due at each
+        plan = PeriodicInspections(start_age_years=0.0, interval_months=(3,))
+        sc = scenario(
+            fleet_policy=simple_policy(TimeBased(45.0), plan), tick_months=3, horizon_years=1
+        )
+        engine = traced(fleet_of([asset()]), sc)
+        series = engine.kpis
+        assert series.opex == [4 * Decimal("41.624")]
+        assert series.inspection_hours == [4 * 0.5]
+        assert series.unavailability_hours == [4 * 0.5]
+        assert series.capex == [Decimal(0)]
+        assert engine.age_months.tolist() == [9.0]
 
 
 class TestRunScenario:
@@ -558,25 +612,32 @@ class TestApparentHazard:
     # Weibull(beta, eta / r) in real time, so each tick's failure fraction
     # among survivors is that law's conditional probability. For rate 2 and
     # Weibull(3, 2), the first 12-month tick fails 1 - exp(-1) = 63.2%.
+    # Under hazard_age="real" the rate is ignored and the life is the law.
     @pytest.mark.parametrize(
-        "rate, law",
-        [(2.0, WeibullLaw(beta=3.0, eta=2.0)), (1.25, WeibullLaw(beta=2.0, eta=2.5))],
+        "hazard_age, rate, law",
+        [
+            ("apparent", 2.0, WeibullLaw(beta=3.0, eta=2.0)),
+            ("apparent", 1.25, WeibullLaw(beta=2.0, eta=2.5)),
+            ("real", 2.0, WeibullLaw(beta=3.0, eta=2.0)),
+        ],
+        ids=["2.0-law0", "1.25-law1", "real-2.0-law0"],
     )
-    def test_tick_fraction_matches_rescaled_law(self, rate, law):
+    def test_tick_fraction_matches_rescaled_law(self, hazard_age, rate, law):
         n = 3000
         fleet = fleet_of([asset(f"110-{i:05d}") for i in range(n)])
         sc = scenario(
             laws={vc: law for vc in VoltageClass},
             failures_enabled=True,
             degradation_rates=ConstantRate(rate),
-            hazard_age="apparent",
+            hazard_age=hazard_age,
             # nothing executes, so failed assets stay failed
             resources=Constrained(fte_count=0),
             tick_months=12,
             horizon_years=2,
         )
         series = run_scenario(fleet, sc).replications[0]
-        real_time_law = WeibullLaw(beta=law.beta, eta=law.eta / rate)
+        scale = rate if hazard_age == "apparent" else 1.0
+        real_time_law = WeibullLaw(beta=law.beta, eta=law.eta / scale)
         at_risk = n
         for year in range(2):
             p = real_time_law.conditional_failure_probability(float(year), 1.0)
@@ -701,16 +762,16 @@ class TestGreedyWalk:
             for hours, fte in shapes
         ]
         requests = [
-            request(ActivityKind.INSPECTION, 0, f"{pos:05d}", spec, index=pos)
+            ActivityRequest(ActivityKind.INSPECTION, 0, f"{pos:05d}", spec)
             for pos, spec in enumerate(specs)
         ]
         executed, _ = allocate_resources(requests, budget)
         remaining = budget
         for req in executed:
-            remaining -= req.person_hours
+            remaining -= req.spec.person_hours
         demand = np.array([spec.person_hours for spec in specs])
         positions, left = _greedy_walk(demand, budget)
-        assert positions.tolist() == [req.asset_index for req in executed]
+        assert positions.tolist() == [int(req.asset_id) for req in executed]
         assert left == remaining
 
 
@@ -806,11 +867,29 @@ service_days = st.one_of(
 
 
 class RecordingEngine(_Engine):
-    """The engine, keeping what each tick's inspection step saw and raised."""
+    """The engine, keeping what each tick saw, raised and executed.
+
+    Per tick: `raised` holds the ages and in-service flags the inspection
+    step saw and the (asset, activity name) inspections it raised, `planned`
+    the assets whose planned replacement was triggered, and `completed` the
+    (class, asset) requests that allocation executed, in order.
+    """
 
     def run(self):
-        self.raised = []
+        self.raised, self.planned, self.completed = [], [], []
         return super().run()
+
+    def _replacement_triggers(self):
+        # called once a tick, before allocation
+        due = super()._replacement_triggers()
+        self.planned.append(due.tolist())
+        self.completed.append([])
+        return due
+
+    def _walk(self, cls, remaining):
+        ran, remaining = super()._walk(cls, remaining)
+        self.completed[-1].extend((cls, a) for a in ran[0].tolist())
+        return ran, remaining
 
     def _inspection_triggers(self, k):
         ages, in_service = self.age_months.copy(), self.in_service.copy()
@@ -991,18 +1070,6 @@ def invariant_fleet(data):
     ])
 
 
-class CorrectiveCountingEngine(_Engine):
-    """The engine, counting the corrective replacements it executes."""
-
-    corrective_executed = 0
-
-    def _walk(self, cls, remaining):
-        ran, remaining = super()._walk(cls, remaining)
-        if cls == _CORRECTIVE:
-            self.corrective_executed += ran.shape[1]
-        return ran, remaining
-
-
 class TestEngineInvariants:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -1060,10 +1127,11 @@ class TestEngineInvariants:
             failures_enabled=True,
             laws={vc: life for vc in VoltageClass},
         )
-        engine = CorrectiveCountingEngine(invariant_fleet(data), sc, 0)
+        engine = RecordingEngine(invariant_fleet(data), sc, 0)
         series = engine.run()
+        corrective = sum(cls == _CORRECTIVE for tick in engine.completed for cls, _ in tick)
         out_of_service = int((~engine.in_service).sum())
-        assert sum(series.failures) == engine.corrective_executed + out_of_service
+        assert sum(series.failures) == corrective + out_of_service
 
 
 class TestAllocationWork:

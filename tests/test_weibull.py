@@ -96,6 +96,16 @@ class TestConditionalFailureProbability:
             0.22556986583535968, rel=1e-12
         )
 
+    def test_per_tick_probability_value(self):
+        # closed form over a one-month tick: 1 - exp(H(60) - H(60 + 1/12))
+        h0 = (60.0 / 63.79) ** 6.67
+        h1 = ((60.0 + 1 / 12) / 63.79) ** 6.67
+        expected = -math.expm1(h0 - h1)
+        assert expected == pytest.approx(0.0061621341, rel=1e-7)
+        assert LAW_110.conditional_failure_probability(60.0, 1 / 12) == pytest.approx(
+            expected, rel=1e-12
+        )
+
     def test_matches_naive_ratio(self):
         for t in (10.0, 40.0, 60.0, 75.0):
             naive = 1.0 - LAW_110.survival(t + 3.0) / LAW_110.survival(t)
