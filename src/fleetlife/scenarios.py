@@ -451,7 +451,10 @@ def _parse_rates(data: Any, path: str):
         value = _as_number(entry.get("value", 1.0), _join(path, "value"))
         if value <= 0:
             raise ScenarioError(f"{_join(path, 'value')}: must be positive")
-        return ConstantRate(value=value)
+        try:
+            return ConstantRate(value=value)
+        except ValueError as exc:
+            raise ScenarioError(f"{_join(path, 'value')}: {exc}") from None
     if kind == "lognormal":
         _known(entry, ("kind", "mu", "sigma"), path)
         try:

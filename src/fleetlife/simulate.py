@@ -8,10 +8,17 @@ asset_id within a class). Activities are atomic within a tick; a request
 that does not fit the capacity left in the tick carries over with its
 original timestamp, and later requests may still use what is left.
 
-Failure sampling draws from the cumulative-hazard difference over the tick,
-``1 - exp(-(H(a + t) - H(a)))`` for real age ``a`` and tick length ``t``.
-With ``hazard_age="apparent"`` both ends are apparent ages, so an asset with
-degradation rate ``r`` uses ``1 - exp(-(H(r(a + t)) - H(ra)))``.
+Failures are drawn as event times, once per asset generation. A generation
+at risk from real age ``a0`` fails at age
+``T = eta * ((a0 / eta)**beta + E)**(1 / beta)`` with ``E = -log(1 - u)``
+for a uniform ``u``, which inverts ``1 - exp(-(H(T) - H(a0)))``, and so in
+the tick whose ``[a, a + t)`` holds ``T``. That is the same distribution as
+a per-tick trial with probability ``1 - exp(-(H(a + t) - H(a)))``. With
+``hazard_age="apparent"`` the law's scale is ``eta / r`` for the
+generation's degradation rate ``r``, so the tick's probability is
+``1 - exp(-(H(r(a + t)) - H(ra)))``. The initial fleet is at risk from its
+start age at tick 0; a replacement resets the age to 0 within its tick,
+and the new generation is first at risk a tick later, from age ``t``.
 
 Triggers: a failed asset requests its corrective replacement and nothing
 else. An in-service asset requests a planned replacement once its real age
@@ -40,12 +47,18 @@ rather than fleet size or backlog length:
   from its head in windows of doubling width, drops the stale entries of
   the windows it reads, and stops once the budget is below the smallest
   activity that can enter the class; the unread rest stays as it is.
+* Each asset holds the tick at which its current generation fails. The
+  failure ticks and rates of generations ``0 .. G-1`` of every asset are
+  drawn at set-up in one call, and ``G`` doubles when an asset reaches it.
 
-Determinism contract: every replication seeds one RNG stream per asset from
-(master_seed, replication_index, asset_id), and each asset consumes exactly
-one uniform per tick for failure sampling plus a separate stream for
-degradation-rate draws. Results are therefore independent of iteration and
-scheduling order, including parallel execution of replications.
+Determinism contract: every draw is a pure function of its coordinates.
+Asset generation ``g`` of replication ``rep`` takes one Philox4x64-10 block,
+keyed by the first 16 bytes of ``sha256(asset_id)``, at counter
+``(g, rep, master_seed mod 2**64, 0)``. Word 0 gives its failure uniform,
+words 1 and 2 the normal its degradation rate is drawn from. Results are
+therefore independent of iteration and scheduling order, including
+parallel execution of replications, and two scenarios that differ only in
+policy or resources draw the same failure age for the same generation.
 """
 
 from __future__ import annotations
@@ -255,8 +268,13 @@ ResourceModel = Union[Unconstrained, Constrained]
 class ConstantRate:
     value: float = 1.0
 
-    def draw(self, rng: np.random.Generator) -> float:
-        return self.value
+    def __post_init__(self) -> None:
+        if not (self.value > 0 and math.isfinite(self.value)):
+            raise ValueError(f"rate must be positive and finite, got {self.value}")
+
+    def from_normals(self, z: np.ndarray) -> np.ndarray:
+        """The rate drawn with each standard normal."""
+        return np.full(z.shape, self.value)
 
 
 @dataclass(frozen=True)
@@ -268,8 +286,9 @@ class LognormalRate:
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
 
-    def draw(self, rng: np.random.Generator) -> float:
-        return float(math.exp(self.mu + self.sigma * rng.standard_normal()))
+    def from_normals(self, z: np.ndarray) -> np.ndarray:
+        """The rate drawn with each standard normal."""
+        return np.exp(self.mu + self.sigma * z)
 
 
 RateDistribution = Union[ConstantRate, LognormalRate]
@@ -494,17 +513,76 @@ class ComparisonReport:
 # ---------------------------------------------------------------------------
 
 
-def _asset_seed_words(asset_id: str) -> list[int]:
-    digest = hashlib.sha256(asset_id.encode("utf-8")).digest()
-    return [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC'11): the round multipliers and the key's increment per round
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
-def _asset_sequences(
-    master_seed: int, rep_index: int, asset_id: str
-) -> np.random.SeedSequence:
-    return np.random.SeedSequence(
-        entropy=[master_seed & (2**64 - 1), rep_index, *_asset_seed_words(asset_id)]
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, from 32-bit halves."""
+    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    x_hi, x_lo = x >> np.uint64(32), x & _LOW32
+    lo_lo, lo_hi, hi_lo = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
+    carry = ((lo_lo >> np.uint64(32)) + (lo_hi & _LOW32) + (hi_lo & _LOW32)) >> np.uint64(32)
+    hi = x_hi * m_hi + (lo_hi >> np.uint64(32)) + (hi_lo >> np.uint64(32)) + carry
+    return hi, x * np.uint64(m)
+
+
+def _philox4x64(
+    counter: Sequence[np.ndarray], key: Sequence[np.ndarray]
+) -> tuple[np.ndarray, ...]:
+    """Philox4x64-10 blocks of a counter (four uint64 words) under a key (two).
+
+    The words broadcast together, one block per element. The block of
+    counter c is what numpy's ``Philox(counter=c - 1, key=k).random_raw(4)``
+    returns, since numpy increments its counter before each block.
+    """
+    x0, x1, x2, x3, k0, k1 = (
+        np.array(w, dtype=np.uint64) for w in np.broadcast_arrays(*counter, *key)
     )
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    return x0, x1, x2, x3
+
+
+def _asset_keys(asset_ids: Sequence[str]) -> np.ndarray:
+    """Philox key of each asset: the first 16 bytes of sha256(asset_id), as
+    two little-endian uint64 words (rows)."""
+    digests = b"".join(
+        hashlib.sha256(asset_id.encode("utf-8")).digest()[:16] for asset_id in asset_ids
+    )
+    return np.frombuffer(digests, dtype="<u8").reshape(-1, 2).T.astype(np.uint64)
+
+
+def _stream_draws(
+    keys: np.ndarray, master_seed: int, rep_index: int, generations: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Failure uniform and rate normal of each (generation, asset).
+
+    Generation g of the asset with key k takes the block at counter
+    (g, rep_index, master_seed mod 2**64, 0) under k. Word 0 gives a
+    uniform on [0, 1); words 1 and 2 give a standard normal by Box-Muller.
+    Both results have shape (len(generations), number of keys).
+    """
+    words = _philox4x64(
+        (
+            generations.astype(np.uint64)[:, None],
+            np.uint64(rep_index),
+            np.uint64(master_seed % 2**64),
+            np.uint64(0),
+        ),
+        (keys[0], keys[1]),
+    )
+    w0, w1, w2 = (w >> np.uint64(11) for w in words[:3])
+    u = w0 * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log((w1 + np.uint64(1)) * 2.0**-53))
+    return u, radius * np.cos(2.0 * math.pi * w2 * 2.0**-53)
 
 
 def validate_scenario_for_fleet(
@@ -646,6 +724,10 @@ def _add_left_to_right(start: float, values: np.ndarray) -> float:
 # queue index of each priority class
 _CORRECTIVE, _PLANNED, _INSPECTION = 0, 1, 2
 
+# generations of every asset drawn at set-up; the tables double when an
+# asset reaches the last one
+_FIRST_GENERATIONS = 4
+
 # entries an allocation reads first from a queue under a finite budget; each
 # further window is twice as wide
 _FIRST_WINDOW = 64
@@ -654,7 +736,14 @@ _FIRST_WINDOW = 64
 class _Engine:
     """One replication over vectorized asset state and array request queues."""
 
-    def __init__(self, fleet: AssetTable, scenario: Scenario, rep_index: int):
+    def __init__(
+        self,
+        fleet: AssetTable,
+        scenario: Scenario,
+        rep_index: int,
+        keys: Optional[np.ndarray] = None,
+    ):
+        """`keys` are `_asset_keys(fleet.asset_id)`, computed here if not given."""
         self.scenario = scenario
         self.rep_index = rep_index
         self.tick = scenario.tick_months
@@ -666,13 +755,11 @@ class _Engine:
         start = scenario.start_date or date.fromordinal(int(fleet.commission.max()))
         # assets in id order
         order = sorted(range(len(fleet)), key=fleet.asset_id.__getitem__)
-        ids = [fleet.asset_id[i] for i in order]
         self.kv = fleet.voltage_kv[order].astype(np.int32)
         # years_between(commission, start) * 12.0, elementwise
         self.age_months = (start.toordinal() - fleet.commission[order]) / DAYS_PER_YEAR * 12.0
-        n = len(ids)
+        n = len(order)
         self.in_service = np.ones(n, dtype=bool)
-        self.failed_tick = np.zeros(n, dtype=np.int64)
         self.pending = np.zeros(n, dtype=bool)
         self.generation = np.zeros(n, dtype=np.int64)
 
@@ -759,19 +846,16 @@ class _Engine:
         self.person_hours = np.array([s.person_hours for s in self.specs])
         self.duration_hours = np.array([s.duration_hours for s in self.specs])
 
-        self.rate_rngs: list[np.random.Generator] = []
-        self.rates = np.ones(n)
-        uniforms = np.empty((n, self.n_ticks)) if scenario.failures_enabled else None
-        for i, asset_id in enumerate(ids):
-            failure_seq, rate_seq = _asset_sequences(
-                scenario.master_seed, rep_index, asset_id
-            ).spawn(2)
-            if uniforms is not None:
-                uniforms[i] = np.random.default_rng(failure_seq).random(self.n_ticks)
-            rng = np.random.default_rng(rate_seq)
-            self.rate_rngs.append(rng)
-            self.rates[i] = scenario.degradation_rates.draw(rng)
-        self.uniforms = uniforms
+        self.keys = (_asset_keys(fleet.asset_id) if keys is None else keys)[:, order]
+        # life[g, i] is the number of ticks from the tick generation g of
+        # asset i is first at risk to the tick it fails, capped at n_ticks;
+        # rate_table[g, i] is its degradation rate
+        self.life = np.empty((0, n), dtype=np.int64)
+        self.rate_table = np.empty((0, n))
+        self._draw_generations(_FIRST_GENERATIONS)
+        self.rates = self.rate_table[0].copy()
+        # the tick at which each asset's current generation fails, or failed
+        self.fail_tick = self.life[0].copy()
 
         if isinstance(scenario.resources, Unconstrained):
             self.capacity: Optional[float] = None
@@ -890,23 +974,39 @@ class _Engine:
 
     # -- tick steps ----------------------------------------------------------
 
-    def _draw_failures(self, k: int, year: int) -> np.ndarray:
-        hit_groups: list[np.ndarray] = []
+    def _failure_ages(
+        self, generations: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Start age, failure age (years) and rate of each (generation, asset).
+
+        Generation 0 is at risk from the start age; every later one from age
+        one tick, since its replacement tick is not sampled.
+        """
+        u, z = _stream_draws(self.keys, self.scenario.master_seed, self.rep_index, generations)
+        rates = self.scenario.degradation_rates.from_normals(z)
+        start = np.where(generations[:, None] == 0, self.age_months / 12.0, self.tick_years)
+        e = -np.log1p(-u)
+        ages = np.empty_like(u)
+        apparent = self.scenario.hazard_age == "apparent"
         for f, idx in self.groups.items():
-            law = self.laws[f]
-            ages = self.age_months[idx] / 12.0
-            ends = ages + self.tick_years
-            if self.scenario.hazard_age == "apparent":
-                # both ends of the tick in apparent age: r * a and r * (a + t)
-                rates = self.rates[idx]
-                ages = ages * rates
-                ends = ends * rates
-            p = law.interval_failure_probability(ages, ends)
-            hits = self.in_service[idx] & (self.uniforms[idx, k] < p)
-            hit_groups.append(idx[hits])
-        failed = np.sort(np.concatenate(hit_groups))
+            # under the apparent hazard, the law's scale is eta / r
+            r = rates[:, idx] if apparent else 1.0
+            ages[:, idx] = self.laws[f].conditional_failure_age(start[:, idx] * r, e[:, idx]) / r
+        return start, ages, rates
+
+    def _draw_generations(self, count: int) -> None:
+        """Append the next `count` generations of every asset to the tables."""
+        start, ages, rates = self._failure_ages(
+            np.arange(len(self.life), len(self.life) + count)
+        )
+        # rounding can put an age a hair below its start when e is tiny
+        life = np.clip(np.floor((ages - start) / self.tick_years), 0, self.n_ticks)
+        self.life = np.concatenate((self.life, life.astype(np.int64)))
+        self.rate_table = np.concatenate((self.rate_table, rates))
+
+    def _draw_failures(self, k: int, year: int) -> np.ndarray:
+        failed = np.flatnonzero(self.fail_tick == k)
         self.in_service[failed] = False
-        self.failed_tick[failed] = k
         self.kpis.failures[year] += len(failed)
         return failed
 
@@ -961,7 +1061,7 @@ class _Engine:
         self._book_cost(kpis.capex, specs, year)
         kpis.replacements[year] += len(assets)
         gap_hours = np.where(
-            self.in_service[assets], 0.0, (k - self.failed_tick[assets]) * self.tick_hours
+            self.in_service[assets], 0.0, (k - self.fail_tick[assets]) * self.tick_hours
         )
         kpis.unavailability_hours[year] = _add_left_to_right(
             kpis.unavailability_hours[year], gap_hours + self.duration_hours[specs]
@@ -970,9 +1070,12 @@ class _Engine:
         self.in_service[assets] = True
         self.pending[assets] = False
         self.generation[assets] += 1
-        draw = self.scenario.degradation_rates.draw
-        for i in assets.tolist():
-            self.rates[i] = draw(self.rate_rngs[i])
+        generation = self.generation[assets]
+        if generation.max() >= len(self.life):
+            self._draw_generations(len(self.life))
+        self.rates[assets] = self.rate_table[generation, assets]
+        # the new generation is first at risk at tick k + 1
+        self.fail_tick[assets] = k + 1 + self.life[generation, assets]
         # the cadences restart from age 0, checked from the next tick
         entry = self.entries_of[assets]
         self.next_check[entry[entry >= 0]] = k + 1
@@ -1004,8 +1107,7 @@ class _Engine:
 
 
 def _replication_worker(args: tuple) -> KpiSeries:
-    fleet, scenario, rep_index = args
-    return _Engine(fleet, scenario, rep_index).run()
+    return _Engine(*args).run()
 
 
 def run_scenario(
@@ -1017,17 +1119,13 @@ def run_scenario(
     pure function of (fleet, scenario) regardless of jobs.
     """
     validate_scenario_for_fleet(fleet, scenario)
-    indices = range(scenario.replications)
+    keys = _asset_keys(fleet.asset_id)
+    args = [(fleet, scenario, r, keys) for r in range(scenario.replications)]
     if jobs > 1 and scenario.replications > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            series = list(
-                pool.map(
-                    _replication_worker,
-                    [(fleet, scenario, r) for r in indices],
-                )
-            )
+            series = list(pool.map(_replication_worker, args))
     else:
-        series = [_Engine(fleet, scenario, r).run() for r in indices]
+        series = [_replication_worker(a) for a in args]
     return SimulationReport(
         scenario_name=scenario.name,
         master_seed=scenario.master_seed,

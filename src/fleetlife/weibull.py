@@ -118,6 +118,17 @@ class WeibullLaw:
         """
         return -np.expm1((start / self.eta) ** self.beta - (end / self.eta) ** self.beta)
 
+    def conditional_failure_age(self, start: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """Elementwise age at which the cumulative hazard exceeds H(start) by e.
+
+        The inverse of conditional_failure_probability: for e = -log(1 - u)
+        with u uniform on [0, 1), the result is the failure age of an asset
+        known to survive to `start`, and
+        conditional_failure_probability(start, age - start) == -expm1(-e).
+        Ages are not checked.
+        """
+        return self.eta * ((start / self.eta) ** self.beta + e) ** (1.0 / self.beta)
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n lifetimes by inverse-CDF transform of rng uniforms."""
         u = rng.random(n)

@@ -30,10 +30,10 @@ FLEET = generate_synthetic_fleet(
 BINDING_POOL = Constrained(fte_count=10, hours_per_fte_per_year=500.0)
 
 GOLDEN = {
-    "time-based": "d257af0d0be55cd201cb983a765f4a9c7aa64d82ed2519d29898f85eadbe4459",
-    "condition-based": "cf1b6a6db573224a53d65f5783fbad61f38f9064ab3fb8445a988f7d944ffa43",
-    "time-based:binding": "cc05518d60c64aa29cba3a60fd4ea7f34e870937cd811c6daf80b1787c8d99ce",
-    "condition-based:binding": "7a80cf9fb86ca38b4f746b78bf30b1252e1056bb727edfda333fdb9cc733de4f",
+    "time-based": "ac4d8f4e558ece497d301595303502b0cf4dd94d465ba772d1b608f492724a9c",
+    "condition-based": "dd6c94a3ef8f3b91cf59439dceb1997394af6b974c1540479da82b4b1e0ed68e",
+    "time-based:binding": "27029b76542e35a6566fb9efc5d83932e8ffcdb17ded635129277e657c846835",
+    "condition-based:binding": "1c135a411e3a537d725fb2d2a2b1373bf7da04374761b19c7dd6e923dfa6d65a",
 }
 
 

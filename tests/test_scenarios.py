@@ -322,6 +322,13 @@ class TestValidationPaths:
         with pytest.raises(ScenarioError, match="^degradation_rates.value: must be positive"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_constant_rate(self, value):
+        data = valid_dict()
+        data["degradation_rates"] = {"kind": "constant", "value": value}
+        with pytest.raises(ScenarioError, match="^degradation_rates.value: rate must be positive"):
+            scenario_from_dict(data)
+
     def test_money_parsed_exactly(self):
         from decimal import Decimal
 

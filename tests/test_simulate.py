@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from conftest import fleet_of
 from fleetlife.fleet import (
@@ -43,8 +44,10 @@ from fleetlife.simulate import (
     _INSPECTION,
     _PLANNED,
     _Engine,
-    _asset_sequences,
+    _asset_keys,
     _greedy_walk,
+    _philox4x64,
+    _stream_draws,
     _RequestQueue,
 )
 from fleetlife.weibull import REFERENCE_LAWS, WeibullLaw
@@ -208,9 +211,9 @@ class TestSampleFailure:
         assert engine.in_service.all()
 
     def test_draw_consumes_one_uniform(self):
-        # Each asset takes one uniform a tick from its own failure stream and
-        # fails in the first tick whose uniform is below that tick's failure
-        # probability. A one-month half-life makes that probability 1/2.
+        # Each asset takes one uniform for its first generation, from its
+        # own stream, and fails in the tick that holds the age inverted from
+        # it. A one-month half-life fails most assets within the year.
         law = WeibullLaw(beta=1.0, eta=(1 / 12) / math.log(2))
         ids = ["110-00000", "110-00001", "110-00002"]
         sc = scenario(
@@ -220,14 +223,16 @@ class TestSampleFailure:
             horizon_years=1,
         )
         engine = traced(fleet_of([asset(i) for i in ids]), sc)
-        for i, asset_id in enumerate(ids):
-            failure_seq, _ = _asset_sequences(sc.master_seed, 0, asset_id).spawn(2)
-            uniforms = np.random.default_rng(failure_seq).random(12)
-            p = [law.conditional_failure_probability(k / 12, 1 / 12) for k in range(12)]
-            below = [k for k in range(12) if uniforms[k] < p[k]]
-            assert below, "a fixed seed fails each asset within the year"
+        u, _ = _stream_draws(_asset_keys(ids), sc.master_seed, 0, np.array([0]))
+        start, tick = 0.0, 1 / 12
+        for i in range(len(ids)):
+            e = -math.log1p(-float(u[0, i]))
+            age = law.eta * ((start / law.eta) ** law.beta + e) ** (1 / law.beta)
+            fails_at = math.floor((age - start) / tick)
+            assert fails_at < 12, "a fixed seed fails each asset within the year"
             assert not engine.in_service[i]
-            assert engine.failed_tick[i] == below[0]
+            assert engine.fail_tick[i] == fails_at
+            assert engine.failed[fails_at].count(i) == 1
         assert sum(engine.kpis.failures) == len(ids)
 
 
@@ -275,7 +280,7 @@ class TestAllocateResources:
         )
         engine = traced(fleet, sc)
         assert engine.completed[:3] == [[(_PLANNED, 0)], [(_CORRECTIVE, 1)], [(_PLANNED, 2)]]
-        assert engine.failed_tick[1] == 1
+        assert engine.failed[:2] == [[], [1]]
 
     def test_fifo_then_asset_id_tie_break(self):
         # Both are due at tick 0 and one replacement fits a yearly tick. a
@@ -348,11 +353,8 @@ class TestApplyCompletion:
         assert engine.age_months.tolist() == [11.0, 10.0]
         assert engine.in_service.all() and not engine.pending.any()
         assert engine.generation.tolist() == [1, 1]
-        for i, asset_id in enumerate(["a", "b"]):
-            _, rate_seq = _asset_sequences(sc.master_seed, 0, asset_id).spawn(2)
-            rng = np.random.default_rng(rate_seq)
-            sc.degradation_rates.draw(rng)
-            assert engine.rates[i] == sc.degradation_rates.draw(rng)
+        _, z = _stream_draws(_asset_keys(["a", "b"]), sc.master_seed, 0, np.array([1]))
+        assert engine.rates.tolist() == sc.degradation_rates.from_normals(z[0]).tolist()
 
     def test_same_tick_corrective_has_no_gap(self):
         sc = scenario(laws=STEP_LAWS, failures_enabled=True, horizon_years=1)
@@ -646,6 +648,130 @@ class TestApparentHazard:
             at_risk -= series.failures[year]
 
 
+class TestStreams:
+    def test_philox_matches_numpy(self):
+        # numpy increments its counter before each block, so its block at
+        # counter c is the kernel's at c + 1; the last cases carry across
+        # words
+        rng = np.random.default_rng(2024)
+        top = 2**64 - 1
+        counters = [
+            [int(w) for w in rng.integers(0, 2**64, 4, dtype=np.uint64)] for _ in range(200)
+        ]
+        counters += [[top, 5, 6, 7], [top, top, 6, 7], [top, top, top, 7], [top] * 4]
+        keys = rng.integers(0, 2**64, (len(counters), 2), dtype=np.uint64)
+        expected = [
+            np.random.Philox(counter=np.array(c, dtype=np.uint64), key=k).random_raw(4).tolist()
+            for c, k in zip(counters, keys)
+        ]
+        incremented = []
+        for c in counters:
+            value = (sum(w << (64 * i) for i, w in enumerate(c)) + 1) % 2**256
+            incremented.append([(value >> (64 * i)) & top for i in range(4)])
+        words = np.array(incremented, dtype=np.uint64).T
+        blocks = _philox4x64(tuple(words), (keys[:, 0], keys[:, 1]))
+        assert np.stack(blocks, axis=1).tolist() == expected
+
+    @pytest.mark.parametrize("value", [0.0, -2.0, float("nan")])
+    def test_constant_rate_must_be_positive(self, value):
+        with pytest.raises(ValueError, match="rate must be positive"):
+            ConstantRate(value)
+
+
+class TestEventTimeFailures:
+    @pytest.mark.parametrize("hazard_age", ["real", "apparent"])
+    def test_failure_ages_follow_conditional_law(self, hazard_age):
+        # Generation 0 of 20-year-old assets is at risk from age 20, every
+        # later generation from one quarterly tick; under the apparent
+        # hazard, rate 1.5 scales the law to Weibull(2.5, 20) in real time.
+        law = WeibullLaw(beta=2.5, eta=30.0)
+        fleet = fleet_of(
+            [asset(f"110-{i:05d}", commissioned=commissioned_aged(20.0)) for i in range(2000)]
+        )
+        sc = scenario(
+            laws={vc: law for vc in VoltageClass},
+            failures_enabled=True,
+            degradation_rates=ConstantRate(1.5),
+            hazard_age=hazard_age,
+            tick_months=3,
+        )
+        start, ages, _ = _Engine(fleet, sc, 0)._failure_ages(np.arange(4))
+        eta = law.eta / 1.5 if hazard_age == "apparent" else law.eta
+
+        def conditional_cdf(a0):
+            return lambda t: -np.expm1((a0 / eta) ** law.beta - (t / eta) ** law.beta)
+
+        for rows, a0 in ((slice(0, 1), 20.0), (slice(1, 4), 0.25)):
+            assert (start[rows] == a0).all()
+            assert stats.kstest(ages[rows].ravel(), conditional_cdf(a0)).pvalue > 0.01
+        # the test tells the conditional law from the unconditional one
+        assert stats.kstest(ages[0], conditional_cdf(0.0)).pvalue < 1e-6
+
+    def test_first_table_size_does_not_change_report(self, monkeypatch):
+        # lives of a few years over 30 years: the table started at one
+        # generation doubles several times
+        fleet = generate_synthetic_fleet(
+            SyntheticFleetSpec(
+                sizes={VoltageClass.V110: 40, VoltageClass.V150: 20},
+                commission_years=(1970, 2010),
+                seed=4,
+            )
+        )
+        sc = scenario(
+            fleet_policy=simple_policy(ConditionBased(6.0)),
+            laws={vc: WeibullLaw(beta=1.5, eta=4.0) for vc in VoltageClass},
+            failures_enabled=True,
+            degradation_rates=LognormalRate(0.0, 0.3),
+            hazard_age="apparent",
+            horizon_years=30,
+        )
+        runs = []
+        for first in (1, 64):
+            monkeypatch.setattr("fleetlife.simulate._FIRST_GENERATIONS", first)
+            engine = _Engine(fleet, sc, 1)
+            runs.append((engine.run().to_json_dict(), len(engine.life)))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] >= 8 and runs[1][1] == 64
+
+    def test_policies_share_failure_draws(self):
+        # An asset's first failure does not depend on the policy, as long
+        # as neither policy replaced the asset before it.
+        fleet = generate_synthetic_fleet(
+            SyntheticFleetSpec(
+                sizes={VoltageClass.V110: 150, VoltageClass.V150: 150},
+                commission_years=(1960, 2000),
+                seed=8,
+            )
+        )
+        runs = []
+        for trigger in (TimeBased(45.0), ConditionBased(40.0)):
+            sc = scenario(
+                fleet_policy=simple_policy(trigger),
+                laws={vc: WeibullLaw(beta=3.0, eta=40.0) for vc in VoltageClass},
+                failures_enabled=True,
+                degradation_rates=LognormalRate(0.0, 0.2),
+                horizon_years=40,
+            )
+            engine = traced(fleet, sc)
+            first_failure, first_planned = {}, {}
+            for k, (failed, done) in enumerate(zip(engine.failed, engine.completed)):
+                for i in failed:
+                    first_failure.setdefault(i, k)
+                for cls, i in done:
+                    if cls == _PLANNED:
+                        first_planned.setdefault(i, k)
+            runs.append((first_failure, first_planned))
+        (fail_a, planned_a), (fail_b, planned_b) = runs
+        assert planned_a != planned_b
+        shared = 0
+        for i in range(len(fleet)):
+            replaced = min(planned_a.get(i, math.inf), planned_b.get(i, math.inf))
+            if min(fail_a.get(i, math.inf), fail_b.get(i, math.inf)) < replaced:
+                assert fail_a.get(i) == fail_b.get(i)
+                shared += 1
+        assert shared > 20
+
+
 def annual_scenario(**overrides) -> Scenario:
     # 12-month ticks so every tick closes a year and its backlog is reported
     inspections = PeriodicInspections(start_age_years=0.0, interval_months=(12,))
@@ -871,13 +997,20 @@ class RecordingEngine(_Engine):
 
     Per tick: `raised` holds the ages and in-service flags the inspection
     step saw and the (asset, activity name) inspections it raised, `planned`
-    the assets whose planned replacement was triggered, and `completed` the
-    (class, asset) requests that allocation executed, in order.
+    the assets whose planned replacement was triggered, `completed` the
+    (class, asset) requests that allocation executed, in order, and, when
+    failures are enabled, `failed` the assets that failed.
     """
 
     def run(self):
-        self.raised, self.planned, self.completed = [], [], []
+        self.raised, self.planned, self.completed, self.failed = [], [], [], []
         return super().run()
+
+    def _draw_failures(self, k, year):
+        # called once a tick when failures are enabled
+        failed = super()._draw_failures(k, year)
+        self.failed.append(failed.tolist())
+        return failed
 
     def _replacement_triggers(self):
         # called once a tick, before allocation

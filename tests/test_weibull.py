@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import single_family
@@ -141,6 +143,25 @@ class TestConditionalFailureProbability:
             LAW_110.conditional_failure_probability(-1.0, 3.0)
         with pytest.raises(ValueError):
             LAW_110.conditional_failure_probability(10.0, 0.0)
+
+
+class TestConditionalFailureAge:
+    # The start age is set by its cumulative hazard, at most 20 times e, so
+    # that H(age) - H(start) keeps its relative precision.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        beta=st.floats(0.5, 8.0),
+        eta=st.floats(1.0, 100.0),
+        e=st.floats(1e-6, 30.0),
+        ratio=st.floats(0.0, 20.0),
+    )
+    def test_inverts_conditional_failure_probability(self, beta, eta, e, ratio):
+        law = WeibullLaw(beta, eta)
+        start = eta * (ratio * e) ** (1.0 / beta)
+        age = float(law.conditional_failure_age(np.array([start]), np.array([e]))[0])
+        assert law.conditional_failure_probability(start, age - start) == pytest.approx(
+            -math.expm1(-e), rel=1e-12
+        )
 
 
 def naive_log_likelihood(law, observations):
