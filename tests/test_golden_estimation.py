@@ -1,8 +1,8 @@
 """Golden outputs of the estimation commands.
 
 `fit` and `score` run on a small fixed set of observed records. The bytes of
-`ahi.csv` are pinned by sha256, and every law in `law.json` is pinned to
-1e-12 relative: the Kaplan-Meier product feeds the MLE initializer and the
+`ahi.csv` and of the three `km_*.csv` curves are pinned by sha256, and every
+law in `law.json` is pinned to 1e-12 relative: the Kaplan-Meier product feeds the MLE initializer and the
 rank regression, so a change in how that product is rounded may move the
 laws in their last digits, but no further.
 """
@@ -27,6 +27,13 @@ from fleetlife.weibull import REFERENCE_LAWS
 CUTOFF = date(2021, 7, 1)
 
 AHI_SHA256 = "0e8c2953457b0936300337748433126929e30dcb575e20378b5cd4664f43e280"
+
+# family -> sha256 of km_<family>.csv
+KM_SHA256 = {
+    "110": "84a4e2ca0cdad2b237bf7b62153c60115da76cbd22947dcbe4da983cb93dfeca",
+    "150": "993fe72cfcbb161627f9861a340567aaea33b5aab0cf47b553842fd4943fce04",
+    "220_380": "061dadece2648de2413e89a85557d7877c7f64584b91b4c5a73c815aadd1c105",
+}
 
 # (family, source) -> (beta, eta)
 LAWS = {
@@ -66,6 +73,12 @@ def estimated(tmp_path_factory):
 def test_ahi_bytes_pinned(estimated):
     digest = hashlib.sha256((estimated / "score" / "ahi.csv").read_bytes()).hexdigest()
     assert digest == AHI_SHA256
+
+
+@pytest.mark.parametrize("family", sorted(KM_SHA256))
+def test_km_bytes_pinned(estimated, family):
+    curve = estimated / "fit" / f"km_{family}.csv"
+    assert hashlib.sha256(curve.read_bytes()).hexdigest() == KM_SHA256[family]
 
 
 def test_laws_pinned(estimated):
