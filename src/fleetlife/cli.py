@@ -251,7 +251,7 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
     scores = np.zeros(len(in_service), dtype=np.int64)
     bands = np.zeros(len(in_service), dtype=np.int8)
     bases = np.zeros(len(in_service), dtype=np.int8)
-    for code in np.unique(family).tolist():
+    for code in np.flatnonzero(np.bincount(family, minlength=len(FAMILIES))).tolist():
         rows = family == code
         # fleet average in record order, summed left to right
         average = sum(ages[rows].tolist()) / int(rows.sum())

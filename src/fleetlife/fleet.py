@@ -16,6 +16,7 @@ import enum
 import io
 from dataclasses import dataclass, replace
 from datetime import date
+from itertools import chain
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -178,7 +179,8 @@ class LifetimeTable:
 
     def families(self) -> set[VoltageClass]:
         """Families with at least one row."""
-        return {FAMILIES[code] for code in np.unique(self.family).tolist()}
+        counts = np.bincount(self.family, minlength=len(FAMILIES))
+        return {FAMILIES[code] for code in np.flatnonzero(counts).tolist()}
 
 
 @dataclass(frozen=True)
@@ -239,12 +241,140 @@ def parse_asset_csv(source: IO[bytes] | IO[str] | Iterable[str]) -> AssetTable:
     skipped. Each row is checked in this order: field count, empty id,
     duplicate id, integer voltage, commission date, failure date, known
     voltage, failure after commission.
+
+    A stream is read whole. A plain file (no quote, CR, NUL or blank line,
+    four commas on every line, a final newline) takes a columnar path,
+    which accepts only voltages written 110, 150, 220 or 380 and dates
+    written YYYY-MM-DD in ASCII digits. Any other file, and any file that
+    fails a check there, goes through the row loop, so both paths accept
+    the same files, give the same table and name the same first bad row.
     """
+    data = None
     if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
         hasattr(source, "read") and isinstance(source.read(0), bytes)
     ):
-        source = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    reader = csv.reader(source)
+        data = source.read()
+        source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    elif hasattr(source, "read"):
+        source = source.readlines()
+        text = "".join(source)
+        # the columnar path splits at LF only, as the stream did if each
+        # line holds one LF
+        if text.count("\n") == len(source):
+            # lone surrogates pass the encoding and fail the decoding
+            data = text.encode("utf-8", "surrogatepass")
+    if data is not None:
+        table = _parse_plain(data)
+        if table is not None:
+            return table
+    return _parse_rows(source)
+
+
+# The header line, and the separator that ends each field of a row
+_HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode()
+_ROW_SEPARATORS = np.frombuffer(b",,,,\n", dtype=np.uint8)
+# The columnar path reads about this many bytes of rows at a time, which
+# bounds the memory their split fields take.
+_BLOCK_BYTES = 1 << 20
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+def _parse_plain(data: bytes) -> AssetTable | None:
+    """The table of a plain asset CSV, or None where the row loop must decide.
+
+    None means the file is not plain, some field is not in the one form
+    this path reads, or the table's own checks fail.
+    """
+    if (
+        not data.startswith(_HEADER_LINE)
+        or not data.endswith(b"\n")
+        or any(c in data for c in (b'"', b"\r", b"\0"))
+    ):
+        return None
+    parts = []
+    start = len(_HEADER_LINE)
+    while start < len(data):
+        end = data.index(b"\n", min(start + _BLOCK_BYTES, len(data) - 1)) + 1
+        parts.append(_plain_block(data[start:end]))
+        if parts[-1] is None:
+            return None
+        start = end
+    if not parts:
+        return None  # no rows: the row loop is as quick
+    ids, kv, commission, failure, manufacturer = zip(*parts)
+    try:
+        return AssetTable(
+            list(chain.from_iterable(ids)),
+            np.concatenate(kv),
+            np.concatenate(commission),
+            np.concatenate(failure),
+            list(chain.from_iterable(manufacturer)),
+        )
+    except DataError:
+        return None
+
+
+def _plain_block(block: bytes) -> tuple | None:
+    """The five columns of whole rows of a plain file, or None.
+
+    Voltages and dates are read from the bytes of each column at once; ids
+    and manufacturers are the text between the separators.
+    """
+    raw = np.frombuffer(block, dtype=np.uint8)
+    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    if seps.size % 5 or (raw[seps].reshape(-1, 5) != _ROW_SEPARATORS).any():
+        return None
+    seps = seps.reshape(-1, 5)
+    dated = seps[:, 3] > seps[:, 2] + 1
+    kv = _field_bytes(raw, seps[:, 0] + 1, seps[:, 1], "999")
+    commission = _field_bytes(raw, seps[:, 1] + 1, seps[:, 2], "9999-99-99")
+    failure = _field_bytes(raw, seps[dated, 2] + 1, seps[dated, 3], "9999-99-99")
+    if kv is None or commission is None or failure is None:
+        return None
+    commission, failure_days = _day_ordinals(commission), _day_ordinals(failure)
+    if commission is None or failure_days is None:
+        return None
+    failure = np.zeros(len(seps), dtype=np.int64)
+    failure[dated] = failure_days
+    try:
+        fields = block.decode("utf-8").replace("\n", ",").split(",")
+    except UnicodeDecodeError:
+        return None
+    kv = kv.view("S3").ravel().astype(np.int64)
+    return fields[0:-1:5], kv, commission, failure, fields[4::5]
+
+
+def _field_bytes(raw: np.ndarray, start: np.ndarray, end: np.ndarray, form: str):
+    """The bytes raw[start:end] of each row as an (n, len(form)) array.
+
+    None unless every row matches form, where 9 stands for any ASCII digit
+    and every other character for itself.
+    """
+    if (end - start != len(form)).any():
+        return None
+    chars = raw[start[:, None] + np.arange(len(form))]
+    pattern = np.frombuffer(form.encode(), dtype=np.uint8)
+    digits = (chars >= ord("0")) & (chars <= ord("9"))
+    return chars if np.where(pattern == ord("9"), digits, chars == pattern).all() else None
+
+
+def _day_ordinals(chars: np.ndarray) -> np.ndarray | None:
+    """Day ordinals of (n, 10) bytes that each read YYYY-MM-DD, or None.
+
+    None if some row names no calendar day from 0001-01-01 on (numpy also
+    reads year 0, which dates do not have).
+    """
+    try:
+        days = chars.view("S10").ravel().astype("datetime64[D]").astype(np.int64)
+    except ValueError:
+        return None
+    days += _EPOCH_ORDINAL
+    return days if (days >= 1).all() else None
+
+
+def _parse_rows(lines: Iterable[str]) -> AssetTable:
+    """The row loop of parse_asset_csv: csv.reader, then every check per row."""
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:

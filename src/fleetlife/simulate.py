@@ -67,7 +67,6 @@ import csv
 import enum
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
@@ -1122,6 +1121,9 @@ def run_scenario(
     keys = _asset_keys(fleet.asset_id)
     args = [(fleet, scenario, r, keys) for r in range(scenario.replications)]
     if jobs > 1 and scenario.replications > 1:
+        # imported here: the pool modules cost every CLI start-up otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             series = list(pool.map(_replication_worker, args))
     else:

@@ -34,6 +34,9 @@ BETA_BRACKET = (0.05, 100.0)
 PROFILE_TOLERANCE = 1e-10
 MAX_ITERATIONS = 200
 
+# math.log applied to each element of an array, giving an object array
+_libm_log = np.frompyfunc(math.log, 1, 1)
+
 
 class FitError(RuntimeError):
     """Fitting failed to converge; carries the diagnostics at abort."""
@@ -292,18 +295,17 @@ def fit_weibull_rank_regression(curve: SurvivalCurve) -> WeibullLaw:
 
     Steps with survival 0 or 1 (or zero time) fall outside the transform's
     domain and are skipped. The slope is the shape; the scale follows from
-    the intercept.
+    the intercept. The logs are libm's ``math.log`` per value: numpy's
+    vectorised ``np.log`` differs from it in the last bit on some inputs,
+    which would move the fitted law.
     """
-    xs, ys = [], []
-    for pt in curve.points:
-        if 0.0 < pt.survival < 1.0 and pt.time > 0.0:
-            xs.append(math.log(pt.time))
-            ys.append(math.log(-math.log(pt.survival)))
-    if len(xs) < 2:
-        raise ValueError(
-            f"rank regression needs at least 2 usable curve points, got {len(xs)}"
-        )
-    slope, intercept = np.polyfit(np.asarray(xs), np.asarray(ys), 1)
+    usable = (curve.survival > 0.0) & (curve.survival < 1.0) & (curve.t > 0.0)
+    count = int(usable.sum())
+    if count < 2:
+        raise ValueError(f"rank regression needs at least 2 usable curve points, got {count}")
+    xs = _libm_log(curve.t[usable]).astype(np.float64)
+    ys = _libm_log(-_libm_log(curve.survival[usable])).astype(np.float64)
+    slope, intercept = np.polyfit(xs, ys, 1)
     beta = float(slope)
     if beta <= 0:
         raise ValueError(f"non-increasing survival transform (slope {beta})")

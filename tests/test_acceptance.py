@@ -109,16 +109,16 @@ def test_criterion_2_km_matches_product_formula_oracle():
         observations = list(zip(durations.tolist(), events.tolist()))
         curve = km_fit(single_family(durations, events))
         event_times = sorted({t for t, e in observations if e})
-        assert [p.time for p in curve.points] == event_times
-        for point in curve.points:
+        assert curve.t.tolist() == event_times
+        for step, survival in zip(curve.t.tolist(), curve.survival.tolist()):
             value = Fraction(1)
             for t in event_times:
-                if t > point.time:
+                if t > step:
                     break
                 d = sum(1 for ti, e in observations if e and ti == t)
                 at_risk = sum(1 for ti, _ in observations if ti >= t)
                 value *= Fraction(at_risk - d, at_risk)
-            assert abs(point.survival - float(value)) <= 1e-12
+            assert abs(survival - float(value)) <= 1e-12
 
 
 def test_criterion_3_censored_mle_recovery():
@@ -141,14 +141,12 @@ def test_criterion_3_censored_mle_recovery():
 
 def test_criterion_4_rank_regression_self_consistency():
     """4: rank regression on an exact curve returns the generating parameters to 1e-6"""
-    from fleetlife.survival import CurvePoint, SurvivalCurve
+    from fleetlife.survival import SurvivalCurve
 
     times = np.linspace(25.0, 95.0, 10)
-    points = tuple(
-        CurvePoint(time=float(t), at_risk=1000 - i, events=1, survival=LAW_110.survival(float(t)))
-        for i, t in enumerate(times)
-    )
-    law = fit_weibull_rank_regression(SurvivalCurve(points=points, n_total=1000))
+    survival = np.array([LAW_110.survival(float(t)) for t in times])
+    curve = SurvivalCurve(times, 1000 - np.arange(10), np.ones(10, dtype=np.int64), survival, 1000)
+    law = fit_weibull_rank_regression(curve)
     assert abs(law.beta - 6.67) / 6.67 <= 1e-6
     assert abs(law.eta - 63.79) / 63.79 <= 1e-6
 

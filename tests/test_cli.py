@@ -491,3 +491,15 @@ def test_help_lists_commands():
     result = invoke("--help")
     for command in ("fit", "score", "simulate", "synth", "report"):
         assert command in result.output
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool modules load only when a run has replications to spread
+    src = str(Path(fleetlife.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, fleetlife.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

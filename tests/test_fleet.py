@@ -1,3 +1,4 @@
+import csv
 import io
 from datetime import date
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import fleet_of, rows_of, single_family
 from reference_ingest import parse_records
+from fleetlife import fleet as fleet_module
 from fleetlife.fleet import (
     FAMILIES,
     AssetTable,
@@ -14,6 +16,7 @@ from fleetlife.fleet import (
     LifetimeTable,
     SyntheticFleetSpec,
     VoltageClass,
+    _parse_plain,
     build_lifetime_table,
     draw_failures,
     fleet_summary,
@@ -76,6 +79,17 @@ class TestParseAssetCsv:
     def test_bytes_stream(self):
         table = parse_asset_csv(io.BytesIO((HEADER + "A1,110,2000-01-01,,\n").encode()))
         assert len(table) == 1
+
+    def test_invalid_utf8_rejected(self):
+        with pytest.raises(UnicodeDecodeError):
+            parse_asset_csv(io.BytesIO(HEADER.encode() + b"A\xff,110,2000-01-01,,\n"))
+
+    def test_text_stream_keeps_its_line_ends(self):
+        # a stream that ends lines at CR only reads one line with every LF in it
+        data = (HEADER + "A1,110,2000-01-01,,\n").encode()
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\r")
+        with pytest.raises(csv.Error, match="new-line character"):
+            parse_asset_csv(stream)
 
     def test_round_trip_exact(self):
         text = (
@@ -425,8 +439,19 @@ def faulty_csv(draw):
 def _outcome(parse_rows, text):
     try:
         return parse_rows(text)
-    except DataError as exc:
-        return f"DataError: {exc}"
+    except (DataError, csv.Error) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _bytes_stream(text):
+    return io.BytesIO(text.encode("utf-8"))
+
+
+def _oracle_rows(lines):
+    return [
+        (r.asset_id, r.voltage_kv, r.commission_date, r.failure_date, r.manufacturer_code)
+        for r in parse_records(lines)
+    ]
 
 
 @given(faulty_csv())
@@ -441,14 +466,60 @@ def _outcome(parse_rows, text):
 @example(HEADER + "A,132,2000-01-01,1999-01-01,\n")
 @example(HEADER + "A,110,2000-01-01, ,\n")
 @example(HEADER + "A,110,2000-01-01,,\n\nB,132,2000-01-01,,\nC,1x0,2000-01-01,,\n")
+# a plain file, a bad header as long as the real one, and one case per
+# guard of the columnar path: a quoted field, CRLF line ends, a lone CR, a
+# NUL byte, no final newline, a 3-field row then a 7-field row whose fields
+# realign into five valid columns, voltages int() reads but the columnar
+# path does not, and dates numpy reads but date.fromisoformat does not
+# (year 0, year 1 written as ten digits, spaces for a day), or the other
+# way round
+@example(HEADER + "A,110,2000-01-01,2010-05-06,M1\nB,380,1999-12-31,,\n")
+@example(HEADER.upper() + "A,110,2000-01-01,,\n")
+@example(HEADER + '"A",110,2000-01-01,,\n')
+@example(HEADER + '"A,1",150,2000-01-01,,"M,2"\n')
+@example((HEADER + "A,110,2000-01-01,,\nB,150,2000-01-01,,M1\n").replace("\n", "\r\n"))
+@example(HEADER + "A,110,2000-01-01,,M1\r\n")
+@example(HEADER + "A,110,2000-01-01,,M\r1\n")
+@example(HEADER + "A\0,110,2000-01-01,,\n")
+@example(HEADER + "A,110,2000-01-01,,M1")
+@example(HEADER + "A,110,2000-01-01\n,M1,B,150,2000-01-01,,M2\n")
+@example(HEADER + "A,+110,2000-01-01,,\n")
+@example(HEADER + "A,\u0661\u0661\u0660,2000-01-01,,\n")
+@example(HEADER + "A,110,0000-01-01,,\n")
+@example(HEADER + "A,110,2000-01-01,0000-01-01,\n")
+@example(HEADER + "A,110,20200101,,\n")
+@example(HEADER + "A,110,0000000001,,\n")
+@example(HEADER + "A,110,2000-01-01,   2000-02,\n")
 def test_ingest_matches_record_parser(text):
     # the record-based parser the table replaced, as the oracle: the same
-    # rows, or the same first error naming the same row
+    # rows, or the same first error naming the same row, whether the file
+    # comes as text or as bytes (decoded with universal line splitting, as
+    # the CLI reads it)
+    expected = _outcome(lambda t: _oracle_rows(io.StringIO(t)), text)
+    assert _outcome(lambda t: rows_of(parse(t)), text) == expected
     expected = _outcome(
-        lambda t: [
-            (r.asset_id, r.voltage_kv, r.commission_date, r.failure_date, r.manufacturer_code)
-            for r in parse_records(io.StringIO(t))
-        ],
+        lambda t: _oracle_rows(io.TextIOWrapper(_bytes_stream(t), encoding="utf-8", newline="")),
         text,
     )
-    assert _outcome(lambda t: rows_of(parse(t)), text) == expected
+    assert _outcome(lambda t: rows_of(parse_asset_csv(_bytes_stream(t))), text) == expected
+
+
+@given(st.lists(asset_records(), max_size=30, unique_by=lambda r: r[0]))
+@settings(max_examples=60)
+def test_plain_files_take_the_columnar_path(rows):
+    # write_asset_csv writes plain files, which must not need the row loop
+    out = io.StringIO()
+    write_asset_csv(fleet_of(rows), out)
+    data = out.getvalue().encode()
+    if rows:
+        assert rows_of(_parse_plain(data)) == rows
+    else:
+        assert _parse_plain(data) is None
+
+
+def test_columnar_path_reads_in_blocks(monkeypatch):
+    rows = [(f"A{i}", 110, date(2000, 1, 1), date(2001, 1, 1 + i % 28), "M1") for i in range(50)]
+    out = io.StringIO()
+    write_asset_csv(fleet_of(rows), out)
+    monkeypatch.setattr(fleet_module, "_BLOCK_BYTES", 64)
+    assert rows_of(_parse_plain(out.getvalue().encode())) == rows

@@ -20,6 +20,16 @@ def km(observations):
     )
 
 
+def steps_of(curve):
+    """(time, at risk, events) of every step of a curve."""
+    return list(zip(curve.t.tolist(), curve.n_at_risk.tolist(), curve.d_events.tolist()))
+
+
+def curve_columns(curve):
+    """Every column of a curve as lists, and its row count."""
+    return steps_of(curve), curve.survival.tolist(), curve.n_total
+
+
 def product_limit_steps(observations):
     """(time, at risk, events, exact survival) per distinct event time.
 
@@ -49,28 +59,26 @@ def product_limit_oracle(observations, t):
 class TestKmFit:
     def test_mixed_example(self):
         curve = km([obs(2), obs(3, event=False), obs(5)])
-        assert [(p.time, p.at_risk, p.events) for p in curve.points] == [
-            (2, 3, 1),
-            (5, 1, 1),
-        ]
-        assert curve.points[0].survival == pytest.approx(2 / 3, abs=1e-15)
-        assert curve.points[1].survival == 0.0
+        assert steps_of(curve) == [(2, 3, 1), (5, 1, 1)]
+        assert curve.survival[0] == pytest.approx(2 / 3, abs=1e-15)
+        assert curve.survival[1] == 0.0
 
     def test_all_censored_constant_curve(self):
         curve = km([obs(4, event=False), obs(9, event=False)])
-        assert curve.points == ()
+        assert steps_of(curve) == []
+        assert curve.survival.size == 0
         assert curve.survival_at(100.0) == 1.0
 
     def test_all_events_steps(self):
         curve = km([obs(1), obs(2), obs(3), obs(4)])
-        assert [p.survival for p in curve.points] == [0.75, 0.5, 0.25, 0.0]
-        assert [p.at_risk for p in curve.points] == [4, 3, 2, 1]
+        assert curve.survival.tolist() == [0.75, 0.5, 0.25, 0.0]
+        assert curve.n_at_risk.tolist() == [4, 3, 2, 1]
 
     def test_tied_events_and_censorings(self):
         # censored at 5 still at risk for the event at 5
         curve = km([obs(5), obs(5, event=False), obs(7, event=False)])
-        assert curve.points[0].at_risk == 3
-        assert curve.points[0].survival == pytest.approx(2 / 3, abs=1e-15)
+        assert curve.n_at_risk[0] == 3
+        assert curve.survival[0] == pytest.approx(2 / 3, abs=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no observations"):
@@ -114,7 +122,7 @@ class TestQuantile:
     def test_median_unbounded_when_curve_stays_high(self):
         # minimum survival 0.8 never reaches one half
         curve = km([obs(10)] + [obs(20, event=False)] * 4)
-        assert curve.points[-1].survival == pytest.approx(0.8, abs=1e-15)
+        assert curve.survival[-1] == pytest.approx(0.8, abs=1e-15)
         assert curve.median() == UNBOUNDED
 
     def test_median_exact_at_half(self):
@@ -157,9 +165,9 @@ SURVIVAL_TOLERANCE = 1e-12
 @settings(max_examples=150)
 def test_matches_product_limit_oracle(observations):
     curve = km(observations)
-    for pt in curve.points:
-        exact = product_limit_oracle(observations, pt.time)
-        assert abs(pt.survival - float(exact)) <= SURVIVAL_TOLERANCE
+    for t, survival in zip(curve.t.tolist(), curve.survival.tolist()):
+        exact = product_limit_oracle(observations, t)
+        assert abs(survival - float(exact)) <= SURVIVAL_TOLERANCE
     for t in (0.0, 0.5, 3.3, 8.0, 50.0):
         exact = product_limit_oracle(observations, t)
         assert abs(curve.survival_at(t) - float(exact)) <= SURVIVAL_TOLERANCE
@@ -182,11 +190,9 @@ tied_observation_lists = st.lists(
 def test_steps_match_exact_product_limit(observations):
     curve = km(observations)
     steps = product_limit_steps(observations)
-    assert [(p.time, p.at_risk, p.events) for p in curve.points] == [
-        (t, n, d) for t, n, d, _ in steps
-    ]
-    for pt, (_, _, _, exact) in zip(curve.points, steps):
-        assert abs(pt.survival - float(exact)) <= SURVIVAL_TOLERANCE
+    assert steps_of(curve) == [(t, n, d) for t, n, d, _ in steps]
+    for survival, (_, _, _, exact) in zip(curve.survival.tolist(), steps):
+        assert abs(survival - float(exact)) <= SURVIVAL_TOLERANCE
     assert curve.n_total == len(observations)
 
 
@@ -205,7 +211,7 @@ def test_survival_monotone_non_increasing(observations):
 def test_permutation_invariance(observations, rnd):
     shuffled = list(observations)
     rnd.shuffle(shuffled)
-    assert km(shuffled) == km(observations)
+    assert curve_columns(km(shuffled)) == curve_columns(km(observations))
 
 
 @given(observation_lists)
@@ -218,8 +224,7 @@ def test_trailing_censoring_only_touches_at_risk_bookkeeping(observations):
     curve = km(observations)
     extended = observations + [obs(max(d for d, _ in observations) + 5.0, False)]
     curve2 = km(extended)
-    assert [p.time for p in curve2.points] == [p.time for p in curve.points]
-    assert [p.events for p in curve2.points] == [p.events for p in curve.points]
-    assert [p.at_risk for p in curve2.points] == [p.at_risk + 1 for p in curve.points]
-    for p2, p1 in zip(curve2.points, curve.points):
-        assert p2.survival >= p1.survival
+    assert curve2.t.tolist() == curve.t.tolist()
+    assert curve2.d_events.tolist() == curve.d_events.tolist()
+    assert curve2.n_at_risk.tolist() == (curve.n_at_risk + 1).tolist()
+    assert (curve2.survival >= curve.survival).all()

@@ -229,32 +229,29 @@ class TestMleFit:
 
 class TestRankRegression:
     def test_exact_curve_recovery(self):
-        from fleetlife.survival import CurvePoint, SurvivalCurve
+        from fleetlife.survival import SurvivalCurve
 
         times = np.linspace(20.0, 90.0, 10)
-        points = tuple(
-            CurvePoint(time=float(t), at_risk=100 - i, events=1, survival=LAW_110.survival(float(t)))
-            for i, t in enumerate(times)
-        )
-        law = fit_weibull_rank_regression(SurvivalCurve(points=points, n_total=100))
+        survival = np.array([LAW_110.survival(float(t)) for t in times])
+        curve = SurvivalCurve(times, 100 - np.arange(10), np.ones(10, dtype=np.int64), survival, 100)
+        law = fit_weibull_rank_regression(curve)
         assert law.beta == pytest.approx(6.67, rel=1e-6)
         assert law.eta == pytest.approx(63.79, rel=1e-6)
 
     def test_zero_survival_point_excluded(self):
         curve = km_fit(events([10.0, 20.0, 30.0, 40.0]))
-        assert curve.points[-1].survival == 0.0
+        assert curve.survival[-1] == 0.0
         law = fit_weibull_rank_regression(curve)
         assert law.beta > 0
 
     def test_two_point_exact_line(self):
-        from fleetlife.survival import CurvePoint, SurvivalCurve
+        from fleetlife.survival import SurvivalCurve
 
         target = WeibullLaw(2.5, 55.0)
-        points = tuple(
-            CurvePoint(time=t, at_risk=10, events=1, survival=target.survival(t))
-            for t in (30.0, 70.0)
-        )
-        law = fit_weibull_rank_regression(SurvivalCurve(points=points, n_total=10))
+        times = np.array([30.0, 70.0])
+        survival = np.array([target.survival(t) for t in times.tolist()])
+        curve = SurvivalCurve(times, np.array([10, 10]), np.array([1, 1]), survival, 10)
+        law = fit_weibull_rank_regression(curve)
         assert law.beta == pytest.approx(2.5, rel=1e-9)
         assert law.eta == pytest.approx(55.0, rel=1e-9)
 
