@@ -33,8 +33,6 @@ from .fleet import (
     write_asset_csv,
 )
 from .health import AhiConfig, Band, ScoreBasis, score_asset
-from .scenarios import ScenarioError, resolve_scenario
-from .simulate import SimulationReport, compare_scenarios, run_scenario
 from .survival import UNBOUNDED, km_fit, write_curve_csv
 from .weibull import (
     FitError,
@@ -118,6 +116,25 @@ def _parse_iso_date(value: str, label: str) -> date:
 def _load_assets(path: Path):
     with open(path, "rb") as handle:
         return parse_asset_csv(handle)
+
+
+# The engine and the scenario loader are imported by the commands that use
+# them, so fit and score never load them. run_scenario and compare_scenarios
+# stay names of this module, like the other layer functions the commands call.
+
+
+def run_scenario(fleet, scenario, jobs: int = 1):
+    """`simulate.run_scenario`."""
+    from .simulate import run_scenario as run
+
+    return run(fleet, scenario, jobs=jobs)
+
+
+def compare_scenarios(a, b):
+    """`simulate.compare_scenarios`."""
+    from .simulate import compare_scenarios as compare
+
+    return compare(a, b)
 
 
 @click.group()
@@ -289,6 +306,8 @@ def simulate(fleet_path: Path, scenario_ref: str, out_dir: Path, jobs: int, seed
     """Run a maintenance scenario against a fleet."""
     import dataclasses
 
+    from .scenarios import ScenarioError, resolve_scenario
+
     run = _Run("simulate", out_dir)
     run.add_input("fleet", fleet_path)
     if Path(scenario_ref).is_file():
@@ -364,6 +383,8 @@ def synth(spec_path: Path, out_dir: Path) -> None:
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path), help="Output directory.")
 def report(path_a: Path, path_b: Path, out_dir: Path) -> None:
     """Compare two simulation reports year by year."""
+    from .simulate import SimulationReport
+
     run = _Run("report", out_dir)
     run.add_input("a", path_a)
     run.add_input("b", path_b)

@@ -42,11 +42,20 @@ rather than fleet size or backlog length:
   applies the cadence rule to the float age the engine holds, and books
   the next tick at which that rule can hold; a replacement books the
   asset's cadences again from age 0.
-* Each priority class is a FIFO queue held as parallel int arrays (asset,
-  activity, asset generation at request time). Allocation reads a queue
-  from its head in windows of doubling width, drops the stale entries of
-  the windows it reads, and stops once the budget is below the smallest
-  activity that can enter the class; the unread rest stays as it is.
+* Replacement triggers read an ``armed`` mask (in service, no planned
+  replacement pending) and a per-asset trigger rate (1 for time-based, the
+  degradation rate for condition-based), both updated only on failure,
+  trigger and replacement.
+* An open pool (`Unconstrained`) has no queue: every request a tick raises
+  executes in that tick, corrective replacements first, then planned ones,
+  then the inspections whose asset was not replaced by them, so its
+  backlog is always zero.
+* Queues exist only for a constrained pool. Each priority class is a FIFO
+  queue held as parallel int arrays (asset, activity, asset generation at
+  request time). Allocation reads a queue from its head in windows of
+  doubling width, drops the stale entries of the windows it reads, and
+  stops once the budget is below the smallest activity that can enter the
+  class; the unread rest stays as it is.
 * Each asset holds the tick at which its current generation fails. The
   failure ticks and rates of generations ``0 .. G-1`` of every asset are
   drawn at set-up in one call, and ``G`` doubles when an asset reaches it.
@@ -638,7 +647,7 @@ class _RequestQueue:
     asset index) order: each tick's requests are appended sorted by asset
     index; allocation packs the survivors of the prefix it read back against
     the unread rest (`pack_prefix`), and the year-end backlog pass keeps the
-    live entries only (`replace`), both in order. Asset index order is
+    live entries only (`keep`), both in order. Asset index order is
     asset_id order.
 
     ``floor`` is the smallest person-hours of any activity that can enter
@@ -656,10 +665,20 @@ class _RequestQueue:
     def entries(self) -> np.ndarray:
         return self.buf[:, self.head : self.tail]
 
-    def replace(self, entries: np.ndarray) -> None:
-        """Make the queue hold exactly these entries."""
-        self.buf[:, : entries.shape[1]] = entries
-        self.head, self.tail = 0, entries.shape[1]
+    def keep(self, live: np.ndarray) -> None:
+        """Keep only the entries where the mask `live` holds, in order.
+
+        The survivors move to the front of the buffer a block at a time, so
+        no copy of the whole queue and no index over it is ever held.
+        """
+        entries, size = self.entries(), 0
+        for lo in range(0, len(live), _KEEP_BLOCK):
+            block = entries[:, lo : lo + _KEEP_BLOCK]
+            kept = block.take(np.flatnonzero(live[lo : lo + _KEEP_BLOCK]), axis=1)
+            # kept is a copy, and every column it lands on was read already
+            self.buf[:, size : size + kept.shape[1]] = kept
+            size += kept.shape[1]
+        self.head, self.tail = 0, size
 
     def pack_prefix(self, end: int, survivors: np.ndarray) -> None:
         """Replace the entries before column `end` by `survivors`."""
@@ -727,9 +746,12 @@ _CORRECTIVE, _PLANNED, _INSPECTION = 0, 1, 2
 # asset reaches the last one
 _FIRST_GENERATIONS = 4
 
-# entries an allocation reads first from a queue under a finite budget; each
-# further window is twice as wide
+# entries an allocation reads first from a queue; each further window is
+# twice as wide
 _FIRST_WINDOW = 64
+
+# queue entries the year-end pass compacts at a time
+_KEEP_BLOCK = 8192
 
 
 class _Engine:
@@ -759,7 +781,8 @@ class _Engine:
         self.age_months = (start.toordinal() - fleet.commission[order]) / DAYS_PER_YEAR * 12.0
         n = len(order)
         self.in_service = np.ones(n, dtype=bool)
-        self.pending = np.zeros(n, dtype=bool)
+        # in service with no planned replacement pending
+        self.armed = np.ones(n, dtype=bool)
         self.generation = np.zeros(n, dtype=np.int64)
 
         self.family = fleet.family[order]
@@ -812,7 +835,7 @@ class _Engine:
         self.entry_asset = np.repeat(everyone, cadences)
         self.entry_spec = np.zeros(n_entries, dtype=np.int64)
         self.entry_start = np.zeros(n_entries)
-        self.entry_interval = np.zeros(n_entries, dtype=np.int64)
+        self.entry_interval = np.zeros(n_entries)
         for f, plan in plans.items():
             idx = self.groups[f]
             for r, interval in enumerate(plan.interval_months):
@@ -853,6 +876,9 @@ class _Engine:
         self.rate_table = np.empty((0, n))
         self._draw_generations(_FIRST_GENERATIONS)
         self.rates = self.rate_table[0].copy()
+        # the age (years) times this is what the replacement trigger compares;
+        # multiplying by 1.0 is exact, so time-based assets compare their age
+        self.trigger_rate = np.where(self.is_time, 1.0, self.rates)
         # the tick at which each asset's current generation fails, or failed
         self.fail_tick = self.life[0].copy()
 
@@ -869,8 +895,8 @@ class _Engine:
             _RequestQueue(floor(self.planned_spec)),
             _RequestQueue(floor(self.entry_spec)),
         )
-        # queue entries read by allocation, executed, and dropped as stale
-        # (by allocation or at a year end)
+        # requests read (from a queue by allocation, or as raised in an open
+        # pool), executed, and dropped as stale (when read or at a year end)
         self.examined = self.executed = self.dropped = 0
 
         self.kpis = KpiSeries.zeros(scenario.horizon_years)
@@ -898,16 +924,15 @@ class _Engine:
     def _walk(self, cls: int, remaining: float) -> tuple[np.ndarray, float]:
         """Execute a class's requests from the head of its queue.
 
-        Reads windows of doubling width until the budget is below the
-        class floor or the queue ends (an unbounded budget reads the whole
-        queue at once). Each window drops its stale entries and walks the
-        rest with `_greedy_walk`; the survivors of the windows read are
-        packed back in order, and entries beyond them are not touched.
-        Returns the executed entries (rows asset, spec) and the budget left.
+        Reads windows of doubling width until the (finite) budget is below
+        the class floor or the queue ends. Each window drops its stale
+        entries and walks the rest with `_greedy_walk`; the survivors of the
+        windows read are packed back in order, and entries beyond them are
+        not touched. Returns the executed entries (rows asset, spec) and the
+        budget left.
         """
         queue = self.queues[cls]
-        lo = queue.head
-        width = len(queue) if math.isinf(remaining) else _FIRST_WINDOW
+        lo, width = queue.head, _FIRST_WINDOW
         ran: list[np.ndarray] = []
         kept: list[np.ndarray] = []
         while lo < queue.tail and remaining >= queue.floor:
@@ -915,18 +940,12 @@ class _Engine:
             window = queue.buf[:, lo:hi]
             live = self._live(cls, window)
             pos = np.flatnonzero(live)
-            if math.isinf(remaining):
-                done = pos
-            else:
-                taken, remaining = _greedy_walk(
-                    self.person_hours[window[1, pos]], remaining
-                )
-                done = pos[taken]
+            taken, remaining = _greedy_walk(self.person_hours[window[1, pos]], remaining)
+            done = pos[taken]
             live[done] = False
-            ran.append(window[:2, done])
-            kept.append(window[:, live])
+            ran.append(window[:2].take(done, axis=1))
+            kept.append(window.take(np.flatnonzero(live), axis=1))
             self.examined += hi - lo
-            self.executed += len(done)
             self.dropped += hi - lo - len(pos)
             lo, width = hi, 2 * width
         if not ran:
@@ -941,17 +960,40 @@ class _Engine:
         # one class no completion can make another entry stale: an asset has
         # at most one live replacement request per class, and inspections
         # change no state.
-        remaining = math.inf if self.capacity is None else self.capacity
+        remaining = self.capacity
         for cls, queue in enumerate(self.queues):
             if not len(queue):
                 continue
             (assets, specs), remaining = self._walk(cls, remaining)
-            if not len(assets):
-                continue
-            if cls == _INSPECTION:
-                self._complete_inspections(specs, year)
-            else:
-                self._complete_replacements(assets, specs, k, year)
+            if len(assets):
+                self._complete(cls, assets, specs, k, year)
+
+    def _execute_raised(
+        self,
+        k: int,
+        year: int,
+        failed: np.ndarray,
+        due: np.ndarray,
+        inspections: tuple[np.ndarray, np.ndarray],
+    ) -> None:
+        """Execute every live request tick k raised: the open pool's step.
+
+        This is what allocation does under a budget that never binds, with
+        no queue: the failed assets are replaced, then those due for planned
+        replacement, then the inspections whose asset kept the generation it
+        had when they were raised; the others are stale.
+        """
+        assets, specs = inspections
+        raised_generation = self.generation[assets]
+        if len(failed):
+            self._complete(_CORRECTIVE, failed, self.corrective_spec[failed], k, year)
+        if len(due):
+            self._complete(_PLANNED, due, self.planned_spec[due], k, year)
+        live = np.flatnonzero(self.generation[assets] == raised_generation)
+        self.examined += len(failed) + len(due) + len(assets)
+        self.dropped += len(assets) - len(live)
+        if len(live):
+            self._complete(_INSPECTION, assets[live], specs[live], k, year)
 
     def _backlog_person_hours(self) -> float:
         """Person-hours of the live queued requests, at a year end.
@@ -962,11 +1004,10 @@ class _Engine:
         """
         hours = []
         for cls, queue in enumerate(self.queues):
-            entries = queue.entries()
-            live = entries[:, self._live(cls, entries)]
-            self.dropped += entries.shape[1] - live.shape[1]
-            queue.replace(live)
-            hours.append(self.person_hours[live[1]])
+            read = len(queue)
+            queue.keep(self._live(cls, queue.entries()))
+            self.dropped += read - len(queue)
+            hours.append(self.person_hours[queue.entries()[1]])
         # summed left to right in class-then-FIFO order, as a scalar loop
         # would; np.sum adds pairwise and could differ in the last bits
         return _add_left_to_right(0.0, np.concatenate(hours))
@@ -1006,16 +1047,17 @@ class _Engine:
     def _draw_failures(self, k: int, year: int) -> np.ndarray:
         failed = np.flatnonzero(self.fail_tick == k)
         self.in_service[failed] = False
+        self.armed[failed] = False
         self.kpis.failures[year] += len(failed)
         return failed
 
     def _replacement_triggers(self) -> np.ndarray:
-        age_years = self.age_months / 12.0
-        effective = np.where(self.is_time, age_years, age_years * self.rates)
+        """Armed assets whose real (time-based) or apparent (condition-based)
+        age in years reaches the trigger; they are disarmed until replaced."""
         due = np.flatnonzero(
-            self.in_service & ~self.pending & (effective >= self.trigger_age)
+            self.armed & (self.age_months / 12.0 * self.trigger_rate >= self.trigger_age)
         )
-        self.pending[due] = True
+        self.armed[due] = False
         return due
 
     def _inspection_triggers(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1033,15 +1075,15 @@ class _Engine:
         """
         entry = np.flatnonzero(self.next_check == k)
         asset = self.entry_asset[entry]
-        ages = self.age_months[asset]
-        start = self.entry_start[entry]
+        # age - start, so age >= start is since >= 0, and start - age is -since
+        since = self.age_months[asset] - self.entry_start[entry]
         interval = self.entry_interval[entry]
-        phase = (ages - start) % interval
-        due = self.in_service[asset] & (ages >= start) & (phase < self.tick)
+        phase = since % interval
+        due = self.in_service[asset] & (since >= 0) & (phase < self.tick)
         slack = self.check_slack
         ahead = np.where(
-            ages < start,
-            start - ages - 2 * slack,
+            since < 0,
+            -since - 2 * slack,
             np.where(phase < slack, 0.0, interval - phase - 2 * slack),
         )
         self.next_check[entry] = k + np.maximum(np.ceil(ahead / self.tick), 1)
@@ -1052,6 +1094,19 @@ class _Engine:
         for s, count in enumerate(np.bincount(specs).tolist()):
             if count:
                 ledger[year] += self.specs[s].total_cost * count
+
+    def _complete(
+        self, cls: int, assets: np.ndarray, specs: np.ndarray, k: int, year: int
+    ) -> None:
+        """Book the executed requests of one class, in order.
+
+        Both pool paths complete their work here and only here.
+        """
+        self.executed += len(assets)
+        if cls == _INSPECTION:
+            self._complete_inspections(specs, year)
+        else:
+            self._complete_replacements(assets, specs, k, year)
 
     def _complete_replacements(
         self, assets: np.ndarray, specs: np.ndarray, k: int, year: int
@@ -1067,12 +1122,14 @@ class _Engine:
         )
         self.age_months[assets] = 0.0
         self.in_service[assets] = True
-        self.pending[assets] = False
+        self.armed[assets] = True
         self.generation[assets] += 1
         generation = self.generation[assets]
         if generation.max() >= len(self.life):
             self._draw_generations(len(self.life))
-        self.rates[assets] = self.rate_table[generation, assets]
+        rates = self.rate_table[generation, assets]
+        self.rates[assets] = rates
+        self.trigger_rate[assets] = np.where(self.is_time[assets], 1.0, rates)
         # the new generation is first at risk at tick k + 1
         self.fail_tick[assets] = k + 1 + self.life[generation, assets]
         # the cadences restart from age 0, checked from the next tick
@@ -1089,16 +1146,22 @@ class _Engine:
         )
 
     def run(self) -> KpiSeries:
+        no_failures = np.empty(0, dtype=np.int64)
         for k in range(self.n_ticks):
             if k > 0:
                 self.age_months += self.tick
             year = (k * self.tick) // 12
-            if self.scenario.failures_enabled:
-                failed = self._draw_failures(k, year)
-                self._push(_CORRECTIVE, failed, self.corrective_spec[failed])
+            failed = (
+                self._draw_failures(k, year) if self.scenario.failures_enabled else no_failures
+            )
             due = self._replacement_triggers()
+            inspections = self._inspection_triggers(k)
+            if self.capacity is None:
+                self._execute_raised(k, year, failed, due, inspections)
+                continue
+            self._push(_CORRECTIVE, failed, self.corrective_spec[failed])
             self._push(_PLANNED, due, self.planned_spec[due])
-            self._push(_INSPECTION, *self._inspection_triggers(k))
+            self._push(_INSPECTION, *inspections)
             self._allocate_and_complete(k, year)
             if (k + 1) % self.ticks_per_year == 0:
                 self.kpis.backlog_hours[year] = self._backlog_person_hours()

@@ -503,3 +503,18 @@ def test_import_leaves_the_process_pool_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_import_leaves_the_engine_and_scenarios_unloaded():
+    # fit and score load neither; simulate and report import them when run
+    src = str(Path(fleetlife.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, fleetlife.cli; "
+        "print([m for m in ('fleetlife.simulate', 'fleetlife.scenarios') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

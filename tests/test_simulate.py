@@ -166,6 +166,30 @@ class TestEvaluateTriggers:
         series = run_scenario(fleet_of([asset()]), sc).replications[0]
         assert [y for y, c in enumerate(series.replacements) if c] == [40]
 
+    @pytest.mark.parametrize("fte", [None, 1])
+    def test_condition_based_uses_each_generations_rate(self, fte):
+        # A new asset replaced at an apparent age of 2 years: generation g,
+        # at rate r_g, is due once its age in months m has m / 12 * r_g >= 2,
+        # and is replaced in the tick it falls due.
+        resources = Unconstrained() if fte is None else pool(400.0)
+        sc = scenario(
+            fleet_policy=simple_policy(ConditionBased(2.0)),
+            degradation_rates=LognormalRate(0.0, 0.3),
+            resources=resources,
+            horizon_years=12,
+        )
+        engine = traced(fleet_of([asset()]), sc)
+        _, z = _stream_draws(_asset_keys([asset()[0]]), sc.master_seed, 0, np.arange(8))
+        rates = sc.degradation_rates.from_normals(z[:, 0]).tolist()
+        expected, tick = [], 0
+        for rate in rates:
+            tick += next(m for m in range(1000) if m / 12.0 * rate >= 2.0)
+            if tick >= len(engine.planned):
+                break
+            expected.append(tick)
+        assert len(set(rates)) == len(rates) and len(expected) >= 4
+        assert [k for k, due in enumerate(engine.planned) if due] == expected
+
     def test_failed_asset_requests_corrective_only(self):
         # The asset fails in the first tick, when its planned replacement and
         # its inspections are due by age; with no pool to repair it, the
@@ -351,7 +375,7 @@ class TestApplyCompletion:
         assert series.unavailability_hours == [40.0 + HOURS_PER_MONTH + 40.0]
         assert engine.completed[:2] == [[(_CORRECTIVE, 0)], [(_CORRECTIVE, 1)]]
         assert engine.age_months.tolist() == [11.0, 10.0]
-        assert engine.in_service.all() and not engine.pending.any()
+        assert engine.in_service.all() and engine.armed.all()
         assert engine.generation.tolist() == [1, 1]
         _, z = _stream_draws(_asset_keys(["a", "b"]), sc.master_seed, 0, np.array([1]))
         assert engine.rates.tolist() == sc.degradation_rates.from_normals(z[0]).tolist()
@@ -916,6 +940,18 @@ class TestRequestQueue:
         assert queue.entries()[2].tolist() == [a + 2 for a in pushed[100:]] + [9]
         assert len(queue) == len(pushed) - 100 + 1
 
+    def test_keep_compacts_in_order_across_blocks(self):
+        # the year-end pass compacts a queue a block at a time, in place
+        queue = _RequestQueue(floor=0.0)
+        asset = np.arange(20_000)
+        queue.push(asset, asset + 1, asset + 2)
+        queue.head += 7
+        live = np.random.default_rng(3).random(len(queue)) < 0.6
+        expected = queue.entries()[:, live].copy()
+        queue.keep(live)
+        assert queue.head == 0 and len(queue) == int(live.sum())
+        assert np.array_equal(queue.entries(), expected)
+
 
 def cadence_scenario(tick, intervals, start_age, trigger_age, horizon, **overrides):
     """One 110 kV family inspected at the given cadences.
@@ -998,8 +1034,9 @@ class RecordingEngine(_Engine):
     Per tick: `raised` holds the ages and in-service flags the inspection
     step saw and the (asset, activity name) inspections it raised, `planned`
     the assets whose planned replacement was triggered, `completed` the
-    (class, asset) requests that allocation executed, in order, and, when
-    failures are enabled, `failed` the assets that failed.
+    (class, asset) requests that executed, in order, whether a queue was
+    walked or the pool is open, and, when failures are enabled, `failed`
+    the assets that failed.
     """
 
     def run(self):
@@ -1019,10 +1056,10 @@ class RecordingEngine(_Engine):
         self.completed.append([])
         return due
 
-    def _walk(self, cls, remaining):
-        ran, remaining = super()._walk(cls, remaining)
-        self.completed[-1].extend((cls, a) for a in ran[0].tolist())
-        return ran, remaining
+    def _complete(self, cls, assets, specs, k, year):
+        # the one completion point of both pool paths
+        self.completed[-1].extend((cls, a) for a in assets.tolist())
+        super()._complete(cls, assets, specs, k, year)
 
     def _inspection_triggers(self, k):
         ages, in_service = self.age_months.copy(), self.in_service.copy()
@@ -1265,6 +1302,38 @@ class TestEngineInvariants:
         corrective = sum(cls == _CORRECTIVE for tick in engine.completed for cls, _ in tick)
         out_of_service = int((~engine.in_service).sum())
         assert sum(series.failures) == corrective + out_of_service
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        failures=st.booleans(),
+        hazard_age=st.sampled_from(["real", "apparent"]),
+    )
+    def test_open_pool_equals_a_pool_that_never_binds(self, data, failures, hazard_age):
+        # The open pool executes each tick's requests where they are raised,
+        # with no queue; a constrained pool whose budget never runs out
+        # queues and walks them. Both must execute the same work.
+        import io
+
+        fleet = invariant_fleet(data)
+        open_pool = invariant_scenario(data, failures_enabled=failures, hazard_age=hazard_age)
+        never_binds = dataclasses.replace(
+            open_pool, resources=Constrained(fte_count=1, hours_per_fte_per_year=1e12)
+        )
+        outputs, engines = [], []
+        for sc in (open_pool, never_binds):
+            report = run_scenario(fleet, sc)
+            kpis = io.StringIO()
+            report.write_kpis_csv(kpis)
+            outputs.append((json.dumps(report.to_json_dict()), kpis.getvalue()))
+            engine = _Engine(fleet, sc, 0)
+            engine.run()
+            engines.append(engine)
+        assert outputs[0] == outputs[1]
+        opened, walked = engines
+        assert opened.capacity is None and walked.capacity is not None
+        assert opened.executed == walked.executed
+        assert opened.examined == opened.executed + opened.dropped
 
 
 class TestAllocationWork:
