@@ -280,13 +280,15 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
     # reports is the service age
     lines = ["asset_id,apparent_age,score,band,basis"]
     lines.extend(
-        f"{asset_id},{age:.4f},{score},{band},{basis}"
-        for asset_id, age, score, band, basis in zip(
-            ids,
-            ages.tolist(),
-            scores.tolist(),
-            BAND_VALUES[bands].tolist(),
-            BASIS_VALUES[bases].tolist(),
+        map(
+            "%s,%.4f,%d,%s,%s".__mod__,
+            zip(
+                ids,
+                ages.tolist(),
+                scores.tolist(),
+                BAND_VALUES[bands].tolist(),
+                BASIS_VALUES[bases].tolist(),
+            ),
         )
     )
     ahi_path = out_dir / "ahi.csv"

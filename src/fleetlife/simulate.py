@@ -46,16 +46,23 @@ rather than fleet size or backlog length:
   replacement pending) and a per-asset trigger rate (1 for time-based, the
   degradation rate for condition-based), both updated only on failure,
   trigger and replacement.
-* An open pool (`Unconstrained`) has no queue: every request a tick raises
-  executes in that tick, corrective replacements first, then planned ones,
-  then the inspections whose asset was not replaced by them, so its
-  backlog is always zero.
-* Queues exist only for a constrained pool. Each priority class is a FIFO
-  queue held as parallel int arrays (asset, activity, asset generation at
-  request time). Allocation reads a queue from its head in windows of
-  doubling width, drops the stale entries of the windows it reads, and
-  stops once the budget is below the smallest activity that can enter the
-  class; the unread rest stays as it is.
+* An open pool (`Unconstrained`) has no clock (`generations.OpenPool`).
+  No queue couples its assets, so each asset's history is a chain of
+  generations, simulated one round at a time: every generation ends at its
+  failure tick or its trigger tick, whichever comes first (a failure wins a
+  tie), both in closed form. Its inspections are the ticks at which the
+  cadence rule holds on the age the tick loop would hold, up to that end;
+  those raised at the tick of a planned replacement are dropped. The yearly
+  sums are then folded in the tick loop's order (tick, class, asset or
+  cadence entry), a year at a time, so the report is the one the
+  tick loop gives under a pool that never binds, and the backlog is always
+  zero.
+* Queues exist only for a constrained pool, whose run steps tick by tick.
+  Each priority class is a FIFO queue held as parallel int arrays (asset,
+  activity, asset generation at request time). Allocation reads a queue
+  from its head in windows of doubling width, drops the stale entries of
+  the windows it reads, and stops once the budget is below the smallest
+  activity that can enter the class; the unread rest stays as it is.
 * Each asset holds the tick at which its current generation fails. The
   failure ticks and rates of generations ``0 .. G-1`` of every asset are
   drawn at set-up in one call, and ``G`` doubles when an asset reaches it.
@@ -84,6 +91,7 @@ from typing import IO, Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .fleet import DAYS_PER_YEAR, FAMILIES, AssetTable, VoltageClass
+from .generations import OpenPool, _add_left_to_right, _cadence_due, _trigger_reached
 from .weibull import WeibullLaw
 
 __all__ = [
@@ -607,7 +615,7 @@ def validate_scenario_for_fleet(
         )
     start = scenario.start_date or date.fromordinal(int(fleet.commission.max()))
     requestable: list[ActivitySpec] = []
-    for kv in np.unique(fleet.voltage_kv).tolist():
+    for kv in sorted(set(fleet.voltage_kv.tolist())):
         vc = VoltageClass.from_kv(kv)
         if vc not in scenario.laws:
             raise ValueError(f"scenario has no reliability law for family {vc.value}")
@@ -734,11 +742,6 @@ def _greedy_walk(demand: np.ndarray, remaining: float) -> tuple[np.ndarray, floa
     return np.concatenate(executed), remaining
 
 
-def _add_left_to_right(start: float, values: np.ndarray) -> float:
-    """start + values[0] + values[1] + ..., rounded after every step."""
-    return float(np.cumsum(np.concatenate(([start], values)))[-1])
-
-
 # queue index of each priority class
 _CORRECTIVE, _PLANNED, _INSPECTION = 0, 1, 2
 
@@ -787,8 +790,7 @@ class _Engine:
 
         self.family = fleet.family[order]
         self.groups: dict[int, np.ndarray] = {
-            int(f): np.nonzero(self.family == f)[0]
-            for f in np.unique(self.family)
+            f: np.nonzero(self.family == f)[0] for f in sorted(set(self.family.tolist()))
         }
         self.laws = {
             f: scenario.laws[FAMILIES[f]] for f in self.groups
@@ -802,8 +804,9 @@ class _Engine:
             return spec_ids.setdefault(spec, len(spec_ids))
 
         def per_asset(idx: np.ndarray, lookup: Callable[[int], ActivitySpec]) -> np.ndarray:
-            by_kv = {int(kv): spec_id(lookup(int(kv))) for kv in np.unique(self.kv[idx])}
-            return np.array([by_kv[int(kv)] for kv in self.kv[idx]], dtype=np.int64)
+            kvs = sorted(set(self.kv[idx].tolist()))
+            ids = np.array([spec_id(lookup(kv)) for kv in kvs], dtype=np.int64)
+            return ids[np.searchsorted(kvs, self.kv[idx])]
 
         everyone = np.arange(n)
         self.corrective_spec = per_asset(
@@ -845,6 +848,9 @@ class _Engine:
                 )
                 self.entry_start[entry] = plan.start_age_years * 12.0
                 self.entry_interval[entry] = interval
+        # a whole-month start age and a whole-month age give a phase free
+        # of float drift
+        self.entry_whole_start = self.entry_start == np.floor(self.entry_start)
         # entries of each asset, -1 padded
         slot = np.arange(cadences.max(initial=0))
         self.entries_of = np.where(
@@ -876,11 +882,10 @@ class _Engine:
         self.rate_table = np.empty((0, n))
         self._draw_generations(_FIRST_GENERATIONS)
         self.rates = self.rate_table[0].copy()
-        # the age (years) times this is what the replacement trigger compares;
-        # multiplying by 1.0 is exact, so time-based assets compare their age
-        self.trigger_rate = np.where(self.is_time, 1.0, self.rates)
-        # the tick at which each asset's current generation fails, or failed
-        self.fail_tick = self.life[0].copy()
+        # the tick at which each asset's current generation fails, or
+        # failed, and its trigger rate; generation 0 is at risk from tick 0
+        zero = np.zeros(n, dtype=np.int64)
+        self.fail_tick, self.trigger_rate = self._generation_rules(everyone, zero, zero)
 
         if isinstance(scenario.resources, Unconstrained):
             self.capacity: Optional[float] = None
@@ -968,33 +973,6 @@ class _Engine:
             if len(assets):
                 self._complete(cls, assets, specs, k, year)
 
-    def _execute_raised(
-        self,
-        k: int,
-        year: int,
-        failed: np.ndarray,
-        due: np.ndarray,
-        inspections: tuple[np.ndarray, np.ndarray],
-    ) -> None:
-        """Execute every live request tick k raised: the open pool's step.
-
-        This is what allocation does under a budget that never binds, with
-        no queue: the failed assets are replaced, then those due for planned
-        replacement, then the inspections whose asset kept the generation it
-        had when they were raised; the others are stale.
-        """
-        assets, specs = inspections
-        raised_generation = self.generation[assets]
-        if len(failed):
-            self._complete(_CORRECTIVE, failed, self.corrective_spec[failed], k, year)
-        if len(due):
-            self._complete(_PLANNED, due, self.planned_spec[due], k, year)
-        live = np.flatnonzero(self.generation[assets] == raised_generation)
-        self.examined += len(failed) + len(due) + len(assets)
-        self.dropped += len(assets) - len(live)
-        if len(live):
-            self._complete(_INSPECTION, assets[live], specs[live], k, year)
-
     def _backlog_person_hours(self) -> float:
         """Person-hours of the live queued requests, at a year end.
 
@@ -1044,6 +1022,20 @@ class _Engine:
         self.life = np.concatenate((self.life, life.astype(np.int64)))
         self.rate_table = np.concatenate((self.rate_table, rates))
 
+    def _generation_rules(
+        self, assets: np.ndarray, generation: np.ndarray, first_at_risk: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """For the given generation of each asset: the tick at which it
+        fails, its drawn life in ticks after the tick it is first at risk;
+        and what its age is multiplied by for its replacement trigger, 1.0
+        for time-based assets (exact, so they compare their age), else its
+        degradation rate. The tables double until they hold the generation.
+        """
+        while generation.max(initial=0) >= len(self.life):
+            self._draw_generations(len(self.life))
+        fail = first_at_risk + self.life[generation, assets]
+        return fail, np.where(self.is_time[assets], 1.0, self.rate_table[generation, assets])
+
     def _draw_failures(self, k: int, year: int) -> np.ndarray:
         failed = np.flatnonzero(self.fail_tick == k)
         self.in_service[failed] = False
@@ -1052,10 +1044,10 @@ class _Engine:
         return failed
 
     def _replacement_triggers(self) -> np.ndarray:
-        """Armed assets whose real (time-based) or apparent (condition-based)
-        age in years reaches the trigger; they are disarmed until replaced."""
+        """Armed assets that reach their trigger (`_trigger_reached`); they
+        are disarmed until replaced."""
         due = np.flatnonzero(
-            self.armed & (self.age_months / 12.0 * self.trigger_rate >= self.trigger_age)
+            self.armed & _trigger_reached(self.age_months, self.trigger_rate, self.trigger_age)
         )
         self.armed[due] = False
         return due
@@ -1063,28 +1055,36 @@ class _Engine:
     def _inspection_triggers(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Inspections due at tick k, from the entries checked at tick k.
 
-        A cadence is due when its asset is in service and
-        ``age >= start and (age - start) % interval < tick`` on the age the
-        engine holds. Each checked entry, whether or not its asset could be
-        inspected, is booked for the next tick at which that rule can hold:
-        the tick where the phase ``(age - start) % interval`` wraps past the
-        interval, or where the age reaches the start age.
-        Ages advance by one tick per tick; the ticks skipped allow for
-        `check_slack` of float drift, and a phase within the slack of zero
-        is checked again on the next tick.
+        A cadence is due when its asset is in service and `_cadence_due`
+        holds on the age the engine holds. Each checked entry, whether or not
+        its asset could be inspected, is booked for the next tick at which
+        that rule can hold: the tick where the phase ``(age - start) %
+        interval`` wraps past the interval, or where the age reaches the
+        start age. Ages advance by one tick per tick. When the age and the
+        start age are whole months, the phase is exact and so is that tick;
+        otherwise the ticks skipped allow for `check_slack` of float drift,
+        and a phase within the slack of zero is checked again on the next
+        tick.
         """
         entry = np.flatnonzero(self.next_check == k)
         asset = self.entry_asset[entry]
         # age - start, so age >= start is since >= 0, and start - age is -since
         since = self.age_months[asset] - self.entry_start[entry]
         interval = self.entry_interval[entry]
-        phase = since % interval
-        due = self.in_service[asset] & (since >= 0) & (phase < self.tick)
+        due, phase = _cadence_due(since, interval, self.tick)
+        due &= self.in_service[asset]
         slack = self.check_slack
+        # A phase within the slack of zero is checked again on the next tick,
+        # unless the age and the start age are whole months: that phase is
+        # exactly zero, and elsewhere the slack cannot move a whole booking.
+        again = phase < slack
+        near = np.flatnonzero(again)
+        age = self.age_months[asset[near]]
+        again[near] = ~(self.entry_whole_start[entry[near]] & (age == np.floor(age)))
         ahead = np.where(
             since < 0,
             -since - 2 * slack,
-            np.where(phase < slack, 0.0, interval - phase - 2 * slack),
+            np.where(again, 0.0, interval - phase - 2 * slack),
         )
         self.next_check[entry] = k + np.maximum(np.ceil(ahead / self.tick), 1)
         return asset[due], self.entry_spec[entry[due]]
@@ -1100,7 +1100,7 @@ class _Engine:
     ) -> None:
         """Book the executed requests of one class, in order.
 
-        Both pool paths complete their work here and only here.
+        The tick loop completes its work here and only here.
         """
         self.executed += len(assets)
         if cls == _INSPECTION:
@@ -1125,13 +1125,11 @@ class _Engine:
         self.armed[assets] = True
         self.generation[assets] += 1
         generation = self.generation[assets]
-        if generation.max() >= len(self.life):
-            self._draw_generations(len(self.life))
-        rates = self.rate_table[generation, assets]
-        self.rates[assets] = rates
-        self.trigger_rate[assets] = np.where(self.is_time[assets], 1.0, rates)
         # the new generation is first at risk at tick k + 1
-        self.fail_tick[assets] = k + 1 + self.life[generation, assets]
+        self.fail_tick[assets], self.trigger_rate[assets] = self._generation_rules(
+            assets, generation, k + 1
+        )
+        self.rates[assets] = self.rate_table[generation, assets]
         # the cadences restart from age 0, checked from the next tick
         entry = self.entries_of[assets]
         self.next_check[entry[entry >= 0]] = k + 1
@@ -1145,7 +1143,33 @@ class _Engine:
             kpis.unavailability_hours[year], hours
         )
 
+    def _run_open_pool(self) -> KpiSeries:
+        """The open pool's run (`generations.OpenPool`), booked into the
+        KPIs and the request counters; the assets' state stays as set up."""
+        columns, counters = OpenPool(
+            tick=self.tick,
+            n_ticks=self.n_ticks,
+            age0=self.age_months,
+            trigger_age=self.trigger_age,
+            corrective_spec=self.corrective_spec,
+            planned_spec=self.planned_spec,
+            entries_of=self.entries_of,
+            entry_start=self.entry_start,
+            entry_interval=self.entry_interval,
+            entry_spec=self.entry_spec,
+            duration_hours=self.duration_hours,
+            total_cost=[s.total_cost for s in self.specs],
+            failures_enabled=self.scenario.failures_enabled,
+            generation_rules=self._generation_rules,
+        ).run()
+        for name, column in columns.items():
+            setattr(self.kpis, name, column)
+        self.examined, self.executed, self.dropped = counters
+        return self.kpis
+
     def run(self) -> KpiSeries:
+        if self.capacity is None:
+            return self._run_open_pool()
         no_failures = np.empty(0, dtype=np.int64)
         for k in range(self.n_ticks):
             if k > 0:
@@ -1156,9 +1180,6 @@ class _Engine:
             )
             due = self._replacement_triggers()
             inspections = self._inspection_triggers(k)
-            if self.capacity is None:
-                self._execute_raised(k, year, failed, due, inspections)
-                continue
             self._push(_CORRECTIVE, failed, self.corrective_spec[failed])
             self._push(_PLANNED, due, self.planned_spec[due])
             self._push(_INSPECTION, *inspections)
@@ -1214,12 +1235,38 @@ def aggregate_replications(series: Sequence[KpiSeries]) -> dict[str, AggregateSe
         matrix = np.array(
             [[float(v) for v in s.metric(name)] for s in series], dtype=float
         )
+        ordered = np.sort(matrix, axis=0)
         out[name] = AggregateSeries(
             mean=(matrix.sum(axis=0) / len(series)).tolist(),
-            p10=np.percentile(matrix, 10, axis=0).tolist(),
-            p90=np.percentile(matrix, 90, axis=0).tolist(),
+            p10=_percentile(ordered, 10).tolist(),
+            p90=_percentile(ordered, 90).tolist(),
         )
     return out
+
+
+def _percentile(ordered: np.ndarray, q: int) -> np.ndarray:
+    """``np.percentile(matrix, q, axis=0)`` of the matrix whose columns
+    `ordered` holds sorted, in numpy's float steps (its default "linear"
+    method): the virtual index ``(rows - 1) * q / 100`` splits into a floor
+    and a weight, and the two order statistics around it are interpolated
+    from the nearer one. `np.percentile` itself imports ``numpy.ma``, which
+    would cost every `simulate` run its import.
+    """
+    last = len(ordered) - 1
+    virtual = last * (q / 100)
+    if virtual >= last:
+        # numpy takes the last row on both sides, with its floor index at -1
+        below = above = last
+        weight = virtual + 1
+    else:
+        below = math.floor(virtual)
+        above = below + 1
+        weight = virtual - below
+    lower, upper = ordered[below], ordered[above]
+    diff = upper - lower
+    if weight >= 0.5:
+        return upper - diff * (1 - weight)
+    return lower + diff * weight
 
 
 def compare_scenarios(a: SimulationReport, b: SimulationReport) -> ComparisonReport:

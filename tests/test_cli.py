@@ -518,3 +518,26 @@ def test_import_leaves_the_engine_and_scenarios_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_simulate_leaves_numpy_ma_unloaded(tmp_path, small_fleet_csv):
+    # with numpy 2.4, np.unique without counts and np.percentile import
+    # numpy.ma on first use; a simulate run calls neither
+    src = str(Path(fleetlife.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def loaded_after(code):
+        code += "; import sys; print('numpy.ma' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.strip().splitlines()[-1]
+
+    if loaded_after("import numpy") == "True":
+        pytest.skip("a bare `import numpy` loads numpy.ma")
+    argv = ["simulate", "--fleet", str(small_fleet_csv), "--scenario", "time-based",
+            "--out", str(tmp_path / "sim")]
+    run = f"from fleetlife.cli import main; main({argv!r}, standalone_mode=False)"
+    assert loaded_after(run) == "False"
+    assert (tmp_path / "sim" / "report.json").exists()

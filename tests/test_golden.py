@@ -34,6 +34,10 @@ GOLDEN = {
     "condition-based": "dd6c94a3ef8f3b91cf59439dceb1997394af6b974c1540479da82b4b1e0ed68e",
     "time-based:binding": "27029b76542e35a6566fb9efc5d83932e8ffcdb17ded635129277e657c846835",
     "condition-based:binding": "1c135a411e3a537d725fb2d2a2b1373bf7da04374761b19c7dd6e923dfa6d65a",
+    # the open pool over 100 years of monthly ticks: several generations of
+    # every asset, pinned from the tick-by-tick engine
+    "time-based:century": "6299aa5d9ccdef868c1b12474f2e0cb070cdcab04b8e88b293052a9fa130d5a8",
+    "condition-based:century": "f523438e918342ea4c96093902f950dd989a01460d67e65a0efcfd11dbdb3d9d",
 }
 
 
@@ -46,6 +50,8 @@ def golden_scenario(case: str):
     )
     if pool == "binding":
         scenario = dataclasses.replace(scenario, resources=BINDING_POOL)
+    elif pool == "century":
+        scenario = dataclasses.replace(scenario, horizon_years=100)
     return scenario
 
 

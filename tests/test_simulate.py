@@ -46,10 +46,12 @@ from fleetlife.simulate import (
     _Engine,
     _asset_keys,
     _greedy_walk,
+    _percentile,
     _philox4x64,
     _stream_draws,
     _RequestQueue,
 )
+from fleetlife.generations import _age_restarts
 from fleetlife.weibull import REFERENCE_LAWS, WeibullLaw
 from reference_engine import ActivityRequest, allocate_resources, inspection_due
 
@@ -124,11 +126,45 @@ def commissioned_aged(years):
 
 
 def traced(fleet, sc):
-    """A validated RecordingEngine run of replication 0."""
+    """A validated RecordingEngine run of replication 0.
+
+    An open pool's run has no ticks to trace, so an `Unconstrained`
+    scenario is traced under a pool that never binds, once
+    `open_and_walked` has checked that both give the same run.
+    """
+    if isinstance(sc.resources, Unconstrained):
+        return open_and_walked(fleet, sc)
     validate_scenario_for_fleet(fleet, sc)
     engine = RecordingEngine(fleet, sc, 0)
     engine.run()
     return engine
+
+
+# a budget of about 8e10 person-hours a month: no tick can exhaust it
+NEVER_BINDS = Constrained(fte_count=1, hours_per_fte_per_year=1e12)
+
+
+def open_and_walked(fleet, sc, ages=None):
+    """Replication 0 of an open-pool scenario, run generation by generation
+    as `Unconstrained` runs, and tick by tick (traced) under a pool that
+    never binds, both from the same ages (months) if `ages` is given.
+
+    Asserts that both runs give the same KPIs and execute as many requests,
+    and that the open pool examined exactly what it executed or dropped.
+    Returns the traced engine.
+    """
+    assert isinstance(sc.resources, Unconstrained)
+    validate_scenario_for_fleet(fleet, sc)
+    opened = _Engine(fleet, sc, 0)
+    walked = RecordingEngine(fleet, dataclasses.replace(sc, resources=NEVER_BINDS), 0)
+    if ages is not None:
+        opened.age_months[:] = ages
+        walked.age_months[:] = ages
+    assert opened.run() == walked.run()
+    assert opened.capacity is None and walked.capacity is not None
+    assert opened.executed == walked.executed
+    assert opened.examined == opened.executed + opened.dropped
+    return walked
 
 
 def pool(per_tick, tick_months=1):
@@ -592,6 +628,29 @@ class TestAggregation:
         assert agg.mean == agg.p10 == agg.p90
         assert agg.mean[45] == pytest.approx(43211.0)
 
+    @pytest.mark.parametrize("replications", [1, 2, 3, 5, 80])
+    def test_percentiles_match_numpy_bit_for_bit(self, replications):
+        # columns with ties, zeros and values of mixed scale, as yearly KPIs
+        # across replications have
+        rng = np.random.default_rng(replications)
+        pool = np.array([0.0, 0.0, 1.33, 2.0 / 3.0, 40.0, 1e6 + 0.1, 86422.0])
+        for _ in range(20):
+            matrix = np.where(
+                rng.random((replications, 60)) < 0.5,
+                rng.choice(pool, (replications, 60)),
+                rng.random((replications, 60)) * 10.0 ** rng.integers(-3, 7),
+            )
+            ordered = np.sort(matrix, axis=0)
+            for q in (0, 10, 50, 90, 100):
+                expected = np.percentile(matrix, q, axis=0)
+                assert _percentile(ordered, q).tobytes() == expected.tobytes()
+        series = [KpiSeries.zeros(60) for _ in range(replications)]
+        for row, s in zip(matrix, series):
+            s.inspection_hours = row.tolist()
+        aggregate = aggregate_replications(series)["inspection_hours"]
+        assert aggregate.p10 == np.percentile(matrix, 10, axis=0).tolist()
+        assert aggregate.p90 == np.percentile(matrix, 90, axis=0).tolist()
+
     def test_mismatched_horizons_rejected(self):
         a = KpiSeries.zeros(5)
         b = KpiSeries.zeros(6)
@@ -1029,18 +1088,21 @@ service_days = st.one_of(
 
 
 class RecordingEngine(_Engine):
-    """The engine, keeping what each tick saw, raised and executed.
+    """The tick loop, keeping what each tick saw, raised and executed.
 
-    Per tick: `raised` holds the ages and in-service flags the inspection
-    step saw and the (asset, activity name) inspections it raised, `planned`
-    the assets whose planned replacement was triggered, `completed` the
-    (class, asset) requests that executed, in order, whether a queue was
-    walked or the pool is open, and, when failures are enabled, `failed`
-    the assets that failed.
+    Per tick: `checked` holds how many cadence entries the inspection step
+    checked, `raised` the ages and in-service flags it saw and the (asset,
+    activity name) inspections it raised, `planned` the assets whose planned
+    replacement was triggered, `completed` the (class, asset) requests that
+    executed, in order, and, when failures are enabled, `failed` the assets
+    that failed. An open pool runs no tick loop, so `traced` runs its
+    scenarios under a pool that never binds.
     """
 
     def run(self):
+        assert self.capacity is not None, "an open pool's run has no ticks to trace"
         self.raised, self.planned, self.completed, self.failed = [], [], [], []
+        self.checked = []
         return super().run()
 
     def _draw_failures(self, k, year):
@@ -1062,6 +1124,7 @@ class RecordingEngine(_Engine):
         super()._complete(cls, assets, specs, k, year)
 
     def _inspection_triggers(self, k):
+        self.checked.append(int(np.count_nonzero(self.next_check == k)))
         ages, in_service = self.age_months.copy(), self.in_service.copy()
         assets, specs = super()._inspection_triggers(k)
         names = [self.specs[s].name for s in specs.tolist()]
@@ -1145,6 +1208,17 @@ class TestInspectionSchedule:
         assert sum(series.failures) > 0
         assert (sum(series.replacements) > 0) == (fte > 0)
 
+    def test_whole_month_phases_are_checked_once_a_cadence(self):
+        # A new asset inspected yearly from age 0 and replaced at 2 years.
+        # Its ages and start age are whole months, so a check books the next
+        # due tick exactly: the cadence is checked at each due tick and at
+        # the first tick of each new generation (age 1 month, not due).
+        sc = cadence_scenario(1, [12], start_age=0.0, trigger_age=2.0, horizon=5)
+        engine = traced(fleet_of([asset()]), dataclasses.replace(sc, resources=NEVER_BINDS))
+        assert [k for k, n in enumerate(engine.checked) if n] == [0, 12, 24, 25, 36, 48, 49]
+        assert [k for k, (_, _, got) in enumerate(engine.raised) if got] == [0, 12, 24, 36, 48]
+        assert [k for k, due in enumerate(engine.planned) if due] == [24, 48]
+
     # Ages of the form days * 12 / 365.25 have not been seen to drift off
     # their cadence, so these ages are set by hand: a float just off a whole
     # or eighth month below a power of two, where adding a tick rounds. That
@@ -1182,9 +1256,7 @@ class TestInspectionSchedule:
         # engine's drift bound covers it
         days = math.ceil((age + 1.0) * 365.25 / 12.0)
         fleet = fleet_of([asset(commissioned=date.fromordinal(START.toordinal() - days))])
-        engine = RecordingEngine(fleet, sc, 0)
-        engine.age_months[:] = age
-        engine.run()
+        engine = open_and_walked(fleet, sc, ages=age)
         assert_raised_by_float_rule(engine, sc)
 
 
@@ -1297,8 +1369,8 @@ class TestEngineInvariants:
             failures_enabled=True,
             laws={vc: life for vc in VoltageClass},
         )
-        engine = RecordingEngine(invariant_fleet(data), sc, 0)
-        series = engine.run()
+        engine = traced(invariant_fleet(data), sc)
+        series = engine.kpis
         corrective = sum(cls == _CORRECTIVE for tick in engine.completed for cls, _ in tick)
         out_of_service = int((~engine.in_service).sum())
         assert sum(series.failures) == corrective + out_of_service
@@ -1310,16 +1382,42 @@ class TestEngineInvariants:
         hazard_age=st.sampled_from(["real", "apparent"]),
     )
     def test_open_pool_equals_a_pool_that_never_binds(self, data, failures, hazard_age):
-        # The open pool executes each tick's requests where they are raised,
-        # with no queue; a constrained pool whose budget never runs out
-        # queues and walks them. Both must execute the same work.
+        # The open pool runs each asset generation by generation, with no
+        # clock; a constrained pool whose budget never runs out queues and
+        # walks each tick's requests. Both must execute the same work, and
+        # sum it in the same order: the durations are not dyadic, so the
+        # yearly float sums depend on it. Cadence start ages need not be
+        # whole months, and horizons of up to a century hold several
+        # generations and the restarts of generation 0's age sum.
         import io
 
         fleet = invariant_fleet(data)
-        open_pool = invariant_scenario(data, failures_enabled=failures, hazard_age=hazard_age)
-        never_binds = dataclasses.replace(
-            open_pool, resources=Constrained(fte_count=1, hours_per_fte_per_year=1e12)
+        drawn = invariant_scenario(
+            data,
+            failures_enabled=failures,
+            hazard_age=hazard_age,
+            horizon_years=data.draw(st.integers(1, 100), label="long horizon"),
         )
+        durations = st.sampled_from([1.33, 0.7, 2.1, 40.0, 0.5])
+
+        def timed(specs):
+            return {
+                key: dataclasses.replace(spec, duration_hours=data.draw(durations))
+                for key, spec in specs.items()
+            }
+
+        fam = drawn.policy.families[VoltageClass.V110]
+        plan = fam.inspections
+        if plan is not None:
+            start = data.draw(st.sampled_from([0.0, 0.1, 1 / 3, 2.55, 20.05]), label="start")
+            plan = dataclasses.replace(plan, start_age_years=start)
+        catalog = drawn.catalog
+        open_pool = dataclasses.replace(
+            drawn,
+            catalog=ActivityCatalog(timed(catalog.replacements), timed(catalog.inspections)),
+            policy=simple_policy(fam.replacement, plan),
+        )
+        never_binds = dataclasses.replace(open_pool, resources=NEVER_BINDS)
         outputs, engines = [], []
         for sc in (open_pool, never_binds):
             report = run_scenario(fleet, sc)
@@ -1334,6 +1432,57 @@ class TestEngineInvariants:
         assert opened.capacity is None and walked.capacity is not None
         assert opened.executed == walked.executed
         assert opened.examined == opened.executed + opened.dropped
+
+    @pytest.mark.parametrize("hazard_age", ["real", "apparent"])
+    def test_open_pool_equals_never_binding_over_a_century(self, hazard_age):
+        # 100 years of monthly ticks with a replacement every 20 years at
+        # most: every asset runs through four generations or more. Start
+        # ages are counted in days, the cadences start at 0.1 years (a
+        # rounded 1.2 months) and the annual inspection takes 1.33 hours.
+        fleet = fleet_of([
+            asset(f"110-{i:05d}", commissioned=date.fromordinal(START.toordinal() - d))
+            for i, d in enumerate([0, 1, 400, 3653, 9000, 12345])
+        ])
+        sc = scenario(
+            fleet_policy=simple_policy(
+                TimeBased(20.0), PeriodicInspections(start_age_years=0.1, interval_months=(3, 12))
+            ),
+            laws={vc: WeibullLaw(beta=2.0, eta=30.0) for vc in VoltageClass},
+            failures_enabled=True,
+            degradation_rates=LognormalRate(0.0, 0.2),
+            hazard_age=hazard_age,
+        )
+        engine = open_and_walked(fleet, sc)
+        assert engine.generation.min() >= 4
+        assert sum(engine.kpis.failures) > 0
+
+
+class TestAgeRestarts:
+    @pytest.mark.parametrize("tick", VALID_TICKS)
+    def test_closed_form_matches_the_running_sum(self, tick):
+        # Start ages from day counts, uniform ones, whole months, and values
+        # a few ulps below a power of two, where the next step rounds. At
+        # every tick of a century, b + (k - kb) * tick from the last restart
+        # is the age the tick loop's `age += tick` holds.
+        rng = np.random.default_rng(tick)
+        tops = 2.0 ** rng.integers(-3, 11, 500)
+        ages = np.concatenate([
+            rng.integers(0, 25000, 500) * 12.0 / 365.25,
+            rng.random(500) * 700.0,
+            rng.integers(0, 700, 100).astype(float),
+            tops - rng.integers(1, 4, 500) * np.spacing(tops),
+            [0.0, 5e-324, 1e-300],
+        ])
+        n_ticks = 1200 // tick
+        restart_tick, restart_age = _age_restarts(ages, tick, n_ticks)
+        assets = np.arange(len(ages))
+        age = ages.copy()
+        for k in range(n_ticks):
+            if k > 0:
+                age += tick
+            row = (restart_tick <= k).sum(axis=0) - 1
+            held = restart_age[row, assets] + (k - restart_tick[row, assets]) * tick
+            assert held.tobytes() == age.tobytes()
 
 
 class TestAllocationWork:
