@@ -20,28 +20,35 @@ generation's degradation rate ``r``, so the tick's probability is
 start age at tick 0; a replacement resets the age to 0 within its tick,
 and the new generation is first at risk a tick later, from age ``t``.
 
+Clock: ages, cadence start ages and intervals are whole units of a grid
+of 1/16 day (`generations.UNITS_PER_MONTH` = 487 a month), so the start
+ages of the fleet, counted in days, are exact, and so is every age a tick
+or a replacement makes. A cadence start age is rounded up to the grid.
+
 Triggers: a failed asset requests its corrective replacement and nothing
 else. An in-service asset requests a planned replacement once its real age
 (time-based) or its apparent age ``r * a`` (condition-based) reaches the
-trigger, and an inspection at each cadence for which
-``age >= start and (age - start) % interval < tick``, ages in months. The
-cadence is anchored to the start age, so it restarts after a replacement
-resets the age.
+trigger, a float rule on the exact age in years, and an inspection at each
+cadence for which ``age >= start and (age - start) % interval < tick``, in
+integers. The cadence is anchored to the start age, so it restarts after a
+replacement resets the age.
 
 Completion: a replacement books material plus workforce cost as CAPEX,
 resets the age to 0 and draws a fresh degradation rate; an inspection books
 its cost as OPEX and its duration as inspection hours. Every activity's
 duration is unavailability, and a failed asset also books the whole span
-from its failure tick to the tick its corrective replacement executes.
+from its failure tick to the tick its corrective replacement executes. The
+engine counts what executes per (year, activity); each year's money and
+hours are exact sums of those counts, rounded once.
 
 The engine (`_Engine`) runs one replication on arrays, and the work of its
 inspection and allocation steps follows what a tick raises and executes
 rather than fleet size or backlog length:
 
 * Inspections keep one next-check tick per (asset, cadence). A check
-  applies the cadence rule to the float age the engine holds, and books
-  the next tick at which that rule can hold; a replacement books the
-  asset's cadences again from age 0.
+  applies the cadence rule to the age the engine holds, and books the next
+  tick at which that rule holds; a replacement books the asset's cadences
+  again from age 0.
 * Replacement triggers read an ``armed`` mask (in service, no planned
   replacement pending) and a per-asset trigger rate (1 for time-based, the
   degradation rate for condition-based), both updated only on failure,
@@ -50,13 +57,10 @@ rather than fleet size or backlog length:
   No queue couples its assets, so each asset's history is a chain of
   generations, simulated one round at a time: every generation ends at its
   failure tick or its trigger tick, whichever comes first (a failure wins a
-  tie), both in closed form. Its inspections are the ticks at which the
-  cadence rule holds on the age the tick loop would hold, up to that end;
-  those raised at the tick of a planned replacement are dropped. The yearly
-  sums are then folded in the tick loop's order (tick, class, asset or
-  cadence entry), a year at a time, so the report is the one the
-  tick loop gives under a pool that never binds, and the backlog is always
-  zero.
+  tie), both in closed form. Its inspections are counted in closed form
+  too, a year at a time, up to that end; those raised at the tick of a
+  planned replacement are dropped. So the report is the one the tick loop
+  gives under a pool that never binds, and the backlog is always zero.
 * Queues exist only for a constrained pool, whose run steps tick by tick.
   Each priority class is a FIFO queue held as parallel int arrays (asset,
   activity, asset generation at request time). Allocation reads a queue
@@ -90,8 +94,14 @@ from typing import IO, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .fleet import DAYS_PER_YEAR, FAMILIES, AssetTable, VoltageClass
-from .generations import OpenPool, _add_left_to_right, _cadence_due, _trigger_reached
+from .fleet import FAMILIES, AssetTable, VoltageClass
+from .generations import (
+    UNITS_PER_DAY,
+    UNITS_PER_MONTH,
+    UNITS_PER_YEAR,
+    OpenPool,
+    _trigger_reached,
+)
 from .weibull import WeibullLaw
 
 __all__ = [
@@ -771,6 +781,7 @@ class _Engine:
         self.scenario = scenario
         self.rep_index = rep_index
         self.tick = scenario.tick_months
+        self.tick_units = UNITS_PER_MONTH * self.tick
         self.tick_years = self.tick / 12.0
         self.tick_hours = HOURS_PER_MONTH * self.tick
         self.ticks_per_year = 12 // self.tick
@@ -780,8 +791,9 @@ class _Engine:
         # assets in id order
         order = sorted(range(len(fleet)), key=fleet.asset_id.__getitem__)
         self.kv = fleet.voltage_kv[order].astype(np.int32)
-        # years_between(commission, start) * 12.0, elementwise
-        self.age_months = (start.toordinal() - fleet.commission[order]) / DAYS_PER_YEAR * 12.0
+        # ages in grid units: at tick 0, and as the tick loop holds them
+        self.age0 = UNITS_PER_DAY * (start.toordinal() - fleet.commission[order]).astype(np.int64)
+        self.age = self.age0.copy()
         n = len(order)
         self.in_service = np.ones(n, dtype=bool)
         # in service with no planned replacement pending
@@ -837,20 +849,19 @@ class _Engine:
         n_entries = int(cadences.sum())
         self.entry_asset = np.repeat(everyone, cadences)
         self.entry_spec = np.zeros(n_entries, dtype=np.int64)
-        self.entry_start = np.zeros(n_entries)
-        self.entry_interval = np.zeros(n_entries)
+        # in grid units, the start age rounded up to the grid
+        self.entry_start = np.zeros(n_entries, dtype=np.int64)
+        self.entry_interval = np.zeros(n_entries, dtype=np.int64)
         for f, plan in plans.items():
             idx = self.groups[f]
+            years, per = plan.start_age_years.as_integer_ratio()
             for r, interval in enumerate(plan.interval_months):
                 entry = first_entry[idx] + r
                 self.entry_spec[entry] = per_asset(
                     idx, lambda kv: catalog.inspection(kv, interval)
                 )
-                self.entry_start[entry] = plan.start_age_years * 12.0
-                self.entry_interval[entry] = interval
-        # a whole-month start age and a whole-month age give a phase free
-        # of float drift
-        self.entry_whole_start = self.entry_start == np.floor(self.entry_start)
+                self.entry_start[entry] = -(-years * UNITS_PER_YEAR // per)
+                self.entry_interval[entry] = UNITS_PER_MONTH * interval
         # entries of each asset, -1 padded
         slot = np.arange(cadences.max(initial=0))
         self.entries_of = np.where(
@@ -859,16 +870,6 @@ class _Engine:
         # next_check[e] is the next tick at which entry e can fall due; every
         # entry is first checked at tick 0
         self.next_check = np.zeros(n_entries, dtype=np.int64)
-        # Bound on the float rounding an age, and age - start, can gather
-        # between two checks: one rounding per tick, and one for the
-        # subtraction, each within an ulp of the largest age or start age,
-        # taken four times over. A check skips only ticks that stay clear of
-        # the due window by this much.
-        top = max(
-            float(self.age_months.max(initial=0.0)) + self.n_ticks * self.tick,
-            float(self.entry_start.max(initial=0.0)),
-        )
-        self.check_slack = max(1e-9, 4.0 * (self.n_ticks + 2) * float(np.spacing(top)))
 
         self.specs = list(spec_ids)
         self.person_hours = np.array([s.person_hours for s in self.specs])
@@ -900,15 +901,23 @@ class _Engine:
             _RequestQueue(floor(self.planned_spec)),
             _RequestQueue(floor(self.entry_spec)),
         )
-        # requests read (from a queue by allocation, or as raised in an open
-        # pool), executed, and dropped as stale (when read or at a year end)
+        # requests raised per class; read (from a queue by allocation, or as
+        # raised in an open pool), executed, and dropped as stale (when read
+        # or at a year end)
+        self.raised = [0, 0, 0]
         self.examined = self.executed = self.dropped = 0
 
         self.kpis = KpiSeries.zeros(scenario.horizon_years)
+        # what executed per (year, activity), and the ticks failed assets
+        # waited for their corrective replacement, per year
+        self.replaced = np.zeros((scenario.horizon_years, len(self.specs)), dtype=np.int64)
+        self.inspected = np.zeros_like(self.replaced)
+        self.gap_ticks = np.zeros(scenario.horizon_years, dtype=np.int64)
 
     # -- request plumbing ---------------------------------------------------
 
     def _push(self, cls: int, asset: np.ndarray, spec: np.ndarray) -> None:
+        self.raised[cls] += len(asset)
         if len(asset):
             self.queues[cls].push(asset, spec, self.generation[asset])
 
@@ -980,15 +989,13 @@ class _Engine:
         allocation drops only those it reads, and a long carried queue would
         otherwise keep a year's stale requests beyond its walked prefix.
         """
-        hours = []
+        queued = np.zeros(len(self.specs), dtype=np.int64)
         for cls, queue in enumerate(self.queues):
             read = len(queue)
             queue.keep(self._live(cls, queue.entries()))
             self.dropped += read - len(queue)
-            hours.append(self.person_hours[queue.entries()[1]])
-        # summed left to right in class-then-FIFO order, as a scalar loop
-        # would; np.sum adds pairwise and could differ in the last bits
-        return _add_left_to_right(0.0, np.concatenate(hours))
+            queued += np.bincount(queue.entries()[1], minlength=len(self.specs))
+        return _exact_sums(queued[None], self.person_hours)[0]
 
     # -- tick steps ----------------------------------------------------------
 
@@ -1002,7 +1009,7 @@ class _Engine:
         """
         u, z = _stream_draws(self.keys, self.scenario.master_seed, self.rep_index, generations)
         rates = self.scenario.degradation_rates.from_normals(z)
-        start = np.where(generations[:, None] == 0, self.age_months / 12.0, self.tick_years)
+        start = np.where(generations[:, None] == 0, self.age0 / UNITS_PER_YEAR, self.tick_years)
         e = -np.log1p(-u)
         ages = np.empty_like(u)
         apparent = self.scenario.hazard_age == "apparent"
@@ -1047,7 +1054,7 @@ class _Engine:
         """Armed assets that reach their trigger (`_trigger_reached`); they
         are disarmed until replaced."""
         due = np.flatnonzero(
-            self.armed & _trigger_reached(self.age_months, self.trigger_rate, self.trigger_age)
+            self.armed & _trigger_reached(self.age, self.trigger_rate, self.trigger_age)
         )
         self.armed[due] = False
         return due
@@ -1055,45 +1062,23 @@ class _Engine:
     def _inspection_triggers(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Inspections due at tick k, from the entries checked at tick k.
 
-        A cadence is due when its asset is in service and `_cadence_due`
-        holds on the age the engine holds. Each checked entry, whether or not
-        its asset could be inspected, is booked for the next tick at which
-        that rule can hold: the tick where the phase ``(age - start) %
-        interval`` wraps past the interval, or where the age reaches the
-        start age. Ages advance by one tick per tick. When the age and the
-        start age are whole months, the phase is exact and so is that tick;
-        otherwise the ticks skipped allow for `check_slack` of float drift,
-        and a phase within the slack of zero is checked again on the next
-        tick.
+        A cadence is due when its asset is in service and, on ``since = age
+        - start``, ``since >= 0 and since % interval < tick`` holds. Each
+        checked entry, whether or not its asset could be inspected, is
+        booked for the next tick at which that rule holds: where the age
+        reaches the start age, or where the phase ``since % interval`` wraps
+        past the interval. All of them are whole grid units, so that tick is
+        exact.
         """
         entry = np.flatnonzero(self.next_check == k)
         asset = self.entry_asset[entry]
-        # age - start, so age >= start is since >= 0, and start - age is -since
-        since = self.age_months[asset] - self.entry_start[entry]
+        since = self.age[asset] - self.entry_start[entry]
         interval = self.entry_interval[entry]
-        due, phase = _cadence_due(since, interval, self.tick)
-        due &= self.in_service[asset]
-        slack = self.check_slack
-        # A phase within the slack of zero is checked again on the next tick,
-        # unless the age and the start age are whole months: that phase is
-        # exactly zero, and elsewhere the slack cannot move a whole booking.
-        again = phase < slack
-        near = np.flatnonzero(again)
-        age = self.age_months[asset[near]]
-        again[near] = ~(self.entry_whole_start[entry[near]] & (age == np.floor(age)))
-        ahead = np.where(
-            since < 0,
-            -since - 2 * slack,
-            np.where(again, 0.0, interval - phase - 2 * slack),
-        )
-        self.next_check[entry] = k + np.maximum(np.ceil(ahead / self.tick), 1)
+        phase = since % interval
+        due = (since >= 0) & (phase < self.tick_units) & self.in_service[asset]
+        ahead = np.where(since < 0, -since, interval - phase)
+        self.next_check[entry] = k - (-ahead // self.tick_units)
         return asset[due], self.entry_spec[entry[due]]
-
-    def _book_cost(self, ledger: list[Decimal], specs: np.ndarray, year: int) -> None:
-        # one exact Decimal product per activity
-        for s, count in enumerate(np.bincount(specs).tolist()):
-            if count:
-                ledger[year] += self.specs[s].total_cost * count
 
     def _complete(
         self, cls: int, assets: np.ndarray, specs: np.ndarray, k: int, year: int
@@ -1103,24 +1088,18 @@ class _Engine:
         The tick loop completes its work here and only here.
         """
         self.executed += len(assets)
+        count = np.bincount(specs, minlength=len(self.specs))
         if cls == _INSPECTION:
-            self._complete_inspections(specs, year)
+            self.inspected[year] += count
         else:
-            self._complete_replacements(assets, specs, k, year)
+            self.replaced[year] += count
+            self._replace(assets, k, year)
 
-    def _complete_replacements(
-        self, assets: np.ndarray, specs: np.ndarray, k: int, year: int
-    ) -> None:
-        kpis = self.kpis
-        self._book_cost(kpis.capex, specs, year)
-        kpis.replacements[year] += len(assets)
-        gap_hours = np.where(
-            self.in_service[assets], 0.0, (k - self.fail_tick[assets]) * self.tick_hours
-        )
-        kpis.unavailability_hours[year] = _add_left_to_right(
-            kpis.unavailability_hours[year], gap_hours + self.duration_hours[specs]
-        )
-        self.age_months[assets] = 0.0
+    def _replace(self, assets: np.ndarray, k: int, year: int) -> None:
+        """Renew the assets replaced at tick k."""
+        failed = assets[~self.in_service[assets]]
+        self.gap_ticks[year] += int((k - self.fail_tick[failed]).sum())
+        self.age[assets] = 0
         self.in_service[assets] = True
         self.armed[assets] = True
         self.generation[assets] += 1
@@ -1134,22 +1113,35 @@ class _Engine:
         entry = self.entries_of[assets]
         self.next_check[entry[entry >= 0]] = k + 1
 
-    def _complete_inspections(self, specs: np.ndarray, year: int) -> None:
+    def _book(self) -> KpiSeries:
+        """The KPIs from what executed: money as exact Decimal products of
+        the counts per (year, activity), and hours as exact sums rounded
+        once (`_exact_sums`), the gap ticks at `tick_hours` each."""
         kpis = self.kpis
-        self._book_cost(kpis.opex, specs, year)
-        hours = self.duration_hours[specs]
-        kpis.inspection_hours[year] = _add_left_to_right(kpis.inspection_hours[year], hours)
-        kpis.unavailability_hours[year] = _add_left_to_right(
-            kpis.unavailability_hours[year], hours
+        kpis.capex = self._cost(self.replaced)
+        kpis.opex = self._cost(self.inspected)
+        kpis.replacements = self.replaced.sum(axis=1).tolist()
+        kpis.inspection_hours = _exact_sums(self.inspected, self.duration_hours)
+        kpis.unavailability_hours = _exact_sums(
+            np.column_stack((self.replaced + self.inspected, self.gap_ticks)),
+            [*self.duration_hours.tolist(), self.tick_hours],
         )
+        return kpis
+
+    def _cost(self, count: np.ndarray) -> list[Decimal]:
+        ledger = [Decimal(0)] * len(count)
+        for year, s in zip(*np.nonzero(count)):
+            ledger[year] += self.specs[s].total_cost * int(count[year, s])
+        return ledger
 
     def _run_open_pool(self) -> KpiSeries:
         """The open pool's run (`generations.OpenPool`), booked into the
         KPIs and the request counters; the assets' state stays as set up."""
-        columns, counters = OpenPool(
-            tick=self.tick,
+        failures, self.replaced, self.inspected, self.raised, self.dropped = OpenPool(
+            tick=self.tick_units,
+            ticks_per_year=self.ticks_per_year,
             n_ticks=self.n_ticks,
-            age0=self.age_months,
+            age0=self.age0,
             trigger_age=self.trigger_age,
             corrective_spec=self.corrective_spec,
             planned_spec=self.planned_spec,
@@ -1157,15 +1149,14 @@ class _Engine:
             entry_start=self.entry_start,
             entry_interval=self.entry_interval,
             entry_spec=self.entry_spec,
-            duration_hours=self.duration_hours,
-            total_cost=[s.total_cost for s in self.specs],
+            n_specs=len(self.specs),
             failures_enabled=self.scenario.failures_enabled,
             generation_rules=self._generation_rules,
         ).run()
-        for name, column in columns.items():
-            setattr(self.kpis, name, column)
-        self.examined, self.executed, self.dropped = counters
-        return self.kpis
+        self.kpis.failures = failures.tolist()
+        self.examined = sum(self.raised)
+        self.executed = self.examined - self.dropped
+        return self._book()
 
     def run(self) -> KpiSeries:
         if self.capacity is None:
@@ -1173,7 +1164,7 @@ class _Engine:
         no_failures = np.empty(0, dtype=np.int64)
         for k in range(self.n_ticks):
             if k > 0:
-                self.age_months += self.tick
+                self.age += self.tick_units
             year = (k * self.tick) // 12
             failed = (
                 self._draw_failures(k, year) if self.scenario.failures_enabled else no_failures
@@ -1186,7 +1177,17 @@ class _Engine:
             self._allocate_and_complete(k, year)
             if (k + 1) % self.ticks_per_year == 0:
                 self.kpis.backlog_hours[year] = self._backlog_person_hours()
-        return self.kpis
+        return self._book()
+
+
+def _exact_sums(counts: np.ndarray, values: Sequence[float]) -> list[float]:
+    """Each row's sum of count x value over the columns, exact and rounded
+    once: what `math.fsum` gives for the terms listed one by one. Floats are
+    dyadic rationals, so the sum is an integer over the largest denominator."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    denominator = max((d for _, d in ratios), default=1)
+    scaled = [n * (denominator // d) for n, d in ratios]
+    return [sum(map(int.__mul__, row, scaled)) / denominator for row in counts.tolist()]
 
 
 def _replication_worker(args: tuple) -> KpiSeries:

@@ -1,21 +1,32 @@
 """Scalar reference rules for the simulation engine.
 
-Two rules of `fleetlife.simulate._Engine`, written one request or one age at
-a time: the form the array engine replaced. Tests compare the engine with
+Rules of `fleetlife.simulate._Engine`, written one request or one age at a
+time: the form the array engine replaced. Tests compare the engine with
 them.
 
 * `allocate_resources` is the reference for `_greedy_walk`, the engine's
   walk of a queue within a person-hour budget.
-* `inspection_due` is the reference for the engine's next-check inspection
-  schedule: the schedule tests evaluate it for every asset at every tick.
+* `inspection_due` and `trigger_reached` are the references for the
+  engine's clock rules, on exact ages: the schedule tests evaluate them for
+  every asset at every tick.
+* `LedgerEngine` is the reference for the engine's hour ledgers: it lists
+  every executed duration and queued person-hour one by one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
-from fleetlife.simulate import ActivityKind, ActivitySpec, PeriodicInspections
+from fleetlife.simulate import (
+    ActivityKind,
+    ActivitySpec,
+    PeriodicInspections,
+    _Engine,
+    _INSPECTION,
+)
 
 # Lower value executes first.
 PRIORITY = {
@@ -63,16 +74,78 @@ def allocate_resources(
     return executed, carried
 
 
+def grid_months(years: float) -> Fraction:
+    """A start age in months, rounded up to the clock's grid of 1/487 month
+    (1/16 day)."""
+    return Fraction(math.ceil(Fraction(years) * 12 * 487), 487)
+
+
 def inspection_due(
-    age_months: float, plan: PeriodicInspections, interval_months: int, tick_months: int
+    age_months: Fraction, plan: PeriodicInspections, interval_months: int, tick_months: int
 ) -> bool:
-    """Whether the given cadence falls due in the tick starting at this age.
+    """Whether the given cadence falls due in the tick starting at this
+    exact age.
 
     The cadence is anchored to the age at which the asset becomes eligible
-    (start_age), so it restarts automatically after a replacement resets the
-    age.
+    (start_age, on the grid), so it restarts automatically after a
+    replacement resets the age.
     """
-    start = plan.start_age_years * 12.0
+    start = grid_months(plan.start_age_years)
     if age_months < start:
         return False
     return (age_months - start) % interval_months < tick_months
+
+
+def trigger_reached(age_months: Fraction, rate: float, trigger_age: float) -> bool:
+    """The replacement rule: the exact age in years, rounded to a float,
+    times the trigger rate reaches the trigger age."""
+    return float(age_months / 12) * rate >= trigger_age
+
+
+class LedgerEngine(_Engine):
+    """The tick loop, listing every term of its yearly hour ledgers.
+
+    Per year: `inspection_terms` holds the duration of each inspection
+    executed, `unavailability_terms` those of every activity executed plus
+    each corrective replacement's hours out of service, and `backlog_terms`
+    the person-hours of each live request queued at the year end.
+    """
+
+    def run(self):
+        years = self.scenario.horizon_years
+        self.inspection_terms = [[] for _ in range(years)]
+        self.unavailability_terms = [[] for _ in range(years)]
+        self.backlog_terms = [[] for _ in range(years)]
+        self.year = 0
+        return super().run()
+
+    def _complete(self, cls, assets, specs, k, year):
+        hours = self.duration_hours[specs].tolist()
+        self.unavailability_terms[year] += hours
+        if cls == _INSPECTION:
+            self.inspection_terms[year] += hours
+        else:
+            out = ~self.in_service[assets]
+            gaps = (k - self.fail_tick[assets[out]]) * self.tick_hours
+            self.unavailability_terms[year] += gaps.tolist()
+        super()._complete(cls, assets, specs, k, year)
+
+    def _backlog_person_hours(self):
+        # a request is live while its asset keeps the generation it was
+        # raised for, and an inspection also while its asset is in service
+        for cls, queue in enumerate(self.queues):
+            asset, spec, generation = queue.entries()
+            live = generation == self.generation[asset]
+            if cls == _INSPECTION:
+                live &= self.in_service[asset]
+            self.backlog_terms[self.year] += self.person_hours[spec[live]].tolist()
+        self.year += 1
+        return super()._backlog_person_hours()
+
+    def assert_ledgers_exact(self):
+        """Each year's hours are `math.fsum` of their terms."""
+        kpis = self.kpis
+        for year in range(self.scenario.horizon_years):
+            assert kpis.inspection_hours[year] == math.fsum(self.inspection_terms[year])
+            assert kpis.unavailability_hours[year] == math.fsum(self.unavailability_terms[year])
+            assert kpis.backlog_hours[year] == math.fsum(self.backlog_terms[year])

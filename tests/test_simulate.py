@@ -2,11 +2,12 @@ import dataclasses
 import json
 import math
 from datetime import date
+from fractions import Fraction
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -15,7 +16,6 @@ from fleetlife.fleet import (
     SyntheticFleetSpec,
     VoltageClass,
     generate_synthetic_fleet,
-    years_between,
 )
 from fleetlife.scenarios import builtin_scenario, demo_catalog
 from fleetlife.simulate import (
@@ -51,9 +51,15 @@ from fleetlife.simulate import (
     _stream_draws,
     _RequestQueue,
 )
-from fleetlife.generations import _age_restarts
+from fleetlife.generations import UNITS_PER_DAY, UNITS_PER_MONTH
 from fleetlife.weibull import REFERENCE_LAWS, WeibullLaw
-from reference_engine import ActivityRequest, allocate_resources, inspection_due
+from reference_engine import (
+    ActivityRequest,
+    LedgerEngine,
+    allocate_resources,
+    inspection_due,
+    trigger_reached,
+)
 
 START = date(2020, 1, 1)
 
@@ -144,10 +150,10 @@ def traced(fleet, sc):
 NEVER_BINDS = Constrained(fte_count=1, hours_per_fte_per_year=1e12)
 
 
-def open_and_walked(fleet, sc, ages=None):
+def open_and_walked(fleet, sc):
     """Replication 0 of an open-pool scenario, run generation by generation
     as `Unconstrained` runs, and tick by tick (traced) under a pool that
-    never binds, both from the same ages (months) if `ages` is given.
+    never binds.
 
     Asserts that both runs give the same KPIs and execute as many requests,
     and that the open pool examined exactly what it executed or dropped.
@@ -157,9 +163,6 @@ def open_and_walked(fleet, sc, ages=None):
     validate_scenario_for_fleet(fleet, sc)
     opened = _Engine(fleet, sc, 0)
     walked = RecordingEngine(fleet, dataclasses.replace(sc, resources=NEVER_BINDS), 0)
-    if ages is not None:
-        opened.age_months[:] = ages
-        walked.age_months[:] = ages
     assert opened.run() == walked.run()
     assert opened.capacity is None and walked.capacity is not None
     assert opened.executed == walked.executed
@@ -241,14 +244,14 @@ class TestEvaluateTriggers:
         engine = traced(fleet_of([asset(commissioned=SIXTY)]), sc)
         assert engine.kpis.failures == [1]
         assert engine.planned == [[]] * 12
-        assert [got for _, _, got in engine.raised] == [[]] * 12
+        assert [got for _, _, got in engine.inspection_log] == [[]] * 12
         assert [len(queue) for queue in engine.queues] == [1, 0, 0]
         assert engine.kpis.backlog_hours == [400.0]
 
     def raised_from_25(self, intervals):
         """Inspections raised per tick for cadences starting at age 25."""
         sc = cadence_scenario(1, intervals, start_age=25.0, trigger_age=45.0, horizon=26)
-        return [got for _, _, got in traced(fleet_of([asset()]), sc).raised]
+        return [got for _, _, got in traced(fleet_of([asset()]), sc).inspection_log]
 
     def test_inspections_below_start_age(self):
         assert self.raised_from_25((3, 6, 12))[:300] == [[]] * 300
@@ -410,7 +413,7 @@ class TestApplyCompletion:
         assert series.replacements == [2]
         assert series.unavailability_hours == [40.0 + HOURS_PER_MONTH + 40.0]
         assert engine.completed[:2] == [[(_CORRECTIVE, 0)], [(_CORRECTIVE, 1)]]
-        assert engine.age_months.tolist() == [11.0, 10.0]
+        assert engine.age.tolist() == [11 * UNITS_PER_MONTH, 10 * UNITS_PER_MONTH]
         assert engine.in_service.all() and engine.armed.all()
         assert engine.generation.tolist() == [1, 1]
         _, z = _stream_draws(_asset_keys(["a", "b"]), sc.master_seed, 0, np.array([1]))
@@ -434,7 +437,7 @@ class TestApplyCompletion:
         assert series.inspection_hours == [4 * 0.5]
         assert series.unavailability_hours == [4 * 0.5]
         assert series.capex == [Decimal(0)]
-        assert engine.age_months.tolist() == [9.0]
+        assert engine.age.tolist() == [9 * UNITS_PER_MONTH]
 
 
 class TestRunScenario:
@@ -869,7 +872,8 @@ def annual_scenario(**overrides) -> Scenario:
 
 class TestEngineQueues:
     # demo catalog: replacement 40 h x 10 = 400 person-hours, annual
-    # (detailed) inspection 1.33 h x 2 = 2.66 person-hours
+    # (detailed) inspection 1.33 h x 2 = 2.66 person-hours; a year's hours
+    # are their exact sum, rounded once
     INSPECTION = 1.33 * 2
 
     def test_year_end_backlog_is_live_carried_work(self):
@@ -889,8 +893,8 @@ class TestEngineQueues:
         assert series.backlog_hours == [
             0.0,
             0.0,
-            400.0 + 400.0 + self.INSPECTION,
-            400.0 + self.INSPECTION + self.INSPECTION,
+            math.fsum([400.0, 400.0, self.INSPECTION]),
+            math.fsum([400.0, self.INSPECTION, self.INSPECTION]),
         ]
 
     def test_inspection_of_asset_replaced_same_tick_is_dropped(self):
@@ -1047,24 +1051,30 @@ def executed_per_cadence(series, n_cadences):
     return counts
 
 
+def exact_age(commission, start):
+    """The exact age in months at `start` of an asset commissioned on day
+    number `commission`: days x 12 / 365.25."""
+    return Fraction(UNITS_PER_DAY * (start.toordinal() - commission), UNITS_PER_MONTH)
+
+
 def float_rule_counts(fleet, sc):
     """Inspections per year and cadence, by `inspection_due` at every tick.
 
-    Ages advance as the engine's do: commission age in months, plus one
-    tick per tick, reset to 0 by the time-based replacement. An
-    unconstrained pool executes that replacement in the tick it falls due,
-    which makes the inspections raised with it stale.
+    Ages are exact, from the commission day, plus one tick per tick, reset
+    to 0 by the time-based replacement. An unconstrained pool executes that
+    replacement in the tick it falls due, which makes the inspections
+    raised with it stale.
     """
     fam = sc.policy.families[VoltageClass.V110]
     plan = fam.inspections
     counts = [[0] * len(plan.interval_months) for _ in range(sc.horizon_years)]
     for commission in fleet.commission.tolist():
-        age = years_between(date.fromordinal(commission), sc.start_date) * 12.0
+        age = exact_age(commission, sc.start_date)
         for k in range(sc.horizon_years * 12 // sc.tick_months):
             if k > 0:
                 age += sc.tick_months
-            if age / 12.0 >= fam.replacement.age_years:
-                age = 0.0
+            if trigger_reached(age, 1.0, fam.replacement.age_years):
+                age = Fraction(0)
                 continue
             year = k * sc.tick_months // 12
             for r, interval in enumerate(plan.interval_months):
@@ -1074,7 +1084,7 @@ def float_rule_counts(fleet, sc):
 
 
 # days of 16 whole months (365.25 / 12 * 16); ages of n x 487 days are whole
-# months up to float rounding, which puts the cadence phase on its boundary
+# months, which puts the cadence phase on its boundary
 MONTHS_16 = 487
 
 service_days = st.one_of(
@@ -1091,17 +1101,17 @@ class RecordingEngine(_Engine):
     """The tick loop, keeping what each tick saw, raised and executed.
 
     Per tick: `checked` holds how many cadence entries the inspection step
-    checked, `raised` the ages and in-service flags it saw and the (asset,
-    activity name) inspections it raised, `planned` the assets whose planned
-    replacement was triggered, `completed` the (class, asset) requests that
-    executed, in order, and, when failures are enabled, `failed` the assets
-    that failed. An open pool runs no tick loop, so `traced` runs its
-    scenarios under a pool that never binds.
+    checked, `inspection_log` the ages (grid units) and in-service flags it
+    saw and the (asset, activity name) inspections it raised, `planned` the
+    assets whose planned replacement was triggered, `completed` the (class,
+    asset) requests that executed, in order, and, when failures are
+    enabled, `failed` the assets that failed. An open pool runs no tick
+    loop, so `traced` runs its scenarios under a pool that never binds.
     """
 
     def run(self):
         assert self.capacity is not None, "an open pool's run has no ticks to trace"
-        self.raised, self.planned, self.completed, self.failed = [], [], [], []
+        self.inspection_log, self.planned, self.completed, self.failed = [], [], [], []
         self.checked = []
         return super().run()
 
@@ -1125,10 +1135,10 @@ class RecordingEngine(_Engine):
 
     def _inspection_triggers(self, k):
         self.checked.append(int(np.count_nonzero(self.next_check == k)))
-        ages, in_service = self.age_months.copy(), self.in_service.copy()
+        ages, in_service = self.age.copy(), self.in_service.copy()
         assets, specs = super()._inspection_triggers(k)
         names = [self.specs[s].name for s in specs.tolist()]
-        self.raised.append((ages, in_service, list(zip(assets.tolist(), names))))
+        self.inspection_log.append((ages, in_service, list(zip(assets.tolist(), names))))
         return assets, specs
 
 
@@ -1138,12 +1148,12 @@ def assert_raised_by_float_rule(engine, sc):
     due inspections were skipped because their asset was out of service."""
     plan = sc.policy.families[VoltageClass.V110].inspections
     skipped = 0
-    for ages, in_service, got in engine.raised:
+    for ages, in_service, got in engine.inspection_log:
         due = [
             (i, f"i{m}")
             for i in range(len(ages))
             for m in plan.interval_months
-            if inspection_due(float(ages[i]), plan, m, sc.tick_months)
+            if inspection_due(Fraction(int(ages[i]), UNITS_PER_MONTH), plan, m, sc.tick_months)
         ]
         assert got == [(i, name) for i, name in due if in_service[i]]
         skipped += sum(not in_service[i] for i, _ in due)
@@ -1210,54 +1220,15 @@ class TestInspectionSchedule:
 
     def test_whole_month_phases_are_checked_once_a_cadence(self):
         # A new asset inspected yearly from age 0 and replaced at 2 years.
-        # Its ages and start age are whole months, so a check books the next
-        # due tick exactly: the cadence is checked at each due tick and at
-        # the first tick of each new generation (age 1 month, not due).
+        # A check books the next due tick exactly: the cadence is checked at
+        # each due tick and at the first tick of each new generation (age 1
+        # month, not due).
         sc = cadence_scenario(1, [12], start_age=0.0, trigger_age=2.0, horizon=5)
         engine = traced(fleet_of([asset()]), dataclasses.replace(sc, resources=NEVER_BINDS))
         assert [k for k, n in enumerate(engine.checked) if n] == [0, 12, 24, 25, 36, 48, 49]
-        assert [k for k, (_, _, got) in enumerate(engine.raised) if got] == [0, 12, 24, 36, 48]
+        raised = [k for k, (_, _, got) in enumerate(engine.inspection_log) if got]
+        assert raised == [0, 12, 24, 36, 48]
         assert [k for k, due in enumerate(engine.planned) if due] == [24, 48]
-
-    # Ages of the form days * 12 / 365.25 have not been seen to drift off
-    # their cadence, so these ages are set by hand: a float just off a whole
-    # or eighth month below a power of two, where adding a tick rounds. That
-    # moves a due tick one earlier than exact arithmetic would, or makes two
-    # consecutive ticks due when the start age is within an ulp of the age.
-    @settings(max_examples=200, deadline=None)
-    @given(
-        power=st.integers(4, 10),
-        tick=st.sampled_from(VALID_TICKS),
-        periods=st.integers(1, 6),
-        eighths=st.integers(0, 95),
-        ulps=st.integers(-3, 3),
-        start=st.one_of(
-            st.sampled_from([0.0, 6.0, 2.55 * 12.0]),
-            st.tuples(st.integers(0, 3), st.integers(-4, 4)),
-        ),
-    )
-    # 15 months less an ulp, quarterly: due at ticks 1 and 3, then every third
-    @example(power=4, tick=1, periods=3, eighths=0, ulps=-1, start=0.0)
-    # 15.25 months plus an ulp, started at that age: due at ticks 0 and 1
-    @example(power=4, tick=1, periods=3, eighths=2, ulps=1, start=(0, 0))
-    def test_drifting_ages_match_float_rule(self, power, tick, periods, eighths, ulps, start):
-        age = 2.0**power - tick + (eighths % (8 * tick)) / 8.0
-        age = float(age + ulps * np.spacing(age))
-        interval = tick * periods
-        if isinstance(start, tuple):
-            # start age a whole number of intervals below the age, give or
-            # take a few ulps
-            back, off = start
-            start = age - back * interval
-            start = float(start + off * np.spacing(max(start, 1.0)))
-        assume(0.0 <= start and (start / 12.0) * 12.0 == start)
-        sc = cadence_scenario(tick, [interval], start / 12.0, 99.0, horizon=3)
-        # commissioned a month earlier than the age set below, so the
-        # engine's drift bound covers it
-        days = math.ceil((age + 1.0) * 365.25 / 12.0)
-        fleet = fleet_of([asset(commissioned=date.fromordinal(START.toordinal() - days))])
-        engine = open_and_walked(fleet, sc, ages=age)
-        assert_raised_by_float_rule(engine, sc)
 
 
 def invariant_scenario(data, **overrides):
@@ -1312,7 +1283,67 @@ def invariant_fleet(data):
     ])
 
 
+def timed(data, catalog, durations):
+    """The catalog with each activity's duration drawn from `durations`."""
+
+    def retime(specs):
+        return {
+            key: dataclasses.replace(spec, duration_hours=data.draw(st.sampled_from(durations)))
+            for key, spec in specs.items()
+        }
+
+    return ActivityCatalog(retime(catalog.replacements), retime(catalog.inspections))
+
+
 class TestEngineInvariants:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), fte=st.one_of(st.none(), st.integers(0, 3)))
+    def test_raised_requests_are_accounted_for(self, data, fte):
+        # Every request raised is executed, dropped as stale or still
+        # queued, and every failure raises one corrective replacement. An
+        # open pool examines each request as it is raised and queues none.
+        resources = (
+            Unconstrained()
+            if fte is None
+            else Constrained(fte_count=fte, hours_per_fte_per_year=120.0)
+        )
+        sc = invariant_scenario(data, resources=resources)
+        fleet = invariant_fleet(data)
+        validate_scenario_for_fleet(fleet, sc)
+        engine = _Engine(fleet, sc, 0)
+        series = engine.run()
+        queued = sum(len(queue) for queue in engine.queues)
+        assert sum(engine.raised) == engine.executed + engine.dropped + queued
+        assert engine.raised[_CORRECTIVE] == sum(series.failures)
+        if fte is None:
+            assert queued == 0 and sum(engine.raised) == engine.examined
+            assert engine.raised[_CORRECTIVE] + engine.raised[_PLANNED] == sum(series.replacements)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), fte=st.one_of(st.none(), st.integers(0, 2)))
+    def test_hour_ledgers_are_exact_sums(self, data, fte):
+        # Each year's inspection, unavailability and backlog hours are the
+        # exact sums of their terms, rounded once, whatever order the terms
+        # come in. The durations are not dyadic, so a running float sum
+        # would differ; short lives and a scarce pool give failures waiting
+        # for repair and work carried across year ends.
+        resources = (
+            NEVER_BINDS if fte is None else Constrained(fte_count=fte, hours_per_fte_per_year=120.0)
+        )
+        life = WeibullLaw(beta=data.draw(st.floats(0.8, 4.0)), eta=data.draw(st.floats(1.0, 8.0)))
+        sc = invariant_scenario(
+            data,
+            resources=resources,
+            failures_enabled=True,
+            laws={vc: life for vc in VoltageClass},
+        )
+        sc = dataclasses.replace(sc, catalog=timed(data, sc.catalog, (1.33, 0.7, 2.1, 0.1, 4.9)))
+        fleet = invariant_fleet(data)
+        validate_scenario_for_fleet(fleet, sc)
+        engine = LedgerEngine(fleet, sc, 0)
+        engine.run()
+        engine.assert_ledgers_exact()
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_unconstrained_leaves_no_backlog(self, data):
@@ -1384,11 +1415,10 @@ class TestEngineInvariants:
     def test_open_pool_equals_a_pool_that_never_binds(self, data, failures, hazard_age):
         # The open pool runs each asset generation by generation, with no
         # clock; a constrained pool whose budget never runs out queues and
-        # walks each tick's requests. Both must execute the same work, and
-        # sum it in the same order: the durations are not dyadic, so the
-        # yearly float sums depend on it. Cadence start ages need not be
-        # whole months, and horizons of up to a century hold several
-        # generations and the restarts of generation 0's age sum.
+        # walks each tick's requests. Both must execute the same work in
+        # each year; the durations are not dyadic, so the hours show a
+        # miscount. Cadence start ages need not be on the grid, and horizons
+        # of up to a century hold several generations.
         import io
 
         fleet = invariant_fleet(data)
@@ -1398,23 +1428,14 @@ class TestEngineInvariants:
             hazard_age=hazard_age,
             horizon_years=data.draw(st.integers(1, 100), label="long horizon"),
         )
-        durations = st.sampled_from([1.33, 0.7, 2.1, 40.0, 0.5])
-
-        def timed(specs):
-            return {
-                key: dataclasses.replace(spec, duration_hours=data.draw(durations))
-                for key, spec in specs.items()
-            }
-
         fam = drawn.policy.families[VoltageClass.V110]
         plan = fam.inspections
         if plan is not None:
             start = data.draw(st.sampled_from([0.0, 0.1, 1 / 3, 2.55, 20.05]), label="start")
             plan = dataclasses.replace(plan, start_age_years=start)
-        catalog = drawn.catalog
         open_pool = dataclasses.replace(
             drawn,
-            catalog=ActivityCatalog(timed(catalog.replacements), timed(catalog.inspections)),
+            catalog=timed(data, drawn.catalog, (1.33, 0.7, 2.1, 40.0, 0.5)),
             policy=simple_policy(fam.replacement, plan),
         )
         never_binds = dataclasses.replace(open_pool, resources=NEVER_BINDS)
@@ -1457,32 +1478,85 @@ class TestEngineInvariants:
         assert sum(engine.kpis.failures) > 0
 
 
-class TestAgeRestarts:
-    @pytest.mark.parametrize("tick", VALID_TICKS)
-    def test_closed_form_matches_the_running_sum(self, tick):
-        # Start ages from day counts, uniform ones, whole months, and values
-        # a few ulps below a power of two, where the next step rounds. At
-        # every tick of a century, b + (k - kb) * tick from the last restart
-        # is the age the tick loop's `age += tick` holds.
-        rng = np.random.default_rng(tick)
-        tops = 2.0 ** rng.integers(-3, 11, 500)
-        ages = np.concatenate([
-            rng.integers(0, 25000, 500) * 12.0 / 365.25,
-            rng.random(500) * 700.0,
-            rng.integers(0, 700, 100).astype(float),
-            tops - rng.integers(1, 4, 500) * np.spacing(tops),
-            [0.0, 5e-324, 1e-300],
+def exact_schedule(fleet, sc, rate):
+    """Per tick, the assets whose planned replacement is triggered and the
+    (asset, activity name) inspections raised, by `trigger_reached` and
+    `inspection_due` on exact ages, for a pool that executes every request
+    in its tick and assets that never fail."""
+    fam = sc.policy.families[VoltageClass.V110]
+    plan = fam.inspections
+    trigger = getattr(fam.replacement, "age_years", None) or fam.replacement.trigger_apparent_age
+    ages = [exact_age(c, sc.start_date) for c in fleet.commission.tolist()]
+    planned, raised = [], []
+    for k in range(sc.horizon_years * 12 // sc.tick_months):
+        if k > 0:
+            ages = [age + sc.tick_months for age in ages]
+        planned.append([i for i, age in enumerate(ages) if trigger_reached(age, rate, trigger)])
+        raised.append([
+            (i, f"i{m}")
+            for i, age in enumerate(ages)
+            for m in plan.interval_months
+            if inspection_due(age, plan, m, sc.tick_months)
         ])
-        n_ticks = 1200 // tick
-        restart_tick, restart_age = _age_restarts(ages, tick, n_ticks)
-        assets = np.arange(len(ages))
-        age = ages.copy()
-        for k in range(n_ticks):
-            if k > 0:
-                age += tick
-            row = (restart_tick <= k).sum(axis=0) - 1
-            held = restart_age[row, assets] + (k - restart_tick[row, assets]) * tick
-            assert held.tobytes() == age.tobytes()
+        for i in planned[-1]:
+            ages[i] = Fraction(0)
+    return planned, raised
+
+
+class TestGridClock:
+    # Both engine paths against the clock rules evaluated tick by tick on
+    # exact ages: start ages off the grid, any commissioning day, intervals,
+    # trigger ages and trigger rates.
+    @pytest.mark.parametrize("tick", VALID_TICKS)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        multiples=st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True),
+        start_age=st.one_of(
+            st.sampled_from([0.0, 0.1, 1 / 3, 2.55]), st.floats(0.0, 6.0)
+        ),
+        trigger=st.one_of(st.sampled_from([2.0, 5.5]), st.floats(0.5, 8.0)),
+        rate=st.sampled_from([None, 0.7, 1.3, 2.0]),
+        days=st.lists(service_days, min_size=1, max_size=4),
+        horizon=st.integers(1, 8),
+    )
+    # 213 days old: under monthly ticks, one unit (1/16 day) short of 5.5
+    # years at tick 59, so replaced at tick 60
+    @example(multiples=[1], start_age=0.0, trigger=5.5, rate=None, days=[213], horizon=8)
+    def test_due_and_trigger_ticks_match_exact_rules(
+        self, tick, multiples, start_age, trigger, rate, days, horizon
+    ):
+        intervals = [tick * m for m in multiples]
+        sc = cadence_scenario(tick, intervals, start_age, trigger, horizon)
+        if rate is not None:
+            sc = dataclasses.replace(
+                sc,
+                policy=simple_policy(
+                    ConditionBased(trigger), sc.policy.families[VoltageClass.V110].inspections
+                ),
+                degradation_rates=ConstantRate(rate),
+            )
+        fleet = fleet_of([
+            asset(f"110-{i:05d}", commissioned=date.fromordinal(START.toordinal() - d))
+            for i, d in enumerate(days)
+        ])
+        planned, raised = exact_schedule(fleet, sc, 1.0 if rate is None else rate)
+        # the tick loop, checked tick by tick; the open pool gives its KPIs
+        engine = open_and_walked(fleet, sc)
+        assert engine.planned == planned
+        assert [got for _, _, got in engine.inspection_log] == raised
+        # and the open pool's yearly counts: the inspections raised with a
+        # planned replacement are dropped
+        tpy = 12 // tick
+        expected = [[0] * len(intervals) for _ in range(horizon)]
+        for k, (due, got) in enumerate(zip(planned, raised)):
+            for i, name in got:
+                if i not in due:
+                    expected[k // tpy][intervals.index(int(name[1:]))] += 1
+        series = run_scenario(fleet, sc).replications[0]
+        assert executed_per_cadence(series, len(intervals)) == expected
+        assert series.replacements == [
+            sum(len(due) for due in planned[y * tpy : (y + 1) * tpy]) for y in range(horizon)
+        ]
 
 
 class TestAllocationWork:
