@@ -52,18 +52,16 @@ _EXPORTS = {
         "ConstantRate",
         "Constrained",
         "FamilyPolicy",
-        "KpiSeries",
         "LognormalRate",
         "PeriodicInspections",
         "Policy",
         "Scenario",
-        "SimulationReport",
         "TimeBased",
         "Unconstrained",
         "aggregate_replications",
-        "compare_scenarios",
         "run_scenario",
     ),
+    "reports": ("KpiSeries", "SimulationReport", "compare_scenarios"),
     "scenarios": (
         "ScenarioError",
         "builtin_scenario",

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import sys
 import time
@@ -18,38 +19,15 @@ from datetime import date
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
-from .fleet import (
-    FAMILIES,
-    DataError,
-    SyntheticFleetSpec,
-    VoltageClass,
-    build_lifetime_table,
-    generate_synthetic_fleet,
-    parse_asset_csv,
-    service_years,
-    write_asset_csv,
-)
-from .health import AhiConfig, Band, ScoreBasis, score_asset
-from .survival import UNBOUNDED, km_fit, write_curve_csv
-from .weibull import (
-    FitError,
-    fit_weibull_mle,
-    fit_weibull_rank_regression,
-    law_from_record,
-    law_to_record,
-)
 
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 
-FAMILY_CHOICES = [vc.value for vc in VoltageClass]
-
-# ahi.csv text of each band and basis code
-BAND_VALUES = np.array([band.value for band in Band])
-BASIS_VALUES = np.array([basis.value for basis in ScoreBasis])
+# the values of fleet.VoltageClass, named here so that the option parser
+# needs no numpy
+FAMILY_CHOICES = ["110", "150", "220_380"]
 
 
 class _Run:
@@ -118,23 +96,30 @@ def _load_assets(path: Path):
         return parse_asset_csv(handle)
 
 
-# The engine and the scenario loader are imported by the commands that use
-# them, so fit and score never load them. run_scenario and compare_scenarios
-# stay names of this module, like the other layer functions the commands call.
+def _layer(module: str, name: str):
+    """`name` of the submodule `module`, imported on the first call.
+
+    Each command loads only the modules it runs, so `report` loads neither
+    numpy nor the engine. The layer functions stay names of this module,
+    so a caller can wrap them here.
+    """
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    call.__doc__ = f"`{module}.{name}`."
+    return call
 
 
-def run_scenario(fleet, scenario, jobs: int = 1):
-    """`simulate.run_scenario`."""
-    from .simulate import run_scenario as run
-
-    return run(fleet, scenario, jobs=jobs)
-
-
-def compare_scenarios(a, b):
-    """`simulate.compare_scenarios`."""
-    from .simulate import compare_scenarios as compare
-
-    return compare(a, b)
+parse_asset_csv = _layer("fleet", "parse_asset_csv")
+build_lifetime_table = _layer("fleet", "build_lifetime_table")
+km_fit = _layer("survival", "km_fit")
+fit_weibull_mle = _layer("weibull", "fit_weibull_mle")
+fit_weibull_rank_regression = _layer("weibull", "fit_weibull_rank_regression")
+score_asset = _layer("health", "score_asset")
+run_scenario = _layer("simulate", "run_scenario")
+compare_scenarios = _layer("reports", "compare_scenarios")
 
 
 @click.group()
@@ -150,6 +135,10 @@ def main() -> None:
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path), help="Output directory.")
 def fit(assets_path: Path, cutoff: str, families: tuple[str, ...], out_dir: Path) -> None:
     """Estimate survival curves and reliability laws from failure records."""
+    from .fleet import DataError, VoltageClass
+    from .survival import UNBOUNDED, write_curve_csv
+    from .weibull import FitError, law_to_record
+
     cutoff_date = _parse_iso_date(cutoff, "--cutoff")
     run = _Run("fit", out_dir)
     run.add_input("assets", assets_path)
@@ -214,12 +203,15 @@ def fit(assets_path: Path, cutoff: str, families: tuple[str, ...], out_dir: Path
         click.echo(f"note: families present but not fitted: {', '.join(extras)}")
 
 
-def _pick_laws(payload) -> dict[VoltageClass, object]:
+def _pick_laws(payload) -> dict:
+    from .fleet import DataError, VoltageClass
+    from .weibull import law_from_record
+
     records = payload["laws"] if isinstance(payload, dict) and "laws" in payload else payload
     if not isinstance(records, list):
         raise DataError("laws file: expected a list of law records or {'laws': [...]}")
     preference = {"mle": 0, "rank_regression": 1, "reference": 2}
-    best: dict[VoltageClass, tuple[int, object]] = {}
+    best: dict = {}
     for record in records:
         family, law, source = law_from_record(record)
         vc = VoltageClass(family)
@@ -236,6 +228,11 @@ def _pick_laws(payload) -> dict[VoltageClass, object]:
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path), help="Output directory.")
 def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None:
     """Score every in-service asset on the 1-10 health scale."""
+    import numpy as np
+
+    from .fleet import FAMILIES, DataError, service_years
+    from .health import AhiConfig, Band, ScoreBasis
+
     as_of_date = _parse_iso_date(as_of, "--as-of")
     run = _Run("score", out_dir)
     run.add_input("assets", assets_path)
@@ -279,6 +276,9 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
     # scoring knows no per-asset degradation rate, so the apparent age it
     # reports is the service age
     lines = ["asset_id,apparent_age,score,band,basis"]
+    # ahi.csv text of each band and basis code
+    band_values = np.array([band.value for band in Band])
+    basis_values = np.array([basis.value for basis in ScoreBasis])
     lines.extend(
         map(
             "%s,%.4f,%d,%s,%s".__mod__,
@@ -286,8 +286,8 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
                 ids,
                 ages.tolist(),
                 scores.tolist(),
-                BAND_VALUES[bands].tolist(),
-                BASIS_VALUES[bases].tolist(),
+                band_values[bands].tolist(),
+                basis_values[bases].tolist(),
             ),
         )
     )
@@ -308,6 +308,7 @@ def simulate(fleet_path: Path, scenario_ref: str, out_dir: Path, jobs: int, seed
     """Run a maintenance scenario against a fleet."""
     import dataclasses
 
+    from .fleet import DataError
     from .scenarios import ScenarioError, resolve_scenario
 
     run = _Run("simulate", out_dir)
@@ -349,6 +350,14 @@ def synth(spec_path: Path, out_dir: Path) -> None:
     The spec is {"sizes": {"110": N, "150": N, "220_380": N},
     "commission_years": [first, last], "seed": integer}.
     """
+    from .fleet import (
+        DataError,
+        SyntheticFleetSpec,
+        VoltageClass,
+        generate_synthetic_fleet,
+        write_asset_csv,
+    )
+
     run = _Run("synth", out_dir)
     run.add_input("spec", spec_path)
     try:
@@ -385,7 +394,7 @@ def synth(spec_path: Path, out_dir: Path) -> None:
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path), help="Output directory.")
 def report(path_a: Path, path_b: Path, out_dir: Path) -> None:
     """Compare two simulation reports year by year."""
-    from .simulate import SimulationReport
+    from .reports import SimulationReport
 
     run = _Run("report", out_dir)
     run.add_input("a", path_a)

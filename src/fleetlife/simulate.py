@@ -62,11 +62,16 @@ rather than fleet size or backlog length:
   planned replacement are dropped. So the report is the one the tick loop
   gives under a pool that never binds, and the backlog is always zero.
 * Queues exist only for a constrained pool, whose run steps tick by tick.
-  Each priority class is a FIFO queue held as parallel int arrays (asset,
-  activity, asset generation at request time). Allocation reads a queue
+  Each priority class is a FIFO queue held as two int rows: the request's
+  id (the asset for a replacement, the cadence entry for an inspection)
+  and its asset's generation at request time. Allocation reads a queue
   from its head in windows of doubling width, drops the stale entries of
   the windows it reads, and stops once the budget is below the smallest
   activity that can enter the class; the unread rest stays as it is.
+* The engine counts the live queued inspections of each cadence entry, so
+  the year-end backlog needs no pass over the inspection queue. Its stale
+  entries are dropped when they exceed an eighth of the live ones at a
+  year end, and before the buffer moves or grows.
 * Each asset holds the tick at which its current generation fails. The
   failure ticks and rates of generations ``0 .. G-1`` of every asset are
   drawn at set-up in one call, and ``G`` doubles when an asset reaches it.
@@ -83,14 +88,13 @@ policy or resources draw the same failure age for the same generation.
 
 from __future__ import annotations
 
-import csv
 import enum
 import hashlib
 import math
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
-from typing import IO, Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -101,6 +105,14 @@ from .generations import (
     UNITS_PER_YEAR,
     OpenPool,
     _trigger_reached,
+)
+from .reports import (
+    METRICS,
+    AggregateSeries,
+    ComparisonReport,
+    KpiSeries,
+    SimulationReport,
+    compare_scenarios,
 )
 from .weibull import WeibullLaw
 
@@ -130,8 +142,6 @@ __all__ = [
 ]
 
 HOURS_PER_MONTH = 365.25 * 24.0 / 12.0
-
-_CENT = Decimal("0.01")
 
 VALID_TICKS = (1, 2, 3, 4, 6, 12)
 
@@ -350,191 +360,6 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# KPI containers
-# ---------------------------------------------------------------------------
-
-_MONEY_METRICS = ("capex", "opex", "totex")
-_FLOAT_METRICS = ("inspection_hours", "unavailability_hours", "backlog_hours")
-_COUNT_METRICS = ("failures", "replacements")
-METRICS = _MONEY_METRICS + _FLOAT_METRICS + _COUNT_METRICS
-
-
-@dataclass
-class KpiSeries:
-    """Per-year KPI series for one replication."""
-
-    horizon_years: int
-    capex: list[Decimal]
-    opex: list[Decimal]
-    inspection_hours: list[float]
-    unavailability_hours: list[float]
-    failures: list[int]
-    replacements: list[int]
-    backlog_hours: list[float]
-
-    @classmethod
-    def zeros(cls, horizon_years: int) -> "KpiSeries":
-        return cls(
-            horizon_years=horizon_years,
-            capex=[Decimal(0)] * horizon_years,
-            opex=[Decimal(0)] * horizon_years,
-            inspection_hours=[0.0] * horizon_years,
-            unavailability_hours=[0.0] * horizon_years,
-            failures=[0] * horizon_years,
-            replacements=[0] * horizon_years,
-            backlog_hours=[0.0] * horizon_years,
-        )
-
-    @property
-    def totex(self) -> list[Decimal]:
-        return [c + o for c, o in zip(self.capex, self.opex)]
-
-    def metric(self, name: str) -> list:
-        if name == "totex":
-            return self.totex
-        return getattr(self, name)
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"horizon_years": self.horizon_years}
-        for name in METRICS:
-            values = self.metric(name)
-            if name in _MONEY_METRICS:
-                out[name] = [float(v.quantize(_CENT)) for v in values]
-            else:
-                out[name] = list(values)
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "KpiSeries":
-        horizon = int(data["horizon_years"])
-        return cls(
-            horizon_years=horizon,
-            capex=[Decimal(str(v)) for v in data["capex"]],
-            opex=[Decimal(str(v)) for v in data["opex"]],
-            inspection_hours=[float(v) for v in data["inspection_hours"]],
-            unavailability_hours=[float(v) for v in data["unavailability_hours"]],
-            failures=[int(v) for v in data["failures"]],
-            replacements=[int(v) for v in data["replacements"]],
-            backlog_hours=[float(v) for v in data["backlog_hours"]],
-        )
-
-
-@dataclass(frozen=True)
-class AggregateSeries:
-    mean: list[float]
-    p10: list[float]
-    p90: list[float]
-
-    def to_json_dict(self) -> dict:
-        return {"mean": self.mean, "p10": self.p10, "p90": self.p90}
-
-
-@dataclass
-class SimulationReport:
-    """All replications of one scenario plus cross-replication aggregates."""
-
-    scenario_name: str
-    master_seed: int
-    horizon_years: int
-    tick_months: int
-    replications: list[KpiSeries]
-    aggregates: dict[str, AggregateSeries]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scenario_name": self.scenario_name,
-            "master_seed": self.master_seed,
-            "horizon_years": self.horizon_years,
-            "tick_months": self.tick_months,
-            "replications": [series.to_json_dict() for series in self.replications],
-            "aggregates": {
-                name: agg.to_json_dict() for name, agg in self.aggregates.items()
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "SimulationReport":
-        replications = [KpiSeries.from_json_dict(d) for d in data["replications"]]
-        return cls(
-            scenario_name=str(data["scenario_name"]),
-            master_seed=int(data["master_seed"]),
-            horizon_years=int(data["horizon_years"]),
-            tick_months=int(data["tick_months"]),
-            replications=replications,
-            aggregates={
-                name: AggregateSeries(
-                    mean=[float(v) for v in agg["mean"]],
-                    p10=[float(v) for v in agg["p10"]],
-                    p90=[float(v) for v in agg["p90"]],
-                )
-                for name, agg in data["aggregates"].items()
-            },
-        )
-
-    def write_kpis_csv(self, stream: IO[str]) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(
-            [
-                "year",
-                "replication",
-                "capex",
-                "opex",
-                "totex",
-                "inspection_hours",
-                "unavailability_hours",
-                "failures",
-                "replacements",
-                "backlog_hours",
-            ]
-        )
-        for rep_index, series in enumerate(self.replications):
-            totex = series.totex
-            for year in range(series.horizon_years):
-                writer.writerow(
-                    [
-                        year,
-                        rep_index,
-                        f"{series.capex[year].quantize(_CENT)}",
-                        f"{series.opex[year].quantize(_CENT)}",
-                        f"{totex[year].quantize(_CENT)}",
-                        repr(series.inspection_hours[year]),
-                        repr(series.unavailability_hours[year]),
-                        series.failures[year],
-                        series.replacements[year],
-                        repr(series.backlog_hours[year]),
-                    ]
-                )
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Per-year TOTEX comparison between two reports (mean across replications)."""
-
-    years: list[int]
-    totex_a_mean: list[float]
-    totex_b_mean: list[float]
-    delta: list[float]
-    cumulative_delta: list[float]
-    crossover_year: Optional[int]
-
-    def write_csv(self, stream: IO[str]) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(
-            ["year", "totex_a_mean", "totex_b_mean", "delta", "cumulative_delta"]
-        )
-        for i, year in enumerate(self.years):
-            writer.writerow(
-                [
-                    year,
-                    repr(self.totex_a_mean[i]),
-                    repr(self.totex_b_mean[i]),
-                    repr(self.delta[i]),
-                    repr(self.cumulative_delta[i]),
-                ]
-            )
-
-
-# ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
 
@@ -660,13 +485,15 @@ def validate_scenario_for_fleet(
 class _RequestQueue:
     """One priority class of queued requests in a growable buffer.
 
-    The rows of ``buf`` are asset index, spec id and generation; the queue
-    is the column range ``[head, tail)``. Entries stay in (request tick,
-    asset index) order: each tick's requests are appended sorted by asset
-    index; allocation packs the survivors of the prefix it read back against
-    the unread rest (`pack_prefix`), and the year-end backlog pass keeps the
-    live entries only (`keep`), both in order. Asset index order is
-    asset_id order.
+    A request is two numbers, the rows of ``buf``: an id, which is the asset
+    for a replacement and the cadence entry for an inspection, and the
+    generation of its asset when it was raised. The queue is the column
+    range ``[head, tail)``. Entries stay in (request tick, id) order: each
+    tick's requests are appended sorted by id; allocation packs the
+    survivors of the prefix it read back against the unread rest
+    (`pack_prefix`), and dropping stale entries keeps the live ones
+    (`keep`), both in order. Id order is asset_id order, and within an
+    asset, plan order.
 
     ``floor`` is the smallest person-hours of any activity that can enter
     the class, so a budget below it can execute nothing that is queued.
@@ -674,7 +501,7 @@ class _RequestQueue:
 
     def __init__(self, floor: float) -> None:
         self.floor = floor
-        self.buf = np.empty((3, 256), dtype=np.int64)
+        self.buf = np.empty((2, 256), dtype=np.int64)
         self.head = self.tail = 0
 
     def __len__(self) -> int:
@@ -682,6 +509,10 @@ class _RequestQueue:
 
     def entries(self) -> np.ndarray:
         return self.buf[:, self.head : self.tail]
+
+    def fits(self, count: int) -> bool:
+        """Whether `count` more entries fit behind the tail."""
+        return self.tail + count <= self.buf.shape[1]
 
     def keep(self, live: np.ndarray) -> None:
         """Keep only the entries where the mask `live` holds, in order.
@@ -692,7 +523,7 @@ class _RequestQueue:
         entries, size = self.entries(), 0
         for lo in range(0, len(live), _KEEP_BLOCK):
             block = entries[:, lo : lo + _KEEP_BLOCK]
-            kept = block.take(np.flatnonzero(live[lo : lo + _KEEP_BLOCK]), axis=1)
+            kept = block.take(live[lo : lo + _KEEP_BLOCK].nonzero()[0], axis=1)
             # kept is a copy, and every column it lands on was read already
             self.buf[:, size : size + kept.shape[1]] = kept
             size += kept.shape[1]
@@ -703,21 +534,20 @@ class _RequestQueue:
         self.head = end - survivors.shape[1]
         self.buf[:, self.head : end] = survivors
 
-    def push(self, asset: np.ndarray, spec: np.ndarray, generation: np.ndarray) -> None:
-        end = self.tail + len(asset)
+    def push(self, ids: np.ndarray, generation: np.ndarray) -> None:
+        end = self.tail + len(ids)
         if end > self.buf.shape[1]:
             # move to the front of a buffer with room for as many entries
             # again, so copying stays amortized O(1) per entry
             size = len(self)
             buf = np.empty(
-                (3, max(self.buf.shape[1], 2 * (size + len(asset)))), dtype=np.int64
+                (2, max(self.buf.shape[1], 2 * (size + len(ids)))), dtype=np.int64
             )
             buf[:, :size] = self.entries()
             self.buf, self.head, self.tail = buf, 0, size
-            end = size + len(asset)
-        self.buf[0, self.tail : end] = asset
-        self.buf[1, self.tail : end] = spec
-        self.buf[2, self.tail : end] = generation
+            end = size + len(ids)
+        self.buf[0, self.tail : end] = ids
+        self.buf[1, self.tail : end] = generation
         self.tail = end
 
 
@@ -738,7 +568,7 @@ def _greedy_walk(demand: np.ndarray, remaining: float) -> tuple[np.ndarray, floa
         if not len(pos):
             break
         left = np.subtract.accumulate(np.concatenate(([remaining], demand[pos])))
-        misfit = np.flatnonzero(left[1:] < 0)
+        misfit = (left[1:] < 0).nonzero()[0]
         if not len(misfit):
             executed.append(pos)
             remaining = float(left[-1])
@@ -754,6 +584,10 @@ def _greedy_walk(demand: np.ndarray, remaining: float) -> tuple[np.ndarray, floa
 
 # queue index of each priority class
 _CORRECTIVE, _PLANNED, _INSPECTION = 0, 1, 2
+
+# The tick loop takes the indices of a 1-D mask as `mask.nonzero()[0]`,
+# which is `np.flatnonzero(mask)` without its wrapper calls: about ten
+# calls a tick, on small arrays, where that overhead is most of the cost.
 
 # generations of every asset drawn at set-up; the tables double when an
 # asset reaches the last one
@@ -901,9 +735,14 @@ class _Engine:
             _RequestQueue(floor(self.planned_spec)),
             _RequestQueue(floor(self.entry_spec)),
         )
+        # the activity of each class's request ids, and its person-hours
+        self.class_spec = (self.corrective_spec, self.planned_spec, self.entry_spec)
+        self.class_hours = tuple(self.person_hours[spec] for spec in self.class_spec)
+        # live queued inspections of each cadence entry
+        self.queued_inspections = np.zeros(n_entries, dtype=np.int64)
         # requests raised per class; read (from a queue by allocation, or as
         # raised in an open pool), executed, and dropped as stale (when read
-        # or at a year end)
+        # by allocation, at a year end, or before a queue's buffer moves)
         self.raised = [0, 0, 0]
         self.examined = self.executed = self.dropped = 0
 
@@ -916,24 +755,43 @@ class _Engine:
 
     # -- request plumbing ---------------------------------------------------
 
-    def _push(self, cls: int, asset: np.ndarray, spec: np.ndarray) -> None:
-        self.raised[cls] += len(asset)
-        if len(asset):
-            self.queues[cls].push(asset, spec, self.generation[asset])
+    def _assets(self, cls: int, ids: np.ndarray) -> np.ndarray:
+        """The asset of each request id of a class."""
+        return self.entry_asset[ids] if cls == _INSPECTION else ids
+
+    def _push(self, cls: int, ids: np.ndarray) -> None:
+        self.raised[cls] += len(ids)
+        if not len(ids):
+            return
+        queue = self.queues[cls]
+        if not queue.fits(len(ids)):
+            # the buffer would move or grow: its stale entries go first
+            self._drop_stale(cls)
+        queue.push(ids, self.generation[self._assets(cls, ids)])
+        if cls == _INSPECTION:
+            # a tick raises each cadence entry at most once
+            self.queued_inspections[ids] += 1
 
     def _live(self, cls: int, entries: np.ndarray) -> np.ndarray:
-        """Mask of queue entries (rows asset, spec, generation) not stale.
+        """Mask of queue entries (rows id, generation) not stale.
 
         A request is stale once its asset was replaced after it was raised,
         and an inspection also once its asset is out of service. Staleness
         never reverts (generations only grow), so stale requests can be
         dropped whenever they are read.
         """
-        asset = entries[0]
-        live = entries[2] == self.generation[asset]
+        asset = self._assets(cls, entries[0])
+        live = entries[1] == self.generation[asset]
         if cls == _INSPECTION:
             live &= self.in_service[asset]
         return live
+
+    def _drop_stale(self, cls: int) -> None:
+        """Read a class's queue whole and keep its live entries."""
+        queue = self.queues[cls]
+        read = len(queue)
+        queue.keep(self._live(cls, queue.entries()))
+        self.dropped += read - len(queue)
 
     def _walk(self, cls: int, remaining: float) -> tuple[np.ndarray, float]:
         """Execute a class's requests from the head of its queue.
@@ -942,8 +800,7 @@ class _Engine:
         the class floor or the queue ends. Each window drops its stale
         entries and walks the rest with `_greedy_walk`; the survivors of the
         windows read are packed back in order, and entries beyond them are
-        not touched. Returns the executed entries (rows asset, spec) and the
-        budget left.
+        not touched. Returns the ids executed and the budget left.
         """
         queue = self.queues[cls]
         lo, width = queue.head, _FIRST_WINDOW
@@ -953,19 +810,19 @@ class _Engine:
             hi = min(lo + width, queue.tail)
             window = queue.buf[:, lo:hi]
             live = self._live(cls, window)
-            pos = np.flatnonzero(live)
-            taken, remaining = _greedy_walk(self.person_hours[window[1, pos]], remaining)
+            pos = live.nonzero()[0]
+            taken, remaining = _greedy_walk(self.class_hours[cls][window[0, pos]], remaining)
             done = pos[taken]
             live[done] = False
-            ran.append(window[:2].take(done, axis=1))
-            kept.append(window.take(np.flatnonzero(live), axis=1))
+            ran.append(window[0, done])
+            kept.append(window.take(live.nonzero()[0], axis=1))
             self.examined += hi - lo
             self.dropped += hi - lo - len(pos)
             lo, width = hi, 2 * width
         if not ran:
-            return np.empty((2, 0), dtype=np.int64), remaining
+            return np.empty(0, dtype=np.int64), remaining
         queue.pack_prefix(lo, np.concatenate(kept, axis=1))
-        return np.concatenate(ran, axis=1), remaining
+        return np.concatenate(ran), remaining
 
     def _allocate_and_complete(self, k: int, year: int) -> None:
         # Classes run in priority order and each one completes before the
@@ -978,23 +835,30 @@ class _Engine:
         for cls, queue in enumerate(self.queues):
             if not len(queue):
                 continue
-            (assets, specs), remaining = self._walk(cls, remaining)
-            if len(assets):
-                self._complete(cls, assets, specs, k, year)
+            ids, remaining = self._walk(cls, remaining)
+            if len(ids):
+                if cls == _INSPECTION:
+                    np.subtract.at(self.queued_inspections, ids, 1)
+                self._complete(cls, self._assets(cls, ids), self.class_spec[cls][ids], k, year)
 
     def _backlog_person_hours(self) -> float:
         """Person-hours of the live queued requests, at a year end.
 
-        This reads every queue whole, so it also drops their stale entries:
-        allocation drops only those it reads, and a long carried queue would
-        otherwise keep a year's stale requests beyond its walked prefix.
+        The replacement queues are short, and are read whole, which drops
+        their stale entries. Inspections are counted per cadence entry
+        instead, so a long carried inspection queue is read only once its
+        stale entries, which allocation drops only where it reads, exceed an
+        eighth of its live ones.
         """
         queued = np.zeros(len(self.specs), dtype=np.int64)
-        for cls, queue in enumerate(self.queues):
-            read = len(queue)
-            queue.keep(self._live(cls, queue.entries()))
-            self.dropped += read - len(queue)
-            queued += np.bincount(queue.entries()[1], minlength=len(self.specs))
+        for cls in (_CORRECTIVE, _PLANNED):
+            self._drop_stale(cls)
+            ids = self.queues[cls].entries()[0]
+            queued += np.bincount(self.class_spec[cls][ids], minlength=len(self.specs))
+        np.add.at(queued, self.entry_spec, self.queued_inspections)
+        live = int(self.queued_inspections.sum())
+        if 8 * (len(self.queues[_INSPECTION]) - live) > live:
+            self._drop_stale(_INSPECTION)
         return _exact_sums(queued[None], self.person_hours)[0]
 
     # -- tick steps ----------------------------------------------------------
@@ -1044,23 +908,27 @@ class _Engine:
         return fail, np.where(self.is_time[assets], 1.0, self.rate_table[generation, assets])
 
     def _draw_failures(self, k: int, year: int) -> np.ndarray:
-        failed = np.flatnonzero(self.fail_tick == k)
+        failed = (self.fail_tick == k).nonzero()[0]
         self.in_service[failed] = False
         self.armed[failed] = False
+        if len(failed):
+            # their queued inspections are stale
+            entry = self.entries_of[failed]
+            self.queued_inspections[entry[entry >= 0]] = 0
         self.kpis.failures[year] += len(failed)
         return failed
 
     def _replacement_triggers(self) -> np.ndarray:
         """Armed assets that reach their trigger (`_trigger_reached`); they
         are disarmed until replaced."""
-        due = np.flatnonzero(
+        due = (
             self.armed & _trigger_reached(self.age, self.trigger_rate, self.trigger_age)
-        )
+        ).nonzero()[0]
         self.armed[due] = False
         return due
 
-    def _inspection_triggers(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Inspections due at tick k, from the entries checked at tick k.
+    def _inspection_triggers(self, k: int) -> np.ndarray:
+        """Cadence entries due at tick k, from the entries checked at tick k.
 
         A cadence is due when its asset is in service and, on ``since = age
         - start``, ``since >= 0 and since % interval < tick`` holds. Each
@@ -1070,7 +938,7 @@ class _Engine:
         past the interval. All of them are whole grid units, so that tick is
         exact.
         """
-        entry = np.flatnonzero(self.next_check == k)
+        entry = (self.next_check == k).nonzero()[0]
         asset = self.entry_asset[entry]
         since = self.age[asset] - self.entry_start[entry]
         interval = self.entry_interval[entry]
@@ -1078,7 +946,7 @@ class _Engine:
         due = (since >= 0) & (phase < self.tick_units) & self.in_service[asset]
         ahead = np.where(since < 0, -since, interval - phase)
         self.next_check[entry] = k - (-ahead // self.tick_units)
-        return asset[due], self.entry_spec[entry[due]]
+        return entry[due]
 
     def _complete(
         self, cls: int, assets: np.ndarray, specs: np.ndarray, k: int, year: int
@@ -1109,9 +977,12 @@ class _Engine:
             assets, generation, k + 1
         )
         self.rates[assets] = self.rate_table[generation, assets]
-        # the cadences restart from age 0, checked from the next tick
+        # the cadences restart from age 0, checked from the next tick, and
+        # the inspections queued for the old generation are stale
         entry = self.entries_of[assets]
-        self.next_check[entry[entry >= 0]] = k + 1
+        entry = entry[entry >= 0]
+        self.next_check[entry] = k + 1
+        self.queued_inspections[entry] = 0
 
     def _book(self) -> KpiSeries:
         """The KPIs from what executed: money as exact Decimal products of
@@ -1171,9 +1042,9 @@ class _Engine:
             )
             due = self._replacement_triggers()
             inspections = self._inspection_triggers(k)
-            self._push(_CORRECTIVE, failed, self.corrective_spec[failed])
-            self._push(_PLANNED, due, self.planned_spec[due])
-            self._push(_INSPECTION, *inspections)
+            self._push(_CORRECTIVE, failed)
+            self._push(_PLANNED, due)
+            self._push(_INSPECTION, inspections)
             self._allocate_and_complete(k, year)
             if (k + 1) % self.ticks_per_year == 0:
                 self.kpis.backlog_hours[year] = self._backlog_person_hours()
@@ -1268,39 +1139,3 @@ def _percentile(ordered: np.ndarray, q: int) -> np.ndarray:
     if weight >= 0.5:
         return upper - diff * (1 - weight)
     return lower + diff * weight
-
-
-def compare_scenarios(a: SimulationReport, b: SimulationReport) -> ComparisonReport:
-    """Per-year mean TOTEX deltas (a minus b) and the cumulative crossover year."""
-    if a.horizon_years != b.horizon_years or a.tick_months != b.tick_months:
-        raise ValueError(
-            f"cannot compare reports with different horizons/ticks: "
-            f"{a.horizon_years}y/{a.tick_months}m vs {b.horizon_years}y/{b.tick_months}m"
-        )
-    totex_a = a.aggregates["totex"].mean
-    totex_b = b.aggregates["totex"].mean
-    delta = [x - y for x, y in zip(totex_a, totex_b)]
-    cumulative: list[float] = []
-    running = 0.0
-    for d in delta:
-        running += d
-        cumulative.append(running)
-    crossover: Optional[int] = None
-    first_sign = 0.0
-    for year, value in enumerate(cumulative):
-        sign = math.copysign(1.0, value) if value != 0.0 else 0.0
-        if sign == 0.0:
-            continue
-        if first_sign == 0.0:
-            first_sign = sign
-        elif sign != first_sign:
-            crossover = year
-            break
-    return ComparisonReport(
-        years=list(range(a.horizon_years)),
-        totex_a_mean=totex_a,
-        totex_b_mean=totex_b,
-        delta=delta,
-        cumulative_delta=cumulative,
-        crossover_year=crossover,
-    )

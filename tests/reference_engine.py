@@ -10,7 +10,8 @@ them.
   engine's clock rules, on exact ages: the schedule tests evaluate them for
   every asset at every tick.
 * `LedgerEngine` is the reference for the engine's hour ledgers: it lists
-  every executed duration and queued person-hour one by one.
+  every executed duration and queued person-hour one by one, and recounts
+  the live queued inspections of each cadence entry from the queue.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
+
+import numpy as np
 
 from fleetlife.simulate import (
     ActivityKind,
@@ -108,7 +111,10 @@ class LedgerEngine(_Engine):
     Per year: `inspection_terms` holds the duration of each inspection
     executed, `unavailability_terms` those of every activity executed plus
     each corrective replacement's hours out of service, and `backlog_terms`
-    the person-hours of each live request queued at the year end.
+    the person-hours of each live request queued at the year end. At each
+    year end, `recounted` holds the live queued inspections of each cadence
+    entry, recounted from the queue, `counted` the engine's counts, and
+    `stale_left` how many stale inspections the year end left queued.
     """
 
     def run(self):
@@ -116,6 +122,7 @@ class LedgerEngine(_Engine):
         self.inspection_terms = [[] for _ in range(years)]
         self.unavailability_terms = [[] for _ in range(years)]
         self.backlog_terms = [[] for _ in range(years)]
+        self.recounted, self.counted, self.stale_left = [], [], []
         self.year = 0
         return super().run()
 
@@ -134,13 +141,21 @@ class LedgerEngine(_Engine):
         # a request is live while its asset keeps the generation it was
         # raised for, and an inspection also while its asset is in service
         for cls, queue in enumerate(self.queues):
-            asset, spec, generation = queue.entries()
+            ids, generation = queue.entries()
+            asset = self.entry_asset[ids] if cls == _INSPECTION else ids
             live = generation == self.generation[asset]
             if cls == _INSPECTION:
                 live &= self.in_service[asset]
-            self.backlog_terms[self.year] += self.person_hours[spec[live]].tolist()
+            spec = self.class_spec[cls][ids[live]]
+            self.backlog_terms[self.year] += self.person_hours[spec].tolist()
+            if cls == _INSPECTION:
+                n_entries = len(self.queued_inspections)
+                self.recounted.append(np.bincount(ids[live], minlength=n_entries).tolist())
+                self.counted.append(self.queued_inspections.tolist())
         self.year += 1
-        return super()._backlog_person_hours()
+        backlog = super()._backlog_person_hours()
+        self.stale_left.append(len(self.queues[_INSPECTION]) - sum(self.recounted[-1]))
+        return backlog
 
     def assert_ledgers_exact(self):
         """Each year's hours are `math.fsum` of their terms."""
@@ -149,3 +164,4 @@ class LedgerEngine(_Engine):
             assert kpis.inspection_hours[year] == math.fsum(self.inspection_terms[year])
             assert kpis.unavailability_hours[year] == math.fsum(self.unavailability_terms[year])
             assert kpis.backlog_hours[year] == math.fsum(self.backlog_terms[year])
+        assert self.counted == self.recounted

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from datetime import date
@@ -541,3 +542,41 @@ def test_simulate_leaves_numpy_ma_unloaded(tmp_path, small_fleet_csv):
     run = f"from fleetlife.cli import main; main({argv!r}, standalone_mode=False)"
     assert loaded_after(run) == "False"
     assert (tmp_path / "sim" / "report.json").exists()
+
+
+def test_report_leaves_numpy_unloaded(tmp_path, small_fleet_csv):
+    # report compares two JSON files; it loads neither numpy nor the engine
+    sc = scenario_file(tmp_path)
+    invoke("simulate", "--fleet", small_fleet_csv, "--scenario", sc, "--out", tmp_path / "sim")
+    report = tmp_path / "sim" / "report.json"
+    src = str(Path(fleetlife.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["report", "--a", str(report), "--b", str(report), "--out", str(tmp_path / "cmp")]
+    code = (
+        f"from fleetlife.cli import main; main({argv!r}, standalone_mode=False); "
+        "import sys; print(sorted(m for m in ('numpy', 'fleetlife.simulate') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "cmp" / "summary.json").exists()
+
+
+def test_layers_the_benchmark_traces_are_names_of_cli():
+    # perfbench/run.py routes the commands' layer calls through spans by
+    # replacing these names in vars(fleetlife.cli); a missing one would
+    # break the traced benchmark
+    import fleetlife.cli as cli
+
+    bench = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    patched = re.findall(r'\(fl\.cli, "(\w+)"', bench.read_text(encoding="utf-8"))
+    assert len(patched) >= 8
+    assert [name for name in patched if not callable(vars(cli).get(name))] == []
+
+
+def test_family_choices_are_the_voltage_classes():
+    import fleetlife.cli as cli
+
+    assert cli.FAMILY_CHOICES == [vc.value for vc in VoltageClass]

@@ -15,7 +15,7 @@ import pytest
 
 from fleetlife.fleet import SyntheticFleetSpec, VoltageClass, generate_synthetic_fleet
 from fleetlife.scenarios import builtin_scenario
-from fleetlife.simulate import Constrained, run_scenario
+from fleetlife.simulate import _INSPECTION, Constrained, _Engine, run_scenario
 
 FLEET = generate_synthetic_fleet(
     SyntheticFleetSpec(
@@ -39,19 +39,23 @@ GOLDEN = {
     # that never binds
     "time-based:century": "1d369726cf157c30adfa4d5be7f9717fe87673888c3b74e2266a264ed675edbc",
     "condition-based:century": "07ee3e0649bf8b91218f9a6492c65ea2deafac819f46859baf1de2596a8e4252",
+    # the binding pool over 100 years: carried inspections pile up, so the
+    # queue drops its stale entries both at year ends and before it grows
+    "time-based:binding:century": "6a08d9ab5e6482a937a33570cb8aa7d3dbfc5b993c8732fabf7fcf0f4da32b5f",
+    "condition-based:binding:century": "549f88ff0fab0955293824f2609e589aa9cf6b750b244b29c08608c98e1e4ec7",
 }
 
 
 def golden_scenario(case: str):
-    strategy, _, pool = case.partition(":")
+    strategy, *pools = case.split(":")
     scenario = dataclasses.replace(
         builtin_scenario(strategy, replications=2, master_seed=5),
         horizon_years=12,
         start_date=date(2021, 7, 1),
     )
-    if pool == "binding":
+    if "binding" in pools:
         scenario = dataclasses.replace(scenario, resources=BINDING_POOL)
-    elif pool == "century":
+    if "century" in pools:
         scenario = dataclasses.replace(scenario, horizon_years=100)
     return scenario
 
@@ -74,3 +78,34 @@ def test_binding_cases_carry_work_across_year_ends(case):
     report = run_scenario(FLEET, golden_scenario(case))
     for series in report.replications:
         assert sum(b > 0 for b in series.backlog_hours) >= 3
+
+
+class DropProbe(_Engine):
+    """The engine, noting where it dropped stale inspections: at a year
+    end, or before its inspection queue's buffer moved or grew."""
+
+    def run(self):
+        self.drops, self.where = set(), None
+        return super().run()
+
+    def _push(self, cls, ids):
+        self.where = "growth"
+        super()._push(cls, ids)
+
+    def _backlog_person_hours(self):
+        self.where = "year end"
+        return super()._backlog_person_hours()
+
+    def _drop_stale(self, cls):
+        if cls == _INSPECTION:
+            self.drops.add(self.where)
+        super()._drop_stale(cls)
+
+
+@pytest.mark.parametrize("case", ["time-based:binding:century", "condition-based:binding:century"])
+def test_binding_century_cases_drop_stale_inspections_both_ways(case):
+    # guards the cases above: they pin both paths that drop stale
+    # inspections from a long carried queue
+    engine = DropProbe(FLEET, golden_scenario(case), 0)
+    engine.run()
+    assert engine.drops == {"year end", "growth"}

@@ -993,21 +993,21 @@ class TestRequestQueue:
         queue = _RequestQueue(floor=0.0)
         pushed = []
         for size in (5, 300, 0, 700, 1):
-            asset = np.arange(len(pushed), len(pushed) + size)
-            queue.push(asset, asset + 1, asset + 2)
-            pushed += asset.tolist()
+            ids = np.arange(len(pushed), len(pushed) + size)
+            queue.push(ids, ids + 2)
+            pushed += ids.tolist()
         # drop a prefix the way an allocation does, then grow again
         queue.head += 100
-        queue.push(np.array([7]), np.array([8]), np.array([9]))
+        queue.push(np.array([7]), np.array([9]))
         assert queue.entries()[0].tolist() == pushed[100:] + [7]
-        assert queue.entries()[2].tolist() == [a + 2 for a in pushed[100:]] + [9]
+        assert queue.entries()[1].tolist() == [a + 2 for a in pushed[100:]] + [9]
         assert len(queue) == len(pushed) - 100 + 1
 
     def test_keep_compacts_in_order_across_blocks(self):
         # the year-end pass compacts a queue a block at a time, in place
         queue = _RequestQueue(floor=0.0)
-        asset = np.arange(20_000)
-        queue.push(asset, asset + 1, asset + 2)
+        ids = np.arange(20_000)
+        queue.push(ids, ids + 2)
         queue.head += 7
         live = np.random.default_rng(3).random(len(queue)) < 0.6
         expected = queue.entries()[:, live].copy()
@@ -1136,10 +1136,11 @@ class RecordingEngine(_Engine):
     def _inspection_triggers(self, k):
         self.checked.append(int(np.count_nonzero(self.next_check == k)))
         ages, in_service = self.age.copy(), self.in_service.copy()
-        assets, specs = super()._inspection_triggers(k)
+        entries = super()._inspection_triggers(k)
+        assets, specs = self.entry_asset[entries], self.entry_spec[entries]
         names = [self.specs[s].name for s in specs.tolist()]
         self.inspection_log.append((ages, in_service, list(zip(assets.tolist(), names))))
-        return assets, specs
+        return entries
 
 
 def assert_raised_by_float_rule(engine, sc):
@@ -1343,6 +1344,77 @@ class TestEngineInvariants:
         engine = LedgerEngine(fleet, sc, 0)
         engine.run()
         engine.assert_ledgers_exact()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), fte=st.integers(0, 2))
+    def test_counted_backlog_matches_a_recount(self, data, fte):
+        # 20 to 40 assets inspected at one to three cadences, with planned
+        # replacements every one to four years and short lives, under a pool
+        # of at most 20 person-hours a month: inspections carry, and many
+        # turn stale in the queue. The engine counts the live queued
+        # inspections of each cadence entry and reads the queue at a year
+        # end only once stale entries pile up; at every year end its counts
+        # and its backlog must equal a recount of the live entries in the
+        # queue, whether stale ones were left in place or not.
+        tick = data.draw(st.sampled_from(VALID_TICKS), label="tick")
+        multiples = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+        plan = PeriodicInspections(0.0, tuple(tick * m for m in multiples))
+        trigger = TimeBased(data.draw(st.floats(1.0, 4.0), label="trigger"))
+
+        def spec(name, kind, hours, fte):
+            return ActivitySpec(name, kind, hours, fte, Decimal(1), Decimal(0))
+
+        catalog = ActivityCatalog(
+            replacements={110: spec("r", ActivityKind.PLANNED_REPLACEMENT, 5.0, 2)},
+            inspections={
+                (110, tick * m): spec(f"i{m}", ActivityKind.INSPECTION, 0.5 * m, 1)
+                for m in multiples
+            },
+        )
+        life = WeibullLaw(beta=data.draw(st.floats(0.8, 3.0)), eta=data.draw(st.floats(1.0, 6.0)))
+        sc = scenario(
+            fleet_policy=simple_policy(trigger, plan),
+            catalog=catalog,
+            laws={vc: life for vc in VoltageClass},
+            resources=Constrained(fte_count=fte, hours_per_fte_per_year=120.0),
+            tick_months=tick,
+            horizon_years=10,
+            failures_enabled=True,
+            master_seed=data.draw(st.integers(0, 2**31), label="seed"),
+        )
+        days = data.draw(st.lists(st.integers(0, 3000), min_size=20, max_size=40), label="days")
+        fleet = fleet_of([
+            asset(f"110-{i:05d}", commissioned=date.fromordinal(START.toordinal() - d))
+            for i, d in enumerate(days)
+        ])
+        validate_scenario_for_fleet(fleet, sc)
+        engine = LedgerEngine(fleet, sc, 0)
+        engine.run()
+        engine.assert_ledgers_exact()
+        queued = sum(len(queue) for queue in engine.queues)
+        assert sum(engine.raised) == engine.executed + engine.dropped + queued
+
+    def test_counted_backlog_survives_stale_entries_left_in_place(self):
+        # a 12-year binding pool over 200 assets: some year ends leave
+        # stale inspections queued, and later ones count correctly
+        fleet = generate_synthetic_fleet(
+            SyntheticFleetSpec(
+                sizes={VoltageClass.V110: 80, VoltageClass.V150: 80, VoltageClass.V220_380: 40},
+                commission_years=(1965, 2000),
+                seed=23,
+            )
+        )
+        sc = dataclasses.replace(
+            builtin_scenario("time-based", replications=1, master_seed=5),
+            horizon_years=12,
+            start_date=date(2021, 7, 1),
+            resources=Constrained(fte_count=10, hours_per_fte_per_year=500.0),
+        )
+        engine = LedgerEngine(fleet, sc, 0)
+        engine.run()
+        engine.assert_ledgers_exact()
+        left = [year for year, stale in enumerate(engine.stale_left) if stale]
+        assert left and left[0] < sc.horizon_years - 1
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
