@@ -247,6 +247,12 @@ def _as_int(value: Any, path: str) -> int:
     return value
 
 
+def _as_bool(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{path}: expected true or false")
+    return value
+
+
 def _as_money(value: Any, path: str) -> Decimal:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ScenarioError(f"{path}: expected a number")
@@ -505,7 +511,7 @@ def scenario_from_dict(data: Mapping) -> Scenario:
             horizon_years=_as_int(root.get("horizon_years", 100), "horizon_years"),
             tick_months=_as_int(root.get("tick_months", 1), "tick_months"),
             start_date=start_date,
-            failures_enabled=bool(root.get("failures_enabled", True)),
+            failures_enabled=_as_bool(root.get("failures_enabled", True), "failures_enabled"),
             degradation_rates=rates,
             hazard_age=str(hazard_age),
             replications=_as_int(root.get("replications", 1), "replications"),

@@ -45,22 +45,21 @@ The engine (`_Engine`) runs one replication on arrays, and the work of its
 inspection and allocation steps follows what a tick raises and executes
 rather than fleet size or backlog length:
 
-* Inspections keep one next-check tick per (asset, cadence). A check
-  applies the cadence rule to the age the engine holds, and books the next
-  tick at which that rule holds; a replacement books the asset's cadences
-  again from age 0.
-* Replacement triggers read an ``armed`` mask (in service, no planned
-  replacement pending) and a per-asset trigger rate (1 for time-based, the
-  degradation rate for condition-based), both updated only on failure,
-  trigger and replacement.
-* An open pool (`Unconstrained`) has no clock (`generations.OpenPool`).
+* The engine holds no ages. Each asset holds the ticks at which its
+  current generation fails and reaches its replacement trigger, both drawn
+  in closed form with the generation; an in-service asset whose trigger
+  tick has come requests its planned replacement.
+* Inspections keep the next due tick of each (asset, cadence), booked in
+  closed form (`generations.first_due`) at set-up and on replacement, and
+  advanced by the cadence's period each time it falls due.
+* An open pool (`Unconstrained`) has no clock (`generations.run_open_pool`).
   No queue couples its assets, so each asset's history is a chain of
   generations, simulated one round at a time: every generation ends at its
   failure tick or its trigger tick, whichever comes first (a failure wins a
-  tie), both in closed form. Its inspections are counted in closed form
-  too, a year at a time, up to that end; those raised at the tick of a
-  planned replacement are dropped. So the report is the one the tick loop
-  gives under a pool that never binds, and the backlog is always zero.
+  tie). Its inspections are counted in closed form, a year at a time, up
+  to that end; those raised at the tick of a planned replacement are
+  dropped. So the report is the one the tick loop gives under a pool that
+  never binds, and the backlog is always zero.
 * Queues exist only for a constrained pool, whose run steps tick by tick.
   Each priority class is a FIFO queue held as two int rows: the request's
   id (the asset for a replacement, the cadence entry for an inspection)
@@ -72,9 +71,9 @@ rather than fleet size or backlog length:
   the year-end backlog needs no pass over the inspection queue. Its stale
   entries are dropped when they exceed an eighth of the live ones at a
   year end, and before the buffer moves or grows.
-* Each asset holds the tick at which its current generation fails. The
-  failure ticks and rates of generations ``0 .. G-1`` of every asset are
-  drawn at set-up in one call, and ``G`` doubles when an asset reaches it.
+* The failure and trigger delays of generations ``0 .. G-1`` of every
+  asset are drawn at set-up in one call, and ``G`` doubles when an asset
+  reaches it.
 
 Determinism contract: every draw is a pure function of its coordinates.
 Asset generation ``g`` of replication ``rep`` takes one Philox4x64-10 block,
@@ -103,8 +102,9 @@ from .generations import (
     UNITS_PER_DAY,
     UNITS_PER_MONTH,
     UNITS_PER_YEAR,
-    OpenPool,
-    _trigger_reached,
+    first_due,
+    run_open_pool,
+    trigger_delay,
 )
 from .reports import (
     METRICS,
@@ -436,6 +436,11 @@ def _stream_draws(
     return u, radius * np.cos(2.0 * math.pi * w2 * 2.0**-53)
 
 
+def _simulation_start(fleet: AssetTable, scenario: Scenario) -> date:
+    """The scenario's start date, or else the last commissioning day."""
+    return scenario.start_date or date.fromordinal(int(fleet.commission.max()))
+
+
 def validate_scenario_for_fleet(
     fleet: AssetTable, scenario: Scenario
 ) -> None:
@@ -448,7 +453,7 @@ def validate_scenario_for_fleet(
             f"asset {fleet.asset_id[failed[0]]!r} already failed; simulation takes an "
             "in-service fleet"
         )
-    start = scenario.start_date or date.fromordinal(int(fleet.commission.max()))
+    start = _simulation_start(fleet, scenario)
     requestable: list[ActivitySpec] = []
     for kv in sorted(set(fleet.voltage_kv.tolist())):
         vc = VoltageClass.from_kv(kv)
@@ -621,17 +626,14 @@ class _Engine:
         self.ticks_per_year = 12 // self.tick
         self.n_ticks = scenario.horizon_years * self.ticks_per_year
 
-        start = scenario.start_date or date.fromordinal(int(fleet.commission.max()))
+        start = _simulation_start(fleet, scenario)
         # assets in id order
         order = sorted(range(len(fleet)), key=fleet.asset_id.__getitem__)
         self.kv = fleet.voltage_kv[order].astype(np.int32)
-        # ages in grid units: at tick 0, and as the tick loop holds them
+        # ages at tick 0, in grid units
         self.age0 = UNITS_PER_DAY * (start.toordinal() - fleet.commission[order]).astype(np.int64)
-        self.age = self.age0.copy()
         n = len(order)
         self.in_service = np.ones(n, dtype=bool)
-        # in service with no planned replacement pending
-        self.armed = np.ones(n, dtype=bool)
         self.generation = np.zeros(n, dtype=np.int64)
 
         self.family = fleet.family[order]
@@ -683,9 +685,10 @@ class _Engine:
         n_entries = int(cadences.sum())
         self.entry_asset = np.repeat(everyone, cadences)
         self.entry_spec = np.zeros(n_entries, dtype=np.int64)
-        # in grid units, the start age rounded up to the grid
+        # the start age in grid units, rounded up to the grid, and the
+        # interval in ticks
         self.entry_start = np.zeros(n_entries, dtype=np.int64)
-        self.entry_interval = np.zeros(n_entries, dtype=np.int64)
+        self.entry_period = np.zeros(n_entries, dtype=np.int64)
         for f, plan in plans.items():
             idx = self.groups[f]
             years, per = plan.start_age_years.as_integer_ratio()
@@ -695,32 +698,33 @@ class _Engine:
                     idx, lambda kv: catalog.inspection(kv, interval)
                 )
                 self.entry_start[entry] = -(-years * UNITS_PER_YEAR // per)
-                self.entry_interval[entry] = UNITS_PER_MONTH * interval
+                self.entry_period[entry] = interval // self.tick
         # entries of each asset, -1 padded
         slot = np.arange(cadences.max(initial=0))
         self.entries_of = np.where(
             slot < cadences[:, None], first_entry[:, None] + slot, -1
         )
-        # next_check[e] is the next tick at which entry e can fall due; every
-        # entry is first checked at tick 0
-        self.next_check = np.zeros(n_entries, dtype=np.int64)
+        # next_check[e] is the next tick at which entry e falls due
+        self.next_check = first_due(
+            self.entry_start, self.age0[self.entry_asset], 0, 0, self.entry_period,
+            self.tick_units,
+        )
 
         self.specs = list(spec_ids)
         self.person_hours = np.array([s.person_hours for s in self.specs])
         self.duration_hours = np.array([s.duration_hours for s in self.specs])
 
         self.keys = (_asset_keys(fleet.asset_id) if keys is None else keys)[:, order]
-        # life[g, i] is the number of ticks from the tick generation g of
-        # asset i is first at risk to the tick it fails, capped at n_ticks;
-        # rate_table[g, i] is its degradation rate
+        # life[g, i] and trigger[g, i] are the ticks from the origin of
+        # generation g of asset i to the tick it fails and to the tick it
+        # reaches its replacement trigger, at least n_ticks if never
         self.life = np.empty((0, n), dtype=np.int64)
-        self.rate_table = np.empty((0, n))
+        self.trigger = np.empty((0, n), dtype=np.int64)
         self._draw_generations(_FIRST_GENERATIONS)
-        self.rates = self.rate_table[0].copy()
         # the tick at which each asset's current generation fails, or
-        # failed, and its trigger rate; generation 0 is at risk from tick 0
+        # failed, and reaches its trigger
         zero = np.zeros(n, dtype=np.int64)
-        self.fail_tick, self.trigger_rate = self._generation_rules(everyone, zero, zero)
+        self.fail_tick, self.trigger_tick = self._generation_rules(everyone, zero, zero)
 
         if isinstance(scenario.resources, Unconstrained):
             self.capacity: Optional[float] = None
@@ -884,33 +888,45 @@ class _Engine:
         return start, ages, rates
 
     def _draw_generations(self, count: int) -> None:
-        """Append the next `count` generations of every asset to the tables."""
-        start, ages, rates = self._failure_ages(
-            np.arange(len(self.life), len(self.life) + count)
+        """Append the next `count` generations of every asset to the tables.
+
+        Generation 0 starts from its start age at tick 0. A later one starts
+        from age 0 at its replacement tick, and is first at risk and armed
+        a tick later. With failures disabled, no generation fails.
+        """
+        generations = np.arange(len(self.life), len(self.life) + count)
+        start, ages, rates = self._failure_ages(generations)
+        later = np.broadcast_to((generations > 0)[:, None], ages.shape)
+        if self.scenario.failures_enabled:
+            # rounding can put an age a hair below its start when e is tiny
+            life = np.clip(np.floor((ages - start) / self.tick_years), 0, self.n_ticks)
+        else:
+            life = np.full(ages.shape, self.n_ticks)
+        # the age is multiplied by 1.0 for time-based assets (exact, so they
+        # compare their age), else by the degradation rate
+        rate = np.where(self.is_time, 1.0, rates)
+        age, rate, trigger_age = (
+            np.broadcast_to(a, ages.shape).ravel()
+            for a in (np.where(later, 0, self.age0), rate, self.trigger_age)
         )
-        # rounding can put an age a hair below its start when e is tiny
-        life = np.clip(np.floor((ages - start) / self.tick_years), 0, self.n_ticks)
-        self.life = np.concatenate((self.life, life.astype(np.int64)))
-        self.rate_table = np.concatenate((self.rate_table, rates))
+        delay = trigger_delay(age, rate, trigger_age, self.tick_units, self.n_ticks)
+        self.life = np.concatenate((self.life, life.astype(np.int64) + later))
+        self.trigger = np.concatenate((self.trigger, delay.reshape(ages.shape)))
 
     def _generation_rules(
-        self, assets: np.ndarray, generation: np.ndarray, first_at_risk: np.ndarray
+        self, assets: np.ndarray, generation: np.ndarray, origin: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """For the given generation of each asset: the tick at which it
-        fails, its drawn life in ticks after the tick it is first at risk;
-        and what its age is multiplied by for its replacement trigger, 1.0
-        for time-based assets (exact, so they compare their age), else its
-        degradation rate. The tables double until they hold the generation.
-        """
+        """The tick at which the given generation of each asset, started at
+        tick `origin`, fails, and the tick at which it reaches its trigger.
+        The tables double until they hold the generation."""
         while generation.max(initial=0) >= len(self.life):
             self._draw_generations(len(self.life))
-        fail = first_at_risk + self.life[generation, assets]
-        return fail, np.where(self.is_time[assets], 1.0, self.rate_table[generation, assets])
+        life, trigger = self.life[generation, assets], self.trigger[generation, assets]
+        return origin + life, origin + trigger
 
     def _draw_failures(self, k: int, year: int) -> np.ndarray:
         failed = (self.fail_tick == k).nonzero()[0]
         self.in_service[failed] = False
-        self.armed[failed] = False
         if len(failed):
             # their queued inspections are stale
             entry = self.entries_of[failed]
@@ -918,35 +934,16 @@ class _Engine:
         self.kpis.failures[year] += len(failed)
         return failed
 
-    def _replacement_triggers(self) -> np.ndarray:
-        """Armed assets that reach their trigger (`_trigger_reached`); they
-        are disarmed until replaced."""
-        due = (
-            self.armed & _trigger_reached(self.age, self.trigger_rate, self.trigger_age)
-        ).nonzero()[0]
-        self.armed[due] = False
-        return due
+    def _replacement_triggers(self, k: int) -> np.ndarray:
+        """In-service assets whose generation reaches its trigger at tick k."""
+        return ((self.trigger_tick == k) & self.in_service).nonzero()[0]
 
     def _inspection_triggers(self, k: int) -> np.ndarray:
-        """Cadence entries due at tick k, from the entries checked at tick k.
-
-        A cadence is due when its asset is in service and, on ``since = age
-        - start``, ``since >= 0 and since % interval < tick`` holds. Each
-        checked entry, whether or not its asset could be inspected, is
-        booked for the next tick at which that rule holds: where the age
-        reaches the start age, or where the phase ``since % interval`` wraps
-        past the interval. All of them are whole grid units, so that tick is
-        exact.
-        """
+        """Cadence entries due at tick k whose asset is in service. Every
+        entry due, inspected or not, is booked for its next due tick."""
         entry = (self.next_check == k).nonzero()[0]
-        asset = self.entry_asset[entry]
-        since = self.age[asset] - self.entry_start[entry]
-        interval = self.entry_interval[entry]
-        phase = since % interval
-        due = (since >= 0) & (phase < self.tick_units) & self.in_service[asset]
-        ahead = np.where(since < 0, -since, interval - phase)
-        self.next_check[entry] = k - (-ahead // self.tick_units)
-        return entry[due]
+        self.next_check[entry] += self.entry_period[entry]
+        return entry[self.in_service[self.entry_asset[entry]]]
 
     def _complete(
         self, cls: int, assets: np.ndarray, specs: np.ndarray, k: int, year: int
@@ -967,21 +964,18 @@ class _Engine:
         """Renew the assets replaced at tick k."""
         failed = assets[~self.in_service[assets]]
         self.gap_ticks[year] += int((k - self.fail_tick[failed]).sum())
-        self.age[assets] = 0
         self.in_service[assets] = True
-        self.armed[assets] = True
         self.generation[assets] += 1
-        generation = self.generation[assets]
-        # the new generation is first at risk at tick k + 1
-        self.fail_tick[assets], self.trigger_rate[assets] = self._generation_rules(
-            assets, generation, k + 1
+        self.fail_tick[assets], self.trigger_tick[assets] = self._generation_rules(
+            assets, self.generation[assets], k
         )
-        self.rates[assets] = self.rate_table[generation, assets]
-        # the cadences restart from age 0, checked from the next tick, and
-        # the inspections queued for the old generation are stale
+        # the cadences restart from age 0 at tick k, due from the next tick,
+        # and the inspections queued for the old generation are stale
         entry = self.entries_of[assets]
         entry = entry[entry >= 0]
-        self.next_check[entry] = k + 1
+        self.next_check[entry] = first_due(
+            self.entry_start[entry], 0, k, k + 1, self.entry_period[entry], self.tick_units
+        )
         self.queued_inspections[entry] = 0
 
     def _book(self) -> KpiSeries:
@@ -1005,42 +999,19 @@ class _Engine:
             ledger[year] += self.specs[s].total_cost * int(count[year, s])
         return ledger
 
-    def _run_open_pool(self) -> KpiSeries:
-        """The open pool's run (`generations.OpenPool`), booked into the
-        KPIs and the request counters; the assets' state stays as set up."""
-        failures, self.replaced, self.inspected, self.raised, self.dropped = OpenPool(
-            tick=self.tick_units,
-            ticks_per_year=self.ticks_per_year,
-            n_ticks=self.n_ticks,
-            age0=self.age0,
-            trigger_age=self.trigger_age,
-            corrective_spec=self.corrective_spec,
-            planned_spec=self.planned_spec,
-            entries_of=self.entries_of,
-            entry_start=self.entry_start,
-            entry_interval=self.entry_interval,
-            entry_spec=self.entry_spec,
-            n_specs=len(self.specs),
-            failures_enabled=self.scenario.failures_enabled,
-            generation_rules=self._generation_rules,
-        ).run()
-        self.kpis.failures = failures.tolist()
-        self.examined = sum(self.raised)
-        self.executed = self.examined - self.dropped
-        return self._book()
-
     def run(self) -> KpiSeries:
         if self.capacity is None:
-            return self._run_open_pool()
-        no_failures = np.empty(0, dtype=np.int64)
+            # the open pool's run (`generations.run_open_pool`); the assets'
+            # state stays as set up
+            failed, self.replaced, self.inspected, self.raised, self.dropped = run_open_pool(self)
+            self.kpis.failures = failed.tolist()
+            self.examined = sum(self.raised)
+            self.executed = self.examined - self.dropped
+            return self._book()
         for k in range(self.n_ticks):
-            if k > 0:
-                self.age += self.tick_units
             year = (k * self.tick) // 12
-            failed = (
-                self._draw_failures(k, year) if self.scenario.failures_enabled else no_failures
-            )
-            due = self._replacement_triggers()
+            failed = self._draw_failures(k, year)
+            due = self._replacement_triggers(k)
             inspections = self._inspection_triggers(k)
             self._push(_CORRECTIVE, failed)
             self._push(_PLANNED, due)

@@ -309,6 +309,13 @@ class TestValidationPaths:
         with pytest.raises(ScenarioError, match="^start_date: malformed"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+    def test_failures_enabled_must_be_a_boolean(self, value):
+        data = valid_dict()
+        data["failures_enabled"] = value
+        with pytest.raises(ScenarioError, match="^failures_enabled: expected true or false$"):
+            scenario_from_dict(data)
+
     def test_bad_rate_kind(self):
         data = valid_dict()
         data["degradation_rates"] = {"kind": "uniform"}
