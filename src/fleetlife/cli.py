@@ -397,15 +397,19 @@ def report(path_a: Path, path_b: Path, out_dir: Path) -> None:
     from .reports import SimulationReport
 
     run = _Run("report", out_dir)
-    run.add_input("a", path_a)
-    run.add_input("b", path_b)
+    reports = []
+    for role, path in (("a", path_a), ("b", path_b)):
+        run.add_input(role, path)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                reports.append(SimulationReport.from_json_dict(json.load(handle)))
+        except ValueError as exc:
+            _fail(f"--{role} {path}: {exc}", EXIT_VALIDATION)
+            return
+    report_a, report_b = reports
     try:
-        with open(path_a, "r", encoding="utf-8") as handle:
-            report_a = SimulationReport.from_json_dict(json.load(handle))
-        with open(path_b, "r", encoding="utf-8") as handle:
-            report_b = SimulationReport.from_json_dict(json.load(handle))
         comparison = compare_scenarios(report_a, report_b)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         _fail(str(exc), EXIT_VALIDATION)
         return
 

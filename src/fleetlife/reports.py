@@ -13,7 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import IO, Mapping, Optional
+from typing import IO, Any, Optional
 
 __all__ = [
     "KpiSeries",
@@ -77,17 +77,23 @@ class KpiSeries:
         return out
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "KpiSeries":
-        horizon = int(data["horizon_years"])
+    def from_json_dict(cls, data: object, path: str, horizon: int) -> "KpiSeries":
+        """The series of a `to_json_dict` object at dotted field `path`."""
+        if _field(data, path, "horizon_years") != horizon:
+            raise ValueError(f"{path}.horizon_years: expected the report's {horizon}")
+
+        def per_year(name: str, kind: type = float) -> list:
+            return _per_year(data, path, name, horizon, kind)
+
         return cls(
             horizon_years=horizon,
-            capex=[Decimal(str(v)) for v in data["capex"]],
-            opex=[Decimal(str(v)) for v in data["opex"]],
-            inspection_hours=[float(v) for v in data["inspection_hours"]],
-            unavailability_hours=[float(v) for v in data["unavailability_hours"]],
-            failures=[int(v) for v in data["failures"]],
-            replacements=[int(v) for v in data["replacements"]],
-            backlog_hours=[float(v) for v in data["backlog_hours"]],
+            capex=[Decimal(str(v)) for v in per_year("capex")],
+            opex=[Decimal(str(v)) for v in per_year("opex")],
+            inspection_hours=per_year("inspection_hours"),
+            unavailability_hours=per_year("unavailability_hours"),
+            failures=per_year("failures", int),
+            replacements=per_year("replacements", int),
+            backlog_hours=per_year("backlog_hours"),
         )
 
 
@@ -125,22 +131,30 @@ class SimulationReport:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "SimulationReport":
-        replications = [KpiSeries.from_json_dict(d) for d in data["replications"]]
+    def from_json_dict(cls, data: object) -> "SimulationReport":
+        """The report of a `to_json_dict` object. A malformed one raises
+        ValueError naming the dotted field, such as ``aggregates.totex.mean``;
+        every per-year list must hold `horizon_years` values."""
+        horizon = _field(data, "", "horizon_years")
+        if horizon < 1:
+            raise ValueError(f"horizon_years: expected at least 1, got {horizon}")
+        replications = _field(data, "", "replications", list)
+        stats, aggregates = _field(data, "", "aggregates", dict), {}
+        for name in METRICS:
+            where, agg = f"aggregates.{name}", _field(stats, "aggregates", name, dict)
+            aggregates[name] = AggregateSeries(
+                *(_per_year(agg, where, stat, horizon) for stat in ("mean", "p10", "p90"))
+            )
         return cls(
-            scenario_name=str(data["scenario_name"]),
-            master_seed=int(data["master_seed"]),
-            horizon_years=int(data["horizon_years"]),
-            tick_months=int(data["tick_months"]),
-            replications=replications,
-            aggregates={
-                name: AggregateSeries(
-                    mean=[float(v) for v in agg["mean"]],
-                    p10=[float(v) for v in agg["p10"]],
-                    p90=[float(v) for v in agg["p90"]],
-                )
-                for name, agg in data["aggregates"].items()
-            },
+            scenario_name=_field(data, "", "scenario_name", str),
+            master_seed=_field(data, "", "master_seed"),
+            horizon_years=horizon,
+            tick_months=_field(data, "", "tick_months"),
+            replications=[
+                KpiSeries.from_json_dict(series, f"replications.{i}", horizon)
+                for i, series in enumerate(replications)
+            ],
+            aggregates=aggregates,
         )
 
     def write_kpis_csv(self, stream: IO[str]) -> None:
@@ -176,6 +190,38 @@ class SimulationReport:
                         repr(series.backlog_hours[year]),
                     ]
                 )
+
+
+# Readers of report JSON: each error names the dotted field, the keys and
+# list positions from the top of the report joined by dots.
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number"}
+
+
+def _field(data: object, path: str, key: str, kind: type = int) -> Any:
+    where = f"{path}.{key}" if path else key
+    if key not in _checked(data, path or "report", dict):
+        raise ValueError(f"{where}: missing")
+    return _checked(data[key], where, kind)
+
+
+def _checked(value: object, where: str, kind: type) -> Any:
+    """`value` if it is a `kind` (`float` takes any JSON number), never a bool."""
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{where}: expected {_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _per_year(data: object, path: str, key: str, horizon: int, kind: type = float) -> list:
+    """The `horizon` numbers, one a year, of field `key`, as `kind`."""
+    where, values = f"{path}.{key}", _field(data, path, key, list)
+    if len(values) != horizon:
+        raise ValueError(f"{where}: expected {horizon} values (horizon_years), got {len(values)}")
+    numbers = (int,) if kind is int else (int, float)
+    for i, v in enumerate(values):
+        if type(v) not in numbers:  # the types JSON gives pass without a call
+            _checked(v, f"{where}.{i}", kind)
+    return [kind(v) for v in values]
 
 
 @dataclass(frozen=True)

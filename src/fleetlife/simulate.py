@@ -41,9 +41,7 @@ from its failure tick to the tick its corrective replacement executes. The
 engine counts what executes per (year, activity); each year's money and
 hours are exact sums of those counts, rounded once.
 
-The engine (`_Engine`) runs one replication on arrays, and the work of its
-inspection and allocation steps follows what a tick raises and executes
-rather than fleet size or backlog length:
+The engine (`_Engine`) runs one replication on arrays:
 
 * The engine holds no ages. Each asset holds the ticks at which its
   current generation fails and reaches its replacement trigger, both drawn
@@ -60,17 +58,10 @@ rather than fleet size or backlog length:
   to that end; those raised at the tick of a planned replacement are
   dropped. So the report is the one the tick loop gives under a pool that
   never binds, and the backlog is always zero.
-* Queues exist only for a constrained pool, whose run steps tick by tick.
-  Each priority class is a FIFO queue held as two int rows: the request's
-  id (the asset for a replacement, the cadence entry for an inspection)
-  and its asset's generation at request time. Allocation reads a queue
-  from its head in windows of doubling width, drops the stale entries of
-  the windows it reads, and stops once the budget is below the smallest
-  activity that can enter the class; the unread rest stays as it is.
-* The engine counts the live queued inspections of each cadence entry, so
-  the year-end backlog needs no pass over the inspection queue. Its stale
-  entries are dropped when they exceed an eighth of the live ones at a
-  year end, and before the buffer moves or grows.
+* A constrained pool steps tick by tick with no request queue: each
+  class's pending requests are read, in (request tick, id) order, from the
+  state of the assets and cadence entries (`_Engine._walk`), and a failure
+  or a replacement clears the requests it makes stale.
 * The failure and trigger delays of generations ``0 .. G-1`` of every
   asset are drawn at set-up in one call, and ``G`` doubles when an asset
   reaches it.
@@ -487,75 +478,6 @@ def validate_scenario_for_fleet(
                 )
 
 
-class _RequestQueue:
-    """One priority class of queued requests in a growable buffer.
-
-    A request is two numbers, the rows of ``buf``: an id, which is the asset
-    for a replacement and the cadence entry for an inspection, and the
-    generation of its asset when it was raised. The queue is the column
-    range ``[head, tail)``. Entries stay in (request tick, id) order: each
-    tick's requests are appended sorted by id; allocation packs the
-    survivors of the prefix it read back against the unread rest
-    (`pack_prefix`), and dropping stale entries keeps the live ones
-    (`keep`), both in order. Id order is asset_id order, and within an
-    asset, plan order.
-
-    ``floor`` is the smallest person-hours of any activity that can enter
-    the class, so a budget below it can execute nothing that is queued.
-    """
-
-    def __init__(self, floor: float) -> None:
-        self.floor = floor
-        self.buf = np.empty((2, 256), dtype=np.int64)
-        self.head = self.tail = 0
-
-    def __len__(self) -> int:
-        return self.tail - self.head
-
-    def entries(self) -> np.ndarray:
-        return self.buf[:, self.head : self.tail]
-
-    def fits(self, count: int) -> bool:
-        """Whether `count` more entries fit behind the tail."""
-        return self.tail + count <= self.buf.shape[1]
-
-    def keep(self, live: np.ndarray) -> None:
-        """Keep only the entries where the mask `live` holds, in order.
-
-        The survivors move to the front of the buffer a block at a time, so
-        no copy of the whole queue and no index over it is ever held.
-        """
-        entries, size = self.entries(), 0
-        for lo in range(0, len(live), _KEEP_BLOCK):
-            block = entries[:, lo : lo + _KEEP_BLOCK]
-            kept = block.take(live[lo : lo + _KEEP_BLOCK].nonzero()[0], axis=1)
-            # kept is a copy, and every column it lands on was read already
-            self.buf[:, size : size + kept.shape[1]] = kept
-            size += kept.shape[1]
-        self.head, self.tail = 0, size
-
-    def pack_prefix(self, end: int, survivors: np.ndarray) -> None:
-        """Replace the entries before column `end` by `survivors`."""
-        self.head = end - survivors.shape[1]
-        self.buf[:, self.head : end] = survivors
-
-    def push(self, ids: np.ndarray, generation: np.ndarray) -> None:
-        end = self.tail + len(ids)
-        if end > self.buf.shape[1]:
-            # move to the front of a buffer with room for as many entries
-            # again, so copying stays amortized O(1) per entry
-            size = len(self)
-            buf = np.empty(
-                (2, max(self.buf.shape[1], 2 * (size + len(ids)))), dtype=np.int64
-            )
-            buf[:, :size] = self.entries()
-            self.buf, self.head, self.tail = buf, 0, size
-            end = size + len(ids)
-        self.buf[0, self.tail : end] = ids
-        self.buf[1, self.tail : end] = generation
-        self.tail = end
-
-
 def _greedy_walk(demand: np.ndarray, remaining: float) -> tuple[np.ndarray, float]:
     """Execute requests in queue order within a budget, skipping misfits.
 
@@ -587,7 +509,7 @@ def _greedy_walk(demand: np.ndarray, remaining: float) -> tuple[np.ndarray, floa
     return np.concatenate(executed), remaining
 
 
-# queue index of each priority class
+# index of each priority class
 _CORRECTIVE, _PLANNED, _INSPECTION = 0, 1, 2
 
 # The tick loop takes the indices of a 1-D mask as `mask.nonzero()[0]`,
@@ -598,16 +520,9 @@ _CORRECTIVE, _PLANNED, _INSPECTION = 0, 1, 2
 # asset reaches the last one
 _FIRST_GENERATIONS = 4
 
-# entries an allocation reads first from a queue; each further window is
-# twice as wide
-_FIRST_WINDOW = 64
-
-# queue entries the year-end pass compacts at a time
-_KEEP_BLOCK = 8192
-
 
 class _Engine:
-    """One replication over vectorized asset state and array request queues."""
+    """One replication over vectorized asset state."""
 
     def __init__(
         self,
@@ -722,7 +637,7 @@ class _Engine:
         self.trigger = np.empty((0, n), dtype=np.int64)
         self._draw_generations(_FIRST_GENERATIONS)
         # the tick at which each asset's current generation fails, or
-        # failed, and reaches its trigger
+        # failed, and requests its planned replacement
         zero = np.zeros(n, dtype=np.int64)
         self.fail_tick, self.trigger_tick = self._generation_rules(everyone, zero, zero)
 
@@ -731,22 +646,25 @@ class _Engine:
         else:
             self.capacity = scenario.resources.tick_capacity(self.tick)
 
-        def floor(specs: np.ndarray) -> float:
-            return float(self.person_hours[specs].min(initial=math.inf))
-
-        self.queues = (
-            _RequestQueue(floor(self.corrective_spec)),
-            _RequestQueue(floor(self.planned_spec)),
-            _RequestQueue(floor(self.entry_spec)),
-        )
-        # the activity of each class's request ids, and its person-hours
+        # queued inspections of each cadence entry, due every period from
+        # tick oldest[e] on; with none queued, oldest[e] is its next due
+        # tick, or n_ticks while its asset is out of service
+        self.queued_inspections = np.zeros(n_entries, dtype=np.int64)
+        self.oldest = self.next_check.copy()
+        # Per class and request id (an asset, or a cadence entry): its
+        # activity and person-hours, the tick of its oldest pending request
+        # (past the current tick if none), how many it can have pending and
+        # their period in ticks. A budget below the floor executes nothing.
         self.class_spec = (self.corrective_spec, self.planned_spec, self.entry_spec)
         self.class_hours = tuple(self.person_hours[spec] for spec in self.class_spec)
-        # live queued inspections of each cadence entry
-        self.queued_inspections = np.zeros(n_entries, dtype=np.int64)
-        # requests raised per class; read (from a queue by allocation, or as
-        # raised in an open pool), executed, and dropped as stale (when read
-        # by allocation, at a year end, or before a queue's buffer moves)
+        self.floors = tuple(float(h.min(initial=math.inf)) for h in self.class_hours)
+        self.class_first = (self.fail_tick, self.trigger_tick, self.oldest)
+        ones = np.ones(n, dtype=np.int64)
+        self.class_queued = (ones, ones, self.queued_inspections)
+        self.class_period = (ones, ones, self.entry_period)
+        # requests raised per class; read by allocation (or as raised in an
+        # open pool), executed, and dropped as stale by the failure or
+        # replacement that makes them so
         self.raised = [0, 0, 0]
         self.examined = self.executed = self.dropped = 0
 
@@ -757,113 +675,82 @@ class _Engine:
         self.inspected = np.zeros_like(self.replaced)
         self.gap_ticks = np.zeros(scenario.horizon_years, dtype=np.int64)
 
-    # -- request plumbing ---------------------------------------------------
+    # -- pending requests ---------------------------------------------------
 
-    def _assets(self, cls: int, ids: np.ndarray) -> np.ndarray:
-        """The asset of each request id of a class."""
-        return self.entry_asset[ids] if cls == _INSPECTION else ids
+    def _pending(self, cls: int, k: int) -> np.ndarray:
+        """A class's requests pending at tick k, one id each, in id order.
 
-    def _push(self, cls: int, ids: np.ndarray) -> None:
-        self.raised[cls] += len(ids)
-        if not len(ids):
-            return
-        queue = self.queues[cls]
-        if not queue.fits(len(ids)):
-            # the buffer would move or grow: its stale entries go first
-            self._drop_stale(cls)
-        queue.push(ids, self.generation[self._assets(cls, ids)])
-        if cls == _INSPECTION:
-            # a tick raises each cadence entry at most once
-            self.queued_inspections[ids] += 1
-
-    def _live(self, cls: int, entries: np.ndarray) -> np.ndarray:
-        """Mask of queue entries (rows id, generation) not stale.
-
-        A request is stale once its asset was replaced after it was raised,
-        and an inspection also once its asset is out of service. Staleness
-        never reverts (generations only grow), so stale requests can be
-        dropped whenever they are read.
-        """
-        asset = self._assets(cls, entries[0])
-        live = entries[1] == self.generation[asset]
-        if cls == _INSPECTION:
-            live &= self.in_service[asset]
-        return live
-
-    def _drop_stale(self, cls: int) -> None:
-        """Read a class's queue whole and keep its live entries."""
-        queue = self.queues[cls]
-        read = len(queue)
-        queue.keep(self._live(cls, queue.entries()))
-        self.dropped += read - len(queue)
-
-    def _walk(self, cls: int, remaining: float) -> tuple[np.ndarray, float]:
-        """Execute a class's requests from the head of its queue.
-
-        Reads windows of doubling width until the (finite) budget is below
-        the class floor or the queue ends. Each window drops its stale
-        entries and walks the rest with `_greedy_walk`; the survivors of the
-        windows read are packed back in order, and entries beyond them are
-        not touched. Returns the ids executed and the budget left.
-        """
-        queue = self.queues[cls]
-        lo, width = queue.head, _FIRST_WINDOW
-        ran: list[np.ndarray] = []
-        kept: list[np.ndarray] = []
-        while lo < queue.tail and remaining >= queue.floor:
-            hi = min(lo + width, queue.tail)
-            window = queue.buf[:, lo:hi]
-            live = self._live(cls, window)
-            pos = live.nonzero()[0]
-            taken, remaining = _greedy_walk(self.class_hours[cls][window[0, pos]], remaining)
-            done = pos[taken]
-            live[done] = False
-            ran.append(window[0, done])
-            kept.append(window.take(live.nonzero()[0], axis=1))
-            self.examined += hi - lo
-            self.dropped += hi - lo - len(pos)
-            lo, width = hi, 2 * width
-        if not ran:
-            return np.empty(0, dtype=np.int64), remaining
-        queue.pack_prefix(lo, np.concatenate(kept, axis=1))
-        return np.concatenate(ran), remaining
+        No queue holds them. An asset out of service (past its failure tick)
+        has its corrective replacement pending, one past its planned tick
+        its planned one, and a cadence entry its queued inspections. A
+        replacement resets its asset's ticks and a failure or a replacement
+        clears its inspections, so a stale request is gone."""
+        ids = (self.class_first[cls] <= k).nonzero()[0]
+        return np.repeat(ids, self.class_queued[cls][ids])
 
     def _allocate_and_complete(self, k: int, year: int) -> None:
-        # Classes run in priority order and each one completes before the
-        # next is walked, so a replacement executed here makes the queued
-        # requests of its asset stale before a later class is read. Within
-        # one class no completion can make another entry stale: an asset has
-        # at most one live replacement request per class, and inspections
-        # change no state.
+        # classes run in priority order, each completing before the next is
+        # read, so a replacement clears its asset's requests of later ones
         remaining = self.capacity
-        for cls, queue in enumerate(self.queues):
-            if not len(queue):
-                continue
-            ids, remaining = self._walk(cls, remaining)
-            if len(ids):
-                if cls == _INSPECTION:
-                    np.subtract.at(self.queued_inspections, ids, 1)
-                self._complete(cls, self._assets(cls, ids), self.class_spec[cls][ids], k, year)
+        for cls in (_CORRECTIVE, _PLANNED, _INSPECTION):
+            remaining = self._walk(cls, k, year, remaining)
 
-    def _backlog_person_hours(self) -> float:
-        """Person-hours of the live queued requests, at a year end.
+    def _walk(self, cls: int, k: int, year: int, remaining: float) -> float:
+        """Execute a class's pending requests in (request tick, id) order
+        within the budget, and complete them; returns the budget left.
 
-        The replacement queues are short, and are read whole, which drops
-        their stale entries. Inspections are counted per cadence entry
-        instead, so a long carried inspection queue is read only once its
-        stale entries, which allocation drops only where it reads, exceed an
-        eighth of its live ones.
-        """
-        queued = np.zeros(len(self.specs), dtype=np.int64)
-        for cls in (_CORRECTIVE, _PLANNED):
-            self._drop_stale(cls)
-            ids = self.queues[cls].entries()[0]
-            queued += np.bincount(self.class_spec[cls][ids], minlength=len(self.specs))
-        np.add.at(queued, self.entry_spec, self.queued_inspections)
-        live = int(self.queued_inspections.sum())
-        if 8 * (len(self.queues[_INSPECTION]) - live) > live:
-            self._drop_stale(_INSPECTION)
+        It walks (`_greedy_walk`) windows of request ticks, one tick wide
+        from the oldest and then doubling, while the budget fits the class
+        floor. The first window holds one request of each id, in id order; a
+        later one lists each id's copies in it and sorts them. An entry's
+        copies need the same person-hours and the budget only shrinks, so
+        its oldest execute first."""
+        first, queued, period = self.class_first[cls], self.class_queued[cls], self.class_period[cls]
+        start = lo = int(first.min(initial=k + 1))
+        ran = []
+        while lo <= k and remaining >= self.floors[cls]:
+            end = min(start + max(1, 2 * (lo - start)), k + 1)
+            ids = (first < end).nonzero()[0]
+            if lo > start:
+                # the copies due in [lo, end), the j-th at first + j * period
+                f, p = first[ids], period[ids]
+                skip = np.maximum(lo - f + p - 1, 0) // p
+                count = np.maximum(np.minimum(queued[ids], (end - f + p - 1) // p) - skip, 0)
+                due = np.repeat(f + (skip - np.cumsum(count) + count) * p, count)
+                ids = np.repeat(ids, count)
+                due += np.arange(len(ids)) * period[ids]
+                ids = ids[np.argsort(due, kind="stable")]
+            self.examined += len(ids)
+            taken, remaining = _greedy_walk(self.class_hours[cls][ids], remaining)
+            ran.append(ids[taken])
+            lo = end
+        done = assets = np.concatenate(ran) if ran else first[:0]
+        if not len(done):
+            return remaining
+        if cls == _INSPECTION:
+            np.subtract.at(self.queued_inspections, done, 1)
+            np.add.at(self.oldest, done, self.entry_period[done])
+            assets = self.entry_asset[done]
+        self._complete(cls, assets, self.class_spec[cls][done], k, year)
+        return remaining
+
+    def _backlog_person_hours(self, k: int) -> float:
+        """Person-hours of the requests pending at year-end tick k."""
+        queued = sum(
+            np.bincount(spec[self._pending(cls, k)], minlength=len(self.specs))
+            for cls, spec in enumerate(self.class_spec)
+        )
         return _exact_sums(queued[None], self.person_hours)[0]
+
+    def _drop_inspections(self, assets: np.ndarray) -> np.ndarray:
+        """Drop the queued inspections of assets that failed or were
+        replaced; returns their cadence entries."""
+        entry = self.entries_of[assets]
+        entry = entry[entry >= 0]
+        self.dropped += int(self.queued_inspections[entry].sum())
+        self.queued_inspections[entry] = 0
+        self.oldest[entry] = self.n_ticks
+        return entry
 
     # -- tick steps ----------------------------------------------------------
 
@@ -917,33 +804,37 @@ class _Engine:
         self, assets: np.ndarray, generation: np.ndarray, origin: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """The tick at which the given generation of each asset, started at
-        tick `origin`, fails, and the tick at which it reaches its trigger.
-        The tables double until they hold the generation."""
+        tick `origin`, fails, and the tick at which it requests its planned
+        replacement: when it reaches its trigger, if it has not failed by
+        then, else n_ticks (never). The tables double until they hold the
+        generation."""
         while generation.max(initial=0) >= len(self.life):
             self._draw_generations(len(self.life))
         life, trigger = self.life[generation, assets], self.trigger[generation, assets]
-        return origin + life, origin + trigger
+        return origin + life, np.where(trigger < life, origin + trigger, self.n_ticks)
 
     def _draw_failures(self, k: int, year: int) -> np.ndarray:
         failed = (self.fail_tick == k).nonzero()[0]
         self.in_service[failed] = False
         if len(failed):
-            # their queued inspections are stale
-            entry = self.entries_of[failed]
-            self.queued_inspections[entry[entry >= 0]] = 0
+            self._drop_inspections(failed)
         self.kpis.failures[year] += len(failed)
         return failed
 
     def _replacement_triggers(self, k: int) -> np.ndarray:
-        """In-service assets whose generation reaches its trigger at tick k."""
-        return ((self.trigger_tick == k) & self.in_service).nonzero()[0]
+        """Assets whose generation requests its planned replacement at tick
+        k: it reaches its trigger then, in service."""
+        return (self.trigger_tick == k).nonzero()[0]
 
     def _inspection_triggers(self, k: int) -> np.ndarray:
-        """Cadence entries due at tick k whose asset is in service. Every
-        entry due, inspected or not, is booked for its next due tick."""
+        """Cadence entries due at tick k whose asset is in service, each
+        queuing one inspection. Every entry due, inspected or not, is booked
+        for its next due tick."""
         entry = (self.next_check == k).nonzero()[0]
         self.next_check[entry] += self.entry_period[entry]
-        return entry[self.in_service[self.entry_asset[entry]]]
+        entry = entry[self.in_service[self.entry_asset[entry]]]
+        self.queued_inspections[entry] += 1
+        return entry
 
     def _complete(
         self, cls: int, assets: np.ndarray, specs: np.ndarray, k: int, year: int
@@ -963,20 +854,22 @@ class _Engine:
     def _replace(self, assets: np.ndarray, k: int, year: int) -> None:
         """Renew the assets replaced at tick k."""
         failed = assets[~self.in_service[assets]]
-        self.gap_ticks[year] += int((k - self.fail_tick[failed]).sum())
+        if len(failed):
+            self.gap_ticks[year] += int((k - self.fail_tick[failed]).sum())
+            # a failed asset whose planned replacement was pending too had
+            # two requests, and one of them executed
+            self.dropped += int(np.count_nonzero(self.trigger_tick[failed] <= k))
         self.in_service[assets] = True
         self.generation[assets] += 1
         self.fail_tick[assets], self.trigger_tick[assets] = self._generation_rules(
             assets, self.generation[assets], k
         )
-        # the cadences restart from age 0 at tick k, due from the next tick,
-        # and the inspections queued for the old generation are stale
-        entry = self.entries_of[assets]
-        entry = entry[entry >= 0]
-        self.next_check[entry] = first_due(
+        # the inspections queued for the old generation are stale, and the
+        # cadences restart from age 0 at tick k, due from the next tick
+        entry = self._drop_inspections(assets)
+        self.next_check[entry] = self.oldest[entry] = first_due(
             self.entry_start[entry], 0, k, k + 1, self.entry_period[entry], self.tick_units
         )
-        self.queued_inspections[entry] = 0
 
     def _book(self) -> KpiSeries:
         """The KPIs from what executed: money as exact Decimal products of
@@ -1010,15 +903,15 @@ class _Engine:
             return self._book()
         for k in range(self.n_ticks):
             year = (k * self.tick) // 12
-            failed = self._draw_failures(k, year)
-            due = self._replacement_triggers(k)
-            inspections = self._inspection_triggers(k)
-            self._push(_CORRECTIVE, failed)
-            self._push(_PLANNED, due)
-            self._push(_INSPECTION, inspections)
+            raised = (
+                self._draw_failures(k, year),
+                self._replacement_triggers(k),
+                self._inspection_triggers(k),
+            )
+            self.raised = [n + len(ids) for n, ids in zip(self.raised, raised)]
             self._allocate_and_complete(k, year)
             if (k + 1) % self.ticks_per_year == 0:
-                self.kpis.backlog_hours[year] = self._backlog_person_hours()
+                self.kpis.backlog_hours[year] = self._backlog_person_hours(k)
         return self._book()
 
 

@@ -9,19 +9,20 @@ them.
 * `inspection_due` and `trigger_reached` are the references for the
   engine's clock rules, on exact ages: the schedule tests evaluate them for
   every asset at every tick.
+* `ReferenceQueue` is the reference for the engine's allocation, which
+  keeps no queue: it holds every request the engine raises and walks the
+  live ones one request at a time, each tick.
 * `LedgerEngine` is the reference for the engine's hour ledgers: it lists
-  every executed duration and queued person-hour one by one, and recounts
-  the live queued inspections of each cadence entry from the queue.
+  every executed duration and pending person-hour one by one.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
-
-import numpy as np
 
 from fleetlife.simulate import (
     ActivityKind,
@@ -77,6 +78,63 @@ def allocate_resources(
     return executed, carried
 
 
+class ReferenceQueue:
+    """The README's request queue, one request at a time.
+
+    It keeps every request raised as an `ActivityRequest`, with the
+    generation (replacements executed so far) of its asset when raised.
+    Each tick it queues the tick's requests and walks the queue in
+    (priority, request_tick, asset_id) order by `allocate_resources`'s rule:
+    a live request that fits the budget left executes, one that does not
+    carries. A request is stale once its asset was replaced after it was
+    raised, and an inspection also while its asset is out of service; a
+    stale request is dropped when the walk reaches it, so a replacement
+    executed earlier in the walk counts.
+    """
+
+    def __init__(self, capacity_person_hours: float):
+        self.capacity = capacity_person_hours
+        self.queue: list[tuple[ActivityRequest, int]] = []
+        self.generation: defaultdict[str, int] = defaultdict(int)
+        self.failed: set[str] = set()
+
+    def live(self, req: ActivityRequest, generation: int) -> bool:
+        if generation != self.generation[req.asset_id]:
+            return False
+        return req.kind is not ActivityKind.INSPECTION or req.asset_id not in self.failed
+
+    def tick(self, raised: Iterable[ActivityRequest]) -> list[ActivityRequest]:
+        """Queue one tick's requests, given in the order they are raised,
+        and return those executed, in order. A corrective request marks its
+        asset failed."""
+        for req in raised:
+            if req.kind is ActivityKind.CORRECTIVE_REPLACEMENT:
+                self.failed.add(req.asset_id)
+            self.queue.append((req, self.generation[req.asset_id]))
+        # a stable sort: an asset's inspections of a tick stay in plan order
+        self.queue.sort(key=lambda item: item[0].sort_key)
+        executed: list[ActivityRequest] = []
+        carried: list[tuple[ActivityRequest, int]] = []
+        remaining = self.capacity
+        for req, generation in self.queue:
+            if not self.live(req, generation):
+                continue
+            if req.spec.person_hours <= remaining:
+                remaining -= req.spec.person_hours
+                executed.append(req)
+                if req.kind is not ActivityKind.INSPECTION:
+                    self.generation[req.asset_id] += 1
+                    self.failed.discard(req.asset_id)
+            else:
+                carried.append((req, generation))
+        self.queue = carried
+        return executed
+
+    def backlog(self) -> list[float]:
+        """The person-hours of each live queued request."""
+        return [req.spec.person_hours for req, g in self.queue if self.live(req, g)]
+
+
 def grid_months(years: float) -> Fraction:
     """A start age in months, rounded up to the clock's grid of 1/487 month
     (1/16 day)."""
@@ -111,10 +169,8 @@ class LedgerEngine(_Engine):
     Per year: `inspection_terms` holds the duration of each inspection
     executed, `unavailability_terms` those of every activity executed plus
     each corrective replacement's hours out of service, and `backlog_terms`
-    the person-hours of each live request queued at the year end. At each
-    year end, `recounted` holds the live queued inspections of each cadence
-    entry, recounted from the queue, `counted` the engine's counts, and
-    `stale_left` how many stale inspections the year end left queued.
+    the person-hours of each request pending at the year end (`_pending`).
+    `carried` holds the number of inspections pending at each year end.
     """
 
     def run(self):
@@ -122,8 +178,7 @@ class LedgerEngine(_Engine):
         self.inspection_terms = [[] for _ in range(years)]
         self.unavailability_terms = [[] for _ in range(years)]
         self.backlog_terms = [[] for _ in range(years)]
-        self.recounted, self.counted, self.stale_left = [], [], []
-        self.year = 0
+        self.carried = []
         return super().run()
 
     def _complete(self, cls, assets, specs, k, year):
@@ -137,25 +192,13 @@ class LedgerEngine(_Engine):
             self.unavailability_terms[year] += gaps.tolist()
         super()._complete(cls, assets, specs, k, year)
 
-    def _backlog_person_hours(self):
-        # a request is live while its asset keeps the generation it was
-        # raised for, and an inspection also while its asset is in service
-        for cls, queue in enumerate(self.queues):
-            ids, generation = queue.entries()
-            asset = self.entry_asset[ids] if cls == _INSPECTION else ids
-            live = generation == self.generation[asset]
-            if cls == _INSPECTION:
-                live &= self.in_service[asset]
-            spec = self.class_spec[cls][ids[live]]
-            self.backlog_terms[self.year] += self.person_hours[spec].tolist()
-            if cls == _INSPECTION:
-                n_entries = len(self.queued_inspections)
-                self.recounted.append(np.bincount(ids[live], minlength=n_entries).tolist())
-                self.counted.append(self.queued_inspections.tolist())
-        self.year += 1
-        backlog = super()._backlog_person_hours()
-        self.stale_left.append(len(self.queues[_INSPECTION]) - sum(self.recounted[-1]))
-        return backlog
+    def _backlog_person_hours(self, k):
+        year = k * self.tick // 12
+        for cls, spec in enumerate(self.class_spec):
+            ids = self._pending(cls, k)
+            self.backlog_terms[year] += self.person_hours[spec[ids]].tolist()
+        self.carried.append(len(self._pending(_INSPECTION, k)))
+        return super()._backlog_person_hours(k)
 
     def assert_ledgers_exact(self):
         """Each year's hours are `math.fsum` of their terms."""
@@ -164,4 +207,3 @@ class LedgerEngine(_Engine):
             assert kpis.inspection_hours[year] == math.fsum(self.inspection_terms[year])
             assert kpis.unavailability_hours[year] == math.fsum(self.unavailability_terms[year])
             assert kpis.backlog_hours[year] == math.fsum(self.backlog_terms[year])
-        assert self.counted == self.recounted

@@ -436,6 +436,30 @@ class TestSimulate:
         assert result.exit_code == 2
 
 
+def short_aggregate(report):
+    report["aggregates"]["totex"]["mean"].pop()
+    return report
+
+
+def horizon_in_words(report):
+    report["horizon_years"] = "ten"
+    return report
+
+
+def long_series(report):
+    report["replications"][1]["failures"].append(0)
+    return report
+
+
+# ways to break a report.json, by name
+MALFORMED = {
+    "short_aggregate": short_aggregate,
+    "top_level_list": lambda report: [report],
+    "horizon_in_words": horizon_in_words,
+    "long_series": long_series,
+}
+
+
 class TestReport:
     def test_self_comparison_zero_deltas(self, tmp_path, small_fleet_csv):
         sc = scenario_file(tmp_path)
@@ -486,6 +510,33 @@ class TestReport:
              "--out", str(tmp_path / "cmp")],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "role, damage, named",
+        [
+            ("a", "short_aggregate", "aggregates.totex.mean: expected 30 values"),
+            ("b", "top_level_list", "report: expected an object, got list"),
+            ("a", "horizon_in_words", "horizon_years: expected an integer, got str"),
+            ("b", "long_series", "replications.1.failures: expected 30 values"),
+        ],
+    )
+    def test_malformed_report_names_role_and_field(self, tmp_path, small_fleet_csv, role, damage, named):
+        sim_out = tmp_path / "sim"
+        invoke("simulate", "--fleet", small_fleet_csv, "--scenario", scenario_file(tmp_path), "--out", sim_out)
+        data = json.loads((sim_out / "report.json").read_text())
+        data = MALFORMED[damage](data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        paths = {"a": sim_out / "report.json", "b": sim_out / "report.json", role: bad}
+        out = tmp_path / "cmp"
+        result = runner.invoke(
+            main, ["report", "--a", str(paths["a"]), "--b", str(paths["b"]), "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"--{role} {bad}: " in result.output and named in result.output
+        assert "Traceback" not in result.output
+        assert not (out / "comparison.csv").exists()
 
 
 def test_help_lists_commands():

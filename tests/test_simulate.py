@@ -50,13 +50,14 @@ from fleetlife.simulate import (
     _percentile,
     _philox4x64,
     _stream_draws,
-    _RequestQueue,
 )
 from fleetlife.generations import UNITS_PER_DAY, UNITS_PER_MONTH
 from fleetlife.weibull import REFERENCE_LAWS, WeibullLaw
 from reference_engine import (
     ActivityRequest,
+    PRIORITY,
     LedgerEngine,
+    ReferenceQueue,
     allocate_resources,
     inspection_due,
     trigger_reached,
@@ -171,6 +172,12 @@ def open_and_walked(fleet, sc):
     return walked
 
 
+def pending(engine):
+    """Each class's requests pending at the engine's last tick, one id (an
+    asset, or a cadence entry for an inspection) per request."""
+    return [engine._pending(cls, engine.n_ticks - 1).tolist() for cls in range(3)]
+
+
 def pool(per_tick, tick_months=1):
     """One FTE offering `per_tick` person-hours a tick."""
     return Constrained(fte_count=1, hours_per_fte_per_year=per_tick * 12 / tick_months)
@@ -248,7 +255,7 @@ class TestEvaluateTriggers:
         assert engine.kpis.failures == [1]
         assert engine.planned == [[]] * 12
         assert [got for _, _, got in engine.inspection_log] == [[]] * 12
-        assert [len(queue) for queue in engine.queues] == [1, 0, 0]
+        assert [len(ids) for ids in pending(engine)] == [1, 0, 0]
         assert engine.kpis.backlog_hours == [400.0]
 
     def raised_from_25(self, intervals):
@@ -321,7 +328,7 @@ class TestAllocateResources:
         sc = annual_scenario(resources=pool(400.0, 12), horizon_years=1)
         engine = traced(fleet, sc)
         assert engine.completed == [[(_PLANNED, 1)]]
-        assert engine.queues[_INSPECTION].entries()[0].tolist() == [0, 2]
+        assert pending(engine)[_INSPECTION] == [0, 2]
         assert engine.kpis.backlog_hours == [2 * 2.66]
 
     def test_priority_order_corrective_first(self):
@@ -916,6 +923,25 @@ class TestEngineQueues:
         assert series.opex[2] == Decimal(0)
         assert series.backlog_hours == [0.0, 0.0, 0.0, 0.0]
 
+    def test_failure_with_planned_replacement_pending(self):
+        # a1 and a2, both ten years old, fall due for planned replacement at
+        # tick 0, and the pool fits one replacement a tick: a1's executes and
+        # a2's carries. A near-step hazard at 10.1 years fails a2 at tick 1,
+        # with its planned request still pending. Its corrective replacement
+        # executes first, and the planned request is dropped as stale.
+        sc = scenario(
+            fleet_policy=simple_policy(TimeBased(5.0)),
+            laws={vc: WeibullLaw(beta=6000.0, eta=10.1) for vc in VoltageClass},
+            failures_enabled=True,
+            resources=pool(400.0),
+            horizon_years=1,
+        )
+        aged = commissioned_aged(10.0)
+        engine = traced(fleet_of([asset("a1", commissioned=aged), asset("a2", commissioned=aged)]), sc)
+        assert engine.completed[:3] == [[(_PLANNED, 0)], [(_CORRECTIVE, 1)], []]
+        assert engine.raised == [1, 2, 0] and engine.executed == 2
+        assert engine.dropped == 1 and pending(engine) == [[], [], []]
+
     def test_inspection_of_failed_asset_is_dropped(self):
         # With no pool, the inspection raised in year 0 carries. A step
         # hazard then fails the asset in year 1: the carried inspection is
@@ -994,34 +1020,6 @@ class TestGreedyWalk:
         positions, left = _greedy_walk(demand, budget)
         assert positions.tolist() == [int(req.asset_id) for req in executed]
         assert left == remaining
-
-
-class TestRequestQueue:
-    def test_push_keeps_order_across_growth(self):
-        queue = _RequestQueue(floor=0.0)
-        pushed = []
-        for size in (5, 300, 0, 700, 1):
-            ids = np.arange(len(pushed), len(pushed) + size)
-            queue.push(ids, ids + 2)
-            pushed += ids.tolist()
-        # drop a prefix the way an allocation does, then grow again
-        queue.head += 100
-        queue.push(np.array([7]), np.array([9]))
-        assert queue.entries()[0].tolist() == pushed[100:] + [7]
-        assert queue.entries()[1].tolist() == [a + 2 for a in pushed[100:]] + [9]
-        assert len(queue) == len(pushed) - 100 + 1
-
-    def test_keep_compacts_in_order_across_blocks(self):
-        # the year-end pass compacts a queue a block at a time, in place
-        queue = _RequestQueue(floor=0.0)
-        ids = np.arange(20_000)
-        queue.push(ids, ids + 2)
-        queue.head += 7
-        live = np.random.default_rng(3).random(len(queue)) < 0.6
-        expected = queue.entries()[:, live].copy()
-        queue.keep(live)
-        assert queue.head == 0 and len(queue) == int(live.sum())
-        assert np.array_equal(queue.entries(), expected)
 
 
 def cadence_scenario(tick, intervals, start_age, trigger_age, horizon, **overrides):
@@ -1112,8 +1110,9 @@ class RecordingEngine(_Engine):
     checked, `inspection_log` the ages (grid units) and in-service flags it
     saw and the (asset, activity name) inspections it raised, `planned` the
     assets whose planned replacement was triggered, `completed` the (class,
-    asset) requests that executed, in order, and `failed` the assets that
-    failed. An open pool runs no tick loop, so `traced` runs its scenarios
+    asset) requests that executed, in order, `failed` the assets that
+    failed, and `requested` the (class, asset, activity id) requests raised,
+    in order. An open pool runs no tick loop, so `traced` runs its scenarios
     under a pool that never binds.
 
     The engine holds no ages; the logged ones are derived from the origin
@@ -1124,7 +1123,7 @@ class RecordingEngine(_Engine):
     def run(self):
         assert self.capacity is not None, "an open pool's run has no ticks to trace"
         self.inspection_log, self.planned, self.completed, self.failed = [], [], [], []
-        self.checked = []
+        self.checked, self.requested = [], []
         self.origin = np.zeros(len(self.age0), dtype=np.int64)
         return super().run()
 
@@ -1137,12 +1136,14 @@ class RecordingEngine(_Engine):
         # called once a tick
         failed = super()._draw_failures(k, year)
         self.failed.append(failed.tolist())
+        self.requested.append([(_CORRECTIVE, a, self.corrective_spec[a]) for a in failed.tolist()])
         return failed
 
     def _replacement_triggers(self, k):
         # called once a tick, before allocation
         due = super()._replacement_triggers(k)
         self.planned.append(due.tolist())
+        self.requested[-1] += [(_PLANNED, a, self.planned_spec[a]) for a in due.tolist()]
         self.completed.append([])
         return due
 
@@ -1162,6 +1163,7 @@ class RecordingEngine(_Engine):
         assets, specs = self.entry_asset[entries], self.entry_spec[entries]
         names = [self.specs[s].name for s in specs.tolist()]
         self.inspection_log.append((ages, in_service, list(zip(assets.tolist(), names))))
+        self.requested[-1] += zip([_INSPECTION] * len(entries), assets.tolist(), specs.tolist())
         return entries
 
 
@@ -1308,10 +1310,37 @@ def invariant_fleet(data, min_size=1, max_size=6):
     ])
 
 
+def assert_matches_reference_queue(engine, fleet, sc):
+    """Replays the requests a traced engine raised, tick by tick, through a
+    `ReferenceQueue`, and asserts that each tick executes what the engine
+    executed, in order, and that each year-end backlog is `math.fsum` of
+    the reference's live person-hours. Returns whether an inspection was
+    live in the queue at a year end."""
+    ids = sorted(fleet.asset_id)
+    kinds = {PRIORITY[kind]: kind for kind in ActivityKind}
+    reference = ReferenceQueue(sc.resources.tick_capacity(sc.tick_months))
+    tpy, carried = 12 // sc.tick_months, False
+    for k, requested in enumerate(engine.requested):
+        executed = reference.tick(
+            ActivityRequest(kinds[cls], k, ids[a], engine.specs[spec])
+            for cls, a, spec in requested
+        )
+        assert engine.completed[k] == [
+            (PRIORITY[req.kind], ids.index(req.asset_id)) for req in executed
+        ]
+        if (k + 1) % tpy == 0:
+            assert engine.kpis.backlog_hours[k // tpy] == math.fsum(reference.backlog())
+            carried |= any(
+                req.kind is ActivityKind.INSPECTION and reference.live(req, g)
+                for req, g in reference.queue
+            )
+    return carried
+
+
 def label_carried(engine):
-    """Label the example by whether a live inspection was queued at a year
-    end of its `LedgerEngine` run."""
-    carried = any(map(sum, engine.counted))
+    """Label the example by whether an inspection was pending at a year end
+    of its `LedgerEngine` run."""
+    carried = any(engine.carried)
     event("carries a live inspection past a year end" if carried else "carries none")
 
 
@@ -1332,8 +1361,8 @@ class TestEngineInvariants:
     @given(data=st.data(), fte=st.sampled_from([None, 0, 1, 2, 3]))
     def test_raised_requests_are_accounted_for(self, data, fte):
         # Every request raised is executed, dropped as stale or still
-        # queued, and every failure raises one corrective replacement. An
-        # open pool examines each request as it is raised and queues none.
+        # pending, and every failure raises one corrective replacement. An
+        # open pool examines each request as it is raised.
         # Fleets of 20 to 40 assets make a scarce pool carry inspections
         # across year ends; `label_carried` counts the examples that do.
         resources = (
@@ -1347,11 +1376,13 @@ class TestEngineInvariants:
         engine = LedgerEngine(fleet, sc, 0)
         series = engine.run()
         label_carried(engine)
-        queued = sum(len(queue) for queue in engine.queues)
+        # an open pool's run leaves its assets' state as set up, and has
+        # nothing pending
+        queued = 0 if fte is None else sum(map(len, pending(engine)))
         assert sum(engine.raised) == engine.executed + engine.dropped + queued
         assert engine.raised[_CORRECTIVE] == sum(series.failures)
         if fte is None:
-            assert queued == 0 and sum(engine.raised) == engine.examined
+            assert sum(engine.raised) == engine.examined
             assert engine.raised[_CORRECTIVE] + engine.raised[_PLANNED] == sum(series.replacements)
 
     @settings(max_examples=60, deadline=None)
@@ -1381,16 +1412,59 @@ class TestEngineInvariants:
         engine.assert_ledgers_exact()
 
     @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), fte=st.integers(0, 3))
+    def test_allocation_matches_a_reference_queue(self, data, fte):
+        # The engine keeps no request queue: it reads each class's pending
+        # requests from its asset and cadence state. The reference queue
+        # holds every request raised and walks them one at a time. At every
+        # tick both execute the same requests in the same order, and every
+        # year-end backlog is the exact sum of the reference's live
+        # person-hours; every request raised is executed, dropped as stale
+        # or still pending. Short lives, a scarce pool and corrective work of
+        # its own duration make failures wait and inspections carry; the
+        # durations are not dyadic, so a running sum would show.
+        durations = (1.33, 0.7, 2.1, 0.1, 4.9)
+        life = WeibullLaw(beta=data.draw(st.floats(0.8, 4.0)), eta=data.draw(st.floats(1.0, 8.0)))
+        sc = invariant_scenario(
+            data,
+            resources=Constrained(fte_count=fte, hours_per_fte_per_year=120.0),
+            failures_enabled=True,
+            laws={vc: life for vc in VoltageClass},
+        )
+        # one to three cadences from age 0
+        multiples = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+        plan = PeriodicInspections(0.0, tuple(sc.tick_months * m for m in multiples))
+        trigger = sc.policy.families[VoltageClass.V110].replacement
+        catalog = timed(data, sc.catalog, durations)
+        corrective = dataclasses.replace(
+            catalog.replacements[110],
+            name="c",
+            kind=ActivityKind.CORRECTIVE_REPLACEMENT,
+            duration_hours=data.draw(st.sampled_from(durations)),
+        )
+        sc = dataclasses.replace(
+            sc,
+            policy=simple_policy(trigger, plan),
+            catalog=ActivityCatalog(catalog.replacements, catalog.inspections, {110: corrective}),
+        )
+        fleet = invariant_fleet(data, 20, 40)
+        engine = traced(fleet, sc)
+        carried = assert_matches_reference_queue(engine, fleet, sc)
+        event("carries a live inspection past a year end" if carried else "carries none")
+        queued = sum(map(len, pending(engine)))
+        assert sum(engine.raised) == engine.executed + engine.dropped + queued
+
+    @settings(max_examples=60, deadline=None)
     @given(data=st.data(), fte=st.integers(0, 2))
     def test_counted_backlog_matches_a_recount(self, data, fte):
         # 20 to 40 assets inspected at one to three cadences, with planned
         # replacements every one to four years and short lives, under a pool
         # of at most 20 person-hours a month: inspections carry, and many
-        # turn stale in the queue. The engine counts the live queued
-        # inspections of each cadence entry and reads the queue at a year
-        # end only once stale entries pile up; at every year end its counts
-        # and its backlog must equal a recount of the live entries in the
-        # queue, whether stale ones were left in place or not.
+        # are cleared by a failure or a replacement. The engine counts the
+        # queued inspections of each cadence entry; at every year end its
+        # backlog must equal a recount of the live requests of the reference
+        # queue, every request raised is executed, dropped or pending, and
+        # the hour ledgers are exact sums.
         tick = data.draw(st.sampled_from(VALID_TICKS), label="tick")
         multiples = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
         plan = PeriodicInspections(0.0, tuple(tick * m for m in multiples))
@@ -1422,16 +1496,18 @@ class TestEngineInvariants:
             asset(f"110-{i:05d}", commissioned=date.fromordinal(START.toordinal() - d))
             for i, d in enumerate(days)
         ])
-        validate_scenario_for_fleet(fleet, sc)
-        engine = LedgerEngine(fleet, sc, 0)
-        engine.run()
-        engine.assert_ledgers_exact()
-        queued = sum(len(queue) for queue in engine.queues)
+        engine = traced(fleet, sc)
+        assert_matches_reference_queue(engine, fleet, sc)
+        queued = sum(map(len, pending(engine)))
         assert sum(engine.raised) == engine.executed + engine.dropped + queued
+        ledgers = LedgerEngine(fleet, sc, 0)
+        ledgers.run()
+        ledgers.assert_ledgers_exact()
 
-    def test_counted_backlog_survives_stale_entries_left_in_place(self):
-        # a 12-year binding pool over 200 assets: some year ends leave
-        # stale inspections queued, and later ones count correctly
+    def test_counted_backlog_survives_cleared_inspections(self):
+        # a 12-year binding pool over 200 assets: failures and replacements
+        # clear queued inspections while work carries across year ends, and
+        # every year end counts what the reference queue holds live
         fleet = generate_synthetic_fleet(
             SyntheticFleetSpec(
                 sizes={VoltageClass.V110: 80, VoltageClass.V150: 80, VoltageClass.V220_380: 40},
@@ -1445,11 +1521,9 @@ class TestEngineInvariants:
             start_date=date(2021, 7, 1),
             resources=Constrained(fte_count=10, hours_per_fte_per_year=500.0),
         )
-        engine = LedgerEngine(fleet, sc, 0)
-        engine.run()
-        engine.assert_ledgers_exact()
-        left = [year for year, stale in enumerate(engine.stale_left) if stale]
-        assert left and left[0] < sc.horizon_years - 1
+        engine = traced(fleet, sc)
+        assert assert_matches_reference_queue(engine, fleet, sc)
+        assert engine.dropped > 0
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -1521,8 +1595,8 @@ class TestEngineInvariants:
     )
     def test_open_pool_equals_a_pool_that_never_binds(self, data, failures, hazard_age):
         # The open pool runs each asset generation by generation, with no
-        # clock; a constrained pool whose budget never runs out queues and
-        # walks each tick's requests. Both must execute the same work in
+        # clock; a constrained pool whose budget never runs out walks each
+        # tick's pending requests. Both must execute the same work in
         # each year; the durations are not dyadic, so the hours show a
         # miscount. Cadence start ages need not be on the grid, and horizons
         # of up to a century hold several generations.
@@ -1668,10 +1742,10 @@ class TestGridClock:
 
 class TestAllocationWork:
     def test_reads_only_what_it_walks(self):
-        # A binding pool carries a long inspection queue across year ends
-        # but spends each tick's budget on a short prefix of it. Reading the
-        # whole carried queue every tick would examine about 45 times the
-        # entries executed or dropped here.
+        # A binding pool carries many inspections across year ends but
+        # spends each tick's budget on the oldest of them. Reading every
+        # pending request every tick would examine about 36 times the
+        # requests executed or dropped here; the walk reads about twice.
         fleet = generate_synthetic_fleet(
             SyntheticFleetSpec(
                 sizes={VoltageClass.V110: 80, VoltageClass.V150: 80, VoltageClass.V220_380: 40},
