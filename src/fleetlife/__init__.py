@@ -9,6 +9,19 @@ import importlib
 
 __version__ = "0.1.0"
 
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number"}
+
+
+def checked(value: object, where: str, kind: type):
+    """`value` if it is a `kind` (`float` takes any JSON number), never a
+    bool; else a ValueError naming field `where`. Every reader of JSON input
+    checks its values here, so that none loads a module only for it."""
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{where}: expected {_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
 # public names by the submodule that defines them, in `__all__` order
 _EXPORTS = {
     "fleet": (

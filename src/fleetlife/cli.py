@@ -20,7 +20,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__
+from . import __version__, checked
 
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
@@ -84,10 +84,12 @@ def _fail(message: str, code: int) -> None:
 
 
 def _parse_iso_date(value: str, label: str) -> date:
+    from .fleet import DataError, iso_date
+
     try:
-        return date.fromisoformat(value)
-    except ValueError:
-        _fail(f"{label}: malformed date {value!r} (expected YYYY-MM-DD)", EXIT_VALIDATION)
+        return iso_date(value, label)
+    except DataError as exc:
+        _fail(str(exc), EXIT_VALIDATION)
         raise AssertionError("unreachable")
 
 
@@ -212,8 +214,8 @@ def _pick_laws(payload) -> dict:
         raise DataError("laws file: expected a list of law records or {'laws': [...]}")
     preference = {"mle": 0, "rank_regression": 1, "reference": 2}
     best: dict = {}
-    for record in records:
-        family, law, source = law_from_record(record)
+    for i, record in enumerate(records):
+        family, law, source = law_from_record(record, f"laws[{i}]")
         vc = VoltageClass(family)
         rank = preference.get(source, 3)
         if vc not in best or rank < best[vc][0]:
@@ -341,6 +343,30 @@ def simulate(fleet_path: Path, scenario_ref: str, out_dir: Path, jobs: int, seed
     )
 
 
+def _synth_spec(raw: object):
+    """The synthetic fleet spec of a spec file; an unknown key or a value
+    that is not a JSON integer is named by its dotted field."""
+    from .fleet import DataError, SyntheticFleetSpec, VoltageClass
+
+    fields = ("sizes", "commission_years", "seed")
+    for key in checked(raw, "spec", dict):
+        if key not in fields:
+            raise DataError(f"{key}: unknown field (expected one of {', '.join(fields)})")
+    sizes = {}
+    for key, n in checked(raw.get("sizes", {}), "sizes", dict).items():
+        if key not in FAMILY_CHOICES:
+            raise DataError(f"sizes.{key}: unknown family (expected one of {', '.join(FAMILY_CHOICES)})")
+        sizes[VoltageClass(key)] = checked(n, f"sizes.{key}", int)
+    years = raw.get("commission_years")
+    if not isinstance(years, list) or len(years) != 2:
+        raise DataError("commission_years: expected [first_year, last_year]")
+    return SyntheticFleetSpec(
+        sizes=sizes,
+        commission_years=tuple(checked(y, f"commission_years.{i}", int) for i, y in enumerate(years)),
+        seed=checked(raw.get("seed", 0), "seed", int),
+    )
+
+
 @main.command()
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path), help="Synthetic fleet spec JSON.")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path), help="Output directory.")
@@ -348,33 +374,15 @@ def synth(spec_path: Path, out_dir: Path) -> None:
     """Generate a synthetic in-service fleet CSV from a spec file.
 
     The spec is {"sizes": {"110": N, "150": N, "220_380": N},
-    "commission_years": [first, last], "seed": integer}.
+    "commission_years": [first, last], "seed": integer}, all integers.
     """
-    from .fleet import (
-        DataError,
-        SyntheticFleetSpec,
-        VoltageClass,
-        generate_synthetic_fleet,
-        write_asset_csv,
-    )
+    from .fleet import DataError, generate_synthetic_fleet, write_asset_csv
 
     run = _Run("synth", out_dir)
     run.add_input("spec", spec_path)
     try:
         with open(spec_path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-        sizes = {
-            VoltageClass(key): int(value)
-            for key, value in raw.get("sizes", {}).items()
-        }
-        years = raw.get("commission_years")
-        if not isinstance(years, list) or len(years) != 2:
-            raise DataError("spec: commission_years must be [first_year, last_year]")
-        spec = SyntheticFleetSpec(
-            sizes=sizes,
-            commission_years=(int(years[0]), int(years[1])),
-            seed=int(raw.get("seed", 0)),
-        )
+            spec = _synth_spec(json.load(handle))
         fleet = generate_synthetic_fleet(spec)
     except (DataError, ValueError) as exc:
         _fail(str(exc), EXIT_VALIDATION)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import re
 from dataclasses import dataclass, replace
 from datetime import date
 from itertools import chain
@@ -231,6 +232,18 @@ class SyntheticFleetSpec:
         for vc, n in self.sizes.items():
             if n < 0:
                 raise DataError(f"negative size {n} for {vc.value}")
+
+
+def iso_date(value: object, field: str) -> date:
+    """`value` as a date if it is a string of exactly YYYY-MM-DD, else a
+    DataError naming `field`. (`date.fromisoformat` alone reads other ISO
+    forms too, such as 20200101, from Python 3.11 on.)"""
+    if isinstance(value, str) and re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", value):
+        try:
+            return date.fromisoformat(value)
+        except ValueError:
+            pass
+    raise DataError(f"{field}: malformed date {value!r} (expected YYYY-MM-DD)")
 
 
 def parse_asset_csv(source: IO[bytes] | IO[str] | Iterable[str]) -> AssetTable:

@@ -33,8 +33,10 @@ UNITS_PER_MONTH = 487
 UNITS_PER_YEAR = 12 * UNITS_PER_MONTH
 
 
-def _ceil_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return -(-a // b)
+def due_before(first: np.ndarray, period: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """How many of the due ticks ``first + m * period`` (m >= 0) lie below
+    `end`: none if `end` is `first` or earlier."""
+    return np.maximum(end - first + period - 1, 0) // period
 
 
 def trigger_delay(
@@ -88,8 +90,8 @@ def first_due(
     tick`` on ``since = age - start``, at ``anchor + m * period`` for m >=
     0, where ``anchor`` is the first tick at which the age reaches `start`.
     """
-    anchor = origin + _ceil_div(start - age, tick)
-    return anchor + _ceil_div(np.maximum(first - anchor, 0), period) * period
+    anchor = origin - (age - start) // tick
+    return anchor + due_before(anchor, period, first) * period
 
 
 def run_open_pool(
@@ -208,8 +210,7 @@ def _count_inspections(
         joining = order[joins[year] : joins[year + 1]]
         active = np.concatenate((active[stop[active] > k0], joining))
         f, p = first[active], period[active]
-        # due ticks from first below min(stop, k1), less those below k0
-        count = _ceil_div(np.minimum(stop[active], k1) - f, p)
-        count -= _ceil_div(np.maximum(k0 - f, 0), p)
+        # due ticks below min(stop, k1), less those below k0
+        count = due_before(f, p, np.minimum(stop[active], k1)) - due_before(f, p, k0)
         inspected[year] = np.bincount(spec[active], weights=count, minlength=n_specs)
     return inspected

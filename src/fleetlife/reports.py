@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import IO, Any, Optional
 
+from . import checked
+
 __all__ = [
     "KpiSeries",
     "AggregateSeries",
@@ -194,22 +196,11 @@ class SimulationReport:
 
 # Readers of report JSON: each error names the dotted field, the keys and
 # list positions from the top of the report joined by dots.
-_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number"}
-
-
 def _field(data: object, path: str, key: str, kind: type = int) -> Any:
     where = f"{path}.{key}" if path else key
-    if key not in _checked(data, path or "report", dict):
+    if key not in checked(data, path or "report", dict):
         raise ValueError(f"{where}: missing")
-    return _checked(data[key], where, kind)
-
-
-def _checked(value: object, where: str, kind: type) -> Any:
-    """`value` if it is a `kind` (`float` takes any JSON number), never a bool."""
-    kinds = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ValueError(f"{where}: expected {_KINDS[kind]}, got {type(value).__name__}")
-    return value
+    return checked(data[key], where, kind)
 
 
 def _per_year(data: object, path: str, key: str, horizon: int, kind: type = float) -> list:
@@ -220,7 +211,7 @@ def _per_year(data: object, path: str, key: str, horizon: int, kind: type = floa
     numbers = (int,) if kind is int else (int, float)
     for i, v in enumerate(values):
         if type(v) not in numbers:  # the types JSON gives pass without a call
-            _checked(v, f"{where}.{i}", kind)
+            checked(v, f"{where}.{i}", kind)
     return [kind(v) for v in values]
 
 

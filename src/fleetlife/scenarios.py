@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import json
 import os
-from datetime import date
 from decimal import Decimal, InvalidOperation
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
-from .fleet import VoltageClass
+from .fleet import VoltageClass, iso_date
 from .health import DEFAULT_CONDITION_TRIGGER_AGE
 from .simulate import (
     ActivityCatalog,
@@ -219,6 +218,11 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
+def _get(entry: Mapping, key: str, path: str, check: Callable[[Any, str], Any]) -> Any:
+    """Required field `key` of the entry at `path`, through `check`."""
+    return check(_expect(entry, key, path), _join(path, key))
+
+
 def _known(entry: Mapping, fields: tuple[str, ...], path: str) -> Mapping:
     """The entry itself, once every key in it is one of the known fields."""
     for key in entry:
@@ -244,6 +248,12 @@ def _as_number(value: Any, path: str) -> float:
 def _as_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{path}: expected an integer")
+    return value
+
+
+def _as_str(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{path}: expected a string")
     return value
 
 
@@ -276,8 +286,8 @@ def _parse_laws(data: Any, path: str) -> dict[VoltageClass, WeibullLaw]:
     for key, value in mapping.items():
         vc = _family(key, _join(path, key))
         entry = _known(_as_mapping(value, _join(path, key)), ("beta", "eta"), _join(path, key))
-        beta = _as_number(_expect(entry, "beta", _join(path, key)), _join(path, f"{key}.beta"))
-        eta = _as_number(_expect(entry, "eta", _join(path, key)), _join(path, f"{key}.eta"))
+        beta = _get(entry, "beta", _join(path, key), _as_number)
+        eta = _get(entry, "eta", _join(path, key), _as_number)
         try:
             laws[vc] = WeibullLaw(beta=beta, eta=eta)
         except ValueError as exc:
@@ -290,17 +300,14 @@ def _parse_replacement(data: Any, path: str):
     kind = _expect(entry, "type", path)
     if kind == "time_based":
         _known(entry, ("type", "age_years"), path)
-        age = _as_number(_expect(entry, "age_years", path), _join(path, "age_years"))
+        age = _get(entry, "age_years", path, _as_number)
         try:
             return TimeBased(age_years=age)
         except ValueError as exc:
             raise ScenarioError(f"{_join(path, 'age_years')}: {exc}") from None
     if kind == "condition_based":
         _known(entry, ("type", "trigger_apparent_age"), path)
-        age = _as_number(
-            _expect(entry, "trigger_apparent_age", path),
-            _join(path, "trigger_apparent_age"),
-        )
+        age = _get(entry, "trigger_apparent_age", path, _as_number)
         try:
             return ConditionBased(trigger_apparent_age=age)
         except ValueError as exc:
@@ -314,9 +321,7 @@ def _parse_inspections(data: Any, path: str) -> Optional[PeriodicInspections]:
     if data is None:
         return None
     entry = _known(_as_mapping(data, path), ("start_age_years", "interval_months"), path)
-    start = _as_number(
-        _expect(entry, "start_age_years", path), _join(path, "start_age_years")
-    )
+    start = _get(entry, "start_age_years", path, _as_number)
     intervals = _expect(entry, "interval_months", path)
     if not isinstance(intervals, list) or not intervals:
         raise ScenarioError(f"{_join(path, 'interval_months')}: expected a non-empty list")
@@ -365,7 +370,7 @@ def _parse_activities(data: Any, path: str) -> ActivityCatalog:
     for i, raw in enumerate(data):
         entry_path = f"{path}[{i}]"
         entry = _as_mapping(raw, entry_path)
-        name = str(_expect(entry, "name", entry_path))
+        name = _get(entry, "name", entry_path, _as_str)
         kind_text = _expect(entry, "kind", entry_path)
         if kind_text not in _ACTIVITY_KINDS:
             raise ScenarioError(
@@ -378,36 +383,16 @@ def _parse_activities(data: Any, path: str) -> ActivityCatalog:
             _ACTIVITY_FIELDS + (("interval_months",) if kind is ActivityKind.INSPECTION else ()),
             entry_path,
         )
-        kv = _as_int(_expect(entry, "voltage_kv", entry_path), _join(entry_path, "voltage_kv"))
+        kv = _get(entry, "voltage_kv", entry_path, _as_int)
+        hours = _get(entry, "duration_hours", entry_path, _as_number)
+        fte = _get(entry, "required_fte", entry_path, _as_int)
+        costs = [_get(entry, key, entry_path, _as_money) for key in ("material_cost", "workforce_cost")]
         try:
-            spec = ActivitySpec(
-                name=name,
-                kind=kind,
-                duration_hours=_as_number(
-                    _expect(entry, "duration_hours", entry_path),
-                    _join(entry_path, "duration_hours"),
-                ),
-                required_fte=_as_int(
-                    _expect(entry, "required_fte", entry_path),
-                    _join(entry_path, "required_fte"),
-                ),
-                material_cost=_as_money(
-                    _expect(entry, "material_cost", entry_path),
-                    _join(entry_path, "material_cost"),
-                ),
-                workforce_cost=_as_money(
-                    _expect(entry, "workforce_cost", entry_path),
-                    _join(entry_path, "workforce_cost"),
-                ),
-            )
+            spec = ActivitySpec(name, kind, hours, fte, *costs)
         except ValueError as exc:
             raise ScenarioError(f"{entry_path}: {exc}") from None
         if kind is ActivityKind.INSPECTION:
-            interval = _as_int(
-                _expect(entry, "interval_months", entry_path),
-                _join(entry_path, "interval_months"),
-            )
-            inspections[(kv, interval)] = spec
+            inspections[(kv, _get(entry, "interval_months", entry_path, _as_int))] = spec
         elif kind is ActivityKind.PLANNED_REPLACEMENT:
             replacements[kv] = spec
         else:
@@ -484,23 +469,13 @@ _SCENARIO_FIELDS = (
 
 def scenario_from_dict(data: Mapping) -> Scenario:
     root = _known(_as_mapping(data, "scenario"), _SCENARIO_FIELDS, "")
-    name = str(_expect(root, "name", ""))
+    name = _get(root, "name", "", _as_str)
     laws = _parse_laws(_expect(root, "laws", ""), "laws")
     policy = _parse_policy(_expect(root, "policy", ""), "policy")
     catalog = _parse_activities(_expect(root, "activities", ""), "activities")
     resources = _parse_resources(_expect(root, "resources", ""), "resources")
     rates = _parse_rates(root.get("degradation_rates"), "degradation_rates")
 
-    start_date: Optional[date] = None
-    if root.get("start_date") is not None:
-        try:
-            start_date = date.fromisoformat(str(root["start_date"]))
-        except ValueError:
-            raise ScenarioError(
-                f"start_date: malformed date {root['start_date']!r}"
-            ) from None
-
-    hazard_age = root.get("hazard_age", "real")
     try:
         return Scenario(
             name=name,
@@ -510,10 +485,10 @@ def scenario_from_dict(data: Mapping) -> Scenario:
             resources=resources,
             horizon_years=_as_int(root.get("horizon_years", 100), "horizon_years"),
             tick_months=_as_int(root.get("tick_months", 1), "tick_months"),
-            start_date=start_date,
+            start_date=None if root.get("start_date") is None else iso_date(root["start_date"], "start_date"),
             failures_enabled=_as_bool(root.get("failures_enabled", True), "failures_enabled"),
             degradation_rates=rates,
-            hazard_age=str(hazard_age),
+            hazard_age=_as_str(root.get("hazard_age", "real"), "hazard_age"),
             replications=_as_int(root.get("replications", 1), "replications"),
             master_seed=_as_int(root.get("master_seed", 0), "master_seed"),
         )

@@ -47,9 +47,10 @@ The engine (`_Engine`) runs one replication on arrays:
   current generation fails and reaches its replacement trigger, both drawn
   in closed form with the generation; an in-service asset whose trigger
   tick has come requests its planned replacement.
-* Inspections keep the next due tick of each (asset, cadence), booked in
-  closed form (`generations.first_due`) at set-up and on replacement, and
-  advanced by the cadence's period each time it falls due.
+* Each (asset, cadence) holds two due ticks: the first of its asset's
+  current generation, booked in closed form (`generations.first_due`) at
+  set-up and on replacement, and that of its oldest inspection not
+  executed, which moves on by the cadence's period each time one executes.
 * An open pool (`Unconstrained`) has no clock (`generations.run_open_pool`).
   No queue couples its assets, so each asset's history is a chain of
   generations, simulated one round at a time: every generation ends at its
@@ -58,10 +59,12 @@ The engine (`_Engine`) runs one replication on arrays:
   to that end; those raised at the tick of a planned replacement are
   dropped. So the report is the one the tick loop gives under a pool that
   never binds, and the backlog is always zero.
-* A constrained pool steps tick by tick with no request queue: each
-  class's pending requests are read, in (request tick, id) order, from the
-  state of the assets and cadence entries (`_Engine._walk`), and a failure
-  or a replacement clears the requests it makes stale.
+* A constrained pool steps tick by tick with no request queue and no
+  trigger step. A request's copies pending at tick k are its due ticks, one
+  period apart (n_ticks for a replacement), from its oldest not executed up
+  to k (`generations.due_before`); each class's are walked in (request
+  tick, id) order (`_Engine._walk`). A failure or a replacement clears the
+  requests it makes stale.
 * The failure and trigger delays of generations ``0 .. G-1`` of every
   asset are drawn at set-up in one call, and ``G`` doubles when an asset
   reaches it.
@@ -93,6 +96,7 @@ from .generations import (
     UNITS_PER_DAY,
     UNITS_PER_MONTH,
     UNITS_PER_YEAR,
+    due_before,
     first_due,
     run_open_pool,
     trigger_delay,
@@ -548,7 +552,6 @@ class _Engine:
         # ages at tick 0, in grid units
         self.age0 = UNITS_PER_DAY * (start.toordinal() - fleet.commission[order]).astype(np.int64)
         n = len(order)
-        self.in_service = np.ones(n, dtype=bool)
         self.generation = np.zeros(n, dtype=np.int64)
 
         self.family = fleet.family[order]
@@ -592,7 +595,7 @@ class _Engine:
 
         # The inspection schedule has one entry per (asset, cadence), numbered
         # asset by asset and, within an asset, in plan order, so sorted entry
-        # ids are the order in which due inspections are queued.
+        # ids are the order in which inspections due together are walked.
         cadences = np.zeros(n, dtype=np.int64)
         for f, plan in plans.items():
             cadences[self.groups[f]] = len(plan.interval_months)
@@ -619,11 +622,14 @@ class _Engine:
         self.entries_of = np.where(
             slot < cadences[:, None], first_entry[:, None] + slot, -1
         )
-        # next_check[e] is the next tick at which entry e falls due
-        self.next_check = first_due(
+        # anchor[e] is the first due tick of entry e in its asset's current
+        # generation and oldest[e] that of its oldest inspection not executed;
+        # both are n_ticks while the asset is out of service
+        self.anchor = first_due(
             self.entry_start, self.age0[self.entry_asset], 0, 0, self.entry_period,
             self.tick_units,
         )
+        self.oldest = self.anchor.copy()
 
         self.specs = list(spec_ids)
         self.person_hours = np.array([s.person_hours for s in self.specs])
@@ -646,26 +652,24 @@ class _Engine:
         else:
             self.capacity = scenario.resources.tick_capacity(self.tick)
 
-        # queued inspections of each cadence entry, due every period from
-        # tick oldest[e] on; with none queued, oldest[e] is its next due
-        # tick, or n_ticks while its asset is out of service
-        self.queued_inspections = np.zeros(n_entries, dtype=np.int64)
-        self.oldest = self.next_check.copy()
         # Per class and request id (an asset, or a cadence entry): its
-        # activity and person-hours, the tick of its oldest pending request
-        # (past the current tick if none), how many it can have pending and
-        # their period in ticks. A budget below the floor executes nothing.
+        # activity and person-hours, the due tick of its oldest request not
+        # executed and their period in ticks (n_ticks for a replacement, so
+        # it has one at most). A budget below the floor executes nothing.
         self.class_spec = (self.corrective_spec, self.planned_spec, self.entry_spec)
         self.class_hours = tuple(self.person_hours[spec] for spec in self.class_spec)
         self.floors = tuple(float(h.min(initial=math.inf)) for h in self.class_hours)
         self.class_first = (self.fail_tick, self.trigger_tick, self.oldest)
-        ones = np.ones(n, dtype=np.int64)
-        self.class_queued = (ones, ones, self.queued_inspections)
-        self.class_period = (ones, ones, self.entry_period)
-        # requests raised per class; read by allocation (or as raised in an
-        # open pool), executed, and dropped as stale by the failure or
-        # replacement that makes them so
-        self.raised = [0, 0, 0]
+        once = np.full(n, self.n_ticks)
+        self.class_period = (once, once, self.entry_period)
+        # requests raised per class, counted apart from their fate: a
+        # corrective one at its failure, a planned one when its generation
+        # starts (which reaches its trigger tick in service, as it can
+        # neither fail nor be replaced first) and inspections when their
+        # generation ends, at a failure, a replacement or the horizon. Each
+        # is executed, dropped as stale by the failure or replacement that
+        # makes it so, or still pending.
+        self.raised = [0, int(np.count_nonzero(self.trigger_tick < self.n_ticks)), 0]
         self.examined = self.executed = self.dropped = 0
 
         self.kpis = KpiSeries.zeros(scenario.horizon_years)
@@ -680,13 +684,16 @@ class _Engine:
     def _pending(self, cls: int, k: int) -> np.ndarray:
         """A class's requests pending at tick k, one id each, in id order.
 
-        No queue holds them. An asset out of service (past its failure tick)
-        has its corrective replacement pending, one past its planned tick
-        its planned one, and a cadence entry its queued inspections. A
-        replacement resets its asset's ticks and a failure or a replacement
-        clears its inspections, so a stale request is gone."""
-        ids = (self.class_first[cls] <= k).nonzero()[0]
-        return np.repeat(ids, self.class_queued[cls][ids])
+        No queue holds them: each id's pending requests are its due ticks
+        from its oldest not executed up to k. An asset out of service (past
+        its failure tick) has its corrective replacement pending, one past
+        its planned tick its planned one, and a cadence entry the
+        inspections due since its oldest. A replacement resets its asset's
+        ticks and a failure or a replacement clears its inspections, so a
+        stale request is gone."""
+        first, period = self.class_first[cls], self.class_period[cls]
+        ids = (first <= k).nonzero()[0]
+        return np.repeat(ids, due_before(first[ids], period[ids], k + 1))
 
     def _allocate_and_complete(self, k: int, year: int) -> None:
         # classes run in priority order, each completing before the next is
@@ -702,10 +709,10 @@ class _Engine:
         It walks (`_greedy_walk`) windows of request ticks, one tick wide
         from the oldest and then doubling, while the budget fits the class
         floor. The first window holds one request of each id, in id order; a
-        later one lists each id's copies in it and sorts them. An entry's
-        copies need the same person-hours and the budget only shrinks, so
-        its oldest execute first."""
-        first, queued, period = self.class_first[cls], self.class_queued[cls], self.class_period[cls]
+        later one lists each id's due ticks in it (`due_before`) and sorts
+        them. An entry's copies need the same person-hours and the budget
+        only shrinks, so its oldest execute first."""
+        first, period = self.class_first[cls], self.class_period[cls]
         start = lo = int(first.min(initial=k + 1))
         ran = []
         while lo <= k and remaining >= self.floors[cls]:
@@ -714,8 +721,8 @@ class _Engine:
             if lo > start:
                 # the copies due in [lo, end), the j-th at first + j * period
                 f, p = first[ids], period[ids]
-                skip = np.maximum(lo - f + p - 1, 0) // p
-                count = np.maximum(np.minimum(queued[ids], (end - f + p - 1) // p) - skip, 0)
+                skip = due_before(f, p, lo)
+                count = due_before(f, p, end) - skip
                 due = np.repeat(f + (skip - np.cumsum(count) + count) * p, count)
                 ids = np.repeat(ids, count)
                 due += np.arange(len(ids)) * period[ids]
@@ -728,7 +735,6 @@ class _Engine:
         if not len(done):
             return remaining
         if cls == _INSPECTION:
-            np.subtract.at(self.queued_inspections, done, 1)
             np.add.at(self.oldest, done, self.entry_period[done])
             assets = self.entry_asset[done]
         self._complete(cls, assets, self.class_spec[cls][done], k, year)
@@ -742,14 +748,17 @@ class _Engine:
         )
         return _exact_sums(queued[None], self.person_hours)[0]
 
-    def _drop_inspections(self, assets: np.ndarray) -> np.ndarray:
-        """Drop the queued inspections of assets that failed or were
-        replaced; returns their cadence entries."""
+    def _drop_inspections(self, assets: np.ndarray, end: int) -> np.ndarray:
+        """End the cadences of assets that fail at tick `end`, or are
+        replaced at tick `end - 1`: count the inspections their generation
+        raised, those due below `end`, and drop those not executed. Returns
+        their cadence entries."""
         entry = self.entries_of[assets]
         entry = entry[entry >= 0]
-        self.dropped += int(self.queued_inspections[entry].sum())
-        self.queued_inspections[entry] = 0
-        self.oldest[entry] = self.n_ticks
+        period = self.entry_period[entry]
+        self.raised[_INSPECTION] += int(due_before(self.anchor[entry], period, end).sum())
+        self.dropped += int(due_before(self.oldest[entry], period, end).sum())
+        self.oldest[entry] = self.anchor[entry] = self.n_ticks
         return entry
 
     # -- tick steps ----------------------------------------------------------
@@ -814,27 +823,14 @@ class _Engine:
         return origin + life, np.where(trigger < life, origin + trigger, self.n_ticks)
 
     def _draw_failures(self, k: int, year: int) -> np.ndarray:
+        """Assets that fail at tick k, each raising its corrective
+        replacement; their inspections due from k on are never raised."""
         failed = (self.fail_tick == k).nonzero()[0]
-        self.in_service[failed] = False
         if len(failed):
-            self._drop_inspections(failed)
+            self.raised[_CORRECTIVE] += len(failed)
+            self._drop_inspections(failed, k)
         self.kpis.failures[year] += len(failed)
         return failed
-
-    def _replacement_triggers(self, k: int) -> np.ndarray:
-        """Assets whose generation requests its planned replacement at tick
-        k: it reaches its trigger then, in service."""
-        return (self.trigger_tick == k).nonzero()[0]
-
-    def _inspection_triggers(self, k: int) -> np.ndarray:
-        """Cadence entries due at tick k whose asset is in service, each
-        queuing one inspection. Every entry due, inspected or not, is booked
-        for its next due tick."""
-        entry = (self.next_check == k).nonzero()[0]
-        self.next_check[entry] += self.entry_period[entry]
-        entry = entry[self.in_service[self.entry_asset[entry]]]
-        self.queued_inspections[entry] += 1
-        return entry
 
     def _complete(
         self, cls: int, assets: np.ndarray, specs: np.ndarray, k: int, year: int
@@ -853,21 +849,21 @@ class _Engine:
 
     def _replace(self, assets: np.ndarray, k: int, year: int) -> None:
         """Renew the assets replaced at tick k."""
-        failed = assets[~self.in_service[assets]]
+        failed = assets[self.fail_tick[assets] <= k]
         if len(failed):
             self.gap_ticks[year] += int((k - self.fail_tick[failed]).sum())
             # a failed asset whose planned replacement was pending too had
             # two requests, and one of them executed
             self.dropped += int(np.count_nonzero(self.trigger_tick[failed] <= k))
-        self.in_service[assets] = True
         self.generation[assets] += 1
         self.fail_tick[assets], self.trigger_tick[assets] = self._generation_rules(
             assets, self.generation[assets], k
         )
-        # the inspections queued for the old generation are stale, and the
-        # cadences restart from age 0 at tick k, due from the next tick
-        entry = self._drop_inspections(assets)
-        self.next_check[entry] = self.oldest[entry] = first_due(
+        self.raised[_PLANNED] += int(np.count_nonzero(self.trigger_tick[assets] < self.n_ticks))
+        # the inspections due for the old generation up to tick k are stale,
+        # and the cadences restart from age 0 at tick k, due from the next
+        entry = self._drop_inspections(assets, k + 1)
+        self.oldest[entry] = self.anchor[entry] = first_due(
             self.entry_start[entry], 0, k, k + 1, self.entry_period[entry], self.tick_units
         )
 
@@ -903,15 +899,12 @@ class _Engine:
             return self._book()
         for k in range(self.n_ticks):
             year = (k * self.tick) // 12
-            raised = (
-                self._draw_failures(k, year),
-                self._replacement_triggers(k),
-                self._inspection_triggers(k),
-            )
-            self.raised = [n + len(ids) for n, ids in zip(self.raised, raised)]
+            self._draw_failures(k, year)
             self._allocate_and_complete(k, year)
             if (k + 1) % self.ticks_per_year == 0:
                 self.kpis.backlog_hours[year] = self._backlog_person_hours(k)
+        # the inspections of the generations that outlive the horizon
+        self.raised[_INSPECTION] += int(due_before(self.anchor, self.entry_period, self.n_ticks).sum())
         return self._book()
 
 

@@ -16,6 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import checked
 from .fleet import LifetimeTable, VoltageClass
 from .survival import SurvivalCurve, km_fit
 
@@ -169,13 +170,15 @@ def law_to_record(law: WeibullLaw, family: str, source: str) -> dict:
     return {"family": family, "beta": law.beta, "eta": law.eta, "source": source}
 
 
-def law_from_record(record: Mapping) -> tuple[str, WeibullLaw, str]:
+def law_from_record(record: object, path: str = "law") -> tuple[str, WeibullLaw, str]:
+    """The family, law and source of the `law_to_record` object at field
+    `path`, whose beta and eta must be JSON numbers."""
     try:
-        family = str(record["family"])
-        law = WeibullLaw(beta=float(record["beta"]), eta=float(record["eta"]))
+        family = str(checked(record, path, dict)["family"])
+        beta, eta = (checked(record[key], f"{path}.{key}", float) for key in ("beta", "eta"))
     except KeyError as exc:
-        raise ValueError(f"law record missing field {exc.args[0]!r}") from None
-    return family, law, str(record.get("source", "unknown"))
+        raise ValueError(f"{path}: law record missing field {exc.args[0]!r}") from None
+    return family, WeibullLaw(beta=float(beta), eta=float(eta)), str(record.get("source", "unknown"))
 
 
 def _profile_terms(beta: float, log_t: np.ndarray) -> tuple[float, float]:

@@ -187,7 +187,7 @@ class LedgerEngine(_Engine):
         if cls == _INSPECTION:
             self.inspection_terms[year] += hours
         else:
-            out = ~self.in_service[assets]
+            out = self.fail_tick[assets] <= k
             gaps = (k - self.fail_tick[assets[out]]) * self.tick_hours
             self.unavailability_terms[year] += gaps.tolist()
         super()._complete(cls, assets, specs, k, year)

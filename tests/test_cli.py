@@ -78,6 +78,35 @@ class TestSynth:
         result = runner.invoke(main, ["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ([1], "spec: expected an object, got list"),
+            ({"sizes": [1]}, "sizes: expected an object, got list"),
+            ({"sizes": {"110": 2.7}}, "sizes.110: expected an integer, got float"),
+            ({"sizes": {"110": True}}, "sizes.110: expected an integer, got bool"),
+            ({"sizes": {"110": "2"}}, "sizes.110: expected an integer, got str"),
+            ({"sizes": {"400": 2}}, "sizes.400: unknown family"),
+            ({"seed": 1.9}, "seed: expected an integer, got float"),
+            ({"seed": False}, "seed: expected an integer, got bool"),
+            ({"seed": "1"}, "seed: expected an integer, got str"),
+            ({"commission_years": [1980.5, 2010]}, "commission_years.0: expected an integer, got float"),
+            ({"commission_years": [1980, "2010"]}, "commission_years.1: expected an integer, got str"),
+            ({"commission_years": [1980]}, "commission_years: expected [first_year, last_year]"),
+            ({"sise": {"110": 2}}, "sise: unknown field"),
+        ],
+    )
+    def test_malformed_spec_names_the_field(self, tmp_path, spec, named):
+        path = tmp_path / "spec.json"
+        if isinstance(spec, dict):
+            spec = {"sizes": {"110": 2}, "commission_years": [1980, 2010], "seed": 1, **spec}
+        path.write_text(json.dumps(spec))
+        result = runner.invoke(main, ["synth", "--spec", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"error: {named}" in result.output
+        assert not (tmp_path / "o" / "fleet.csv").exists()
+
 
 class TestFit:
     def make_observed_fleet(self, tmp_path, n=4000):
@@ -302,6 +331,42 @@ class TestScore:
             )
             assert result.exit_code == 2
             assert named in result.output
+
+    @pytest.mark.parametrize(
+        "records, named",
+        [
+            ([1], "laws[0]: expected an object, got int"),
+            ({"laws": [{"family": "110", "beta": 6.67, "eta": 63.79}, "x"]}, "laws[1]: expected an object, got str"),
+            ([{"family": "110", "beta": True, "eta": 63.79}], "laws[0].beta: expected a number, got bool"),
+            ([{"family": "110", "beta": 6.67, "eta": "60"}], "laws[0].eta: expected a number, got str"),
+            ([{"family": "110", "beta": 6.67}], "laws[0]: law record missing field 'eta'"),
+        ],
+    )
+    def test_malformed_law_record_names_the_field(self, tmp_path, records, named):
+        path = tmp_path / "fleet.csv"
+        path.write_text("asset_id,voltage_kv,commission_date,failure_date,manufacturer\nA,110,2000-01-01,,\n")
+        laws = tmp_path / "laws.json"
+        laws.write_text(json.dumps(records))
+        result = runner.invoke(
+            main,
+            ["score", "--assets", str(path), "--laws", str(laws),
+             "--as-of", "2021-07-01", "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 2
+        assert f"error: {named}" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command, option", [("fit", "--cutoff"), ("score", "--as-of")])
+    @pytest.mark.parametrize("value", ["20210701", "2021-7-1", "2021-07-01T00:00", "2021-02-30"])
+    def test_dates_must_be_yyyy_mm_dd(self, tmp_path, command, option, value):
+        path = tmp_path / "fleet.csv"
+        path.write_text("asset_id,voltage_kv,commission_date,failure_date,manufacturer\nA,110,2000-01-01,,\n")
+        args = [command, "--assets", str(path), option, value, "--out", str(tmp_path / "o")]
+        if command == "score":
+            args += ["--laws", str(self.laws_file(tmp_path))]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert f"error: {option}: malformed date {value!r} (expected YYYY-MM-DD)" in result.output
 
     def test_failed_assets_excluded(self, tmp_path):
         path = tmp_path / "fleet.csv"

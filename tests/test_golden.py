@@ -94,9 +94,9 @@ class ClearProbe(_Engine):
         self.cause = "replacement"
         return failed
 
-    def _drop_inspections(self, assets):
+    def _drop_inspections(self, assets, end):
         dropped = self.dropped
-        entries = super()._drop_inspections(assets)
+        entries = super()._drop_inspections(assets, end)
         if self.dropped > dropped:
             self.cleared[self.cause].add(self.k)
         return entries

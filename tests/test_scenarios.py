@@ -309,6 +309,28 @@ class TestValidationPaths:
         with pytest.raises(ScenarioError, match="^start_date: malformed"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("value", [20200101, "20200101", "2020-1-1", "2020-01-01T00:00", ["2020-01-01"]])
+    def test_start_date_must_be_yyyy_mm_dd(self, value):
+        # Python 3.11's fromisoformat reads the basic format 20200101 too;
+        # the scenario reads exactly YYYY-MM-DD on every version
+        data = valid_dict()
+        data["start_date"] = value
+        with pytest.raises(ScenarioError, match=r"^start_date: malformed date .*\(expected YYYY-MM-DD\)$"):
+            scenario_from_dict(data)
+        data["start_date"] = "2020-01-01"
+        assert scenario_from_dict(data).start_date == date(2020, 1, 1)
+
+    @pytest.mark.parametrize("value", [5, {"a": 1}, None, True])
+    def test_names_must_be_strings(self, value):
+        data = valid_dict()
+        data["name"] = value
+        with pytest.raises(ScenarioError, match="^name: expected a string$"):
+            scenario_from_dict(data)
+        data = valid_dict()
+        data["activities"][1]["name"] = value
+        with pytest.raises(ScenarioError, match=r"^activities\[1\].name: expected a string$"):
+            scenario_from_dict(data)
+
     @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
     def test_failures_enabled_must_be_a_boolean(self, value):
         data = valid_dict()

@@ -281,6 +281,24 @@ def test_law_record_round_trip():
         law_from_record({"family": "150", "beta": 2.0})
 
 
+@pytest.mark.parametrize(
+    "record, named",
+    [
+        ([1], r"^laws\[2\]: expected an object, got list$"),
+        (None, r"^laws\[2\]: expected an object, got NoneType$"),
+        ({"family": "150", "beta": True, "eta": 60.0}, r"^laws\[2\].beta: expected a number, got bool$"),
+        ({"family": "150", "beta": "2", "eta": 60.0}, r"^laws\[2\].beta: expected a number, got str$"),
+        ({"family": "150", "beta": 2.0, "eta": "60"}, r"^laws\[2\].eta: expected a number, got str$"),
+        ({"family": "150", "beta": 2.0, "eta": [60]}, r"^laws\[2\].eta: expected a number, got list$"),
+    ],
+)
+def test_law_record_fields_must_be_json_numbers(record, named):
+    with pytest.raises(ValueError, match=named):
+        law_from_record(record, "laws[2]")
+    # an integer is a JSON number
+    assert law_from_record({"family": "150", "beta": 2, "eta": 60})[1] == WeibullLaw(2.0, 60.0)
+
+
 def test_reference_laws_are_aging():
     for law in REFERENCE_LAWS.values():
         assert law.beta > 1
