@@ -9,17 +9,35 @@ import importlib
 
 __version__ = "0.1.0"
 
-_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number"}
+_KINDS = {
+    dict: "an object",
+    list: "a list",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "true or false",
+}
 
 
 def checked(value: object, where: str, kind: type):
-    """`value` if it is a `kind` (`float` takes any JSON number), never a
-    bool; else a ValueError naming field `where`. Every reader of JSON input
-    checks its values here, so that none loads a module only for it."""
+    """`value` if it is a `kind` (`float` takes any JSON number), and a bool
+    only where `kind` is bool; else a ValueError naming field `where`. Every
+    reader of JSON input checks its values here, so that none loads a module
+    only for it."""
     kinds = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    if not isinstance(value, kinds) or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"{where}: expected {_KINDS[kind]}, got {type(value).__name__}")
     return value
+
+
+def known(entry: dict, fields: tuple[str, ...], where: str = "") -> dict:
+    """`entry` once each of its keys is one of `fields`; else a ValueError
+    naming the first other key as a field of `where`."""
+    for key in entry:
+        if key not in fields:
+            field = f"{where}.{key}" if where else key
+            raise ValueError(f"{field}: unknown field (expected one of {', '.join(fields)})")
+    return entry
 
 
 # public names by the submodule that defines them, in `__all__` order
@@ -27,13 +45,11 @@ _EXPORTS = {
     "fleet": (
         "AssetTable",
         "DataError",
-        "FleetSummary",
         "LifetimeTable",
         "SyntheticFleetSpec",
         "VoltageClass",
         "build_lifetime_table",
         "draw_failures",
-        "fleet_summary",
         "generate_synthetic_fleet",
         "parse_asset_csv",
         "write_asset_csv",
@@ -49,7 +65,6 @@ _EXPORTS = {
     ),
     "health": (
         "AhiConfig",
-        "AhiScore",
         "Band",
         "ScoreBasis",
         "age_scores",

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__, checked
+from . import __version__, checked, known
 
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
@@ -169,7 +169,7 @@ def fit(assets_path: Path, cutoff: str, families: tuple[str, ...], out_dir: Path
         run.add_output(curve_path)
 
         try:
-            mle_law, diag = fit_weibull_mle(family_table)
+            mle_law, diag = fit_weibull_mle(family_table, curve)
         except ValueError as exc:
             _fail(f"family {vc.value}: {exc}", EXIT_VALIDATION)
             return
@@ -206,7 +206,7 @@ def fit(assets_path: Path, cutoff: str, families: tuple[str, ...], out_dir: Path
 
 
 def _pick_laws(payload) -> dict:
-    from .fleet import DataError, VoltageClass
+    from .fleet import DataError
     from .weibull import law_from_record
 
     records = payload["laws"] if isinstance(payload, dict) and "laws" in payload else payload
@@ -215,8 +215,7 @@ def _pick_laws(payload) -> dict:
     preference = {"mle": 0, "rank_regression": 1, "reference": 2}
     best: dict = {}
     for i, record in enumerate(records):
-        family, law, source = law_from_record(record, f"laws[{i}]")
-        vc = VoltageClass(family)
+        vc, law, source = law_from_record(record, f"laws[{i}]")
         rank = preference.get(source, 3)
         if vc not in best or rank < best[vc][0]:
             best[vc] = (rank, law)
@@ -348,15 +347,10 @@ def _synth_spec(raw: object):
     that is not a JSON integer is named by its dotted field."""
     from .fleet import DataError, SyntheticFleetSpec, VoltageClass
 
-    fields = ("sizes", "commission_years", "seed")
-    for key in checked(raw, "spec", dict):
-        if key not in fields:
-            raise DataError(f"{key}: unknown field (expected one of {', '.join(fields)})")
+    known(checked(raw, "spec", dict), ("sizes", "commission_years", "seed"))
     sizes = {}
     for key, n in checked(raw.get("sizes", {}), "sizes", dict).items():
-        if key not in FAMILY_CHOICES:
-            raise DataError(f"sizes.{key}: unknown family (expected one of {', '.join(FAMILY_CHOICES)})")
-        sizes[VoltageClass(key)] = checked(n, f"sizes.{key}", int)
+        sizes[VoltageClass.named(key, f"sizes.{key}")] = checked(n, f"sizes.{key}", int)
     years = raw.get("commission_years")
     if not isinstance(years, list) or len(years) != 2:
         raise DataError("commission_years: expected [first_year, last_year]")

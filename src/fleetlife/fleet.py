@@ -1,7 +1,7 @@
 """Asset records, right-censored lifetime tables, and synthetic fleet generation.
 
 The asset CSV schema is ``asset_id,voltage_kv,commission_date,failure_date,
-manufacturer`` with ISO-8601 dates and an empty failure_date for assets still
+manufacturer`` with YYYY-MM-DD dates and an empty failure_date for assets still
 in service. 220 kV and 380 kV units are pooled into one statistical family but
 keep their raw voltage for activity costing. A fleet is an AssetTable, one
 row per asset held as columns, and a lifetime table holds one row per asset
@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, replace
 from datetime import date
 from itertools import chain
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping
 
 import numpy as np
 
@@ -28,15 +28,12 @@ __all__ = [
     "AssetTable",
     "FAMILIES",
     "LifetimeTable",
-    "ClassSummary",
-    "FleetSummary",
     "SyntheticFleetSpec",
     "years_between",
     "service_years",
     "parse_asset_csv",
     "write_asset_csv",
     "build_lifetime_table",
-    "fleet_summary",
     "generate_synthetic_fleet",
     "draw_failures",
 ]
@@ -68,6 +65,15 @@ class VoltageClass(enum.Enum):
         if kv in (220, 380):
             return cls.V220_380
         raise DataError(f"unknown voltage {kv} kV (expected one of {VALID_VOLTAGES})")
+
+    @classmethod
+    def named(cls, name: str, where: str) -> "VoltageClass":
+        """The family whose value is `name`, else a DataError naming field `where`."""
+        try:
+            return cls(name)
+        except ValueError:
+            valid = ", ".join(vc.value for vc in cls)
+            raise DataError(f"{where}: unknown family {name!r} (expected {valid})") from None
 
 
 # Row order of the family codes in a LifetimeTable.
@@ -182,39 +188,6 @@ class LifetimeTable:
         """Families with at least one row."""
         counts = np.bincount(self.family, minlength=len(FAMILIES))
         return {FAMILIES[code] for code in np.flatnonzero(counts).tolist()}
-
-
-@dataclass(frozen=True)
-class ClassSummary:
-    total: int
-    events: int
-    censored: int
-
-
-@dataclass(frozen=True)
-class FleetSummary:
-    """Per-family counts plus a fleet-wide age histogram in 5-year buckets."""
-
-    classes: Mapping[VoltageClass, ClassSummary]
-    age_histogram: Sequence[tuple[int, int]]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "classes": {
-                vc.value: {"total": s.total, "events": s.events, "censored": s.censored}
-                for vc, s in self.classes.items()
-            },
-            "age_histogram": [
-                {"bucket_start_years": b, "count": c} for b, c in self.age_histogram
-            ],
-        }
-
-    def write_csv(self, stream: IO[str]) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["voltage_class", "total", "events", "censored"])
-        for vc in VoltageClass:
-            s = self.classes[vc]
-            writer.writerow([vc.value, s.total, s.events, s.censored])
 
 
 @dataclass(frozen=True)
@@ -416,14 +389,14 @@ def _parse_rows(lines: Iterable[str]) -> AssetTable:
         except ValueError:
             raise DataError(f"row {lineno}: malformed voltage {kv_text!r}") from None
         try:
-            commission = date.fromisoformat(commission_text).toordinal()
-        except ValueError:
+            commission = iso_date(commission_text, "commission_date").toordinal()
+        except DataError:
             raise DataError(
                 f"row {lineno}: malformed commission_date {commission_text!r}"
             ) from None
         try:
-            failure = date.fromisoformat(failure_text).toordinal() if failure_text else 0
-        except ValueError:
+            failure = iso_date(failure_text, "failure_date").toordinal() if failure_text else 0
+        except DataError:
             raise DataError(f"row {lineno}: malformed failure_date {failure_text!r}") from None
         if kv not in VALID_VOLTAGES:
             raise DataError(f"row {lineno}: asset {asset_id!r}: unknown voltage {kv} kV")
@@ -496,20 +469,6 @@ def build_lifetime_table(assets: AssetTable, cutoff: date) -> LifetimeTable:
             f"after cutoff {cutoff.isoformat()} (observation outside window)"
         )
     return LifetimeTable(duration, event, family)
-
-
-def fleet_summary(table: LifetimeTable) -> FleetSummary:
-    """Count totals and event/censored splits per family; histogram durations."""
-    totals = np.bincount(table.family, minlength=len(FAMILIES)).tolist()
-    events = np.bincount(table.family[table.event], minlength=len(FAMILIES)).tolist()
-    classes = {
-        vc: ClassSummary(total=totals[i], events=events[i], censored=totals[i] - events[i])
-        for i, vc in enumerate(FAMILIES)
-    }
-    starts, counts = np.unique((table.duration // 5).astype(np.int64) * 5, return_counts=True)
-    return FleetSummary(
-        classes=classes, age_histogram=list(zip(starts.tolist(), counts.tolist()))
-    )
 
 
 def generate_synthetic_fleet(spec: SyntheticFleetSpec) -> AssetTable:

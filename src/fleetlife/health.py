@@ -23,7 +23,6 @@ __all__ = [
     "Band",
     "ScoreBasis",
     "AhiConfig",
-    "AhiScore",
     "band_for_score",
     "probability_scores",
     "age_scores",
@@ -93,17 +92,6 @@ class AhiConfig:
         hi, lo = self.age_fractions
         if not hi > lo > 0:
             raise ValueError(f"age fractions must descend, got {self.age_fractions}")
-
-
-@dataclass(frozen=True)
-class AhiScore:
-    score: int
-    band: Band
-    basis: ScoreBasis
-
-    def __post_init__(self) -> None:
-        if band_for_score(self.score) is not self.band:
-            raise ValueError(f"score {self.score} inconsistent with band {self.band}")
 
 
 def probability_scores(

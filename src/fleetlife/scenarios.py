@@ -22,8 +22,9 @@ from __future__ import annotations
 import json
 import os
 from decimal import Decimal, InvalidOperation
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Optional
 
+from . import checked, known
 from .fleet import VoltageClass, iso_date
 from .health import DEFAULT_CONDITION_TRIGGER_AGE
 from .simulate import (
@@ -208,7 +209,7 @@ def load_scenario_file(path: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _expect(data: Mapping, key: str, path: str) -> Any:
+def _expect(data: dict, key: str, path: str) -> Any:
     if key not in data:
         raise ScenarioError(f"{_join(path, key)}: required")
     return data[key]
@@ -218,49 +219,12 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _get(entry: Mapping, key: str, path: str, check: Callable[[Any, str], Any]) -> Any:
-    """Required field `key` of the entry at `path`, through `check`."""
-    return check(_expect(entry, key, path), _join(path, key))
-
-
-def _known(entry: Mapping, fields: tuple[str, ...], path: str) -> Mapping:
-    """The entry itself, once every key in it is one of the known fields."""
-    for key in entry:
-        if key not in fields:
-            raise ScenarioError(
-                f"{_join(path, str(key))}: unknown field (expected one of {', '.join(fields)})"
-            )
-    return entry
-
-
-def _as_mapping(value: Any, path: str) -> Mapping:
-    if not isinstance(value, Mapping):
-        raise ScenarioError(f"{path}: expected an object")
-    return value
-
-
-def _as_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}: expected a number")
-    return float(value)
-
-
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{path}: expected an integer")
-    return value
-
-
-def _as_str(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise ScenarioError(f"{path}: expected a string")
-    return value
-
-
-def _as_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ScenarioError(f"{path}: expected true or false")
-    return value
+def _get(entry: dict, key: str, path: str, kind: type, *default) -> Any:
+    """Field `key` of the entry at `path`, checked as a `kind` (a number is
+    read as a float); required unless a default is given."""
+    value = entry.get(key, *default) if default else _expect(entry, key, path)
+    value = checked(value, _join(path, key), kind)
+    return float(value) if kind is float else value
 
 
 def _as_money(value: Any, path: str) -> Decimal:
@@ -272,42 +236,34 @@ def _as_money(value: Any, path: str) -> Decimal:
         raise ScenarioError(f"{path}: not a valid amount") from None
 
 
-def _family(key: str, path: str) -> VoltageClass:
-    try:
-        return VoltageClass(key)
-    except ValueError:
-        valid = ", ".join(vc.value for vc in VoltageClass)
-        raise ScenarioError(f"{path}: unknown family {key!r} (expected {valid})") from None
-
-
 def _parse_laws(data: Any, path: str) -> dict[VoltageClass, WeibullLaw]:
-    mapping = _as_mapping(data, path)
     laws = {}
-    for key, value in mapping.items():
-        vc = _family(key, _join(path, key))
-        entry = _known(_as_mapping(value, _join(path, key)), ("beta", "eta"), _join(path, key))
-        beta = _get(entry, "beta", _join(path, key), _as_number)
-        eta = _get(entry, "eta", _join(path, key), _as_number)
+    for key, value in checked(data, path, dict).items():
+        law_path = _join(path, key)
+        vc = VoltageClass.named(key, law_path)
+        entry = known(checked(value, law_path, dict), ("beta", "eta"), law_path)
+        beta = _get(entry, "beta", law_path, float)
+        eta = _get(entry, "eta", law_path, float)
         try:
             laws[vc] = WeibullLaw(beta=beta, eta=eta)
         except ValueError as exc:
-            raise ScenarioError(f"{_join(path, key)}: {exc}") from None
+            raise ScenarioError(f"{law_path}: {exc}") from None
     return laws
 
 
 def _parse_replacement(data: Any, path: str):
-    entry = _as_mapping(data, path)
+    entry = checked(data, path, dict)
     kind = _expect(entry, "type", path)
     if kind == "time_based":
-        _known(entry, ("type", "age_years"), path)
-        age = _get(entry, "age_years", path, _as_number)
+        known(entry, ("type", "age_years"), path)
+        age = _get(entry, "age_years", path, float)
         try:
             return TimeBased(age_years=age)
         except ValueError as exc:
             raise ScenarioError(f"{_join(path, 'age_years')}: {exc}") from None
     if kind == "condition_based":
-        _known(entry, ("type", "trigger_apparent_age"), path)
-        age = _get(entry, "trigger_apparent_age", path, _as_number)
+        known(entry, ("type", "trigger_apparent_age"), path)
+        age = _get(entry, "trigger_apparent_age", path, float)
         try:
             return ConditionBased(trigger_apparent_age=age)
         except ValueError as exc:
@@ -320,13 +276,13 @@ def _parse_replacement(data: Any, path: str):
 def _parse_inspections(data: Any, path: str) -> Optional[PeriodicInspections]:
     if data is None:
         return None
-    entry = _known(_as_mapping(data, path), ("start_age_years", "interval_months"), path)
-    start = _get(entry, "start_age_years", path, _as_number)
+    entry = known(checked(data, path, dict), ("start_age_years", "interval_months"), path)
+    start = _get(entry, "start_age_years", path, float)
     intervals = _expect(entry, "interval_months", path)
     if not isinstance(intervals, list) or not intervals:
         raise ScenarioError(f"{_join(path, 'interval_months')}: expected a non-empty list")
     months = tuple(
-        _as_int(m, f"{_join(path, 'interval_months')}[{i}]")
+        checked(m, f"{_join(path, 'interval_months')}[{i}]", int)
         for i, m in enumerate(intervals)
     )
     try:
@@ -336,14 +292,14 @@ def _parse_inspections(data: Any, path: str) -> Optional[PeriodicInspections]:
 
 
 def _parse_policy(data: Any, path: str) -> Policy:
-    mapping = _as_mapping(data, path)
+    mapping = checked(data, path, dict)
     if not mapping:
         raise ScenarioError(f"{path}: at least one family policy required")
     families = {}
     for key, value in mapping.items():
         fam_path = _join(path, key)
-        vc = _family(key, fam_path)
-        entry = _known(_as_mapping(value, fam_path), ("replacement", "inspections"), fam_path)
+        vc = VoltageClass.named(key, fam_path)
+        entry = known(checked(value, fam_path, dict), ("replacement", "inspections"), fam_path)
         replacement = _parse_replacement(
             _expect(entry, "replacement", fam_path), _join(fam_path, "replacement")
         )
@@ -369,30 +325,33 @@ def _parse_activities(data: Any, path: str) -> ActivityCatalog:
     inspections: dict[tuple[int, int], ActivitySpec] = {}
     for i, raw in enumerate(data):
         entry_path = f"{path}[{i}]"
-        entry = _as_mapping(raw, entry_path)
-        name = _get(entry, "name", entry_path, _as_str)
-        kind_text = _expect(entry, "kind", entry_path)
+        entry = checked(raw, entry_path, dict)
+        name = _get(entry, "name", entry_path, str)
+        kind_text = _get(entry, "kind", entry_path, str)
         if kind_text not in _ACTIVITY_KINDS:
             raise ScenarioError(
                 f"{_join(entry_path, 'kind')}: expected one of "
                 f"{sorted(_ACTIVITY_KINDS)}, got {kind_text!r}"
             )
         kind = _ACTIVITY_KINDS[kind_text]
-        _known(
+        known(
             entry,
             _ACTIVITY_FIELDS + (("interval_months",) if kind is ActivityKind.INSPECTION else ()),
             entry_path,
         )
-        kv = _get(entry, "voltage_kv", entry_path, _as_int)
-        hours = _get(entry, "duration_hours", entry_path, _as_number)
-        fte = _get(entry, "required_fte", entry_path, _as_int)
-        costs = [_get(entry, key, entry_path, _as_money) for key in ("material_cost", "workforce_cost")]
+        kv = _get(entry, "voltage_kv", entry_path, int)
+        hours = _get(entry, "duration_hours", entry_path, float)
+        fte = _get(entry, "required_fte", entry_path, int)
+        costs = [
+            _as_money(_expect(entry, key, entry_path), _join(entry_path, key))
+            for key in ("material_cost", "workforce_cost")
+        ]
         try:
             spec = ActivitySpec(name, kind, hours, fte, *costs)
         except ValueError as exc:
             raise ScenarioError(f"{entry_path}: {exc}") from None
         if kind is ActivityKind.INSPECTION:
-            inspections[(kv, _get(entry, "interval_months", entry_path, _as_int))] = spec
+            inspections[(kv, _get(entry, "interval_months", entry_path, int))] = spec
         elif kind is ActivityKind.PLANNED_REPLACEMENT:
             replacements[kv] = spec
         else:
@@ -403,13 +362,13 @@ def _parse_activities(data: Any, path: str) -> ActivityCatalog:
 
 
 def _parse_resources(data: Any, path: str):
-    entry = _as_mapping(data, path)
+    entry = checked(data, path, dict)
     mode = _expect(entry, "mode", path)
     if mode == "unconstrained":
-        _known(entry, ("mode",), path)
+        known(entry, ("mode",), path)
         return Unconstrained()
     if mode == "constrained":
-        _known(entry, ("mode", "fte_count", "hours_per_fte_per_year"), path)
+        known(entry, ("mode", "fte_count", "hours_per_fte_per_year"), path)
         if "fte_count" not in entry:
             raise ScenarioError(f"{_join(path, 'fte_count')}: required in constrained mode")
         if "hours_per_fte_per_year" not in entry:
@@ -417,14 +376,10 @@ def _parse_resources(data: Any, path: str):
                 f"{_join(path, 'hours_per_fte_per_year')}: required in constrained "
                 "mode (no default in scenario files)"
             )
+        fte_count = _get(entry, "fte_count", path, int)
+        hours = _get(entry, "hours_per_fte_per_year", path, float)
         try:
-            return Constrained(
-                fte_count=_as_int(entry["fte_count"], _join(path, "fte_count")),
-                hours_per_fte_per_year=_as_number(
-                    entry["hours_per_fte_per_year"],
-                    _join(path, "hours_per_fte_per_year"),
-                ),
-            )
+            return Constrained(fte_count=fte_count, hours_per_fte_per_year=hours)
         except ValueError as exc:
             raise ScenarioError(f"{path}: {exc}") from None
     raise ScenarioError(
@@ -435,24 +390,21 @@ def _parse_resources(data: Any, path: str):
 def _parse_rates(data: Any, path: str):
     if data is None:
         return ConstantRate()
-    entry = _as_mapping(data, path)
+    entry = checked(data, path, dict)
     kind = _expect(entry, "kind", path)
     if kind == "constant":
-        _known(entry, ("kind", "value"), path)
-        value = _as_number(entry.get("value", 1.0), _join(path, "value"))
-        if value <= 0:
-            raise ScenarioError(f"{_join(path, 'value')}: must be positive")
+        known(entry, ("kind", "value"), path)
+        value = _get(entry, "value", path, float, 1.0)
         try:
             return ConstantRate(value=value)
         except ValueError as exc:
             raise ScenarioError(f"{_join(path, 'value')}: {exc}") from None
     if kind == "lognormal":
-        _known(entry, ("kind", "mu", "sigma"), path)
+        known(entry, ("kind", "mu", "sigma"), path)
+        mu = _get(entry, "mu", path, float, 0.0)
+        sigma = _get(entry, "sigma", path, float, 0.2)
         try:
-            return LognormalRate(
-                mu=_as_number(entry.get("mu", 0.0), _join(path, "mu")),
-                sigma=_as_number(entry.get("sigma", 0.2), _join(path, "sigma")),
-            )
+            return LognormalRate(mu=mu, sigma=sigma)
         except ValueError as exc:
             raise ScenarioError(f"{path}: {exc}") from None
     raise ScenarioError(
@@ -467,30 +419,26 @@ _SCENARIO_FIELDS = (
 )
 
 
-def scenario_from_dict(data: Mapping) -> Scenario:
-    root = _known(_as_mapping(data, "scenario"), _SCENARIO_FIELDS, "")
-    name = _get(root, "name", "", _as_str)
-    laws = _parse_laws(_expect(root, "laws", ""), "laws")
-    policy = _parse_policy(_expect(root, "policy", ""), "policy")
-    catalog = _parse_activities(_expect(root, "activities", ""), "activities")
-    resources = _parse_resources(_expect(root, "resources", ""), "resources")
-    rates = _parse_rates(root.get("degradation_rates"), "degradation_rates")
-
+def scenario_from_dict(data: dict) -> Scenario:
+    """The scenario of a JSON object; a ScenarioError names the first field
+    that is missing, unknown or malformed."""
     try:
+        root = known(checked(data, "scenario", dict), _SCENARIO_FIELDS)
+        start_date = root.get("start_date")
         return Scenario(
-            name=name,
-            laws=laws,
-            policy=policy,
-            catalog=catalog,
-            resources=resources,
-            horizon_years=_as_int(root.get("horizon_years", 100), "horizon_years"),
-            tick_months=_as_int(root.get("tick_months", 1), "tick_months"),
-            start_date=None if root.get("start_date") is None else iso_date(root["start_date"], "start_date"),
-            failures_enabled=_as_bool(root.get("failures_enabled", True), "failures_enabled"),
-            degradation_rates=rates,
-            hazard_age=_as_str(root.get("hazard_age", "real"), "hazard_age"),
-            replications=_as_int(root.get("replications", 1), "replications"),
-            master_seed=_as_int(root.get("master_seed", 0), "master_seed"),
+            name=_get(root, "name", "", str),
+            laws=_parse_laws(_expect(root, "laws", ""), "laws"),
+            policy=_parse_policy(_expect(root, "policy", ""), "policy"),
+            catalog=_parse_activities(_expect(root, "activities", ""), "activities"),
+            resources=_parse_resources(_expect(root, "resources", ""), "resources"),
+            degradation_rates=_parse_rates(root.get("degradation_rates"), "degradation_rates"),
+            horizon_years=_get(root, "horizon_years", "", int, 100),
+            tick_months=_get(root, "tick_months", "", int, 1),
+            start_date=None if start_date is None else iso_date(start_date, "start_date"),
+            failures_enabled=_get(root, "failures_enabled", "", bool, True),
+            hazard_age=_get(root, "hazard_age", "", str, "real"),
+            replications=_get(root, "replications", "", int, 1),
+            master_seed=_get(root, "master_seed", "", int, 0),
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checked
 from .fleet import LifetimeTable, VoltageClass
-from .survival import SurvivalCurve, km_fit
+from .survival import SurvivalCurve
 
 __all__ = [
     "WeibullLaw",
@@ -84,13 +84,6 @@ class WeibullLaw:
             return math.inf
         z = t / self.eta
         return (self.beta / self.eta) * z ** (self.beta - 1.0) * math.exp(-(z**self.beta))
-
-    def hazard(self, t: float) -> float:
-        self._check_age(t)
-        if t == 0.0:
-            return self.pdf(0.0)
-        z = t / self.eta
-        return (self.beta / self.eta) * z ** (self.beta - 1.0)
 
     def median(self) -> float:
         return self.quantile(0.5)
@@ -170,15 +163,22 @@ def law_to_record(law: WeibullLaw, family: str, source: str) -> dict:
     return {"family": family, "beta": law.beta, "eta": law.eta, "source": source}
 
 
-def law_from_record(record: object, path: str = "law") -> tuple[str, WeibullLaw, str]:
+def law_from_record(record: object, path: str = "law") -> tuple[VoltageClass, WeibullLaw, str]:
     """The family, law and source of the `law_to_record` object at field
-    `path`, whose beta and eta must be JSON numbers."""
+    `path`, whose family must be a JSON string naming a family, beta and
+    eta JSON numbers, and source, if given, a JSON string."""
     try:
-        family = str(checked(record, path, dict)["family"])
+        where = f"{path}.family"
+        checked(record, path, dict)
+        family = VoltageClass.named(checked(record["family"], where, str), where)
         beta, eta = (checked(record[key], f"{path}.{key}", float) for key in ("beta", "eta"))
     except KeyError as exc:
         raise ValueError(f"{path}: law record missing field {exc.args[0]!r}") from None
-    return family, WeibullLaw(beta=float(beta), eta=float(eta)), str(record.get("source", "unknown"))
+    try:
+        law = WeibullLaw(beta=float(beta), eta=float(eta))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return family, law, checked(record.get("source", "unknown"), f"{path}.source", str)
 
 
 def _profile_terms(beta: float, log_t: np.ndarray) -> tuple[float, float]:
@@ -216,14 +216,17 @@ def _log_likelihood(
     )
 
 
-def fit_weibull_mle(table: LifetimeTable) -> tuple[WeibullLaw, FitDiagnostics]:
+def fit_weibull_mle(
+    table: LifetimeTable, curve: SurvivalCurve
+) -> tuple[WeibullLaw, FitDiagnostics]:
     """Maximum-likelihood Weibull fit to right-censored lifetimes.
 
     Events contribute log pdf, censored observations log survival. The shape
     solves the profile score equation by safeguarded Newton iteration on the
-    bracket [0.05, 100], initialized from rank regression when possible;
-    the scale then has a closed form. Needs at least two events, and every
-    event duration must be positive.
+    bracket [0.05, 100], initialized from rank regression on `curve`, the
+    Kaplan-Meier curve of `table`, when possible; the scale then has a
+    closed form. Needs at least two events, and every event duration must
+    be positive.
     """
     events = table.duration[table.event]
     censored = table.duration[~table.event]
@@ -242,7 +245,7 @@ def fit_weibull_mle(table: LifetimeTable) -> tuple[WeibullLaw, FitDiagnostics]:
     g_lo = _profile_residual(lo, log_all, mean_log_event)
     g_hi = _profile_residual(hi, log_all, mean_log_event)
 
-    beta = _initial_beta(table)
+    beta = _initial_beta(curve)
     iterations = 0
     converged = False
     if g_lo < 0.0 < g_hi:
@@ -284,10 +287,10 @@ def _profile_eta(beta: float, log_all: np.ndarray, r: int) -> float:
     return math.exp((log_sum - math.log(r)) / beta)
 
 
-def _initial_beta(table: LifetimeTable) -> float:
+def _initial_beta(curve: SurvivalCurve) -> float:
     lo, hi = BETA_BRACKET
     try:
-        law = fit_weibull_rank_regression(km_fit(table))
+        law = fit_weibull_rank_regression(curve)
     except ValueError:
         return 1.0
     return min(max(law.beta, lo), hi)

@@ -32,10 +32,17 @@ class AssetRecord:
 
 
 def _parse_date(text: str, row: int, field: str) -> date:
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise DataError(f"row {row}: malformed {field} {text!r}") from None
+    """The date of `text` written exactly YYYY-MM-DD in ASCII digits, on
+    every Python version (`date.fromisoformat` reads 20000101 too from
+    Python 3.11 on)."""
+    if len(text) == 10 and text[4] == text[7] == "-":
+        digits = text[:4] + text[5:7] + text[8:]
+        if digits.isascii() and digits.isdigit():
+            try:
+                return date(int(text[:4]), int(text[5:7]), int(text[8:]))
+            except ValueError:
+                pass
+    raise DataError(f"row {row}: malformed {field} {text!r}")
 
 
 def parse_records(lines: Iterable[str]) -> list[AssetRecord]:

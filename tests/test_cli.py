@@ -340,6 +340,12 @@ class TestScore:
             ([{"family": "110", "beta": True, "eta": 63.79}], "laws[0].beta: expected a number, got bool"),
             ([{"family": "110", "beta": 6.67, "eta": "60"}], "laws[0].eta: expected a number, got str"),
             ([{"family": "110", "beta": 6.67}], "laws[0]: law record missing field 'eta'"),
+            ([{"family": 110, "beta": 6.67, "eta": 63.79}], "laws[0].family: expected a string, got int"),
+            (
+                [{"family": "400", "beta": 6.67, "eta": 63.79}],
+                "laws[0].family: unknown family '400' (expected 110, 150, 220_380)",
+            ),
+            ([{"family": "110", "beta": -6, "eta": 63.79}], "laws[0]: shape must be positive, got -6.0"),
         ],
     )
     def test_malformed_law_record_names_the_field(self, tmp_path, records, named):

@@ -19,7 +19,6 @@ from fleetlife.fleet import (
     _parse_plain,
     build_lifetime_table,
     draw_failures,
-    fleet_summary,
     generate_synthetic_fleet,
     parse_asset_csv,
     service_years,
@@ -67,6 +66,19 @@ class TestParseAssetCsv:
     def test_malformed_date(self):
         with pytest.raises(DataError, match=r"row 2.*malformed commission_date"):
             parse(HEADER + "A1,110,01/02/2000,,\n")
+
+    @pytest.mark.parametrize(
+        "row, named",
+        [
+            ("A1,110,20000101,,", "commission_date '20000101'"),
+            ("A1,110,2000-01-01,20100101,", "failure_date '20100101'"),
+        ],
+    )
+    def test_dates_must_be_yyyy_mm_dd(self, row, named):
+        # Python 3.11's fromisoformat reads the basic format 20000101 too;
+        # the CSV reads exactly YYYY-MM-DD on every version
+        with pytest.raises(DataError, match=f"^row 2: malformed {named}$"):
+            parse(HEADER + row + "\n")
 
     def test_bad_header(self):
         with pytest.raises(DataError, match="row 1"):
@@ -235,43 +247,6 @@ class TestBuildLifetimeTable:
         assert len(build_lifetime_table(fleet, self.CUTOFF)) == len(fleet)
 
 
-class TestFleetSummary:
-    def test_empty(self):
-        summary = fleet_summary(single_family([], []))
-        for vc in VoltageClass:
-            assert summary.classes[vc].total == 0
-        assert summary.age_histogram == []
-
-    def test_counting(self):
-        families = [VoltageClass.V110, VoltageClass.V110, VoltageClass.V150]
-        obs = LifetimeTable(
-            [10.0, 20.0, 7.0], [True, False, False], [FAMILIES.index(vc) for vc in families]
-        )
-        summary = fleet_summary(obs)
-        assert summary.classes[VoltageClass.V110].total == 2
-        assert summary.classes[VoltageClass.V110].events == 1
-        assert summary.classes[VoltageClass.V110].censored == 1
-        assert summary.classes[VoltageClass.V150].total == 1
-        assert summary.classes[VoltageClass.V220_380].total == 0
-
-    def test_histogram_buckets(self):
-        obs = single_family([0.0, 4.9, 5.0, 12.0, 12.5], [False] * 5)
-        summary = fleet_summary(obs)
-        assert summary.age_histogram == [(0, 2), (5, 1), (10, 2)]
-
-    def test_population_scale_count(self):
-        obs = single_family([30.0] * 3168, [False] * 3168)
-        summary = fleet_summary(obs)
-        assert summary.classes[VoltageClass.V110].total == 3168
-
-    def test_csv_export(self):
-        out = io.StringIO()
-        fleet_summary(single_family([], [])).write_csv(out)
-        lines = out.getvalue().splitlines()
-        assert lines[0] == "voltage_class,total,events,censored"
-        assert len(lines) == 4
-
-
 class TestSyntheticFleet:
     def test_determinism(self):
         spec = SyntheticFleetSpec(
@@ -290,10 +265,10 @@ class TestSyntheticFleet:
             seed=1,
         )
         fleet = generate_synthetic_fleet(spec)
-        by_class = fleet_summary(build_lifetime_table(fleet, date(2021, 7, 1))).classes
-        assert by_class[VoltageClass.V110].total == 3168
-        assert by_class[VoltageClass.V150].total == 10058
-        assert by_class[VoltageClass.V220_380].total == 2982
+        table = build_lifetime_table(fleet, date(2021, 7, 1))
+        assert len(table.select(VoltageClass.V110)) == 3168
+        assert len(table.select(VoltageClass.V150)) == 10058
+        assert len(table.select(VoltageClass.V220_380)) == 2982
 
     def test_zero_sizes(self):
         spec = SyntheticFleetSpec(sizes={}, commission_years=(1980, 1990), seed=0)
@@ -349,31 +324,6 @@ def test_csv_round_trip_property(rows):
     out = io.StringIO()
     write_asset_csv(fleet_of(rows), out)
     assert rows_of(parse_asset_csv(io.StringIO(out.getvalue()))) == rows
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(0, 80, allow_nan=False),
-            st.booleans(),
-            st.sampled_from(list(VoltageClass)),
-        ),
-        max_size=50,
-    )
-)
-@settings(max_examples=60)
-def test_summary_counts_consistent(raw):
-    obs = LifetimeTable(
-        [d for d, _, _ in raw],
-        [e for _, e, _ in raw],
-        [FAMILIES.index(vc) for _, _, vc in raw],
-    )
-    summary = fleet_summary(obs)
-    for vc in VoltageClass:
-        cls = summary.classes[vc]
-        assert cls.events + cls.censored == cls.total
-    assert sum(c.total for c in summary.classes.values()) == len(obs)
-    assert sum(n for _, n in summary.age_histogram) == len(obs)
 
 
 def test_years_between_day_convention():

@@ -9,7 +9,6 @@ from fleetlife.health import (
     PURPLE_ONSET_APPARENT_AGE,
     RED_ONSET_APPARENT_AGE,
     AhiConfig,
-    AhiScore,
     Band,
     ScoreBasis,
     age_scores,
@@ -44,10 +43,6 @@ class TestBands:
         for score in (0, 11, -3):
             with pytest.raises(ValueError):
                 band_for_score(score)
-
-    def test_score_band_consistency_enforced(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            AhiScore(score=2, band=Band.GREEN, basis=ScoreBasis.AGE)
 
 
 def p_score(p_short, p_long):
@@ -139,9 +134,9 @@ BASES = tuple(ScoreBasis)
 
 
 def score_one(law, age, average):
-    """score_asset on a single age, as an AhiScore."""
+    """score_asset on a single age, as a (score, Band, ScoreBasis) tuple."""
     scores, bands, bases = score_asset(law, [age], average)
-    return AhiScore(int(scores[0]), BANDS[bands[0]], BASES[bases[0]])
+    return int(scores[0]), BANDS[bands[0]], BASES[bases[0]]
 
 
 class TestScoreAsset:
@@ -151,21 +146,21 @@ class TestScoreAsset:
         p_short = LAW_110.conditional_failure_probability(70.0, 3.0)
         assert p_short == pytest.approx(0.45130524134, rel=1e-9)
         result = score_one(LAW_110, 70.0, 40.0)
-        assert result == AhiScore(3, Band.PURPLE, ScoreBasis.PROBABILITY)
+        assert result == (3, Band.PURPLE, ScoreBasis.PROBABILITY)
 
     def test_new_asset(self):
         result = score_one(LAW_110, 0.0, 40.0)
-        assert result == AhiScore(10, Band.GREEN, ScoreBasis.AGE)
+        assert result == (10, Band.GREEN, ScoreBasis.AGE)
 
     def test_mid_age_150_asset_falls_through_to_age(self):
         assert LAW_150.conditional_failure_probability(40.0, 7.0) < 0.2
         result = score_one(LAW_150, 40.0, 40.0)
-        assert result == AhiScore(7, Band.ORANGE, ScoreBasis.AGE)
+        assert result == (7, Band.ORANGE, ScoreBasis.AGE)
 
     def test_very_old_asset_is_score_one(self):
-        result = score_one(LAW_110, 100.0, 40.0)
-        assert result.score == 1
-        assert result.basis is ScoreBasis.PROBABILITY
+        score, _, basis = score_one(LAW_110, 100.0, 40.0)
+        assert score == 1
+        assert basis is ScoreBasis.PROBABILITY
 
     def test_columns_align_with_ages(self):
         scores, bands, bases = score_asset(LAW_110, [100.0, 0.0, 70.0, 40.0], 40.0)

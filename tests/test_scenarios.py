@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import types
 from datetime import date
 from decimal import Decimal
 
@@ -274,6 +275,12 @@ class TestValidationPaths:
         with pytest.raises(ScenarioError, match=r"^activities\[0\].kind: expected"):
             scenario_from_dict(data)
 
+    def test_activity_kind_must_be_a_string(self):
+        data = valid_dict()
+        data["activities"][0]["kind"] = ["inspection"]
+        with pytest.raises(ScenarioError, match=r"^activities\[0\].kind: expected a string, got list$"):
+            scenario_from_dict(data)
+
     def test_activity_negative_cost(self):
         data = valid_dict()
         data["activities"][0]["material_cost"] = -5
@@ -324,18 +331,20 @@ class TestValidationPaths:
     def test_names_must_be_strings(self, value):
         data = valid_dict()
         data["name"] = value
-        with pytest.raises(ScenarioError, match="^name: expected a string$"):
+        got = type(value).__name__
+        with pytest.raises(ScenarioError, match=f"^name: expected a string, got {got}$"):
             scenario_from_dict(data)
         data = valid_dict()
         data["activities"][1]["name"] = value
-        with pytest.raises(ScenarioError, match=r"^activities\[1\].name: expected a string$"):
+        with pytest.raises(ScenarioError, match=rf"^activities\[1\].name: expected a string, got {got}$"):
             scenario_from_dict(data)
 
     @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
     def test_failures_enabled_must_be_a_boolean(self, value):
         data = valid_dict()
         data["failures_enabled"] = value
-        with pytest.raises(ScenarioError, match="^failures_enabled: expected true or false$"):
+        got = type(value).__name__
+        with pytest.raises(ScenarioError, match=f"^failures_enabled: expected true or false, got {got}$"):
             scenario_from_dict(data)
 
     def test_bad_rate_kind(self):
@@ -344,19 +353,20 @@ class TestValidationPaths:
         with pytest.raises(ScenarioError, match="^degradation_rates.kind: expected"):
             scenario_from_dict(data)
 
-    @pytest.mark.parametrize("value", [0.0, -1.5])
+    @pytest.mark.parametrize("value", [0.0, -1.5, float("nan"), float("inf")])
     def test_non_positive_constant_rate(self, value):
+        # ConstantRate holds the one rule: positive and finite
         data = valid_dict()
         data["degradation_rates"] = {"kind": "constant", "value": value}
-        with pytest.raises(ScenarioError, match="^degradation_rates.value: must be positive"):
+        with pytest.raises(
+            ScenarioError, match="^degradation_rates.value: rate must be positive and finite"
+        ):
             scenario_from_dict(data)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_constant_rate(self, value):
-        data = valid_dict()
-        data["degradation_rates"] = {"kind": "constant", "value": value}
-        with pytest.raises(ScenarioError, match="^degradation_rates.value: rate must be positive"):
-            scenario_from_dict(data)
+    def test_scenario_must_be_a_json_object(self):
+        # a scenario is read from JSON, so any other mapping is refused too
+        with pytest.raises(ScenarioError, match="^scenario: expected an object, got mappingproxy$"):
+            scenario_from_dict(types.MappingProxyType(valid_dict()))
 
     def test_money_parsed_exactly(self):
         from decimal import Decimal

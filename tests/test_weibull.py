@@ -32,6 +32,11 @@ def censored_at(lifetimes, cutoff):
     return single_family(np.minimum(lifetimes, cutoff), np.asarray(lifetimes) <= cutoff)
 
 
+def fit_mle(table):
+    """fit_weibull_mle on a table and its Kaplan-Meier curve."""
+    return fit_weibull_mle(table, km_fit(table))
+
+
 class TestLawEvaluation:
     def test_cdf_at_scale_is_one_minus_inv_e(self):
         for law in (LAW_110, LAW_150, WeibullLaw(1.3, 5.0)):
@@ -175,7 +180,7 @@ class TestMleFit:
     def test_recovers_censored_sample(self):
         rng = np.random.default_rng(101)
         lifetimes = WeibullLaw(6.5, 70.0).sample(5000, rng)
-        law, diag = fit_weibull_mle(censored_at(lifetimes, 60.0))
+        law, diag = fit_mle(censored_at(lifetimes, 60.0))
         assert law.beta == pytest.approx(6.5, rel=0.05)
         assert law.eta == pytest.approx(70.0, rel=0.02)
         assert diag.converged and diag.iterations <= 200
@@ -184,21 +189,21 @@ class TestMleFit:
     def test_exponential_data(self):
         rng = np.random.default_rng(7)
         lifetimes = WeibullLaw(1.0, 50.0).sample(5000, rng)
-        law, _ = fit_weibull_mle(events(lifetimes))
+        law, _ = fit_mle(events(lifetimes))
         assert 0.95 <= law.beta <= 1.05
 
     def test_insufficient_events(self):
         obs = single_family([5.0] * 10 + [3.0], [False] * 10 + [True])
         with pytest.raises(ValueError, match="insufficient events"):
-            fit_weibull_mle(obs)
+            fit_mle(obs)
 
     def test_zero_duration_event_rejected(self):
         with pytest.raises(ValueError, match="zero-duration"):
-            fit_weibull_mle(events([0.0, 1.0, 2.0]))
+            fit_mle(events([0.0, 1.0, 2.0]))
 
     def test_degenerate_identical_events(self):
         with pytest.raises(FitError) as excinfo:
-            fit_weibull_mle(events([1.0, 1.0, 1.0, 1.0]))
+            fit_mle(events([1.0, 1.0, 1.0, 1.0]))
         assert excinfo.value.diagnostics is not None
         assert excinfo.value.diagnostics.converged is False
 
@@ -206,7 +211,7 @@ class TestMleFit:
         rng = np.random.default_rng(11)
         lifetimes = WeibullLaw(4.0, 30.0).sample(800, rng)
         obs = censored_at(lifetimes, 35.0)
-        law, diag = fit_weibull_mle(obs)
+        law, diag = fit_mle(obs)
         best = naive_log_likelihood(law, obs)
         assert best == pytest.approx(diag.log_likelihood, rel=1e-9)
         for beta, eta in (
@@ -221,7 +226,7 @@ class TestMleFit:
         rng = np.random.default_rng(21)
         lifetimes = WeibullLaw(3.0, 40.0).sample(4000, rng)
         obs = events(lifetimes)
-        mle, _ = fit_weibull_mle(obs)
+        mle, _ = fit_mle(obs)
         rr = fit_weibull_rank_regression(km_fit(obs))
         assert mle.beta == pytest.approx(rr.beta, rel=0.10)
         assert mle.eta == pytest.approx(rr.eta, rel=0.10)
@@ -276,7 +281,7 @@ class TestSampling:
 def test_law_record_round_trip():
     record = law_to_record(LAW_150, "150", "mle")
     family, law, source = law_from_record(record)
-    assert (family, law, source) == ("150", LAW_150, "mle")
+    assert (family, law, source) == (VoltageClass.V150, LAW_150, "mle")
     with pytest.raises(ValueError, match="missing field"):
         law_from_record({"family": "150", "beta": 2.0})
 
@@ -290,6 +295,14 @@ def test_law_record_round_trip():
         ({"family": "150", "beta": "2", "eta": 60.0}, r"^laws\[2\].beta: expected a number, got str$"),
         ({"family": "150", "beta": 2.0, "eta": "60"}, r"^laws\[2\].eta: expected a number, got str$"),
         ({"family": "150", "beta": 2.0, "eta": [60]}, r"^laws\[2\].eta: expected a number, got list$"),
+        ({"family": 150, "beta": 2.0, "eta": 60.0}, r"^laws\[2\].family: expected a string, got int$"),
+        (
+            {"family": "400", "beta": 2.0, "eta": 60.0},
+            r"^laws\[2\].family: unknown family '400' \(expected 110, 150, 220_380\)$",
+        ),
+        ({"family": "150", "beta": -6, "eta": 60.0}, r"^laws\[2\]: shape must be positive, got -6.0$"),
+        ({"family": "150", "beta": 2.0, "eta": 0}, r"^laws\[2\]: scale must be positive, got 0.0$"),
+        ({"family": "150", "beta": 2.0, "eta": 60.0, "source": ["mle"]}, r"^laws\[2\].source: expected a string, got list$"),
     ],
 )
 def test_law_record_fields_must_be_json_numbers(record, named):
