@@ -36,7 +36,8 @@ UNITS_PER_YEAR = 12 * UNITS_PER_MONTH
 def due_before(first: np.ndarray, period: np.ndarray, end: np.ndarray) -> np.ndarray:
     """How many of the due ticks ``first + m * period`` (m >= 0) lie below
     `end`: none if `end` is `first` or earlier."""
-    return np.maximum(end - first + period - 1, 0) // period
+    # the ceiling of (end - first) / period, in four calls on arrays
+    return np.maximum((end - 1 - first) // period + 1, 0)
 
 
 def trigger_delay(

@@ -493,24 +493,26 @@ def _greedy_walk(demand: np.ndarray, remaining: float) -> tuple[np.ndarray, floa
     so the budget evolves in exactly the float steps of a scalar loop.
     """
     executed: list[np.ndarray] = []
-    pos = np.arange(len(demand))
+    # the positions still to walk and their demand
+    pos, tail = np.arange(len(demand)), demand
     while len(pos):
-        pos = pos[demand[pos] <= remaining]
-        if not len(pos):
-            break
-        left = np.subtract.accumulate(np.concatenate(([remaining], demand[pos])))
-        misfit = (left[1:] < 0).nonzero()[0]
-        if not len(misfit):
+        left = np.subtract.accumulate(np.concatenate(([remaining], tail)))
+        # demand is never negative, so the budget only falls: all fit if
+        # the last does
+        if left[-1] >= 0:
             executed.append(pos)
             remaining = float(left[-1])
             break
-        first = int(misfit[0])
-        executed.append(pos[:first])
-        remaining = float(left[first])
-        pos = pos[first + 1 :]
-    if not executed:
-        return np.empty(0, dtype=np.int64), remaining
-    return np.concatenate(executed), remaining
+        # left[0] is the budget, never negative
+        misfit = int((left < 0).argmax())
+        executed.append(pos[: misfit - 1])
+        remaining = float(left[misfit - 1])
+        fits = tail[misfit:] <= remaining
+        pos, tail = pos[misfit:][fits], tail[misfit:][fits]
+    if len(executed) == 1:
+        return executed[0], remaining
+    # no request at all leaves `pos` empty
+    return np.concatenate(executed or [pos]), remaining
 
 
 # index of each priority class
@@ -624,28 +626,37 @@ class _Engine:
         )
         # anchor[e] is the first due tick of entry e in its asset's current
         # generation and oldest[e] that of its oldest inspection not executed;
-        # both are n_ticks while the asset is out of service
-        self.anchor = first_due(
+        # both are n_ticks while the asset is out of service. They are the
+        # rows of `due`, so that one call reads or writes both.
+        anchor = first_due(
             self.entry_start, self.age0[self.entry_asset], 0, 0, self.entry_period,
             self.tick_units,
         )
-        self.oldest = self.anchor.copy()
+        self.due = np.stack((anchor, anchor))
+        self.anchor, self.oldest = self.due
+        # the first due tick of each entry for a generation replaced at tick
+        # 0, from tick 1 on; a replacement at tick k shifts it by k
+        self.entry_restart = first_due(
+            self.entry_start, 0, 0, 1, self.entry_period, self.tick_units
+        )
 
         self.specs = list(spec_ids)
         self.person_hours = np.array([s.person_hours for s in self.specs])
         self.duration_hours = np.array([s.duration_hours for s in self.specs])
 
         self.keys = (_asset_keys(fleet.asset_id) if keys is None else keys)[:, order]
-        # life[g, i] and trigger[g, i] are the ticks from the origin of
-        # generation g of asset i to the tick it fails and to the tick it
-        # reaches its replacement trigger, at least n_ticks if never
-        self.life = np.empty((0, n), dtype=np.int64)
-        self.trigger = np.empty((0, n), dtype=np.int64)
+        # tables[0, g, i] (`life`) and tables[1, g, i] are the ticks from the
+        # origin of generation g of asset i to the tick it fails and to the
+        # tick it requests its planned replacement, at least n_ticks if
+        # never (it never reaches its trigger, or fails first)
+        self.tables = np.empty((2, 0, n), dtype=np.int64)
+        self.life = self.tables[0]
         self._draw_generations(_FIRST_GENERATIONS)
         # the tick at which each asset's current generation fails, or
-        # failed, and requests its planned replacement
+        # failed, and requests its planned replacement: the rows of `ticks`
         zero = np.zeros(n, dtype=np.int64)
-        self.fail_tick, self.trigger_tick = self._generation_rules(everyone, zero, zero)
+        self.ticks = self._generation_rules(everyone, zero, zero)
+        self.fail_tick, self.trigger_tick = self.ticks
 
         if isinstance(scenario.resources, Unconstrained):
             self.capacity: Optional[float] = None
@@ -662,6 +673,9 @@ class _Engine:
         self.class_first = (self.fail_tick, self.trigger_tick, self.oldest)
         once = np.full(n, self.n_ticks)
         self.class_period = (once, once, self.entry_period)
+        # a window of request ticks no wider than its class's shortest
+        # period holds at most one request of each id
+        self.shortest = tuple(int(p.min(initial=self.n_ticks)) for p in self.class_period)
         # requests raised per class, counted apart from their fate: a
         # corrective one at its failure, a planned one when its generation
         # starts (which reaches its trigger tick in service, as it can
@@ -681,8 +695,9 @@ class _Engine:
 
     # -- pending requests ---------------------------------------------------
 
-    def _pending(self, cls: int, k: int) -> np.ndarray:
-        """A class's requests pending at tick k, one id each, in id order.
+    def _pending_counts(self, cls: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ids of a class with requests pending at tick k, in id order,
+        and how many each has.
 
         No queue holds them: each id's pending requests are its due ticks
         from its oldest not executed up to k. An asset out of service (past
@@ -690,10 +705,18 @@ class _Engine:
         its planned tick its planned one, and a cadence entry the
         inspections due since its oldest. A replacement resets its asset's
         ticks and a failure or a replacement clears its inspections, so a
-        stale request is gone."""
+        stale request is gone. An open pool executes or drops each request
+        in the tick that raises it, so none is ever pending; its run
+        (`generations.run_open_pool`) leaves the assets' state as set up."""
         first, period = self.class_first[cls], self.class_period[cls]
+        if self.capacity is None:
+            return first[:0], period[:0]
         ids = (first <= k).nonzero()[0]
-        return np.repeat(ids, due_before(first[ids], period[ids], k + 1))
+        return ids, due_before(first[ids], period[ids], k + 1)
+
+    def _pending(self, cls: int, k: int) -> np.ndarray:
+        """A class's requests pending at tick k, one id each, in id order."""
+        return np.repeat(*self._pending_counts(cls, k))
 
     def _allocate_and_complete(self, k: int, year: int) -> None:
         # classes run in priority order, each completing before the next is
@@ -710,8 +733,10 @@ class _Engine:
         from the oldest and then doubling, while the budget fits the class
         floor. The first window holds one request of each id, in id order; a
         later one lists each id's due ticks in it (`due_before`) and sorts
-        them. An entry's copies need the same person-hours and the budget
-        only shrinks, so its oldest execute first."""
+        them, one at most for each id while the window is no wider than the
+        class's shortest period. An entry's copies need the same
+        person-hours and the budget only shrinks, so its oldest execute
+        first."""
         first, period = self.class_first[cls], self.class_period[cls]
         start = lo = int(first.min(initial=k + 1))
         ran = []
@@ -719,13 +744,19 @@ class _Engine:
             end = min(start + max(1, 2 * (lo - start)), k + 1)
             ids = (first < end).nonzero()[0]
             if lo > start:
-                # the copies due in [lo, end), the j-th at first + j * period
                 f, p = first[ids], period[ids]
-                skip = due_before(f, p, lo)
-                count = due_before(f, p, end) - skip
-                due = np.repeat(f + (skip - np.cumsum(count) + count) * p, count)
-                ids = np.repeat(ids, count)
-                due += np.arange(len(ids)) * period[ids]
+                if end - lo <= self.shortest[cls]:
+                    # at most one copy of each id, its first due from lo
+                    due = f + due_before(f, p, lo) * p
+                    keep = due < end
+                    ids, due = ids[keep], due[keep]
+                else:
+                    # the copies due in [lo, end), the j-th at first + j * period
+                    skip, upto = due_before(f, p, np.array([[lo], [end]]))
+                    count = upto - skip
+                    due = np.repeat(f + (skip - np.cumsum(count) + count) * p, count)
+                    ids = np.repeat(ids, count)
+                    due += np.arange(len(ids)) * period[ids]
                 ids = ids[np.argsort(due, kind="stable")]
             self.examined += len(ids)
             taken, remaining = _greedy_walk(self.class_hours[cls][ids], remaining)
@@ -742,11 +773,12 @@ class _Engine:
 
     def _backlog_person_hours(self, k: int) -> float:
         """Person-hours of the requests pending at year-end tick k."""
-        queued = sum(
-            np.bincount(spec[self._pending(cls, k)], minlength=len(self.specs))
-            for cls, spec in enumerate(self.class_spec)
-        )
-        return _exact_sums(queued[None], self.person_hours)[0]
+        queued = 0
+        for cls, spec in enumerate(self.class_spec):
+            ids, count = self._pending_counts(cls, k)
+            # float weights, but whole and far below 2**53, so exact
+            queued = queued + np.bincount(spec[ids], weights=count, minlength=len(self.specs))
+        return _exact_sums(queued.astype(np.int64)[None], self.person_hours)[0]
 
     def _drop_inspections(self, assets: np.ndarray, end: int) -> np.ndarray:
         """End the cadences of assets that fail at tick `end`, or are
@@ -755,10 +787,10 @@ class _Engine:
         their cadence entries."""
         entry = self.entries_of[assets]
         entry = entry[entry >= 0]
-        period = self.entry_period[entry]
-        self.raised[_INSPECTION] += int(due_before(self.anchor[entry], period, end).sum())
-        self.dropped += int(due_before(self.oldest[entry], period, end).sum())
-        self.oldest[entry] = self.anchor[entry] = self.n_ticks
+        raised, dropped = due_before(self.due[:, entry], self.entry_period[entry], end).sum(axis=1)
+        self.raised[_INSPECTION] += int(raised)
+        self.dropped += int(dropped)
+        self.due[:, entry] = self.n_ticks
         return entry
 
     # -- tick steps ----------------------------------------------------------
@@ -806,21 +838,23 @@ class _Engine:
             for a in (np.where(later, 0, self.age0), rate, self.trigger_age)
         )
         delay = trigger_delay(age, rate, trigger_age, self.tick_units, self.n_ticks)
-        self.life = np.concatenate((self.life, life.astype(np.int64) + later))
-        self.trigger = np.concatenate((self.trigger, delay.reshape(ages.shape)))
+        life = life.astype(np.int64) + later
+        trigger = delay.reshape(ages.shape)
+        drawn = np.stack((life, np.where(trigger < life, trigger, self.n_ticks)))
+        self.tables = np.concatenate((self.tables, drawn), axis=1)
+        self.life = self.tables[0]
 
     def _generation_rules(
         self, assets: np.ndarray, generation: np.ndarray, origin: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> np.ndarray:
         """The tick at which the given generation of each asset, started at
         tick `origin`, fails, and the tick at which it requests its planned
         replacement: when it reaches its trigger, if it has not failed by
-        then, else n_ticks (never). The tables double until they hold the
-        generation."""
+        then, else n_ticks or later (never). Rows 0 and 1; the tables
+        double until they hold the generation."""
         while generation.max(initial=0) >= len(self.life):
             self._draw_generations(len(self.life))
-        life, trigger = self.life[generation, assets], self.trigger[generation, assets]
-        return origin + life, np.where(trigger < life, origin + trigger, self.n_ticks)
+        return self.tables[:, generation, assets] + origin
 
     def _draw_failures(self, k: int, year: int) -> np.ndarray:
         """Assets that fail at tick k, each raising its corrective
@@ -855,17 +889,14 @@ class _Engine:
             # a failed asset whose planned replacement was pending too had
             # two requests, and one of them executed
             self.dropped += int(np.count_nonzero(self.trigger_tick[failed] <= k))
-        self.generation[assets] += 1
-        self.fail_tick[assets], self.trigger_tick[assets] = self._generation_rules(
-            assets, self.generation[assets], k
-        )
+        generation = self.generation[assets] + 1
+        self.generation[assets] = generation
+        self.ticks[:, assets] = self._generation_rules(assets, generation, k)
         self.raised[_PLANNED] += int(np.count_nonzero(self.trigger_tick[assets] < self.n_ticks))
         # the inspections due for the old generation up to tick k are stale,
         # and the cadences restart from age 0 at tick k, due from the next
         entry = self._drop_inspections(assets, k + 1)
-        self.oldest[entry] = self.anchor[entry] = first_due(
-            self.entry_start[entry], 0, k, k + 1, self.entry_period[entry], self.tick_units
-        )
+        self.due[:, entry] = k + self.entry_restart[entry]
 
     def _book(self) -> KpiSeries:
         """The KPIs from what executed: money as exact Decimal products of

@@ -509,15 +509,27 @@ class TestRunScenario:
         )
 
     def test_parallel_jobs_identical(self):
+        # five replications over one, two and three workers, on an open
+        # pool and on a binding one that carries work across year ends
         fleet = generate_synthetic_fleet(
             SyntheticFleetSpec(
-                sizes={VoltageClass.V110: 25}, commission_years=(1985, 2005), seed=5
+                sizes={VoltageClass.V110: 40, VoltageClass.V150: 40, VoltageClass.V220_380: 20},
+                commission_years=(1965, 2000),
+                seed=23,
             )
         )
-        sc = scenario(failures_enabled=True, replications=3, horizon_years=30)
-        serial = run_scenario(fleet, sc, jobs=1)
-        parallel = run_scenario(fleet, sc, jobs=3)
-        assert serial.to_json_dict() == parallel.to_json_dict()
+        for resources in (Unconstrained(), Constrained(fte_count=10, hours_per_fte_per_year=500.0)):
+            sc = dataclasses.replace(
+                builtin_scenario("time-based", replications=5, master_seed=5),
+                horizon_years=12,
+                start_date=date(2021, 7, 1),
+                resources=resources,
+            )
+            serial = run_scenario(fleet, sc, jobs=1).to_json_dict()
+            carried = [any(b > 0 for b in r["backlog_hours"]) for r in serial["replications"]]
+            assert carried == [isinstance(resources, Constrained)] * 5
+            for jobs in (2, 3):
+                assert run_scenario(fleet, sc, jobs=jobs).to_json_dict() == serial
 
     def test_corrective_gap_books_one_tick_of_unavailability(self):
         # a near-step hazard at 59 years makes both 60-year-old assets fail
@@ -1008,6 +1020,12 @@ class TestGreedyWalk:
             st.floats(min_value=0.0, max_value=1500.0),
         ),
     )
+    # no request; a budget below every demand; misfits in the middle, each
+    # followed by requests that still fit; a misfit as the last request
+    @example(shapes=[], budget=400.0)
+    @example(shapes=[(2.5, 3)] * 4, budget=7.0)
+    @example(shapes=[(0.5, 1), (40.0, 10), (0.5, 1), (2.5, 3), (1.33, 2)], budget=8.0)
+    @example(shapes=[(1.33, 2)] * 3 + [(40.0, 10)], budget=10.0)
     def test_matches_scalar_allocation(self, shapes, budget):
         specs = [
             ActivitySpec("x", ActivityKind.INSPECTION, hours, fte, Decimal(0), Decimal(0))
@@ -1405,9 +1423,7 @@ class TestEngineInvariants:
         engine = LedgerEngine(fleet, sc, 0)
         series = engine.run()
         label_carried(engine)
-        # an open pool's run leaves its assets' state as set up, and has
-        # nothing pending
-        queued = 0 if fte is None else sum(map(len, pending(engine)))
+        queued = sum(map(len, pending(engine)))
         assert sum(engine.raised) == engine.executed + engine.dropped + queued
         assert engine.raised[_CORRECTIVE] == sum(series.failures)
         if fte is None:
