@@ -1,11 +1,12 @@
-"""The clock of the simulation engine, and the open pool's path.
+"""The clock of the simulation engine, the open pool's path and the
+constrained pool's replacement pass.
 
 Ages are whole units of a grid of 1/16 day. A generation's age is its age
 at its origin (the tick it counts its age from: 0 for generation 0, else
 its replacement tick) plus one tick a tick, so its replacement trigger and
 the due ticks of its cadences are found in closed form, once, by
-`trigger_delay` and `first_due`; the tick loop of `simulate._Engine` and
-the open pool both read them.
+`trigger_delay` and `first_due`; both pools of `simulate._Engine` read
+them.
 
 Under `Unconstrained` no queue couples the assets, so each asset's history
 is a chain of generations, and `run_open_pool` simulates it one round of
@@ -13,13 +14,19 @@ generations at a time rather than tick by tick. Every generation ends at
 its failure tick or its trigger tick, whichever comes first (a failure wins
 a tie, as failures are drawn before triggers). The ticks at which a cadence
 is due are an arithmetic progression, so each year's inspections are
-counted rather than listed. A run gives the counts the tick loop executes
-under a pool that never binds.
+counted rather than listed. A run gives the counts a constrained pool
+executes when it never binds.
+
+Under `Constrained`, `schedule_replacements` walks the replacements of the
+whole run first, tick by tick, and the engine then walks the inspections
+on the budget they leave.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import math
+from array import array
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -125,6 +132,115 @@ def run_open_pool(
     n_failed = int(rep_failed.sum())
     raised = [n_failed, len(done) - n_failed, int(inspected.sum()) + dropped]
     return failures, replaced, inspected, raised, dropped
+
+
+def schedule_replacements(engine: _Engine) -> dict[int, tuple]:
+    """Walk the replacements of a constrained pool over the whole run, tick
+    by tick, ahead of its inspections: they never wait on an inspection.
+
+    A tick's new requests come from two calendars (due tick to assets),
+    filled as each generation starts; a failure entry whose asset was
+    renewed first is stale. Each class's pending requests are walked in
+    (request tick, id) order, corrective before planned, by the rule of
+    `simulate._greedy_walk` in the same float steps: a request executes if
+    its person-hours are at most the budget left, and the walk stops once
+    the budget is below the class's floor. A failed asset may be replaced
+    by either of its requests; the other one is then dropped.
+
+    It books the failures, replacements, gap ticks, the replacement requests
+    pending at each year end (`engine.queued`) and the request counters, and
+    leaves the assets' ticks and generations in their end state. Returns,
+    for each tick at which an asset fails or is replaced: the budget left,
+    the assets that fail, those replaced (the first `corrective` of them by
+    their corrective request) and those replaced in service.
+    """
+    n_ticks, tpy, n_specs = engine.n_ticks, engine.ticks_per_year, len(engine.specs)
+    spec_of = (engine.corrective_spec, engine.planned_spec)
+    specs = [spec.tolist() for spec in spec_of]
+    hours = engine.person_hours.tolist()
+    floors = [float(engine.person_hours[spec].min(initial=math.inf)) for spec in spec_of]
+    # the assets' failure and trigger ticks (the rows of `engine.ticks`),
+    # and the calendars of the requests they raise
+    ticks = [array("q", row.tobytes()) for row in engine.ticks]
+    calendars: list[list] = [[[] for _ in range(n_ticks)] for _ in ticks]
+
+    def book(assets: list[int], drawn: Sequence[Sequence[int]]) -> None:
+        # a generation raises its corrective request at its failure tick
+        # and its planned one at its trigger tick
+        for cls, row in enumerate(drawn):
+            for a, t in zip(assets, row):
+                ticks[cls][a] = t
+                if t < n_ticks:
+                    calendars[cls][t].append(a)
+
+    n_assets = len(ticks[0])
+    # generation 0 of every asset, as set up
+    book(list(range(n_assets)), ticks)
+    # each class's requests pending, in (request tick, id) order, one asset
+    # each; a request whose asset was renewed by the other one stays listed
+    # until the walk reaches it, counted in `stale`
+    pending: tuple[list[int], list[int]] = ([], [])
+    stale = ([0] * n_assets, [0] * n_assets)
+    queued, raised = [0] * n_specs, [0, 0]
+    replaced = engine.replaced.tolist()
+    failures, gap_ticks = [0] * len(replaced), [0] * len(replaced)
+    events, examined, dropped = {}, 0, 0
+    for k in range(n_ticks):
+        year = k // tpy
+        # an asset renewed before a failure tick it was listed at may fail
+        # again at that tick, and be listed twice
+        failed = sorted({a for a in calendars[0][k] if ticks[0][a] == k})
+        for cls, new in enumerate((failed, sorted(calendars[1][k]))):
+            pending[cls].extend(new)
+            raised[cls] += len(new)
+            for a in new:
+                queued[specs[cls][a]] += 1
+        calendars[0][k] = calendars[1][k] = None
+        failures[year] += len(failed)
+        remaining, done, fresh = engine.capacity, ([], []), []
+        for cls, queue in enumerate(pending):
+            i, kept, skipped = 0, [], stale[cls]
+            while i < len(queue) and remaining >= floors[cls]:
+                a = queue[i]
+                i += 1
+                spec = specs[cls][a]
+                if skipped[a]:
+                    skipped[a] -= 1
+                elif hours[spec] <= remaining:
+                    remaining -= hours[spec]
+                    done[cls].append(a)
+                    queued[spec] -= 1
+                    replaced[year][spec] += 1
+                else:
+                    kept.append(a)
+            queue[:i] = kept
+            examined += i
+            for a in done[cls]:
+                if ticks[0][a] > k:
+                    fresh.append(a)
+                    continue
+                gap_ticks[year] += k - ticks[0][a]
+                # the failed asset's other request, if pending, is stale
+                other = 1 - cls
+                if other == 0 or ticks[1][a] <= k:
+                    stale[other][a] += 1
+                    queued[specs[other][a]] -= 1
+                    dropped += 1
+        renewed = done[0] + done[1]
+        if renewed:
+            book(renewed, engine._renew(np.array(renewed), k).tolist())
+        if failed or renewed:
+            events[k] = (remaining, failed, renewed, len(done[0]), fresh)
+        if (k + 1) % tpy == 0:
+            engine.queued[year] = queued
+    engine.replaced[:] = replaced
+    engine.kpis.failures = failures
+    engine.gap_ticks[:] = gap_ticks
+    engine.raised[:2] = raised
+    engine.examined += examined
+    engine.executed += int(engine.replaced.sum())
+    engine.dropped += dropped
+    return events
 
 
 def _generations(engine: _Engine) -> tuple[np.ndarray, ...]:

@@ -57,14 +57,22 @@ The engine (`_Engine`) runs one replication on arrays:
   failure tick or its trigger tick, whichever comes first (a failure wins a
   tie). Its inspections are counted in closed form, a year at a time, up
   to that end; those raised at the tick of a planned replacement are
-  dropped. So the report is the one the tick loop gives under a pool that
+  dropped. So the report is the one a constrained pool gives when it
   never binds, and the backlog is always zero.
-* A constrained pool steps tick by tick with no request queue and no
-  trigger step. A request's copies pending at tick k are its due ticks, one
-  period apart (n_ticks for a replacement), from its oldest not executed up
-  to k (`generations.due_before`); each class's are walked in (request
-  tick, id) order (`_Engine._walk`). A failure or a replacement clears the
-  requests it makes stale.
+* A constrained pool runs in two passes. Replacements never wait on
+  inspections: they are walked first in every tick, and no inspection
+  moves a failure tick or a trigger tick, so the replacements of the whole
+  run are scheduled first, in one pass over calendars of request ticks
+  (`generations.schedule_replacements`). The inspection pass then visits
+  only the ticks with an inspection due or a failure or replacement. It
+  ends the cadences of the assets that fail, ends and restarts those of
+  the assets replaced, and walks the tick's inspections on the budget the
+  replacements left. Each cadence entry's copies pending at tick k are its
+  due ticks, one period apart, from its oldest not executed up to k
+  (`generations.due_before`), walked in (request tick, id) order
+  (`_Engine._walk`). The split is exact: a tick loop walking the three
+  classes in turn executes the same replacements, and so leaves the same
+  budget, in every tick, as they read nothing an inspection changes.
 * The failure and trigger delays of generations ``0 .. G-1`` of every
   asset are drawn at set-up in one call, and ``G`` doubles when an asset
   reaches it.
@@ -99,6 +107,7 @@ from .generations import (
     due_before,
     first_due,
     run_open_pool,
+    schedule_replacements,
     trigger_delay,
 )
 from .reports import (
@@ -518,7 +527,7 @@ def _greedy_walk(demand: np.ndarray, remaining: float) -> tuple[np.ndarray, floa
 # index of each priority class
 _CORRECTIVE, _PLANNED, _INSPECTION = 0, 1, 2
 
-# The tick loop takes the indices of a 1-D mask as `mask.nonzero()[0]`,
+# The inspection pass takes the indices of a 1-D mask as `mask.nonzero()[0]`,
 # which is `np.flatnonzero(mask)` without its wrapper calls: about ten
 # calls a tick, on small arrays, where that overhead is most of the cost.
 
@@ -643,6 +652,12 @@ class _Engine:
         self.specs = list(spec_ids)
         self.person_hours = np.array([s.person_hours for s in self.specs])
         self.duration_hours = np.array([s.duration_hours for s in self.specs])
+        # each entry's person-hours; a budget below the floor executes no
+        # inspection, and a window of due ticks no wider than the shortest
+        # period holds at most one request of each entry
+        self.entry_hours = self.person_hours[self.entry_spec]
+        self.floor = float(self.entry_hours.min(initial=math.inf))
+        self.shortest = int(self.entry_period.min(initial=self.n_ticks))
 
         self.keys = (_asset_keys(fleet.asset_id) if keys is None else keys)[:, order]
         # tables[0, g, i] (`life`) and tables[1, g, i] are the ticks from the
@@ -663,90 +678,77 @@ class _Engine:
         else:
             self.capacity = scenario.resources.tick_capacity(self.tick)
 
-        # Per class and request id (an asset, or a cadence entry): its
-        # activity and person-hours, the due tick of its oldest request not
-        # executed and their period in ticks (n_ticks for a replacement, so
-        # it has one at most). A budget below the floor executes nothing.
-        self.class_spec = (self.corrective_spec, self.planned_spec, self.entry_spec)
-        self.class_hours = tuple(self.person_hours[spec] for spec in self.class_spec)
-        self.floors = tuple(float(h.min(initial=math.inf)) for h in self.class_hours)
-        self.class_first = (self.fail_tick, self.trigger_tick, self.oldest)
-        once = np.full(n, self.n_ticks)
-        self.class_period = (once, once, self.entry_period)
-        # a window of request ticks no wider than its class's shortest
-        # period holds at most one request of each id
-        self.shortest = tuple(int(p.min(initial=self.n_ticks)) for p in self.class_period)
         # requests raised per class, counted apart from their fate: a
-        # corrective one at its failure, a planned one when its generation
-        # starts (which reaches its trigger tick in service, as it can
-        # neither fail nor be replaced first) and inspections when their
-        # generation ends, at a failure, a replacement or the horizon. Each
-        # is executed, dropped as stale by the failure or replacement that
-        # makes it so, or still pending.
-        self.raised = [0, int(np.count_nonzero(self.trigger_tick < self.n_ticks)), 0]
+        # corrective one at its failure, a planned one at its trigger tick
+        # and inspections when their generation ends, at a failure, a
+        # replacement or the horizon. Each is executed, dropped as stale by
+        # the failure or replacement that makes it so, or still pending.
+        self.raised = [0, 0, 0]
         self.examined = self.executed = self.dropped = 0
 
         self.kpis = KpiSeries.zeros(scenario.horizon_years)
-        # what executed per (year, activity), and the ticks failed assets
-        # waited for their corrective replacement, per year
+        # what executed per (year, activity), the replacement requests
+        # pending at each year end, and the ticks failed assets waited for
+        # their corrective replacement, per year
         self.replaced = np.zeros((scenario.horizon_years, len(self.specs)), dtype=np.int64)
         self.inspected = np.zeros_like(self.replaced)
+        self.queued = np.zeros_like(self.replaced)
         self.gap_ticks = np.zeros(scenario.horizon_years, dtype=np.int64)
 
     # -- pending requests ---------------------------------------------------
 
-    def _pending_counts(self, cls: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The ids of a class with requests pending at tick k, in id order,
-        and how many each has.
+    def _pending_inspections(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The cadence entries with inspections pending at tick k, in id
+        order, and how many each has.
 
-        No queue holds them: each id's pending requests are its due ticks
-        from its oldest not executed up to k. An asset out of service (past
-        its failure tick) has its corrective replacement pending, one past
-        its planned tick its planned one, and a cadence entry the
-        inspections due since its oldest. A replacement resets its asset's
-        ticks and a failure or a replacement clears its inspections, so a
-        stale request is gone. An open pool executes or drops each request
-        in the tick that raises it, so none is ever pending; its run
-        (`generations.run_open_pool`) leaves the assets' state as set up."""
-        first, period = self.class_first[cls], self.class_period[cls]
-        if self.capacity is None:
-            return first[:0], period[:0]
-        ids = (first <= k).nonzero()[0]
-        return ids, due_before(first[ids], period[ids], k + 1)
+        No queue holds them: each entry's pending inspections are its due
+        ticks from its oldest not executed up to k. A failure or a
+        replacement ends its asset's cadences, so a stale one is gone."""
+        ids = (self.oldest <= k).nonzero()[0]
+        return ids, due_before(self.oldest[ids], self.entry_period[ids], k + 1)
 
     def _pending(self, cls: int, k: int) -> np.ndarray:
-        """A class's requests pending at tick k, one id each, in id order."""
-        return np.repeat(*self._pending_counts(cls, k))
+        """A class's requests pending at tick k, one id (an asset, or a
+        cadence entry) each, in id order.
 
-    def _allocate_and_complete(self, k: int, year: int) -> None:
-        # classes run in priority order, each completing before the next is
-        # read, so a replacement clears its asset's requests of later ones
-        remaining = self.capacity
-        for cls in (_CORRECTIVE, _PLANNED, _INSPECTION):
-            remaining = self._walk(cls, k, year, remaining)
+        An asset out of service (past its failure tick) has its corrective
+        replacement pending, and one past its trigger tick its planned one;
+        the rows of `ticks` are in class order. The replacement pass leaves
+        them as they end the run, so these two classes are read at its last
+        tick only. An open pool executes or drops each request in the tick
+        that raises it, so none is ever pending; its run
+        (`generations.run_open_pool`) leaves the assets' state as set up."""
+        if self.capacity is None:
+            return self.generation[:0]
+        if cls == _INSPECTION:
+            return np.repeat(*self._pending_inspections(k))
+        return (self.ticks[cls] <= k).nonzero()[0]
 
-    def _walk(self, cls: int, k: int, year: int, remaining: float) -> float:
-        """Execute a class's pending requests in (request tick, id) order
-        within the budget, and complete them; returns the budget left.
+    def _walk(self, k: int, year: int, remaining: float) -> int:
+        """Execute the inspections pending at tick k in (request tick, id)
+        order within the budget, and complete them. Returns the next tick
+        to walk: k + 1 if any was pending, else the oldest due tick.
 
         It walks (`_greedy_walk`) windows of request ticks, one tick wide
-        from the oldest and then doubling, while the budget fits the class
-        floor. The first window holds one request of each id, in id order; a
-        later one lists each id's due ticks in it (`due_before`) and sorts
-        them, one at most for each id while the window is no wider than the
-        class's shortest period. An entry's copies need the same
+        from the oldest and then doubling, while the budget fits the floor.
+        The first window holds one request of each entry, in id order; a
+        later one lists each entry's due ticks in it (`due_before`) and
+        sorts them, one at most for each entry while the window is no wider
+        than the shortest period. An entry's copies need the same
         person-hours and the budget only shrinks, so its oldest execute
         first."""
-        first, period = self.class_first[cls], self.class_period[cls]
-        start = lo = int(first.min(initial=k + 1))
+        first, period = self.oldest, self.entry_period
+        start = lo = int(first.min(initial=self.n_ticks))
+        if start > k:
+            return start
         ran = []
-        while lo <= k and remaining >= self.floors[cls]:
+        while lo <= k and remaining >= self.floor:
             end = min(start + max(1, 2 * (lo - start)), k + 1)
             ids = (first < end).nonzero()[0]
             if lo > start:
                 f, p = first[ids], period[ids]
-                if end - lo <= self.shortest[cls]:
-                    # at most one copy of each id, its first due from lo
+                if end - lo <= self.shortest:
+                    # at most one copy of each entry, its first due from lo
                     due = f + due_before(f, p, lo) * p
                     keep = due < end
                     ids, due = ids[keep], due[keep]
@@ -759,39 +761,38 @@ class _Engine:
                     due += np.arange(len(ids)) * period[ids]
                 ids = ids[np.argsort(due, kind="stable")]
             self.examined += len(ids)
-            taken, remaining = _greedy_walk(self.class_hours[cls][ids], remaining)
+            taken, remaining = _greedy_walk(self.entry_hours[ids], remaining)
             ran.append(ids[taken])
             lo = end
-        done = assets = np.concatenate(ran) if ran else first[:0]
-        if not len(done):
-            return remaining
-        if cls == _INSPECTION:
-            np.add.at(self.oldest, done, self.entry_period[done])
-            assets = self.entry_asset[done]
-        self._complete(cls, assets, self.class_spec[cls][done], k, year)
-        return remaining
+        done = np.concatenate(ran) if ran else first[:0]
+        if len(done):
+            np.add.at(self.oldest, done, period[done])
+            self._complete(done, k, year)
+        return k + 1
 
     def _backlog_person_hours(self, k: int) -> float:
-        """Person-hours of the requests pending at year-end tick k."""
-        queued = 0
-        for cls, spec in enumerate(self.class_spec):
-            ids, count = self._pending_counts(cls, k)
-            # float weights, but whole and far below 2**53, so exact
-            queued = queued + np.bincount(spec[ids], weights=count, minlength=len(self.specs))
+        """Person-hours of the requests pending at year-end tick k: the
+        replacement requests the replacement pass left, and the inspections."""
+        ids, count = self._pending_inspections(k)
+        # float weights, but whole and far below 2**53, so exact
+        queued = self.queued[k // self.ticks_per_year] + np.bincount(
+            self.entry_spec[ids], weights=count, minlength=len(self.specs)
+        )
         return _exact_sums(queued.astype(np.int64)[None], self.person_hours)[0]
 
-    def _drop_inspections(self, assets: np.ndarray, end: int) -> np.ndarray:
-        """End the cadences of assets that fail at tick `end`, or are
-        replaced at tick `end - 1`: count the inspections their generation
-        raised, those due below `end`, and drop those not executed. Returns
-        their cadence entries."""
+    def _entries(self, assets: Sequence[int]) -> np.ndarray:
+        """The cadence entries of the given assets."""
         entry = self.entries_of[assets]
-        entry = entry[entry >= 0]
+        return entry[entry >= 0]
+
+    def _drop_inspections(self, entry: np.ndarray, end: int) -> None:
+        """End cadence entries of assets that fail at tick `end`, or are
+        replaced in service at tick `end - 1`: count the inspections their
+        generation raised, those due below `end`, and drop those not
+        executed."""
         raised, dropped = due_before(self.due[:, entry], self.entry_period[entry], end).sum(axis=1)
         self.raised[_INSPECTION] += int(raised)
         self.dropped += int(dropped)
-        self.due[:, entry] = self.n_ticks
-        return entry
 
     # -- tick steps ----------------------------------------------------------
 
@@ -856,47 +857,38 @@ class _Engine:
             self._draw_generations(len(self.life))
         return self.tables[:, generation, assets] + origin
 
-    def _draw_failures(self, k: int, year: int) -> np.ndarray:
-        """Assets that fail at tick k, each raising its corrective
-        replacement; their inspections due from k on are never raised."""
-        failed = (self.fail_tick == k).nonzero()[0]
-        if len(failed):
-            self.raised[_CORRECTIVE] += len(failed)
-            self._drop_inspections(failed, k)
-        self.kpis.failures[year] += len(failed)
-        return failed
-
-    def _complete(
-        self, cls: int, assets: np.ndarray, specs: np.ndarray, k: int, year: int
-    ) -> None:
-        """Book the executed requests of one class, in order.
-
-        The tick loop completes its work here and only here.
-        """
-        self.executed += len(assets)
-        count = np.bincount(specs, minlength=len(self.specs))
-        if cls == _INSPECTION:
-            self.inspected[year] += count
-        else:
-            self.replaced[year] += count
-            self._replace(assets, k, year)
-
-    def _replace(self, assets: np.ndarray, k: int, year: int) -> None:
-        """Renew the assets replaced at tick k."""
-        failed = assets[self.fail_tick[assets] <= k]
-        if len(failed):
-            self.gap_ticks[year] += int((k - self.fail_tick[failed]).sum())
-            # a failed asset whose planned replacement was pending too had
-            # two requests, and one of them executed
-            self.dropped += int(np.count_nonzero(self.trigger_tick[failed] <= k))
+    def _renew(self, assets: np.ndarray, k: int) -> np.ndarray:
+        """Start the next generation of each asset replaced at tick k, with
+        one read of its table rows and one write of its ticks; returns
+        them."""
         generation = self.generation[assets] + 1
         self.generation[assets] = generation
-        self.ticks[:, assets] = self._generation_rules(assets, generation, k)
-        self.raised[_PLANNED] += int(np.count_nonzero(self.trigger_tick[assets] < self.n_ticks))
-        # the inspections due for the old generation up to tick k are stale,
-        # and the cadences restart from age 0 at tick k, due from the next
-        entry = self._drop_inspections(assets, k + 1)
-        self.due[:, entry] = k + self.entry_restart[entry]
+        ticks = self.ticks[:, assets] = self._generation_rules(assets, generation, k)
+        return ticks
+
+    def _apply(self, k: int, event: tuple) -> None:
+        """Apply to the cadences a tick's failures and replacements, an
+        event of `schedule_replacements`: end the cadences of the assets
+        that fail at tick k and of those replaced in service, and restart
+        those of every asset replaced, from age 0, due from the next tick
+        on. A failed asset's cadences ended at its failure."""
+        _, failed, renewed, _, fresh = event
+        if failed:
+            entry = self._entries(failed)
+            self._drop_inspections(entry, k)
+            self.due[:, entry] = self.n_ticks
+        if renewed:
+            entry = self._entries(renewed)
+            if fresh:
+                self._drop_inspections(
+                    entry if len(fresh) == len(renewed) else self._entries(fresh), k + 1
+                )
+            self.due[:, entry] = k + self.entry_restart[entry]
+
+    def _complete(self, entries: np.ndarray, k: int, year: int) -> None:
+        """Book the inspections executed at tick k, in walk order."""
+        self.executed += len(entries)
+        self.inspected[year] += np.bincount(self.entry_spec[entries], minlength=len(self.specs))
 
     def _book(self) -> KpiSeries:
         """The KPIs from what executed: money as exact Decimal products of
@@ -928,10 +920,17 @@ class _Engine:
             self.examined = sum(self.raised)
             self.executed = self.examined - self.dropped
             return self._book()
+        events = schedule_replacements(self)
+        # the inspection pass; `due` is the next tick with an inspection due
+        due = 0
         for k in range(self.n_ticks):
-            year = (k * self.tick) // 12
-            self._draw_failures(k, year)
-            self._allocate_and_complete(k, year)
+            year = k // self.ticks_per_year
+            event = events.get(k)
+            if event is not None:
+                self._apply(k, event)
+                due = k
+            if due <= k:
+                due = self._walk(k, year, self.capacity if event is None else event[0])
             if (k + 1) % self.ticks_per_year == 0:
                 self.kpis.backlog_hours[year] = self._backlog_person_hours(k)
         # the inspections of the generations that outlive the horizon

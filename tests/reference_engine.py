@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from fleetlife.simulate import (
     ActivityKind,
     ActivitySpec,
@@ -164,13 +166,16 @@ def trigger_reached(age_months: Fraction, rate: float, trigger_age: float) -> bo
 
 
 class LedgerEngine(_Engine):
-    """The tick loop, listing every term of its yearly hour ledgers.
+    """A constrained run, listing every term of its yearly hour ledgers.
 
     Per year: `inspection_terms` holds the duration of each inspection
     executed, `unavailability_terms` those of every activity executed plus
-    each corrective replacement's hours out of service, and `backlog_terms`
-    the person-hours of each request pending at the year end (`_pending`).
-    `carried` holds the number of inspections pending at each year end.
+    each failed asset's hours out of service, from its failure tick to its
+    replacement, and `backlog_terms` the person-hours of each request
+    pending at the year end. The replacements are read from the events of
+    the replacement pass, as the inspection pass applies them; the assets
+    out of service are tracked here from them. `carried` holds the number
+    of inspections pending at each year end.
     """
 
     def run(self):
@@ -179,25 +184,32 @@ class LedgerEngine(_Engine):
         self.unavailability_terms = [[] for _ in range(years)]
         self.backlog_terms = [[] for _ in range(years)]
         self.carried = []
+        self.failed_at = {}
         return super().run()
 
-    def _complete(self, cls, assets, specs, k, year):
-        hours = self.duration_hours[specs].tolist()
+    def _apply(self, k, event):
+        _, failed, renewed, corrective, _ = event
+        year = k * self.tick // 12
+        self.failed_at.update((a, k) for a in failed)
+        for n, a in enumerate(renewed):
+            spec = (self.corrective_spec if n < corrective else self.planned_spec)[a]
+            self.unavailability_terms[year].append(float(self.duration_hours[spec]))
+            if a in self.failed_at:
+                self.unavailability_terms[year].append((k - self.failed_at.pop(a)) * self.tick_hours)
+        super()._apply(k, event)
+
+    def _complete(self, entries, k, year):
+        hours = self.duration_hours[self.entry_spec[entries]].tolist()
         self.unavailability_terms[year] += hours
-        if cls == _INSPECTION:
-            self.inspection_terms[year] += hours
-        else:
-            out = self.fail_tick[assets] <= k
-            gaps = (k - self.fail_tick[assets[out]]) * self.tick_hours
-            self.unavailability_terms[year] += gaps.tolist()
-        super()._complete(cls, assets, specs, k, year)
+        self.inspection_terms[year] += hours
+        super()._complete(entries, k, year)
 
     def _backlog_person_hours(self, k):
         year = k * self.tick // 12
-        for cls, spec in enumerate(self.class_spec):
-            ids = self._pending(cls, k)
-            self.backlog_terms[year] += self.person_hours[spec[ids]].tolist()
-        self.carried.append(len(self._pending(_INSPECTION, k)))
+        replacements = np.repeat(self.person_hours, self.queued[year])
+        inspections = self.person_hours[self.entry_spec[self._pending(_INSPECTION, k)]]
+        self.backlog_terms[year] += replacements.tolist() + inspections.tolist()
+        self.carried.append(len(inspections))
         return super()._backlog_person_hours(k)
 
     def assert_ledgers_exact(self):

@@ -88,18 +88,17 @@ class ClearProbe(_Engine):
         self.cleared = {"failure": set(), "replacement": set()}
         return super().run()
 
-    def _draw_failures(self, k, year):
-        self.k, self.cause = k, "failure"
-        failed = super()._draw_failures(k, year)
-        self.cause = "replacement"
-        return failed
+    def _apply(self, k, event):
+        self.k = k
+        super()._apply(k, event)
 
-    def _drop_inspections(self, assets, end):
+    def _drop_inspections(self, entry, end):
+        # a failure at tick k ends its asset's cadences at k, a replacement
+        # in service at k + 1
         dropped = self.dropped
-        entries = super()._drop_inspections(assets, end)
+        super()._drop_inspections(entry, end)
         if self.dropped > dropped:
-            self.cleared[self.cause].add(self.k)
-        return entries
+            self.cleared["failure" if end == self.k else "replacement"].add(self.k)
 
 
 @pytest.mark.parametrize("case", ["time-based:binding:century", "condition-based:binding:century"])

@@ -959,6 +959,37 @@ class TestEngineQueues:
         assert engine.raised == [1, 2, 0] and engine.executed == 2
         assert engine.dropped == 1 and pending(engine) == [[], [], []]
 
+    def test_failed_asset_replaced_by_its_planned_request(self):
+        # Six ten-year-old assets fall due for planned replacement (100
+        # person-hours) at tick 0, and the pool offers 450 a tick: four
+        # execute, and a5's and a6's carry. A near-step hazard at 10.1 years
+        # fails both at tick 1. a5's corrective replacement (300) executes,
+        # and its planned request is dropped. a6's does not fit the 150
+        # left, but its planned request does and replaces it, so its
+        # corrective request is dropped.
+        def spec(name, kind, hours):
+            return ActivitySpec(name, kind, hours, 1, Decimal(0), Decimal(0))
+
+        catalog = ActivityCatalog(
+            replacements={110: spec("p", ActivityKind.PLANNED_REPLACEMENT, 100.0)},
+            corrective={110: spec("c", ActivityKind.CORRECTIVE_REPLACEMENT, 300.0)},
+        )
+        sc = scenario(
+            fleet_policy=simple_policy(TimeBased(5.0)),
+            catalog=catalog,
+            laws={vc: WeibullLaw(beta=6000.0, eta=10.1) for vc in VoltageClass},
+            failures_enabled=True,
+            resources=pool(450.0),
+            horizon_years=1,
+        )
+        aged = commissioned_aged(10.0)
+        engine = traced(fleet_of([asset(f"a{i}", commissioned=aged) for i in range(1, 7)]), sc)
+        assert engine.completed[0] == [(_PLANNED, i) for i in range(4)]
+        assert engine.completed[1] == [(_CORRECTIVE, 4), (_PLANNED, 5)]
+        assert engine.failed[1] == [4, 5]
+        assert engine.raised == [2, 6, 0] and engine.executed == 6
+        assert engine.dropped == 2 and pending(engine) == [[], [], []]
+
     def test_inspection_of_failed_asset_is_dropped(self):
         # With no pool, the inspection raised in year 0 carries. A step
         # hazard then fails the asset in year 1: the carried inspection is
@@ -1127,66 +1158,86 @@ service_days = st.one_of(
 
 
 class RecordingEngine(_Engine):
-    """The tick loop, keeping what each tick saw, raised and executed.
+    """A constrained run, keeping what each tick raised, saw and executed.
 
-    Per tick: `inspection_log` holds the ages (grid units) and in-service
-    flags at allocation and the (asset, activity name) inspections raised,
-    `planned` the assets whose planned replacement was triggered,
-    `completed` the (class, asset) requests that executed, in order,
-    `failed` the assets that failed, and `requested` the (class, asset,
-    activity id) requests raised, in order. An open pool runs no tick loop,
-    so `traced` runs its scenarios under a pool that never binds.
+    Per tick: `failed` holds the assets that failed, `planned` those whose
+    planned replacement was triggered, `inspection_log` the ages (grid
+    units) and in-service flags at allocation and the (asset, activity
+    name) inspections raised, `requested` the (class, asset, activity id)
+    requests raised, in order, and `completed` the (class, asset) requests
+    that executed, in order. An open pool runs no ticks, so `traced` runs
+    its scenarios under a pool that never binds.
 
-    The engine raises nothing tick by tick; a tick's requests are read from
-    its state as allocation starts: the failed assets, the assets whose
-    trigger tick it is, and the cadence entries due then, which are those
-    whose oldest inspection not executed is due a whole number of periods
-    before. The engine holds no ages either; the logged ones are derived
-    from the origin of each asset's generation: tick 0 for generation 0,
-    from its start age, else its replacement tick, from age 0.
+    The engine raises nothing tick by tick. The failures and replacements
+    of each tick are the events its replacement pass hands the inspection
+    pass, each generation's trigger tick is read as the pass renews it, and
+    the inspections executed are read as they complete. The rest is
+    replayed here from the events once the run ends: a generation's origin
+    is tick 0 (from its start age) or its replacement tick (from age 0), an
+    asset is out of service from its failure to its replacement, and a
+    cadence is due every period from its anchor at set-up, or from its
+    replacement tick plus `entry_restart`, while its asset is in service.
     """
 
     def run(self):
         assert self.capacity is not None, "an open pool's run has no ticks to trace"
-        self.inspection_log, self.planned, self.completed, self.failed = [], [], [], []
-        self.requested = []
-        self.origin = np.zeros(len(self.age0), dtype=np.int64)
-        return super().run()
+        self.planned = [[] for _ in range(self.n_ticks)]
+        self._triggered(np.arange(len(self.age0)), self.trigger_tick)
+        self.events, self.inspected_at = {}, {}
+        anchor = self.anchor.copy()
+        series = super().run()
+        self._replay(anchor)
+        return series
 
-    def ages(self, k):
-        """Each asset's age at tick k, in grid units."""
-        since_origin = (k - self.origin) * self.tick_units
-        return np.where(self.generation == 0, self.age0 + since_origin, since_origin)
+    def _triggered(self, assets, ticks):
+        for a, k in zip(assets.tolist(), ticks.tolist()):
+            if k < self.n_ticks:
+                self.planned[k].append(a)
 
-    def _draw_failures(self, k, year):
-        # called once a tick
-        failed = super()._draw_failures(k, year)
-        self.failed.append(failed.tolist())
-        self.requested.append([(_CORRECTIVE, a, self.corrective_spec[a]) for a in failed.tolist()])
-        return failed
+    def _renew(self, assets, k):
+        ticks = super()._renew(assets, k)
+        self._triggered(assets, ticks[1])
+        return ticks
 
-    def _allocate_and_complete(self, k, year):
-        # called once a tick, after failures
-        due = (self.trigger_tick == k).nonzero()[0]
-        self.planned.append(due.tolist())
-        self.requested[-1] += [(_PLANNED, a, self.planned_spec[a]) for a in due.tolist()]
-        since = k - self.oldest
-        entries = ((since >= 0) & (since % self.entry_period == 0)).nonzero()[0]
-        assets, specs = self.entry_asset[entries], self.entry_spec[entries]
-        names = [self.specs[s].name for s in specs.tolist()]
-        self.inspection_log.append((self.ages(k), self.fail_tick > k, list(zip(assets.tolist(), names))))
-        self.requested[-1] += zip([_INSPECTION] * len(entries), assets.tolist(), specs.tolist())
-        self.completed.append([])
-        super()._allocate_and_complete(k, year)
+    def _apply(self, k, event):
+        self.events[k] = event
+        super()._apply(k, event)
 
-    def _complete(self, cls, assets, specs, k, year):
-        # the one completion point of both pool paths
-        self.completed[-1].extend((cls, a) for a in assets.tolist())
-        super()._complete(cls, assets, specs, k, year)
+    def _complete(self, entries, k, year):
+        self.inspected_at.setdefault(k, []).extend(self.entry_asset[entries].tolist())
+        super()._complete(entries, k, year)
 
-    def _replace(self, assets, k, year):
-        super()._replace(assets, k, year)
-        self.origin[assets] = k
+    def _replay(self, anchor):
+        n = len(self.age0)
+        origin, generation = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        out = np.zeros(n, dtype=bool)
+        self.failed, self.completed, self.inspection_log, self.requested = [], [], [], []
+        for k in range(self.n_ticks):
+            _, failed, renewed, corrective, _ = self.events.get(k, (None, [], [], 0, []))
+            out[failed] = True
+            self.planned[k].sort()
+            since = k - anchor
+            due = (since >= 0) & (since % self.entry_period == 0) & ~out[self.entry_asset]
+            entries = due.nonzero()[0]
+            assets, specs = self.entry_asset[entries].tolist(), self.entry_spec[entries].tolist()
+            names = [self.specs[s].name for s in specs]
+            ages = np.where(generation == 0, self.age0, 0) + (k - origin) * self.tick_units
+            self.inspection_log.append((ages, ~out, list(zip(assets, names))))
+            self.failed.append(failed)
+            self.requested.append(
+                [(_CORRECTIVE, a, self.corrective_spec[a]) for a in failed]
+                + [(_PLANNED, a, self.planned_spec[a]) for a in self.planned[k]]
+                + list(zip([_INSPECTION] * len(assets), assets, specs))
+            )
+            classes = [_CORRECTIVE] * corrective + [_PLANNED] * (len(renewed) - corrective)
+            self.completed.append(
+                list(zip(classes, renewed))
+                + [(_INSPECTION, a) for a in self.inspected_at.get(k, [])]
+            )
+            origin[renewed], out[renewed] = k, False
+            generation[renewed] += 1
+            entry = self._entries(renewed)
+            anchor[entry] = k + self.entry_restart[entry]
 
 
 def assert_raised_by_float_rule(engine, sc):
