@@ -64,7 +64,6 @@ _EXPORTS = {
         "fit_weibull_rank_regression",
     ),
     "health": (
-        "AhiConfig",
         "Band",
         "ScoreBasis",
         "age_scores",

@@ -232,7 +232,7 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
     import numpy as np
 
     from .fleet import FAMILIES, DataError, service_years
-    from .health import AhiConfig, Band, ScoreBasis
+    from .health import band_for_score, basis_for_score
 
     as_of_date = _parse_iso_date(as_of, "--as-of")
     run = _Run("score", out_dir)
@@ -262,35 +262,22 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
             EXIT_VALIDATION,
         )
 
-    config = AhiConfig()
     scores = np.zeros(len(in_service), dtype=np.int64)
-    bands = np.zeros(len(in_service), dtype=np.int8)
-    bases = np.zeros(len(in_service), dtype=np.int8)
     for code in np.flatnonzero(np.bincount(family, minlength=len(FAMILIES))).tolist():
         rows = family == code
         # fleet average in record order, summed left to right
         average = sum(ages[rows].tolist()) / int(rows.sum())
-        scores[rows], bands[rows], bases[rows] = score_asset(
-            laws[FAMILIES[code]], ages[rows], average, config
-        )
+        scores[rows] = score_asset(laws[FAMILIES[code]], ages[rows], average)
     ids = [assets.asset_id[row] for row in in_service.tolist()]
     # scoring knows no per-asset degradation rate, so the apparent age it
     # reports is the service age
     lines = ["asset_id,apparent_age,score,band,basis"]
-    # ahi.csv text of each band and basis code
-    band_values = np.array([band.value for band in Band])
-    basis_values = np.array([basis.value for basis in ScoreBasis])
+    # the score,band,basis text of each score 1-10
+    rated = [""] + [
+        f"{s},{band_for_score(s).value},{basis_for_score(s).value}" for s in range(1, 11)
+    ]
     lines.extend(
-        map(
-            "%s,%.4f,%d,%s,%s".__mod__,
-            zip(
-                ids,
-                ages.tolist(),
-                scores.tolist(),
-                band_values[bands].tolist(),
-                basis_values[bases].tolist(),
-            ),
-        )
+        map("%s,%.4f,%s".__mod__, zip(ids, ages.tolist(), map(rated.__getitem__, scores.tolist())))
     )
     ahi_path = out_dir / "ahi.csv"
     ahi_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

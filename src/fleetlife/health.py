@@ -5,14 +5,14 @@ long look-ahead window, most severe band first; scores 7-10 come from the
 asset's age relative to the fleet average. 1-3 map to Purple, 4-6 to Red,
 7-8 to Orange, 9-10 to Green. Probability bands take precedence over age
 bands, so an asset only falls through to age scoring when the probabilities
-clear every probability threshold. Every band rule takes arrays, one value
-per asset, and score_asset applies them to the ages of one family at a time.
+clear every probability threshold. The thresholds are fixed. Every band rule
+takes arrays, one value per asset, and score_asset applies them to the ages
+of one family at a time.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -22,8 +22,8 @@ from .weibull import WeibullLaw
 __all__ = [
     "Band",
     "ScoreBasis",
-    "AhiConfig",
     "band_for_score",
+    "basis_for_score",
     "probability_scores",
     "age_scores",
     "score_asset",
@@ -41,6 +41,16 @@ __all__ = [
 RED_ONSET_APPARENT_AGE = 50.0
 PURPLE_ONSET_APPARENT_AGE = 54.0
 DEFAULT_CONDITION_TRIGGER_AGE = min(RED_ONSET_APPARENT_AGE, PURPLE_ONSET_APPARENT_AGE)
+
+# look-ahead windows (years) of scores 1-3 and 4-6
+SHORT_WINDOW = 3.0
+LONG_WINDOW = 7.0
+# failure probability of each window's bands, least severe last
+PROBABILITY_BANDS = (0.8, 0.5, 0.2)
+# shares of the fleet average age above which an asset scores 7, then 8
+AGE_FRACTIONS = (0.75, 0.60)
+# ages (years) under this score 10
+YOUNG_AGE_CUTOFF = 5.0
 
 
 class Band(enum.Enum):
@@ -67,36 +77,14 @@ def band_for_score(score: int) -> Band:
     return Band.GREEN
 
 
-@dataclass(frozen=True)
-class AhiConfig:
-    """Scoring thresholds: look-ahead windows, probability bands, age bands."""
-
-    short_window: float = 3.0
-    long_window: float = 7.0
-    probability_bands: tuple[float, float, float] = (0.8, 0.5, 0.2)
-    age_fractions: tuple[float, float] = (0.75, 0.60)
-    young_age_cutoff: float = 5.0
-
-    def __post_init__(self) -> None:
-        a, b, c = self.probability_bands
-        if not (1.0 > a > b > c > 0.0):
-            raise ValueError(
-                f"probability bands must descend within (0, 1), got {self.probability_bands}"
-            )
-        if self.short_window <= 0 or self.long_window <= 0:
-            raise ValueError("windows must be positive")
-        if self.short_window > self.long_window:
-            raise ValueError(
-                f"short window {self.short_window} exceeds long window {self.long_window}"
-            )
-        hi, lo = self.age_fractions
-        if not hi > lo > 0:
-            raise ValueError(f"age fractions must descend, got {self.age_fractions}")
+def basis_for_score(score: int) -> ScoreBasis:
+    """Scores 1-6 (purple and red) come from the probability bands, 7-10 from
+    the age bands."""
+    red_or_worse = band_for_score(score) in (Band.PURPLE, Band.RED)
+    return ScoreBasis.PROBABILITY if red_or_worse else ScoreBasis.AGE
 
 
-def probability_scores(
-    p_short: ArrayLike, p_long: ArrayLike, config: AhiConfig = AhiConfig()
-) -> np.ndarray:
+def probability_scores(p_short: ArrayLike, p_long: ArrayLike) -> np.ndarray:
     """Probability-band score 1-6 per asset, 0 where no band matches.
 
     ``p_short`` and ``p_long`` are each asset's failure probabilities over
@@ -114,14 +102,12 @@ def probability_scores(
         raise ValueError("p_long < p_short: inconsistent nested windows")
     scores = np.zeros(p_short.shape, dtype=np.int64)
     for offset, p in ((3, p_long), (0, p_short)):
-        for rank in range(len(config.probability_bands), 0, -1):
-            scores[p >= config.probability_bands[rank - 1]] = offset + rank
+        for rank in range(len(PROBABILITY_BANDS), 0, -1):
+            scores[p >= PROBABILITY_BANDS[rank - 1]] = offset + rank
     return scores
 
 
-def age_scores(
-    ages: ArrayLike, average_age: float, config: AhiConfig = AhiConfig()
-) -> np.ndarray:
+def age_scores(ages: ArrayLike, average_age: float) -> np.ndarray:
     """Age-band score 7-10 per asset, relative to the fleet average.
 
     Ages under the young-age cutoff score 10 outright, so the average only
@@ -130,47 +116,31 @@ def age_scores(
     ages = np.asarray(ages, dtype=np.float64)
     if (ages < 0).any():
         raise ValueError(f"negative age {ages.min()}")
-    young = ages < config.young_age_cutoff
+    young = ages < YOUNG_AGE_CUTOFF
     if average_age <= 0 and not young.all():
         raise ValueError(f"average age must be positive, got {average_age}")
-    hi, lo = config.age_fractions
+    hi, lo = AGE_FRACTIONS
     scores = np.where(ages > hi * average_age, 7, np.where(ages > lo * average_age, 8, 9))
     scores[young] = 10
     return scores
 
 
-# band code (index into tuple(Band)) of each score 1-10
-_BAND_OF_SCORE = np.array(
-    [-1, *(list(Band).index(band_for_score(s)) for s in range(1, 11))], dtype=np.int8
-)
-# basis code (index into tuple(ScoreBasis)) of probability and age scores
-_BY_PROBABILITY = list(ScoreBasis).index(ScoreBasis.PROBABILITY)
-_BY_AGE = list(ScoreBasis).index(ScoreBasis.AGE)
-
-
-def score_asset(
-    law: WeibullLaw,
-    ages: ArrayLike,
-    fleet_average_age: float,
-    config: AhiConfig = AhiConfig(),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def score_asset(law: WeibullLaw, ages: ArrayLike, fleet_average_age: float) -> np.ndarray:
     """Score the assets of one family: probability bands first, age bands as fallback.
 
     ``ages`` are the ages (in years) that the probability and age bands read,
-    one per asset. Returns three arrays of that length: the integer scores,
-    their band codes (indices into tuple(Band)) and their basis codes
-    (indices into tuple(ScoreBasis)).
+    one per asset. Returns their integer scores; band_for_score and
+    basis_for_score tell the band and the basis of each.
     """
     ages = np.asarray(ages, dtype=np.float64)
     if (ages < 0).any():
         raise ValueError(f"negative age {ages.min()}")
-    p_short = law.interval_failure_probability(ages, ages + config.short_window)
-    p_long = law.interval_failure_probability(ages, ages + config.long_window)
-    scores = probability_scores(p_short, p_long, config)
+    p_short = law.interval_failure_probability(ages, ages + SHORT_WINDOW)
+    p_long = law.interval_failure_probability(ages, ages + LONG_WINDOW)
+    scores = probability_scores(p_short, p_long)
     by_age = scores == 0
-    scores[by_age] = age_scores(ages[by_age], fleet_average_age, config)
-    bases = np.where(by_age, _BY_AGE, _BY_PROBABILITY).astype(np.int8)
-    return scores, _BAND_OF_SCORE[scores], bases
+    scores[by_age] = age_scores(ages[by_age], fleet_average_age)
+    return scores
 
 
 def threshold_age(

@@ -37,7 +37,6 @@ METRICS = _MONEY_METRICS + _FLOAT_METRICS + _COUNT_METRICS
 class KpiSeries:
     """Per-year KPI series for one replication."""
 
-    horizon_years: int
     capex: list[Decimal]
     opex: list[Decimal]
     inspection_hours: list[float]
@@ -49,7 +48,6 @@ class KpiSeries:
     @classmethod
     def zeros(cls, horizon_years: int) -> "KpiSeries":
         return cls(
-            horizon_years=horizon_years,
             capex=[Decimal(0)] * horizon_years,
             opex=[Decimal(0)] * horizon_years,
             inspection_hours=[0.0] * horizon_years,
@@ -58,6 +56,10 @@ class KpiSeries:
             replacements=[0] * horizon_years,
             backlog_hours=[0.0] * horizon_years,
         )
+
+    @property
+    def horizon_years(self) -> int:
+        return len(self.capex)
 
     @property
     def totex(self) -> list[Decimal]:
@@ -88,7 +90,6 @@ class KpiSeries:
             return _per_year(data, path, name, horizon, kind)
 
         return cls(
-            horizon_years=horizon,
             capex=[Decimal(str(v)) for v in per_year("capex")],
             opex=[Decimal(str(v)) for v in per_year("opex")],
             inspection_hours=per_year("inspection_hours"),
@@ -219,7 +220,6 @@ def _per_year(data: object, path: str, key: str, horizon: int, kind: type = floa
 class ComparisonReport:
     """Per-year TOTEX comparison between two reports (mean across replications)."""
 
-    years: list[int]
     totex_a_mean: list[float]
     totex_b_mean: list[float]
     delta: list[float]
@@ -231,16 +231,10 @@ class ComparisonReport:
         writer.writerow(
             ["year", "totex_a_mean", "totex_b_mean", "delta", "cumulative_delta"]
         )
-        for i, year in enumerate(self.years):
-            writer.writerow(
-                [
-                    year,
-                    repr(self.totex_a_mean[i]),
-                    repr(self.totex_b_mean[i]),
-                    repr(self.delta[i]),
-                    repr(self.cumulative_delta[i]),
-                ]
-            )
+        for year, row in enumerate(
+            zip(self.totex_a_mean, self.totex_b_mean, self.delta, self.cumulative_delta)
+        ):
+            writer.writerow([year, *map(repr, row)])
 
 
 def compare_scenarios(a: SimulationReport, b: SimulationReport) -> ComparisonReport:
@@ -270,7 +264,6 @@ def compare_scenarios(a: SimulationReport, b: SimulationReport) -> ComparisonRep
             crossover = year
             break
     return ComparisonReport(
-        years=list(range(a.horizon_years)),
         totex_a_mean=totex_a,
         totex_b_mean=totex_b,
         delta=delta,

@@ -1,9 +1,9 @@
 """Scenario configuration files and the bundled demo scenarios.
 
-A scenario file is a JSON document mirroring the Scenario dataclass. The
-validator reports the exact path of the offending field (for example
-``resources.fte_count: required in constrained mode``), and rejects any
-field it does not know, at every level.
+A scenario file is a JSON document mirroring the Scenario dataclass; a field
+it leaves out keeps the dataclass default. The validator reports the exact
+path of the offending field (for example ``resources.fte_count: required``),
+and rejects any field it does not know, at every level.
 
 Two demo strategies are bundled, each available with an unconstrained pool
 or with 40 or 60 full-time workers:
@@ -20,6 +20,7 @@ per-asset degradation rates from a lognormal with median 1.
 from __future__ import annotations
 
 import json
+import math
 import os
 from decimal import Decimal, InvalidOperation
 from typing import Any, Optional
@@ -78,7 +79,6 @@ def demo_catalog() -> ActivityCatalog:
     def replacement(kv: int, material: str) -> ActivitySpec:
         return ActivitySpec(
             name=f"replacement-{kv}kv",
-            kind=ActivityKind.PLANNED_REPLACEMENT,
             duration_hours=40.0,
             required_fte=10,
             material_cost=Decimal(material),
@@ -87,7 +87,6 @@ def demo_catalog() -> ActivityCatalog:
 
     light = ActivitySpec(
         name="routine-inspection",
-        kind=ActivityKind.INSPECTION,
         duration_hours=0.5,
         required_fte=1,
         material_cost=Decimal("0"),
@@ -95,7 +94,6 @@ def demo_catalog() -> ActivityCatalog:
     )
     detailed = ActivitySpec(
         name="detailed-inspection",
-        kind=ActivityKind.INSPECTION,
         duration_hours=1.33,
         required_fte=2,
         material_cost=Decimal("49.81"),
@@ -166,10 +164,7 @@ def builtin_scenario(
         policy=_demo_policy(strategy),
         catalog=demo_catalog(),
         resources=pool,
-        horizon_years=100,
-        tick_months=1,
-        failures_enabled=True,
-        degradation_rates=LognormalRate(mu=0.0, sigma=0.2),
+        degradation_rates=LognormalRate(),
         replications=replications,
         master_seed=master_seed,
     )
@@ -219,21 +214,37 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _get(entry: dict, key: str, path: str, kind: type, *default) -> Any:
-    """Field `key` of the entry at `path`, checked as a `kind` (a number is
-    read as a float); required unless a default is given."""
-    value = entry.get(key, *default) if default else _expect(entry, key, path)
-    value = checked(value, _join(path, key), kind)
-    return float(value) if kind is float else value
+def _get(entry: dict, key: str, path: str, kind: type) -> Any:
+    """Required field `key` of the entry at `path`, checked as a `kind`; a
+    number is read as a float and must be finite (JSON's NaN and Infinity
+    are not)."""
+    value = checked(_expect(entry, key, path), _join(path, key), kind)
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ScenarioError(f"{_join(path, key)}: expected a finite number, got {value}")
+    return value
+
+
+def _given(entry: dict, path: str, fields: dict[str, type]) -> dict:
+    """Those of `fields` (name: kind) that the entry at `path` gives, read
+    by `_get`; each field it leaves out keeps its dataclass default."""
+    return {key: _get(entry, key, path, kind) for key, kind in fields.items() if key in entry}
 
 
 def _as_money(value: Any, path: str) -> Decimal:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ScenarioError(f"{path}: expected a number")
     try:
-        return Decimal(str(value))
+        amount = Decimal(str(value))
     except InvalidOperation:
         raise ScenarioError(f"{path}: not a valid amount") from None
+    if not amount.is_finite():
+        raise ScenarioError(f"{path}: not a finite amount")
+    return amount
 
 
 def _parse_laws(data: Any, path: str) -> dict[VoltageClass, WeibullLaw]:
@@ -347,7 +358,7 @@ def _parse_activities(data: Any, path: str) -> ActivityCatalog:
             for key in ("material_cost", "workforce_cost")
         ]
         try:
-            spec = ActivitySpec(name, kind, hours, fte, *costs)
+            spec = ActivitySpec(name, hours, fte, *costs)
         except ValueError as exc:
             raise ScenarioError(f"{entry_path}: {exc}") from None
         if kind is ActivityKind.INSPECTION:
@@ -369,13 +380,6 @@ def _parse_resources(data: Any, path: str):
         return Unconstrained()
     if mode == "constrained":
         known(entry, ("mode", "fte_count", "hours_per_fte_per_year"), path)
-        if "fte_count" not in entry:
-            raise ScenarioError(f"{_join(path, 'fte_count')}: required in constrained mode")
-        if "hours_per_fte_per_year" not in entry:
-            raise ScenarioError(
-                f"{_join(path, 'hours_per_fte_per_year')}: required in constrained "
-                "mode (no default in scenario files)"
-            )
         fte_count = _get(entry, "fte_count", path, int)
         hours = _get(entry, "hours_per_fte_per_year", path, float)
         try:
@@ -388,23 +392,20 @@ def _parse_resources(data: Any, path: str):
 
 
 def _parse_rates(data: Any, path: str):
-    if data is None:
-        return ConstantRate()
     entry = checked(data, path, dict)
     kind = _expect(entry, "kind", path)
     if kind == "constant":
         known(entry, ("kind", "value"), path)
-        value = _get(entry, "value", path, float, 1.0)
+        given = _given(entry, path, {"value": float})
         try:
-            return ConstantRate(value=value)
+            return ConstantRate(**given)
         except ValueError as exc:
             raise ScenarioError(f"{_join(path, 'value')}: {exc}") from None
     if kind == "lognormal":
         known(entry, ("kind", "mu", "sigma"), path)
-        mu = _get(entry, "mu", path, float, 0.0)
-        sigma = _get(entry, "sigma", path, float, 0.2)
+        given = _given(entry, path, {"mu": float, "sigma": float})
         try:
-            return LognormalRate(mu=mu, sigma=sigma)
+            return LognormalRate(**given)
         except ValueError as exc:
             raise ScenarioError(f"{path}: {exc}") from None
     raise ScenarioError(
@@ -412,34 +413,35 @@ def _parse_rates(data: Any, path: str):
     )
 
 
+# the optional scalar fields of a scenario file and their kinds
+_SCENARIO_SCALARS = {
+    "horizon_years": int, "tick_months": int, "failures_enabled": bool, "hazard_age": str,
+    "replications": int, "master_seed": int,
+}
 _SCENARIO_FIELDS = (
-    "name", "horizon_years", "tick_months", "start_date", "master_seed", "replications",
-    "failures_enabled", "hazard_age", "degradation_rates", "laws", "policy",
-    "activities", "resources",
+    "name", "start_date", "degradation_rates", "laws", "policy", "activities", "resources",
+    *_SCENARIO_SCALARS,
 )
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """The scenario of a JSON object; a ScenarioError names the first field
-    that is missing, unknown or malformed."""
+    that is missing, unknown or malformed. A field the object leaves out, or
+    gives as null where null means none, keeps its Scenario default."""
     try:
         root = known(checked(data, "scenario", dict), _SCENARIO_FIELDS)
-        start_date = root.get("start_date")
-        return Scenario(
-            name=_get(root, "name", "", str),
-            laws=_parse_laws(_expect(root, "laws", ""), "laws"),
-            policy=_parse_policy(_expect(root, "policy", ""), "policy"),
-            catalog=_parse_activities(_expect(root, "activities", ""), "activities"),
-            resources=_parse_resources(_expect(root, "resources", ""), "resources"),
-            degradation_rates=_parse_rates(root.get("degradation_rates"), "degradation_rates"),
-            horizon_years=_get(root, "horizon_years", "", int, 100),
-            tick_months=_get(root, "tick_months", "", int, 1),
-            start_date=None if start_date is None else iso_date(start_date, "start_date"),
-            failures_enabled=_get(root, "failures_enabled", "", bool, True),
-            hazard_age=_get(root, "hazard_age", "", str, "real"),
-            replications=_get(root, "replications", "", int, 1),
-            master_seed=_get(root, "master_seed", "", int, 0),
-        )
+        fields = {
+            "name": _get(root, "name", "", str),
+            "laws": _parse_laws(_expect(root, "laws", ""), "laws"),
+            "policy": _parse_policy(_expect(root, "policy", ""), "policy"),
+            "catalog": _parse_activities(_expect(root, "activities", ""), "activities"),
+            "resources": _parse_resources(_expect(root, "resources", ""), "resources"),
+        }
+        if root.get("degradation_rates") is not None:
+            fields["degradation_rates"] = _parse_rates(root["degradation_rates"], "degradation_rates")
+        if root.get("start_date") is not None:
+            fields["start_date"] = iso_date(root["start_date"], "start_date")
+        return Scenario(**fields, **_given(root, "", _SCENARIO_SCALARS))
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
 

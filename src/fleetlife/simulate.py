@@ -162,10 +162,10 @@ class ActivityKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ActivitySpec:
-    """One maintenance activity with its workload and cost breakdown."""
+    """One maintenance activity with its workload and cost breakdown; the
+    catalog slot it sits in is its kind."""
 
     name: str
-    kind: ActivityKind
     duration_hours: float
     required_fte: int
     material_cost: Decimal
@@ -289,7 +289,7 @@ class Unconstrained:
 @dataclass(frozen=True)
 class Constrained:
     fte_count: int
-    hours_per_fte_per_year: float = 1600.0
+    hours_per_fte_per_year: float
 
     def __post_init__(self) -> None:
         if self.fte_count < 0:

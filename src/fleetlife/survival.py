@@ -37,14 +37,13 @@ class SurvivalCurve:
 
     One entry per step, in increasing time: ``t`` (float64 years),
     ``n_at_risk`` and ``d_events`` (int64), and ``survival``, the float64
-    value from ``t`` on. ``n_total`` counts the rows fitted.
+    value from ``t`` on.
     """
 
     t: np.ndarray
     n_at_risk: np.ndarray
     d_events: np.ndarray
     survival: np.ndarray
-    n_total: int
 
     def survival_at(self, t: float) -> float:
         """Value of the right-continuous step function at age t."""
@@ -82,7 +81,7 @@ def km_fit(table: LifetimeTable) -> SurvivalCurve:
     deaths = np.diff(first, append=ends.size)
     at_risk = n - np.searchsorted(np.sort(table.duration), times)
     survival = np.cumprod((at_risk - deaths) / at_risk)
-    return SurvivalCurve(times, at_risk, deaths, survival, n)
+    return SurvivalCurve(times, at_risk, deaths, survival)
 
 
 def write_curve_csv(curve: SurvivalCurve, stream: IO[str]) -> None:

@@ -145,7 +145,7 @@ def test_criterion_4_rank_regression_self_consistency():
 
     times = np.linspace(25.0, 95.0, 10)
     survival = np.array([LAW_110.survival(float(t)) for t in times])
-    curve = SurvivalCurve(times, 1000 - np.arange(10), np.ones(10, dtype=np.int64), survival, 1000)
+    curve = SurvivalCurve(times, 1000 - np.arange(10), np.ones(10, dtype=np.int64), survival)
     law = fit_weibull_rank_regression(curve)
     assert abs(law.beta - 6.67) / 6.67 <= 1e-6
     assert abs(law.eta - 63.79) / 63.79 <= 1e-6

@@ -43,3 +43,36 @@ def test_no_unused_imports(name):
     read.update(getattr(module, "__all__", []))
     unused = {n: line for n, line in imported_names(tree).items() if n not in read}
     assert unused == {}
+
+
+SOURCES = sorted(Path(fleetlife.__file__).parent.glob("*.py"))
+
+
+def is_dataclass_decorator(node: ast.expr) -> bool:
+    """`@dataclass` or `@dataclass(...)`, by name."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return isinstance(node, ast.Name) and node.id == "dataclass"
+
+
+def test_every_dataclass_field_is_read():
+    # a field nothing reads is a setting nothing honours: each annotated
+    # field of a dataclass must be read as an attribute somewhere in the
+    # package (by name, whatever the object)
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{cls.name}.{stmt.target.id}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and any(map(is_dataclass_decorator, cls.decorator_list))
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        if stmt.target.id not in read
+    ]
+    assert unread == []

@@ -5,14 +5,19 @@ from hypothesis import strategies as st
 
 from fleetlife.fleet import VoltageClass
 from fleetlife.health import (
+    AGE_FRACTIONS,
     DEFAULT_CONDITION_TRIGGER_AGE,
+    LONG_WINDOW,
+    PROBABILITY_BANDS,
     PURPLE_ONSET_APPARENT_AGE,
     RED_ONSET_APPARENT_AGE,
-    AhiConfig,
+    SHORT_WINDOW,
+    YOUNG_AGE_CUTOFF,
     Band,
     ScoreBasis,
     age_scores,
     band_for_score,
+    basis_for_score,
     probability_scores,
     score_asset,
     threshold_age,
@@ -39,10 +44,17 @@ class TestBands:
             Band.GREEN,
         ]
 
+    def test_score_to_basis(self):
+        assert [basis_for_score(s) for s in range(1, 11)] == (
+            [ScoreBasis.PROBABILITY] * 6 + [ScoreBasis.AGE] * 4
+        )
+
     def test_out_of_range(self):
         for score in (0, 11, -3):
             with pytest.raises(ValueError):
                 band_for_score(score)
+            with pytest.raises(ValueError):
+                basis_for_score(score)
 
 
 def p_score(p_short, p_long):
@@ -128,15 +140,10 @@ class TestAgeScores:
             a_score(20.0, 0.0)
 
 
-# score_asset's band and basis codes index these
-BANDS = tuple(Band)
-BASES = tuple(ScoreBasis)
-
-
 def score_one(law, age, average):
     """score_asset on a single age, as a (score, Band, ScoreBasis) tuple."""
-    scores, bands, bases = score_asset(law, [age], average)
-    return int(scores[0]), BANDS[bands[0]], BASES[bases[0]]
+    score = int(score_asset(law, [age], average)[0])
+    return score, band_for_score(score), basis_for_score(score)
 
 
 class TestScoreAsset:
@@ -163,59 +170,54 @@ class TestScoreAsset:
         assert basis is ScoreBasis.PROBABILITY
 
     def test_columns_align_with_ages(self):
-        scores, bands, bases = score_asset(LAW_110, [100.0, 0.0, 70.0, 40.0], 40.0)
+        scores = score_asset(LAW_110, [100.0, 0.0, 70.0, 40.0], 40.0)
         assert scores.tolist() == [1, 10, 3, 7]
-        assert [BANDS[c] for c in bands] == [Band.PURPLE, Band.GREEN, Band.PURPLE, Band.ORANGE]
-        assert [BASES[c] for c in bases] == [
-            ScoreBasis.PROBABILITY, ScoreBasis.AGE, ScoreBasis.PROBABILITY, ScoreBasis.AGE
-        ]
 
     def test_empty(self):
-        scores, bands, bases = score_asset(LAW_110, [], 40.0)
-        assert len(scores) == len(bands) == len(bases) == 0
+        assert len(score_asset(LAW_110, [], 40.0)) == 0
 
     def test_negative_age_rejected(self):
         with pytest.raises(ValueError, match="negative age"):
             score_asset(LAW_110, [10.0, -1.0], 40.0)
 
     def test_non_positive_average_rejected_once_compared(self):
-        assert score_asset(LAW_110, [1.0, 2.0], 0.0)[0].tolist() == [10, 10]
+        assert score_asset(LAW_110, [1.0, 2.0], 0.0).tolist() == [10, 10]
         with pytest.raises(ValueError, match="average age must be positive"):
             score_asset(LAW_110, [1.0, 20.0], 0.0)
 
 
-def scalar_score(law, age, average, config=AhiConfig()):
-    """The bands restated for one asset, from the law's scalar probabilities."""
+def scalar_score(law, age, average):
+    """The bands restated for one asset, from the law's scalar probabilities:
+    its score, the basis of the band that gave it, and the probabilities."""
     p = (
-        law.conditional_failure_probability(age, config.short_window),
-        law.conditional_failure_probability(age, config.long_window),
+        law.conditional_failure_probability(age, SHORT_WINDOW),
+        law.conditional_failure_probability(age, LONG_WINDOW),
     )
     for offset, prob in zip((0, 3), p):
-        for rank, threshold in enumerate(config.probability_bands, start=1):
+        for rank, threshold in enumerate(PROBABILITY_BANDS, start=1):
             if prob >= threshold:
-                return offset + rank, p
-    if age < config.young_age_cutoff:
-        return 10, p
-    high, low = config.age_fractions
+                return offset + rank, ScoreBasis.PROBABILITY, p
+    if age < YOUNG_AGE_CUTOFF:
+        return 10, ScoreBasis.AGE, p
+    high, low = AGE_FRACTIONS
     if age > high * average:
-        return 7, p
-    return (8 if age > low * average else 9), p
+        return 7, ScoreBasis.AGE, p
+    return (8 if age > low * average else 9), ScoreBasis.AGE, p
 
 
-def near_threshold(p, config=AhiConfig()):
+def near_threshold(p):
     # numpy's vectorized pow and expm1 may differ from libm's in the last
     # place, so a probability within a few ulps of a band edge may land on
     # either side of it
-    return any(abs(x - t) <= 1e-14 for x in p for t in config.probability_bands)
+    return any(abs(x - t) <= 1e-14 for x in p for t in PROBABILITY_BANDS)
 
 
 def edge_ages(law, average):
     """Ages at every band edge: probability thresholds, age fractions, cutoff."""
-    config = AhiConfig()
-    ages = [config.young_age_cutoff, np.nextafter(config.young_age_cutoff, 0.0)]
-    ages += [f * average for f in config.age_fractions]
-    for window in (config.short_window, config.long_window):
-        for level in config.probability_bands:
+    ages = [YOUNG_AGE_CUTOFF, np.nextafter(YOUNG_AGE_CUTOFF, 0.0)]
+    ages += [f * average for f in AGE_FRACTIONS]
+    for window in (SHORT_WINDOW, LONG_WINDOW):
+        for level in PROBABILITY_BANDS:
             ages.append(threshold_age(law, window, level))
     return ages
 
@@ -228,14 +230,14 @@ def edge_ages(law, average):
 @settings(max_examples=150, deadline=None)
 def test_array_scores_match_scalar_bands(law, ages, average):
     ages = ages + edge_ages(law, average)
-    scores, bands, bases = score_asset(law, ages, average)
+    scores = score_asset(law, ages, average)
     assert len(scores) == len(ages)
-    for age, score, band, basis in zip(ages, scores.tolist(), bands, bases):
-        expected, p = scalar_score(law, age, average)
+    for age, score in zip(ages, scores.tolist()):
+        expected, basis, p = scalar_score(law, age, average)
         if not near_threshold(p):
             assert score == expected, age
-        assert BANDS[band] is band_for_score(score)
-        assert BASES[basis] is (ScoreBasis.PROBABILITY if score <= 6 else ScoreBasis.AGE)
+            # the basis that ahi.csv reports is the rule that set the score
+            assert basis_for_score(score) is basis, age
 
 
 class TestThresholdAge:
@@ -288,13 +290,11 @@ def test_condition_trigger_constants():
     assert DEFAULT_CONDITION_TRIGGER_AGE == 50.0
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        AhiConfig(probability_bands=(0.5, 0.8, 0.2))
-    with pytest.raises(ValueError):
-        AhiConfig(short_window=0.0)
-    with pytest.raises(ValueError):
-        AhiConfig(age_fractions=(0.6, 0.75))
-    with pytest.raises(ValueError, match="exceeds long window"):
-        AhiConfig(short_window=8.0, long_window=7.0)
-    assert AhiConfig(short_window=7.0, long_window=7.0).short_window == 7.0
+
+def test_fixed_thresholds():
+    # the scheme's windows, bands and age shares, each ordered as the band
+    # rules read them
+    assert (SHORT_WINDOW, LONG_WINDOW) == (3.0, 7.0)
+    assert PROBABILITY_BANDS == (0.8, 0.5, 0.2)
+    assert AGE_FRACTIONS == (0.75, 0.60)
+    assert YOUNG_AGE_CUTOFF == 5.0

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import types
 from datetime import date
@@ -23,7 +24,6 @@ from fleetlife.scenarios import (
 from fleetlife.simulate import (
     VALID_TICKS,
     ActivityCatalog,
-    ActivityKind,
     ActivitySpec,
     ConditionBased,
     ConstantRate,
@@ -132,10 +132,9 @@ voltages = st.one_of(st.sampled_from([110, 150, 220, 380]), st.integers(1, 1000)
 
 
 @st.composite
-def activity(draw, kind):
+def activity(draw):
     return ActivitySpec(
         name=draw(st.text(max_size=8)),
-        kind=kind,
         duration_hours=draw(st.floats(0.0, 1e3)),
         required_fte=draw(st.integers(1, 20)),
         material_cost=draw(money),
@@ -166,19 +165,17 @@ def scenarios(draw):
     families = st.sampled_from(list(VoltageClass))
     catalog = ActivityCatalog(
         replacements=draw(
-            st.dictionaries(
-                voltages, activity(ActivityKind.PLANNED_REPLACEMENT), min_size=1, max_size=3
-            )
+            st.dictionaries(voltages, activity(), min_size=1, max_size=3)
         ),
         inspections=draw(
             st.dictionaries(
                 st.tuples(voltages, st.integers(1, 240)),
-                activity(ActivityKind.INSPECTION),
+                activity(),
                 max_size=3,
             )
         ),
         corrective=draw(
-            st.dictionaries(voltages, activity(ActivityKind.CORRECTIVE_REPLACEMENT), max_size=2)
+            st.dictionaries(voltages, activity(), max_size=2)
         ),
     )
     return Scenario(
@@ -355,12 +352,12 @@ class TestValidationPaths:
 
     @pytest.mark.parametrize("value", [0.0, -1.5, float("nan"), float("inf")])
     def test_non_positive_constant_rate(self, value):
-        # ConstantRate holds the one rule: positive and finite
+        # ConstantRate holds the rule that a rate is positive and finite; the
+        # reader refuses NaN and Infinity in every number field before it
+        reason = "rate must be positive and finite" if math.isfinite(value) else "expected a finite"
         data = valid_dict()
         data["degradation_rates"] = {"kind": "constant", "value": value}
-        with pytest.raises(
-            ScenarioError, match="^degradation_rates.value: rate must be positive and finite"
-        ):
+        with pytest.raises(ScenarioError, match=f"^degradation_rates.value: {reason}"):
             scenario_from_dict(data)
 
     def test_scenario_must_be_a_json_object(self):
@@ -373,6 +370,71 @@ class TestValidationPaths:
 
         sc = scenario_from_dict(valid_dict())
         assert sc.catalog.inspections[(110, 3)].workforce_cost == Decimal("41.624")
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("resources.hours_per_fte_per_year", NAN),
+        ("policy.110.replacement.age_years", NAN),
+        ("policy.110.inspections.start_age_years", INF),
+        ("degradation_rates.sigma", NAN),
+        ("degradation_rates.mu", INF),
+        ("laws.150.eta", -INF),
+        # an integer literal beyond the float range
+        pytest.param("laws.110.beta", 10**400, id="laws.110.beta-10**400"),
+        ("activities[0].material_cost", "NaN"),
+        ("activities[0].material_cost", "Infinity"),
+        ("activities[2].workforce_cost", NAN),
+        ("activities[3].duration_hours", NAN),
+    ],
+)
+def test_non_finite_numbers_rejected_with_path(tmp_path, field, value):
+    # Python's json reads the literals NaN, Infinity and -Infinity; a scenario
+    # file holding a number that is not finite as a float, or a money string
+    # that spells one, fails naming it
+    data = valid_dict()
+    *keys, last = re.findall(r"\w+", field)
+    entry = data
+    for key in keys:
+        entry = entry[int(key)] if isinstance(entry, list) else entry[key]
+    entry[last] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    reason = "not a finite amount" if field.endswith("_cost") else "expected a finite number"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(field)}: {reason}"):
+        load_scenario_file(str(path))
+
+
+class TestDefaultsStatedOnce:
+    """A field a scenario file leaves out takes its dataclass default."""
+
+    def test_required_fields_alone(self):
+        sc = builtin_scenario("condition-based", "fte40")
+        expected = Scenario(
+            name=sc.name, laws=sc.laws, policy=sc.policy, catalog=sc.catalog, resources=sc.resources
+        )
+        data = scenario_to_dict(expected)
+        required = ("name", "laws", "policy", "activities", "resources")
+        loaded = scenario_from_dict({key: data[key] for key in required})
+        for field in dataclasses.fields(Scenario):
+            if field.name != "catalog":
+                assert getattr(loaded, field.name) == getattr(expected, field.name), field.name
+        assert scenario_to_dict(loaded) == data
+
+    @pytest.mark.parametrize("rates", [None, {"kind": "constant"}])
+    def test_constant_rate(self, rates):
+        data = valid_dict()
+        data["degradation_rates"] = rates
+        assert scenario_from_dict(data).degradation_rates == ConstantRate()
+
+    def test_lognormal_rate(self):
+        data = valid_dict()
+        data["degradation_rates"] = {"kind": "lognormal"}
+        assert scenario_from_dict(data).degradation_rates == LognormalRate()
 
 
 class TestUnknownFields:

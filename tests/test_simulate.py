@@ -112,9 +112,9 @@ class TestActivitySpec:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="negative duration"):
-            ActivitySpec("x", ActivityKind.INSPECTION, -1.0, 1, Decimal(0), Decimal(0))
+            ActivitySpec("x", -1.0, 1, Decimal(0), Decimal(0))
         with pytest.raises(ValueError, match="required_fte"):
-            ActivitySpec("x", ActivityKind.INSPECTION, 1.0, 0, Decimal(0), Decimal(0))
+            ActivitySpec("x", 1.0, 0, Decimal(0), Decimal(0))
 
     def test_catalog_gap_errors_name_kind_and_voltage(self):
         catalog = demo_catalog()
@@ -150,6 +150,8 @@ def traced(fleet, sc):
 
 # a budget of about 8e10 person-hours a month: no tick can exhaust it
 NEVER_BINDS = Constrained(fte_count=1, hours_per_fte_per_year=1e12)
+# no worker, so no request ever executes
+EMPTY_POOL = Constrained(fte_count=0, hours_per_fte_per_year=1600.0)
 
 
 def open_and_walked(fleet, sc):
@@ -253,7 +255,7 @@ class TestEvaluateTriggers:
             fleet_policy=simple_policy(TimeBased(45.0), plan),
             laws=STEP_LAWS,
             failures_enabled=True,
-            resources=Constrained(fte_count=0),
+            resources=EMPTY_POOL,
             horizon_years=1,
         )
         engine = traced(fleet_of([asset(commissioned=SIXTY)]), sc)
@@ -297,7 +299,7 @@ class TestSampleFailure:
         sc = scenario(
             laws={vc: law for vc in VoltageClass},
             failures_enabled=True,
-            resources=Constrained(fte_count=0),
+            resources=EMPTY_POOL,
             horizon_years=1,
         )
         engine = traced(fleet_of([asset(i) for i in ids]), sc)
@@ -399,7 +401,7 @@ class TestAllocateResources:
         assert engine.kpis.backlog_hours == [0.0]
 
     def test_zero_capacity(self):
-        sc = annual_scenario(resources=Constrained(fte_count=0), horizon_years=1)
+        sc = annual_scenario(resources=EMPTY_POOL, horizon_years=1)
         engine = traced(fleet_of([asset()]), sc)
         assert engine.completed == [[]]
         assert engine.kpis.backlog_hours == [2.66]
@@ -751,7 +753,7 @@ class TestApparentHazard:
             degradation_rates=ConstantRate(rate),
             hazard_age=hazard_age,
             # nothing executes, so failed assets stay failed
-            resources=Constrained(fte_count=0),
+            resources=EMPTY_POOL,
             tick_months=12,
             horizon_years=2,
         )
@@ -967,12 +969,12 @@ class TestEngineQueues:
         # and its planned request is dropped. a6's does not fit the 150
         # left, but its planned request does and replaces it, so its
         # corrective request is dropped.
-        def spec(name, kind, hours):
-            return ActivitySpec(name, kind, hours, 1, Decimal(0), Decimal(0))
+        def spec(name, hours):
+            return ActivitySpec(name, hours, 1, Decimal(0), Decimal(0))
 
         catalog = ActivityCatalog(
-            replacements={110: spec("p", ActivityKind.PLANNED_REPLACEMENT, 100.0)},
-            corrective={110: spec("c", ActivityKind.CORRECTIVE_REPLACEMENT, 300.0)},
+            replacements={110: spec("p", 100.0)},
+            corrective={110: spec("c", 300.0)},
         )
         sc = scenario(
             fleet_policy=simple_policy(TimeBased(5.0)),
@@ -998,7 +1000,7 @@ class TestEngineQueues:
         sc = annual_scenario(
             laws={vc: step_law for vc in VoltageClass},
             failures_enabled=True,
-            resources=Constrained(fte_count=0),
+            resources=EMPTY_POOL,
             horizon_years=2,
         )
         series = run_scenario(fleet_of([asset()]), sc).replications[0]
@@ -1014,15 +1016,15 @@ class TestEngineQueues:
         # age 9 months, the last tick of year 0. Each inspection takes one
         # person-hour and the pool offers two a tick, so the first two
         # cadences of the rule execute and the third carries.
-        def spec(name, kind, cost):
-            return ActivitySpec(name, kind, 1.0, 1, Decimal(0), Decimal(cost))
+        def spec(name, cost):
+            return ActivitySpec(name, 1.0, 1, Decimal(0), Decimal(cost))
 
         catalog = ActivityCatalog(
-            replacements={110: spec("r", ActivityKind.PLANNED_REPLACEMENT, 5)},
+            replacements={110: spec("r", 5)},
             inspections={
-                (110, 3): spec("i3", ActivityKind.INSPECTION, 1),
-                (110, 6): spec("i6", ActivityKind.INSPECTION, 10),
-                (110, 12): spec("i12", ActivityKind.INSPECTION, 100),
+                (110, 3): spec("i3", 1),
+                (110, 6): spec("i6", 10),
+                (110, 12): spec("i12", 100),
             },
         )
         plan = PeriodicInspections(start_age_years=0.75, interval_months=intervals)
@@ -1059,7 +1061,7 @@ class TestGreedyWalk:
     @example(shapes=[(1.33, 2)] * 3 + [(40.0, 10)], budget=10.0)
     def test_matches_scalar_allocation(self, shapes, budget):
         specs = [
-            ActivitySpec("x", ActivityKind.INSPECTION, hours, fte, Decimal(0), Decimal(0))
+            ActivitySpec("x", hours, fte, Decimal(0), Decimal(0))
             for hours, fte in shapes
         ]
         requests = [
@@ -1083,13 +1085,13 @@ def cadence_scenario(tick, intervals, start_age, trigger_age, horizon, **overrid
     inspections of each cadence executed; activities take one person-hour.
     """
 
-    def spec(name, kind, cost):
-        return ActivitySpec(name, kind, 1.0, 1, Decimal(0), Decimal(cost))
+    def spec(name, cost):
+        return ActivitySpec(name, 1.0, 1, Decimal(0), Decimal(cost))
 
     catalog = ActivityCatalog(
-        replacements={110: spec("r", ActivityKind.PLANNED_REPLACEMENT, 0)},
+        replacements={110: spec("r", 0)},
         inspections={
-            (110, m): spec(f"i{m}", ActivityKind.INSPECTION, 1000**r)
+            (110, m): spec(f"i{m}", 1000**r)
             for r, m in enumerate(intervals)
         },
     )
@@ -1368,13 +1370,13 @@ def invariant_scenario(data, **overrides):
     else:
         trigger = ConditionBased(data.draw(st.floats(1.0, 50.0)))
 
-    def spec(name, kind, hours, fte, cost):
-        return ActivitySpec(name, kind, hours, fte, Decimal(cost), Decimal("0.25"))
+    def spec(name, hours, fte, cost):
+        return ActivitySpec(name, hours, fte, Decimal(cost), Decimal("0.25"))
 
     catalog = ActivityCatalog(
-        replacements={110: spec("r", ActivityKind.PLANNED_REPLACEMENT, 5.0, 2, "900")},
+        replacements={110: spec("r", 5.0, 2, "900")},
         inspections={
-            (110, tick * m): spec(f"i{m}", ActivityKind.INSPECTION, 0.5 * m, 1, "3")
+            (110, tick * m): spec(f"i{m}", 0.5 * m, 1, "3")
             for m in (1, 2, 3, 4)
         },
     )
@@ -1535,7 +1537,6 @@ class TestEngineInvariants:
         corrective = dataclasses.replace(
             catalog.replacements[110],
             name="c",
-            kind=ActivityKind.CORRECTIVE_REPLACEMENT,
             duration_hours=data.draw(st.sampled_from(durations)),
         )
         sc = dataclasses.replace(
@@ -1566,13 +1567,13 @@ class TestEngineInvariants:
         plan = PeriodicInspections(0.0, tuple(tick * m for m in multiples))
         trigger = TimeBased(data.draw(st.floats(1.0, 4.0), label="trigger"))
 
-        def spec(name, kind, hours, fte):
-            return ActivitySpec(name, kind, hours, fte, Decimal(1), Decimal(0))
+        def spec(name, hours, fte):
+            return ActivitySpec(name, hours, fte, Decimal(1), Decimal(0))
 
         catalog = ActivityCatalog(
-            replacements={110: spec("r", ActivityKind.PLANNED_REPLACEMENT, 5.0, 2)},
+            replacements={110: spec("r", 5.0, 2)},
             inspections={
-                (110, tick * m): spec(f"i{m}", ActivityKind.INSPECTION, 0.5 * m, 1)
+                (110, tick * m): spec(f"i{m}", 0.5 * m, 1)
                 for m in multiples
             },
         )

@@ -26,8 +26,8 @@ def steps_of(curve):
 
 
 def curve_columns(curve):
-    """Every column of a curve as lists, and its row count."""
-    return steps_of(curve), curve.survival.tolist(), curve.n_total
+    """Every column of a curve as lists."""
+    return steps_of(curve), curve.survival.tolist()
 
 
 def product_limit_steps(observations):
@@ -193,7 +193,6 @@ def test_steps_match_exact_product_limit(observations):
     assert steps_of(curve) == [(t, n, d) for t, n, d, _ in steps]
     for survival, (_, _, _, exact) in zip(curve.survival.tolist(), steps):
         assert abs(survival - float(exact)) <= SURVIVAL_TOLERANCE
-    assert curve.n_total == len(observations)
 
 
 @given(observation_lists)

@@ -238,7 +238,7 @@ class TestRankRegression:
 
         times = np.linspace(20.0, 90.0, 10)
         survival = np.array([LAW_110.survival(float(t)) for t in times])
-        curve = SurvivalCurve(times, 100 - np.arange(10), np.ones(10, dtype=np.int64), survival, 100)
+        curve = SurvivalCurve(times, 100 - np.arange(10), np.ones(10, dtype=np.int64), survival)
         law = fit_weibull_rank_regression(curve)
         assert law.beta == pytest.approx(6.67, rel=1e-6)
         assert law.eta == pytest.approx(63.79, rel=1e-6)
@@ -255,7 +255,7 @@ class TestRankRegression:
         target = WeibullLaw(2.5, 55.0)
         times = np.array([30.0, 70.0])
         survival = np.array([target.survival(t) for t in times.tolist()])
-        curve = SurvivalCurve(times, np.array([10, 10]), np.array([1, 1]), survival, 10)
+        curve = SurvivalCurve(times, np.array([10, 10]), np.array([1, 1]), survival)
         law = fit_weibull_rank_regression(curve)
         assert law.beta == pytest.approx(2.5, rel=1e-9)
         assert law.eta == pytest.approx(55.0, rel=1e-9)
