@@ -19,14 +19,14 @@ executes when it never binds.
 
 Under `Constrained`, `schedule_replacements` walks the replacements of the
 whole run first, tick by tick, and the engine then walks the inspections
-on the budget they leave.
+on the budget they leave; both spend a budget by the rule of
+`_greedy_walk`.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -134,6 +134,39 @@ def run_open_pool(
     return failures, replaced, inspected, raised, dropped
 
 
+def _greedy_walk(demand: np.ndarray, remaining: float) -> tuple[np.ndarray, float]:
+    """Execute requests in queue order within a budget, skipping misfits.
+
+    Returns the positions executed and the capacity left. Each request that
+    fits the remaining budget executes and spends its person-hours; one that
+    does not is carried. The walk goes a run at a time: a misfit is skipped
+    and so is every later request at least as large, since the budget only
+    shrinks. `np.subtract.accumulate` subtracts left to right,
+    so the budget evolves in exactly the float steps of a scalar loop.
+    """
+    executed: list[np.ndarray] = []
+    # the positions still to walk and their demand
+    pos, tail = np.arange(len(demand)), demand
+    while len(pos):
+        left = np.subtract.accumulate(np.concatenate(([remaining], tail)))
+        # demand is never negative, so the budget only falls: all fit if
+        # the last does
+        if left[-1] >= 0:
+            executed.append(pos)
+            remaining = float(left[-1])
+            break
+        # left[0] is the budget, never negative
+        misfit = int((left < 0).argmax())
+        executed.append(pos[: misfit - 1])
+        remaining = float(left[misfit - 1])
+        fits = tail[misfit:] <= remaining
+        pos, tail = pos[misfit:][fits], tail[misfit:][fits]
+    if len(executed) == 1:
+        return executed[0], remaining
+    # no request at all leaves `pos` empty
+    return np.concatenate(executed or [pos]), remaining
+
+
 def schedule_replacements(engine: _Engine) -> dict[int, tuple]:
     """Walk the replacements of a constrained pool over the whole run, tick
     by tick, ahead of its inspections: they never wait on an inspection.
@@ -142,7 +175,7 @@ def schedule_replacements(engine: _Engine) -> dict[int, tuple]:
     filled as each generation starts; a failure entry whose asset was
     renewed first is stale. Each class's pending requests are walked in
     (request tick, id) order, corrective before planned, by the rule of
-    `simulate._greedy_walk` in the same float steps: a request executes if
+    `_greedy_walk` in the same float steps: a request executes if
     its person-hours are at most the budget left, and the walk stops once
     the budget is below the class's floor. A failed asset may be replaced
     by either of its requests; the other one is then dropped.
@@ -153,29 +186,30 @@ def schedule_replacements(engine: _Engine) -> dict[int, tuple]:
     for each tick at which an asset fails or is replaced: the budget left,
     the assets that fail, those replaced (the first `corrective` of them by
     their corrective request) and those replaced in service.
+
+    Each event touches a few assets, so their state is read and written an
+    int at a time: `ticks` are views of the rows of `engine.ticks`, and a
+    renewed generation's ticks are read from views of the rows of
+    `engine.tables`, taken again when the tables double.
     """
     n_ticks, tpy, n_specs = engine.n_ticks, engine.ticks_per_year, len(engine.specs)
     spec_of = (engine.corrective_spec, engine.planned_spec)
     specs = [spec.tolist() for spec in spec_of]
     hours = engine.person_hours.tolist()
     floors = [float(engine.person_hours[spec].min(initial=math.inf)) for spec in spec_of]
-    # the assets' failure and trigger ticks (the rows of `engine.ticks`),
-    # and the calendars of the requests they raise
-    ticks = [array("q", row.tobytes()) for row in engine.ticks]
+    # the assets' failure and trigger ticks, and the calendars of the
+    # requests they raise: a generation raises its corrective request at
+    # its failure tick and its planned one at its trigger tick
+    ticks = [memoryview(row) for row in engine.ticks]
     calendars: list[list] = [[[] for _ in range(n_ticks)] for _ in ticks]
-
-    def book(assets: list[int], drawn: Sequence[Sequence[int]]) -> None:
-        # a generation raises its corrective request at its failure tick
-        # and its planned one at its trigger tick
-        for cls, row in enumerate(drawn):
-            for a, t in zip(assets, row):
-                ticks[cls][a] = t
-                if t < n_ticks:
-                    calendars[cls][t].append(a)
-
-    n_assets = len(ticks[0])
-    # generation 0 of every asset, as set up
-    book(list(range(n_assets)), ticks)
+    for tick, calendar in zip(ticks, calendars):
+        for a, t in enumerate(tick):
+            if t < n_ticks:
+                calendar[t].append(a)
+    # rows[cls][g][a] is tables[cls, g, a]
+    rows = [list(map(memoryview, table)) for table in engine.tables]
+    generation = engine.generation.tolist()
+    n_assets = len(generation)
     # each class's requests pending, in (request tick, id) order, one asset
     # each; a request whose asset was renewed by the other one stays listed
     # until the walk reaches it, counted in `stale`
@@ -227,12 +261,21 @@ def schedule_replacements(engine: _Engine) -> dict[int, tuple]:
                     queued[specs[other][a]] -= 1
                     dropped += 1
         renewed = done[0] + done[1]
-        if renewed:
-            book(renewed, engine._renew(np.array(renewed), k).tolist())
+        # start each renewed asset's next generation at tick k
+        for a in renewed:
+            g = generation[a] = generation[a] + 1
+            if g == len(rows[0]):
+                engine._draw_generations(g)
+                rows = [list(map(memoryview, table)) for table in engine.tables]
+            for tick, row, calendar in zip(ticks, rows, calendars):
+                t = tick[a] = row[g][a] + k
+                if t < n_ticks:
+                    calendar[t].append(a)
         if failed or renewed:
             events[k] = (remaining, failed, renewed, len(done[0]), fresh)
         if (k + 1) % tpy == 0:
             engine.queued[year] = queued
+    engine.generation[:] = generation
     engine.replaced[:] = replaced
     engine.kpis.failures = failures
     engine.gap_ticks[:] = gap_ticks
@@ -290,11 +333,13 @@ def _cadence_pairs(
     planned = (end < n_ticks) & ~failed
     empty = np.empty(0, dtype=np.int32)
     pairs, dropped = [(empty,) * 4], 0
-    # a cadence slot of the plans at a time, to bound the arrays in flight
-    for slot in range(engine.entries_of.shape[1]):
-        entries = engine.entries_of[asset, slot]
-        row = np.flatnonzero(entries >= 0)
-        entry = entries[row]
+    # each generation's asset's entries are bounds[a] + slot for the slots
+    # below its count; a slot at a time, to bound the arrays in flight
+    bounds = engine.bounds
+    entry0, count = bounds[asset], bounds[asset + 1] - bounds[asset]
+    for slot in range(int(count.max(initial=0))):
+        row = np.flatnonzero(count > slot)
+        entry = entry0[row] + slot
         period = engine.entry_period[entry]
         start = engine.entry_start[entry]
         first = first_due(start, age[row], origin[row], armed[row], period, tick)

@@ -72,7 +72,10 @@ The engine (`_Engine`) runs one replication on arrays:
   (`generations.due_before`), walked in (request tick, id) order
   (`_Engine._walk`). The split is exact: a tick loop walking the three
   classes in turn executes the same replacements, and so leaves the same
-  budget, in every tick, as they read nothing an inspection changes.
+  budget, in every tick, as they read nothing an inspection changes. An
+  event touches a few assets, so both passes read and write their ticks
+  an int at a time, and count what an event ends, and the inspections
+  executed, once a year, at the year end.
 * The failure and trigger delays of generations ``0 .. G-1`` of every
   asset are drawn at set-up in one call, and ``G`` doubles when an asset
   reaches it.
@@ -104,6 +107,7 @@ from .generations import (
     UNITS_PER_DAY,
     UNITS_PER_MONTH,
     UNITS_PER_YEAR,
+    _greedy_walk,
     due_before,
     first_due,
     run_open_pool,
@@ -353,10 +357,14 @@ class Scenario:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.horizon_years <= 0:
-            raise ValueError("horizon must be positive")
         if self.tick_months not in VALID_TICKS:
             raise ValueError(f"tick must be one of {VALID_TICKS} months")
+        if self.horizon_years <= 0:
+            raise ValueError("horizon_years: must be positive")
+        # the open pool holds ticks in int32 columns (`generations._cadence_pairs`)
+        most = (2**31 - 1) // (12 // self.tick_months)
+        if self.horizon_years > most:
+            raise ValueError(f"horizon_years: at most {most} years of {self.tick_months}-month ticks")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.hazard_age not in ("real", "apparent"):
@@ -491,39 +499,6 @@ def validate_scenario_for_fleet(
                 )
 
 
-def _greedy_walk(demand: np.ndarray, remaining: float) -> tuple[np.ndarray, float]:
-    """Execute requests in queue order within a budget, skipping misfits.
-
-    Returns the positions executed and the capacity left. Each request that
-    fits the remaining budget executes and spends its person-hours; one that
-    does not is carried. The walk goes a run at a time: a misfit is skipped
-    and so is every later request at least as large, since the budget only
-    shrinks. `np.subtract.accumulate` subtracts left to right,
-    so the budget evolves in exactly the float steps of a scalar loop.
-    """
-    executed: list[np.ndarray] = []
-    # the positions still to walk and their demand
-    pos, tail = np.arange(len(demand)), demand
-    while len(pos):
-        left = np.subtract.accumulate(np.concatenate(([remaining], tail)))
-        # demand is never negative, so the budget only falls: all fit if
-        # the last does
-        if left[-1] >= 0:
-            executed.append(pos)
-            remaining = float(left[-1])
-            break
-        # left[0] is the budget, never negative
-        misfit = int((left < 0).argmax())
-        executed.append(pos[: misfit - 1])
-        remaining = float(left[misfit - 1])
-        fits = tail[misfit:] <= remaining
-        pos, tail = pos[misfit:][fits], tail[misfit:][fits]
-    if len(executed) == 1:
-        return executed[0], remaining
-    # no request at all leaves `pos` empty
-    return np.concatenate(executed or [pos]), remaining
-
-
 # index of each priority class
 _CORRECTIVE, _PLANNED, _INSPECTION = 0, 1, 2
 
@@ -606,12 +581,13 @@ class _Engine:
 
         # The inspection schedule has one entry per (asset, cadence), numbered
         # asset by asset and, within an asset, in plan order, so sorted entry
-        # ids are the order in which inspections due together are walked.
+        # ids are the order in which inspections due together are walked:
+        # the entries of asset a are bounds[a] .. bounds[a + 1] - 1.
         cadences = np.zeros(n, dtype=np.int64)
         for f, plan in plans.items():
             cadences[self.groups[f]] = len(plan.interval_months)
-        first_entry = np.cumsum(cadences) - cadences
-        n_entries = int(cadences.sum())
+        self.bounds = np.concatenate(([0], np.cumsum(cadences)))
+        first_entry, n_entries = self.bounds[:-1], int(self.bounds[-1])
         self.entry_asset = np.repeat(everyone, cadences)
         self.entry_spec = np.zeros(n_entries, dtype=np.int64)
         # the start age in grid units, rounded up to the grid, and the
@@ -628,25 +604,23 @@ class _Engine:
                 )
                 self.entry_start[entry] = -(-years * UNITS_PER_YEAR // per)
                 self.entry_period[entry] = interval // self.tick
-        # entries of each asset, -1 padded
-        slot = np.arange(cadences.max(initial=0))
-        self.entries_of = np.where(
-            slot < cadences[:, None], first_entry[:, None] + slot, -1
-        )
         # anchor[e] is the first due tick of entry e in its asset's current
         # generation and oldest[e] that of its oldest inspection not executed;
-        # both are n_ticks while the asset is out of service. They are the
-        # rows of `due`, so that one call reads or writes both.
-        anchor = first_due(
+        # both are n_ticks while the asset is out of service
+        self.anchor = first_due(
             self.entry_start, self.age0[self.entry_asset], 0, 0, self.entry_period,
             self.tick_units,
         )
-        self.due = np.stack((anchor, anchor))
-        self.anchor, self.oldest = self.due
+        self.oldest = self.anchor.copy()
         # the first due tick of each entry for a generation replaced at tick
         # 0, from tick 1 on; a replacement at tick k shifts it by k
         self.entry_restart = first_due(
             self.entry_start, 0, 0, 1, self.entry_period, self.tick_units
+        )
+        # an event touches the entries of a few assets, so it reads and
+        # writes them an int at a time, through views of these four arrays
+        self.views = tuple(
+            map(memoryview, (self.bounds, self.anchor, self.oldest, self.entry_restart))
         )
 
         self.specs = list(spec_ids)
@@ -685,6 +659,11 @@ class _Engine:
         # the failure or replacement that makes it so, or still pending.
         self.raised = [0, 0, 0]
         self.examined = self.executed = self.dropped = 0
+        # the year's executed inspections, in walk order, and the (anchor,
+        # oldest, period, end) of each cadence entry it ended, as it ended:
+        # both are counted at the year end
+        self.walked: list[np.ndarray] = []
+        self.ended: list[tuple[int, int, int, int]] = []
 
         self.kpis = KpiSeries.zeros(scenario.horizon_years)
         # what executed per (year, activity), the replacement requests
@@ -738,7 +717,7 @@ class _Engine:
         person-hours and the budget only shrinks, so its oldest execute
         first."""
         first, period = self.oldest, self.entry_period
-        start = lo = int(first.min(initial=self.n_ticks))
+        start = lo = int(np.minimum.reduce(first, initial=self.n_ticks))
         if start > k:
             return start
         ran = []
@@ -780,19 +759,19 @@ class _Engine:
         )
         return _exact_sums(queued.astype(np.int64)[None], self.person_hours)[0]
 
-    def _entries(self, assets: Sequence[int]) -> np.ndarray:
-        """The cadence entries of the given assets."""
-        entry = self.entries_of[assets]
-        return entry[entry >= 0]
+    def _entries(self, assets: Sequence[int]) -> list[int]:
+        """The cadence entries of the given assets, in id order."""
+        bounds = self.views[0]
+        return [e for a in assets for e in range(bounds[a], bounds[a + 1])]
 
-    def _drop_inspections(self, entry: np.ndarray, end: int) -> None:
+    def _end_cadences(self, entry: list[int], end: int) -> None:
         """End cadence entries of assets that fail at tick `end`, or are
-        replaced in service at tick `end - 1`: count the inspections their
-        generation raised, those due below `end`, and drop those not
-        executed."""
-        raised, dropped = due_before(self.due[:, entry], self.entry_period[entry], end).sum(axis=1)
-        self.raised[_INSPECTION] += int(raised)
-        self.dropped += int(dropped)
+        replaced in service at tick `end - 1`: the inspections their
+        generation raised are those due below `end`, and those not executed
+        are dropped. Both are counted at the year end (`_close_year`)."""
+        _, anchor, oldest, _ = self.views
+        period = self.entry_period
+        self.ended += [(anchor[e], oldest[e], period[e], end) for e in entry]
 
     # -- tick steps ----------------------------------------------------------
 
@@ -857,15 +836,6 @@ class _Engine:
             self._draw_generations(len(self.life))
         return self.tables[:, generation, assets] + origin
 
-    def _renew(self, assets: np.ndarray, k: int) -> np.ndarray:
-        """Start the next generation of each asset replaced at tick k, with
-        one read of its table rows and one write of its ticks; returns
-        them."""
-        generation = self.generation[assets] + 1
-        self.generation[assets] = generation
-        ticks = self.ticks[:, assets] = self._generation_rules(assets, generation, k)
-        return ticks
-
     def _apply(self, k: int, event: tuple) -> None:
         """Apply to the cadences a tick's failures and replacements, an
         event of `schedule_replacements`: end the cadences of the assets
@@ -873,22 +843,41 @@ class _Engine:
         those of every asset replaced, from age 0, due from the next tick
         on. A failed asset's cadences ended at its failure."""
         _, failed, renewed, _, fresh = event
-        if failed:
-            entry = self._entries(failed)
-            self._drop_inspections(entry, k)
-            self.due[:, entry] = self.n_ticks
-        if renewed:
-            entry = self._entries(renewed)
+        _, anchor, oldest, restart = self.views
+        entry = self._entries(failed)
+        if entry:
+            self._end_cadences(entry, k)
+            for e in entry:
+                anchor[e] = oldest[e] = self.n_ticks
+        entry = self._entries(renewed)
+        if entry:
             if fresh:
-                self._drop_inspections(
+                self._end_cadences(
                     entry if len(fresh) == len(renewed) else self._entries(fresh), k + 1
                 )
-            self.due[:, entry] = k + self.entry_restart[entry]
+            for e in entry:
+                anchor[e] = oldest[e] = k + restart[e]
 
     def _complete(self, entries: np.ndarray, k: int, year: int) -> None:
-        """Book the inspections executed at tick k, in walk order."""
+        """Book the inspections executed at tick k, in walk order; they are
+        counted per activity at the year end (`_close_year`)."""
         self.executed += len(entries)
-        self.inspected[year] += np.bincount(self.entry_spec[entries], minlength=len(self.specs))
+        self.walked.append(entries)
+
+    def _close_year(self, k: int, year: int) -> None:
+        """At year-end tick k, count the year's executed inspections per
+        activity, and the inspections raised and dropped by the cadences it
+        ended, and book the backlog."""
+        if self.walked:
+            entries = np.concatenate(self.walked)
+            self.inspected[year] = np.bincount(self.entry_spec[entries], minlength=len(self.specs))
+        if self.ended:
+            ended = np.array(self.ended)
+            counts = due_before(ended[:, :2].T, ended[:, 2], ended[:, 3]).sum(axis=1).tolist()
+            self.raised[_INSPECTION] += counts[0]
+            self.dropped += counts[1]
+        self.walked, self.ended = [], []
+        self.kpis.backlog_hours[year] = self._backlog_person_hours(k)
 
     def _book(self) -> KpiSeries:
         """The KPIs from what executed: money as exact Decimal products of
@@ -932,7 +921,7 @@ class _Engine:
             if due <= k:
                 due = self._walk(k, year, self.capacity if event is None else event[0])
             if (k + 1) % self.ticks_per_year == 0:
-                self.kpis.backlog_hours[year] = self._backlog_person_hours(k)
+                self._close_year(k, year)
         # the inspections of the generations that outlive the horizon
         self.raised[_INSPECTION] += int(due_before(self.anchor, self.entry_period, self.n_ticks).sum())
         return self._book()

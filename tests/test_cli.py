@@ -498,6 +498,17 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "horizon_year: unknown field" in result.output
 
+    def test_horizon_past_the_tick_columns_is_a_validation_error(self, tmp_path, small_fleet_csv):
+        # fails when the scenario loads, before any array is sized by it
+        sc = scenario_file(tmp_path, horizon_years=10**400)
+        result = runner.invoke(
+            main,
+            ["simulate", "--fleet", str(small_fleet_csv), "--scenario", str(sc),
+             "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 2
+        assert "horizon_years: at most 178956970 years of 1-month ticks" in result.output
+
     def test_unknown_scenario_name(self, tmp_path, small_fleet_csv):
         result = runner.invoke(
             main,

@@ -11,9 +11,11 @@ import hashlib
 import json
 from datetime import date
 
+import numpy as np
 import pytest
 
 from fleetlife.fleet import SyntheticFleetSpec, VoltageClass, generate_synthetic_fleet
+from fleetlife.generations import due_before
 from fleetlife.scenarios import builtin_scenario
 from fleetlife.simulate import Constrained, _Engine, run_scenario
 
@@ -80,25 +82,77 @@ def test_binding_cases_carry_work_across_year_ends(case):
         assert sum(b > 0 for b in series.backlog_hours) >= 3
 
 
+# The engine counters of replications 0 and 1 of each binding case: requests
+# raised per class (corrective, planned, inspection), executed, dropped as
+# stale, examined by the walks, and pending per class at the last tick.
+COUNTERS = {
+    "time-based:binding": [
+        ([10, 130, 7979], 5566, 2553, 11098, [0, 0, 0]),
+        ([14, 131, 7870], 5368, 2647, 10288, [0, 0, 0]),
+    ],
+    "condition-based:binding": [
+        ([12, 106, 8561], 7157, 1407, 12105, [0, 1, 114]),
+        ([22, 111, 8338], 6937, 1534, 11916, [0, 0, 0]),
+    ],
+    "time-based:binding:century": [
+        ([36, 493, 52268], 45864, 6088, 61346, [0, 0, 845]),
+        ([45, 487, 51622], 44643, 6456, 58851, [0, 1, 1054]),
+    ],
+    "condition-based:binding:century": [
+        ([72, 389, 55916], 54701, 1646, 67731, [0, 0, 30]),
+        ([96, 384, 54657], 53331, 1725, 66023, [0, 0, 81]),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNTERS))
+def test_binding_counters_pinned(case):
+    # the report's bytes do not show how many requests were raised, dropped
+    # or examined; these pin each count exactly
+    scenario = golden_scenario(case)
+    counters = []
+    for rep in range(scenario.replications):
+        engine = _Engine(FLEET, scenario, rep)
+        engine.run()
+        pending = [len(engine._pending(cls, engine.n_ticks - 1)) for cls in range(3)]
+        counters.append((engine.raised, engine.executed, engine.dropped, engine.examined, pending))
+    assert counters == COUNTERS[case]
+
+
 class ClearProbe(_Engine):
     """The engine, noting the ticks at which a failure and those at which a
-    replacement cleared queued inspections."""
+    replacement cleared queued inspections.
+
+    The engine counts the inspections its ended cadences dropped at each
+    year end, so the probe notes each ended entry's cause and tick as it
+    ends, and at the year end counts each one's dropped inspections from
+    what the engine kept of it; their sum must be what the engine adds."""
 
     def run(self):
         self.cleared = {"failure": set(), "replacement": set()}
+        self.causes = []
         return super().run()
 
     def _apply(self, k, event):
         self.k = k
         super()._apply(k, event)
 
-    def _drop_inspections(self, entry, end):
+    def _end_cadences(self, entry, end):
         # a failure at tick k ends its asset's cadences at k, a replacement
         # in service at k + 1
-        dropped = self.dropped
-        super()._drop_inspections(entry, end)
-        if self.dropped > dropped:
-            self.cleared["failure" if end == self.k else "replacement"].add(self.k)
+        super()._end_cadences(entry, end)
+        self.causes += [("failure" if end == self.k else "replacement", self.k)] * len(entry)
+
+    def _close_year(self, k, year):
+        _, oldest, period, end = np.array(self.ended, dtype=np.int64).reshape(-1, 4).T
+        dropped = due_before(oldest, period, end)
+        before = self.dropped
+        super()._close_year(k, year)
+        assert self.dropped - before == dropped.sum()
+        for (cause, tick), n in zip(self.causes, dropped.tolist()):
+            if n:
+                self.cleared[cause].add(tick)
+        self.causes = []
 
 
 @pytest.mark.parametrize("case", ["time-based:binding:century", "condition-based:binding:century"])

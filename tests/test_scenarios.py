@@ -307,6 +307,24 @@ class TestValidationPaths:
         with pytest.raises(ScenarioError, match="tick must be one of"):
             scenario_from_dict(data)
 
+    # the horizon's tick count must fit the engine's int32 tick columns
+    # (2**31 - 1 ticks); these are only loaded, never run
+    @pytest.mark.parametrize(
+        "tick, years",
+        [(1, 10**400), (1, 178956971), (12, 10**400), (12, 2**31), (1, 0), (1, -5)],
+    )
+    def test_horizon_must_fit_the_tick_columns(self, tick, years):
+        data = valid_dict()
+        data.update(tick_months=tick, horizon_years=years)
+        with pytest.raises(ScenarioError, match="^horizon_years: "):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("tick, years", [(1, 178956970), (12, 2**31 - 1)])
+    def test_longest_horizon_loads(self, tick, years):
+        data = valid_dict()
+        data.update(tick_months=tick, horizon_years=years)
+        assert scenario_from_dict(data).horizon_years * (12 // tick) <= 2**31 - 1
+
     def test_bad_start_date(self):
         data = valid_dict()
         data["start_date"] = "July 2021"

@@ -827,7 +827,15 @@ class TestEventTimeFailures:
         # the test tells the conditional law from the unconditional one
         assert stats.kstest(ages[0], conditional_cdf(0.0)).pvalue < 1e-6
 
-    def test_first_table_size_does_not_change_report(self, monkeypatch):
+    # an open pool doubles the tables in its rounds of generations, and a
+    # binding one (one 400-person-hour replacement a month) in its
+    # replacement pass
+    @pytest.mark.parametrize(
+        "resources",
+        [Unconstrained(), Constrained(fte_count=1, hours_per_fte_per_year=4800.0)],
+        ids=["open", "binding"],
+    )
+    def test_first_table_size_does_not_change_report(self, monkeypatch, resources):
         # lives of a few years over 30 years: the table started at one
         # generation doubles several times
         fleet = generate_synthetic_fleet(
@@ -844,6 +852,7 @@ class TestEventTimeFailures:
             degradation_rates=LognormalRate(0.0, 0.3),
             hazard_age="apparent",
             horizon_years=30,
+            resources=resources,
         )
         runs = []
         for first in (1, 64):
@@ -852,6 +861,9 @@ class TestEventTimeFailures:
             runs.append((engine.run().to_json_dict(), len(engine.life)))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] >= 8 and runs[1][1] == 64
+        if isinstance(resources, Constrained):
+            # the pool binds: replacement requests wait at every year end
+            assert all(b > 0 for b in runs[0][0]["backlog_hours"][1:])
 
     def test_policies_share_failure_draws(self):
         # An asset's first failure does not depend on the policy, as long
@@ -1172,13 +1184,14 @@ class RecordingEngine(_Engine):
 
     The engine raises nothing tick by tick. The failures and replacements
     of each tick are the events its replacement pass hands the inspection
-    pass, each generation's trigger tick is read as the pass renews it, and
-    the inspections executed are read as they complete. The rest is
-    replayed here from the events once the run ends: a generation's origin
-    is tick 0 (from its start age) or its replacement tick (from age 0), an
-    asset is out of service from its failure to its replacement, and a
-    cadence is due every period from its anchor at set-up, or from its
-    replacement tick plus `entry_restart`, while its asset is in service.
+    pass, and the inspections executed are read as they complete. The rest
+    is replayed here from the events once the run ends: a generation's
+    origin is tick 0 (from its start age) or its replacement tick (from age
+    0), and its trigger tick is its row of the drawn tables (`tables[1]`)
+    past its origin; an asset is out of service from its failure to its
+    replacement, and a cadence is due every period from its anchor at
+    set-up, or from its replacement tick plus `entry_restart`, while its
+    asset is in service.
     """
 
     def run(self):
@@ -1195,11 +1208,6 @@ class RecordingEngine(_Engine):
         for a, k in zip(assets.tolist(), ticks.tolist()):
             if k < self.n_ticks:
                 self.planned[k].append(a)
-
-    def _renew(self, assets, k):
-        ticks = super()._renew(assets, k)
-        self._triggered(assets, ticks[1])
-        return ticks
 
     def _apply(self, k, event):
         self.events[k] = event
@@ -1238,6 +1246,7 @@ class RecordingEngine(_Engine):
             )
             origin[renewed], out[renewed] = k, False
             generation[renewed] += 1
+            self._triggered(np.array(renewed), self.tables[1, generation[renewed], renewed] + k)
             entry = self._entries(renewed)
             anchor[entry] = k + self.entry_restart[entry]
 
