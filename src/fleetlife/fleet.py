@@ -29,7 +29,6 @@ __all__ = [
     "FAMILIES",
     "LifetimeTable",
     "SyntheticFleetSpec",
-    "years_between",
     "service_years",
     "parse_asset_csv",
     "write_asset_csv",
@@ -83,11 +82,6 @@ _FAMILY_OF_KV = np.full(max(VALID_VOLTAGES) + 1, -1, dtype=np.int8)
 _FAMILY_OF_KV[list(VALID_VOLTAGES)] = [
     FAMILIES.index(VoltageClass.from_kv(kv)) for kv in VALID_VOLTAGES
 ]
-
-
-def years_between(start: date, end: date) -> float:
-    """Elapsed years as exact day count / 365.25."""
-    return (end - start).days / DAYS_PER_YEAR
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,31 +222,22 @@ def parse_asset_csv(source: IO[bytes] | IO[str] | Iterable[str]) -> AssetTable:
     duplicate id, integer voltage, commission date, failure date, known
     voltage, failure after commission.
 
-    A stream is read whole. A plain file (no quote, CR, NUL or blank line,
-    four commas on every line, a final newline) takes a columnar path,
-    which accepts only voltages written 110, 150, 220 or 380 and dates
-    written YYYY-MM-DD in ASCII digits. Any other file, and any file that
-    fails a check there, goes through the row loop, so both paths accept
-    the same files, give the same table and name the same first bad row.
+    A byte stream, as the CLI opens a file, is read whole. A plain file (no
+    quote, CR, NUL or blank line, four commas on every line, a final
+    newline) takes a columnar path, which accepts only voltages written
+    110, 150, 220 or 380 and dates written YYYY-MM-DD in ASCII digits. Any
+    other file, any file that fails a check there, and any text goes
+    through the row loop, so both paths accept the same files, give the
+    same table and name the same first bad row.
     """
-    data = None
     if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
         hasattr(source, "read") and isinstance(source.read(0), bytes)
     ):
         data = source.read()
-        source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-    elif hasattr(source, "read"):
-        source = source.readlines()
-        text = "".join(source)
-        # the columnar path splits at LF only, as the stream did if each
-        # line holds one LF
-        if text.count("\n") == len(source):
-            # lone surrogates pass the encoding and fail the decoding
-            data = text.encode("utf-8", "surrogatepass")
-    if data is not None:
         table = _parse_plain(data)
         if table is not None:
             return table
+        source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
     return _parse_rows(source)
 
 
@@ -433,9 +418,9 @@ def service_years(assets: AssetTable, end: date | np.ndarray) -> tuple[np.ndarra
     """Years from commission to ``end`` for each asset, and its family code.
 
     ``end`` is one date for every asset, or an int64 array of per-asset end
-    days as ``date.toordinal()`` values. Years count whole days over 365.25,
-    as years_between does, and are negative for an asset commissioned after
-    its end. Family codes index FAMILIES.
+    days as ``date.toordinal()`` values. Years count whole days over 365.25
+    and are negative for an asset commissioned after its end. Family codes
+    index FAMILIES.
     """
     if isinstance(end, date):
         end = end.toordinal()

@@ -28,19 +28,7 @@ __all__ = [
     "age_scores",
     "score_asset",
     "threshold_age",
-    "RED_ONSET_APPARENT_AGE",
-    "PURPLE_ONSET_APPARENT_AGE",
-    "DEFAULT_CONDITION_TRIGGER_AGE",
 ]
-
-# Default apparent ages at which an asset is considered to enter the red and
-# purple severity regions; the default condition-based replacement policy
-# fires at whichever comes first. threshold_age derives law-consistent
-# alternatives (about 48 and 58 years for the bundled reference laws, which
-# does not match these defaults exactly; see README).
-RED_ONSET_APPARENT_AGE = 50.0
-PURPLE_ONSET_APPARENT_AGE = 54.0
-DEFAULT_CONDITION_TRIGGER_AGE = min(RED_ONSET_APPARENT_AGE, PURPLE_ONSET_APPARENT_AGE)
 
 # look-ahead windows (years) of scores 1-3 and 4-6
 SHORT_WINDOW = 3.0

@@ -27,7 +27,6 @@ from typing import Any, Optional
 
 from . import checked, known
 from .fleet import VoltageClass, iso_date
-from .health import DEFAULT_CONDITION_TRIGGER_AGE
 from .simulate import (
     ActivityCatalog,
     ActivityKind,
@@ -61,6 +60,11 @@ BUILTIN_STRATEGIES = ("time-based", "condition-based")
 BUILTIN_RESOURCES = ("unconstrained", "fte40", "fte60")
 
 DESIGN_LIFE_YEARS = 45.0
+# apparent age (years) at which the condition-based demo replaces 110/150 kV
+# assets: the red-onset threshold in common use. health.threshold_age derives
+# law-consistent alternatives (about 48 and 58 years for the bundled
+# reference laws at the 7-year/20% level; see README).
+CONDITION_TRIGGER_AGE = 50.0
 INSPECTION_START_AGE = 25.0
 INSPECTION_INTERVALS = (3, 6, 12)
 
@@ -121,9 +125,7 @@ def _demo_policy(strategy: str) -> Policy:
     if strategy == "time-based":
         replacement_110_150: TimeBased | ConditionBased = time_based
     else:
-        replacement_110_150 = ConditionBased(
-            trigger_apparent_age=DEFAULT_CONDITION_TRIGGER_AGE
-        )
+        replacement_110_150 = ConditionBased(trigger_apparent_age=CONDITION_TRIGGER_AGE)
     return Policy(
         families={
             VoltageClass.V110: FamilyPolicy(
@@ -520,6 +522,13 @@ def _spec_dict(spec: ActivitySpec, kind: ActivityKind, kv: int) -> dict:
         "voltage_kv": kv,
         "duration_hours": spec.duration_hours,
         "required_fte": spec.required_fte,
-        "material_cost": float(spec.material_cost),
-        "workforce_cost": float(spec.workforce_cost),
+        "material_cost": _money(spec.material_cost),
+        "workforce_cost": _money(spec.workforce_cost),
     }
+
+
+def _money(amount: Decimal) -> float | str:
+    """`amount` as a JSON number if that number reads back as the same
+    amount, else as its decimal string, which `_as_money` reads exactly."""
+    number = float(amount)
+    return number if Decimal(repr(number)) == amount else str(amount)

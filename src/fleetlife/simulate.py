@@ -645,7 +645,6 @@ class _Engine:
         # failed, and requests its planned replacement: the rows of `ticks`
         zero = np.zeros(n, dtype=np.int64)
         self.ticks = self._generation_rules(everyone, zero, zero)
-        self.fail_tick, self.trigger_tick = self.ticks
 
         if isinstance(scenario.resources, Unconstrained):
             self.capacity: Optional[float] = None
@@ -685,23 +684,6 @@ class _Engine:
         replacement ends its asset's cadences, so a stale one is gone."""
         ids = (self.oldest <= k).nonzero()[0]
         return ids, due_before(self.oldest[ids], self.entry_period[ids], k + 1)
-
-    def _pending(self, cls: int, k: int) -> np.ndarray:
-        """A class's requests pending at tick k, one id (an asset, or a
-        cadence entry) each, in id order.
-
-        An asset out of service (past its failure tick) has its corrective
-        replacement pending, and one past its trigger tick its planned one;
-        the rows of `ticks` are in class order. The replacement pass leaves
-        them as they end the run, so these two classes are read at its last
-        tick only. An open pool executes or drops each request in the tick
-        that raises it, so none is ever pending; its run
-        (`generations.run_open_pool`) leaves the assets' state as set up."""
-        if self.capacity is None:
-            return self.generation[:0]
-        if cls == _INSPECTION:
-            return np.repeat(*self._pending_inspections(k))
-        return (self.ticks[cls] <= k).nonzero()[0]
 
     def _walk(self, k: int, year: int, remaining: float) -> int:
         """Execute the inspections pending at tick k in (request tick, id)

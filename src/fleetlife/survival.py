@@ -45,13 +45,6 @@ class SurvivalCurve:
     d_events: np.ndarray
     survival: np.ndarray
 
-    def survival_at(self, t: float) -> float:
-        """Value of the right-continuous step function at age t."""
-        if t < 0:
-            raise ValueError(f"negative time {t}")
-        steps = int(np.searchsorted(self.t, t, side="right"))
-        return float(self.survival[steps - 1]) if steps else 1.0
-
     def quantile(self, q: float) -> float:
         """Smallest t with S(t) <= 1 - q, or UNBOUNDED if never reached."""
         if not 0.0 < q < 1.0:

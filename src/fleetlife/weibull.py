@@ -68,23 +68,6 @@ class WeibullLaw:
         self._check_age(t)
         return (t / self.eta) ** self.beta
 
-    def cdf(self, t: float) -> float:
-        return -math.expm1(-self.cumulative_hazard(t))
-
-    def survival(self, t: float) -> float:
-        return math.exp(-self.cumulative_hazard(t))
-
-    def pdf(self, t: float) -> float:
-        self._check_age(t)
-        if t == 0.0:
-            if self.beta > 1:
-                return 0.0
-            if self.beta == 1:
-                return 1.0 / self.eta
-            return math.inf
-        z = t / self.eta
-        return (self.beta / self.eta) * z ** (self.beta - 1.0) * math.exp(-(z**self.beta))
-
     def median(self) -> float:
         return self.quantile(0.5)
 

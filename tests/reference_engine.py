@@ -14,6 +14,7 @@ them.
   live ones one request at a time, each tick.
 * `LedgerEngine` is the reference for the engine's hour ledgers: it lists
   every executed duration and pending person-hour one by one.
+* `pending` lists a class's requests pending in an engine, one id each.
 """
 
 from __future__ import annotations
@@ -165,6 +166,24 @@ def trigger_reached(age_months: Fraction, rate: float, trigger_age: float) -> bo
     return float(age_months / 12) * rate >= trigger_age
 
 
+def pending(engine: _Engine, cls: int, k: int) -> np.ndarray:
+    """A class's requests pending at tick k, one id (an asset, or a
+    cadence entry) each, in id order.
+
+    An asset out of service (past its failure tick) has its corrective
+    replacement pending, and one past its trigger tick its planned one;
+    the rows of `ticks` are in class order. The replacement pass leaves
+    them as they end the run, so these two classes are read at its last
+    tick only. An open pool executes or drops each request in the tick
+    that raises it, so none is ever pending; its run
+    (`generations.run_open_pool`) leaves the assets' state as set up."""
+    if engine.capacity is None:
+        return np.zeros(0, dtype=np.int64)
+    if cls == _INSPECTION:
+        return np.repeat(*engine._pending_inspections(k))
+    return (engine.ticks[cls] <= k).nonzero()[0]
+
+
 class LedgerEngine(_Engine):
     """A constrained run, listing every term of its yearly hour ledgers.
 
@@ -207,7 +226,7 @@ class LedgerEngine(_Engine):
     def _backlog_person_hours(self, k):
         year = k * self.tick // 12
         replacements = np.repeat(self.person_hours, self.queued[year])
-        inspections = self.person_hours[self.entry_spec[self._pending(_INSPECTION, k)]]
+        inspections = self.person_hours[self.entry_spec[pending(self, _INSPECTION, k)]]
         self.backlog_terms[year] += replacements.tolist() + inspections.tolist()
         self.carried.append(len(inspections))
         return super()._backlog_person_hours(k)

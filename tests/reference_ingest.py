@@ -3,7 +3,8 @@
 One frozen record per row, validated on construction: the parser the
 columnar `fleetlife.fleet.parse_asset_csv` replaced. The ingest oracle test
 checks that both give the same rows, or the same first error, on the same
-text.
+text. `years_between` is the scalar reference for the day convention of
+`fleetlife.fleet.service_years`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Optional
 
-from fleetlife.fleet import CSV_HEADER, VALID_VOLTAGES, DataError
+from fleetlife.fleet import CSV_HEADER, DAYS_PER_YEAR, VALID_VOLTAGES, DataError
+
+
+def years_between(start: date, end: date) -> float:
+    """Elapsed years as exact day count / 365.25."""
+    return (end - start).days / DAYS_PER_YEAR
 
 
 @dataclass(frozen=True)

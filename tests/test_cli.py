@@ -654,6 +654,25 @@ def test_import_leaves_the_engine_and_scenarios_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+def test_simulate_leaves_health_unloaded(tmp_path, small_fleet_csv):
+    # scoring is not part of a simulation: a builtin condition-based run,
+    # whose trigger age is a scenario constant, never loads fleetlife.health
+    src = str(Path(fleetlife.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["simulate", "--fleet", str(small_fleet_csv), "--scenario", "condition-based",
+            "--out", str(tmp_path / "sim")]
+    code = (
+        f"from fleetlife.cli import main; main({argv!r}, standalone_mode=False); "
+        "import sys; print('fleetlife.health' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "False"
+    assert (tmp_path / "sim" / "report.json").exists()
+
+
 def test_simulate_leaves_numpy_ma_unloaded(tmp_path, small_fleet_csv):
     # with numpy 2.4, np.unique without counts and np.percentile import
     # numpy.ma on first use; a simulate run calls neither

@@ -1,5 +1,8 @@
-"""Every name a module lists in `__all__` resolves, so star imports work,
-and every name a module imports is read somewhere in it."""
+"""`src/fleetlife` holds only what runs: every name a module lists in
+`__all__` resolves, so star imports work, every name a module imports is
+read somewhere in it, every dataclass field is read somewhere in the
+package, and so is every function and class that is neither public API nor
+a command. Code only the tests use lives in `tests/`."""
 
 import ast
 import importlib
@@ -74,5 +77,37 @@ def test_every_dataclass_field_is_read():
         for stmt in cls.body
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
         if stmt.target.id not in read
+    ]
+    assert unread == []
+
+
+def is_click_command(node: ast.expr) -> bool:
+    """`@<group>.command(...)`, `@click.group(...)` and the like, by name."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return isinstance(node, ast.Attribute) and node.attr in ("command", "group")
+
+
+def test_every_def_is_read():
+    # a function or class nothing in the package reads runs only in tests:
+    # each must be read by name (as a name or an attribute, whatever the
+    # object), be public API or be a command. A method that shares its name
+    # with something read elsewhere passes unseen.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    read = set(fleetlife.__all__)
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unread = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in zip(SOURCES, trees)
+        for node in ast.walk(tree)
+        if isinstance(node, defs)
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        if node.name not in read
+        if not any(map(is_click_command, node.decorator_list))
     ]
     assert unread == []

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fleet_of, rows_of, single_family
-from reference_ingest import parse_records
+from reference_ingest import parse_records, years_between
 from fleetlife import fleet as fleet_module
 from fleetlife.fleet import (
     FAMILIES,
@@ -23,7 +23,6 @@ from fleetlife.fleet import (
     parse_asset_csv,
     service_years,
     write_asset_csv,
-    years_between,
 )
 from fleetlife.weibull import REFERENCE_LAWS
 

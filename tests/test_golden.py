@@ -18,6 +18,7 @@ from fleetlife.fleet import SyntheticFleetSpec, VoltageClass, generate_synthetic
 from fleetlife.generations import due_before
 from fleetlife.scenarios import builtin_scenario
 from fleetlife.simulate import Constrained, _Engine, run_scenario
+from reference_engine import pending
 
 FLEET = generate_synthetic_fleet(
     SyntheticFleetSpec(
@@ -114,8 +115,8 @@ def test_binding_counters_pinned(case):
     for rep in range(scenario.replications):
         engine = _Engine(FLEET, scenario, rep)
         engine.run()
-        pending = [len(engine._pending(cls, engine.n_ticks - 1)) for cls in range(3)]
-        counters.append((engine.raised, engine.executed, engine.dropped, engine.examined, pending))
+        left = [len(pending(engine, cls, engine.n_ticks - 1)) for cls in range(3)]
+        counters.append((engine.raised, engine.executed, engine.dropped, engine.examined, left))
     assert counters == COUNTERS[case]
 
 

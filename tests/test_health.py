@@ -6,11 +6,8 @@ from hypothesis import strategies as st
 from fleetlife.fleet import VoltageClass
 from fleetlife.health import (
     AGE_FRACTIONS,
-    DEFAULT_CONDITION_TRIGGER_AGE,
     LONG_WINDOW,
     PROBABILITY_BANDS,
-    PURPLE_ONSET_APPARENT_AGE,
-    RED_ONSET_APPARENT_AGE,
     SHORT_WINDOW,
     YOUNG_AGE_CUTOFF,
     Band,
@@ -282,13 +279,6 @@ class TestThresholdAge:
             assert levels[0] < levels[1] < levels[2]
             # same level is reached later when the look-ahead is shorter
             assert threshold_age(law, 3.0, 0.2) > threshold_age(law, 7.0, 0.2)
-
-
-def test_condition_trigger_constants():
-    assert RED_ONSET_APPARENT_AGE == 50.0
-    assert PURPLE_ONSET_APPARENT_AGE == 54.0
-    assert DEFAULT_CONDITION_TRIGGER_AGE == 50.0
-
 
 
 def test_fixed_thresholds():

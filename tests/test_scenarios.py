@@ -113,6 +113,19 @@ class TestRoundTrip:
             assert getattr(clone.catalog, table) == getattr(sc.catalog, table)
         assert scenario_to_dict(clone) == data
 
+    @pytest.mark.parametrize("amount", ["0.12345678901234567", str(2**53 + 1)])
+    def test_money_a_double_cannot_carry_round_trips(self, amount):
+        # such an amount is written as its decimal string, not as a number
+        data = valid_dict()
+        data["activities"][0]["material_cost"] = amount
+        loaded = scenario_from_dict(data)
+        clone = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(loaded))))
+        tables = ("replacements", "inspections", "corrective")
+        costs = [spec.material_cost for t in tables for spec in getattr(clone.catalog, t).values()]
+        assert Decimal(amount) in costs
+        for table in tables:
+            assert getattr(clone.catalog, table) == getattr(loaded.catalog, table)
+
     def test_directory_is_not_a_scenario_file(self, tmp_path):
         with pytest.raises(ScenarioError, match=f"^{re.escape(str(tmp_path))}: cannot read"):
             resolve_scenario(str(tmp_path))
@@ -125,9 +138,9 @@ class TestRoundTrip:
 
 
 positive = st.floats(0.01, 1e4)
-# Money is written to JSON as a float, so amounts are drawn with at most
-# 15 significant digits, all that a double carries exactly.
-money = st.decimals(0, 10**9, places=4, allow_nan=False, allow_infinity=False)
+# Money a double cannot carry is written to JSON as a decimal string, so
+# amounts of any precision round-trip.
+money = st.decimals(0, 10**20, allow_nan=False, allow_infinity=False)
 voltages = st.one_of(st.sampled_from([110, 150, 220, 380]), st.integers(1, 1000))
 
 

