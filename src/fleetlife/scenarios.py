@@ -1,9 +1,12 @@
 """Scenario configuration files and the bundled demo scenarios.
 
-A scenario file is a JSON document mirroring the Scenario dataclass; a field
-it leaves out keeps the dataclass default. The validator reports the exact
-path of the offending field (for example ``resources.fte_count: required``),
-and rejects any field it does not know, at every level.
+A scenario file is a JSON document read and written from the fields of the
+Scenario dataclass and of those it holds; a field it leaves out keeps the
+dataclass default. In a tagged object, a `type`, `mode` or `kind` string
+picks the class. Every error names the dotted path of its field, a check of
+the dataclass itself included (``resources.mode: required``,
+``laws.110.beta: shape must be positive, got -6.0``), and a field the
+reader does not know is rejected at every level.
 
 Two demo strategies are bundled, each available with an unconstrained pool
 or with 40 or 60 full-time workers:
@@ -19,6 +22,7 @@ per-asset degradation rates from a lognormal with median 1.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -219,7 +223,9 @@ def _join(path: str, key: str) -> str:
 def _get(entry: dict, key: str, path: str, kind: type) -> Any:
     """Required field `key` of the entry at `path`, checked as a `kind`; a
     number is read as a float and must be finite (JSON's NaN and Infinity
-    are not)."""
+    are not), and money (`Decimal`) is read exactly by `_as_money`."""
+    if kind is Decimal:
+        return _as_money(_expect(entry, key, path), _join(path, key))
     value = checked(_expect(entry, key, path), _join(path, key), kind)
     if kind is float:
         try:
@@ -229,12 +235,6 @@ def _get(entry: dict, key: str, path: str, kind: type) -> Any:
         if not math.isfinite(value):
             raise ScenarioError(f"{_join(path, key)}: expected a finite number, got {value}")
     return value
-
-
-def _given(entry: dict, path: str, fields: dict[str, type]) -> dict:
-    """Those of `fields` (name: kind) that the entry at `path` gives, read
-    by `_get`; each field it leaves out keeps its dataclass default."""
-    return {key: _get(entry, key, path, kind) for key, kind in fields.items() if key in entry}
 
 
 def _as_money(value: Any, path: str) -> Decimal:
@@ -249,59 +249,81 @@ def _as_money(value: Any, path: str) -> Decimal:
     return amount
 
 
+def _fields(cls: type) -> tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+# the kind `_get` reads each scalar field as, by its annotation (a string
+# under `from __future__ import annotations`)
+_SCALARS = {"int": int, "float": float, "bool": bool, "str": str, "Decimal": Decimal}
+
+
+def _read(cls: type, entry: dict, path: str, **given: Any) -> Any:
+    """The `cls` of the JSON object `entry` at `path`. Each scalar field of
+    `cls` is read by `_get`: one with no default is required, and one the
+    entry leaves out keeps its default. Every other field is `given`. The
+    checks of `cls` name their field first, so a failing one is reported
+    at `path.<field>`."""
+    for field in dataclasses.fields(cls):
+        kind = _SCALARS.get(field.type)
+        if kind and (field.name in entry or field.default is dataclasses.MISSING):
+            given[field.name] = _get(entry, field.name, path, kind)
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ScenarioError(_join(path, str(exc))) from None
+
+
+# the class of each tagged object, by its tag key and the tag's value
+_TAGGED = {
+    "type": {"time_based": TimeBased, "condition_based": ConditionBased},
+    "mode": {"unconstrained": Unconstrained, "constrained": Constrained},
+    "kind": {"constant": ConstantRate, "lognormal": LognormalRate},
+}
+
+
+def _tagged(data: Any, path: str, tag: str) -> Any:
+    """The object at `path` whose string `tag` picks its class; it may give
+    the fields of that class and nothing else."""
+    entry = checked(data, path, dict)
+    value, classes = _get(entry, tag, path, str), _TAGGED[tag]
+    if value not in classes:
+        raise ScenarioError(
+            f"{_join(path, tag)}: expected {' or '.join(map(repr, classes))}, got {value!r}"
+        )
+    cls = classes[value]
+    return _read(cls, known(entry, (tag, *_fields(cls)), path), path)
+
+
+def _tagged_dict(obj: Any) -> dict:
+    """The JSON object `_tagged` reads as `obj`: its tag, then its fields."""
+    tag, value = next(
+        (tag, value) for tag, classes in _TAGGED.items() for value, cls in classes.items()
+        if type(obj) is cls
+    )
+    return {tag: value, **dataclasses.asdict(obj)}
+
+
 def _parse_laws(data: Any, path: str) -> dict[VoltageClass, WeibullLaw]:
     laws = {}
     for key, value in checked(data, path, dict).items():
         law_path = _join(path, key)
         vc = VoltageClass.named(key, law_path)
-        entry = known(checked(value, law_path, dict), ("beta", "eta"), law_path)
-        beta = _get(entry, "beta", law_path, float)
-        eta = _get(entry, "eta", law_path, float)
-        try:
-            laws[vc] = WeibullLaw(beta=beta, eta=eta)
-        except ValueError as exc:
-            raise ScenarioError(f"{law_path}: {exc}") from None
+        entry = known(checked(value, law_path, dict), _fields(WeibullLaw), law_path)
+        laws[vc] = _read(WeibullLaw, entry, law_path)
     return laws
-
-
-def _parse_replacement(data: Any, path: str):
-    entry = checked(data, path, dict)
-    kind = _expect(entry, "type", path)
-    if kind == "time_based":
-        known(entry, ("type", "age_years"), path)
-        age = _get(entry, "age_years", path, float)
-        try:
-            return TimeBased(age_years=age)
-        except ValueError as exc:
-            raise ScenarioError(f"{_join(path, 'age_years')}: {exc}") from None
-    if kind == "condition_based":
-        known(entry, ("type", "trigger_apparent_age"), path)
-        age = _get(entry, "trigger_apparent_age", path, float)
-        try:
-            return ConditionBased(trigger_apparent_age=age)
-        except ValueError as exc:
-            raise ScenarioError(f"{_join(path, 'trigger_apparent_age')}: {exc}") from None
-    raise ScenarioError(
-        f"{_join(path, 'type')}: expected 'time_based' or 'condition_based', got {kind!r}"
-    )
 
 
 def _parse_inspections(data: Any, path: str) -> Optional[PeriodicInspections]:
     if data is None:
         return None
-    entry = known(checked(data, path, dict), ("start_age_years", "interval_months"), path)
-    start = _get(entry, "start_age_years", path, float)
-    intervals = _expect(entry, "interval_months", path)
-    if not isinstance(intervals, list) or not intervals:
-        raise ScenarioError(f"{_join(path, 'interval_months')}: expected a non-empty list")
+    entry = known(checked(data, path, dict), _fields(PeriodicInspections), path)
+    where = _join(path, "interval_months")
     months = tuple(
-        checked(m, f"{_join(path, 'interval_months')}[{i}]", int)
-        for i, m in enumerate(intervals)
+        checked(m, f"{where}[{i}]", int)
+        for i, m in enumerate(_get(entry, "interval_months", path, list))
     )
-    try:
-        return PeriodicInspections(start_age_years=start, interval_months=months)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
+    return _read(PeriodicInspections, entry, path, interval_months=months)
 
 
 def _parse_policy(data: Any, path: str) -> Policy:
@@ -312,9 +334,9 @@ def _parse_policy(data: Any, path: str) -> Policy:
     for key, value in mapping.items():
         fam_path = _join(path, key)
         vc = VoltageClass.named(key, fam_path)
-        entry = known(checked(value, fam_path, dict), ("replacement", "inspections"), fam_path)
-        replacement = _parse_replacement(
-            _expect(entry, "replacement", fam_path), _join(fam_path, "replacement")
+        entry = known(checked(value, fam_path, dict), _fields(FamilyPolicy), fam_path)
+        replacement = _tagged(
+            _expect(entry, "replacement", fam_path), _join(fam_path, "replacement"), "type"
         )
         inspections = _parse_inspections(
             entry.get("inspections"), _join(fam_path, "inspections")
@@ -324,22 +346,18 @@ def _parse_policy(data: Any, path: str) -> Policy:
 
 
 _ACTIVITY_KINDS = {kind.value: kind for kind in ActivityKind}
-_ACTIVITY_FIELDS = (
-    "name", "kind", "voltage_kv", "duration_hours", "required_fte", "material_cost",
-    "workforce_cost",
-)
 
 
 def _parse_activities(data: Any, path: str) -> ActivityCatalog:
+    """The catalog of a list of activity entries: each gives the fields of
+    its ActivitySpec, its `kind` and `voltage_kv`, and an inspection its
+    `interval_months` cadence too."""
     if not isinstance(data, list) or not data:
         raise ScenarioError(f"{path}: expected a non-empty list of activities")
-    replacements: dict[int, ActivitySpec] = {}
-    corrective: dict[int, ActivitySpec] = {}
-    inspections: dict[tuple[int, int], ActivitySpec] = {}
+    tables: dict[ActivityKind, dict] = {kind: {} for kind in ActivityKind}
     for i, raw in enumerate(data):
         entry_path = f"{path}[{i}]"
         entry = checked(raw, entry_path, dict)
-        name = _get(entry, "name", entry_path, str)
         kind_text = _get(entry, "kind", entry_path, str)
         if kind_text not in _ACTIVITY_KINDS:
             raise ScenarioError(
@@ -347,83 +365,23 @@ def _parse_activities(data: Any, path: str) -> ActivityCatalog:
                 f"{sorted(_ACTIVITY_KINDS)}, got {kind_text!r}"
             )
         kind = _ACTIVITY_KINDS[kind_text]
-        known(
-            entry,
-            _ACTIVITY_FIELDS + (("interval_months",) if kind is ActivityKind.INSPECTION else ()),
-            entry_path,
-        )
-        kv = _get(entry, "voltage_kv", entry_path, int)
-        hours = _get(entry, "duration_hours", entry_path, float)
-        fte = _get(entry, "required_fte", entry_path, int)
-        costs = [
-            _as_money(_expect(entry, key, entry_path), _join(entry_path, key))
-            for key in ("material_cost", "workforce_cost")
-        ]
-        try:
-            spec = ActivitySpec(name, hours, fte, *costs)
-        except ValueError as exc:
-            raise ScenarioError(f"{entry_path}: {exc}") from None
-        if kind is ActivityKind.INSPECTION:
-            inspections[(kv, _get(entry, "interval_months", entry_path, int))] = spec
-        elif kind is ActivityKind.PLANNED_REPLACEMENT:
-            replacements[kv] = spec
-        else:
-            corrective[kv] = spec
+        inspection = kind is ActivityKind.INSPECTION
+        slot = ("kind", "voltage_kv", *(("interval_months",) if inspection else ()))
+        known(entry, slot + _fields(ActivitySpec), entry_path)
+        key = _get(entry, "voltage_kv", entry_path, int)
+        if inspection:
+            key = (key, _get(entry, "interval_months", entry_path, int))
+        tables[kind][key] = _read(ActivitySpec, entry, entry_path)
     return ActivityCatalog(
-        replacements=replacements, inspections=inspections, corrective=corrective
+        replacements=tables[ActivityKind.PLANNED_REPLACEMENT],
+        inspections=tables[ActivityKind.INSPECTION],
+        corrective=tables[ActivityKind.CORRECTIVE_REPLACEMENT],
     )
 
 
-def _parse_resources(data: Any, path: str):
-    entry = checked(data, path, dict)
-    mode = _expect(entry, "mode", path)
-    if mode == "unconstrained":
-        known(entry, ("mode",), path)
-        return Unconstrained()
-    if mode == "constrained":
-        known(entry, ("mode", "fte_count", "hours_per_fte_per_year"), path)
-        fte_count = _get(entry, "fte_count", path, int)
-        hours = _get(entry, "hours_per_fte_per_year", path, float)
-        try:
-            return Constrained(fte_count=fte_count, hours_per_fte_per_year=hours)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from None
-    raise ScenarioError(
-        f"{_join(path, 'mode')}: expected 'unconstrained' or 'constrained', got {mode!r}"
-    )
-
-
-def _parse_rates(data: Any, path: str):
-    entry = checked(data, path, dict)
-    kind = _expect(entry, "kind", path)
-    if kind == "constant":
-        known(entry, ("kind", "value"), path)
-        given = _given(entry, path, {"value": float})
-        try:
-            return ConstantRate(**given)
-        except ValueError as exc:
-            raise ScenarioError(f"{_join(path, 'value')}: {exc}") from None
-    if kind == "lognormal":
-        known(entry, ("kind", "mu", "sigma"), path)
-        given = _given(entry, path, {"mu": float, "sigma": float})
-        try:
-            return LognormalRate(**given)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from None
-    raise ScenarioError(
-        f"{_join(path, 'kind')}: expected 'constant' or 'lognormal', got {kind!r}"
-    )
-
-
-# the optional scalar fields of a scenario file and their kinds
-_SCENARIO_SCALARS = {
-    "horizon_years": int, "tick_months": int, "failures_enabled": bool, "hazard_age": str,
-    "replications": int, "master_seed": int,
-}
-_SCENARIO_FIELDS = (
-    "name", "start_date", "degradation_rates", "laws", "policy", "activities", "resources",
-    *_SCENARIO_SCALARS,
-)
+# a scenario file's fields: those of Scenario, with the catalog given as
+# a list of activities
+_SCENARIO_FIELDS = tuple("activities" if f == "catalog" else f for f in _fields(Scenario))
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -432,18 +390,19 @@ def scenario_from_dict(data: dict) -> Scenario:
     gives as null where null means none, keeps its Scenario default."""
     try:
         root = known(checked(data, "scenario", dict), _SCENARIO_FIELDS)
-        fields = {
-            "name": _get(root, "name", "", str),
-            "laws": _parse_laws(_expect(root, "laws", ""), "laws"),
-            "policy": _parse_policy(_expect(root, "policy", ""), "policy"),
-            "catalog": _parse_activities(_expect(root, "activities", ""), "activities"),
-            "resources": _parse_resources(_expect(root, "resources", ""), "resources"),
-        }
+        given = {}
         if root.get("degradation_rates") is not None:
-            fields["degradation_rates"] = _parse_rates(root["degradation_rates"], "degradation_rates")
+            given["degradation_rates"] = _tagged(root["degradation_rates"], "degradation_rates", "kind")
         if root.get("start_date") is not None:
-            fields["start_date"] = iso_date(root["start_date"], "start_date")
-        return Scenario(**fields, **_given(root, "", _SCENARIO_SCALARS))
+            given["start_date"] = iso_date(root["start_date"], "start_date")
+        return _read(
+            Scenario, root, "",
+            laws=_parse_laws(_expect(root, "laws", ""), "laws"),
+            policy=_parse_policy(_expect(root, "policy", ""), "policy"),
+            catalog=_parse_activities(_expect(root, "activities", ""), "activities"),
+            resources=_tagged(_expect(root, "resources", ""), "resources", "mode"),
+            **given,
+        )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
 
@@ -462,38 +421,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
     policy = {}
     for vc, fam in scenario.policy.families.items():
-        if isinstance(fam.replacement, TimeBased):
-            replacement = {"type": "time_based", "age_years": fam.replacement.age_years}
-        else:
-            replacement = {
-                "type": "condition_based",
-                "trigger_apparent_age": fam.replacement.trigger_apparent_age,
-            }
         inspections = None
         if fam.inspections is not None:
-            inspections = {
-                "start_age_years": fam.inspections.start_age_years,
-                "interval_months": list(fam.inspections.interval_months),
-            }
-        policy[vc.value] = {"replacement": replacement, "inspections": inspections}
-
-    if isinstance(scenario.resources, Unconstrained):
-        resources: dict = {"mode": "unconstrained"}
-    else:
-        resources = {
-            "mode": "constrained",
-            "fte_count": scenario.resources.fte_count,
-            "hours_per_fte_per_year": scenario.resources.hours_per_fte_per_year,
-        }
-
-    if isinstance(scenario.degradation_rates, ConstantRate):
-        rates: dict = {"kind": "constant", "value": scenario.degradation_rates.value}
-    else:
-        rates = {
-            "kind": "lognormal",
-            "mu": scenario.degradation_rates.mu,
-            "sigma": scenario.degradation_rates.sigma,
-        }
+            inspections = dataclasses.asdict(fam.inspections)
+            inspections["interval_months"] = list(fam.inspections.interval_months)
+        policy[vc.value] = {"replacement": _tagged_dict(fam.replacement), "inspections": inspections}
 
     return {
         "name": scenario.name,
@@ -504,27 +436,22 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "replications": scenario.replications,
         "failures_enabled": scenario.failures_enabled,
         "hazard_age": scenario.hazard_age,
-        "degradation_rates": rates,
-        "laws": {
-            vc.value: {"beta": law.beta, "eta": law.eta}
-            for vc, law in scenario.laws.items()
-        },
+        "degradation_rates": _tagged_dict(scenario.degradation_rates),
+        "laws": {vc.value: dataclasses.asdict(law) for vc, law in scenario.laws.items()},
         "policy": policy,
         "activities": activities,
-        "resources": resources,
+        "resources": _tagged_dict(scenario.resources),
     }
 
 
 def _spec_dict(spec: ActivitySpec, kind: ActivityKind, kv: int) -> dict:
-    return {
-        "name": spec.name,
-        "kind": kind.value,
-        "voltage_kv": kv,
-        "duration_hours": spec.duration_hours,
-        "required_fte": spec.required_fte,
-        "material_cost": _money(spec.material_cost),
-        "workforce_cost": _money(spec.workforce_cost),
+    """The activity entry of `spec` in the catalog slot of `kind` and `kv`:
+    its name, the slot, then its other fields."""
+    fields = {
+        key: _money(value) if isinstance(value, Decimal) else value
+        for key, value in dataclasses.asdict(spec).items()
     }
+    return {"name": fields.pop("name"), "kind": kind.value, "voltage_kv": kv, **fields}
 
 
 def _money(amount: Decimal) -> float | str:

@@ -95,6 +95,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
@@ -177,11 +178,13 @@ class ActivitySpec:
 
     def __post_init__(self) -> None:
         if self.duration_hours < 0:
-            raise ValueError(f"activity {self.name!r}: negative duration")
+            raise ValueError(f"duration_hours: negative duration of activity {self.name!r}")
         if self.required_fte < 1:
-            raise ValueError(f"activity {self.name!r}: required_fte must be >= 1")
-        if self.material_cost < 0 or self.workforce_cost < 0:
-            raise ValueError(f"activity {self.name!r}: negative cost")
+            raise ValueError(f"required_fte: must be >= 1 for activity {self.name!r}")
+        if self.material_cost < 0:
+            raise ValueError(f"material_cost: negative cost of activity {self.name!r}")
+        if self.workforce_cost < 0:
+            raise ValueError(f"workforce_cost: negative cost of activity {self.name!r}")
 
     @property
     def person_hours(self) -> float:
@@ -242,7 +245,7 @@ class TimeBased:
 
     def __post_init__(self) -> None:
         if self.age_years <= 0:
-            raise ValueError("trigger age must be positive")
+            raise ValueError("age_years: trigger age must be positive")
 
 
 @dataclass(frozen=True)
@@ -253,7 +256,7 @@ class ConditionBased:
 
     def __post_init__(self) -> None:
         if self.trigger_apparent_age <= 0:
-            raise ValueError("trigger apparent age must be positive")
+            raise ValueError("trigger_apparent_age: trigger age must be positive")
 
 
 @dataclass(frozen=True)
@@ -263,9 +266,9 @@ class PeriodicInspections:
 
     def __post_init__(self) -> None:
         if not self.interval_months:
-            raise ValueError("periodic inspection plan needs at least one interval")
+            raise ValueError("interval_months: expected a non-empty sequence")
         if any(m <= 0 for m in self.interval_months):
-            raise ValueError("inspection intervals must be positive")
+            raise ValueError("interval_months: every interval must be positive")
 
 
 @dataclass(frozen=True)
@@ -297,9 +300,9 @@ class Constrained:
 
     def __post_init__(self) -> None:
         if self.fte_count < 0:
-            raise ValueError("fte_count must be >= 0")
+            raise ValueError("fte_count: must be >= 0")
         if self.hours_per_fte_per_year <= 0:
-            raise ValueError("hours_per_fte_per_year must be positive")
+            raise ValueError("hours_per_fte_per_year: must be positive")
 
     def tick_capacity(self, tick_months: int) -> float:
         return self.fte_count * self.hours_per_fte_per_year * tick_months / 12.0
@@ -314,11 +317,17 @@ class ConstantRate:
 
     def __post_init__(self) -> None:
         if not (self.value > 0 and math.isfinite(self.value)):
-            raise ValueError(f"rate must be positive and finite, got {self.value}")
+            raise ValueError(f"value: rate must be positive and finite, got {self.value}")
 
     def from_normals(self, z: np.ndarray) -> np.ndarray:
         """The rate drawn with each standard normal."""
         return np.full(z.shape, self.value)
+
+
+# the largest |z| of a normal from `_stream_draws`, whose Box-Muller radius
+# takes a uniform no smaller than 2**-53, and the log of the largest float
+_LARGEST_NORMAL = math.sqrt(-2.0 * math.log(2.0**-53))
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -328,7 +337,15 @@ class LognormalRate:
 
     def __post_init__(self) -> None:
         if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+            raise ValueError("sigma: must be >= 0")
+        # every rate drawn, exp(mu + sigma z) for a normal z from
+        # `_stream_draws`, must be a finite positive float
+        for field, spread in (("mu", 0.0), ("sigma", _LARGEST_NORMAL * self.sigma)):
+            if not (self.mu + spread <= _LOG_MAX and math.exp(self.mu - spread) > 0):
+                raise ValueError(
+                    f"{field}: exp(mu +/- {_LARGEST_NORMAL:.4f} sigma) must be a finite "
+                    f"positive float, got mu = {self.mu}, sigma = {self.sigma}"
+                )
 
     def from_normals(self, z: np.ndarray) -> np.ndarray:
         """The rate drawn with each standard normal."""
@@ -358,7 +375,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if self.tick_months not in VALID_TICKS:
-            raise ValueError(f"tick must be one of {VALID_TICKS} months")
+            raise ValueError(f"tick_months: must be one of {VALID_TICKS}")
         if self.horizon_years <= 0:
             raise ValueError("horizon_years: must be positive")
         # the open pool holds ticks in int32 columns (`generations._cadence_pairs`)
@@ -366,9 +383,9 @@ class Scenario:
         if self.horizon_years > most:
             raise ValueError(f"horizon_years: at most {most} years of {self.tick_months}-month ticks")
         if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+            raise ValueError("replications: must be >= 1")
         if self.hazard_age not in ("real", "apparent"):
-            raise ValueError("hazard_age must be 'real' or 'apparent'")
+            raise ValueError("hazard_age: must be 'real' or 'apparent'")
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +516,9 @@ def validate_scenario_for_fleet(
                 )
 
 
-# index of each priority class
-_CORRECTIVE, _PLANNED, _INSPECTION = 0, 1, 2
+# index of the inspection class among the priority classes (corrective 0,
+# planned 1, inspection 2)
+_INSPECTION = 2
 
 # The inspection pass takes the indices of a 1-D mask as `mask.nonzero()[0]`,
 # which is `np.flatnonzero(mask)` without its wrapper calls: about ten

@@ -56,9 +56,9 @@ class WeibullLaw:
 
     def __post_init__(self) -> None:
         if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError(f"shape must be positive, got {self.beta}")
+            raise ValueError(f"beta: shape must be positive, got {self.beta}")
         if not (self.eta > 0 and math.isfinite(self.eta)):
-            raise ValueError(f"scale must be positive, got {self.eta}")
+            raise ValueError(f"eta: scale must be positive, got {self.eta}")
 
     def _check_age(self, t: float) -> None:
         if t < 0:
@@ -160,7 +160,7 @@ def law_from_record(record: object, path: str = "law") -> tuple[VoltageClass, We
     try:
         law = WeibullLaw(beta=float(beta), eta=float(eta))
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}.{exc}") from None
     return family, law, checked(record.get("source", "unknown"), f"{path}.source", str)
 
 

@@ -15,6 +15,8 @@ them.
 * `LedgerEngine` is the reference for the engine's hour ledgers: it lists
   every executed duration and pending person-hour one by one.
 * `pending` lists a class's requests pending in an engine, one id each.
+* `_CORRECTIVE` and `_PLANNED` index the replacement classes of the
+  engine's per-class counters, beside its own `_INSPECTION`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ from fleetlife.simulate import (
     _Engine,
     _INSPECTION,
 )
+
+# the engine's index of each replacement class (the inspection class is 2)
+_CORRECTIVE, _PLANNED = 0, 1
 
 # Lower value executes first.
 PRIORITY = {

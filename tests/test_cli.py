@@ -345,7 +345,7 @@ class TestScore:
                 [{"family": "400", "beta": 6.67, "eta": 63.79}],
                 "laws[0].family: unknown family '400' (expected 110, 150, 220_380)",
             ),
-            ([{"family": "110", "beta": -6, "eta": 63.79}], "laws[0]: shape must be positive, got -6.0"),
+            ([{"family": "110", "beta": -6, "eta": 63.79}], "laws[0].beta: shape must be positive, got -6.0"),
         ],
     )
     def test_malformed_law_record_names_the_field(self, tmp_path, records, named):

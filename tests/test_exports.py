@@ -2,7 +2,8 @@
 `__all__` resolves, so star imports work, every name a module imports is
 read somewhere in it, every dataclass field is read somewhere in the
 package, and so is every function and class that is neither public API nor
-a command. Code only the tests use lives in `tests/`."""
+a command, and every module-level name not in `__all__`. Code only the
+tests use lives in `tests/`."""
 
 import ast
 import importlib
@@ -88,18 +89,24 @@ def is_click_command(node: ast.expr) -> bool:
     return isinstance(node, ast.Attribute) and node.attr in ("command", "group")
 
 
-def test_every_def_is_read():
-    # a function or class nothing in the package reads runs only in tests:
-    # each must be read by name (as a name or an attribute, whatever the
-    # object), be public API or be a command. A method that shares its name
-    # with something read elsewhere passes unseen.
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+def names_read(trees: list[ast.AST]) -> set[str]:
+    """Every name the package reads, as a name or an attribute (whatever
+    the object), and every public name."""
     read = set(fleetlife.__all__)
     for node in (node for tree in trees for node in ast.walk(tree)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             read.add(node.attr)
+    return read
+
+
+def test_every_def_is_read():
+    # a function or class nothing in the package reads runs only in tests:
+    # each must be read by name, be public API or be a command. A method
+    # that shares its name with something read elsewhere passes unseen.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    read = names_read(trees)
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unread = [
         f"{path.name}:{node.lineno} {node.name}"
@@ -109,5 +116,25 @@ def test_every_def_is_read():
         if not (node.name.startswith("__") and node.name.endswith("__"))
         if node.name not in read
         if not any(map(is_click_command, node.decorator_list))
+    ]
+    assert unread == []
+
+
+def test_every_module_name_is_read():
+    # a module-level constant nothing in the package reads is read only by
+    # tests, which keep their own: each name a module's top-level statements
+    # assign must be read by name or be listed in `__all__`
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    read = names_read(trees)
+    unread = [
+        f"{path.name}:{node.lineno} {name.id}"
+        for path, tree in zip(SOURCES, trees)
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+        if not name.id.startswith("__")
+        if name.id not in read
     ]
     assert unread == []

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -137,6 +138,25 @@ class TestRoundTrip:
             load_scenario_file(str(path))
 
 
+# sha256 of each builtin's template, `json.dumps(..., indent=2)` of
+# scenario_to_dict: scenario files are written from it, so the writer must
+# keep every key's place and type
+TEMPLATE_SHA256 = {
+    ("time-based", "unconstrained"): "a5655310e0aa6b4d9687f774d8851afc71b8af11e0749a0281cf6faf9d94b4fd",
+    ("time-based", "fte40"): "f02ec68ace3f9957e07685eefe4664faa874a69fc8a26c94a0e55cdfb0e2befb",
+    ("time-based", "fte60"): "cc50505ffae137643703bf5f35f12a601e1dd8abb97c05e7674ad7ab418e57ce",
+    ("condition-based", "unconstrained"): "5fd8867ebbf3723c41eb000b4e52bf184a341a680056e2fb5b1e7c7276e71939",
+    ("condition-based", "fte40"): "b9abef50eee4519c199b676953b93a9fb70e995f13fe72886e40395435557e99",
+    ("condition-based", "fte60"): "fda4808a01e9ffb3a75ced5ee96ec80511cccddd49bf2de822719ee6a863f6fb",
+}
+
+
+@pytest.mark.parametrize("strategy, resources", sorted(TEMPLATE_SHA256))
+def test_builtin_template_bytes(strategy, resources):
+    text = json.dumps(scenario_to_dict(builtin_scenario(strategy, resources)), indent=2)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TEMPLATE_SHA256[strategy, resources]
+
+
 positive = st.floats(0.01, 1e4)
 # Money a double cannot carry is written to JSON as a decimal string, so
 # amounts of any precision round-trip.
@@ -240,6 +260,18 @@ def valid_dict() -> dict:
     return scenario_to_dict(builtin_scenario("time-based", "fte40"))
 
 
+def edited(field: str, value) -> dict:
+    """`valid_dict()` with its dotted `field` (list indices in brackets, as
+    in `activities[0].name`) set to `value`."""
+    data = valid_dict()
+    *keys, last = re.findall(r"\w+", field)
+    entry = data
+    for key in keys:
+        entry = entry[int(key)] if isinstance(entry, list) else entry[key]
+    entry[last] = value
+    return data
+
+
 class TestValidationPaths:
     def test_missing_resources(self):
         data = valid_dict()
@@ -317,7 +349,7 @@ class TestValidationPaths:
     def test_bad_tick(self):
         data = valid_dict()
         data["tick_months"] = 5
-        with pytest.raises(ScenarioError, match="tick must be one of"):
+        with pytest.raises(ScenarioError, match=r"^tick_months: must be one of \(1, 2, 3, 4, 6, 12\)$"):
             scenario_from_dict(data)
 
     # the horizon's tick count must fit the engine's int32 tick columns
@@ -427,17 +459,42 @@ def test_non_finite_numbers_rejected_with_path(tmp_path, field, value):
     # Python's json reads the literals NaN, Infinity and -Infinity; a scenario
     # file holding a number that is not finite as a float, or a money string
     # that spells one, fails naming it
-    data = valid_dict()
-    *keys, last = re.findall(r"\w+", field)
-    entry = data
-    for key in keys:
-        entry = entry[int(key)] if isinstance(entry, list) else entry[key]
-    entry[last] = value
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(edited(field, value)))
     reason = "not a finite amount" if field.endswith("_cost") else "expected a finite number"
     with pytest.raises(ScenarioError, match=f"^{re.escape(field)}: {reason}"):
         load_scenario_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("resources.fte_count", -1, "must be >= 0$"),
+        ("resources.hours_per_fte_per_year", 0, "must be positive$"),
+        ("degradation_rates.sigma", -0.1, "must be >= 0$"),
+        # every rate exp(mu + sigma z) must be a finite positive float for
+        # each normal z the engine can draw (|z| <= 8.5717)
+        ("degradation_rates.mu", 800, r"exp\(mu \+/- 8.5717 sigma\) must be a finite positive float"),
+        ("degradation_rates.mu", -800, r"exp\(mu \+/- 8.5717 sigma\) must be"),
+        ("degradation_rates.sigma", 100, r"exp\(mu \+/- 8.5717 sigma\) must be"),
+        ("tick_months", 5, r"must be one of \(1, 2, 3, 4, 6, 12\)$"),
+        ("replications", 0, "must be >= 1$"),
+        ("hazard_age", "virtual", "must be 'real' or 'apparent'$"),
+        ("policy.110.replacement.age_years", 0, "trigger age must be positive$"),
+        ("policy.110.inspections.interval_months", [3, 0], "every interval must be positive$"),
+        ("activities[0].duration_hours", -1, "negative duration of activity 'replacement-110kv'$"),
+        ("activities[0].required_fte", 0, "must be >= 1 for activity 'replacement-110kv'$"),
+        ("activities[0].workforce_cost", -5, "negative cost of activity 'replacement-110kv'$"),
+        ("laws.110.beta", -6, "shape must be positive, got -6.0$"),
+        ("laws.110.eta", 0, "scale must be positive, got 0.0$"),
+        ("policy.110.replacement.type", ["time_based"], "expected a string, got list$"),
+    ],
+)
+def test_each_check_names_its_dotted_field(field, value, reason):
+    # each check of a scenario's dataclasses names the file field that
+    # trips it; these are only loaded, never run
+    with pytest.raises(ScenarioError, match=f"^{re.escape(field)}: {reason}"):
+        scenario_from_dict(edited(field, value))
 
 
 class TestDefaultsStatedOnce:

@@ -40,10 +40,8 @@ from fleetlife.simulate import (
     compare_scenarios,
     run_scenario,
     validate_scenario_for_fleet,
-    _CORRECTIVE,
     _FIRST_GENERATIONS,
     _INSPECTION,
-    _PLANNED,
     _Engine,
     _asset_keys,
     _percentile,
@@ -53,6 +51,8 @@ from fleetlife.simulate import (
 from fleetlife.generations import UNITS_PER_DAY, UNITS_PER_MONTH, _greedy_walk, due_before
 from fleetlife.weibull import REFERENCE_LAWS, WeibullLaw
 from reference_engine import (
+    _CORRECTIVE,
+    _PLANNED,
     ActivityRequest,
     PRIORITY,
     LedgerEngine,

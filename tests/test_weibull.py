@@ -299,8 +299,8 @@ def test_law_record_round_trip():
             {"family": "400", "beta": 2.0, "eta": 60.0},
             r"^laws\[2\].family: unknown family '400' \(expected 110, 150, 220_380\)$",
         ),
-        ({"family": "150", "beta": -6, "eta": 60.0}, r"^laws\[2\]: shape must be positive, got -6.0$"),
-        ({"family": "150", "beta": 2.0, "eta": 0}, r"^laws\[2\]: scale must be positive, got 0.0$"),
+        ({"family": "150", "beta": -6, "eta": 60.0}, r"^laws\[2\].beta: shape must be positive, got -6.0$"),
+        ({"family": "150", "beta": 2.0, "eta": 0}, r"^laws\[2\].eta: scale must be positive, got 0.0$"),
         ({"family": "150", "beta": 2.0, "eta": 60.0, "source": ["mle"]}, r"^laws\[2\].source: expected a string, got list$"),
     ],
 )
