@@ -1,12 +1,16 @@
 """Monte-Carlo fleet simulation under replacement and inspection policies.
 
-The clock advances in monthly ticks. Each tick: failures are sampled from the
-family reliability laws, policy triggers raise activity requests, and a
-resource pool executes requests in priority order (corrective replacements,
-then planned replacements, then inspections; FIFO by request tick then
-asset_id within a class). Activities are atomic within a tick; a request
-that does not fit the capacity left in the tick carries over with its
-original timestamp, and later requests may still use what is left.
+The model's clock advances in ticks of whole months. In a tick, failed
+assets and policy triggers raise activity requests, and a resource pool
+executes them in priority order (corrective replacements, then planned
+replacements, then inspections; FIFO by request tick then asset_id within
+a class). Activities are atomic within a tick; a request that does not fit
+the capacity left in the tick carries over with its original timestamp,
+and later requests may still use what is left. The engine does not step
+through that model tick by tick: each asset generation's failure tick is
+drawn with it, an open pool runs generation by generation, and a
+constrained pool runs two passes, its replacements and then its
+inspections on the budget they leave.
 
 Failures are drawn as event times, once per asset generation. A generation
 at risk from real age ``a0`` fails at age
@@ -41,7 +45,9 @@ from its failure tick to the tick its corrective replacement executes. The
 engine counts what executes per (year, activity); each year's money and
 hours are exact sums of those counts, rounded once.
 
-The engine (`_Engine`) runs one replication on arrays:
+The engine (`_Engine`) is set up once per run: it checks the scenario
+against the fleet and builds what every replication shares. `run(rep)`
+then runs replication `rep` on arrays:
 
 * The engine holds no ages. Each asset holds the ticks at which its
   current generation fails and reaches its replacement trigger, both drawn
@@ -77,8 +83,8 @@ The engine (`_Engine`) runs one replication on arrays:
   an int at a time, and count what an event ends, and the inspections
   executed, once a year, at the year end.
 * The failure and trigger delays of generations ``0 .. G-1`` of every
-  asset are drawn at set-up in one call, and ``G`` doubles when an asset
-  reaches it.
+  asset are drawn at the start of each replication in one call, and ``G``
+  doubles when an asset reaches it.
 
 Determinism contract: every draw is a pure function of its coordinates.
 Asset generation ``g`` of replication ``rep`` takes one Philox4x64-10 block,
@@ -465,57 +471,6 @@ def _stream_draws(
     return u, radius * np.cos(2.0 * math.pi * w2 * 2.0**-53)
 
 
-def _simulation_start(fleet: AssetTable, scenario: Scenario) -> date:
-    """The scenario's start date, or else the last commissioning day."""
-    return scenario.start_date or date.fromordinal(int(fleet.commission.max()))
-
-
-def validate_scenario_for_fleet(
-    fleet: AssetTable, scenario: Scenario
-) -> None:
-    """Check that the scenario can actually run against this fleet."""
-    if not len(fleet):
-        raise ValueError("fleet is empty")
-    failed = np.flatnonzero(fleet.failure)
-    if len(failed):
-        raise ValueError(
-            f"asset {fleet.asset_id[failed[0]]!r} already failed; simulation takes an "
-            "in-service fleet"
-        )
-    start = _simulation_start(fleet, scenario)
-    requestable: list[ActivitySpec] = []
-    for kv in sorted(set(fleet.voltage_kv.tolist())):
-        vc = VoltageClass.from_kv(kv)
-        if vc not in scenario.laws:
-            raise ValueError(f"scenario has no reliability law for family {vc.value}")
-        fam = scenario.policy.for_family(vc)
-        requestable.append(scenario.catalog.replacement(kv, corrective=False))
-        requestable.append(scenario.catalog.replacement(kv, corrective=True))
-        if fam.inspections is not None:
-            for interval in fam.inspections.interval_months:
-                if interval % scenario.tick_months != 0:
-                    raise ValueError(
-                        f"inspection interval {interval} months is not a multiple "
-                        f"of the {scenario.tick_months}-month tick"
-                    )
-                requestable.append(scenario.catalog.inspection(kv, interval))
-    late = np.flatnonzero(fleet.commission > start.toordinal())
-    if len(late):
-        raise ValueError(
-            f"asset {fleet.asset_id[late[0]]!r} commissioned after simulation start "
-            f"{start.isoformat()}"
-        )
-    if isinstance(scenario.resources, Constrained) and scenario.resources.fte_count > 0:
-        capacity = scenario.resources.tick_capacity(scenario.tick_months)
-        for spec in requestable:
-            if spec.person_hours > capacity:
-                raise ValueError(
-                    f"activity {spec.name!r} needs {spec.person_hours} person-hours "
-                    f"but a full tick only provides {capacity}; it would never "
-                    "schedule"
-                )
-
-
 # index of the inspection class among the priority classes (corrective 0,
 # planned 1, inspection 2)
 _INSPECTION = 2
@@ -524,24 +479,18 @@ _INSPECTION = 2
 # which is `np.flatnonzero(mask)` without its wrapper calls: about ten
 # calls a tick, on small arrays, where that overhead is most of the cost.
 
-# generations of every asset drawn at set-up; the tables double when an
-# asset reaches the last one
+# generations of every asset drawn at the start of a replication; the
+# tables double when an asset reaches the last one
 _FIRST_GENERATIONS = 4
 
 
 class _Engine:
-    """One replication over vectorized asset state."""
+    """A scenario's run over one fleet, on arrays: set up once per run, it
+    checks the scenario against the fleet and builds what every replication
+    shares; `run(rep)` then draws and runs replication `rep`."""
 
-    def __init__(
-        self,
-        fleet: AssetTable,
-        scenario: Scenario,
-        rep_index: int,
-        keys: Optional[np.ndarray] = None,
-    ):
-        """`keys` are `_asset_keys(fleet.asset_id)`, computed here if not given."""
+    def __init__(self, fleet: AssetTable, scenario: Scenario):
         self.scenario = scenario
-        self.rep_index = rep_index
         self.tick = scenario.tick_months
         self.tick_units = UNITS_PER_MONTH * self.tick
         self.tick_years = self.tick / 12.0
@@ -549,45 +498,59 @@ class _Engine:
         self.ticks_per_year = 12 // self.tick
         self.n_ticks = scenario.horizon_years * self.ticks_per_year
 
-        start = _simulation_start(fleet, scenario)
+        if not len(fleet):
+            raise ValueError("fleet is empty")
+        failed = np.flatnonzero(fleet.failure)
+        if len(failed):
+            raise ValueError(
+                f"asset {fleet.asset_id[failed[0]]!r} already failed; simulation takes an "
+                "in-service fleet"
+            )
+        # the scenario's start date, or else the last commissioning day
+        start = scenario.start_date or date.fromordinal(int(fleet.commission.max()))
+        late = np.flatnonzero(fleet.commission > start.toordinal())
+        if len(late):
+            raise ValueError(
+                f"asset {fleet.asset_id[late[0]]!r} commissioned after simulation start "
+                f"{start.isoformat()}"
+            )
         # assets in id order
         order = sorted(range(len(fleet)), key=fleet.asset_id.__getitem__)
-        self.kv = fleet.voltage_kv[order].astype(np.int32)
+        kv = fleet.voltage_kv[order].astype(np.int32)
         # ages at tick 0, in grid units
         self.age0 = UNITS_PER_DAY * (start.toordinal() - fleet.commission[order]).astype(np.int64)
         n = len(order)
-        self.generation = np.zeros(n, dtype=np.int64)
 
-        self.family = fleet.family[order]
+        family = fleet.family[order]
         self.groups: dict[int, np.ndarray] = {
-            f: np.nonzero(self.family == f)[0] for f in sorted(set(self.family.tolist()))
-        }
-        self.laws = {
-            f: scenario.laws[FAMILIES[f]] for f in self.groups
+            f: np.nonzero(family == f)[0] for f in sorted(set(family.tolist()))
         }
 
         # Requests refer to activities by id into self.specs.
         spec_ids: dict[ActivitySpec, int] = {}
         catalog = scenario.catalog
 
-        def spec_id(spec: ActivitySpec) -> int:
-            return spec_ids.setdefault(spec, len(spec_ids))
-
         def per_asset(idx: np.ndarray, lookup: Callable[[int], ActivitySpec]) -> np.ndarray:
-            kvs = sorted(set(self.kv[idx].tolist()))
-            ids = np.array([spec_id(lookup(kv)) for kv in kvs], dtype=np.int64)
-            return ids[np.searchsorted(kvs, self.kv[idx])]
+            kvs = sorted(set(kv[idx].tolist()))
+            ids = [spec_ids.setdefault(lookup(v), len(spec_ids)) for v in kvs]
+            return np.array(ids, dtype=np.int64)[np.searchsorted(kvs, kv[idx])]
 
         everyone = np.arange(n)
-        self.corrective_spec = per_asset(
-            everyone, lambda kv: catalog.replacement(kv, corrective=True)
-        )
+        # planned first: a corrective replacement falls back to the planned
+        # one, so a missing one is named as planned
         self.planned_spec = per_asset(everyone, catalog.replacement)
+        self.corrective_spec = per_asset(
+            everyone, lambda v: catalog.replacement(v, corrective=True)
+        )
 
+        self.laws: dict[int, WeibullLaw] = {}
         self.is_time = np.zeros(n, dtype=bool)
         self.trigger_age = np.zeros(n)
         plans: dict[int, PeriodicInspections] = {}
         for f, idx in self.groups.items():
+            if FAMILIES[f] not in scenario.laws:
+                raise ValueError(f"scenario has no reliability law for family {FAMILIES[f].value}")
+            self.laws[f] = scenario.laws[FAMILIES[f]]
             fam_policy = scenario.policy.for_family(FAMILIES[f])
             if isinstance(fam_policy.replacement, TimeBased):
                 self.is_time[idx] = True
@@ -616,29 +579,26 @@ class _Engine:
             idx = self.groups[f]
             years, per = plan.start_age_years.as_integer_ratio()
             for r, interval in enumerate(plan.interval_months):
+                if interval % self.tick != 0:
+                    raise ValueError(
+                        f"inspection interval {interval} months is not a multiple "
+                        f"of the {self.tick}-month tick"
+                    )
                 entry = first_entry[idx] + r
                 self.entry_spec[entry] = per_asset(
-                    idx, lambda kv: catalog.inspection(kv, interval)
+                    idx, lambda v: catalog.inspection(v, interval)
                 )
                 self.entry_start[entry] = -(-years * UNITS_PER_YEAR // per)
                 self.entry_period[entry] = interval // self.tick
-        # anchor[e] is the first due tick of entry e in its asset's current
-        # generation and oldest[e] that of its oldest inspection not executed;
-        # both are n_ticks while the asset is out of service
-        self.anchor = first_due(
+        # the first due tick of each entry at set-up, and that of each entry
+        # for a generation replaced at tick 0, from tick 1 on; a replacement
+        # at tick k shifts the latter by k
+        self.anchor0 = first_due(
             self.entry_start, self.age0[self.entry_asset], 0, 0, self.entry_period,
             self.tick_units,
         )
-        self.oldest = self.anchor.copy()
-        # the first due tick of each entry for a generation replaced at tick
-        # 0, from tick 1 on; a replacement at tick k shifts it by k
         self.entry_restart = first_due(
             self.entry_start, 0, 0, 1, self.entry_period, self.tick_units
-        )
-        # an event touches the entries of a few assets, so it reads and
-        # writes them an int at a time, through views of these four arrays
-        self.views = tuple(
-            map(memoryview, (self.bounds, self.anchor, self.oldest, self.entry_restart))
         )
 
         self.specs = list(spec_ids)
@@ -651,23 +611,37 @@ class _Engine:
         self.floor = float(self.entry_hours.min(initial=math.inf))
         self.shortest = int(self.entry_period.min(initial=self.n_ticks))
 
-        self.keys = (_asset_keys(fleet.asset_id) if keys is None else keys)[:, order]
-        # tables[0, g, i] (`life`) and tables[1, g, i] are the ticks from the
-        # origin of generation g of asset i to the tick it fails and to the
-        # tick it requests its planned replacement, at least n_ticks if
-        # never (it never reaches its trigger, or fails first)
-        self.tables = np.empty((2, 0, n), dtype=np.int64)
-        self.life = self.tables[0]
-        self._draw_generations(_FIRST_GENERATIONS)
-        # the tick at which each asset's current generation fails, or
-        # failed, and requests its planned replacement: the rows of `ticks`
-        zero = np.zeros(n, dtype=np.int64)
-        self.ticks = self._generation_rules(everyone, zero, zero)
-
         if isinstance(scenario.resources, Unconstrained):
             self.capacity: Optional[float] = None
         else:
             self.capacity = scenario.resources.tick_capacity(self.tick)
+            for spec in self.specs:
+                if scenario.resources.fte_count > 0 and spec.person_hours > self.capacity:
+                    raise ValueError(
+                        f"activity {spec.name!r} needs {spec.person_hours} person-hours "
+                        f"but a full tick only provides {self.capacity}; it would never "
+                        "schedule"
+                    )
+
+        self.keys = _asset_keys(fleet.asset_id)[:, order]
+
+    def _start(self, rep: int) -> None:
+        """Start replication `rep`: reset the cadences, counters and ledgers
+        to the set-up state, then draw the first generations. Each array of
+        the previous replication but `ticks` is freed as it is replaced,
+        before this one's tables are drawn."""
+        self.rep_index = rep
+        n = len(self.age0)
+        # anchor[e] is the first due tick of entry e in its asset's current
+        # generation and oldest[e] that of its oldest inspection not executed;
+        # both are n_ticks while the asset is out of service
+        self.anchor = self.anchor0.copy()
+        self.oldest = self.anchor0.copy()
+        # an event touches the entries of a few assets, so it reads and
+        # writes them an int at a time, through views of these four arrays
+        self.views = tuple(
+            map(memoryview, (self.bounds, self.anchor, self.oldest, self.entry_restart))
+        )
 
         # requests raised per class, counted apart from their fate: a
         # corrective one at its failure, a planned one at its trigger tick
@@ -682,14 +656,27 @@ class _Engine:
         self.walked: list[np.ndarray] = []
         self.ended: list[tuple[int, int, int, int]] = []
 
-        self.kpis = KpiSeries.zeros(scenario.horizon_years)
+        horizon = self.scenario.horizon_years
+        self.kpis = KpiSeries.zeros(horizon)
         # what executed per (year, activity), the replacement requests
         # pending at each year end, and the ticks failed assets waited for
         # their corrective replacement, per year
-        self.replaced = np.zeros((scenario.horizon_years, len(self.specs)), dtype=np.int64)
+        self.replaced = np.zeros((horizon, len(self.specs)), dtype=np.int64)
         self.inspected = np.zeros_like(self.replaced)
         self.queued = np.zeros_like(self.replaced)
-        self.gap_ticks = np.zeros(scenario.horizon_years, dtype=np.int64)
+        self.gap_ticks = np.zeros(horizon, dtype=np.int64)
+
+        # tables[0, g, i] and tables[1, g, i] are the ticks from the origin
+        # of generation g of asset i to the tick it fails and to the tick it
+        # requests its planned replacement, at least n_ticks if never (it
+        # never reaches its trigger, or fails first)
+        self.tables = np.empty((2, 0, n), dtype=np.int64)
+        self.generation = np.zeros(n, dtype=np.int64)
+        self._draw_generations(_FIRST_GENERATIONS)
+        # the tick at which each asset's current generation fails, or
+        # failed, and requests its planned replacement: the rows of `ticks`
+        zero = np.zeros(n, dtype=np.int64)
+        self.ticks = self._generation_rules(np.arange(n), zero, zero)
 
     # -- pending requests ---------------------------------------------------
 
@@ -802,7 +789,8 @@ class _Engine:
         from age 0 at its replacement tick, and is first at risk and armed
         a tick later. With failures disabled, no generation fails.
         """
-        generations = np.arange(len(self.life), len(self.life) + count)
+        first = self.tables.shape[1]
+        generations = np.arange(first, first + count)
         start, ages, rates = self._failure_ages(generations)
         later = np.broadcast_to((generations > 0)[:, None], ages.shape)
         if self.scenario.failures_enabled:
@@ -822,7 +810,6 @@ class _Engine:
         trigger = delay.reshape(ages.shape)
         drawn = np.stack((life, np.where(trigger < life, trigger, self.n_ticks)))
         self.tables = np.concatenate((self.tables, drawn), axis=1)
-        self.life = self.tables[0]
 
     def _generation_rules(
         self, assets: np.ndarray, generation: np.ndarray, origin: np.ndarray
@@ -832,8 +819,8 @@ class _Engine:
         replacement: when it reaches its trigger, if it has not failed by
         then, else n_ticks or later (never). Rows 0 and 1; the tables
         double until they hold the generation."""
-        while generation.max(initial=0) >= len(self.life):
-            self._draw_generations(len(self.life))
+        while generation.max(initial=0) >= self.tables.shape[1]:
+            self._draw_generations(self.tables.shape[1])
         return self.tables[:, generation, assets] + origin
 
     def _apply(self, k: int, event: tuple) -> None:
@@ -900,10 +887,12 @@ class _Engine:
             ledger[year] += self.specs[s].total_cost * int(count[year, s])
         return ledger
 
-    def run(self) -> KpiSeries:
+    def run(self, rep: int) -> KpiSeries:
+        """Draw and run replication `rep`, by the pass its pool needs."""
+        self._start(rep)
         if self.capacity is None:
             # the open pool's run (`generations.run_open_pool`); the assets'
-            # state stays as set up
+            # state stays as `_start` drew it
             failed, self.replaced, self.inspected, self.raised, self.dropped = run_open_pool(self)
             self.kpis.failures = failed.tolist()
             self.examined = sum(self.raised)
@@ -937,10 +926,6 @@ def _exact_sums(counts: np.ndarray, values: Sequence[float]) -> list[float]:
     return [sum(map(int.__mul__, row, scaled)) / denominator for row in counts.tolist()]
 
 
-def _replication_worker(args: tuple) -> KpiSeries:
-    return _Engine(*args).run()
-
-
 def run_scenario(
     fleet: AssetTable, scenario: Scenario, jobs: int = 1
 ) -> SimulationReport:
@@ -949,17 +934,16 @@ def run_scenario(
     Replications are independent and may run in parallel; the report is a
     pure function of (fleet, scenario) regardless of jobs.
     """
-    validate_scenario_for_fleet(fleet, scenario)
-    keys = _asset_keys(fleet.asset_id)
-    args = [(fleet, scenario, r, keys) for r in range(scenario.replications)]
+    engine = _Engine(fleet, scenario)
+    reps = range(scenario.replications)
     if jobs > 1 and scenario.replications > 1:
         # imported here: the pool modules cost every CLI start-up otherwise
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            series = list(pool.map(_replication_worker, args))
+            series = list(pool.map(engine.run, reps))
     else:
-        series = [_replication_worker(a) for a in args]
+        series = list(map(engine.run, reps))
     return SimulationReport(
         scenario_name=scenario.name,
         master_seed=scenario.master_seed,

@@ -105,9 +105,12 @@ class WeibullLaw:
         with u uniform on [0, 1), the result is the failure age of an asset
         known to survive to `start`, and
         conditional_failure_probability(start, age - start) == -expm1(-e).
-        Ages are not checked.
+        Ages are not checked. Where H(start) overflows, the age is
+        start * (1 + e / H(start)) ** (1 / beta), which is start.
         """
-        return self.eta * ((start / self.eta) ** self.beta + e) ** (1.0 / self.beta)
+        with np.errstate(over="ignore"):
+            hazard = (start / self.eta) ** self.beta
+        return np.where(np.isinf(hazard), start, self.eta * (hazard + e) ** (1.0 / self.beta))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n lifetimes by inverse-CDF transform of rng uniforms."""

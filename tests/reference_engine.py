@@ -181,7 +181,8 @@ def pending(engine: _Engine, cls: int, k: int) -> np.ndarray:
     them as they end the run, so these two classes are read at its last
     tick only. An open pool executes or drops each request in the tick
     that raises it, so none is ever pending; its run
-    (`generations.run_open_pool`) leaves the assets' state as set up."""
+    (`generations.run_open_pool`) leaves the assets' state as drawn at
+    the replication's start."""
     if engine.capacity is None:
         return np.zeros(0, dtype=np.int64)
     if cls == _INSPECTION:
@@ -202,14 +203,14 @@ class LedgerEngine(_Engine):
     of inspections pending at each year end.
     """
 
-    def run(self):
+    def run(self, rep):
         years = self.scenario.horizon_years
         self.inspection_terms = [[] for _ in range(years)]
         self.unavailability_terms = [[] for _ in range(years)]
         self.backlog_terms = [[] for _ in range(years)]
         self.carried = []
         self.failed_at = {}
-        return super().run()
+        return super().run(rep)
 
     def _apply(self, k, event):
         _, failed, renewed, corrective, _ = event

@@ -113,8 +113,8 @@ def test_binding_counters_pinned(case):
     scenario = golden_scenario(case)
     counters = []
     for rep in range(scenario.replications):
-        engine = _Engine(FLEET, scenario, rep)
-        engine.run()
+        engine = _Engine(FLEET, scenario)
+        engine.run(rep)
         left = [len(pending(engine, cls, engine.n_ticks - 1)) for cls in range(3)]
         counters.append((engine.raised, engine.executed, engine.dropped, engine.examined, left))
     assert counters == COUNTERS[case]
@@ -129,10 +129,10 @@ class ClearProbe(_Engine):
     ends, and at the year end counts each one's dropped inspections from
     what the engine kept of it; their sum must be what the engine adds."""
 
-    def run(self):
+    def run(self, rep):
         self.cleared = {"failure": set(), "replacement": set()}
         self.causes = []
-        return super().run()
+        return super().run(rep)
 
     def _apply(self, k, event):
         self.k = k
@@ -160,8 +160,8 @@ class ClearProbe(_Engine):
 def test_binding_century_cases_clear_queued_inspections(case):
     # guards the cases above: they pin the clearing of carried inspections
     # by both a failure and a replacement
-    engine = ClearProbe(FLEET, golden_scenario(case), 0)
-    engine.run()
+    engine = ClearProbe(FLEET, golden_scenario(case))
+    engine.run(0)
     # 17 and 18 ticks by failure, 386 and 171 by replacement
     assert len(engine.cleared["failure"]) >= 10
     assert len(engine.cleared["replacement"]) >= 100

@@ -39,7 +39,6 @@ from fleetlife.simulate import (
     aggregate_replications,
     compare_scenarios,
     run_scenario,
-    validate_scenario_for_fleet,
     _FIRST_GENERATIONS,
     _INSPECTION,
     _Engine,
@@ -142,9 +141,8 @@ def traced(fleet, sc):
     """
     if isinstance(sc.resources, Unconstrained):
         return open_and_walked(fleet, sc)
-    validate_scenario_for_fleet(fleet, sc)
-    engine = RecordingEngine(fleet, sc, 0)
-    engine.run()
+    engine = RecordingEngine(fleet, sc)
+    engine.run(0)
     return engine
 
 
@@ -164,10 +162,9 @@ def open_and_walked(fleet, sc):
     Returns the traced engine.
     """
     assert isinstance(sc.resources, Unconstrained)
-    validate_scenario_for_fleet(fleet, sc)
-    opened = _Engine(fleet, sc, 0)
-    walked = RecordingEngine(fleet, dataclasses.replace(sc, resources=NEVER_BINDS), 0)
-    assert opened.run() == walked.run()
+    opened = _Engine(fleet, sc)
+    walked = RecordingEngine(fleet, dataclasses.replace(sc, resources=NEVER_BINDS))
+    assert opened.run(0) == walked.run(0)
     assert opened.capacity is None and walked.capacity is not None
     assert opened.executed == walked.executed
     assert opened.examined == opened.executed + opened.dropped
@@ -241,7 +238,7 @@ class TestEvaluateTriggers:
             if tick >= len(engine.planned):
                 break
             expected.append(tick)
-        # more replacements than the generations drawn at set-up: the trigger
+        # more replacements than the generations drawn at the start: the trigger
         # ticks of the rows drawn when the tables double are checked too
         assert len(set(rates)) == len(rates) and len(expected) > _FIRST_GENERATIONS
         assert [k for k, due in enumerate(engine.planned) if due] == expected
@@ -628,34 +625,68 @@ class TestRunScenario:
         del catalog.replacements[150]
         fleet = fleet_of([asset("x", kv=150)])
         with pytest.raises(CatalogError, match="planned_replacement .*150 kV"):
-            validate_scenario_for_fleet(fleet, scenario(catalog=catalog))
+            _Engine(fleet, scenario(catalog=catalog))
 
     def test_missing_law_detected(self):
         laws = dict(REFERENCE_LAWS)
         del laws[VoltageClass.V150]
         with pytest.raises(ValueError, match="no reliability law .*150"):
-            validate_scenario_for_fleet(fleet_of([asset("x", kv=150)]), scenario(laws=laws))
+            _Engine(fleet_of([asset("x", kv=150)]), scenario(laws=laws))
 
     def test_failed_fleet_rejected(self):
         failed = fleet_of([("x", 110, date(2000, 1, 1), date(2010, 1, 1))])
         with pytest.raises(ValueError, match="already failed"):
-            validate_scenario_for_fleet(failed, scenario())
+            _Engine(failed, scenario())
 
     def test_oversized_activity_rejected_when_constrained(self):
         sc = scenario(resources=Constrained(fte_count=1, hours_per_fte_per_year=1600.0))
         with pytest.raises(ValueError, match="never schedule"):
-            validate_scenario_for_fleet(fleet_of([asset()]), sc)
+            _Engine(fleet_of([asset()]), sc)
 
     def test_interval_not_multiple_of_tick_rejected(self):
         plan = PeriodicInspections(start_age_years=25.0, interval_months=(3, 7))
         sc = scenario(fleet_policy=simple_policy(TimeBased(45.0), plan), tick_months=2)
         with pytest.raises(ValueError, match="not a multiple"):
-            validate_scenario_for_fleet(fleet_of([asset()]), sc)
+            _Engine(fleet_of([asset()]), sc)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("catalog", "no planned_replacement activity for 150 kV"),
+            ("oversized", "needs 400.0 person-hours but a full tick only provides"),
+            ("interval", "inspection interval 3 months is not a multiple of the 2-month tick"),
+        ],
+    )
+    def test_fault_is_reported_before_any_draw(self, monkeypatch, fault, message):
+        # each check of the scenario against the fleet runs in the engine's
+        # set-up, before a replication draws anything
+        def no_draws(*args):
+            raise AssertionError("a replication drew before the scenario was checked")
+
+        monkeypatch.setattr("fleetlife.simulate._stream_draws", no_draws)
+        fleet = fleet_of([asset("110-00000"), asset("150-00000", kv=150)])
+        catalog = demo_catalog()
+        if fault == "catalog":
+            del catalog.replacements[150]
+        sc = scenario(
+            catalog=catalog,
+            resources=Constrained(fte_count=1, hours_per_fte_per_year=1600.0)
+            if fault == "oversized"
+            else Unconstrained(),
+            tick_months=2 if fault == "interval" else 1,
+            fleet_policy=simple_policy(
+                TimeBased(45.0), PeriodicInspections(start_age_years=25.0, interval_months=(3, 7))
+            )
+            if fault == "interval"
+            else None,
+        )
+        with pytest.raises(ValueError, match=message):
+            run_scenario(fleet, sc)
 
     def test_duplicate_ids_rejected(self):
         # the fleet table itself rejects them, before any scenario check
         with pytest.raises(ValueError, match="duplicate"):
-            validate_scenario_for_fleet(fleet_of([asset("a"), asset("a")]), scenario())
+            _Engine(fleet_of([asset("a"), asset("a")]), scenario())
 
 
 class TestAggregation:
@@ -767,6 +798,22 @@ class TestApparentHazard:
             assert series.failures[year] / at_risk == pytest.approx(p, abs=bound)
             at_risk -= series.failures[year]
 
+    def test_overflowing_start_hazard_fails_at_once(self):
+        # A rate near exp(300) puts every start age far past the law's
+        # scale, where H(start) overflows: each generation then fails in the
+        # tick it is first at risk, every asset every tick, and no numpy
+        # overflow warning is raised.
+        commissioned = [date(1990 + i % 20, 1 + i % 12, 1) for i in range(100)]
+        fleet = fleet_of([asset(f"110-{i:05d}", commissioned=d) for i, d in enumerate(commissioned)])
+        sc = dataclasses.replace(
+            builtin_scenario("time-based", "unconstrained", replications=1),
+            degradation_rates=LognormalRate(mu=300.0, sigma=0.2),
+            hazard_age="apparent",
+            horizon_years=30,
+        )
+        series = run_scenario(fleet, sc).replications[0]
+        assert series.failures == [100 * 12] * 30
+
 
 class TestStreams:
     def test_philox_matches_numpy(self):
@@ -815,7 +862,9 @@ class TestEventTimeFailures:
             hazard_age=hazard_age,
             tick_months=3,
         )
-        start, ages, _ = _Engine(fleet, sc, 0)._failure_ages(np.arange(4))
+        engine = _Engine(fleet, sc)
+        engine._start(0)
+        start, ages, _ = engine._failure_ages(np.arange(4))
         eta = law.eta / 1.5 if hazard_age == "apparent" else law.eta
 
         def conditional_cdf(a0):
@@ -857,13 +906,56 @@ class TestEventTimeFailures:
         runs = []
         for first in (1, 64):
             monkeypatch.setattr("fleetlife.simulate._FIRST_GENERATIONS", first)
-            engine = _Engine(fleet, sc, 1)
-            runs.append((engine.run().to_json_dict(), len(engine.life)))
+            engine = _Engine(fleet, sc)
+            runs.append((engine.run(1).to_json_dict(), engine.tables.shape[1]))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] >= 8 and runs[1][1] == 64
         if isinstance(resources, Constrained):
             # the pool binds: replacement requests wait at every year end
             assert all(b > 0 for b in runs[0][0]["backlog_hours"][1:])
+
+    @pytest.mark.parametrize(
+        "resources",
+        [Unconstrained(), Constrained(fte_count=1, hours_per_fte_per_year=4800.0)],
+        ids=["open", "binding"],
+    )
+    def test_replication_after_another_equals_a_fresh_one(self, resources):
+        # one engine runs every replication of a run: replication 1 run
+        # after replication 0, whose tables doubled and whose cadences and
+        # counters moved, gives what a fresh engine's replication 1 gives
+        fleet = generate_synthetic_fleet(
+            SyntheticFleetSpec(
+                sizes={VoltageClass.V110: 40, VoltageClass.V150: 20},
+                commission_years=(1970, 2010),
+                seed=4,
+            )
+        )
+        sc = scenario(
+            fleet_policy=simple_policy(
+                ConditionBased(6.0), PeriodicInspections(start_age_years=1.0, interval_months=(3, 12))
+            ),
+            laws={vc: WeibullLaw(beta=1.5, eta=4.0) for vc in VoltageClass},
+            failures_enabled=True,
+            degradation_rates=LognormalRate(0.0, 0.3),
+            hazard_age="apparent",
+            horizon_years=30,
+            resources=resources,
+        )
+
+        def outcome(engine, rep):
+            series = engine.run(rep)
+            left = [len(ids) for ids in pending(engine)]
+            return series, engine.raised, engine.executed, engine.dropped, engine.examined, left
+
+        engine = _Engine(fleet, sc)
+        first = outcome(engine, 0)
+        assert engine.tables.shape[1] > _FIRST_GENERATIONS
+        second = outcome(engine, 1)
+        assert second == outcome(_Engine(fleet, sc), 1)
+        assert second[0] != first[0]
+        if isinstance(resources, Constrained):
+            # the pool binds: work waits at every year end
+            assert all(b > 0 for b in second[0].backlog_hours[1:])
 
     def test_policies_share_failure_draws(self):
         # An asset's first failure does not depend on the policy, as long
@@ -1194,14 +1286,16 @@ class RecordingEngine(_Engine):
     asset is in service.
     """
 
-    def run(self):
+    def _start(self, rep):
+        super()._start(rep)
         assert self.capacity is not None, "an open pool's run has no ticks to trace"
         self.planned = [[] for _ in range(self.n_ticks)]
         self._triggered(np.arange(len(self.age0)), self.ticks[1])
         self.events, self.inspected_at = {}, {}
-        anchor = self.anchor.copy()
-        series = super().run()
-        self._replay(anchor)
+
+    def run(self, rep):
+        series = super().run(rep)
+        self._replay(self.anchor0.copy())
         return series
 
     def _triggered(self, assets, ticks):
@@ -1339,9 +1433,8 @@ class TestInspectionSchedule:
             asset(f"110-{i:05d}", commissioned=date.fromordinal(START.toordinal() - d))
             for i, d in enumerate(days)
         ])
-        validate_scenario_for_fleet(fleet, sc)
-        engine = RecordingEngine(fleet, sc, 0)
-        series = engine.run()
+        engine = RecordingEngine(fleet, sc)
+        series = engine.run(0)
         assert assert_raised_by_float_rule(engine, sc) > 0
         assert sum(series.failures) > 0
         assert (sum(series.replacements) > 0) == (fte > 0)
@@ -1481,9 +1574,8 @@ class TestEngineInvariants:
         )
         sc = invariant_scenario(data, resources=resources)
         fleet = invariant_fleet(data, 20, 40)
-        validate_scenario_for_fleet(fleet, sc)
-        engine = LedgerEngine(fleet, sc, 0)
-        series = engine.run()
+        engine = LedgerEngine(fleet, sc)
+        series = engine.run(0)
         label_carried(engine)
         queued = sum(map(len, pending(engine)))
         assert sum(engine.raised) == engine.executed + engine.dropped + queued
@@ -1512,9 +1604,8 @@ class TestEngineInvariants:
         )
         sc = dataclasses.replace(sc, catalog=timed(data, sc.catalog, (1.33, 0.7, 2.1, 0.1, 4.9)))
         fleet = invariant_fleet(data, 20, 40)
-        validate_scenario_for_fleet(fleet, sc)
-        engine = LedgerEngine(fleet, sc, 0)
-        engine.run()
+        engine = LedgerEngine(fleet, sc)
+        engine.run(0)
         label_carried(engine)
         engine.assert_ledgers_exact()
 
@@ -1606,8 +1697,8 @@ class TestEngineInvariants:
         assert_matches_reference_queue(engine, fleet, sc)
         queued = sum(map(len, pending(engine)))
         assert sum(engine.raised) == engine.executed + engine.dropped + queued
-        ledgers = LedgerEngine(fleet, sc, 0)
-        ledgers.run()
+        ledgers = LedgerEngine(fleet, sc)
+        ledgers.run(0)
         ledgers.assert_ledgers_exact()
 
     def test_counted_backlog_survives_cleared_inspections(self):
@@ -1732,8 +1823,8 @@ class TestEngineInvariants:
             kpis = io.StringIO()
             report.write_kpis_csv(kpis)
             outputs.append((json.dumps(report.to_json_dict()), kpis.getvalue()))
-            engine = _Engine(fleet, sc, 0)
-            engine.run()
+            engine = _Engine(fleet, sc)
+            engine.run(0)
             engines.append(engine)
         assert outputs[0] == outputs[1]
         opened, walked = engines
@@ -1865,8 +1956,8 @@ class TestAllocationWork:
             start_date=date(2021, 7, 1),
             resources=Constrained(fte_count=10, hours_per_fte_per_year=500.0),
         )
-        engine = _Engine(fleet, sc, 0)
-        series = engine.run()
+        engine = _Engine(fleet, sc)
+        series = engine.run(0)
         assert sum(b > 0 for b in series.backlog_hours) >= 3
         assert engine.executed > 0
         assert engine.examined <= 4 * (engine.executed + engine.dropped)
