@@ -169,18 +169,21 @@ def fit(assets_path: Path, cutoff: str, families: tuple[str, ...], out_dir: Path
         run.add_output(curve_path)
 
         try:
-            mle_law, diag = fit_weibull_mle(family_table, curve)
+            rr_law, rr_error = fit_weibull_rank_regression(curve), None
+        except ValueError as exc:
+            rr_law, rr_error = None, exc
+        try:
+            mle_law, diag = fit_weibull_mle(family_table, rr_law)
         except ValueError as exc:
             _fail(f"family {vc.value}: {exc}", EXIT_VALIDATION)
             return
         except FitError as exc:
             _fail(f"family {vc.value}: {exc}", EXIT_NONCONVERGENCE)
             return
-        try:
-            rr_law = fit_weibull_rank_regression(curve)
+        if rr_law is None:
+            click.echo(f"note: family {vc.value}: rank regression skipped ({rr_error})", err=True)
+        else:
             laws.append(law_to_record(rr_law, vc.value, "rank_regression"))
-        except ValueError as exc:
-            click.echo(f"note: family {vc.value}: rank regression skipped ({exc})", err=True)
         laws.append(law_to_record(mle_law, vc.value, "mle"))
         diagnostics[vc.value] = diag.to_json_dict()
 

@@ -17,7 +17,6 @@ import io
 import re
 from dataclasses import dataclass, replace
 from datetime import date
-from itertools import chain
 from typing import IO, Iterable, Mapping
 
 import numpy as np
@@ -89,9 +88,10 @@ class AssetTable:
     """Asset records as columns, one row per asset, in input order.
 
     ``asset_id`` and ``manufacturer`` are lists of str, with "" for no
-    manufacturer. ``voltage_kv`` is an int array. ``commission`` and
-    ``failure`` are int64 day numbers as ``date.toordinal()`` gives them,
-    with failure 0 for an asset still in service (no date has ordinal 0).
+    manufacturer; equal manufacturer names may be one object.
+    ``voltage_kv`` is an int array. ``commission`` and ``failure`` are
+    int64 day numbers as ``date.toordinal()`` gives them, with failure 0
+    for an asset still in service (no date has ordinal 0).
     Ids must be non-empty and unique, voltages known, and a failure must
     come after its commission; the first row breaking a rule is named.
     """
@@ -114,9 +114,10 @@ class AssetTable:
             and len(manufacturer) == n
         ):
             raise ValueError("asset columns must be one-dimensional and of equal length")
-        if "" in asset_id:
+        unique = set(asset_id)
+        if "" in unique:
             raise DataError(f"empty asset_id at index {asset_id.index('')}")
-        if len(set(asset_id)) != n:
+        if len(unique) != n:
             seen: set[str] = set()
             for name in asset_id:
                 if name in seen:
@@ -224,11 +225,14 @@ def parse_asset_csv(source: IO[bytes] | IO[str] | Iterable[str]) -> AssetTable:
 
     A byte stream, as the CLI opens a file, is read whole. A plain file (no
     quote, CR, NUL or blank line, four commas on every line, a final
-    newline) takes a columnar path, which accepts only voltages written
-    110, 150, 220 or 380 and dates written YYYY-MM-DD in ASCII digits. Any
-    other file, any file that fails a check there, and any text goes
-    through the row loop, so both paths accept the same files, give the
-    same table and name the same first bad row.
+    newline) takes a columnar path in blocks of about 1 MB. After its first
+    comma each row there has a fixed layout, a voltage of three ASCII
+    digits and YYYY-MM-DD dates (the failure date may be empty), read as
+    digits, with day numbers by calendar arithmetic; only ids and
+    manufacturers are decoded, one object per manufacturer name. Any other
+    file, any file that fails a check there, and any text goes through the
+    row loop, so both paths accept the same files, give the same table and
+    name the same first bad row.
     """
     if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
         hasattr(source, "read") and isinstance(source.read(0), bytes)
@@ -247,7 +251,9 @@ _ROW_SEPARATORS = np.frombuffer(b",,,,\n", dtype=np.uint8)
 # The columnar path reads about this many bytes of rows at a time, which
 # bounds the memory their split fields take.
 _BLOCK_BYTES = 1 << 20
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+# Days in each month of a common year, and before it in the year, by month
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS_BEFORE = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
 
 
 def _parse_plain(data: bytes) -> AssetTable | None:
@@ -262,85 +268,94 @@ def _parse_plain(data: bytes) -> AssetTable | None:
         or any(c in data for c in (b'"', b"\r", b"\0"))
     ):
         return None
-    parts = []
+    ids: list[str] = []
+    manufacturer: list[str] = []
+    names: dict[str, str] = {}  # one object per manufacturer name
+    numbers = []
     start = len(_HEADER_LINE)
     while start < len(data):
         end = data.index(b"\n", min(start + _BLOCK_BYTES, len(data) - 1)) + 1
-        parts.append(_plain_block(data[start:end]))
-        if parts[-1] is None:
+        part = _plain_block(memoryview(data)[start:end], names)
+        if part is None:
             return None
+        ids += part[0]
+        manufacturer += part[4]
+        numbers.append(part[1:4])
         start = end
-    if not parts:
+    if not ids:
         return None  # no rows: the row loop is as quick
-    ids, kv, commission, failure, manufacturer = zip(*parts)
+    kv, commission, failure = map(np.concatenate, zip(*numbers))
     try:
-        return AssetTable(
-            list(chain.from_iterable(ids)),
-            np.concatenate(kv),
-            np.concatenate(commission),
-            np.concatenate(failure),
-            list(chain.from_iterable(manufacturer)),
-        )
+        return AssetTable(ids, kv, commission, failure, manufacturer)
     except DataError:
         return None
 
 
-def _plain_block(block: bytes) -> tuple | None:
+def _plain_block(block: memoryview, names: dict[str, str]) -> tuple | None:
     """The five columns of whole rows of a plain file, or None.
 
-    Voltages and dates are read from the bytes of each column at once; ids
-    and manufacturers are the text between the separators.
+    After its first comma a row has a fixed layout: a 3-digit voltage, a
+    10-byte commission date, then an empty or 10-byte failure date. Those
+    are read as digits at their offsets and cut out before decoding, so
+    only ids and manufacturers become str, each name one object of `names`.
     """
     raw = np.frombuffer(block, dtype=np.uint8)
     seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
     if seps.size % 5 or (raw[seps].reshape(-1, 5) != _ROW_SEPARATORS).any():
         return None
     seps = seps.reshape(-1, 5)
-    dated = seps[:, 3] > seps[:, 2] + 1
-    kv = _field_bytes(raw, seps[:, 0] + 1, seps[:, 1], "999")
-    commission = _field_bytes(raw, seps[:, 1] + 1, seps[:, 2], "9999-99-99")
-    failure = _field_bytes(raw, seps[dated, 2] + 1, seps[dated, 3], "9999-99-99")
-    if kv is None or commission is None or failure is None:
+    first = seps[:, 0]
+    # the next three commas lie 4, 15 and 16 bytes after the first, or 26
+    # after a failure date
+    offsets = seps[:, 1:4] - first[:, None]
+    dated = offsets[:, 2] == 26
+    if (offsets[:, :2] != (4, 15)).any() or not (dated | (offsets[:, 2] == 16)).all():
         return None
-    commission, failure_days = _day_ordinals(commission), _day_ordinals(failure)
-    if commission is None or failure_days is None:
-        return None
+    windows = np.lib.stride_tricks.sliding_window_view(raw, 10)
     failure = np.zeros(len(seps), dtype=np.int64)
-    failure[dated] = failure_days
+    # cut each row from its voltage through the comma after its failure date
+    edges = np.zeros(raw.size, dtype=bool)
+    edges[first + 1] = edges[seps[:, 3] + 1] = True
     try:
-        fields = block.decode("utf-8").replace("\n", ",").split(",")
-    except UnicodeDecodeError:
-        return None
-    kv = kv.view("S3").ravel().astype(np.int64)
-    return fields[0:-1:5], kv, commission, failure, fields[4::5]
-
-
-def _field_bytes(raw: np.ndarray, start: np.ndarray, end: np.ndarray, form: str):
-    """The bytes raw[start:end] of each row as an (n, len(form)) array.
-
-    None unless every row matches form, where 9 stands for any ASCII digit
-    and every other character for itself.
-    """
-    if (end - start != len(form)).any():
-        return None
-    chars = raw[start[:, None] + np.arange(len(form))]
-    pattern = np.frombuffer(form.encode(), dtype=np.uint8)
-    digits = (chars >= ord("0")) & (chars <= ord("9"))
-    return chars if np.where(pattern == ord("9"), digits, chars == pattern).all() else None
-
-
-def _day_ordinals(chars: np.ndarray) -> np.ndarray | None:
-    """Day ordinals of (n, 10) bytes that each read YYYY-MM-DD, or None.
-
-    None if some row names no calendar day from 0001-01-01 on (numpy also
-    reads year 0, which dates do not have).
-    """
-    try:
-        days = chars.view("S10").ravel().astype("datetime64[D]").astype(np.int64)
+        kv = _digits(windows[first + 1, :3], "999")
+        commission = _day_ordinals(windows[first + 5])
+        failure[dated] = _day_ordinals(windows[first[dated] + 16])
+        text = raw[~np.logical_xor.accumulate(edges)].tobytes().decode("utf-8")
     except ValueError:
         return None
-    days += _EPOCH_ORDINAL
-    return days if (days >= 1).all() else None
+    kv = kv[:, 0] * 100 + kv[:, 1] * 10 + kv[:, 2]
+    fields = text.replace("\n", ",").split(",")
+    made = fields[1::2]
+    return fields[0:-1:2], kv, commission, failure, list(map(names.setdefault, made, made))
+
+
+def _digits(chars: np.ndarray, form: str) -> np.ndarray:
+    """The digit values of (n, len(form)) bytes as int32; ValueError unless
+    each row matches form, where 9 stands for any ASCII digit."""
+    pattern = np.frombuffer(form.encode(), dtype=np.uint8)
+    digit = pattern == ord("9")
+    values = chars - np.uint8(ord("0"))
+    if (values[:, digit] > 9).any() or (chars[:, ~digit] != pattern[~digit]).any():
+        raise ValueError(f"bytes not of the form {form}")
+    return values.astype(np.int32)
+
+
+def _day_ordinals(chars: np.ndarray) -> np.ndarray:
+    """Day ordinals, as date.toordinal gives them, of (n, 10) bytes that
+    each read YYYY-MM-DD; ValueError where a row names no calendar day, as
+    date.fromisoformat does (year 0, month 0 or 13 on, day 0 or past the
+    month's end)."""
+    digits = _digits(chars, "9999-99-99")
+    year = digits[:, 0] * 1000 + digits[:, 1] * 100 + digits[:, 2] * 10 + digits[:, 3]
+    month = digits[:, 5] * 10 + digits[:, 6]
+    day = digits[:, 8] * 10 + digits[:, 9]
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    length = np.take(_MONTH_DAYS, month, mode="clip") + (leap & (month == 2))
+    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= length)).all():
+        raise ValueError("not a calendar day")
+    y = year - 1
+    in_year = _DAYS_BEFORE[month] + (leap & (month > 2)) + day
+    return y * 365 + y // 4 - y // 100 + y // 400 + in_year
 
 
 def _parse_rows(lines: Iterable[str]) -> AssetTable:

@@ -777,9 +777,13 @@ class _Engine:
         ages = np.empty_like(u)
         apparent = self.scenario.hazard_age == "apparent"
         for f, idx in self.groups.items():
-            # under the apparent hazard, the law's scale is eta / r
+            # under the apparent hazard, the law's scale is eta / r; where the
+            # scaled start overflows, the asset fails at its start age
             r = rates[:, idx] if apparent else 1.0
-            ages[:, idx] = self.laws[f].conditional_failure_age(start[:, idx] * r, e[:, idx]) / r
+            with np.errstate(over="ignore"):
+                scaled = start[:, idx] * r
+            age = self.laws[f].conditional_failure_age(scaled, e[:, idx]) / r
+            ages[:, idx] = np.where(np.isinf(scaled), start[:, idx], age)
         return start, ages, rates
 
     def _draw_generations(self, count: int) -> None:

@@ -4,8 +4,8 @@ A law is the pair (beta, eta): shape and scale in years. Fitting comes in two
 flavours. fit_weibull_mle maximizes the right-censored log-likelihood through
 the one-dimensional profile equation in beta (eta has a closed form given
 beta). fit_weibull_rank_regression fits a straight line to the log-log
-transform of a survival curve, which doubles as the MLE initializer and as an
-independent cross-check.
+transform of a survival curve, whose shape doubles as the MLE's starting
+point and which is an independent cross-check.
 """
 
 from __future__ import annotations
@@ -203,16 +203,17 @@ def _log_likelihood(
 
 
 def fit_weibull_mle(
-    table: LifetimeTable, curve: SurvivalCurve
+    table: LifetimeTable, rank_law: WeibullLaw | None
 ) -> tuple[WeibullLaw, FitDiagnostics]:
     """Maximum-likelihood Weibull fit to right-censored lifetimes.
 
     Events contribute log pdf, censored observations log survival. The shape
     solves the profile score equation by safeguarded Newton iteration on the
-    bracket [0.05, 100], initialized from rank regression on `curve`, the
-    Kaplan-Meier curve of `table`, when possible; the scale then has a
-    closed form. Needs at least two events, and every event duration must
-    be positive.
+    bracket [0.05, 100], started from the shape of `rank_law`, the rank
+    regression on the Kaplan-Meier curve of `table`, clamped to the
+    bracket, or from 1 where there is none; the scale then has a closed
+    form. Needs at least two events, and every event duration must be
+    positive.
     """
     events = table.duration[table.event]
     censored = table.duration[~table.event]
@@ -231,7 +232,7 @@ def fit_weibull_mle(
     g_lo = _profile_residual(lo, log_all, mean_log_event)
     g_hi = _profile_residual(hi, log_all, mean_log_event)
 
-    beta = _initial_beta(curve)
+    beta = 1.0 if rank_law is None else min(max(rank_law.beta, lo), hi)
     iterations = 0
     converged = False
     if g_lo < 0.0 < g_hi:
@@ -271,15 +272,6 @@ def _profile_eta(beta: float, log_all: np.ndarray, r: int) -> float:
     shift = float((beta * log_all).max())
     log_sum = shift + math.log(float(np.exp(beta * log_all - shift).sum()))
     return math.exp((log_sum - math.log(r)) / beta)
-
-
-def _initial_beta(curve: SurvivalCurve) -> float:
-    lo, hi = BETA_BRACKET
-    try:
-        law = fit_weibull_rank_regression(curve)
-    except ValueError:
-        return 1.0
-    return min(max(law.beta, lo), hi)
 
 
 def fit_weibull_rank_regression(curve: SurvivalCurve) -> WeibullLaw:

@@ -130,7 +130,9 @@ def test_criterion_3_censored_mle_recovery():
         rng = np.random.default_rng(child)
         lifetimes = true_law.sample(5000, rng)
         observations = single_family(np.minimum(lifetimes, 60.0), lifetimes <= 60.0)
-        law, diagnostics = fit_weibull_mle(observations, km_fit(observations))
+        law, diagnostics = fit_weibull_mle(
+            observations, fit_weibull_rank_regression(km_fit(observations))
+        )
         assert diagnostics.converged
         if (
             abs(law.beta - true_law.beta) / true_law.beta <= 0.05

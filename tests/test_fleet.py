@@ -439,6 +439,25 @@ def _oracle_rows(lines):
 @example(HEADER + "A,110,20200101,,\n")
 @example(HEADER + "A,110,0000000001,,\n")
 @example(HEADER + "A,110,2000-01-01,   2000-02,\n")
+# the columnar path's calendar arithmetic: leap days of years that are and
+# are not leap years, the first and last days date reads, and days, months
+# and a day 0 past their range
+@example(HEADER + "A,110,1900-02-29,,\n")
+@example(HEADER + "A,110,2000-02-29,2000-03-01,M1\nB,150,1999-02-28,2000-02-29,\n")
+@example(HEADER + "A,110,2000-01-01,2100-02-29,\n")
+@example(HEADER + "A,110,0001-01-01,9999-12-31,M1\n")
+@example(HEADER + "A,110,2021-04-31,,\n")
+@example(HEADER + "A,110,2000-01-01,2021-00-10,\n")
+@example(HEADER + "A,110,2021-13-01,,\n")
+@example(HEADER + "A,110,2000-01-01,2021-01-00,\n")
+# and its fixed layout after the first comma: a voltage of two and of four
+# digits, a failure field of nine and of eleven bytes, and multi-byte UTF-8
+# in ids and manufacturers
+@example(HEADER + "A,11,2000-01-01,,\n")
+@example(HEADER + "A,1100,2000-01-01,,\n")
+@example(HEADER + "A,110,2000-01-01,2001-01-1,\n")
+@example(HEADER + "A,110,2000-01-01,2001-01-011,\n")
+@example(HEADER + "\u00c5\u20ac1,110,2000-01-01,2001-01-01,M\u00fc\nB\U0001f600,150,2000-01-01,,M\u00fc\n")
 def test_ingest_matches_record_parser(text):
     # the record-based parser the table replaced, as the oracle: the same
     # rows, or the same first error naming the same row, whether the file
@@ -472,3 +491,14 @@ def test_columnar_path_reads_in_blocks(monkeypatch):
     write_asset_csv(fleet_of(rows), out)
     monkeypatch.setattr(fleet_module, "_BLOCK_BYTES", 64)
     assert rows_of(_parse_plain(out.getvalue().encode())) == rows
+
+
+def test_plain_files_keep_one_object_per_manufacturer_name(monkeypatch):
+    # equal names are one object, also across the blocks of the columnar path
+    rows = [(f"A{i}", 110, date(2000, 1, 1), None, f"Maker {i % 3}") for i in range(50)]
+    out = io.StringIO()
+    write_asset_csv(fleet_of(rows), out)
+    monkeypatch.setattr(fleet_module, "_BLOCK_BYTES", 64)
+    table = parse_asset_csv(io.BytesIO(out.getvalue().encode()))
+    assert rows_of(table) == rows
+    assert len({id(name) for name in table.manufacturer}) == 3

@@ -814,6 +814,23 @@ class TestApparentHazard:
         series = run_scenario(fleet, sc).replications[0]
         assert series.failures == [100 * 12] * 30
 
+    def test_overflowing_scaled_start_fails_at_once(self):
+        # A rate of exp(709), near the largest float, makes the scaled start
+        # age itself overflow for every asset older than a few years: each
+        # generation still fails in the tick it is first at risk, with no
+        # numpy overflow warning.
+        fleet = generate_synthetic_fleet(
+            SyntheticFleetSpec({VoltageClass.V110: 100}, (1980, 1990), seed=1)
+        )
+        sc = dataclasses.replace(
+            builtin_scenario("time-based", "unconstrained", replications=1),
+            degradation_rates=LognormalRate(mu=709.0, sigma=0.0),
+            hazard_age="apparent",
+            horizon_years=30,
+        )
+        series = run_scenario(fleet, sc).replications[0]
+        assert series.failures == [100 * 12] * 30
+
 
 class TestStreams:
     def test_philox_matches_numpy(self):

@@ -34,8 +34,13 @@ def censored_at(lifetimes, cutoff):
 
 
 def fit_mle(table):
-    """fit_weibull_mle on a table and its Kaplan-Meier curve."""
-    return fit_weibull_mle(table, km_fit(table))
+    """fit_weibull_mle on a table, started as the fit command starts it: from
+    rank regression on its Kaplan-Meier curve, where that fits."""
+    try:
+        rank_law = fit_weibull_rank_regression(km_fit(table))
+    except ValueError:
+        rank_law = None
+    return fit_weibull_mle(table, rank_law)
 
 
 class TestLawEvaluation:
