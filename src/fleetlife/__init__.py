@@ -85,10 +85,9 @@ _EXPORTS = {
         "Scenario",
         "TimeBased",
         "Unconstrained",
-        "aggregate_replications",
         "run_scenario",
     ),
-    "reports": ("KpiSeries", "SimulationReport", "compare_scenarios"),
+    "reports": ("KpiSeries", "SimulationReport", "aggregate_replications", "compare_scenarios"),
     "scenarios": (
         "ScenarioError",
         "builtin_scenario",

@@ -151,7 +151,8 @@ def fit(assets_path: Path, cutoff: str, families: tuple[str, ...], out_dir: Path
         _fail(str(exc), EXIT_VALIDATION)
         return
 
-    wanted = [VoltageClass(f) for f in families] if families else list(VoltageClass)
+    # a family given twice is fitted once, where it is first given
+    wanted = [VoltageClass(f) for f in dict.fromkeys(families)] if families else list(VoltageClass)
     present = table.families()
     laws: list[dict] = []
     diagnostics: dict[str, dict] = {}

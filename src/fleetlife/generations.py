@@ -277,7 +277,7 @@ def schedule_replacements(engine: _Engine) -> dict[int, tuple]:
             engine.queued[year] = queued
     engine.generation[:] = generation
     engine.replaced[:] = replaced
-    engine.kpis.failures = failures
+    engine.failures = failures
     engine.gap_ticks[:] = gap_ticks
     engine.raised[:2] = raised
     engine.examined += examined
@@ -319,16 +319,14 @@ def _cadence_pairs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """The inspections of every (generation, cadence entry) pair.
 
-    A generation raises inspections at its cadences' due ticks (`first_due`)
-    from its first armed tick (its origin, or the tick after for a
-    replacement), and executes them up to the tick before its end; the tick
-    of a planned replacement raises the ones it drops. Returns, per pair
-    that executes any, its first due tick, period, end (exclusive) and
-    activity, and the number of inspections dropped.
+    A generation raises inspections at its cadences' due ticks, from the
+    first that the engine's set-up holds (`anchor0` for generation 0, else
+    `entry_restart` past its origin), and executes them up to the tick
+    before its end; the tick of a planned replacement raises the ones it
+    drops. Returns, per pair that executes any, its first due tick, period,
+    end (exclusive) and activity, and the number of inspections dropped.
     """
-    n_ticks, tick = engine.n_ticks, engine.tick_units
-    armed = origin + (generation > 0)
-    age = np.where(generation == 0, engine.age0[asset], 0)
+    n_ticks = engine.n_ticks
     stop = np.minimum(end, n_ticks)
     planned = (end < n_ticks) & ~failed
     empty = np.empty(0, dtype=np.int32)
@@ -341,8 +339,9 @@ def _cadence_pairs(
         row = np.flatnonzero(count > slot)
         entry = entry0[row] + slot
         period = engine.entry_period[entry]
-        start = engine.entry_start[entry]
-        first = first_due(start, age[row], origin[row], armed[row], period, tick)
+        first = np.where(
+            generation[row] == 0, engine.anchor0[entry], origin[row] + engine.entry_restart[entry]
+        )
         last = stop[row]
         due_last = (last >= first) & ((last - first) % period == 0)
         dropped += int(np.count_nonzero(planned[row] & due_last))

@@ -5,15 +5,21 @@ reports.
 This module needs neither numpy nor the engine, so `fleetlife report`, which
 compares two report files, loads neither. `fleetlife.simulate` builds these
 reports and re-exports their types.
+
+`KpiSeries.columns` lists the KPIs once. Their JSON order (`METRICS`), kinds,
+readers, writers and aggregates follow from it and the field annotations.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from dataclasses import dataclass
+import operator
+import sys
+from dataclasses import dataclass, fields
 from decimal import Decimal
-from typing import IO, Any, Optional
+from typing import IO, Any, Optional, Sequence
 
 from . import checked
 
@@ -22,15 +28,11 @@ __all__ = [
     "AggregateSeries",
     "SimulationReport",
     "ComparisonReport",
+    "aggregate_replications",
     "compare_scenarios",
 ]
 
 _CENT = Decimal("0.01")
-
-_MONEY_METRICS = ("capex", "opex", "totex")
-_FLOAT_METRICS = ("inspection_hours", "unavailability_hours", "backlog_hours")
-_COUNT_METRICS = ("failures", "replacements")
-METRICS = _MONEY_METRICS + _FLOAT_METRICS + _COUNT_METRICS
 
 
 @dataclass
@@ -45,39 +47,27 @@ class KpiSeries:
     replacements: list[int]
     backlog_hours: list[float]
 
-    @classmethod
-    def zeros(cls, horizon_years: int) -> "KpiSeries":
-        return cls(
-            capex=[Decimal(0)] * horizon_years,
-            opex=[Decimal(0)] * horizon_years,
-            inspection_hours=[0.0] * horizon_years,
-            unavailability_hours=[0.0] * horizon_years,
-            failures=[0] * horizon_years,
-            replacements=[0] * horizon_years,
-            backlog_hours=[0.0] * horizon_years,
-        )
-
-    @property
-    def horizon_years(self) -> int:
-        return len(self.capex)
-
-    @property
-    def totex(self) -> list[Decimal]:
-        return [c + o for c, o in zip(self.capex, self.opex)]
-
-    def metric(self, name: str) -> list:
-        if name == "totex":
-            return self.totex
-        return getattr(self, name)
+    def columns(self) -> dict[str, list]:
+        """The per-year columns by name, in `kpis.csv` order: CAPEX, OPEX
+        and their sum TOTEX, then the other fields as declared. The one
+        place that reads the fields."""
+        return {
+            "capex": self.capex,
+            "opex": self.opex,
+            "totex": [c + o for c, o in zip(self.capex, self.opex)],
+            "inspection_hours": self.inspection_hours,
+            "unavailability_hours": self.unavailability_hours,
+            "failures": self.failures,
+            "replacements": self.replacements,
+            "backlog_hours": self.backlog_hours,
+        }
 
     def to_json_dict(self) -> dict:
-        out: dict = {"horizon_years": self.horizon_years}
+        columns = _written(self.columns())
+        out: dict = {"horizon_years": len(columns["totex"])}
         for name in METRICS:
-            values = self.metric(name)
-            if name in _MONEY_METRICS:
-                out[name] = [float(v.quantize(_CENT)) for v in values]
-            else:
-                out[name] = list(values)
+            values = columns[name]
+            out[name] = [float(v) for v in values] if _KIND[name] is Decimal else list(values)
         return out
 
     @classmethod
@@ -85,19 +75,25 @@ class KpiSeries:
         """The series of a `to_json_dict` object at dotted field `path`."""
         if _field(data, path, "horizon_years") != horizon:
             raise ValueError(f"{path}.horizon_years: expected the report's {horizon}")
-
-        def per_year(name: str, kind: type = float) -> list:
-            return _per_year(data, path, name, horizon, kind)
-
         return cls(
-            capex=[Decimal(str(v)) for v in per_year("capex")],
-            opex=[Decimal(str(v)) for v in per_year("opex")],
-            inspection_hours=per_year("inspection_hours"),
-            unavailability_hours=per_year("unavailability_hours"),
-            failures=per_year("failures", int),
-            replacements=per_year("replacements", int),
-            backlog_hours=per_year("backlog_hours"),
+            **{f.name: _per_year(data, path, f.name, horizon, _KIND[f.name]) for f in fields(cls)}
         )
+
+
+# Each column's kind, in `kpis.csv` order: money for TOTEX, else that of its
+# field's annotation; and the columns in JSON order: money, hours, counts.
+_ANNOTATED = {"list[Decimal]": Decimal, "list[float]": float, "list[int]": int}
+_KIND = dict.fromkeys(KpiSeries(*[[]] * len(fields(KpiSeries))).columns(), Decimal)
+_KIND.update((f.name, _ANNOTATED[f.type]) for f in fields(KpiSeries))
+METRICS = tuple(sorted(_KIND, key=lambda name: (Decimal, float, int).index(_KIND[name])))
+
+
+def _written(columns: dict[str, list]) -> dict[str, list]:
+    """The columns as reports write them: money rounded to the cent."""
+    return {
+        name: [v.quantize(_CENT) for v in values] if _KIND[name] is Decimal else values
+        for name, values in columns.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -128,9 +124,7 @@ class SimulationReport:
             "horizon_years": self.horizon_years,
             "tick_months": self.tick_months,
             "replications": [series.to_json_dict() for series in self.replications],
-            "aggregates": {
-                name: agg.to_json_dict() for name, agg in self.aggregates.items()
-            },
+            "aggregates": {name: agg.to_json_dict() for name, agg in self.aggregates.items()},
         }
 
     @classmethod
@@ -162,37 +156,10 @@ class SimulationReport:
 
     def write_kpis_csv(self, stream: IO[str]) -> None:
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(
-            [
-                "year",
-                "replication",
-                "capex",
-                "opex",
-                "totex",
-                "inspection_hours",
-                "unavailability_hours",
-                "failures",
-                "replacements",
-                "backlog_hours",
-            ]
-        )
+        writer.writerow(["year", "replication", *_KIND])
         for rep_index, series in enumerate(self.replications):
-            totex = series.totex
-            for year in range(series.horizon_years):
-                writer.writerow(
-                    [
-                        year,
-                        rep_index,
-                        f"{series.capex[year].quantize(_CENT)}",
-                        f"{series.opex[year].quantize(_CENT)}",
-                        f"{totex[year].quantize(_CENT)}",
-                        repr(series.inspection_hours[year]),
-                        repr(series.unavailability_hours[year]),
-                        series.failures[year],
-                        series.replacements[year],
-                        repr(series.backlog_hours[year]),
-                    ]
-                )
+            rows = zip(*_written(series.columns()).values())
+            writer.writerows([year, rep_index, *row] for year, row in enumerate(rows))
 
 
 # Readers of report JSON: each error names the dotted field, the keys and
@@ -205,15 +172,61 @@ def _field(data: object, path: str, key: str, kind: type = int) -> Any:
 
 
 def _per_year(data: object, path: str, key: str, horizon: int, kind: type = float) -> list:
-    """The `horizon` numbers, one a year, of field `key`, as `kind`."""
+    """The `horizon` numbers, one a year, of field `key`, as `kind`: int, or
+    a finite float, or a Decimal read from the float's repr."""
     where, values = f"{path}.{key}", _field(data, path, key, list)
     if len(values) != horizon:
         raise ValueError(f"{where}: expected {horizon} values (horizon_years), got {len(values)}")
     numbers = (int,) if kind is int else (int, float)
     for i, v in enumerate(values):
         if type(v) not in numbers:  # the types JSON gives pass without a call
-            checked(v, f"{where}.{i}", kind)
+            checked(v, f"{where}.{i}", int if kind is int else float)
+        if kind is not int and not -sys.float_info.max <= v <= sys.float_info.max:
+            raise ValueError(f"{where}.{i}: expected a finite number, got {v}")
+    if kind is Decimal:
+        return [Decimal(str(float(v))) for v in values]
     return [kind(v) for v in values]
+
+
+def aggregate_replications(series: Sequence[KpiSeries]) -> dict[str, AggregateSeries]:
+    """Per-year mean/p10/p90 of each KPI across replications, in floats.
+    The mean adds the replications up in index order and divides by their
+    count; the percentiles are those of `_percentile`."""
+    if not series:
+        raise ValueError("no replications to aggregate")
+    columns = [s.columns() for s in series]
+    if len({len(c["totex"]) for c in columns}) > 1:
+        raise ValueError("replications have mismatched horizons")
+    out: dict[str, AggregateSeries] = {}
+    for name in METRICS:
+        years = list(zip(*([float(v) for v in c[name]] for c in columns)))
+        ordered = [sorted(year) for year in years]
+        out[name] = AggregateSeries(
+            # not `sum`, which compensates float rounding from Python 3.12 on
+            mean=[functools.reduce(operator.add, year) / len(series) for year in years],
+            p10=[_percentile(year, 10) for year in ordered],
+            p90=[_percentile(year, 90) for year in ordered],
+        )
+    return out
+
+
+def _percentile(ordered: Sequence[float], q: int) -> float:
+    """The q-th percentile of the sorted values `ordered`, as
+    ``np.percentile`` gives it by its default "linear" method, in its float
+    steps: the virtual index ``(len - 1) * q / 100`` splits into a floor and
+    a weight, and the two order statistics around it are interpolated from
+    the nearer one."""
+    last = len(ordered) - 1
+    virtual = last * (q / 100)
+    # from the last value on, numpy's floor index is -1 (the last value),
+    # and it takes that value on both sides
+    below = math.floor(virtual) if virtual < last else -1
+    above = below + 1 if virtual < last else -1
+    lower, upper = ordered[below], ordered[above]
+    weight, diff = virtual - below, upper - lower
+    if weight >= 0.5:
+        return upper - diff * (1 - weight)
+    return lower + diff * weight
 
 
 @dataclass(frozen=True)

@@ -122,11 +122,11 @@ from .generations import (
     trigger_delay,
 )
 from .reports import (
-    METRICS,
     AggregateSeries,
     ComparisonReport,
     KpiSeries,
     SimulationReport,
+    aggregate_replications,
     compare_scenarios,
 )
 from .weibull import WeibullLaw
@@ -573,7 +573,7 @@ class _Engine:
         self.entry_spec = np.zeros(n_entries, dtype=np.int64)
         # the start age in grid units, rounded up to the grid, and the
         # interval in ticks
-        self.entry_start = np.zeros(n_entries, dtype=np.int64)
+        entry_start = np.zeros(n_entries, dtype=np.int64)
         self.entry_period = np.zeros(n_entries, dtype=np.int64)
         for f, plan in plans.items():
             idx = self.groups[f]
@@ -588,18 +588,15 @@ class _Engine:
                 self.entry_spec[entry] = per_asset(
                     idx, lambda v: catalog.inspection(v, interval)
                 )
-                self.entry_start[entry] = -(-years * UNITS_PER_YEAR // per)
+                entry_start[entry] = -(-years * UNITS_PER_YEAR // per)
                 self.entry_period[entry] = interval // self.tick
         # the first due tick of each entry at set-up, and that of each entry
         # for a generation replaced at tick 0, from tick 1 on; a replacement
         # at tick k shifts the latter by k
         self.anchor0 = first_due(
-            self.entry_start, self.age0[self.entry_asset], 0, 0, self.entry_period,
-            self.tick_units,
+            entry_start, self.age0[self.entry_asset], 0, 0, self.entry_period, self.tick_units
         )
-        self.entry_restart = first_due(
-            self.entry_start, 0, 0, 1, self.entry_period, self.tick_units
-        )
+        self.entry_restart = first_due(entry_start, 0, 0, 1, self.entry_period, self.tick_units)
 
         self.specs = list(spec_ids)
         self.person_hours = np.array([s.person_hours for s in self.specs])
@@ -657,14 +654,15 @@ class _Engine:
         self.ended: list[tuple[int, int, int, int]] = []
 
         horizon = self.scenario.horizon_years
-        self.kpis = KpiSeries.zeros(horizon)
         # what executed per (year, activity), the replacement requests
-        # pending at each year end, and the ticks failed assets waited for
-        # their corrective replacement, per year
+        # pending at each year end, and per year the failures, the ticks
+        # failed assets waited for repair and the backlog at the year end
         self.replaced = np.zeros((horizon, len(self.specs)), dtype=np.int64)
         self.inspected = np.zeros_like(self.replaced)
         self.queued = np.zeros_like(self.replaced)
+        self.failures = [0] * horizon
         self.gap_ticks = np.zeros(horizon, dtype=np.int64)
+        self.backlog_hours = [0.0] * horizon
 
         # tables[0, g, i] and tables[1, g, i] are the ticks from the origin
         # of generation g of asset i to the tick it fails and to the tick it
@@ -868,22 +866,24 @@ class _Engine:
             self.raised[_INSPECTION] += counts[0]
             self.dropped += counts[1]
         self.walked, self.ended = [], []
-        self.kpis.backlog_hours[year] = self._backlog_person_hours(k)
+        self.backlog_hours[year] = self._backlog_person_hours(k)
 
     def _book(self) -> KpiSeries:
         """The KPIs from what executed: money as exact Decimal products of
         the counts per (year, activity), and hours as exact sums rounded
         once (`_exact_sums`), the gap ticks at `tick_hours` each."""
-        kpis = self.kpis
-        kpis.capex = self._cost(self.replaced)
-        kpis.opex = self._cost(self.inspected)
-        kpis.replacements = self.replaced.sum(axis=1).tolist()
-        kpis.inspection_hours = _exact_sums(self.inspected, self.duration_hours)
-        kpis.unavailability_hours = _exact_sums(
-            np.column_stack((self.replaced + self.inspected, self.gap_ticks)),
-            [*self.duration_hours.tolist(), self.tick_hours],
+        return KpiSeries(
+            capex=self._cost(self.replaced),
+            opex=self._cost(self.inspected),
+            inspection_hours=_exact_sums(self.inspected, self.duration_hours),
+            unavailability_hours=_exact_sums(
+                np.column_stack((self.replaced + self.inspected, self.gap_ticks)),
+                [*self.duration_hours.tolist(), self.tick_hours],
+            ),
+            failures=self.failures,
+            replacements=self.replaced.sum(axis=1).tolist(),
+            backlog_hours=self.backlog_hours,
         )
-        return kpis
 
     def _cost(self, count: np.ndarray) -> list[Decimal]:
         ledger = [Decimal(0)] * len(count)
@@ -898,7 +898,7 @@ class _Engine:
             # the open pool's run (`generations.run_open_pool`); the assets'
             # state stays as `_start` drew it
             failed, self.replaced, self.inspected, self.raised, self.dropped = run_open_pool(self)
-            self.kpis.failures = failed.tolist()
+            self.failures = failed.tolist()
             self.examined = sum(self.raised)
             self.executed = self.examined - self.dropped
             return self._book()
@@ -956,50 +956,3 @@ def run_scenario(
         replications=series,
         aggregates=aggregate_replications(series),
     )
-
-
-def aggregate_replications(series: Sequence[KpiSeries]) -> dict[str, AggregateSeries]:
-    """Per-year mean/p10/p90 across replications, in replication-index order."""
-    if not series:
-        raise ValueError("no replications to aggregate")
-    horizon = series[0].horizon_years
-    for s in series:
-        if s.horizon_years != horizon:
-            raise ValueError("replications have mismatched horizons")
-    out: dict[str, AggregateSeries] = {}
-    for name in METRICS:
-        matrix = np.array(
-            [[float(v) for v in s.metric(name)] for s in series], dtype=float
-        )
-        ordered = np.sort(matrix, axis=0)
-        out[name] = AggregateSeries(
-            mean=(matrix.sum(axis=0) / len(series)).tolist(),
-            p10=_percentile(ordered, 10).tolist(),
-            p90=_percentile(ordered, 90).tolist(),
-        )
-    return out
-
-
-def _percentile(ordered: np.ndarray, q: int) -> np.ndarray:
-    """``np.percentile(matrix, q, axis=0)`` of the matrix whose columns
-    `ordered` holds sorted, in numpy's float steps (its default "linear"
-    method): the virtual index ``(rows - 1) * q / 100`` splits into a floor
-    and a weight, and the two order statistics around it are interpolated
-    from the nearer one. `np.percentile` itself imports ``numpy.ma``, which
-    would cost every `simulate` run its import.
-    """
-    last = len(ordered) - 1
-    virtual = last * (q / 100)
-    if virtual >= last:
-        # numpy takes the last row on both sides, with its floor index at -1
-        below = above = last
-        weight = virtual + 1
-    else:
-        below = math.floor(virtual)
-        above = below + 1
-        weight = virtual - below
-    lower, upper = ordered[below], ordered[above]
-    diff = upper - lower
-    if weight >= 0.5:
-        return upper - diff * (1 - weight)
-    return lower + diff * weight

@@ -210,7 +210,8 @@ class LedgerEngine(_Engine):
         self.backlog_terms = [[] for _ in range(years)]
         self.carried = []
         self.failed_at = {}
-        return super().run(rep)
+        self.series = super().run(rep)
+        return self.series
 
     def _apply(self, k, event):
         _, failed, renewed, corrective, _ = event
@@ -239,7 +240,7 @@ class LedgerEngine(_Engine):
 
     def assert_ledgers_exact(self):
         """Each year's hours are `math.fsum` of their terms."""
-        kpis = self.kpis
+        kpis = self.series
         for year in range(self.scenario.horizon_years):
             assert kpis.inspection_hours[year] == math.fsum(self.inspection_terms[year])
             assert kpis.unavailability_hours[year] == math.fsum(self.unavailability_terms[year])

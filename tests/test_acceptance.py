@@ -260,7 +260,7 @@ def test_criterion_9_replacements_dominate_totex(unconstrained_runs):
     for name, report in unconstrained_runs.items():
         for series in report.replications:
             capex = sum(series.capex)
-            totex = sum(series.totex)
+            totex = sum(series.columns()["totex"])
             assert totex > 0
             assert capex / totex > Decimal("0.5"), name
 

@@ -137,6 +137,27 @@ class TestFit:
         assert (out / "km_110.csv").exists()
         assert "110" in payload["medians"]
 
+    def test_repeated_family_fits_once_in_the_order_given(self, tmp_path):
+        fleet = generate_synthetic_fleet(
+            SyntheticFleetSpec(
+                sizes={VoltageClass.V110: 300, VoltageClass.V150: 300},
+                commission_years=(1950, 1995),
+                seed=8,
+            )
+        )
+        assets = tmp_path / "assets.csv"
+        write_fleet(assets, draw_failures(fleet, REFERENCE_LAWS, date(2021, 7, 1), seed=15))
+        out = tmp_path / "fit"
+        result = invoke(
+            "fit", "--assets", assets, "--cutoff", "2021-07-01",
+            "--family", "150", "--family", "110", "--family", "150", "--out", out,
+        )
+        assert result.exit_code == 0, result.output
+        laws = json.loads((out / "law.json").read_text())["laws"]
+        assert [(r["family"], r["source"]) for r in laws] == [
+            ("150", "rank_regression"), ("150", "mle"), ("110", "rank_regression"), ("110", "mle")
+        ]
+
     def test_law_json_independent_of_blas_threads(self, tmp_path):
         # A BLAS dot product splits its sum across threads, so its rounding
         # follows the thread count. Families of more than 10k rows are where
@@ -533,12 +554,30 @@ def long_series(report):
     return report
 
 
+def nan_aggregate(report):
+    report["aggregates"]["totex"]["mean"][3] = float("nan")
+    return report
+
+
+def infinite_backlog(report):
+    report["replications"][0]["backlog_hours"][2] = float("inf")
+    return report
+
+
+def huge_cost(report):
+    report["replications"][1]["opex"][0] = 10**400
+    return report
+
+
 # ways to break a report.json, by name
 MALFORMED = {
     "short_aggregate": short_aggregate,
     "top_level_list": lambda report: [report],
     "horizon_in_words": horizon_in_words,
     "long_series": long_series,
+    "nan_aggregate": nan_aggregate,
+    "infinite_backlog": infinite_backlog,
+    "huge_cost": huge_cost,
 }
 
 
@@ -600,6 +639,11 @@ class TestReport:
             ("b", "top_level_list", "report: expected an object, got list"),
             ("a", "horizon_in_words", "horizon_years: expected an integer, got str"),
             ("b", "long_series", "replications.1.failures: expected 30 values"),
+            # json writes and reads NaN and Infinity, which are not JSON, and
+            # an integer past the largest float
+            ("a", "nan_aggregate", "aggregates.totex.mean.3: expected a finite number, got nan"),
+            ("b", "infinite_backlog", "replications.0.backlog_hours.2: expected a finite number, got inf"),
+            ("a", "huge_cost", "replications.1.opex.0: expected a finite number, got 1000"),
         ],
     )
     def test_malformed_report_names_role_and_field(self, tmp_path, small_fleet_csv, role, damage, named):

@@ -1,19 +1,25 @@
 """Golden bytes of simulation reports.
 
 Each case runs a builtin scenario on a small fixed fleet and pins the sha256
-of the report as canonical JSON. A change to the engine that is meant to be
-a pure refactor or speedup must leave every hash unchanged; a change that
-alters results on purpose re-pins them and says so.
+of the report as canonical JSON and of its `kpis.csv`; one pair of reports
+also pins the files `fleetlife report` writes from them. A change to the
+engine or to the report format that is meant to be a pure refactor or
+speedup must leave every hash unchanged; a change that alters results on
+purpose re-pins them and says so.
 """
 
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 from datetime import date
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from fleetlife.cli import main
 from fleetlife.fleet import SyntheticFleetSpec, VoltageClass, generate_synthetic_fleet
 from fleetlife.generations import due_before
 from fleetlife.scenarios import builtin_scenario
@@ -63,23 +69,76 @@ def golden_scenario(case: str):
     return scenario
 
 
+@functools.cache
+def golden_report(case: str):
+    return run_scenario(FLEET, golden_scenario(case))
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def report_sha256(report) -> str:
-    canonical = json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":")))
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_report_bytes_pinned(case):
-    report = run_scenario(FLEET, golden_scenario(case))
-    assert report_sha256(report) == GOLDEN[case]
+    assert report_sha256(golden_report(case)) == GOLDEN[case]
+
+
+# the sha256 of the kpis.csv of each case above
+GOLDEN_KPIS_CSV = {
+    "time-based": "d442f54f00e5e82dad0e3f24650431903f91133749185078f37ec5776aec1959",
+    "condition-based": "e8ea8042e2030fb3460bcdcb889c524c11091ea88f4d5adad19ca5557a336bbd",
+    "time-based:binding": "3f45d21a996ca8f8aec7d6957b96cc001834b7c4d6f54eead6eb5e406cf2180f",
+    "condition-based:binding": "fe22ecd5431fc635b436772a667b727503bb35ed804487864f3e0966c6da4553",
+    "time-based:century": "7b11f66d6b6a00360651902b29d78137918573a6a4d60260285115b2178babc7",
+    "condition-based:century": "9e8c23c68244757fa7177b286c9ac5c056e0aa4d4ac70092ee67d2ff59eb58b3",
+    "time-based:binding:century": "670dcb6a7b7b2cd8d90f82b841ec9720c5f8dc79e0fa9606ee0076aaac9003e0",
+    "condition-based:binding:century": "e5009a5859fcb0e86dcd2ca26b6584bc38052a65bf0af16b23bc210cde6669bd",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_KPIS_CSV))
+def test_kpis_csv_bytes_pinned(case):
+    stream = io.StringIO()
+    golden_report(case).write_kpis_csv(stream)
+    assert sha256(stream.getvalue()) == GOLDEN_KPIS_CSV[case]
+
+
+# the sha256 of each file but the manifest that `fleetlife report` writes
+# from the report.json files of the two binding cases, which cross over in
+# year 8
+GOLDEN_COMPARISON = {
+    "comparison.csv": "3bf4761be2fcc0a685bdf44ad86cf1db04f2f4707346e451a94a4dbeff8fb627",
+    "plotdata/a_totex_stack.csv": "7975a017d43e5eed04a05fa0c36eea17a4ed471a64ab5e8938cb06b719da6160",
+    "plotdata/b_totex_stack.csv": "d4388e952460daed03f49c80359db135bcf53bbcc9fbe2fc2762a32f82dfa116",
+    "summary.json": "46ee145c89b147b6f1ea4d910760f956b72b351dd0e7c5dfad137595e9cbb302",
+}
+
+
+def test_comparison_bytes_pinned(tmp_path):
+    args, out = ["report"], tmp_path / "cmp"
+    for role, case in (("a", "time-based:binding"), ("b", "condition-based:binding")):
+        path = tmp_path / f"{role}.json"
+        path.write_text(json.dumps(golden_report(case).to_json_dict(), indent=2) + "\n")
+        args += [f"--{role}", str(path)]
+    result = CliRunner().invoke(main, [*args, "--out", str(out)], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    written = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*.*"))
+        if path.name != "manifest.json"
+    }
+    assert written == GOLDEN_COMPARISON
 
 
 @pytest.mark.parametrize("case", ["time-based:binding", "condition-based:binding"])
 def test_binding_cases_carry_work_across_year_ends(case):
     # guards the cases above: without carried work they would not pin the
     # backlog path
-    report = run_scenario(FLEET, golden_scenario(case))
-    for series in report.replications:
+    for series in golden_report(case).replications:
         assert sum(b > 0 for b in series.backlog_hours) >= 3
 
 

@@ -43,11 +43,11 @@ from fleetlife.simulate import (
     _INSPECTION,
     _Engine,
     _asset_keys,
-    _percentile,
     _philox4x64,
     _stream_draws,
 )
 from fleetlife.generations import UNITS_PER_DAY, UNITS_PER_MONTH, _greedy_walk, due_before
+from fleetlife.reports import _percentile
 from fleetlife.weibull import REFERENCE_LAWS, WeibullLaw
 from reference_engine import (
     _CORRECTIVE,
@@ -256,11 +256,11 @@ class TestEvaluateTriggers:
             horizon_years=1,
         )
         engine = traced(fleet_of([asset(commissioned=SIXTY)]), sc)
-        assert engine.kpis.failures == [1]
+        assert engine.series.failures == [1]
         assert engine.planned == [[]] * 12
         assert [got for _, _, got in engine.inspection_log] == [[]] * 12
         assert [len(ids) for ids in pending(engine)] == [1, 0, 0]
-        assert engine.kpis.backlog_hours == [400.0]
+        assert engine.series.backlog_hours == [400.0]
 
     def raised_from_25(self, intervals):
         """Inspections raised per tick for cadences starting at age 25."""
@@ -284,7 +284,7 @@ class TestSampleFailure:
     def test_disabled_switch(self):
         sc = scenario(laws=STEP_LAWS, failures_enabled=False, horizon_years=1)
         engine = traced(fleet_of([asset(commissioned=SIXTY)]), sc)
-        assert engine.kpis.failures == [0]
+        assert engine.series.failures == [0]
         assert in_service(engine).all()
 
     def test_draw_consumes_one_uniform(self):
@@ -310,7 +310,7 @@ class TestSampleFailure:
             assert not in_service(engine)[i]
             assert engine.ticks[0][i] == fails_at
             assert engine.failed[fails_at].count(i) == 1
-        assert sum(engine.kpis.failures) == len(ids)
+        assert sum(engine.series.failures) == len(ids)
 
 
 class TestAllocateResources:
@@ -323,7 +323,7 @@ class TestAllocateResources:
         engine = traced(fleet, annual_scenario(resources=Unconstrained()))
         assert engine.completed[0] == [(_INSPECTION, 0), (_INSPECTION, 1), (_INSPECTION, 2)]
         assert engine.completed[2] == [(_PLANNED, 0), (_PLANNED, 1), (_PLANNED, 2)]
-        assert engine.kpis.backlog_hours == [0.0] * 4
+        assert engine.series.backlog_hours == [0.0] * 4
 
     def test_replacement_fills_capacity_inspections_carry(self):
         fleet = fleet_of([
@@ -333,7 +333,7 @@ class TestAllocateResources:
         engine = traced(fleet, sc)
         assert engine.completed == [[(_PLANNED, 1)]]
         assert pending(engine)[_INSPECTION] == [0, 2]
-        assert engine.kpis.backlog_hours == [2 * 2.66]
+        assert engine.series.backlog_hours == [2 * 2.66]
 
     def test_priority_order_corrective_first(self):
         # a1 and a3 (110 kV) are due for planned replacement at tick 0, and
@@ -395,13 +395,13 @@ class TestAllocateResources:
         sc = annual_scenario(resources=pool(403.0, 12), horizon_years=1)
         engine = traced(fleet, sc)
         assert engine.completed == [[(_PLANNED, 0), (_INSPECTION, 1)]]
-        assert engine.kpis.backlog_hours == [0.0]
+        assert engine.series.backlog_hours == [0.0]
 
     def test_zero_capacity(self):
         sc = annual_scenario(resources=EMPTY_POOL, horizon_years=1)
         engine = traced(fleet_of([asset()]), sc)
         assert engine.completed == [[]]
-        assert engine.kpis.backlog_hours == [2.66]
+        assert engine.series.backlog_hours == [2.66]
 
 
 class TestApplyCompletion:
@@ -422,7 +422,7 @@ class TestApplyCompletion:
             horizon_years=1,
         )
         engine = traced(fleet, sc)
-        series = engine.kpis
+        series = engine.series
         assert series.capex == [2 * Decimal("45044")]
         assert series.replacements == [2]
         assert series.unavailability_hours == [40.0 + HOURS_PER_MONTH + 40.0]
@@ -449,7 +449,7 @@ class TestApplyCompletion:
             fleet_policy=simple_policy(TimeBased(45.0), plan), tick_months=3, horizon_years=1
         )
         engine = traced(fleet_of([asset()]), sc)
-        series = engine.kpis
+        series = engine.series
         assert series.opex == [4 * Decimal("41.624")]
         assert series.inspection_hours == [4 * 0.5]
         assert series.unavailability_hours == [4 * 0.5]
@@ -568,8 +568,8 @@ class TestRunScenario:
             ),
         )
         series = run_scenario(fleet, sc).replications[0]
-        for year in range(series.horizon_years):
-            assert series.totex[year] == series.capex[year] + series.opex[year]
+        totex = [c + o for c, o in zip(series.capex, series.opex)]
+        assert series.columns()["totex"] == totex
         assert sum(series.opex) > 0
 
     def test_person_hour_conservation_under_constraint(self):
@@ -589,7 +589,7 @@ class TestRunScenario:
         first_due_tick = math.ceil(45 * 12.0 - initial_months)
         assert series.replacements[0] == 2 * (12 - first_due_tick)
         # conservation: executed person-hours never exceed offered capacity
-        for year in range(series.horizon_years):
+        for year in range(len(series.replacements)):
             assert series.replacements[year] * 400.0 <= 800.0 * 12 + 1e-9
 
     def test_monotone_capacity_backlog(self):
@@ -689,6 +689,17 @@ class TestRunScenario:
             _Engine(fleet_of([asset("a"), asset("a")]), scenario())
 
 
+def kpi_series(horizon, **columns):
+    """A replication's KPIs over `horizon` years: zero but the given columns."""
+    money, hours, counts = [Decimal(0)] * horizon, [0.0] * horizon, [0] * horizon
+    zeros = {
+        "capex": money, "opex": money, "inspection_hours": hours,
+        "unavailability_hours": hours, "failures": counts, "replacements": counts,
+        "backlog_hours": hours,
+    }
+    return KpiSeries(**{**zeros, **columns})
+
+
 class TestAggregation:
     def test_identical_replications_collapse(self):
         report = run_scenario(fleet_of([asset()]), scenario(replications=3))
@@ -696,10 +707,11 @@ class TestAggregation:
         assert agg.mean == agg.p10 == agg.p90
         assert agg.mean[45] == pytest.approx(43211.0)
 
-    @pytest.mark.parametrize("replications", [1, 2, 3, 5, 80])
+    @pytest.mark.parametrize("replications", range(1, 81))
     def test_percentiles_match_numpy_bit_for_bit(self, replications):
         # columns with ties, zeros and values of mixed scale, as yearly KPIs
-        # across replications have
+        # across replications have; the mean is numpy's sum of the rows over
+        # their count
         rng = np.random.default_rng(replications)
         pool = np.array([0.0, 0.0, 1.33, 2.0 / 3.0, 40.0, 1e6 + 0.1, 86422.0])
         for _ in range(20):
@@ -708,22 +720,34 @@ class TestAggregation:
                 rng.choice(pool, (replications, 60)),
                 rng.random((replications, 60)) * 10.0 ** rng.integers(-3, 7),
             )
-            ordered = np.sort(matrix, axis=0)
+            years = [sorted(year) for year in matrix.T.tolist()]
             for q in (0, 10, 50, 90, 100):
-                expected = np.percentile(matrix, q, axis=0)
-                assert _percentile(ordered, q).tobytes() == expected.tobytes()
-        series = [KpiSeries.zeros(60) for _ in range(replications)]
-        for row, s in zip(matrix, series):
-            s.inspection_hours = row.tolist()
+                got = np.array([_percentile(year, q) for year in years])
+                assert got.tobytes() == np.percentile(matrix, q, axis=0).tobytes()
+        series = [kpi_series(60, inspection_hours=row) for row in matrix.tolist()]
         aggregate = aggregate_replications(series)["inspection_hours"]
-        assert aggregate.p10 == np.percentile(matrix, 10, axis=0).tolist()
-        assert aggregate.p90 == np.percentile(matrix, 90, axis=0).tolist()
+        for got, expected in (
+            (aggregate.mean, matrix.sum(axis=0) / replications),
+            (aggregate.p10, np.percentile(matrix, 10, axis=0)),
+            (aggregate.p90, np.percentile(matrix, 90, axis=0)),
+        ):
+            assert np.array(got).tobytes() == expected.tobytes()
+
+    def test_mean_of_a_year_does_not_depend_on_the_horizon(self):
+        # the replications are summed in index order; numpy sums a matrix
+        # of one column pairwise from 8 rows on, which rounds differently
+        rng = np.random.default_rng(7)
+        values = (rng.random(40) * 10.0 ** rng.integers(-3, 7, 40)).tolist()
+        total = 0.0
+        for v in values:
+            total += v
+        one = aggregate_replications([kpi_series(1, backlog_hours=[v]) for v in values])
+        two = aggregate_replications([kpi_series(2, backlog_hours=[v, 1.0]) for v in values])
+        assert one["backlog_hours"].mean == two["backlog_hours"].mean[:1] == [total / 40]
 
     def test_mismatched_horizons_rejected(self):
-        a = KpiSeries.zeros(5)
-        b = KpiSeries.zeros(6)
         with pytest.raises(ValueError, match="mismatched"):
-            aggregate_replications([a, b])
+            aggregate_replications([kpi_series(5), kpi_series(6)])
 
     def test_compare_report_with_itself(self):
         report = run_scenario(fleet_of([asset()]), scenario(horizon_years=50))
@@ -1311,9 +1335,9 @@ class RecordingEngine(_Engine):
         self.events, self.inspected_at = {}, {}
 
     def run(self, rep):
-        series = super().run(rep)
+        self.series = super().run(rep)
         self._replay(self.anchor0.copy())
-        return series
+        return self.series
 
     def _triggered(self, assets, ticks):
         for a, k in zip(assets.tolist(), ticks.tolist()):
@@ -1548,7 +1572,7 @@ def assert_matches_reference_queue(engine, fleet, sc):
             (PRIORITY[req.kind], ids.index(req.asset_id)) for req in executed
         ]
         if (k + 1) % tpy == 0:
-            assert engine.kpis.backlog_hours[k // tpy] == math.fsum(reference.backlog())
+            assert engine.series.backlog_hours[k // tpy] == math.fsum(reference.backlog())
             carried |= any(
                 req.kind is ActivityKind.INSPECTION and reference.live(req, g)
                 for req, g in reference.queue
@@ -1743,7 +1767,7 @@ class TestEngineInvariants:
     @given(data=st.data())
     def test_unconstrained_leaves_no_backlog(self, data):
         series = run_scenario(invariant_fleet(data), invariant_scenario(data)).replications[0]
-        assert series.backlog_hours == [0.0] * series.horizon_years
+        assert series.backlog_hours == [0.0] * len(series.failures)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), fte=st.integers(1, 4), more=st.integers(1, 4))
@@ -1796,7 +1820,7 @@ class TestEngineInvariants:
             laws={vc: life for vc in VoltageClass},
         )
         engine = traced(invariant_fleet(data), sc)
-        series = engine.kpis
+        series = engine.series
         corrective = sum(cls == _CORRECTIVE for tick in engine.completed for cls, _ in tick)
         out_of_service = int((~in_service(engine)).sum())
         assert sum(series.failures) == corrective + out_of_service
@@ -1870,7 +1894,7 @@ class TestEngineInvariants:
         )
         engine = open_and_walked(fleet, sc)
         assert engine.generation.min() >= 4
-        assert sum(engine.kpis.failures) > 0
+        assert sum(engine.series.failures) > 0
 
 
 def exact_schedule(fleet, sc, rate):
