@@ -2,10 +2,14 @@
 maintenance strategy simulation.
 
 The public names and the submodules are imported on first access (PEP 562),
-so a command that estimates laws never loads the simulation engine.
+so a command that estimates laws never loads the simulation engine. This
+module also holds the one reader of JSON input: every scenario, law file,
+synth spec and report is read by `checked`, `known`, `field` and `read`, so
+that each names a malformed field by its dotted path in one way.
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -19,15 +23,37 @@ _KINDS = {
 }
 
 
+def _at(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
 def checked(value: object, where: str, kind: type):
-    """`value` if it is a `kind` (`float` takes any JSON number), and a bool
-    only where `kind` is bool; else a ValueError naming field `where`. Every
-    reader of JSON input checks its values here, so that none loads a module
-    only for it."""
+    """`value` read as a `kind`, else a ValueError naming field `where`. A
+    bool is read only where `kind` is bool. `float` takes a finite JSON
+    number and gives a float: Python's json also reads NaN, Infinity and
+    integers past the float range, which are refused. Any other `kind` is
+    money (`decimal.Decimal`), read exactly from a number or a decimal
+    string."""
+    if kind not in _KINDS:
+        from decimal import Decimal, InvalidOperation
+
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ValueError(f"{where}: expected a number")
+        try:
+            amount = Decimal(str(value))
+        except InvalidOperation:
+            raise ValueError(f"{where}: not a valid amount") from None
+        if not amount.is_finite():
+            raise ValueError(f"{where}: not a finite amount")
+        return amount
     kinds = (int, float) if kind is float else kind
     if not isinstance(value, kinds) or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"{where}: expected {_KINDS[kind]}, got {type(value).__name__}")
-    return value
+    if kind is not float:
+        return value
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValueError(f"{where}: expected a finite number, got {value}")
+    return float(value)
 
 
 def known(entry: dict, fields: tuple[str, ...], where: str = "") -> dict:
@@ -35,9 +61,42 @@ def known(entry: dict, fields: tuple[str, ...], where: str = "") -> dict:
     naming the first other key as a field of `where`."""
     for key in entry:
         if key not in fields:
-            field = f"{where}.{key}" if where else key
-            raise ValueError(f"{field}: unknown field (expected one of {', '.join(fields)})")
+            raise ValueError(f"{_at(where, key)}: unknown field (expected one of {', '.join(fields)})")
     return entry
+
+
+_REQUIRED = object()
+
+
+def field(entry: dict, key: str, where: str, kind: type, default: object = _REQUIRED):
+    """Field `key` of the JSON object `entry` at dotted path `where`, read
+    by `checked` as a `kind`; `default` where the entry leaves it out, and
+    where it has none, a ValueError naming the field as required."""
+    if key in entry:
+        return checked(entry[key], _at(where, key), kind)
+    if default is _REQUIRED:
+        raise ValueError(f"{_at(where, key)}: required")
+    return default
+
+
+def read(cls: type, entry: dict, where: str, **given):
+    """The dataclass `cls` of the JSON object `entry` at dotted path
+    `where`. Each field of `cls` annotated int, float, bool, str or Decimal
+    is read by `field`: one with no default is required, and one the entry
+    leaves out keeps its default. Every other field is `given`. The checks
+    of `cls` name their field first, so a failing one is reported at
+    `where.<field>`."""
+    import dataclasses
+    from decimal import Decimal
+
+    scalars = {"int": int, "float": float, "bool": bool, "str": str, "Decimal": Decimal}
+    for f in dataclasses.fields(cls):
+        if f.type in scalars and (f.name in entry or f.default is dataclasses.MISSING):
+            given[f.name] = field(entry, f.name, where, scalars[f.type])
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ValueError(_at(where, str(exc))) from None
 
 
 # public names by the submodule that defines them, in `__all__` order

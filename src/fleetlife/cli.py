@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib
 import json
@@ -17,10 +18,11 @@ import sys
 import time
 from datetime import date
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
-from . import __version__, checked, known
+from . import __version__, checked, field, known, read
 
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
@@ -35,6 +37,7 @@ class _Run:
 
     Inputs are keyed by the role they play in the command (``fleet``,
     ``scenario``, ``a``, ...), so two inputs with one basename both count.
+    Every artifact is written through `output`, which records its hash.
     """
 
     def __init__(self, command: str, out_dir: Path):
@@ -49,10 +52,23 @@ class _Run:
     def add_input(self, role: str, path: Path) -> None:
         self.inputs[role] = _sha256(path)
 
-    def add_output(self, path: Path) -> None:
-        self.outputs[str(path.relative_to(self.out_dir))] = _sha256(path)
+    @contextlib.contextmanager
+    def output(self, name: str):
+        """The text file `name` under the output directory (``plotdata/``
+        is created on first use), open for writing; its sha256 is recorded
+        as output `name` once it closes."""
+        path = self.out_dir / name
+        path.parent.mkdir(exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        self.outputs[name] = _sha256(path)
+
+    def output_json(self, name: str, payload: dict) -> None:
+        with self.output(name) as handle:
+            handle.write(json.dumps(payload, indent=2) + "\n")
 
     def write_manifest(self) -> None:
+        """The manifest, written last: it lists every output before it."""
         manifest = {
             "command": self.command,
             "argv": sys.argv[1:],
@@ -62,8 +78,7 @@ class _Run:
             "outputs": self.outputs,
             "duration_seconds": round(time.monotonic() - self.started, 3),
         }
-        path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        self.output_json("manifest.json", manifest)
 
 
 def _sha256(path: Path) -> str:
@@ -74,11 +89,7 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def _fail(message: str, code: int) -> None:
+def _fail(message: str, code: int) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
@@ -90,7 +101,6 @@ def _parse_iso_date(value: str, label: str) -> date:
         return iso_date(value, label)
     except DataError as exc:
         _fail(str(exc), EXIT_VALIDATION)
-        raise AssertionError("unreachable")
 
 
 def _load_assets(path: Path):
@@ -149,7 +159,6 @@ def fit(assets_path: Path, cutoff: str, families: tuple[str, ...], out_dir: Path
         table = build_lifetime_table(assets, cutoff_date)
     except DataError as exc:
         _fail(str(exc), EXIT_VALIDATION)
-        return
 
     # a family given twice is fitted once, where it is first given
     wanted = [VoltageClass(f) for f in dict.fromkeys(families)] if families else list(VoltageClass)
@@ -164,10 +173,8 @@ def fit(assets_path: Path, cutoff: str, families: tuple[str, ...], out_dir: Path
                 _fail(f"no assets in family {vc.value}", EXIT_VALIDATION)
             continue
         curve = km_fit(family_table)
-        curve_path = out_dir / f"km_{vc.value}.csv"
-        with open(curve_path, "w", encoding="utf-8", newline="") as handle:
+        with run.output(f"km_{vc.value}.csv") as handle:
             write_curve_csv(curve, handle)
-        run.add_output(curve_path)
 
         try:
             rr_law, rr_error = fit_weibull_rank_regression(curve), None
@@ -177,10 +184,8 @@ def fit(assets_path: Path, cutoff: str, families: tuple[str, ...], out_dir: Path
             mle_law, diag = fit_weibull_mle(family_table, rr_law)
         except ValueError as exc:
             _fail(f"family {vc.value}: {exc}", EXIT_VALIDATION)
-            return
         except FitError as exc:
             _fail(f"family {vc.value}: {exc}", EXIT_NONCONVERGENCE)
-            return
         if rr_law is None:
             click.echo(f"note: family {vc.value}: rank regression skipped ({rr_error})", err=True)
         else:
@@ -198,9 +203,7 @@ def fit(assets_path: Path, cutoff: str, families: tuple[str, ...], out_dir: Path
 
     if not medians:
         _fail("no observations in any requested family", EXIT_VALIDATION)
-    law_path = out_dir / "law.json"
-    _write_json(law_path, {"laws": laws, "diagnostics": diagnostics, "medians": medians})
-    run.add_output(law_path)
+    run.output_json("law.json", {"laws": laws, "diagnostics": diagnostics, "medians": medians})
     run.write_manifest()
     for vc_value, entry in medians.items():
         click.echo(f"family {vc_value}: km median {entry['km_median_years']}, weibull median {entry['weibull_median_years']:.2f}")
@@ -218,8 +221,12 @@ def _pick_laws(payload) -> dict:
         raise DataError("laws file: expected a list of law records or {'laws': [...]}")
     preference = {"mle": 0, "rank_regression": 1, "reference": 2}
     best: dict = {}
+    seen = set()
     for i, record in enumerate(records):
         vc, law, source = law_from_record(record, f"laws[{i}]")
+        if (vc, source) in seen:
+            raise DataError(f"laws[{i}]: a second {source} law record for family {vc.value}")
+        seen.add((vc, source))
         rank = preference.get(source, 3)
         if vc not in best or rank < best[vc][0]:
             best[vc] = (rank, law)
@@ -248,7 +255,6 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
             laws = _pick_laws(json.load(handle))
     except (DataError, ValueError) as exc:
         _fail(str(exc), EXIT_VALIDATION)
-        return
 
     failure = assets.failure
     in_service = np.flatnonzero((failure == 0) | (failure > as_of_date.toordinal()))
@@ -283,11 +289,10 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
     lines.extend(
         map("%s,%.4f,%s".__mod__, zip(ids, ages.tolist(), map(rated.__getitem__, scores.tolist())))
     )
-    ahi_path = out_dir / "ahi.csv"
-    ahi_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    run.add_output(ahi_path)
+    with run.output("ahi.csv") as handle:
+        handle.write("\n".join(lines) + "\n")
     run.write_manifest()
-    click.echo(f"scored {len(in_service)} assets -> {ahi_path}")
+    click.echo(f"scored {len(in_service)} assets -> {out_dir / 'ahi.csv'}")
 
 
 @main.command()
@@ -316,15 +321,10 @@ def simulate(fleet_path: Path, scenario_ref: str, out_dir: Path, jobs: int, seed
         report = run_scenario(fleet, scenario, jobs=jobs)
     except (DataError, ScenarioError, ValueError) as exc:
         _fail(str(exc), EXIT_VALIDATION)
-        return
 
-    report_path = out_dir / "report.json"
-    _write_json(report_path, report.to_json_dict())
-    run.add_output(report_path)
-    kpi_path = out_dir / "kpis.csv"
-    with open(kpi_path, "w", encoding="utf-8", newline="") as handle:
+    run.output_json("report.json", report.to_json_dict())
+    with run.output("kpis.csv") as handle:
         report.write_kpis_csv(handle)
-    run.add_output(kpi_path)
     run.write_manifest()
     totex = sum(report.aggregates["totex"].mean)
     click.echo(
@@ -338,18 +338,15 @@ def _synth_spec(raw: object):
     that is not a JSON integer is named by its dotted field."""
     from .fleet import DataError, SyntheticFleetSpec, VoltageClass
 
-    known(checked(raw, "spec", dict), ("sizes", "commission_years", "seed"))
+    spec = known(checked(raw, "spec", dict), ("sizes", "commission_years", "seed"))
     sizes = {}
-    for key, n in checked(raw.get("sizes", {}), "sizes", dict).items():
+    for key, n in field(spec, "sizes", "", dict).items():
         sizes[VoltageClass.named(key, f"sizes.{key}")] = checked(n, f"sizes.{key}", int)
-    years = raw.get("commission_years")
-    if not isinstance(years, list) or len(years) != 2:
+    years = field(spec, "commission_years", "", list)
+    if len(years) != 2:
         raise DataError("commission_years: expected [first_year, last_year]")
-    return SyntheticFleetSpec(
-        sizes=sizes,
-        commission_years=tuple(checked(y, f"commission_years.{i}", int) for i, y in enumerate(years)),
-        seed=checked(raw.get("seed", 0), "seed", int),
-    )
+    years = tuple(checked(y, f"commission_years.{i}", int) for i, y in enumerate(years))
+    return read(SyntheticFleetSpec, spec, "", sizes=sizes, commission_years=years)
 
 
 @main.command()
@@ -359,7 +356,8 @@ def synth(spec_path: Path, out_dir: Path) -> None:
     """Generate a synthetic in-service fleet CSV from a spec file.
 
     The spec is {"sizes": {"110": N, "150": N, "220_380": N},
-    "commission_years": [first, last], "seed": integer}, all integers.
+    "commission_years": [first, last], "seed": integer}, all integers;
+    "seed" is optional, default 0.
     """
     from .fleet import DataError, generate_synthetic_fleet, write_asset_csv
 
@@ -371,14 +369,11 @@ def synth(spec_path: Path, out_dir: Path) -> None:
         fleet = generate_synthetic_fleet(spec)
     except (DataError, ValueError) as exc:
         _fail(str(exc), EXIT_VALIDATION)
-        return
     run.seeds["seed"] = spec.seed
-    fleet_path = out_dir / "fleet.csv"
-    with open(fleet_path, "w", encoding="utf-8", newline="") as handle:
+    with run.output("fleet.csv") as handle:
         write_asset_csv(fleet, handle)
-    run.add_output(fleet_path)
     run.write_manifest()
-    click.echo(f"wrote {len(fleet)} assets -> {fleet_path}")
+    click.echo(f"wrote {len(fleet)} assets -> {out_dir / 'fleet.csv'}")
 
 
 @main.command()
@@ -398,23 +393,15 @@ def report(path_a: Path, path_b: Path, out_dir: Path) -> None:
                 reports.append(SimulationReport.from_json_dict(json.load(handle)))
         except ValueError as exc:
             _fail(f"--{role} {path}: {exc}", EXIT_VALIDATION)
-            return
     report_a, report_b = reports
     try:
         comparison = compare_scenarios(report_a, report_b)
     except ValueError as exc:
         _fail(str(exc), EXIT_VALIDATION)
-        return
 
-    comparison_path = out_dir / "comparison.csv"
-    with open(comparison_path, "w", encoding="utf-8", newline="") as handle:
+    with run.output("comparison.csv") as handle:
         comparison.write_csv(handle)
-    run.add_output(comparison_path)
-
-    plot_dir = out_dir / "plotdata"
-    plot_dir.mkdir(exist_ok=True)
     for label, rep in (("a", report_a), ("b", report_b)):
-        stack_path = plot_dir / f"{label}_totex_stack.csv"
         lines = ["year,capex_mean,opex_mean,totex_mean"]
         for year in range(rep.horizon_years):
             lines.append(
@@ -422,12 +409,10 @@ def report(path_a: Path, path_b: Path, out_dir: Path) -> None:
                 f"{rep.aggregates['opex'].mean[year]!r},"
                 f"{rep.aggregates['totex'].mean[year]!r}"
             )
-        stack_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        run.add_output(stack_path)
-
-    summary_path = out_dir / "summary.json"
-    _write_json(
-        summary_path,
+        with run.output(f"plotdata/{label}_totex_stack.csv") as handle:
+            handle.write("\n".join(lines) + "\n")
+    run.output_json(
+        "summary.json",
         {
             "scenario_a": report_a.scenario_name,
             "scenario_b": report_b.scenario_name,
@@ -436,7 +421,6 @@ def report(path_a: Path, path_b: Path, out_dir: Path) -> None:
             "crossover_year": comparison.crossover_year,
         },
     )
-    run.add_output(summary_path)
     run.write_manifest()
     if comparison.crossover_year is None:
         click.echo("no cumulative-cost crossover within the horizon")

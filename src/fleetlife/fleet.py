@@ -187,19 +187,22 @@ class LifetimeTable:
 
 @dataclass(frozen=True)
 class SyntheticFleetSpec:
-    """Sizes per family, commissioning year range (inclusive), and a seed."""
+    """Sizes per family, commissioning year range (inclusive), and a seed.
+    Each check names its field first, as a spec file gives it."""
 
     sizes: Mapping[VoltageClass, int]
     commission_years: tuple[int, int]
-    seed: int
+    seed: int = 0
 
     def __post_init__(self) -> None:
-        lo, hi = self.commission_years
-        if hi < lo:
-            raise DataError(f"empty commission year range {lo}..{hi}")
         for vc, n in self.sizes.items():
             if n < 0:
-                raise DataError(f"negative size {n} for {vc.value}")
+                raise DataError(f"sizes.{vc.value}: must be >= 0, got {n}")
+        lo, hi = self.commission_years
+        if not 1 <= lo <= hi <= 9999:
+            raise DataError(f"commission_years: expected 1 <= first <= last <= 9999, got [{lo}, {hi}]")
+        if self.seed < 0:
+            raise DataError(f"seed: must be >= 0, got {self.seed}")
 
 
 def iso_date(value: object, field: str) -> date:

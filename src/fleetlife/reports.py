@@ -19,9 +19,9 @@ import operator
 import sys
 from dataclasses import dataclass, fields
 from decimal import Decimal
-from typing import IO, Any, Optional, Sequence
+from typing import IO, Optional, Sequence
 
-from . import checked
+from . import checked, field, known
 
 __all__ = [
     "KpiSeries",
@@ -73,10 +73,11 @@ class KpiSeries:
     @classmethod
     def from_json_dict(cls, data: object, path: str, horizon: int) -> "KpiSeries":
         """The series of a `to_json_dict` object at dotted field `path`."""
-        if _field(data, path, "horizon_years") != horizon:
+        entry = known(checked(data, path, dict), ("horizon_years", *METRICS), path)
+        if field(entry, "horizon_years", path, int) != horizon:
             raise ValueError(f"{path}.horizon_years: expected the report's {horizon}")
         return cls(
-            **{f.name: _per_year(data, path, f.name, horizon, _KIND[f.name]) for f in fields(cls)}
+            **{f.name: _per_year(entry, path, f.name, horizon, _KIND[f.name]) for f in fields(cls)}
         )
 
 
@@ -132,21 +133,21 @@ class SimulationReport:
         """The report of a `to_json_dict` object. A malformed one raises
         ValueError naming the dotted field, such as ``aggregates.totex.mean``;
         every per-year list must hold `horizon_years` values."""
-        horizon = _field(data, "", "horizon_years")
+        root = known(checked(data, "report", dict), tuple(f.name for f in fields(cls)))
+        horizon = field(root, "horizon_years", "", int)
         if horizon < 1:
             raise ValueError(f"horizon_years: expected at least 1, got {horizon}")
-        replications = _field(data, "", "replications", list)
-        stats, aggregates = _field(data, "", "aggregates", dict), {}
+        replications = field(root, "replications", "", list)
+        stats, aggregates = known(field(root, "aggregates", "", dict), METRICS, "aggregates"), {}
         for name in METRICS:
-            where, agg = f"aggregates.{name}", _field(stats, "aggregates", name, dict)
-            aggregates[name] = AggregateSeries(
-                *(_per_year(agg, where, stat, horizon) for stat in ("mean", "p10", "p90"))
-            )
+            where = f"aggregates.{name}"
+            agg = known(field(stats, name, "aggregates", dict), _STATS, where)
+            aggregates[name] = AggregateSeries(*(_per_year(agg, where, s, horizon) for s in _STATS))
         return cls(
-            scenario_name=_field(data, "", "scenario_name", str),
-            master_seed=_field(data, "", "master_seed"),
+            scenario_name=field(root, "scenario_name", "", str),
+            master_seed=field(root, "master_seed", "", int),
             horizon_years=horizon,
-            tick_months=_field(data, "", "tick_months"),
+            tick_months=field(root, "tick_months", "", int),
             replications=[
                 KpiSeries.from_json_dict(series, f"replications.{i}", horizon)
                 for i, series in enumerate(replications)
@@ -162,27 +163,23 @@ class SimulationReport:
             writer.writerows([year, rep_index, *row] for year, row in enumerate(rows))
 
 
-# Readers of report JSON: each error names the dotted field, the keys and
-# list positions from the top of the report joined by dots.
-def _field(data: object, path: str, key: str, kind: type = int) -> Any:
-    where = f"{path}.{key}" if path else key
-    if key not in checked(data, path or "report", dict):
-        raise ValueError(f"{where}: missing")
-    return checked(data[key], where, kind)
+# the per-year statistics of each metric's aggregate
+_STATS = tuple(f.name for f in fields(AggregateSeries))
 
 
-def _per_year(data: object, path: str, key: str, horizon: int, kind: type = float) -> list:
-    """The `horizon` numbers, one a year, of field `key`, as `kind`: int, or
-    a finite float, or a Decimal read from the float's repr."""
-    where, values = f"{path}.{key}", _field(data, path, key, list)
+def _per_year(entry: dict, path: str, key: str, horizon: int, kind: type = float) -> list:
+    """The `horizon` numbers, one a year, of field `key` of the report
+    object `entry` at `path`, as `kind`: int, or a finite float, or a
+    Decimal read from the float's repr. Each error names the dotted field,
+    the keys and list positions from the top of the report joined by dots."""
+    where, values = f"{path}.{key}", field(entry, key, path, list)
     if len(values) != horizon:
         raise ValueError(f"{where}: expected {horizon} values (horizon_years), got {len(values)}")
-    numbers = (int,) if kind is int else (int, float)
+    numbers, most = ((int,), math.inf) if kind is int else ((int, float), sys.float_info.max)
     for i, v in enumerate(values):
-        if type(v) not in numbers:  # the types JSON gives pass without a call
+        # the values JSON gives pass without a call
+        if type(v) not in numbers or not -most <= v <= most:
             checked(v, f"{where}.{i}", int if kind is int else float)
-        if kind is not int and not -sys.float_info.max <= v <= sys.float_info.max:
-            raise ValueError(f"{where}.{i}: expected a finite number, got {v}")
     if kind is Decimal:
         return [Decimal(str(float(v))) for v in values]
     return [kind(v) for v in values]

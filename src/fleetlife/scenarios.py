@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from typing import Any, Optional
 
-from . import checked, known
+from . import checked, field, known, read
 from .fleet import VoltageClass, iso_date
 from .simulate import (
     ActivityCatalog,
@@ -210,68 +209,8 @@ def load_scenario_file(path: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _expect(data: dict, key: str, path: str) -> Any:
-    if key not in data:
-        raise ScenarioError(f"{_join(path, key)}: required")
-    return data[key]
-
-
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def _get(entry: dict, key: str, path: str, kind: type) -> Any:
-    """Required field `key` of the entry at `path`, checked as a `kind`; a
-    number is read as a float and must be finite (JSON's NaN and Infinity
-    are not), and money (`Decimal`) is read exactly by `_as_money`."""
-    if kind is Decimal:
-        return _as_money(_expect(entry, key, path), _join(path, key))
-    value = checked(_expect(entry, key, path), _join(path, key), kind)
-    if kind is float:
-        try:
-            value = float(value)
-        except OverflowError:  # an integer beyond the float range
-            value = math.inf
-        if not math.isfinite(value):
-            raise ScenarioError(f"{_join(path, key)}: expected a finite number, got {value}")
-    return value
-
-
-def _as_money(value: Any, path: str) -> Decimal:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ScenarioError(f"{path}: expected a number")
-    try:
-        amount = Decimal(str(value))
-    except InvalidOperation:
-        raise ScenarioError(f"{path}: not a valid amount") from None
-    if not amount.is_finite():
-        raise ScenarioError(f"{path}: not a finite amount")
-    return amount
-
-
 def _fields(cls: type) -> tuple[str, ...]:
-    return tuple(field.name for field in dataclasses.fields(cls))
-
-
-# the kind `_get` reads each scalar field as, by its annotation (a string
-# under `from __future__ import annotations`)
-_SCALARS = {"int": int, "float": float, "bool": bool, "str": str, "Decimal": Decimal}
-
-
-def _read(cls: type, entry: dict, path: str, **given: Any) -> Any:
-    """The `cls` of the JSON object `entry` at `path`. Each scalar field of
-    `cls` is read by `_get`: one with no default is required, and one the
-    entry leaves out keeps its default. Every other field is `given`. The
-    checks of `cls` name their field first, so a failing one is reported
-    at `path.<field>`."""
-    for field in dataclasses.fields(cls):
-        kind = _SCALARS.get(field.type)
-        if kind and (field.name in entry or field.default is dataclasses.MISSING):
-            given[field.name] = _get(entry, field.name, path, kind)
-    try:
-        return cls(**given)
-    except ValueError as exc:
-        raise ScenarioError(_join(path, str(exc))) from None
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 # the class of each tagged object, by its tag key and the tag's value
@@ -282,17 +221,14 @@ _TAGGED = {
 }
 
 
-def _tagged(data: Any, path: str, tag: str) -> Any:
-    """The object at `path` whose string `tag` picks its class; it may give
-    the fields of that class and nothing else."""
-    entry = checked(data, path, dict)
-    value, classes = _get(entry, tag, path, str), _TAGGED[tag]
+def _tagged(entry: dict, path: str, tag: str) -> Any:
+    """The object `entry` at `path` whose string `tag` picks its class; it
+    may give the fields of that class and nothing else."""
+    value, classes = field(entry, tag, path, str), _TAGGED[tag]
     if value not in classes:
-        raise ScenarioError(
-            f"{_join(path, tag)}: expected {' or '.join(map(repr, classes))}, got {value!r}"
-        )
+        raise ScenarioError(f"{path}.{tag}: expected {' or '.join(map(repr, classes))}, got {value!r}")
     cls = classes[value]
-    return _read(cls, known(entry, (tag, *_fields(cls)), path), path)
+    return read(cls, known(entry, (tag, *_fields(cls)), path), path)
 
 
 def _tagged_dict(obj: Any) -> dict:
@@ -304,13 +240,13 @@ def _tagged_dict(obj: Any) -> dict:
     return {tag: value, **dataclasses.asdict(obj)}
 
 
-def _parse_laws(data: Any, path: str) -> dict[VoltageClass, WeibullLaw]:
+def _parse_laws(data: dict, path: str) -> dict[VoltageClass, WeibullLaw]:
     laws = {}
-    for key, value in checked(data, path, dict).items():
-        law_path = _join(path, key)
+    for key, value in data.items():
+        law_path = f"{path}.{key}"
         vc = VoltageClass.named(key, law_path)
         entry = known(checked(value, law_path, dict), _fields(WeibullLaw), law_path)
-        laws[vc] = _read(WeibullLaw, entry, law_path)
+        laws[vc] = read(WeibullLaw, entry, law_path)
     return laws
 
 
@@ -318,29 +254,24 @@ def _parse_inspections(data: Any, path: str) -> Optional[PeriodicInspections]:
     if data is None:
         return None
     entry = known(checked(data, path, dict), _fields(PeriodicInspections), path)
-    where = _join(path, "interval_months")
     months = tuple(
-        checked(m, f"{where}[{i}]", int)
-        for i, m in enumerate(_get(entry, "interval_months", path, list))
+        checked(m, f"{path}.interval_months[{i}]", int)
+        for i, m in enumerate(field(entry, "interval_months", path, list))
     )
-    return _read(PeriodicInspections, entry, path, interval_months=months)
+    return read(PeriodicInspections, entry, path, interval_months=months)
 
 
-def _parse_policy(data: Any, path: str) -> Policy:
-    mapping = checked(data, path, dict)
-    if not mapping:
+def _parse_policy(data: dict, path: str) -> Policy:
+    if not data:
         raise ScenarioError(f"{path}: at least one family policy required")
     families = {}
-    for key, value in mapping.items():
-        fam_path = _join(path, key)
+    for key, value in data.items():
+        fam_path = f"{path}.{key}"
         vc = VoltageClass.named(key, fam_path)
         entry = known(checked(value, fam_path, dict), _fields(FamilyPolicy), fam_path)
-        replacement = _tagged(
-            _expect(entry, "replacement", fam_path), _join(fam_path, "replacement"), "type"
-        )
-        inspections = _parse_inspections(
-            entry.get("inspections"), _join(fam_path, "inspections")
-        )
+        replacement = field(entry, "replacement", fam_path, dict)
+        replacement = _tagged(replacement, f"{fam_path}.replacement", "type")
+        inspections = _parse_inspections(entry.get("inspections"), f"{fam_path}.inspections")
         families[vc] = FamilyPolicy(replacement=replacement, inspections=inspections)
     return Policy(families=families)
 
@@ -348,30 +279,29 @@ def _parse_policy(data: Any, path: str) -> Policy:
 _ACTIVITY_KINDS = {kind.value: kind for kind in ActivityKind}
 
 
-def _parse_activities(data: Any, path: str) -> ActivityCatalog:
+def _parse_activities(data: list, path: str) -> ActivityCatalog:
     """The catalog of a list of activity entries: each gives the fields of
     its ActivitySpec, its `kind` and `voltage_kv`, and an inspection its
     `interval_months` cadence too."""
-    if not isinstance(data, list) or not data:
+    if not data:
         raise ScenarioError(f"{path}: expected a non-empty list of activities")
     tables: dict[ActivityKind, dict] = {kind: {} for kind in ActivityKind}
     for i, raw in enumerate(data):
         entry_path = f"{path}[{i}]"
         entry = checked(raw, entry_path, dict)
-        kind_text = _get(entry, "kind", entry_path, str)
+        kind_text = field(entry, "kind", entry_path, str)
         if kind_text not in _ACTIVITY_KINDS:
             raise ScenarioError(
-                f"{_join(entry_path, 'kind')}: expected one of "
-                f"{sorted(_ACTIVITY_KINDS)}, got {kind_text!r}"
+                f"{entry_path}.kind: expected one of {sorted(_ACTIVITY_KINDS)}, got {kind_text!r}"
             )
         kind = _ACTIVITY_KINDS[kind_text]
         inspection = kind is ActivityKind.INSPECTION
         slot = ("kind", "voltage_kv", *(("interval_months",) if inspection else ()))
         known(entry, slot + _fields(ActivitySpec), entry_path)
-        key = _get(entry, "voltage_kv", entry_path, int)
+        key = field(entry, "voltage_kv", entry_path, int)
         if inspection:
-            key = (key, _get(entry, "interval_months", entry_path, int))
-        tables[kind][key] = _read(ActivitySpec, entry, entry_path)
+            key = (key, field(entry, "interval_months", entry_path, int))
+        tables[kind][key] = read(ActivitySpec, entry, entry_path)
     return ActivityCatalog(
         replacements=tables[ActivityKind.PLANNED_REPLACEMENT],
         inspections=tables[ActivityKind.INSPECTION],
@@ -392,15 +322,16 @@ def scenario_from_dict(data: dict) -> Scenario:
         root = known(checked(data, "scenario", dict), _SCENARIO_FIELDS)
         given = {}
         if root.get("degradation_rates") is not None:
-            given["degradation_rates"] = _tagged(root["degradation_rates"], "degradation_rates", "kind")
+            rates = checked(root["degradation_rates"], "degradation_rates", dict)
+            given["degradation_rates"] = _tagged(rates, "degradation_rates", "kind")
         if root.get("start_date") is not None:
             given["start_date"] = iso_date(root["start_date"], "start_date")
-        return _read(
+        return read(
             Scenario, root, "",
-            laws=_parse_laws(_expect(root, "laws", ""), "laws"),
-            policy=_parse_policy(_expect(root, "policy", ""), "policy"),
-            catalog=_parse_activities(_expect(root, "activities", ""), "activities"),
-            resources=_tagged(_expect(root, "resources", ""), "resources", "mode"),
+            laws=_parse_laws(field(root, "laws", "", dict), "laws"),
+            policy=_parse_policy(field(root, "policy", "", dict), "policy"),
+            catalog=_parse_activities(field(root, "activities", "", list), "activities"),
+            resources=_tagged(field(root, "resources", "", dict), "resources", "mode"),
             **given,
         )
     except ValueError as exc:
@@ -456,6 +387,6 @@ def _spec_dict(spec: ActivitySpec, kind: ActivityKind, kv: int) -> dict:
 
 def _money(amount: Decimal) -> float | str:
     """`amount` as a JSON number if that number reads back as the same
-    amount, else as its decimal string, which `_as_money` reads exactly."""
+    amount, else as its decimal string, which `checked` reads exactly."""
     number = float(amount)
     return number if Decimal(repr(number)) == amount else str(amount)

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import checked
+from . import checked, field, known, read
 from .fleet import LifetimeTable, VoltageClass
 from .survival import SurvivalCurve
 
@@ -152,19 +152,10 @@ def law_to_record(law: WeibullLaw, family: str, source: str) -> dict:
 def law_from_record(record: object, path: str = "law") -> tuple[VoltageClass, WeibullLaw, str]:
     """The family, law and source of the `law_to_record` object at field
     `path`, whose family must be a JSON string naming a family, beta and
-    eta JSON numbers, and source, if given, a JSON string."""
-    try:
-        where = f"{path}.family"
-        checked(record, path, dict)
-        family = VoltageClass.named(checked(record["family"], where, str), where)
-        beta, eta = (checked(record[key], f"{path}.{key}", float) for key in ("beta", "eta"))
-    except KeyError as exc:
-        raise ValueError(f"{path}: law record missing field {exc.args[0]!r}") from None
-    try:
-        law = WeibullLaw(beta=float(beta), eta=float(eta))
-    except ValueError as exc:
-        raise ValueError(f"{path}.{exc}") from None
-    return family, law, checked(record.get("source", "unknown"), f"{path}.source", str)
+    eta finite JSON numbers, and source, if given, a JSON string."""
+    entry = known(checked(record, path, dict), ("family", "beta", "eta", "source"), path)
+    family = VoltageClass.named(field(entry, "family", path, str), f"{path}.family")
+    return family, read(WeibullLaw, entry, path), field(entry, "source", path, str, "unknown")
 
 
 def _profile_terms(beta: float, log_t: np.ndarray) -> tuple[float, float]:

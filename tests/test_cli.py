@@ -94,6 +94,12 @@ class TestSynth:
             ({"commission_years": [1980, "2010"]}, "commission_years.1: expected an integer, got str"),
             ({"commission_years": [1980]}, "commission_years: expected [first_year, last_year]"),
             ({"sise": {"110": 2}}, "sise: unknown field"),
+            # the checks of the spec itself name their field too
+            ({"seed": -1}, "seed: must be >= 0, got -1"),
+            ({"sizes": {"110": 2, "150": -3}}, "sizes.150: must be >= 0, got -3"),
+            ({"commission_years": [2010, 1980]}, "commission_years: expected 1 <= first <= last <= 9999, got [2010, 1980]"),
+            ({"commission_years": [0, 1986]}, "commission_years: expected 1 <= first <= last <= 9999, got [0, 1986]"),
+            ({"commission_years": [1980, 10000]}, "commission_years: expected 1 <= first <= last <= 9999"),
         ],
     )
     def test_malformed_spec_names_the_field(self, tmp_path, spec, named):
@@ -106,6 +112,12 @@ class TestSynth:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert f"error: {named}" in result.output
         assert not (tmp_path / "o" / "fleet.csv").exists()
+
+    def test_seed_defaults_to_zero(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"sizes": {"110": 3}, "commission_years": [1980, 2010]}))
+        assert invoke("synth", "--spec", spec, "--out", tmp_path / "o").exit_code == 0
+        assert manifest_without_duration(tmp_path / "o")["seeds"] == {"seed": 0}
 
 
 class TestFit:
@@ -360,13 +372,16 @@ class TestScore:
             ({"laws": [{"family": "110", "beta": 6.67, "eta": 63.79}, "x"]}, "laws[1]: expected an object, got str"),
             ([{"family": "110", "beta": True, "eta": 63.79}], "laws[0].beta: expected a number, got bool"),
             ([{"family": "110", "beta": 6.67, "eta": "60"}], "laws[0].eta: expected a number, got str"),
-            ([{"family": "110", "beta": 6.67}], "laws[0]: law record missing field 'eta'"),
+            ([{"family": "110", "beta": 6.67}], "laws[0].eta: required"),
             ([{"family": 110, "beta": 6.67, "eta": 63.79}], "laws[0].family: expected a string, got int"),
             (
                 [{"family": "400", "beta": 6.67, "eta": 63.79}],
                 "laws[0].family: unknown family '400' (expected 110, 150, 220_380)",
             ),
             ([{"family": "110", "beta": -6, "eta": 63.79}], "laws[0].beta: shape must be positive, got -6.0"),
+            # an integer past the float range, which Python's json reads
+            ([{"family": "110", "beta": 6.67, "eta": 10**400}], "laws[0].eta: expected a finite number, got 1000"),
+            ([{"family": "110", "bta": 1, "beta": 6.67, "eta": 63.79}], "laws[0].bta: unknown field"),
         ],
     )
     def test_malformed_law_record_names_the_field(self, tmp_path, records, named):
@@ -382,6 +397,27 @@ class TestScore:
         assert result.exit_code == 2
         assert f"error: {named}" in result.output
         assert "Traceback" not in result.output
+
+    def test_second_record_of_a_family_and_source_rejected(self, tmp_path):
+        # a file may hold one law of each source per family, as `fit` writes
+        # it; a second one would otherwise go unused without a word
+        path = tmp_path / "fleet.csv"
+        path.write_text("asset_id,voltage_kv,commission_date,failure_date,manufacturer\nA,110,2000-01-01,,\n")
+        records = [
+            {"family": "110", "beta": 6.67, "eta": 63.79, "source": "mle"},
+            {"family": "110", "beta": 6.5, "eta": 63.0, "source": "rank_regression"},
+            {"family": "110", "beta": 5.0, "eta": 60.0, "source": "mle"},
+        ]
+        laws = tmp_path / "laws.json"
+        for kept, code in ((2, 0), (3, 2)):
+            laws.write_text(json.dumps({"laws": records[:kept]}))
+            result = runner.invoke(
+                main,
+                ["score", "--assets", str(path), "--laws", str(laws),
+                 "--as-of", "2021-07-01", "--out", str(tmp_path / f"o{kept}")],
+            )
+            assert result.exit_code == code, result.output
+        assert "error: laws[2]: a second mle law record for family 110" in result.output
 
     @pytest.mark.parametrize("command, option", [("fit", "--cutoff"), ("score", "--as-of")])
     @pytest.mark.parametrize("value", ["20210701", "2021-7-1", "2021-07-01T00:00", "2021-02-30"])
@@ -569,6 +605,26 @@ def huge_cost(report):
     return report
 
 
+def misspelled_key(report):
+    report["horizon_year"] = report["horizon_years"]
+    return report
+
+
+def unknown_series_field(report):
+    report["replications"][0]["failure"] = report["replications"][0]["failures"]
+    return report
+
+
+def unknown_metric(report):
+    report["aggregates"]["capex_total"] = report["aggregates"]["capex"]
+    return report
+
+
+def unknown_statistic(report):
+    report["aggregates"]["totex"]["p50"] = report["aggregates"]["totex"]["mean"]
+    return report
+
+
 # ways to break a report.json, by name
 MALFORMED = {
     "short_aggregate": short_aggregate,
@@ -578,6 +634,10 @@ MALFORMED = {
     "nan_aggregate": nan_aggregate,
     "infinite_backlog": infinite_backlog,
     "huge_cost": huge_cost,
+    "misspelled_key": misspelled_key,
+    "unknown_series_field": unknown_series_field,
+    "unknown_metric": unknown_metric,
+    "unknown_statistic": unknown_statistic,
 }
 
 
@@ -644,6 +704,12 @@ class TestReport:
             ("a", "nan_aggregate", "aggregates.totex.mean.3: expected a finite number, got nan"),
             ("b", "infinite_backlog", "replications.0.backlog_hours.2: expected a finite number, got inf"),
             ("a", "huge_cost", "replications.1.opex.0: expected a finite number, got 1000"),
+            # a field the reader does not know, at each level (a series also
+            # carries horizon_years and totex, which the reader skips)
+            ("b", "misspelled_key", "horizon_year: unknown field"),
+            ("a", "unknown_series_field", "replications.0.failure: unknown field"),
+            ("b", "unknown_metric", "aggregates.capex_total: unknown field"),
+            ("a", "unknown_statistic", "aggregates.totex.p50: unknown field"),
         ],
     )
     def test_malformed_report_names_role_and_field(self, tmp_path, small_fleet_csv, role, damage, named):
@@ -681,6 +747,18 @@ def test_import_leaves_the_process_pool_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_import_leaves_decimal_and_dataclasses_unloaded():
+    # the package's JSON reader imports them only when it reads a file
+    src = str(Path(fleetlife.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, fleetlife.cli; print([m for m in ('decimal', 'dataclasses') if m in sys.modules])"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_import_leaves_the_engine_and_scenarios_unloaded():
@@ -776,3 +854,39 @@ def test_family_choices_are_the_voltage_classes():
     import fleetlife.cli as cli
 
     assert cli.FAMILY_CHOICES == [vc.value for vc in VoltageClass]
+
+
+def test_manifest_outputs_are_the_files_written(tmp_path, small_fleet_csv):
+    # each command's manifest lists every file it leaves under --out but
+    # itself, plotdata/ included, each with its sha256
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"sizes": {"110": 20, "150": 10}, "commission_years": [1980, 2010]}))
+    assets = TestFit().make_observed_fleet(tmp_path, n=1000)
+    simulated = tmp_path / "simulate" / "report.json"
+    commands = {
+        "synth": (["--spec", spec], {"fleet.csv"}),
+        "fit": (["--assets", assets, "--cutoff", "2021-07-01"], {"km_110.csv", "law.json"}),
+        "score": (
+            ["--assets", assets, "--laws", tmp_path / "fit" / "law.json", "--as-of", "2021-07-01"],
+            {"ahi.csv"},
+        ),
+        "simulate": (
+            ["--fleet", small_fleet_csv, "--scenario", scenario_file(tmp_path)],
+            {"report.json", "kpis.csv"},
+        ),
+        "report": (
+            ["--a", simulated, "--b", simulated],
+            {"comparison.csv", "plotdata/a_totex_stack.csv", "plotdata/b_totex_stack.csv", "summary.json"},
+        ),
+    }
+    for command, (args, files) in commands.items():
+        out = tmp_path / command
+        result = invoke(command, *args, "--out", out)
+        assert result.exit_code == 0, result.output
+        written = {
+            path.relative_to(out).as_posix(): sha256_file(path)
+            for path in out.rglob("*")
+            if path.is_file() and path.name != "manifest.json"
+        }
+        assert set(written) == files
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == written

@@ -285,7 +285,7 @@ class TestSyntheticFleet:
             assert failure is None
 
     def test_empty_year_range_rejected(self):
-        with pytest.raises(DataError, match="empty commission year range"):
+        with pytest.raises(DataError, match=r"^commission_years: expected 1 <= first <= last <= 9999"):
             SyntheticFleetSpec(sizes={}, commission_years=(2000, 1999), seed=0)
 
     def test_draw_failures_deterministic_and_censored(self):

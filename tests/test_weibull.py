@@ -286,7 +286,7 @@ def test_law_record_round_trip():
     record = law_to_record(LAW_150, "150", "mle")
     family, law, source = law_from_record(record)
     assert (family, law, source) == (VoltageClass.V150, LAW_150, "mle")
-    with pytest.raises(ValueError, match="missing field"):
+    with pytest.raises(ValueError, match=r"^law\.eta: required$"):
         law_from_record({"family": "150", "beta": 2.0})
 
 
