@@ -13,11 +13,14 @@ of one family at a time.
 from __future__ import annotations
 
 import enum
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .weibull import WeibullLaw
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 __all__ = [
     "Band",

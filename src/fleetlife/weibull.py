@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from . import checked, field, known, read
 from .fleet import LifetimeTable, VoltageClass
-from .survival import SurvivalCurve
+
+if TYPE_CHECKING:
+    from .survival import SurvivalCurve
 
 __all__ = [
     "WeibullLaw",
@@ -65,8 +67,12 @@ class WeibullLaw:
             raise ValueError(f"negative age {t}")
 
     def cumulative_hazard(self, t: float) -> float:
+        """H(t) = (t / eta) ** beta; inf where it passes the float range."""
         self._check_age(t)
-        return (t / self.eta) ** self.beta
+        try:
+            return (t / self.eta) ** self.beta
+        except OverflowError:
+            return math.inf
 
     def median(self) -> float:
         return self.quantile(0.5)
@@ -82,21 +88,29 @@ class WeibullLaw:
 
         Computed as 1 - exp(-(H(t+window) - H(t))) with H the cumulative
         hazard. The naive 1 - S(t+window)/S(t) underflows for old assets
-        under steep laws; the hazard-difference form does not.
+        under steep laws; the hazard-difference form does not. Where H(t)
+        overflows the probability is 1, its limit as the scale shrinks.
         """
         self._check_age(t)
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
-        gap = self.cumulative_hazard(t + window) - self.cumulative_hazard(t)
+        hazard = self.cumulative_hazard(t)
+        if math.isinf(hazard):
+            return 1.0
+        gap = self.cumulative_hazard(t + window) - hazard
         return -math.expm1(-gap)
 
     def interval_failure_probability(self, start: np.ndarray, end: np.ndarray) -> np.ndarray:
         """Elementwise probability of failing between ages start and end.
 
         Array form of conditional_failure_probability, with end = start +
-        window: 1 - exp(-(H(end) - H(start))). Ages are not checked.
+        window: 1 - exp(-(H(end) - H(start))). Ages are not checked. Where
+        H(start) overflows the probability is 1, as in the scalar form.
         """
-        return -np.expm1((start / self.eta) ** self.beta - (end / self.eta) ** self.beta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            hazard = (start / self.eta) ** self.beta
+            p = -np.expm1(hazard - (end / self.eta) ** self.beta)
+        return np.where(np.isinf(hazard), 1.0, p)
 
     def conditional_failure_age(self, start: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Elementwise age at which the cumulative hazard exceeds H(start) by e.

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -315,6 +316,24 @@ class TestScore:
         assert row[0] == "OLD"
         assert float(row[1]) == pytest.approx(70.0, abs=0.05)
         assert row[2] == "3" and row[3] == "purple" and row[4] == "probability"
+
+    def test_overflowing_hazard_scores_one(self, tmp_path):
+        # under a vanishing scale (age / eta) ** beta passes the float range:
+        # each asset's failure in the next window is certain
+        path = tmp_path / "fleet.csv"
+        path.write_text(
+            "asset_id,voltage_kv,commission_date,failure_date,manufacturer\n"
+            "A,110,1980-01-01,,\n"
+            "B,110,2000-01-01,,\n"
+        )
+        laws = tmp_path / "laws.json"
+        laws.write_text(json.dumps([{"family": "110", "beta": 6.67, "eta": 1e-300}]))
+        out = tmp_path / "score"
+        result = invoke("score", "--assets", path, "--laws", laws, "--as-of", "2021-01-01", "--out", out)
+        assert result.exit_code == 0, result.output
+        rows = [row.split(",") for row in (out / "ahi.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["A", "B"]
+        assert [row[2:] for row in rows] == [["1", "purple", "probability"]] * 2
 
     def test_empty_fleet_ok(self, tmp_path):
         path = tmp_path / "fleet.csv"
@@ -737,84 +756,77 @@ def test_help_lists_commands():
         assert command in result.output
 
 
-def test_import_leaves_the_process_pool_unloaded():
-    # the pool modules load only when a run has replications to spread
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's fleetlife."""
     src = str(Path(fleetlife.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, fleetlife.cli; print('concurrent.futures' in sys.modules)"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def child_python(code: str) -> str:
+    """The last line that `code`, run by a fresh interpreter, prints."""
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip().splitlines()[-1]
+
+
+def loaded_after(argv, modules) -> str:
+    """Those of `modules` that a fresh interpreter holds after `main(argv)`."""
+    argv = [str(a) for a in argv]
+    return child_python(
+        f"from fleetlife.cli import main; main({argv!r}, standalone_mode=False); "
+        f"import sys; print(sorted(m for m in {modules!r} if m in sys.modules))"
+    )
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool modules load only when a run has replications to spread
+    code = "import sys, fleetlife.cli; print('concurrent.futures' in sys.modules)"
+    assert child_python(code) == "False"
 
 
 def test_import_leaves_decimal_and_dataclasses_unloaded():
     # the package's JSON reader imports them only when it reads a file
-    src = str(Path(fleetlife.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, fleetlife.cli; print([m for m in ('decimal', 'dataclasses') if m in sys.modules])"
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert child_python(code) == "[]"
 
 
 def test_import_leaves_the_engine_and_scenarios_unloaded():
     # fit and score load neither; simulate and report import them when run
-    src = str(Path(fleetlife.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, fleetlife.cli; "
         "print([m for m in ('fleetlife.simulate', 'fleetlife.scenarios') if m in sys.modules])"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert child_python(code) == "[]"
 
 
 def test_simulate_leaves_health_unloaded(tmp_path, small_fleet_csv):
     # scoring is not part of a simulation: a builtin condition-based run,
-    # whose trigger age is a scenario constant, never loads fleetlife.health
-    src = str(Path(fleetlife.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = ["simulate", "--fleet", str(small_fleet_csv), "--scenario", "condition-based",
-            "--out", str(tmp_path / "sim")]
-    code = (
-        f"from fleetlife.cli import main; main({argv!r}, standalone_mode=False); "
-        "import sys; print('fleetlife.health' in sys.modules)"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip().splitlines()[-1] == "False"
+    # whose trigger age is a scenario constant, never loads fleetlife.health.
+    # Survival curves are for fitting, and numpy.typing for annotations.
+    argv = ["simulate", "--fleet", small_fleet_csv, "--scenario", "condition-based",
+            "--out", tmp_path / "sim"]
+    assert loaded_after(argv, ("fleetlife.health", "fleetlife.survival", "numpy.typing")) == "[]"
     assert (tmp_path / "sim" / "report.json").exists()
+
+
+def test_score_leaves_survival_and_the_engine_unloaded(tmp_path, small_fleet_csv):
+    # scoring reads laws: it fits no survival curve and simulates nothing
+    argv = ["score", "--assets", small_fleet_csv, "--laws", TestScore().laws_file(tmp_path),
+            "--as-of", "2021-07-01", "--out", tmp_path / "score"]
+    assert loaded_after(argv, ("fleetlife.survival", "fleetlife.simulate")) == "[]"
+    assert (tmp_path / "score" / "ahi.csv").exists()
 
 
 def test_simulate_leaves_numpy_ma_unloaded(tmp_path, small_fleet_csv):
     # with numpy 2.4, np.unique without counts and np.percentile import
     # numpy.ma on first use; a simulate run calls neither
-    src = str(Path(fleetlife.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-
-    def loaded_after(code):
-        code += "; import sys; print('numpy.ma' in sys.modules)"
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert result.returncode == 0, result.stderr
-        return result.stdout.strip().splitlines()[-1]
-
-    if loaded_after("import numpy") == "True":
+    if child_python("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
         pytest.skip("a bare `import numpy` loads numpy.ma")
-    argv = ["simulate", "--fleet", str(small_fleet_csv), "--scenario", "time-based",
-            "--out", str(tmp_path / "sim")]
-    run = f"from fleetlife.cli import main; main({argv!r}, standalone_mode=False)"
-    assert loaded_after(run) == "False"
+    argv = ["simulate", "--fleet", small_fleet_csv, "--scenario", "time-based",
+            "--out", tmp_path / "sim"]
+    assert loaded_after(argv, ("numpy.ma",)) == "[]"
     assert (tmp_path / "sim" / "report.json").exists()
 
 
@@ -823,19 +835,78 @@ def test_report_leaves_numpy_unloaded(tmp_path, small_fleet_csv):
     sc = scenario_file(tmp_path)
     invoke("simulate", "--fleet", small_fleet_csv, "--scenario", sc, "--out", tmp_path / "sim")
     report = tmp_path / "sim" / "report.json"
-    src = str(Path(fleetlife.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = ["report", "--a", str(report), "--b", str(report), "--out", str(tmp_path / "cmp")]
-    code = (
-        f"from fleetlife.cli import main; main({argv!r}, standalone_mode=False); "
-        "import sys; print(sorted(m for m in ('numpy', 'fleetlife.simulate') if m in sys.modules))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip().splitlines()[-1] == "[]"
+    argv = ["report", "--a", report, "--b", report, "--out", tmp_path / "cmp"]
+    assert loaded_after(argv, ("numpy", "fleetlife.simulate")) == "[]"
     assert (tmp_path / "cmp" / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "resources, jobs",
+    [
+        # a pool of 12 FTE x 400 h/yr, one replacement's hours a tick, which
+        # leaves a backlog on this fleet; replications in process and spread
+        # over workers
+        ({"mode": "constrained", "fte_count": 12, "hours_per_fte_per_year": 400.0}, 1),
+        ({"mode": "constrained", "fte_count": 12, "hours_per_fte_per_year": 400.0}, 2),
+        ({"mode": "unconstrained"}, 1),
+    ],
+    ids=["constrained-jobs1", "constrained-jobs2", "open-pool"],
+)
+def test_collector_off_leaves_no_cycles_per_replication(tmp_path, small_fleet_csv, resources, jobs):
+    # the `fleetlife` process runs with the cyclic collector off, which is
+    # safe while a command leaves a fixed set of cyclic objects: the same
+    # count after 2 replications as after 8. (A single replication runs in
+    # process at any --jobs, so 2 is the fewest that a pool spreads.)
+    counts = []
+    for replications in (2, 8):
+        sc = scenario_file(tmp_path, resources=resources, replications=replications)
+        argv = ["simulate", "--fleet", str(small_fleet_csv), "--scenario", str(sc),
+                "--out", str(tmp_path / f"sim{replications}"), "--jobs", str(jobs)]
+        counts.append(int(child_python(
+            "import gc; gc.disable(); from fleetlife.cli import main; "
+            f"main({argv!r}, standalone_mode=False); print(gc.collect())"
+        )))
+    assert counts[0] == counts[1]
+
+
+def test_process_entry_writes_what_main_writes(tmp_path, small_fleet_csv):
+    # `python -m fleetlife.cli` runs `run`, main with the collector off: the
+    # same exit code and error line, and the same bytes
+    def entry(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "fleetlife.cli", *map(str, args)],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+
+    bad = scenario_file(tmp_path, horizon_year=30)
+    args = ["simulate", "--fleet", small_fleet_csv, "--scenario", bad]
+    process = entry(*args, "--out", tmp_path / "bad-process")
+    in_process = invoke(*args, "--out", tmp_path / "bad-main")
+    assert process.returncode == in_process.exit_code == 2
+    assert process.stderr.startswith("error: ")
+    assert process.stderr.strip() == in_process.output.strip().splitlines()[-1]
+
+    args = ["simulate", "--fleet", small_fleet_csv, "--scenario", scenario_file(tmp_path), "--seed", 1]
+    assert entry(*args, "--out", tmp_path / "process").returncode == 0
+    assert invoke(*args, "--out", tmp_path / "main").exit_code == 0
+    for name in ("report.json", "kpis.csv"):
+        assert (tmp_path / "process" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
+def test_only_the_process_entry_changes_the_collector(tmp_path, small_fleet_csv):
+    # run() turns the collector off and freezes what is left for the exit
+    code = (
+        "import atexit, gc, sys; from fleetlife.cli import run; "
+        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0)); "
+        "sys.argv[1:] = ['--version']; run()"
+    )
+    assert child_python(code) == "False True"
+    # main called in process leaves the caller's collector as it found it
+    result = invoke("simulate", "--fleet", small_fleet_csv, "--scenario", scenario_file(tmp_path),
+                    "--out", tmp_path / "sim")
+    assert result.exit_code == 0
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == 0
 
 
 def test_layers_the_benchmark_traces_are_names_of_cli():

@@ -129,6 +129,17 @@ class TestConditionalFailureProbability:
         p = LAW_110.conditional_failure_probability(t, 3.0)
         assert p == 1.0
 
+    def test_overflowing_hazard_is_certain_failure(self):
+        # under a vanishing scale H(t) = (t / eta) ** beta passes the float
+        # range, or t / eta already does; the probability is 1, its limit as
+        # the scale shrinks, in the scalar and in the array form alike, and
+        # no overflow warning escapes
+        ages = [0.0, 1e-300, 21.0, 41.0]
+        for law in (WeibullLaw(6.67, 1e-300), WeibullLaw(0.5, 5e-324)):
+            array = law.interval_failure_probability(np.array(ages), np.array(ages) + 3.0)
+            scalar = [law.conditional_failure_probability(t, 3.0) for t in ages]
+            assert array.tolist() == scalar == [1.0] * len(ages)
+
     def test_vanishes_with_window(self):
         values = [
             LAW_110.conditional_failure_probability(50.0, w)
