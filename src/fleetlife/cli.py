@@ -354,9 +354,11 @@ def simulate(fleet_path: Path, scenario_ref: str, out_dir: Path, jobs: int, seed
 def _synth_spec(raw: object):
     """The synthetic fleet spec of a spec file; an unknown key or a value
     that is not a JSON integer is named by its dotted field."""
+    import dataclasses
+
     from .fleet import DataError, SyntheticFleetSpec, VoltageClass
 
-    spec = known(checked(raw, "spec", dict), ("sizes", "commission_years", "seed"))
+    spec = known(checked(raw, "spec", dict), tuple(f.name for f in dataclasses.fields(SyntheticFleetSpec)))
     sizes = {}
     for key, n in field(spec, "sizes", "", dict).items():
         sizes[VoltageClass.named(key, f"sizes.{key}")] = checked(n, f"sizes.{key}", int)

@@ -184,8 +184,8 @@ def schedule_replacements(engine: _Engine) -> dict[int, tuple]:
     pending at each year end (`engine.queued`) and the request counters, and
     leaves the assets' ticks and generations in their end state. Returns,
     for each tick at which an asset fails or is replaced: the budget left,
-    the assets that fail, those replaced (the first `corrective` of them by
-    their corrective request) and those replaced in service.
+    the assets that fail and those replaced (the first `corrective` of them
+    by their corrective request).
 
     Each event touches a few assets, so their state is read and written an
     int at a time: `ticks` are views of the rows of `engine.ticks`, and a
@@ -231,7 +231,7 @@ def schedule_replacements(engine: _Engine) -> dict[int, tuple]:
                 queued[specs[cls][a]] += 1
         calendars[0][k] = calendars[1][k] = None
         failures[year] += len(failed)
-        remaining, done, fresh = engine.capacity, ([], []), []
+        remaining, done = engine.capacity, ([], [])
         for cls, queue in enumerate(pending):
             i, kept, skipped = 0, [], stale[cls]
             while i < len(queue) and remaining >= floors[cls]:
@@ -251,7 +251,6 @@ def schedule_replacements(engine: _Engine) -> dict[int, tuple]:
             examined += i
             for a in done[cls]:
                 if ticks[0][a] > k:
-                    fresh.append(a)
                     continue
                 gap_ticks[year] += k - ticks[0][a]
                 # the failed asset's other request, if pending, is stale
@@ -272,7 +271,7 @@ def schedule_replacements(engine: _Engine) -> dict[int, tuple]:
                 if t < n_ticks:
                     calendar[t].append(a)
         if failed or renewed:
-            events[k] = (remaining, failed, renewed, len(done[0]), fresh)
+            events[k] = (remaining, failed, renewed, len(done[0]))
         if (k + 1) % tpy == 0:
             engine.queued[year] = queued
     engine.generation[:] = generation

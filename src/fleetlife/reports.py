@@ -18,10 +18,10 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, fields
-from decimal import Decimal
+from decimal import MAX_PREC, Context, Decimal, localcontext
 from typing import IO, Optional, Sequence
 
-from . import checked, field, known
+from . import checked, field, known, read
 
 __all__ = [
     "KpiSeries",
@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _CENT = Decimal("0.01")
+_WIDE = Context(prec=MAX_PREC)
 
 
 @dataclass
@@ -90,11 +91,13 @@ METRICS = tuple(sorted(_KIND, key=lambda name: (Decimal, float, int).index(_KIND
 
 
 def _written(columns: dict[str, list]) -> dict[str, list]:
-    """The columns as reports write them: money rounded to the cent."""
-    return {
-        name: [v.quantize(_CENT) for v in values] if _KIND[name] is Decimal else values
-        for name, values in columns.items()
-    }
+    """The columns as reports write them: money rounded to the cent, in a
+    context wide enough for any total."""
+    with localcontext(_WIDE):
+        return {
+            name: [v.quantize(_CENT) for v in values] if _KIND[name] is Decimal else values
+            for name, values in columns.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -120,10 +123,7 @@ class SimulationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "scenario_name": self.scenario_name,
-            "master_seed": self.master_seed,
-            "horizon_years": self.horizon_years,
-            "tick_months": self.tick_months,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "replications": [series.to_json_dict() for series in self.replications],
             "aggregates": {name: agg.to_json_dict() for name, agg in self.aggregates.items()},
         }
@@ -143,17 +143,25 @@ class SimulationReport:
             where = f"aggregates.{name}"
             agg = known(field(stats, name, "aggregates", dict), _STATS, where)
             aggregates[name] = AggregateSeries(*(_per_year(agg, where, s, horizon) for s in _STATS))
-        return cls(
-            scenario_name=field(root, "scenario_name", "", str),
-            master_seed=field(root, "master_seed", "", int),
-            horizon_years=horizon,
-            tick_months=field(root, "tick_months", "", int),
+        return read(
+            cls, root, "",
             replications=[
                 KpiSeries.from_json_dict(series, f"replications.{i}", horizon)
                 for i, series in enumerate(replications)
             ],
             aggregates=aggregates,
         )
+
+    def check_finite(self) -> None:
+        """Raise the ValueError the reader gives for the first per-year value,
+        of a series and then of an aggregate, that passes the float range."""
+        named = [(f"replications.{i}", s.columns()) for i, s in enumerate(self.replications)]
+        named += [(f"aggregates.{name}", agg.to_json_dict()) for name, agg in self.aggregates.items()]
+        for path, columns in named:
+            for key, values in columns.items():
+                if not all(map(math.isfinite, values)):
+                    for year, v in enumerate(values):
+                        checked(float(v), f"{path}.{key}.{year}", float)
 
     def write_kpis_csv(self, stream: IO[str]) -> None:
         writer = csv.writer(stream, lineterminator="\n")

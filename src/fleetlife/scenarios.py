@@ -25,8 +25,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from collections.abc import Mapping
+from datetime import date
 from decimal import Decimal
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 from . import checked, field, known, read
 from .fleet import VoltageClass, iso_date
@@ -231,23 +234,15 @@ def _tagged(entry: dict, path: str, tag: str) -> Any:
     return read(cls, known(entry, (tag, *_fields(cls)), path), path)
 
 
-def _tagged_dict(obj: Any) -> dict:
-    """The JSON object `_tagged` reads as `obj`: its tag, then its fields."""
-    tag, value = next(
-        (tag, value) for tag, classes in _TAGGED.items() for value, cls in classes.items()
-        if type(obj) is cls
-    )
-    return {tag: value, **dataclasses.asdict(obj)}
-
-
-def _parse_laws(data: dict, path: str) -> dict[VoltageClass, WeibullLaw]:
-    laws = {}
+def _by_family(data: dict, path: str, cls: type, parse: Callable[[dict, str], Any]) -> dict:
+    """The family-keyed object `data` at `path`, whose entries give the
+    fields of `cls`, each read by `parse(entry, path)`."""
+    families = {}
     for key, value in data.items():
-        law_path = f"{path}.{key}"
-        vc = VoltageClass.named(key, law_path)
-        entry = known(checked(value, law_path, dict), _fields(WeibullLaw), law_path)
-        laws[vc] = read(WeibullLaw, entry, law_path)
-    return laws
+        where = f"{path}.{key}"
+        vc = VoltageClass.named(key, where)
+        families[vc] = parse(known(checked(value, where, dict), _fields(cls), where), where)
+    return families
 
 
 def _parse_inspections(data: Any, path: str) -> Optional[PeriodicInspections]:
@@ -261,19 +256,16 @@ def _parse_inspections(data: Any, path: str) -> Optional[PeriodicInspections]:
     return read(PeriodicInspections, entry, path, interval_months=months)
 
 
+def _family_policy(entry: dict, path: str) -> FamilyPolicy:
+    replacement = _tagged(field(entry, "replacement", path, dict), f"{path}.replacement", "type")
+    inspections = _parse_inspections(entry.get("inspections"), f"{path}.inspections")
+    return FamilyPolicy(replacement=replacement, inspections=inspections)
+
+
 def _parse_policy(data: dict, path: str) -> Policy:
     if not data:
         raise ScenarioError(f"{path}: at least one family policy required")
-    families = {}
-    for key, value in data.items():
-        fam_path = f"{path}.{key}"
-        vc = VoltageClass.named(key, fam_path)
-        entry = known(checked(value, fam_path, dict), _fields(FamilyPolicy), fam_path)
-        replacement = field(entry, "replacement", fam_path, dict)
-        replacement = _tagged(replacement, f"{fam_path}.replacement", "type")
-        inspections = _parse_inspections(entry.get("inspections"), f"{fam_path}.inspections")
-        families[vc] = FamilyPolicy(replacement=replacement, inspections=inspections)
-    return Policy(families=families)
+    return Policy(families=_by_family(data, path, FamilyPolicy, _family_policy))
 
 
 _ACTIVITY_KINDS = {kind.value: kind for kind in ActivityKind}
@@ -328,7 +320,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             given["start_date"] = iso_date(root["start_date"], "start_date")
         return read(
             Scenario, root, "",
-            laws=_parse_laws(field(root, "laws", "", dict), "laws"),
+            laws=_by_family(field(root, "laws", "", dict), "laws", WeibullLaw, partial(read, WeibullLaw)),
             policy=_parse_policy(field(root, "policy", "", dict), "policy"),
             catalog=_parse_activities(field(root, "activities", "", list), "activities"),
             resources=_tagged(field(root, "resources", "", dict), "resources", "mode"),
@@ -339,50 +331,49 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Inverse of scenario_from_dict, usable as a starting template."""
-    activities = []
-    for kv, spec in sorted(scenario.catalog.replacements.items()):
-        activities.append(_spec_dict(spec, ActivityKind.PLANNED_REPLACEMENT, kv))
-    for kv, spec in sorted(scenario.catalog.corrective.items()):
-        activities.append(_spec_dict(spec, ActivityKind.CORRECTIVE_REPLACEMENT, kv))
-    for (kv, interval), spec in sorted(scenario.catalog.inspections.items()):
-        entry = _spec_dict(spec, ActivityKind.INSPECTION, kv)
-        entry["interval_months"] = interval
-        activities.append(entry)
-
-    policy = {}
-    for vc, fam in scenario.policy.families.items():
-        inspections = None
-        if fam.inspections is not None:
-            inspections = dataclasses.asdict(fam.inspections)
-            inspections["interval_months"] = list(fam.inspections.interval_months)
-        policy[vc.value] = {"replacement": _tagged_dict(fam.replacement), "inspections": inspections}
-
+    """Inverse of scenario_from_dict, usable as a starting template: the
+    fields of Scenario in order, each written by `_written`."""
     return {
-        "name": scenario.name,
-        "horizon_years": scenario.horizon_years,
-        "tick_months": scenario.tick_months,
-        "start_date": scenario.start_date.isoformat() if scenario.start_date else None,
-        "master_seed": scenario.master_seed,
-        "replications": scenario.replications,
-        "failures_enabled": scenario.failures_enabled,
-        "hazard_age": scenario.hazard_age,
-        "degradation_rates": _tagged_dict(scenario.degradation_rates),
-        "laws": {vc.value: dataclasses.asdict(law) for vc, law in scenario.laws.items()},
-        "policy": policy,
-        "activities": activities,
-        "resources": _tagged_dict(scenario.resources),
+        key: _written(getattr(scenario, f.name))
+        for key, f in zip(_SCENARIO_FIELDS, dataclasses.fields(Scenario))
     }
 
 
-def _spec_dict(spec: ActivitySpec, kind: ActivityKind, kv: int) -> dict:
-    """The activity entry of `spec` in the catalog slot of `kind` and `kv`:
-    its name, the slot, then its other fields."""
-    fields = {
-        key: _money(value) if isinstance(value, Decimal) else value
-        for key, value in dataclasses.asdict(spec).items()
-    }
-    return {"name": fields.pop("name"), "kind": kind.value, "voltage_kv": kv, **fields}
+def _written(value: Any) -> Any:
+    """`value` as a scenario file writes it: a dataclass as its fields, led
+    by its tag if it has one; a policy as its families, keyed as every
+    family-keyed mapping by family name; the catalog as its activities."""
+    if isinstance(value, ActivityCatalog):
+        return _activities(value)
+    if isinstance(value, Policy):
+        value = value.families
+    if dataclasses.is_dataclass(value):
+        tag = [(t, v) for t, classes in _TAGGED.items() for v, cls in classes.items() if cls is type(value)]
+        return dict(tag, **{name: _written(getattr(value, name)) for name in _fields(type(value))})
+    if isinstance(value, Mapping):
+        return {vc.value: _written(v) for vc, v in value.items()}
+    for kind, write in ((tuple, list), (date, date.isoformat), (Decimal, _money)):
+        if isinstance(value, kind):
+            return write(value)
+    return value
+
+
+def _activities(catalog: ActivityCatalog) -> list[dict]:
+    """The catalog's activity entries, planned replacements, then corrective
+    ones and inspections, each by key: the spec's name, its slot (kind and
+    voltage), its other fields, then an inspection's cadence."""
+    entries = []
+    for kind, table in (
+        (ActivityKind.PLANNED_REPLACEMENT, catalog.replacements),
+        (ActivityKind.CORRECTIVE_REPLACEMENT, catalog.corrective),
+        (ActivityKind.INSPECTION, catalog.inspections),
+    ):
+        for key, spec in sorted(table.items()):
+            kv, *cadence = key if kind is ActivityKind.INSPECTION else (key,)
+            name, *rest = _written(spec).items()
+            slot = [("kind", kind.value), ("voltage_kv", kv)]
+            entries.append(dict([name, *slot, *rest, *zip(("interval_months",), cadence)]))
+    return entries
 
 
 def _money(amount: Decimal) -> float | str:

@@ -275,6 +275,9 @@ class PeriodicInspections:
             raise ValueError("interval_months: expected a non-empty sequence")
         if any(m <= 0 for m in self.interval_months):
             raise ValueError("interval_months: every interval must be positive")
+        most = (2**63 - 1) // UNITS_PER_YEAR  # the engine's int64 grid units
+        if self.start_age_years > most:
+            raise ValueError(f"start_age_years: at most {most} years")
 
 
 @dataclass(frozen=True)
@@ -361,23 +364,24 @@ class LognormalRate:
 RateDistribution = Union[ConstantRate, LognormalRate]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    """Everything a simulation run needs besides the fleet itself."""
+    """Everything a simulation run needs besides the fleet itself, its
+    fields in the order a scenario file writes them."""
 
     name: str
+    horizon_years: int = 100
+    tick_months: int = 1
+    start_date: Optional[date] = None
+    master_seed: int = 0
+    replications: int = 1
+    failures_enabled: bool = True
+    hazard_age: str = "real"
+    degradation_rates: RateDistribution = ConstantRate()
     laws: Mapping[VoltageClass, WeibullLaw]
     policy: Policy
     catalog: ActivityCatalog
     resources: ResourceModel
-    horizon_years: int = 100
-    tick_months: int = 1
-    start_date: Optional[date] = None
-    failures_enabled: bool = True
-    degradation_rates: RateDistribution = ConstantRate()
-    hazard_age: str = "real"
-    replications: int = 1
-    master_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.tick_months not in VALID_TICKS:
@@ -751,9 +755,9 @@ class _Engine:
 
     def _end_cadences(self, entry: list[int], end: int) -> None:
         """End cadence entries of assets that fail at tick `end`, or are
-        replaced in service at tick `end - 1`: the inspections their
-        generation raised are those due below `end`, and those not executed
-        are dropped. Both are counted at the year end (`_close_year`)."""
+        replaced at tick `end - 1`: the inspections their generation raised
+        are those due below `end`, and those not executed are dropped. Both
+        are counted at the year end (`_close_year`)."""
         _, anchor, oldest, _ = self.views
         period = self.entry_period
         self.ended += [(anchor[e], oldest[e], period[e], end) for e in entry]
@@ -828,10 +832,10 @@ class _Engine:
     def _apply(self, k: int, event: tuple) -> None:
         """Apply to the cadences a tick's failures and replacements, an
         event of `schedule_replacements`: end the cadences of the assets
-        that fail at tick k and of those replaced in service, and restart
-        those of every asset replaced, from age 0, due from the next tick
-        on. A failed asset's cadences ended at its failure."""
-        _, failed, renewed, _, fresh = event
+        that fail at tick k and of those replaced, and restart those of the
+        latter from age 0, due from the next tick on. A failed asset's
+        cadences ended at its failure, so ending them again adds nothing."""
+        _, failed, renewed, _ = event
         _, anchor, oldest, restart = self.views
         entry = self._entries(failed)
         if entry:
@@ -840,10 +844,7 @@ class _Engine:
                 anchor[e] = oldest[e] = self.n_ticks
         entry = self._entries(renewed)
         if entry:
-            if fresh:
-                self._end_cadences(
-                    entry if len(fresh) == len(renewed) else self._entries(fresh), k + 1
-                )
+            self._end_cadences(entry, k + 1)
             for e in entry:
                 anchor[e] = oldest[e] = k + restart[e]
 
@@ -922,12 +923,19 @@ class _Engine:
 
 def _exact_sums(counts: np.ndarray, values: Sequence[float]) -> list[float]:
     """Each row's sum of count x value over the columns, exact and rounded
-    once: what `math.fsum` gives for the terms listed one by one. Floats are
-    dyadic rationals, so the sum is an integer over the largest denominator."""
+    once: what `math.fsum` gives for the terms listed one by one, or inf
+    past the float range. Floats are dyadic rationals, so the sum is an
+    integer over the largest denominator."""
     ratios = [float(v).as_integer_ratio() for v in values]
     denominator = max((d for _, d in ratios), default=1)
     scaled = [n * (denominator // d) for n, d in ratios]
-    return [sum(map(int.__mul__, row, scaled)) / denominator for row in counts.tolist()]
+    sums = []
+    for row in counts.tolist():
+        try:
+            sums.append(sum(map(int.__mul__, row, scaled)) / denominator)
+        except OverflowError:
+            sums.append(math.inf)
+    return sums
 
 
 def run_scenario(
@@ -936,7 +944,8 @@ def run_scenario(
     """Run all replications of a scenario and aggregate them.
 
     Replications are independent and may run in parallel; the report is a
-    pure function of (fleet, scenario) regardless of jobs.
+    pure function of (fleet, scenario) regardless of jobs. A report holding
+    a value past the float range, which its reader refuses, is refused.
     """
     engine = _Engine(fleet, scenario)
     reps = range(scenario.replications)
@@ -948,7 +957,7 @@ def run_scenario(
             series = list(pool.map(engine.run, reps))
     else:
         series = list(map(engine.run, reps))
-    return SimulationReport(
+    report = SimulationReport(
         scenario_name=scenario.name,
         master_seed=scenario.master_seed,
         horizon_years=scenario.horizon_years,
@@ -956,3 +965,5 @@ def run_scenario(
         replications=series,
         aggregates=aggregate_replications(series),
     )
+    report.check_finite()
+    return report

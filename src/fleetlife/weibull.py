@@ -11,7 +11,7 @@ point and which is an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -120,11 +120,13 @@ class WeibullLaw:
         known to survive to `start`, and
         conditional_failure_probability(start, age - start) == -expm1(-e).
         Ages are not checked. Where H(start) overflows, the age is
-        start * (1 + e / H(start)) ** (1 / beta), which is start.
+        start * (1 + e / H(start)) ** (1 / beta), which is start; where the
+        inverse power overflows, the age is inf, its limit.
         """
         with np.errstate(over="ignore"):
             hazard = (start / self.eta) ** self.beta
-        return np.where(np.isinf(hazard), start, self.eta * (hazard + e) ** (1.0 / self.beta))
+            age = self.eta * (hazard + e) ** (1.0 / self.beta)
+        return np.where(np.isinf(hazard), start, age)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n lifetimes by inverse-CDF transform of rng uniforms."""
@@ -160,14 +162,15 @@ REFERENCE_LAWS: Mapping[VoltageClass, WeibullLaw] = {
 
 
 def law_to_record(law: WeibullLaw, family: str, source: str) -> dict:
-    return {"family": family, "beta": law.beta, "eta": law.eta, "source": source}
+    return {"family": family, **asdict(law), "source": source}
 
 
 def law_from_record(record: object, path: str = "law") -> tuple[VoltageClass, WeibullLaw, str]:
     """The family, law and source of the `law_to_record` object at field
-    `path`, whose family must be a JSON string naming a family, beta and
-    eta finite JSON numbers, and source, if given, a JSON string."""
-    entry = known(checked(record, path, dict), ("family", "beta", "eta", "source"), path)
+    `path`, whose family must be a JSON string naming a family, the law's
+    fields finite JSON numbers, and source, if given, a JSON string."""
+    names = tuple(f.name for f in fields(WeibullLaw))
+    entry = known(checked(record, path, dict), ("family", *names, "source"), path)
     family = VoltageClass.named(field(entry, "family", path, str), f"{path}.family")
     return family, read(WeibullLaw, entry, path), field(entry, "source", path, str, "unknown")
 

@@ -214,7 +214,7 @@ class LedgerEngine(_Engine):
         return self.series
 
     def _apply(self, k, event):
-        _, failed, renewed, corrective, _ = event
+        _, failed, renewed, corrective = event
         year = k * self.tick // 12
         self.failed_at.update((a, k) for a in failed)
         for n, a in enumerate(renewed):

@@ -271,6 +271,39 @@ class TestFit:
         assert medians["km_q75_years"] == "unbounded"
         assert isinstance(medians["weibull_median_years"], float)
 
+    @pytest.mark.parametrize(
+        "rows, families, code, said",
+        [
+            (["A,110,2000-01-01,,"], ["220_380"], 2, "error: no assets in family 220_380"),
+            ([], [], 2, "error: no observations in any requested family"),
+            # every asset failed: the curve's last step is 0, which leaves
+            # rank regression one usable point, and the MLE fits alone
+            (
+                ["A,110,2000-01-01,2005-01-01,", "B,110,2000-01-01,2009-03-01,"],
+                [],
+                0,
+                "note: family 110: rank regression skipped (rank regression needs at least 2 "
+                "usable curve points, got 1)",
+            ),
+            (
+                ["F1,110,1990-01-01,2000-01-01,", "F2,110,1990-01-01,2002-01-01,",
+                 "C1,110,1990-01-01,,", "D1,150,1990-01-01,,"],
+                ["110"],
+                0,
+                "note: families present but not fitted: 150",
+            ),
+        ],
+    )
+    def test_family_notes_and_errors(self, tmp_path, rows, families, code, said):
+        path = tmp_path / "assets.csv"
+        path.write_text("\n".join(["asset_id,voltage_kv,commission_date,failure_date,manufacturer", *rows]) + "\n")
+        args = ["fit", "--assets", str(path), "--cutoff", "2021-07-01", "--out", str(tmp_path / "o")]
+        for family in families:
+            args += ["--family", family]
+        result = runner.invoke(main, args)
+        assert result.exit_code == code, result.output
+        assert said in result.output
+
 
 class TestScore:
     def laws_file(self, tmp_path):
@@ -401,6 +434,7 @@ class TestScore:
             # an integer past the float range, which Python's json reads
             ([{"family": "110", "beta": 6.67, "eta": 10**400}], "laws[0].eta: expected a finite number, got 1000"),
             ([{"family": "110", "bta": 1, "beta": 6.67, "eta": 63.79}], "laws[0].bta: unknown field"),
+            ({"laws": {"family": "110", "beta": 6.67, "eta": 63.79}}, "laws file: expected a list of law records"),
         ],
     )
     def test_malformed_law_record_names_the_field(self, tmp_path, records, named):
@@ -593,6 +627,80 @@ class TestSimulate:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "empty, overrides, named",
+        [
+            (True, {}, "fleet is empty"),
+            (
+                False,
+                {"start_date": "1990-01-01"},
+                "asset '110-00000' commissioned after simulation start 1990-01-01",
+            ),
+            (
+                False,
+                {"policy": {"110": {"replacement": {"type": "time_based", "age_years": 45.0}}}},
+                "policy has no entry for family 150",
+            ),
+        ],
+    )
+    def test_fleet_the_scenario_does_not_fit(self, tmp_path, small_fleet_csv, empty, overrides, named):
+        # the scenario is checked against the fleet once, before any run
+        fleet = small_fleet_csv
+        if empty:
+            fleet = tmp_path / "empty.csv"
+            fleet.write_text("asset_id,voltage_kv,commission_date,failure_date,manufacturer\n")
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            ["simulate", "--fleet", str(fleet), "--scenario", str(scenario_file(tmp_path, **overrides)),
+             "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert f"error: {named}" in result.output
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "kind, key, value, horizon, named",
+        [
+            (
+                "inspection", "duration_hours", 1e306, 40,
+                "replications.0.inspection_hours.20: expected a finite number, got inf",
+            ),
+            # a valid money string whose yearly totals need more than 28 digits
+            # at the cent, within the float range
+            ("planned_replacement", "material_cost", "1e24", 60, None),
+        ],
+    )
+    def test_year_past_the_float_range(self, tmp_path, kind, key, value, horizon, named):
+        # the README fleet, one replication of the time-based template: a
+        # year whose hours pass the float range is refused, naming the field
+        # as `report` would, before any artifact is written; money that stays
+        # within it is written to the cent, and `report` reads it back
+        fleet = tmp_path / "fleet.csv"
+        write_fleet(fleet, generate_synthetic_fleet(SyntheticFleetSpec(
+            sizes={VoltageClass.V110: 400, VoltageClass.V150: 400, VoltageClass.V220_380: 200},
+            commission_years=(1982, 1986),
+            seed=11,
+        )))
+        sc = scenario_file(tmp_path, horizon_years=horizon, replications=1, start_date=None)
+        data = json.loads(sc.read_text())
+        for activity in data["activities"]:
+            if activity["kind"] == kind:
+                activity[key] = value
+        sc.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, ["simulate", "--fleet", str(fleet), "--scenario", str(sc), "--out", str(out)]
+        )
+        if named:
+            assert result.exit_code == 2
+            assert f"error: {named}" in result.output
+            assert list(out.iterdir()) == []
+        else:
+            assert result.exit_code == 0, result.output
+            report = out / "report.json"
+            assert invoke("report", "--a", report, "--b", report, "--out", tmp_path / "r").exit_code == 0
+
 
 def short_aggregate(report):
     report["aggregates"]["totex"]["mean"].pop()
@@ -601,6 +709,16 @@ def short_aggregate(report):
 
 def horizon_in_words(report):
     report["horizon_years"] = "ten"
+    return report
+
+
+def zero_horizon(report):
+    report["horizon_years"] = 0
+    return report
+
+
+def short_series_horizon(report):
+    report["replications"][0]["horizon_years"] = 29
     return report
 
 
@@ -649,6 +767,8 @@ MALFORMED = {
     "short_aggregate": short_aggregate,
     "top_level_list": lambda report: [report],
     "horizon_in_words": horizon_in_words,
+    "zero_horizon": zero_horizon,
+    "short_series_horizon": short_series_horizon,
     "long_series": long_series,
     "nan_aggregate": nan_aggregate,
     "infinite_backlog": infinite_backlog,
@@ -717,6 +837,8 @@ class TestReport:
             ("a", "short_aggregate", "aggregates.totex.mean: expected 30 values"),
             ("b", "top_level_list", "report: expected an object, got list"),
             ("a", "horizon_in_words", "horizon_years: expected an integer, got str"),
+            ("b", "zero_horizon", "horizon_years: expected at least 1, got 0"),
+            ("a", "short_series_horizon", "replications.0.horizon_years: expected the report's 30"),
             ("b", "long_series", "replications.1.failures: expected 30 values"),
             # json writes and reads NaN and Infinity, which are not JSON, and
             # an integer past the largest float

@@ -77,6 +77,8 @@ class TestBuiltins:
             resolve_scenario("age-based")
         with pytest.raises(ScenarioError, match="unknown resource model"):
             resolve_scenario("time-based:fte99")
+        with pytest.raises(ScenarioError, match="unknown strategy 'age-based'"):
+            builtin_scenario("age-based")
 
 
 class TestRoundTrip:
@@ -488,6 +490,10 @@ def test_non_finite_numbers_rejected_with_path(tmp_path, field, value):
         ("laws.110.beta", -6, "shape must be positive, got -6.0$"),
         ("laws.110.eta", 0, "scale must be positive, got 0.0$"),
         ("policy.110.replacement.type", ["time_based"], "expected a string, got list$"),
+        # the engine holds a cadence's start age in int64 units of 1/16 day
+        ("policy.110.inspections.start_age_years", 2e15, "at most 1578263524444691 years$"),
+        ("policy", {}, "at least one family policy required$"),
+        ("activities", [], "expected a non-empty list of activities$"),
     ],
 )
 def test_each_check_names_its_dotted_field(field, value, reason):

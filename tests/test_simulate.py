@@ -838,6 +838,23 @@ class TestApparentHazard:
         series = run_scenario(fleet, sc).replications[0]
         assert series.failures == [100 * 12] * 30
 
+    def test_overflowing_inverse_power_never_fails(self):
+        # A shape of 1e-300 makes (H(start) + e) ** (1 / beta) overflow for
+        # every start age above 0: the failure age is inf, its limit, so no
+        # asset ever fails, and no numpy overflow warning is raised.
+        fleet = generate_synthetic_fleet(
+            SyntheticFleetSpec({VoltageClass.V110: 100}, (1980, 1990), seed=1)
+        )
+        sc = dataclasses.replace(
+            builtin_scenario("time-based", "unconstrained", replications=1),
+            laws={**REFERENCE_LAWS, VoltageClass.V110: WeibullLaw(beta=1e-300, eta=63.79)},
+            horizon_years=30,
+            start_date=date(2021, 7, 1),
+        )
+        series = run_scenario(fleet, sc).replications[0]
+        assert series.failures == [0] * 30
+        assert sum(series.replacements) == 100
+
     def test_overflowing_scaled_start_fails_at_once(self):
         # A rate of exp(709), near the largest float, makes the scaled start
         # age itself overflow for every asset older than a few years: each
@@ -1358,7 +1375,7 @@ class RecordingEngine(_Engine):
         out = np.zeros(n, dtype=bool)
         self.failed, self.completed, self.inspection_log, self.requested = [], [], [], []
         for k in range(self.n_ticks):
-            _, failed, renewed, corrective, _ = self.events.get(k, (None, [], [], 0, []))
+            _, failed, renewed, corrective = self.events.get(k, (None, [], [], 0))
             out[failed] = True
             self.planned[k].sort()
             since = k - anchor
@@ -1674,18 +1691,34 @@ class TestEngineInvariants:
         multiples = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
         plan = PeriodicInspections(0.0, tuple(sc.tick_months * m for m in multiples))
         trigger = sc.policy.families[VoltageClass.V110].replacement
-        catalog = timed(data, sc.catalog, durations)
+        # 110 and 150 kV assets, alternately, whose replacements take two
+        # different drawn durations (150 kV corrective work falls back to the
+        # planned one): a class's requests then need different person-hours,
+        # so one may not fit while the budget still covers the class's
+        # floor, and carry
+        kvs = (110, 150)
+        hours = data.draw(st.permutations(durations), label="replacement hours")
+        replacements = {
+            kv: dataclasses.replace(sc.catalog.replacements[110], duration_hours=h)
+            for kv, h in zip(kvs, hours)
+        }
+        inspections = {(kv, m): spec for (_, m), spec in sc.catalog.inspections.items() for kv in kvs}
+        catalog = timed(data, ActivityCatalog({}, inspections), durations)
         corrective = dataclasses.replace(
-            catalog.replacements[110],
+            replacements[110],
             name="c",
             duration_hours=data.draw(st.sampled_from(durations)),
         )
         sc = dataclasses.replace(
             sc,
             policy=simple_policy(trigger, plan),
-            catalog=ActivityCatalog(catalog.replacements, catalog.inspections, {110: corrective}),
+            catalog=ActivityCatalog(replacements, catalog.inspections, {110: corrective}),
         )
-        fleet = invariant_fleet(data, 20, 40)
+        days = data.draw(st.lists(st.integers(0, 20000), min_size=20, max_size=40), label="days")
+        fleet = fleet_of([
+            asset(f"{kvs[i % 2]}-{i:05d}", kvs[i % 2], date.fromordinal(START.toordinal() - d))
+            for i, d in enumerate(days)
+        ])
         engine = traced(fleet, sc)
         carried = assert_matches_reference_queue(engine, fleet, sc)
         event("carries a live inspection past a year end" if carried else "carries none")
