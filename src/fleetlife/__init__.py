@@ -33,7 +33,7 @@ def checked(value: object, where: str, kind: type):
     number and gives a float: Python's json also reads NaN, Infinity and
     integers past the float range, which are refused. Any other `kind` is
     money (`decimal.Decimal`), read exactly from a number or a decimal
-    string."""
+    string, and refused past the float range too."""
     if kind not in _KINDS:
         from decimal import Decimal, InvalidOperation
 
@@ -45,6 +45,8 @@ def checked(value: object, where: str, kind: type):
             raise ValueError(f"{where}: not a valid amount") from None
         if not amount.is_finite():
             raise ValueError(f"{where}: not a finite amount")
+        if abs(amount) > sys.float_info.max:
+            raise ValueError(f"{where}: amount past the float range, got {value}")
         return amount
     kinds = (int, float) if kind is float else kind
     if not isinstance(value, kinds) or (isinstance(value, bool) and kind is not bool):

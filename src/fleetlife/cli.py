@@ -31,6 +31,8 @@ EXIT_NONCONVERGENCE = 3
 # the values of fleet.VoltageClass, named here so that the option parser
 # needs no numpy
 FAMILY_CHOICES = ["110", "150", "220_380"]
+# rows of ahi.csv formatted and written at a time
+_AHI_ROWS = 8192
 
 
 class _Run:
@@ -296,19 +298,18 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
         # fleet average in record order, summed left to right
         average = sum(ages[rows].tolist()) / int(rows.sum())
         scores[rows] = score_asset(laws[FAMILIES[code]], ages[rows], average)
-    ids = [assets.asset_id[row] for row in in_service.tolist()]
-    # scoring knows no per-asset degradation rate, so the apparent age it
-    # reports is the service age
-    lines = ["asset_id,apparent_age,score,band,basis"]
     # the score,band,basis text of each score 1-10
     rated = [""] + [
         f"{s},{band_for_score(s).value},{basis_for_score(s).value}" for s in range(1, 11)
     ]
-    lines.extend(
-        map("%s,%.4f,%s".__mod__, zip(ids, ages.tolist(), map(rated.__getitem__, scores.tolist())))
-    )
+    # scoring knows no per-asset degradation rate, so the apparent age it
+    # reports is the service age
     with run.output("ahi.csv") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("asset_id,apparent_age,score,band,basis\n")
+        for rows in (slice(lo, lo + _AHI_ROWS) for lo in range(0, len(in_service), _AHI_ROWS)):
+            ids = map(assets.asset_id.__getitem__, in_service[rows].tolist())
+            rated_rows = map(rated.__getitem__, scores[rows].tolist())
+            handle.write("".join(map("%s,%.4f,%s\n".__mod__, zip(ids, ages[rows].tolist(), rated_rows))))
     run.write_manifest()
     click.echo(f"scored {len(in_service)} assets -> {out_dir / 'ahi.csv'}")
 

@@ -103,8 +103,10 @@ class AssetTable:
     manufacturer: list[str]
 
     def __post_init__(self) -> None:
-        asset_id = list(self.asset_id)
-        manufacturer = list(self.manufacturer)
+        # a list column is kept as given, any other sequence copied
+        asset_id, manufacturer = (
+            c if isinstance(c, list) else list(c) for c in (self.asset_id, self.manufacturer)
+        )
         voltage_kv = np.asarray(self.voltage_kv, dtype=np.int64)
         commission = np.asarray(self.commission, dtype=np.int64)
         failure = np.asarray(self.failure, dtype=np.int64)
@@ -114,10 +116,12 @@ class AssetTable:
             and len(manufacturer) == n
         ):
             raise ValueError("asset columns must be one-dimensional and of equal length")
-        unique = set(asset_id)
-        if "" in unique:
+        if "" in asset_id:
             raise DataError(f"empty asset_id at index {asset_id.index('')}")
-        if len(unique) != n:
+        # equal ids have equal hashes: a sorted array of them, not a set of
+        # ids, shows that every id is unique
+        hashes = np.sort(np.fromiter(map(hash, asset_id), np.int64, n))
+        if (hashes[1:] == hashes[:-1]).any():
             seen: set[str] = set()
             for name in asset_id:
                 if name in seen:
@@ -228,7 +232,7 @@ def parse_asset_csv(source: IO[bytes] | IO[str] | Iterable[str]) -> AssetTable:
 
     A byte stream, as the CLI opens a file, is read whole. A plain file (no
     quote, CR, NUL or blank line, four commas on every line, a final
-    newline) takes a columnar path in blocks of about 1 MB. After its first
+    newline) takes a columnar path in blocks of about 256 KiB. After its first
     comma each row there has a fixed layout, a voltage of three ASCII
     digits and YYYY-MM-DD dates (the failure date may be empty), read as
     digits, with day numbers by calendar arithmetic; only ids and
@@ -252,8 +256,10 @@ def parse_asset_csv(source: IO[bytes] | IO[str] | Iterable[str]) -> AssetTable:
 _HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode()
 _ROW_SEPARATORS = np.frombuffer(b",,,,\n", dtype=np.uint8)
 # The columnar path reads about this many bytes of rows at a time, which
-# bounds the memory their split fields take.
-_BLOCK_BYTES = 1 << 20
+# bounds the memory their masks, gathers and split fields take: with the
+# input and the table, one block is all that ingest holds. Smaller blocks
+# cost more calls per row.
+_BLOCK_BYTES = 1 << 18
 # Days in each month of a common year, and before it in the year, by month
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _DAYS_BEFORE = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
@@ -288,6 +294,7 @@ def _parse_plain(data: bytes) -> AssetTable | None:
     if not ids:
         return None  # no rows: the row loop is as quick
     kv, commission, failure = map(np.concatenate, zip(*numbers))
+    del numbers, part  # the table keeps the columns, not their parts
     try:
         return AssetTable(ids, kv, commission, failure, manufacturer)
     except DataError:

@@ -275,6 +275,8 @@ class PeriodicInspections:
             raise ValueError("interval_months: expected a non-empty sequence")
         if any(m <= 0 for m in self.interval_months):
             raise ValueError("interval_months: every interval must be positive")
+        if self.start_age_years < 0:
+            raise ValueError("start_age_years: must be >= 0")
         most = (2**63 - 1) // UNITS_PER_YEAR  # the engine's int64 grid units
         if self.start_age_years > most:
             raise ValueError(f"start_age_years: at most {most} years")
@@ -450,6 +452,10 @@ def _asset_keys(asset_ids: Sequence[str]) -> np.ndarray:
     return np.frombuffer(digests, dtype="<u8").reshape(-1, 2).T.astype(np.uint64)
 
 
+# assets whose blocks one Philox call draws
+_DRAW_SLICE = 1 << 14
+
+
 def _stream_draws(
     keys: np.ndarray, master_seed: int, rep_index: int, generations: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -458,21 +464,25 @@ def _stream_draws(
     Generation g of the asset with key k takes the block at counter
     (g, rep_index, master_seed mod 2**64, 0) under k. Word 0 gives a
     uniform on [0, 1); words 1 and 2 give a standard normal by Box-Muller.
-    Both results have shape (len(generations), number of keys).
+    Both results have shape (len(generations), number of keys). The blocks
+    are drawn _DRAW_SLICE assets at a time, so that no temporary spans the
+    whole fleet; each block depends only on its counter and key.
     """
-    words = _philox4x64(
-        (
-            generations.astype(np.uint64)[:, None],
-            np.uint64(rep_index),
-            np.uint64(master_seed % 2**64),
-            np.uint64(0),
-        ),
-        (keys[0], keys[1]),
+    counter = (
+        generations.astype(np.uint64)[:, None],
+        np.uint64(rep_index),
+        np.uint64(master_seed % 2**64),
+        np.uint64(0),
     )
-    w0, w1, w2 = (w >> np.uint64(11) for w in words[:3])
-    u = w0 * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log((w1 + np.uint64(1)) * 2.0**-53))
-    return u, radius * np.cos(2.0 * math.pi * w2 * 2.0**-53)
+    u = np.empty((len(generations), keys.shape[1]))
+    z = np.empty_like(u)
+    for cols in (slice(lo, lo + _DRAW_SLICE) for lo in range(0, keys.shape[1], _DRAW_SLICE)):
+        words = _philox4x64(counter, (keys[0, cols], keys[1, cols]))
+        w0, w1, w2 = (w >> np.uint64(11) for w in words[:3])
+        u[:, cols] = w0 * 2.0**-53
+        radius = np.sqrt(-2.0 * np.log((w1 + np.uint64(1)) * 2.0**-53))
+        z[:, cols] = radius * np.cos(2.0 * math.pi * w2 * 2.0**-53)
+    return u, z
 
 
 # index of the inspection class among the priority classes (corrective 0,

@@ -368,6 +368,31 @@ class TestScore:
         assert [row[0] for row in rows] == ["A", "B"]
         assert [row[2:] for row in rows] == [["1", "purple", "probability"]] * 2
 
+    def test_rows_written_a_slice_at_a_time(self, tmp_path, monkeypatch):
+        # failed assets lie between the in-service rows; slices of 4 rows,
+        # the last one short, write the bytes of one slice
+        fleet = generate_synthetic_fleet(SyntheticFleetSpec(
+            sizes={VoltageClass.V110: 15, VoltageClass.V150: 10, VoltageClass.V220_380: 5},
+            commission_years=(1960, 1990),
+            seed=6,
+        ))
+        path = tmp_path / "fleet.csv"
+        write_fleet(path, draw_failures(fleet, REFERENCE_LAWS, date(2021, 7, 1), seed=15))
+        written = []
+        for rows in (8192, 4):
+            monkeypatch.setattr("fleetlife.cli._AHI_ROWS", rows)
+            out = tmp_path / f"score{rows}"
+            result = invoke(
+                "score", "--assets", path, "--laws", self.laws_file(tmp_path),
+                "--as-of", "2021-07-01", "--out", out,
+            )
+            assert result.exit_code == 0, result.output
+            written.append((out / "ahi.csv").read_text())
+        assert written[0] == written[1]
+        lines = written[0].splitlines()
+        assert lines[0] == "asset_id,apparent_age,score,band,basis"
+        assert 4 < len(lines) - 1 < 30 and (len(lines) - 1) % 4
+
     def test_empty_fleet_ok(self, tmp_path):
         path = tmp_path / "fleet.csv"
         path.write_text("asset_id,voltage_kv,commission_date,failure_date,manufacturer\n")
@@ -669,13 +694,19 @@ class TestSimulate:
             # a valid money string whose yearly totals need more than 28 digits
             # at the cent, within the float range
             ("planned_replacement", "material_cost", "1e24", 60, None),
+            # an amount that is itself past the float range never loads
+            (
+                "planned_replacement", "material_cost", "1e999999", 60,
+                "activities[0].material_cost: amount past the float range, got 1e999999",
+            ),
         ],
     )
     def test_year_past_the_float_range(self, tmp_path, kind, key, value, horizon, named):
         # the README fleet, one replication of the time-based template: a
         # year whose hours pass the float range is refused, naming the field
-        # as `report` would, before any artifact is written; money that stays
-        # within it is written to the cent, and `report` reads it back
+        # as `report` would, and so is an amount past it, naming the scenario
+        # field, before any artifact is written; money that stays within it
+        # is written to the cent, and `report` reads it back
         fleet = tmp_path / "fleet.csv"
         write_fleet(fleet, generate_synthetic_fleet(SyntheticFleetSpec(
             sizes={VoltageClass.V110: 400, VoltageClass.V150: 400, VoltageClass.V220_380: 200},

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 from datetime import date
 
 import pytest
@@ -11,6 +12,7 @@ from reference_ingest import parse_records, years_between
 from fleetlife import fleet as fleet_module
 from fleetlife.fleet import (
     FAMILIES,
+    VALID_VOLTAGES,
     AssetTable,
     DataError,
     LifetimeTable,
@@ -491,6 +493,53 @@ def test_columnar_path_reads_in_blocks(monkeypatch):
     write_asset_csv(fleet_of(rows), out)
     monkeypatch.setattr(fleet_module, "_BLOCK_BYTES", 64)
     assert rows_of(_parse_plain(out.getvalue().encode())) == rows
+
+
+def test_duplicate_across_blocks_named_as_by_the_row_loop(monkeypatch):
+    # the two copies of A3 lie in different blocks of the columnar path
+    text = HEADER + "".join(f"A{i},110,2000-01-01,,M1\n" for i in range(50)) + "A3,150,2001-01-01,,\n"
+    with pytest.raises(DataError) as by_rows:
+        parse(text)
+    assert str(by_rows.value) == "row 52: duplicate asset_id 'A3'"
+    monkeypatch.setattr(fleet_module, "_BLOCK_BYTES", 64)
+    with pytest.raises(DataError) as by_blocks:
+        parse_asset_csv(io.BytesIO(text.encode()))
+    assert str(by_blocks.value) == str(by_rows.value)
+
+
+class SameHash(str):
+    """An id whose hash is every other's."""
+
+    def __hash__(self):
+        return 7
+
+
+def test_ids_of_equal_hash():
+    # equal hashes alone do not make a duplicate, and the first id whose
+    # name came before is named
+    ids = [SameHash(f"A{i}") for i in range(5)]
+    columns = ([110] * 7, [730000] * 7, [0] * 7, [""] * 7)
+    assert fleet_of([(i, 110, date(2000, 1, 1)) for i in ids]).asset_id == ids
+    with pytest.raises(DataError, match="^duplicate asset_id 'A3'$"):
+        AssetTable(ids + [SameHash("A3"), SameHash("A1")], *columns)
+
+
+def test_plain_ingest_peaks_at_what_it_keeps():
+    # the columnar path holds the input, the table it returns and one block
+    # of rows, and no second copy of the columns or set of the ids
+    data = (HEADER + "".join(
+        f"T{i:06d},{VALID_VOLTAGES[i % 4]},19{60 + i % 40}-0{1 + i % 9}-1{i % 10},"
+        f"{'2015-03-02' if i % 3 == 0 else ''},Maker {i % 7}\n"
+        for i in range(50_000)
+    )).encode()
+    tracemalloc.start()
+    try:
+        table = parse_asset_csv(io.BytesIO(data))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 50_000
+    assert peak <= kept + len(data) + 2**20
 
 
 def test_plain_files_keep_one_object_per_manufacturer_name(monkeypatch):

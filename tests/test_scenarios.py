@@ -494,6 +494,7 @@ def test_non_finite_numbers_rejected_with_path(tmp_path, field, value):
         ("policy.110.inspections.start_age_years", 2e15, "at most 1578263524444691 years$"),
         ("policy", {}, "at least one family policy required$"),
         ("activities", [], "expected a non-empty list of activities$"),
+        ("policy.110.inspections.start_age_years", -30, "must be >= 0$"),
     ],
 )
 def test_each_check_names_its_dotted_field(field, value, reason):

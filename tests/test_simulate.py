@@ -897,6 +897,18 @@ class TestStreams:
         blocks = _philox4x64(tuple(words), (keys[:, 0], keys[:, 1]))
         assert np.stack(blocks, axis=1).tolist() == expected
 
+    def test_draws_in_slices_are_the_draws_at_once(self, monkeypatch):
+        # each block depends only on its counter and key, so slices of 3
+        # assets (the last one short) give the bits of one call over all 10
+        keys = _asset_keys([f"110-{i:05d}" for i in range(10)])
+        generations = np.array([0, 1, 2, 5])
+        whole = _stream_draws(keys, 2**70 + 3, 4, generations)
+        monkeypatch.setattr("fleetlife.simulate._DRAW_SLICE", 3)
+        sliced = _stream_draws(keys, 2**70 + 3, 4, generations)
+        for a, b in zip(whole, sliced):
+            assert a.shape == b.shape == (4, 10)
+            assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("value", [0.0, -2.0, float("nan")])
     def test_constant_rate_must_be_positive(self, value):
         with pytest.raises(ValueError, match="rate must be positive"):
