@@ -200,6 +200,8 @@ class SyntheticFleetSpec:
 
     def __post_init__(self) -> None:
         for vc, n in self.sizes.items():
+            if not isinstance(vc, VoltageClass):
+                raise DataError(f"sizes.{vc}: key must be a VoltageClass, got {vc!r}")
             if n < 0:
                 raise DataError(f"sizes.{vc.value}: must be >= 0, got {n}")
         lo, hi = self.commission_years
@@ -485,26 +487,29 @@ def generate_synthetic_fleet(spec: SyntheticFleetSpec) -> AssetTable:
     """Deterministically generate an in-service fleet from a spec.
 
     Commission dates are uniform over the year range. No failure dates are
-    assigned; failures come from simulation or from draw_failures.
+    assigned; failures come from simulation or from draw_failures. Each
+    family is one draw of a row per asset ([220 or 380,] day, manufacturer)
+    that gives the values of one scalar draw per value.
     """
     rng = np.random.default_rng(spec.seed)
     first = date(spec.commission_years[0], 1, 1).toordinal()
     span = date(spec.commission_years[1], 12, 31).toordinal() - first
-    ids: list[str] = []
-    kvs: list[int] = []
-    commissions: list[int] = []
-    manufacturers: list[str] = []
+    makers = [f"M{k}" for k in range(1, 9)]
+    ids, manufacturers, kvs, days = [], [], [], []
     for vc in VoltageClass:
-        for i in range(spec.sizes.get(vc, 0)):
-            if vc is VoltageClass.V220_380:
-                kv = 220 if rng.integers(0, 2) == 0 else 380
-            else:
-                kv = int(vc.value)
-            ids.append(f"{kv}-{i:05d}")
-            kvs.append(kv)
-            commissions.append(first + int(rng.integers(0, span + 1)))
-            manufacturers.append(f"M{int(rng.integers(1, 9))}")
-    return AssetTable(ids, kvs, commissions, np.zeros(len(ids), dtype=np.int64), manufacturers)
+        n = spec.sizes.get(vc, 0)
+        if vc is VoltageClass.V220_380:
+            pick, day, maker = rng.integers([0, 0, 1], [2, span + 1, 9], size=(n, 3)).T
+            kv = np.where(pick == 0, 220, 380)
+        else:
+            day, maker = rng.integers([0, 1], [span + 1, 9], size=(n, 2)).T
+            kv = np.full(n, int(vc.value))
+        ids += [f"{k}-{i:05d}" for i, k in enumerate(kv.tolist())]
+        manufacturers += [makers[k - 1] for k in maker.tolist()]
+        kvs.append(kv)
+        days.append(day)
+    commission = first + np.concatenate(days)
+    return AssetTable(ids, np.concatenate(kvs), commission, np.zeros_like(commission), manufacturers)
 
 
 def draw_failures(
@@ -518,19 +523,21 @@ def draw_failures(
     For each asset a lifetime is drawn from its family's reliability law; the
     asset gets a failure date only if that lifetime ends before the cutoff.
     Assets whose family has no law are left untouched. Deterministic in the
-    seed and row order.
+    seed and row order; a lifetime is the law's conditional_failure_age at 0.
     """
     rng = np.random.default_rng(seed)
-    end = cutoff.toordinal()
+    codes = [code for code, vc in enumerate(FAMILIES) if laws.get(vc) is not None]
+    rows = np.flatnonzero(np.isin(assets.family, codes))
+    family = assets.family[rows]
+    e = -np.log1p(-rng.random(len(rows)))
+    life = np.empty(len(rows))
+    for code in codes:
+        at = family == code
+        life[at] = laws[FAMILIES[code]].conditional_failure_age(0.0, e[at])
+    # half to even, as round rounds; in float, an infinite life ends after any cutoff
+    days = np.maximum(np.round(life * DAYS_PER_YEAR), 1.0)
+    commission = assets.commission[rows]
+    fails = days <= cutoff.toordinal() - commission
     failure = assets.failure.copy()
-    for i, (code, commission) in enumerate(
-        zip(assets.family.tolist(), assets.commission.tolist())
-    ):
-        law = laws.get(FAMILIES[code])
-        if law is None:
-            continue
-        life_years = float(law.sample(1, rng)[0])
-        day = commission + max(1, round(life_years * DAYS_PER_YEAR))
-        if day <= end:
-            failure[i] = day
+    failure[rows[fails]] = commission[fails] + days[fails].astype(np.int64)
     return replace(assets, failure=failure)

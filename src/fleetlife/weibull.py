@@ -128,11 +128,6 @@ class WeibullLaw:
             age = self.eta * (hazard + e) ** (1.0 / self.beta)
         return np.where(np.isinf(hazard), start, age)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n lifetimes by inverse-CDF transform of rng uniforms."""
-        u = rng.random(n)
-        return self.eta * (-np.log1p(-u)) ** (1.0 / self.beta)
-
 
 @dataclass(frozen=True)
 class FitDiagnostics:

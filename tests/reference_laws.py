@@ -6,6 +6,8 @@ through its step columns. The tests check those against the textbook forms
 below.
 
 * `cdf`, `survival` and `pdf` evaluate a `WeibullLaw` at one age.
+* `sample` draws lifetimes of a `WeibullLaw` by the textbook inverse CDF,
+  which the reference fleet draws call once per asset.
 * `survival_at` evaluates a `SurvivalCurve` step function at one age.
 """
 
@@ -41,6 +43,12 @@ def pdf(law: WeibullLaw, t: float) -> float:
         return math.inf
     z = t / law.eta
     return (law.beta / law.eta) * z ** (law.beta - 1.0) * math.exp(-hazard)
+
+
+def sample(law: WeibullLaw, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n lifetimes by inverse-CDF transform of rng uniforms."""
+    u = rng.random(n)
+    return law.eta * (-np.log1p(-u)) ** (1.0 / law.beta)
 
 
 def survival_at(curve: SurvivalCurve, t: float) -> float:

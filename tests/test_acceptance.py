@@ -32,7 +32,7 @@ from fleetlife.weibull import (
     fit_weibull_mle,
     fit_weibull_rank_regression,
 )
-from reference_laws import cdf, survival
+from reference_laws import cdf, sample, survival
 
 LAW_110 = REFERENCE_LAWS[VoltageClass.V110]
 ALL_LAWS = tuple(REFERENCE_LAWS.values())
@@ -128,7 +128,7 @@ def test_criterion_3_censored_mle_recovery():
     hits = 0
     for child in np.random.SeedSequence(1).spawn(20):
         rng = np.random.default_rng(child)
-        lifetimes = true_law.sample(5000, rng)
+        lifetimes = sample(true_law, 5000, rng)
         observations = single_family(np.minimum(lifetimes, 60.0), lifetimes <= 60.0)
         law, diagnostics = fit_weibull_mle(
             observations, fit_weibull_rank_regression(km_fit(observations))

@@ -1,12 +1,17 @@
 import csv
 import io
 import tracemalloc
+import warnings
+from contextlib import contextmanager
 from datetime import date
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_fleet
 from conftest import fleet_of, rows_of, single_family
 from reference_ingest import parse_records, years_between
 from fleetlife import fleet as fleet_module
@@ -26,7 +31,7 @@ from fleetlife.fleet import (
     service_years,
     write_asset_csv,
 )
-from fleetlife.weibull import REFERENCE_LAWS
+from fleetlife.weibull import REFERENCE_LAWS, WeibullLaw
 
 HEADER = "asset_id,voltage_kv,commission_date,failure_date,manufacturer\n"
 
@@ -304,6 +309,110 @@ class TestSyntheticFleet:
         for _, _, commission, failure, _ in rows_of(once):
             if failure is not None:
                 assert commission < failure <= cutoff
+
+    def test_overflowing_lifetime_stays_in_service(self):
+        # a lifetime eta * e ** 1e5 passes the float range where the hazard
+        # draw e is above 1, and ends after any cutoff; below 1 it is 0 days,
+        # and the asset fails the day after its commission
+        fleet = generate_synthetic_fleet(
+            SyntheticFleetSpec(sizes={VoltageClass.V110: 50}, commission_years=(1980, 1990), seed=1)
+        )
+        law = WeibullLaw(beta=1e-5, eta=50.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            drawn = draw_failures(fleet, {VoltageClass.V110: law}, date(2020, 1, 1), seed=3)
+        overflows = -np.log1p(-np.random.default_rng(3).random(50)) > 1.0
+        assert 0 < overflows.sum() < 50
+        assert drawn.failure.tolist() == np.where(overflows, 0, fleet.commission + 1).tolist()
+
+    @pytest.mark.parametrize("key", ["110", 110, None])
+    def test_size_key_must_be_a_family(self, key):
+        for n in (5, -1):
+            with pytest.raises(DataError, match=rf"^sizes\.{key}: key must be a VoltageClass"):
+                SyntheticFleetSpec(sizes={key: n}, commission_years=(1980, 1990))
+
+
+@contextmanager
+def generators_made():
+    """The generators `np.random.default_rng` makes inside the block, in order."""
+    made = []
+    make = np.random.default_rng
+
+    def record(seed):
+        made.append(make(seed))
+        return made[-1]
+
+    with mock.patch.object(np.random, "default_rng", record):
+        yield made
+
+
+def same_draws(array_version, per_value_version, *args):
+    """Both versions give the same table and leave their one generator in the
+    same state."""
+    with generators_made() as made:
+        table = array_version(*args)
+        reference = per_value_version(*args)
+    assert rows_of(table) == rows_of(reference)
+    assert [len(made), made[0].bit_generator.state] == [2, made[1].bit_generator.state]
+
+
+# years and sizes that make every family absent, empty or drawn, and ranges
+# of one year at either end of the calendar
+fleet_specs = st.builds(
+    SyntheticFleetSpec,
+    sizes=st.dictionaries(st.sampled_from(list(VoltageClass)), st.integers(0, 40)),
+    commission_years=st.integers(1, 9999).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 9999))),
+    seed=st.integers(0, 2**64 - 1),
+)
+weibull_laws = st.builds(WeibullLaw, beta=st.floats(0.3, 12.0), eta=st.floats(0.5, 300.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=fleet_specs)
+@example(spec=SyntheticFleetSpec(sizes={VoltageClass.V220_380: 30}, commission_years=(1, 1), seed=4))
+@example(spec=SyntheticFleetSpec(sizes={VoltageClass.V110: 0, VoltageClass.V150: 9},
+                                 commission_years=(9999, 9999), seed=5))
+def test_fleet_matches_per_value_draws(spec):
+    same_draws(generate_synthetic_fleet, reference_fleet.generate_synthetic_fleet, spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=fleet_specs,
+    laws=st.dictionaries(st.sampled_from(list(VoltageClass)), weibull_laws),
+    cutoff=st.dates(),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(  # a cutoff before every commission
+    spec=SyntheticFleetSpec(sizes={VoltageClass.V110: 20, VoltageClass.V220_380: 20},
+                            commission_years=(2000, 2001), seed=6),
+    laws=dict(REFERENCE_LAWS), cutoff=date(1999, 12, 31), seed=7,
+)
+@example(  # laws for one family of three
+    spec=SyntheticFleetSpec(sizes=dict.fromkeys(VoltageClass, 30), commission_years=(1900, 1990), seed=8),
+    laws={VoltageClass.V150: WeibullLaw(0.5, 10.0)}, cutoff=date(2021, 7, 1), seed=9,
+)
+def test_failures_match_per_asset_draws(spec, laws, cutoff, seed):
+    fleet = generate_synthetic_fleet(spec)
+    same_draws(draw_failures, reference_fleet.draw_failures, fleet, laws, cutoff, seed)
+
+
+def test_half_day_rounds_to_even_and_fails_on_the_cutoff():
+    # an exponential law whose scale makes the seed-0 lifetime exactly k + 1/2
+    # days, k even: round takes it down to k, and a failure k days after
+    # commission, on the cutoff day, lies inside the window
+    e = float(-np.log1p(-np.random.default_rng(0).random(1))[0])
+    k, eta = next(
+        (k, eta)
+        for k in range(100, 2000, 2)
+        for eta in [(k + 0.5) / fleet_module.DAYS_PER_YEAR / e]
+        if eta * e * fleet_module.DAYS_PER_YEAR == k + 0.5
+    )
+    fleet = fleet_of([("A", 110, date(2000, 1, 1))])
+    cutoff = date.fromordinal(date(2000, 1, 1).toordinal() + k)
+    laws = {VoltageClass.V110: WeibullLaw(1.0, eta)}
+    same_draws(draw_failures, reference_fleet.draw_failures, fleet, laws, cutoff, 0)
+    assert rows_of(draw_failures(fleet, laws, cutoff, 0)) == [("A", 110, date(2000, 1, 1), cutoff, None)]
 
 
 @st.composite

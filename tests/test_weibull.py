@@ -18,7 +18,7 @@ from fleetlife.weibull import (
     law_from_record,
     law_to_record,
 )
-from reference_laws import cdf, pdf, survival
+from reference_laws import cdf, pdf, sample, survival
 
 LAW_110 = REFERENCE_LAWS[VoltageClass.V110]
 LAW_150 = REFERENCE_LAWS[VoltageClass.V150]
@@ -194,7 +194,7 @@ def naive_log_likelihood(law, observations):
 class TestMleFit:
     def test_recovers_censored_sample(self):
         rng = np.random.default_rng(101)
-        lifetimes = WeibullLaw(6.5, 70.0).sample(5000, rng)
+        lifetimes = sample(WeibullLaw(6.5, 70.0), 5000, rng)
         law, diag = fit_mle(censored_at(lifetimes, 60.0))
         assert law.beta == pytest.approx(6.5, rel=0.05)
         assert law.eta == pytest.approx(70.0, rel=0.02)
@@ -203,7 +203,7 @@ class TestMleFit:
 
     def test_exponential_data(self):
         rng = np.random.default_rng(7)
-        lifetimes = WeibullLaw(1.0, 50.0).sample(5000, rng)
+        lifetimes = sample(WeibullLaw(1.0, 50.0), 5000, rng)
         law, _ = fit_mle(events(lifetimes))
         assert 0.95 <= law.beta <= 1.05
 
@@ -224,7 +224,7 @@ class TestMleFit:
 
     def test_local_maximum(self):
         rng = np.random.default_rng(11)
-        lifetimes = WeibullLaw(4.0, 30.0).sample(800, rng)
+        lifetimes = sample(WeibullLaw(4.0, 30.0), 800, rng)
         obs = censored_at(lifetimes, 35.0)
         law, diag = fit_mle(obs)
         best = naive_log_likelihood(law, obs)
@@ -239,7 +239,7 @@ class TestMleFit:
 
     def test_agrees_with_rank_regression_on_complete_sample(self):
         rng = np.random.default_rng(21)
-        lifetimes = WeibullLaw(3.0, 40.0).sample(4000, rng)
+        lifetimes = sample(WeibullLaw(3.0, 40.0), 4000, rng)
         obs = events(lifetimes)
         mle, _ = fit_mle(obs)
         rr = fit_weibull_rank_regression(km_fit(obs))
@@ -283,14 +283,23 @@ class TestRankRegression:
 
 class TestSampling:
     def test_deterministic_per_seed(self):
-        a = LAW_110.sample(100, np.random.default_rng(5))
-        b = LAW_110.sample(100, np.random.default_rng(5))
+        a = sample(LAW_110, 100, np.random.default_rng(5))
+        b = sample(LAW_110, 100, np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_empirical_cdf_plausible(self):
-        draws = LAW_110.sample(20000, np.random.default_rng(6))
+        draws = sample(LAW_110, 20000, np.random.default_rng(6))
         empirical = float(np.mean(draws <= LAW_110.median()))
         assert empirical == pytest.approx(0.5, abs=0.02)
+
+    @settings(max_examples=200, deadline=None)
+    @given(beta=st.floats(0.2, 100.0), eta=st.floats(1e-3, 1e3), seed=st.integers(0, 2**64 - 1))
+    def test_failure_age_from_zero_is_the_sample(self, beta, eta, seed):
+        # the program draws lifetimes as conditional failure ages from age 0
+        law = WeibullLaw(beta, eta)
+        e = -np.log1p(-np.random.default_rng(seed).random(300))
+        ages = law.conditional_failure_age(0.0, e)
+        assert ages.tobytes() == sample(law, 300, np.random.default_rng(seed)).tobytes()
 
 
 def test_law_record_round_trip():
