@@ -67,6 +67,15 @@ def known(entry: dict, fields: tuple[str, ...], where: str = "") -> dict:
     return entry
 
 
+# The digest of manifest files and asset keys: hashlib.sha256's bytes from
+# the interpreter's own module, which maps no OpenSSL (`_sha256` up to
+# Python 3.11, `_sha2` from 3.12), or hashlib's on a build with neither.
+for _module in ("_sha256", "_sha2", "hashlib"):
+    try:
+        sha256 = importlib.import_module(_module).sha256
+        break
+    except ImportError:
+        continue
 _REQUIRED = object()
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import hashlib
 import importlib
 import json
 import sys
@@ -23,7 +22,7 @@ from typing import NoReturn
 
 import click
 
-from . import __version__, checked, field, known, read
+from . import __version__, checked, field, known, read, sha256
 
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
@@ -85,7 +84,9 @@ class _Run:
 
 
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
+    # past one read chunk, OpenSSL's digest: 5-7x faster per byte, 3.7 MB to map
+    small = path.stat().st_size <= 1 << 20
+    digest = sha256() if small else importlib.import_module("hashlib").sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)

@@ -522,9 +522,13 @@ def draw_failures(
 
     For each asset a lifetime is drawn from its family's reliability law; the
     asset gets a failure date only if that lifetime ends before the cutoff.
-    Assets whose family has no law are left untouched. Deterministic in the
-    seed and row order; a lifetime is the law's conditional_failure_age at 0.
+    Assets whose family has no law are left untouched; a key that is not a
+    VoltageClass is refused. Deterministic in the seed and row order; a
+    lifetime is the law's conditional_failure_age at 0.
     """
+    for vc in laws:
+        if not isinstance(vc, VoltageClass):
+            raise DataError(f"laws.{vc}: key must be a VoltageClass, got {vc!r}")
     rng = np.random.default_rng(seed)
     codes = [code for code, vc in enumerate(FAMILIES) if laws.get(vc) is not None]
     rows = np.flatnonzero(np.isin(assets.family, codes))

@@ -99,7 +99,6 @@ policy or resources draw the same failure age for the same generation.
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 import sys
 from dataclasses import dataclass
@@ -109,6 +108,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from . import sha256
 from .fleet import FAMILIES, AssetTable, VoltageClass
 from .generations import (
     UNITS_PER_DAY,
@@ -447,7 +447,7 @@ def _asset_keys(asset_ids: Sequence[str]) -> np.ndarray:
     """Philox key of each asset: the first 16 bytes of sha256(asset_id), as
     two little-endian uint64 words (rows)."""
     digests = b"".join(
-        hashlib.sha256(asset_id.encode("utf-8")).digest()[:16] for asset_id in asset_ids
+        sha256(asset_id.encode("utf-8")).digest()[:16] for asset_id in asset_ids
     )
     return np.frombuffer(digests, dtype="<u8").reshape(-1, 2).T.astype(np.uint64)
 

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fleetlife
 from fleetlife.cli import main
@@ -991,6 +993,72 @@ def test_report_leaves_numpy_unloaded(tmp_path, small_fleet_csv):
     argv = ["report", "--a", report, "--b", report, "--out", tmp_path / "cmp"]
     assert loaded_after(argv, ("numpy", "fleetlife.simulate")) == "[]"
     assert (tmp_path / "cmp" / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["fit", "score", "simulate-open-pool", "simulate-constrained", "report", "fit-past-one-chunk"],
+)
+def test_openssl_loads_only_past_one_chunk(tmp_path, small_fleet_csv, command):
+    # each asset key, and the manifest digest of a file of at most one read
+    # chunk (1 MiB), is the interpreter's own SHA-256: only an input past it
+    # maps OpenSSL's libcrypto (_hashlib), whose digest is faster per byte
+    large = command == "fit-past-one-chunk"
+    simulate = ["simulate", "--fleet", small_fleet_csv, "--jobs", 1, "--scenario"]
+    if command == "report":
+        invoke(*simulate, scenario_file(tmp_path), "--out", tmp_path / "sim")
+        report = tmp_path / "sim" / "report.json"
+        argv = ["report", "--a", report, "--b", report]
+    elif command.startswith("simulate"):
+        constrained = {"mode": "constrained", "fte_count": 12, "hours_per_fte_per_year": 400.0}
+        resources = constrained if command == "simulate-constrained" else {"mode": "unconstrained"}
+        argv = [*simulate, scenario_file(tmp_path, resources=resources)]
+    else:
+        assets = TestFit().make_observed_fleet(tmp_path, n=40000 if large else 1000)
+        assert (assets.stat().st_size > 1 << 20) == large
+        argv = ["fit", "--assets", assets, "--cutoff", "2021-07-01"]
+        if command == "score":
+            argv = ["score", "--assets", assets, "--laws", TestScore().laws_file(tmp_path),
+                    "--as-of", "2021-07-01"]
+    loaded = loaded_after([*argv, "--out", tmp_path / "out"], ("_hashlib",))
+    assert loaded == ("['_hashlib']" if large else "[]")
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
+@settings(max_examples=30, deadline=None)
+@example(data=b"", pad=0)
+@example(data=b"x", pad=0)
+@example(data=b"x", pad=(1 << 20) - 1)
+@example(data=b"x", pad=1 << 20)
+@given(data=st.binary(max_size=256), pad=st.sampled_from([0, (1 << 20) - 1, 1 << 20]))
+def test_digest_is_hashlibs(tmp_path_factory, data, pad):
+    # the package's digest and the manifest's, through a file of exactly
+    # one read chunk and one byte past it, equal OpenSSL's
+    import fleetlife.cli as cli
+
+    data += bytes(pad)
+    path = tmp_path_factory.mktemp("digest") / "file"
+    path.write_bytes(data)
+    assert fleetlife.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    assert cli._sha256(path) == hashlib.sha256(data).hexdigest()
+
+
+def test_digest_without_the_builtin_module_writes_the_same_bytes(tmp_path, small_fleet_csv):
+    # on a build with neither `_sha256` nor `_sha2` the package hashes with
+    # hashlib: the same asset keys, draws, report and manifest hashes
+    args = ["simulate", "--fleet", small_fleet_csv, "--scenario", scenario_file(tmp_path), "--seed", 1]
+    argv = [str(a) for a in (*args, "--out", tmp_path / "hashlib")]
+    assert child_python(
+        "import sys; sys.modules['_sha256'] = sys.modules['_sha2'] = None; "
+        f"from fleetlife.cli import main; main({argv!r}, standalone_mode=False); "
+        "print('_hashlib' in sys.modules)"
+    ) == "True"
+    assert invoke(*args, "--out", tmp_path / "builtin").exit_code == 0
+    for name in ("report.json", "kpis.csv"):
+        assert (tmp_path / "hashlib" / name).read_bytes() == (tmp_path / "builtin" / name).read_bytes()
+    hashlib_run, builtin_run = (manifest_without_duration(tmp_path / run) for run in ("hashlib", "builtin"))
+    for key in ("inputs", "outputs"):
+        assert hashlib_run[key] == builtin_run[key]
 
 
 @pytest.mark.parametrize(

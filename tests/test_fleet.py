@@ -331,6 +331,19 @@ class TestSyntheticFleet:
             with pytest.raises(DataError, match=rf"^sizes\.{key}: key must be a VoltageClass"):
                 SyntheticFleetSpec(sizes={key: n}, commission_years=(1980, 1990))
 
+    @pytest.mark.parametrize("key", ["110", 110, None])
+    def test_law_key_must_be_a_family(self, key):
+        # a law under any other key matches no family's rows, and would
+        # leave this fleet, which draws 96 failures under its family, with none
+        fleet = generate_synthetic_fleet(
+            SyntheticFleetSpec(sizes={VoltageClass.V110: 300}, commission_years=(1950, 1990), seed=5)
+        )
+        cutoff, law = date(2021, 7, 1), REFERENCE_LAWS[VoltageClass.V110]
+        assert (draw_failures(fleet, {VoltageClass.V110: law}, cutoff, seed=1).failure > 0).sum() == 96
+        for laws in ({key: law}, {VoltageClass.V110: law, key: law}):
+            with pytest.raises(DataError, match=rf"^laws\.{key}: key must be a VoltageClass"):
+                draw_failures(fleet, laws, cutoff, seed=1)
+
 
 @contextmanager
 def generators_made():
