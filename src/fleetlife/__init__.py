@@ -5,11 +5,22 @@ The public names and the submodules are imported on first access (PEP 562),
 so a command that estimates laws never loads the simulation engine. This
 module also holds the one reader of JSON input: every scenario, law file,
 synth spec and report is read by `checked`, `known`, `field` and `read`, so
-that each names a malformed field by its dotted path in one way.
+that each names a malformed field by its dotted path in one way. And it
+holds `sha256`, the digest of manifest files and asset keys: hashlib's
+bytes from the interpreter's own module, which maps no OpenSSL.
 """
 
 import importlib
 import sys
+
+try:  # Python 3.10-3.11
+    import _sha256 as _sha
+except ImportError:
+    try:  # Python 3.12+
+        import _sha2 as _sha
+    except ImportError:  # a build with neither, as hashlib itself falls back
+        import hashlib as _sha
+sha256 = _sha.sha256
 
 __version__ = "0.1.0"
 
@@ -67,15 +78,6 @@ def known(entry: dict, fields: tuple[str, ...], where: str = "") -> dict:
     return entry
 
 
-# The digest of manifest files and asset keys: hashlib.sha256's bytes from
-# the interpreter's own module, which maps no OpenSSL (`_sha256` up to
-# Python 3.11, `_sha2` from 3.12), or hashlib's on a build with neither.
-for _module in ("_sha256", "_sha2", "hashlib"):
-    try:
-        sha256 = importlib.import_module(_module).sha256
-        break
-    except ImportError:
-        continue
 _REQUIRED = object()
 
 

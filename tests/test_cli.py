@@ -996,14 +996,16 @@ def test_report_leaves_numpy_unloaded(tmp_path, small_fleet_csv):
 
 
 @pytest.mark.parametrize(
-    "command",
-    ["fit", "score", "simulate-open-pool", "simulate-constrained", "report", "fit-past-one-chunk"],
+    "command", ["fit", "score", "simulate-open-pool", "simulate-constrained", "report"]
 )
-def test_openssl_loads_only_past_one_chunk(tmp_path, small_fleet_csv, command):
-    # each asset key, and the manifest digest of a file of at most one read
-    # chunk (1 MiB), is the interpreter's own SHA-256: only an input past it
-    # maps OpenSSL's libcrypto (_hashlib), whose digest is faster per byte
-    large = command == "fit-past-one-chunk"
+def test_cli_never_loads_openssl(tmp_path, small_fleet_csv, command):
+    # each asset key and manifest digest is the interpreter's own SHA-256, so
+    # no command maps OpenSSL's libcrypto (_hashlib, 3.7 MB of peak RSS).
+    # Before numpy 2.0 a bare `import numpy` loads numpy.random, whose
+    # `secrets` import loads it; report runs without numpy.
+    bare_numpy = "import sys, numpy; print('_hashlib' in sys.modules)"
+    if command != "report" and child_python(bare_numpy) == "True":
+        pytest.skip("a bare `import numpy` loads _hashlib")
     simulate = ["simulate", "--fleet", small_fleet_csv, "--jobs", 1, "--scenario"]
     if command == "report":
         invoke(*simulate, scenario_file(tmp_path), "--out", tmp_path / "sim")
@@ -1014,14 +1016,12 @@ def test_openssl_loads_only_past_one_chunk(tmp_path, small_fleet_csv, command):
         resources = constrained if command == "simulate-constrained" else {"mode": "unconstrained"}
         argv = [*simulate, scenario_file(tmp_path, resources=resources)]
     else:
-        assets = TestFit().make_observed_fleet(tmp_path, n=40000 if large else 1000)
-        assert (assets.stat().st_size > 1 << 20) == large
+        assets = TestFit().make_observed_fleet(tmp_path, n=1000)
         argv = ["fit", "--assets", assets, "--cutoff", "2021-07-01"]
         if command == "score":
             argv = ["score", "--assets", assets, "--laws", TestScore().laws_file(tmp_path),
                     "--as-of", "2021-07-01"]
-    loaded = loaded_after([*argv, "--out", tmp_path / "out"], ("_hashlib",))
-    assert loaded == ("['_hashlib']" if large else "[]")
+    assert loaded_after([*argv, "--out", tmp_path / "out"], ("_hashlib",)) == "[]"
     assert (tmp_path / "out" / "manifest.json").exists()
 
 
