@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import gc
 import importlib
@@ -19,8 +20,6 @@ import time
 from datetime import date
 from pathlib import Path
 from typing import NoReturn
-
-import click
 
 from . import __version__, checked, field, known, read, sha256
 
@@ -92,8 +91,29 @@ def _sha256(path: Path) -> str:
 
 
 def _fail(message: str, code: int) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
+
+
+def _input_file(value: str) -> Path:
+    """An option's existing file that is not a directory."""
+    if not Path(value).exists() or Path(value).is_dir():
+        raise argparse.ArgumentTypeError(f"{value!r} is not a file")
+    return Path(value)
+
+
+def _out_dir(value: str) -> Path:
+    """An option's directory, which may not exist yet but is not a file."""
+    if Path(value).is_file():
+        raise argparse.ArgumentTypeError(f"{value!r} is a file")
+    return Path(value)
+
+
+def _jobs(value: str) -> int:
+    """An option's integer of at least 1."""
+    if not value.isdigit() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer >= 1")
+    return int(value)
 
 
 def _parse_iso_date(value: str, label: str) -> date:
@@ -136,10 +156,38 @@ run_scenario = _layer("simulate", "run_scenario")
 compare_scenarios = _layer("reports", "compare_scenarios")
 
 
-@click.group()
-@click.version_option(__version__)
-def main() -> None:
-    """Fleet aging analysis and maintenance strategy simulation."""
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run the command that `args` (default: the process's arguments) names. A failed command
+    and a usage error raise `SystemExit` with the exit code. `standalone_mode` changes nothing:
+    it goes with the call in `perfbench/run.py` that passes it (ROADMAP item 2)."""
+    description = "Fleet aging analysis and maintenance strategy simulation."
+    parser = argparse.ArgumentParser("fleetlife", description=description, allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+    file, out = dict(required=True, type=_input_file), dict(required=True, type=_out_dir)
+    for command, options in (
+        (fit, [("--assets", "assets_path", file, "Asset CSV."),
+               ("--cutoff", "cutoff", dict(required=True), "Observation cutoff date (YYYY-MM-DD)."),
+               ("--family", "families", dict(action="append", choices=FAMILY_CHOICES),
+                "Restrict to one or more families (default: all present).")]),
+        (score, [("--assets", "assets_path", file, "Asset CSV."),
+                 ("--laws", "laws_path", file, "Law JSON (fit output or law records)."),
+                 ("--as-of", "as_of", dict(required=True), "Scoring date (YYYY-MM-DD).")]),
+        (simulate, [("--fleet", "fleet_path", file, "Fleet CSV."),
+                    ("--scenario", "scenario_ref", dict(required=True),
+                     "Scenario JSON path or builtin name (e.g. time-based:fte40)."),
+                    ("--jobs", "jobs", dict(default=1, type=_jobs), "Parallel replication workers (default: 1)."),
+                    ("--seed", "seed", dict(type=int), "Override the scenario's master seed.")]),
+        (synth, [("--spec", "spec_path", file, "Synthetic fleet spec JSON.")]),
+        (report, [("--a", "path_a", file, "First report.json."), ("--b", "path_b", file, "Second report.json.")]),
+    ):
+        doc = command.__doc__
+        sub = commands.add_parser(command.__name__, help=doc.splitlines()[0], description=doc, allow_abbrev=False)
+        for flag, dest, kwargs, text in [*options, ("--out", "out_dir", out, "Output directory.")]:
+            sub.add_argument(flag, dest=dest, help=text, **kwargs)
+        sub.set_defaults(command=command)
+    parsed = vars(parser.parse_args(args))
+    parsed.pop("command")(**parsed)
 
 
 def run() -> None:
@@ -159,11 +207,6 @@ def run() -> None:
         gc.freeze()
 
 
-@main.command()
-@click.option("--assets", "assets_path", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path), help="Asset CSV.")
-@click.option("--cutoff", required=True, help="Observation cutoff date (YYYY-MM-DD).")
-@click.option("--family", "families", multiple=True, type=click.Choice(FAMILY_CHOICES), help="Restrict to one or more families (default: all present).")
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path), help="Output directory.")
 def fit(assets_path: Path, cutoff: str, families: tuple[str, ...], out_dir: Path) -> None:
     """Estimate survival curves and reliability laws from failure records."""
     from .fleet import DataError, VoltageClass
@@ -206,7 +249,7 @@ def fit(assets_path: Path, cutoff: str, families: tuple[str, ...], out_dir: Path
         except FitError as exc:
             _fail(f"family {vc.value}: {exc}", EXIT_NONCONVERGENCE)
         if rr_law is None:
-            click.echo(f"note: family {vc.value}: rank regression skipped ({rr_error})", err=True)
+            print(f"note: family {vc.value}: rank regression skipped ({rr_error})", file=sys.stderr)
         else:
             laws.append(law_to_record(rr_law, vc.value, "rank_regression"))
         laws.append(law_to_record(mle_law, vc.value, "mle"))
@@ -225,10 +268,10 @@ def fit(assets_path: Path, cutoff: str, families: tuple[str, ...], out_dir: Path
     run.output_json("law.json", {"laws": laws, "diagnostics": diagnostics, "medians": medians})
     run.write_manifest()
     for vc_value, entry in medians.items():
-        click.echo(f"family {vc_value}: km median {entry['km_median_years']}, weibull median {entry['weibull_median_years']:.2f}")
+        print(f"family {vc_value}: km median {entry['km_median_years']}, weibull median {entry['weibull_median_years']:.2f}")
     extras = sorted(vc.value for vc in present if vc not in wanted)
     if extras:
-        click.echo(f"note: families present but not fitted: {', '.join(extras)}")
+        print(f"note: families present but not fitted: {', '.join(extras)}")
 
 
 def _pick_laws(payload) -> dict:
@@ -252,11 +295,6 @@ def _pick_laws(payload) -> dict:
     return {vc: law for vc, (_, law) in best.items()}
 
 
-@main.command()
-@click.option("--assets", "assets_path", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path), help="Asset CSV.")
-@click.option("--laws", "laws_path", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path), help="Law JSON (fit output or law records).")
-@click.option("--as-of", "as_of", required=True, help="Scoring date (YYYY-MM-DD).")
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path), help="Output directory.")
 def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None:
     """Score every in-service asset on the 1-10 health scale."""
     import numpy as np
@@ -310,15 +348,9 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
             rated_rows = map(rated.__getitem__, scores[rows].tolist())
             handle.write("".join(map("%s,%.4f,%s\n".__mod__, zip(ids, ages[rows].tolist(), rated_rows))))
     run.write_manifest()
-    click.echo(f"scored {len(in_service)} assets -> {out_dir / 'ahi.csv'}")
+    print(f"scored {len(in_service)} assets -> {out_dir / 'ahi.csv'}")
 
 
-@main.command()
-@click.option("--fleet", "fleet_path", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path), help="Fleet CSV.")
-@click.option("--scenario", "scenario_ref", required=True, help="Scenario JSON path or builtin name (e.g. time-based:fte40).")
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path), help="Output directory.")
-@click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1), help="Parallel replication workers.")
-@click.option("--seed", default=None, type=int, help="Override the scenario's master seed.")
 def simulate(fleet_path: Path, scenario_ref: str, out_dir: Path, jobs: int, seed: int | None) -> None:
     """Run a maintenance scenario against a fleet."""
     import dataclasses
@@ -345,7 +377,7 @@ def simulate(fleet_path: Path, scenario_ref: str, out_dir: Path, jobs: int, seed
         report.write_kpis_csv(handle)
     run.write_manifest()
     totex = sum(report.aggregates["totex"].mean)
-    click.echo(
+    print(
         f"{scenario.name}: {scenario.replications} replications over "
         f"{scenario.horizon_years} years; mean cumulative TOTEX {totex:,.2f}"
     )
@@ -369,9 +401,6 @@ def _synth_spec(raw: object):
     return read(SyntheticFleetSpec, spec, "", sizes=sizes, commission_years=years)
 
 
-@main.command()
-@click.option("--spec", "spec_path", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path), help="Synthetic fleet spec JSON.")
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path), help="Output directory.")
 def synth(spec_path: Path, out_dir: Path) -> None:
     """Generate a synthetic in-service fleet CSV from a spec file.
 
@@ -393,13 +422,9 @@ def synth(spec_path: Path, out_dir: Path) -> None:
     with run.output("fleet.csv") as handle:
         write_asset_csv(fleet, handle)
     run.write_manifest()
-    click.echo(f"wrote {len(fleet)} assets -> {out_dir / 'fleet.csv'}")
+    print(f"wrote {len(fleet)} assets -> {out_dir / 'fleet.csv'}")
 
 
-@main.command()
-@click.option("--a", "path_a", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path), help="First report.json.")
-@click.option("--b", "path_b", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path), help="Second report.json.")
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path), help="Output directory.")
 def report(path_a: Path, path_b: Path, out_dir: Path) -> None:
     """Compare two simulation reports year by year."""
     from .reports import SimulationReport
@@ -443,9 +468,9 @@ def report(path_a: Path, path_b: Path, out_dir: Path) -> None:
     )
     run.write_manifest()
     if comparison.crossover_year is None:
-        click.echo("no cumulative-cost crossover within the horizon")
+        print("no cumulative-cost crossover within the horizon")
     else:
-        click.echo(f"cumulative cost crossover in year {comparison.crossover_year}")
+        print(f"cumulative cost crossover in year {comparison.crossover_year}")
 
 
 if __name__ == "__main__":

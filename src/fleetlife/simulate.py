@@ -963,7 +963,7 @@ def run_scenario(
         # imported here: the pool modules cost every CLI start-up otherwise
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, scenario.replications)) as pool:
             series = list(pool.map(engine.run, reps))
     else:
         series = list(map(engine.run, reps))

@@ -1,11 +1,34 @@
+import contextlib
+import io
 from datetime import date
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from fleetlife.cli import main
 from fleetlife.fleet import AssetTable, LifetimeTable
 
 _acceptance_results: list[tuple[str, bool]] = []
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str
+
+
+def invoke(*args) -> CliResult:
+    """`fleetlife.cli.main` on `args` as strings, in process, with stdout and
+    stderr captured into one buffer. The exit code is 0 when `main` returns,
+    else the code of its `SystemExit`; any other exception propagates."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(buffer):
+        try:
+            main([str(a) for a in args])
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return CliResult(code, buffer.getvalue())
 
 
 def single_family(duration, event) -> LifetimeTable:

@@ -9,12 +9,11 @@ from datetime import date
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fleetlife
-from fleetlife.cli import main
+from conftest import invoke
 from fleetlife.fleet import (
     SyntheticFleetSpec,
     VoltageClass,
@@ -23,12 +22,6 @@ from fleetlife.fleet import (
     write_asset_csv,
 )
 from fleetlife.weibull import REFERENCE_LAWS
-
-runner = CliRunner()
-
-
-def invoke(*args):
-    return runner.invoke(main, [str(a) for a in args], catch_exceptions=False)
 
 
 def write_fleet(path: Path, records) -> None:
@@ -78,7 +71,7 @@ class TestSynth:
     def test_bad_spec(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"sizes": {}, "commission_years": [2000]}))
-        result = runner.invoke(main, ["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        result = invoke("synth", "--spec", str(spec), "--out", str(tmp_path / "o"))
         assert result.exit_code == 2
 
     @pytest.mark.parametrize(
@@ -110,9 +103,8 @@ class TestSynth:
         if isinstance(spec, dict):
             spec = {"sizes": {"110": 2}, "commission_years": [1980, 2010], "seed": 1, **spec}
         path.write_text(json.dumps(spec))
-        result = runner.invoke(main, ["synth", "--spec", str(path), "--out", str(tmp_path / "o")])
+        result = invoke("synth", "--spec", str(path), "--out", str(tmp_path / "o"))
         assert result.exit_code == 2
-        assert result.exception is None or isinstance(result.exception, SystemExit)
         assert f"error: {named}" in result.output
         assert not (tmp_path / "o" / "fleet.csv").exists()
 
@@ -217,10 +209,7 @@ class TestFit:
         path = tmp_path / "young.csv"
         write_fleet(path, fleet)
         out = tmp_path / "fit"
-        result = runner.invoke(
-            main,
-            ["fit", "--assets", str(path), "--cutoff", "2021-07-01", "--out", str(out)],
-        )
+        result = invoke("fit", "--assets", str(path), "--cutoff", "2021-07-01", "--out", str(out))
         assert result.exit_code == 2
         assert "insufficient events" in result.output
         km = (out / "km_110.csv").read_text().splitlines()
@@ -234,10 +223,7 @@ class TestFit:
         )
         path = tmp_path / "assets.csv"
         write_fleet(path, fleet)
-        result = runner.invoke(
-            main,
-            ["fit", "--assets", str(path), "--cutoff", "1999-01-01", "--out", str(tmp_path / "o")],
-        )
+        result = invoke("fit", "--assets", str(path), "--cutoff", "1999-01-01", "--out", str(tmp_path / "o"))
         assert result.exit_code == 2
         assert "before commission" in result.output
 
@@ -249,10 +235,7 @@ class TestFit:
             "A2,110,2000-01-01,2010-01-01,\n"
             "A3,110,2000-01-01,2010-01-01,\n"
         )
-        result = runner.invoke(
-            main,
-            ["fit", "--assets", str(path), "--cutoff", "2021-07-01", "--out", str(tmp_path / "o")],
-        )
+        result = invoke("fit", "--assets", str(path), "--cutoff", "2021-07-01", "--out", str(tmp_path / "o"))
         assert result.exit_code == 3
         assert "did not converge" in result.output
 
@@ -302,7 +285,7 @@ class TestFit:
         args = ["fit", "--assets", str(path), "--cutoff", "2021-07-01", "--out", str(tmp_path / "o")]
         for family in families:
             args += ["--family", family]
-        result = runner.invoke(main, args)
+        result = invoke(*args)
         assert result.exit_code == code, result.output
         assert said in result.output
 
@@ -414,11 +397,8 @@ class TestScore:
         )
         laws = tmp_path / "laws.json"
         laws.write_text(json.dumps([{"family": "110", "beta": 6.67, "eta": 63.79}]))
-        result = runner.invoke(
-            main,
-            ["score", "--assets", str(path), "--laws", str(laws),
-             "--as-of", "2021-07-01", "--out", str(tmp_path / "o")],
-        )
+        result = invoke("score", "--assets", str(path), "--laws", str(laws),
+                        "--as-of", "2021-07-01", "--out", str(tmp_path / "o"))
         assert result.exit_code == 2
         assert "150" in result.output
 
@@ -469,11 +449,8 @@ class TestScore:
         path.write_text("asset_id,voltage_kv,commission_date,failure_date,manufacturer\nA,110,2000-01-01,,\n")
         laws = tmp_path / "laws.json"
         laws.write_text(json.dumps(records))
-        result = runner.invoke(
-            main,
-            ["score", "--assets", str(path), "--laws", str(laws),
-             "--as-of", "2021-07-01", "--out", str(tmp_path / "o")],
-        )
+        result = invoke("score", "--assets", str(path), "--laws", str(laws),
+                        "--as-of", "2021-07-01", "--out", str(tmp_path / "o"))
         assert result.exit_code == 2
         assert f"error: {named}" in result.output
         assert "Traceback" not in result.output
@@ -491,11 +468,8 @@ class TestScore:
         laws = tmp_path / "laws.json"
         for kept, code in ((2, 0), (3, 2)):
             laws.write_text(json.dumps({"laws": records[:kept]}))
-            result = runner.invoke(
-                main,
-                ["score", "--assets", str(path), "--laws", str(laws),
-                 "--as-of", "2021-07-01", "--out", str(tmp_path / f"o{kept}")],
-            )
+            result = invoke("score", "--assets", str(path), "--laws", str(laws),
+                            "--as-of", "2021-07-01", "--out", str(tmp_path / f"o{kept}"))
             assert result.exit_code == code, result.output
         assert "error: laws[2]: a second mle law record for family 110" in result.output
 
@@ -507,7 +481,7 @@ class TestScore:
         args = [command, "--assets", str(path), option, value, "--out", str(tmp_path / "o")]
         if command == "score":
             args += ["--laws", str(self.laws_file(tmp_path))]
-        result = runner.invoke(main, args)
+        result = invoke(*args)
         assert result.exit_code == 2
         assert f"error: {option}: malformed date {value!r} (expected YYYY-MM-DD)" in result.output
 
@@ -606,52 +580,37 @@ class TestSimulate:
         data = scenario_to_dict(builtin_scenario("time-based"))
         del data["resources"]
         sc_path.write_text(json.dumps(data))
-        result = runner.invoke(
-            main,
-            ["simulate", "--fleet", str(small_fleet_csv), "--scenario", str(sc_path),
-             "--out", str(tmp_path / "o")],
-        )
+        result = invoke("simulate", "--fleet", str(small_fleet_csv), "--scenario", str(sc_path),
+                        "--out", str(tmp_path / "o"))
         assert result.exit_code == 2
         assert "resources: required" in result.output
 
     def test_scenario_directory_is_a_validation_error(self, tmp_path, small_fleet_csv):
         folder = tmp_path / "scenarios"
         folder.mkdir()
-        result = runner.invoke(
-            main,
-            ["simulate", "--fleet", str(small_fleet_csv), "--scenario", str(folder),
-             "--out", str(tmp_path / "o")],
-        )
+        result = invoke("simulate", "--fleet", str(small_fleet_csv), "--scenario", str(folder),
+                        "--out", str(tmp_path / "o"))
         assert result.exit_code == 2
         assert f"{folder}: cannot read scenario file" in result.output
 
     def test_misspelled_scenario_key_is_a_validation_error(self, tmp_path, small_fleet_csv):
         sc = scenario_file(tmp_path, horizon_year=30)
-        result = runner.invoke(
-            main,
-            ["simulate", "--fleet", str(small_fleet_csv), "--scenario", str(sc),
-             "--out", str(tmp_path / "o")],
-        )
+        result = invoke("simulate", "--fleet", str(small_fleet_csv), "--scenario", str(sc),
+                        "--out", str(tmp_path / "o"))
         assert result.exit_code == 2
         assert "horizon_year: unknown field" in result.output
 
     def test_horizon_past_the_tick_columns_is_a_validation_error(self, tmp_path, small_fleet_csv):
         # fails when the scenario loads, before any array is sized by it
         sc = scenario_file(tmp_path, horizon_years=10**400)
-        result = runner.invoke(
-            main,
-            ["simulate", "--fleet", str(small_fleet_csv), "--scenario", str(sc),
-             "--out", str(tmp_path / "o")],
-        )
+        result = invoke("simulate", "--fleet", str(small_fleet_csv), "--scenario", str(sc),
+                        "--out", str(tmp_path / "o"))
         assert result.exit_code == 2
         assert "horizon_years: at most 178956970 years of 1-month ticks" in result.output
 
     def test_unknown_scenario_name(self, tmp_path, small_fleet_csv):
-        result = runner.invoke(
-            main,
-            ["simulate", "--fleet", str(small_fleet_csv), "--scenario", "usage-based",
-             "--out", str(tmp_path / "o")],
-        )
+        result = invoke("simulate", "--fleet", str(small_fleet_csv), "--scenario", "usage-based",
+                        "--out", str(tmp_path / "o"))
         assert result.exit_code == 2
 
     @pytest.mark.parametrize(
@@ -677,11 +636,8 @@ class TestSimulate:
             fleet = tmp_path / "empty.csv"
             fleet.write_text("asset_id,voltage_kv,commission_date,failure_date,manufacturer\n")
         out = tmp_path / "o"
-        result = runner.invoke(
-            main,
-            ["simulate", "--fleet", str(fleet), "--scenario", str(scenario_file(tmp_path, **overrides)),
-             "--out", str(out)],
-        )
+        result = invoke("simulate", "--fleet", str(fleet), "--scenario", str(scenario_file(tmp_path, **overrides)),
+                        "--out", str(out))
         assert result.exit_code == 2
         assert f"error: {named}" in result.output
         assert not (out / "report.json").exists()
@@ -722,9 +678,7 @@ class TestSimulate:
                 activity[key] = value
         sc.write_text(json.dumps(data))
         out = tmp_path / "o"
-        result = runner.invoke(
-            main, ["simulate", "--fleet", str(fleet), "--scenario", str(sc), "--out", str(out)]
-        )
+        result = invoke("simulate", "--fleet", str(fleet), "--scenario", str(sc), "--out", str(out))
         if named:
             assert result.exit_code == 2
             assert f"error: {named}" in result.output
@@ -857,11 +811,8 @@ class TestReport:
             "simulate", "--fleet", small_fleet_csv,
             "--scenario", scenario_file(tmp_path, horizon_years=20), "--out", out_b,
         )
-        result = runner.invoke(
-            main,
-            ["report", "--a", str(out_a / "report.json"), "--b", str(out_b / "report.json"),
-             "--out", str(tmp_path / "cmp")],
-        )
+        result = invoke("report", "--a", str(out_a / "report.json"), "--b", str(out_b / "report.json"),
+                        "--out", str(tmp_path / "cmp"))
         assert result.exit_code == 2
 
     @pytest.mark.parametrize(
@@ -895,11 +846,8 @@ class TestReport:
         bad.write_text(json.dumps(data))
         paths = {"a": sim_out / "report.json", "b": sim_out / "report.json", role: bad}
         out = tmp_path / "cmp"
-        result = runner.invoke(
-            main, ["report", "--a", str(paths["a"]), "--b", str(paths["b"]), "--out", str(out)]
-        )
+        result = invoke("report", "--a", paths["a"], "--b", paths["b"], "--out", out)
         assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
         assert f"--{role} {bad}: " in result.output and named in result.output
         assert "Traceback" not in result.output
         assert not (out / "comparison.csv").exists()
@@ -909,6 +857,40 @@ def test_help_lists_commands():
     result = invoke("--help")
     for command in ("fit", "score", "simulate", "synth", "report"):
         assert command in result.output
+
+
+def test_version_prints_the_version():
+    result = invoke("--version")
+    assert result.exit_code == 0
+    assert fleetlife.__version__ in result.output
+
+
+SIMULATE = ["simulate", "--scenario", "time-based", "--fleet"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [],
+        ["simulate", "--scenario", "time-based", "--fle", "{fleet}", "--out", "{out}"],
+        [*SIMULATE, "{dir}", "--out", "{out}"],
+        [*SIMULATE, "{dir}/missing.csv", "--out", "{out}"],
+        [*SIMULATE, "{fleet}", "--out", "{fleet}"],
+        [*SIMULATE, "{fleet}", "--out", "{out}", "--jobs", "0"],
+        [*SIMULATE, "{fleet}", "--out", "{out}", "--jobs", "two"],
+        [*SIMULATE, "{fleet}", "--out", "{out}", "--seed", "1.5"],
+        ["fit", "--assets", "{fleet}", "--cutoff", "2021-07-01", "--out", "{out}", "--family", "400"],
+    ],
+    ids=["no-command", "abbreviated", "directory", "missing", "out-is-a-file",
+         "jobs-0", "jobs-word", "seed-float", "unknown-family"],
+)
+def test_usage_errors_exit_2(tmp_path, small_fleet_csv, args):
+    # an abbreviated option is unknown, not taken for the option it starts
+    out = tmp_path / "o"
+    result = invoke(*[a.format(fleet=small_fleet_csv, dir=tmp_path, out=out) for a in args])
+    assert result.exit_code == 2, result.output
+    assert "usage: fleetlife" in result.output
+    assert not out.exists()
 
 
 def child_env() -> dict:
@@ -995,17 +977,11 @@ def test_report_leaves_numpy_unloaded(tmp_path, small_fleet_csv):
     assert (tmp_path / "cmp" / "summary.json").exists()
 
 
-@pytest.mark.parametrize(
-    "command", ["fit", "score", "simulate-open-pool", "simulate-constrained", "report"]
-)
-def test_cli_never_loads_openssl(tmp_path, small_fleet_csv, command):
-    # each asset key and manifest digest is the interpreter's own SHA-256, so
-    # no command maps OpenSSL's libcrypto (_hashlib, 3.7 MB of peak RSS).
-    # Before numpy 2.0 a bare `import numpy` loads numpy.random, whose
-    # `secrets` import loads it; report runs without numpy.
-    bare_numpy = "import sys, numpy; print('_hashlib' in sys.modules)"
-    if command != "report" and child_python(bare_numpy) == "True":
-        pytest.skip("a bare `import numpy` loads _hashlib")
+PROCESS_CASES = ["fit", "score", "simulate-open-pool", "simulate-constrained", "report"]
+
+
+def process_case(tmp_path, small_fleet_csv, command) -> list:
+    """The arguments of one of `PROCESS_CASES`, with `--out tmp_path/out`."""
     simulate = ["simulate", "--fleet", small_fleet_csv, "--jobs", 1, "--scenario"]
     if command == "report":
         invoke(*simulate, scenario_file(tmp_path), "--out", tmp_path / "sim")
@@ -1021,7 +997,27 @@ def test_cli_never_loads_openssl(tmp_path, small_fleet_csv, command):
         if command == "score":
             argv = ["score", "--assets", assets, "--laws", TestScore().laws_file(tmp_path),
                     "--as-of", "2021-07-01"]
-    assert loaded_after([*argv, "--out", tmp_path / "out"], ("_hashlib",)) == "[]"
+    return [*argv, "--out", tmp_path / "out"]
+
+
+@pytest.mark.parametrize("command", PROCESS_CASES)
+def test_cli_never_loads_openssl(tmp_path, small_fleet_csv, command):
+    # each asset key and manifest digest is the interpreter's own SHA-256, so
+    # no command maps OpenSSL's libcrypto (_hashlib, 3.7 MB of peak RSS).
+    # Before numpy 2.0 a bare `import numpy` loads numpy.random, whose
+    # `secrets` import loads it; report runs without numpy.
+    bare_numpy = "import sys, numpy; print('_hashlib' in sys.modules)"
+    if command != "report" and child_python(bare_numpy) == "True":
+        pytest.skip("a bare `import numpy` loads _hashlib")
+    assert loaded_after(process_case(tmp_path, small_fleet_csv, command), ("_hashlib",)) == "[]"
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", PROCESS_CASES)
+def test_cli_never_loads_click(tmp_path, small_fleet_csv, command):
+    # the option parser is argparse's: no command imports click, whose
+    # modules (and uuid's) would add to every process's start-up and peak RSS
+    assert loaded_after(process_case(tmp_path, small_fleet_csv, command), ("click",)) == "[]"
     assert (tmp_path / "out" / "manifest.json").exists()
 
 

@@ -17,9 +17,8 @@ from datetime import date
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from fleetlife.cli import main
+from conftest import invoke
 from fleetlife.fleet import SyntheticFleetSpec, VoltageClass, generate_synthetic_fleet
 from fleetlife.generations import due_before
 from fleetlife.scenarios import builtin_scenario
@@ -124,7 +123,7 @@ def test_comparison_bytes_pinned(tmp_path):
         path = tmp_path / f"{role}.json"
         path.write_text(json.dumps(golden_report(case).to_json_dict(), indent=2) + "\n")
         args += [f"--{role}", str(path)]
-    result = CliRunner().invoke(main, [*args, "--out", str(out)], catch_exceptions=False)
+    result = invoke(*args, "--out", out)
     assert result.exit_code == 0, result.output
     written = {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()

@@ -12,9 +12,8 @@ import json
 from datetime import date
 
 import pytest
-from click.testing import CliRunner
 
-from fleetlife.cli import main
+from conftest import invoke
 from fleetlife.fleet import (
     SyntheticFleetSpec,
     VoltageClass,
@@ -59,13 +58,12 @@ def estimated(tmp_path_factory):
     assets = work / "assets.csv"
     with open(assets, "w", newline="") as handle:
         write_asset_csv(draw_failures(fleet, REFERENCE_LAWS, CUTOFF, seed=37), handle)
-    runner = CliRunner()
     for args in (
         ["fit", "--assets", assets, "--cutoff", CUTOFF.isoformat(), "--out", work / "fit"],
         ["score", "--assets", assets, "--laws", work / "fit" / "law.json",
          "--as-of", CUTOFF.isoformat(), "--out", work / "score"],
     ):
-        result = runner.invoke(main, [str(a) for a in args], catch_exceptions=False)
+        result = invoke(*args)
         assert result.exit_code == 0, result.output
     return work
 

@@ -167,6 +167,8 @@ def open_and_walked(fleet, sc):
     assert opened.run(0) == walked.run(0)
     assert opened.capacity is None and walked.capacity is not None
     assert opened.executed == walked.executed
+    assert opened.raised == walked.raised
+    assert opened.dropped == walked.dropped
     assert opened.examined == opened.executed + opened.dropped
     return walked
 
@@ -529,6 +531,24 @@ class TestRunScenario:
             assert carried == [isinstance(resources, Constrained)] * 5
             for jobs in (2, 3):
                 assert run_scenario(fleet, sc, jobs=jobs).to_json_dict() == serial
+
+    def test_pool_starts_no_more_workers_than_replications(self, monkeypatch):
+        # the executor starts all its workers at the first submit, so a pool
+        # of 8 for 2 replications would fork 6 that never get one
+        import concurrent.futures
+
+        asked = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                asked.append(max_workers)
+                super().__init__(min(max_workers, 2), *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        fleet = fleet_of([asset(f"110-{i:05d}", commissioned=date(1970 + i, 1, 1)) for i in range(4)])
+        sc = scenario(failures_enabled=True, replications=2, horizon_years=20)
+        assert run_scenario(fleet, sc, jobs=8).to_json_dict() == run_scenario(fleet, sc).to_json_dict()
+        assert asked == [2]
 
     def test_corrective_gap_books_one_tick_of_unavailability(self):
         # a near-step hazard at 59 years makes both 60-year-old assets fail
@@ -1916,6 +1936,8 @@ class TestEngineInvariants:
         opened, walked = engines
         assert opened.capacity is None and walked.capacity is not None
         assert opened.executed == walked.executed
+        assert opened.raised == walked.raised
+        assert opened.dropped == walked.dropped
         assert opened.examined == opened.executed + opened.dropped
 
     @pytest.mark.parametrize("hazard_age", ["real", "apparent"])
