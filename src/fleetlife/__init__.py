@@ -119,6 +119,7 @@ _EXPORTS = {
         "DataError",
         "LifetimeTable",
         "SyntheticFleetSpec",
+        "TextColumn",
         "VoltageClass",
         "build_lifetime_table",
         "draw_failures",

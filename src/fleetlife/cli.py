@@ -344,7 +344,7 @@ def score(assets_path: Path, laws_path: Path, as_of: str, out_dir: Path) -> None
     with run.output("ahi.csv") as handle:
         handle.write("asset_id,apparent_age,score,band,basis\n")
         for rows in (slice(lo, lo + _AHI_ROWS) for lo in range(0, len(in_service), _AHI_ROWS)):
-            ids = map(assets.asset_id.__getitem__, in_service[rows].tolist())
+            ids = assets.asset_id.take(in_service[rows])
             rated_rows = map(rated.__getitem__, scores[rows].tolist())
             handle.write("".join(map("%s,%.4f,%s\n".__mod__, zip(ids, ages[rows].tolist(), rated_rows))))
     run.write_manifest()

@@ -17,7 +17,7 @@ import io
 import re
 from dataclasses import dataclass, replace
 from datetime import date
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "DataError",
     "VoltageClass",
     "AssetTable",
+    "TextColumn",
     "FAMILIES",
     "LifetimeTable",
     "SyntheticFleetSpec",
@@ -83,12 +84,118 @@ _FAMILY_OF_KV[list(VALID_VOLTAGES)] = [
 ]
 
 
+class _Codes(dict):
+    """The code of each key; a key not yet seen takes the next code."""
+
+    def __missing__(self, key):
+        self[key] = code = len(self)
+        return code
+
+
+# rows of a TextColumn that one gather decodes
+_TAKE_ROWS = 1 << 13
+
+
+class TextColumn:
+    """A read-only column of text, one str per row, with no Python object
+    per row.
+
+    Texts that differ from row to row, such as asset ids, are one UTF-8
+    buffer, ``data``, with each row's end offset in ``offsets`` (int64,
+    after a leading 0). Few texts repeated, such as manufacturers, are a
+    tuple of texts, ``names``, with each row's int32 index into it in
+    ``codes``. Either form takes `len`, an int index, which gives the row's
+    str, and iteration; `encode` and `coded` copy what they are given.
+    """
+
+    __slots__ = ("data", "offsets", "names", "codes", "_checked_ids")
+
+    def __init__(self, data=b"", offsets=None, names=(), codes=None):
+        for column in (offsets, codes):
+            if column is not None:
+                column.flags.writeable = False
+        self.data, self.offsets, self.names, self.codes = data, offsets, names, codes
+        # set where AssetTable's id rules are known to hold for the column
+        self._checked_ids = False
+
+    @classmethod
+    def encode(cls, texts: Iterable[str]) -> "TextColumn":
+        """`texts` as one UTF-8 buffer with an end offset per row."""
+        texts = list(texts)
+        joined = "".join(texts)
+        if joined.isascii():
+            data, lengths = joined.encode("ascii"), map(len, texts)
+        else:
+            encoded = [text.encode() for text in texts]
+            data, lengths = b"".join(encoded), map(len, encoded)
+        offsets = np.zeros(len(texts) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(lengths, np.int64, len(texts)), out=offsets[1:])
+        return cls(data, offsets)
+
+    @classmethod
+    def coded(cls, texts: Iterable[str]) -> "TextColumn":
+        """`texts` as the tuple of their distinct values, in the order they
+        first come, with an int32 code per row."""
+        texts, code = list(texts), _Codes()
+        codes = np.fromiter(map(code.__getitem__, texts), np.int32, len(texts))
+        if not all(isinstance(name, str) for name in code):
+            raise TypeError("a text column holds str")
+        return cls(names=tuple(code), codes=codes)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1 if self.codes is None else len(self.codes)
+
+    def __getitem__(self, row: int) -> str:
+        row = range(len(self))[row]  # negative from the end, as a list takes it
+        if self.codes is not None:
+            return self.names[self.codes[row]]
+        return self.data[self.offsets[row] : self.offsets[row + 1]].decode()
+
+    def __iter__(self) -> Iterator[str]:
+        for start in range(0, len(self), _TAKE_ROWS):
+            yield from self.take(slice(start, start + _TAKE_ROWS))
+
+    def take(self, rows: slice | np.ndarray) -> list[str]:
+        """The texts of `rows`, a slice or an int array, in its order.
+
+        A buffer's texts are gathered with one numpy index, each followed
+        by a line feed, decoded once and split there; only where a text
+        holds a line feed is each decoded alone.
+        """
+        if self.codes is not None:
+            return list(map(self.names.__getitem__, self.codes[rows].tolist()))
+        starts, stops = self.offsets[:-1][rows], self.offsets[1:][rows]
+        if not (len(starts) and self.data):
+            return [""] * len(starts)
+        sizes = stops - starts + 1
+        ends = np.cumsum(sizes)
+        # the byte of data each gathered byte copies; a line feed copies
+        # the byte after its text, and is then written over
+        source = np.arange(ends[-1]) - np.repeat(ends - sizes - starts, sizes)
+        gathered = np.frombuffer(self.data, dtype=np.uint8)[np.minimum(source, len(self.data) - 1)]
+        gathered[ends - 1] = ord("\n")
+        texts = gathered.tobytes().decode().split("\n")
+        if len(texts) == len(sizes) + 1:
+            texts.pop()
+            return texts
+        return [self.data[a:b].decode() for a, b in zip(starts.tolist(), stops.tolist())]
+
+    def encoded(self) -> list[bytes]:
+        """Each row's text as its UTF-8 bytes."""
+        if self.codes is not None:
+            names = [name.encode() for name in self.names]
+            return list(map(names.__getitem__, self.codes.tolist()))
+        bounds = self.offsets.tolist()
+        return list(map(self.data.__getitem__, map(slice, bounds[:-1], bounds[1:])))
+
+
 @dataclass(frozen=True, eq=False)
 class AssetTable:
     """Asset records as columns, one row per asset, in input order.
 
-    ``asset_id`` and ``manufacturer`` are lists of str, with "" for no
-    manufacturer; equal manufacturer names may be one object.
+    ``asset_id`` and ``manufacturer`` are TextColumns, built from any
+    sequence of str given for them: the ids as one UTF-8 buffer, the
+    manufacturers as codes into their distinct names, with "" for none.
     ``voltage_kv`` is an int array. ``commission`` and ``failure`` are
     int64 day numbers as ``date.toordinal()`` gives them, with failure 0
     for an asset still in service (no date has ordinal 0).
@@ -96,37 +203,41 @@ class AssetTable:
     come after its commission; the first row breaking a rule is named.
     """
 
-    asset_id: list[str]
+    asset_id: TextColumn
     voltage_kv: np.ndarray
     commission: np.ndarray
     failure: np.ndarray
-    manufacturer: list[str]
+    manufacturer: TextColumn
 
     def __post_init__(self) -> None:
-        # a list column is kept as given, any other sequence copied
-        asset_id, manufacturer = (
-            c if isinstance(c, list) else list(c) for c in (self.asset_id, self.manufacturer)
-        )
+        asset_id, manufacturer = self.asset_id, self.manufacturer
+        checked = isinstance(asset_id, TextColumn) and asset_id._checked_ids
+        ids = asset_id if checked else list(asset_id)
+        if not isinstance(manufacturer, TextColumn):
+            manufacturer = TextColumn.coded(manufacturer)
         voltage_kv = np.asarray(self.voltage_kv, dtype=np.int64)
         commission = np.asarray(self.commission, dtype=np.int64)
         failure = np.asarray(self.failure, dtype=np.int64)
-        n = len(asset_id)
+        n = len(ids)
         if not (
             voltage_kv.shape == commission.shape == failure.shape == (n,)
             and len(manufacturer) == n
         ):
             raise ValueError("asset columns must be one-dimensional and of equal length")
-        if "" in asset_id:
-            raise DataError(f"empty asset_id at index {asset_id.index('')}")
-        # equal ids have equal hashes: a sorted array of them, not a set of
-        # ids, shows that every id is unique
-        hashes = np.sort(np.fromiter(map(hash, asset_id), np.int64, n))
-        if (hashes[1:] == hashes[:-1]).any():
-            seen: set[str] = set()
-            for name in asset_id:
-                if name in seen:
-                    raise DataError(f"duplicate asset_id {name!r}")
-                seen.add(name)
+        if not checked:
+            if "" in ids:
+                raise DataError(f"empty asset_id at index {ids.index('')}")
+            # equal ids have equal hashes: a sorted array of them, not a set
+            # of ids, shows that every id is unique
+            hashes = np.sort(np.fromiter(map(hash, ids), np.int64, n))
+            if (hashes[1:] == hashes[:-1]).any():
+                seen: set[str] = set()
+                for name in ids:
+                    if name in seen:
+                        raise DataError(f"duplicate asset_id {name!r}")
+                    seen.add(name)
+            asset_id = TextColumn.encode(ids)
+            asset_id._checked_ids = True
         bad = ~np.isin(voltage_kv, VALID_VOLTAGES)
         if bad.any():
             i = int(np.argmax(bad))
@@ -232,16 +343,17 @@ def parse_asset_csv(source: IO[bytes] | IO[str] | Iterable[str]) -> AssetTable:
     duplicate id, integer voltage, commission date, failure date, known
     voltage, failure after commission.
 
-    A byte stream, as the CLI opens a file, is read whole. A plain file (no
-    quote, CR, NUL or blank line, four commas on every line, a final
-    newline) takes a columnar path in blocks of about 256 KiB. After its first
-    comma each row there has a fixed layout, a voltage of three ASCII
-    digits and YYYY-MM-DD dates (the failure date may be empty), read as
-    digits, with day numbers by calendar arithmetic; only ids and
-    manufacturers are decoded, one object per manufacturer name. Any other
-    file, any file that fails a check there, and any text goes through the
-    row loop, so both paths accept the same files, give the same table and
-    name the same first bad row.
+    A byte stream, as the CLI opens a file, is read whole, and is refused
+    before any row is read unless it is UTF-8, naming the line of its first
+    bad byte. A plain file (no quote, CR, NUL or blank line, four commas on
+    every line, a final newline) takes a columnar path in blocks of about
+    256 KiB. After its first comma each row there has a fixed layout, a
+    voltage of three ASCII digits and YYYY-MM-DD dates (the failure date
+    may be empty), read as digits, with day numbers by calendar arithmetic;
+    ids and manufacturers stay bytes, the ids one buffer, the manufacturers
+    codes. Any other file, any file that fails a check there, and any text
+    goes through the row loop, so both paths accept the same files, give
+    the same table and name the same first bad row.
     """
     if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
         hasattr(source, "read") and isinstance(source.read(0), bytes)
@@ -250,6 +362,15 @@ def parse_asset_csv(source: IO[bytes] | IO[str] | Iterable[str]) -> AssetTable:
         table = _parse_plain(data)
         if table is not None:
             return table
+        if not data.isascii():
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                before = data[: exc.start]
+                line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+                raise DataError(
+                    f"line {line}: not UTF-8 (byte 0x{data[exc.start]:02x}: {exc.reason})"
+                ) from None
         source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
     return _parse_rows(source)
 
@@ -279,66 +400,98 @@ def _parse_plain(data: bytes) -> AssetTable | None:
         or any(c in data for c in (b'"', b"\r", b"\0"))
     ):
         return None
-    ids: list[str] = []
-    manufacturer: list[str] = []
-    names: dict[str, str] = {}  # one object per manufacturer name
-    numbers = []
-    start = len(_HEADER_LINE)
+    n = data.count(b"\n") - 1  # each line after the header is one row
+    if not n:
+        return None  # no rows: the row loop is as quick
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    hashes, kv, commission, failure = (np.empty(n, dtype=np.int64) for _ in range(4))
+    codes = np.empty(n, dtype=np.int32)
+    ids: list[bytes] = []  # the id bytes of each block
+    makers = _Codes()  # of each manufacturer name
+    row, start = 0, len(_HEADER_LINE)
     while start < len(data):
         end = data.index(b"\n", min(start + _BLOCK_BYTES, len(data) - 1)) + 1
-        part = _plain_block(memoryview(data)[start:end], names)
+        part = _plain_block(memoryview(data)[start:end], makers)
         if part is None:
             return None
-        ids += part[0]
-        manufacturer += part[4]
-        numbers.append(part[1:4])
-        start = end
-    if not ids:
-        return None  # no rows: the row loop is as quick
-    kv, commission, failure = map(np.concatenate, zip(*numbers))
-    del numbers, part  # the table keeps the columns, not their parts
+        rows = slice(row, row + len(part[1]))
+        ids.append(part[0])
+        offsets[rows.start + 1 : rows.stop + 1] = offsets[row] + np.cumsum(part[1])
+        for column, values in zip((hashes, kv, commission, failure, codes), part[2:]):
+            column[rows] = values
+        row, start = rows.stop, end
+    del part  # the table keeps the columns, not their parts
+    # equal ids have equal hashes; where two hashes are equal, the row loop
+    # names the first duplicate, or keeps ids whose hashes alone are equal
+    hashes.sort()
+    if (hashes[1:] == hashes[:-1]).any():
+        return None
+    del hashes
+    asset_id = TextColumn(b"".join(ids), offsets)
+    asset_id._checked_ids = True
+    del ids
+    manufacturer = TextColumn(names=tuple(name.decode() for name in makers), codes=codes)
     try:
-        return AssetTable(ids, kv, commission, failure, manufacturer)
+        return AssetTable(asset_id, kv, commission, failure, manufacturer)
     except DataError:
         return None
 
 
-def _plain_block(block: memoryview, names: dict[str, str]) -> tuple | None:
-    """The five columns of whole rows of a plain file, or None.
+def _plain_block(block: memoryview, makers: _Codes) -> tuple | None:
+    """The columns of whole rows of a plain file, or None: the bytes of
+    their ids, one after another, each id's length and hash, then voltage,
+    commission, failure and manufacturer code.
 
     After its first comma a row has a fixed layout: a 3-digit voltage, a
     10-byte commission date, then an empty or 10-byte failure date. Those
-    are read as digits at their offsets and cut out before decoding, so
-    only ids and manufacturers become str, each name one object of `names`.
+    are read as digits at their offsets and cut out; ids and manufacturer
+    names stay bytes, checked as UTF-8, and each name is coded by `makers`.
     """
     raw = np.frombuffer(block, dtype=np.uint8)
     seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
     if seps.size % 5 or (raw[seps].reshape(-1, 5) != _ROW_SEPARATORS).any():
         return None
     seps = seps.reshape(-1, 5)
-    first = seps[:, 0]
     # the next three commas lie 4, 15 and 16 bytes after the first, or 26
     # after a failure date
-    offsets = seps[:, 1:4] - first[:, None]
+    offsets = seps[:, 1:4] - seps[:, :1]
     dated = offsets[:, 2] == 26
     if (offsets[:, :2] != (4, 15)).any() or not (dated | (offsets[:, 2] == 16)).all():
         return None
+    lengths = seps[:, 0] - np.concatenate(([0], seps[:-1, 4] + 1))
+    if not lengths.all():
+        return None  # an empty id
+    # each row is cut from its voltage through the comma after its failure
+    # date; the block's temporaries are freed as they are used
+    cut, stop = seps[:, 0] + 1, seps[:, 3] + 1
+    del seps, offsets
     windows = np.lib.stride_tricks.sliding_window_view(raw, 10)
-    failure = np.zeros(len(seps), dtype=np.int64)
-    # cut each row from its voltage through the comma after its failure date
-    edges = np.zeros(raw.size, dtype=bool)
-    edges[first + 1] = edges[seps[:, 3] + 1] = True
+    failure = np.zeros(len(cut), dtype=np.int64)
     try:
-        kv = _digits(windows[first + 1, :3], "999")
-        commission = _day_ordinals(windows[first + 5])
-        failure[dated] = _day_ordinals(windows[first[dated] + 16])
-        text = raw[~np.logical_xor.accumulate(edges)].tobytes().decode("utf-8")
+        kv = _digits(windows[cut, :3], "999")
+        commission = _day_ordinals(windows[cut + 4])
+        failure[dated] = _day_ordinals(windows[cut[dated] + 15])
     except ValueError:
         return None
     kv = kv[:, 0] * 100 + kv[:, 1] * 10 + kv[:, 2]
-    fields = text.replace("\n", ",").split(",")
-    made = fields[1::2]
-    return fields[0:-1:2], kv, commission, failure, list(map(names.setdefault, made, made))
+    edges = np.zeros(raw.size, dtype=bool)
+    edges[cut] = edges[stop] = True
+    np.logical_xor.accumulate(edges, out=edges)
+    text = raw[np.logical_not(edges, out=edges)].tobytes()
+    del edges
+    if not text.isascii():
+        try:
+            text.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    # a plain field holds no comma or line feed
+    fields = text.replace(b"\n", b",").split(b",")
+    del text
+    ids, made = fields[0:-1:2], fields[1::2]
+    del fields
+    hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
+    codes = np.fromiter(map(makers.__getitem__, made), np.int32, len(made))
+    return b"".join(ids), lengths, hashes, kv, commission, failure, codes
 
 
 def _digits(chars: np.ndarray, form: str) -> np.ndarray:
@@ -426,19 +579,40 @@ def _iso_dates(days: np.ndarray) -> list[str]:
     return [date.fromordinal(day).isoformat() if day else "" for day in days.tolist()]
 
 
+class _LineFeedRows:
+    """The stream a csv writer writes to that ends each row with LF where
+    the writer ended it with CR LF: the writer quotes a field holding a CR
+    only where CR is part of its line terminator."""
+
+    def __init__(self, stream: IO[str]):
+        self.stream = stream
+
+    def write(self, row: str) -> None:
+        self.stream.write(row[:-2] + "\n")
+
+
 def write_asset_csv(assets: AssetTable, stream: IO[str]) -> None:
-    """Inverse of parse_asset_csv; round-trips all fields exactly."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(
-        zip(
-            assets.asset_id,
-            assets.voltage_kv.tolist(),
-            _iso_dates(assets.commission),
-            _iso_dates(assets.failure),
-            assets.manufacturer,
+    """Inverse of parse_asset_csv; round-trips all fields exactly. A field
+    is quoted only where it holds a comma, a quote, a CR or a LF. Rows are
+    written a slice at a time, through the csv module only in a slice where
+    some id or manufacturer holds one of those."""
+    stream.write(",".join(CSV_HEADER) + "\n")
+    quoting = csv.writer(_LineFeedRows(stream), lineterminator="\r\n")
+    for start in range(0, len(assets), _TAKE_ROWS):
+        rows = slice(start, start + _TAKE_ROWS)
+        ids, makers = assets.asset_id.take(rows), assets.manufacturer.take(rows)
+        fields = zip(
+            ids,
+            assets.voltage_kv[rows].tolist(),
+            _iso_dates(assets.commission[rows]),
+            _iso_dates(assets.failure[rows]),
+            makers,
         )
-    )
+        texts = "".join(ids) + "".join(makers)
+        if any(c in texts for c in ',"\r\n'):
+            quoting.writerows(fields)
+        else:
+            stream.write("".join(map("%s,%d,%s,%s,%s\n".__mod__, fields)))
 
 
 def service_years(assets: AssetTable, end: date | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -494,8 +668,7 @@ def generate_synthetic_fleet(spec: SyntheticFleetSpec) -> AssetTable:
     rng = np.random.default_rng(spec.seed)
     first = date(spec.commission_years[0], 1, 1).toordinal()
     span = date(spec.commission_years[1], 12, 31).toordinal() - first
-    makers = [f"M{k}" for k in range(1, 9)]
-    ids, manufacturers, kvs, days = [], [], [], []
+    ids, kvs, days, makers = [], [], [], []
     for vc in VoltageClass:
         n = spec.sizes.get(vc, 0)
         if vc is VoltageClass.V220_380:
@@ -505,11 +678,15 @@ def generate_synthetic_fleet(spec: SyntheticFleetSpec) -> AssetTable:
             day, maker = rng.integers([0, 1], [span + 1, 9], size=(n, 2)).T
             kv = np.full(n, int(vc.value))
         ids += [f"{k}-{i:05d}" for i, k in enumerate(kv.tolist())]
-        manufacturers += [makers[k - 1] for k in maker.tolist()]
         kvs.append(kv)
         days.append(day)
+        makers.append(maker - 1)
     commission = first + np.concatenate(days)
-    return AssetTable(ids, np.concatenate(kvs), commission, np.zeros_like(commission), manufacturers)
+    # maker k is named Mk
+    manufacturer = TextColumn(
+        names=tuple(f"M{k}" for k in range(1, 9)), codes=np.concatenate(makers).astype(np.int32)
+    )
+    return AssetTable(ids, np.concatenate(kvs), commission, np.zeros_like(commission), manufacturer)
 
 
 def draw_failures(

@@ -88,7 +88,7 @@ then runs replication `rep` on arrays:
 
 Determinism contract: every draw is a pure function of its coordinates.
 Asset generation ``g`` of replication ``rep`` takes one Philox4x64-10 block,
-keyed by the first 16 bytes of ``sha256(asset_id)``, at counter
+keyed by the first 16 bytes of the sha256 of the id's UTF-8 bytes, at counter
 ``(g, rep, master_seed mod 2**64, 0)``. Word 0 gives its failure uniform,
 words 1 and 2 the normal its degradation rate is drawn from. Results are
 therefore independent of iteration and scheduling order, including
@@ -104,7 +104,7 @@ import sys
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -443,12 +443,10 @@ def _philox4x64(
     return x0, x1, x2, x3
 
 
-def _asset_keys(asset_ids: Sequence[str]) -> np.ndarray:
-    """Philox key of each asset: the first 16 bytes of sha256(asset_id), as
-    two little-endian uint64 words (rows)."""
-    digests = b"".join(
-        sha256(asset_id.encode("utf-8")).digest()[:16] for asset_id in asset_ids
-    )
+def _asset_keys(asset_ids: Iterable[bytes]) -> np.ndarray:
+    """Philox key of each asset: the first 16 bytes of the sha256 of its
+    id's UTF-8 bytes, as two little-endian uint64 words (rows)."""
+    digests = b"".join(sha256(asset_id).digest()[:16] for asset_id in asset_ids)
     return np.frombuffer(digests, dtype="<u8").reshape(-1, 2).T.astype(np.uint64)
 
 
@@ -528,8 +526,9 @@ class _Engine:
                 f"asset {fleet.asset_id[late[0]]!r} commissioned after simulation start "
                 f"{start.isoformat()}"
             )
-        # assets in id order
-        order = sorted(range(len(fleet)), key=fleet.asset_id.__getitem__)
+        # assets in id order: UTF-8 byte order is code point order
+        ids = fleet.asset_id.encoded()
+        order = sorted(range(len(fleet)), key=ids.__getitem__)
         kv = fleet.voltage_kv[order].astype(np.int32)
         # ages at tick 0, in grid units
         self.age0 = UNITS_PER_DAY * (start.toordinal() - fleet.commission[order]).astype(np.int64)
@@ -634,7 +633,7 @@ class _Engine:
                         "schedule"
                     )
 
-        self.keys = _asset_keys(fleet.asset_id)[:, order]
+        self.keys = _asset_keys(ids)[:, order]
 
     def _start(self, rep: int) -> None:
         """Start replication `rep`: reset the cadences, counters and ledgers

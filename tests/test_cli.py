@@ -62,6 +62,19 @@ class TestSynth:
         assert (out1 / "fleet.csv").read_bytes() == (out2 / "fleet.csv").read_bytes()
         assert manifest_without_duration(out1) == manifest_without_duration(out2)
 
+    def test_readme_spec_bytes_pinned(self, tmp_path):
+        # the fleet.csv of the README's spec: the array draws, the id and
+        # manufacturer columns, and the CSV writer under them
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"sizes": {"110": 400, "150": 400, "220_380": 200}, "commission_years": [1982, 1986], "seed": 11}
+        ))
+        result = invoke("synth", "--spec", spec, "--out", tmp_path / "fleet")
+        assert result.exit_code == 0, result.output
+        assert sha256_file(tmp_path / "fleet" / "fleet.csv") == (
+            "3daad779de06394f94117f2316141ba4f8dd32f073a8f34b005393459c5dbcea"
+        )
+
     def test_counts_match_spec(self, tmp_path, synth_spec):
         out = tmp_path / "run"
         invoke("synth", "--spec", synth_spec, "--out", out)
@@ -891,6 +904,26 @@ def test_usage_errors_exit_2(tmp_path, small_fleet_csv, args):
     assert result.exit_code == 2, result.output
     assert "usage: fleetlife" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "score", "simulate"])
+def test_asset_csv_not_utf8_names_its_line(tmp_path, command):
+    # each command that reads an asset CSV refuses one that is not UTF-8 as
+    # invalid input, naming the line of the bad byte
+    fleet = tmp_path / "fleet.csv"
+    fleet.write_bytes(
+        b"asset_id,voltage_kv,commission_date,failure_date,manufacturer\n"
+        b"A\xff,110,2000-01-01,2010-01-01,M1\n"
+    )
+    args = {
+        "fit": ["--assets", fleet, "--cutoff", "2021-07-01"],
+        "score": ["--assets", fleet, "--laws", TestScore().laws_file(tmp_path), "--as-of", "2021-07-01"],
+        "simulate": ["--fleet", fleet, "--scenario", "time-based"],
+    }[command]
+    result = invoke(command, *args, "--out", tmp_path / "o")
+    assert result.exit_code == 2, result.output
+    assert "error: line 2: not UTF-8 (byte 0xff: invalid start byte)" in result.output
+    assert "Traceback" not in result.output
 
 
 def child_env() -> dict:

@@ -1,5 +1,6 @@
 import csv
 import io
+import sys
 import tracemalloc
 import warnings
 from contextlib import contextmanager
@@ -22,6 +23,7 @@ from fleetlife.fleet import (
     DataError,
     LifetimeTable,
     SyntheticFleetSpec,
+    TextColumn,
     VoltageClass,
     _parse_plain,
     build_lifetime_table,
@@ -49,7 +51,7 @@ class TestParseAssetCsv:
     def test_empty_failure_and_manufacturer(self):
         table = parse(HEADER + "A2,380,1990-06-15,,\n")
         assert table.failure.tolist() == [0]
-        assert table.manufacturer == [""]
+        assert list(table.manufacturer) == [""]
         assert FAMILIES[table.family[0]] is VoltageClass.V220_380
 
     def test_failure_before_commission_rejected_with_row(self):
@@ -92,15 +94,28 @@ class TestParseAssetCsv:
 
     def test_row_order_preserved(self):
         text = HEADER + "B,110,2000-01-01,,\nA,150,2001-01-01,,\n"
-        assert parse(text).asset_id == ["B", "A"]
+        assert list(parse(text).asset_id) == ["B", "A"]
 
     def test_bytes_stream(self):
         table = parse_asset_csv(io.BytesIO((HEADER + "A1,110,2000-01-01,,\n").encode()))
         assert len(table) == 1
 
     def test_invalid_utf8_rejected(self):
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(DataError, match=r"^line 2: not UTF-8 \(byte 0xff: invalid start byte\)$"):
             parse_asset_csv(io.BytesIO(HEADER.encode() + b"A\xff,110,2000-01-01,,\n"))
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            # the line of the first bad byte, counting CR, LF and CR LF ends,
+            # ahead of the duplicate id before it
+            (b"A,110,2000-01-01,,\r\nA,110,2000-01-01,,\rB,110,2000-01-01,,\xe2\x82\n", 4),
+            (b'"A\n1",110,2000-01-01,,M\xc3\n', 3),
+        ],
+    )
+    def test_invalid_utf8_names_its_line(self, rows, line):
+        with pytest.raises(DataError, match=f"^line {line}: not UTF-8 \\(byte 0x"):
+            parse_asset_csv(io.BytesIO(HEADER.encode() + rows))
 
     def test_text_stream_keeps_its_line_ends(self):
         # a stream that ends lines at CR only reads one line with every LF in it
@@ -133,7 +148,7 @@ class TestAssetTable:
             date(2001, 1, 1).toordinal(),
         ]
         assert table.failure.tolist() == [date(2010, 1, 1).toordinal(), 0]
-        assert table.manufacturer == ["M1", ""]
+        assert list(table.manufacturer) == ["M1", ""]
         assert [FAMILIES[code] for code in table.family.tolist()] == [
             VoltageClass.V220_380,
             VoltageClass.V150,
@@ -157,6 +172,30 @@ class TestAssetTable:
     def test_ragged_columns_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             AssetTable(["A", "B"], [110], [730000, 730000], [0, 0], ["", ""])
+
+    def test_text_columns_copy_their_input(self):
+        # a frozen table keeps its rows when the caller's lists change
+        ids, makers = ["A", "B"], ["M1", ""]
+        table = AssetTable(ids, [110, 150], [730000, 730000], [0, 0], makers)
+        ids.append("A")
+        ids[0] = ""
+        makers[1] = "M2"
+        assert len(table) == 2
+        assert list(table.asset_id) == ["A", "B"]
+        assert list(table.manufacturer) == ["M1", ""]
+
+    @pytest.mark.parametrize(
+        "texts", [[], ["A"], ["", ""], ["", "A\n1", "\u00e9\U0001f600", "\0", "A"]]
+    )
+    def test_text_column_reads_as_the_list_it_encodes(self, texts):
+        for column in (TextColumn.encode(texts), TextColumn.coded(texts)):
+            assert len(column) == len(texts)
+            assert list(column) == texts
+            assert [column[i] for i in range(-len(texts), len(texts))] == texts + texts
+            assert column.take(np.arange(len(texts))[::-1]) == texts[::-1]
+            assert column.encoded() == [text.encode() for text in texts]
+            with pytest.raises(IndexError):
+                column[len(texts)]
 
 
 class TestBuildLifetimeTable:
@@ -304,7 +343,7 @@ class TestSyntheticFleet:
         once = draw_failures(fleet, REFERENCE_LAWS, cutoff, seed=77)
         again = draw_failures(fleet, REFERENCE_LAWS, cutoff, seed=77)
         assert rows_of(once) == rows_of(again)
-        assert once.asset_id == fleet.asset_id
+        assert list(once.asset_id) == list(fleet.asset_id)
         assert (once.failure > 0).any()
         for _, _, commission, failure, _ in rows_of(once):
             if failure is not None:
@@ -429,24 +468,62 @@ def test_half_day_rounds_to_even_and_fails_on_the_cutoff():
 
 
 @st.composite
-def asset_records(draw):
-    index = draw(st.integers(0, 10**6))
+def asset_records(
+    draw,
+    ids=st.integers(0, 10**6).map("A{}".format),
+    makers=st.sampled_from(["M1", "M2", "M9"]),
+):
+    asset_id = draw(ids)
     kv = draw(st.sampled_from([110, 150, 220, 380]))
     commission = draw(st.dates(date(1950, 1, 1), date(2020, 12, 31)))
     fail_offset = draw(st.one_of(st.none(), st.integers(1, 20000)))
     failure = None
     if fail_offset is not None:
         failure = date.fromordinal(commission.toordinal() + fail_offset)
-    manufacturer = draw(st.one_of(st.none(), st.sampled_from(["M1", "M2", "M9"])))
-    return (f"A{index}", kv, commission, failure, manufacturer)
+    manufacturer = draw(st.one_of(st.none(), makers))
+    return (asset_id, kv, commission, failure, manufacturer)
 
 
-@given(st.lists(asset_records(), max_size=30, unique_by=lambda r: r[0]))
+# Any text, often with the separator, quote, line ends and NUL that CSV
+# writes specially, and non-ASCII. The csv reader of Python 3.10 refuses a NUL
+any_text = st.text(
+    st.one_of(st.sampled_from(',"\r\n\0\u00e9'), st.characters()).filter(
+        lambda c: c != "\0" or sys.version_info >= (3, 11)
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(st.lists(asset_records(ids=any_text, makers=any_text), max_size=30, unique_by=lambda r: r[0]))
 @settings(max_examples=60)
+@example([("T1", 110, date(2000, 1, 1), None, "ACME\rEU")])
 def test_csv_round_trip_property(rows):
     out = io.StringIO()
     write_asset_csv(fleet_of(rows), out)
     assert rows_of(parse_asset_csv(io.StringIO(out.getvalue()))) == rows
+    # as the CLI reads a file
+    assert rows_of(parse_asset_csv(io.BytesIO(out.getvalue().encode()))) == rows
+    # a row with nothing to quote is written as its plain line
+    for row in rows:
+        line = _line(row)
+        if line.count(",") == 4 and not any(c in line for c in '"\r\n'):
+            one = io.StringIO()
+            write_asset_csv(fleet_of([row]), one)
+            assert one.getvalue() == HEADER + line + "\n"
+
+
+def test_rows_quoted_only_in_the_slices_that_need_it(monkeypatch):
+    # rows are written two at a time: the slices without a field to quote
+    # are written as plain lines, the one with a CR in a name through csv
+    rows = [(f"A{i}", 110, date(2000, 1, 1), None, "ACME\rEU" if i == 2 else "M1") for i in range(5)]
+    monkeypatch.setattr(fleet_module, "_TAKE_ROWS", 2)
+    out = io.StringIO()
+    write_asset_csv(fleet_of(rows), out)
+    lines = [_line(row) for row in rows]
+    lines[2] = lines[2].replace("ACME\rEU", '"ACME\rEU"')
+    assert out.getvalue() == HEADER + "".join(line + "\n" for line in lines)
+    assert rows_of(parse_asset_csv(io.BytesIO(out.getvalue().encode()))) == rows
 
 
 def test_years_between_day_convention():
@@ -641,14 +718,16 @@ def test_ids_of_equal_hash():
     # name came before is named
     ids = [SameHash(f"A{i}") for i in range(5)]
     columns = ([110] * 7, [730000] * 7, [0] * 7, [""] * 7)
-    assert fleet_of([(i, 110, date(2000, 1, 1)) for i in ids]).asset_id == ids
+    assert list(fleet_of([(i, 110, date(2000, 1, 1)) for i in ids]).asset_id) == ids
     with pytest.raises(DataError, match="^duplicate asset_id 'A3'$"):
         AssetTable(ids + [SameHash("A3"), SameHash("A1")], *columns)
 
 
 def test_plain_ingest_peaks_at_what_it_keeps():
     # the columnar path holds the input, the table it returns and one block
-    # of rows, and no second copy of the columns or set of the ids
+    # of rows, and no second copy of the columns or set of the ids; the
+    # table keeps no object per row: its ids are one buffer, and each row
+    # adds an offset, three int64 columns and a manufacturer code
     data = (HEADER + "".join(
         f"T{i:06d},{VALID_VOLTAGES[i % 4]},19{60 + i % 40}-0{1 + i % 9}-1{i % 10},"
         f"{'2015-03-02' if i % 3 == 0 else ''},Maker {i % 7}\n"
@@ -662,6 +741,7 @@ def test_plain_ingest_peaks_at_what_it_keeps():
         tracemalloc.stop()
     assert len(table) == 50_000
     assert peak <= kept + len(data) + 2**20
+    assert kept <= len(table) * (len("T000000") + 48)
 
 
 def test_plain_files_keep_one_object_per_manufacturer_name(monkeypatch):

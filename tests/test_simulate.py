@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import operator
 from datetime import date
 from fractions import Fraction
 from decimal import Decimal
@@ -13,6 +14,7 @@ from scipy import stats
 
 from conftest import fleet_of
 from fleetlife.fleet import (
+    AssetTable,
     SyntheticFleetSpec,
     VoltageClass,
     generate_synthetic_fleet,
@@ -232,7 +234,7 @@ class TestEvaluateTriggers:
             horizon_years=12,
         )
         engine = traced(fleet_of([asset()]), sc)
-        _, z = _stream_draws(_asset_keys([asset()[0]]), sc.master_seed, 0, np.arange(8))
+        _, z = _stream_draws(_asset_keys([asset()[0].encode()]), sc.master_seed, 0, np.arange(8))
         rates = sc.degradation_rates.from_normals(z[:, 0]).tolist()
         expected, tick = [], 0
         for rate in rates:
@@ -302,7 +304,7 @@ class TestSampleFailure:
             horizon_years=1,
         )
         engine = traced(fleet_of([asset(i) for i in ids]), sc)
-        u, _ = _stream_draws(_asset_keys(ids), sc.master_seed, 0, np.array([0]))
+        u, _ = _stream_draws(_asset_keys([i.encode() for i in ids]), sc.master_seed, 0, np.array([0]))
         start, tick = 0.0, 1 / 12
         for i in range(len(ids)):
             e = -math.log1p(-float(u[0, i]))
@@ -920,7 +922,7 @@ class TestStreams:
     def test_draws_in_slices_are_the_draws_at_once(self, monkeypatch):
         # each block depends only on its counter and key, so slices of 3
         # assets (the last one short) give the bits of one call over all 10
-        keys = _asset_keys([f"110-{i:05d}" for i in range(10)])
+        keys = _asset_keys([f"110-{i:05d}".encode() for i in range(10)])
         generations = np.array([0, 1, 2, 5])
         whole = _stream_draws(keys, 2**70 + 3, 4, generations)
         monkeypatch.setattr("fleetlife.simulate._DRAW_SLICE", 3)
@@ -2069,3 +2071,46 @@ class TestAllocationWork:
         assert sum(b > 0 for b in series.backlog_hours) >= 3
         assert engine.executed > 0
         assert engine.examined <= 4 * (engine.executed + engine.dropped)
+
+
+def rows_of_fleet(fleet: AssetTable, rows: np.ndarray) -> AssetTable:
+    """The rows of `fleet` at `rows`, in that order."""
+    return AssetTable(
+        fleet.asset_id.take(rows),
+        fleet.voltage_kv[rows],
+        fleet.commission[rows],
+        fleet.failure[rows],
+        fleet.manufacturer.take(rows),
+    )
+
+
+@pytest.mark.parametrize("strategy", ["time-based", "condition-based"])
+def test_open_pool_sums_over_a_partition_of_the_fleet(strategy):
+    # Under an open pool no asset waits for another, and each asset's draws
+    # depend on its id's bytes alone: not on where they sit in the id
+    # buffer, nor on row order. So at a fixed start date a fleet's
+    # per-year failures, replacements, CAPEX and OPEX, and its counts per
+    # (year, activity), are the sums of those of two random halves of it,
+    # each in shuffled order.
+    fleet = generate_synthetic_fleet(
+        SyntheticFleetSpec(
+            sizes={VoltageClass.V110: 400, VoltageClass.V150: 400, VoltageClass.V220_380: 200},
+            commission_years=(1982, 1986),
+            seed=11,
+        )
+    )
+    rows = np.random.default_rng(14).permutation(len(fleet))
+    halves = [rows_of_fleet(fleet, part) for part in np.array_split(rows, 2)]
+    sc = dataclasses.replace(
+        builtin_scenario(strategy, replications=3), start_date=date(1990, 1, 1)
+    )
+    engines = [_Engine(part, sc) for part in (fleet, *halves)]
+    for rep in range(sc.replications):
+        (whole, a, b) = [(engine.run(rep), engine.replaced, engine.inspected) for engine in engines]
+        for name in ("failures", "replacements", "capex", "opex"):
+            assert getattr(whole[0], name) == list(
+                map(operator.add, getattr(a[0], name), getattr(b[0], name))
+            ), name
+        assert (whole[1] == a[1] + b[1]).all()
+        assert (whole[2] == a[2] + b[2]).all()
+        assert sum(whole[0].failures) > 0 and whole[2].sum() > 0
